@@ -6,7 +6,6 @@ from .attention import (
     AttentionMask,
     ScaleSet,
     WindowSpec,
-    aggregate_scales,
     attended_pairs_count,
     build_sparse_mask,
     build_window_schedule,

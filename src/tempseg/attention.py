@@ -5,11 +5,18 @@ aggregation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import MaskError, ShapeError, Tensor, as_tensor, concat, masked_softmax, mean_pool1d
+from .seqcore import (
+    MaskError,
+    ShapeError,
+    Tensor,
+    band_attention,
+    concat,
+    mean_pool1d,
+)
 
 __all__ = [
     "WindowSpec",
@@ -20,9 +27,7 @@ __all__ = [
     "build_sparse_mask",
     "dswa_forward",
     "hta_forward",
-    "aggregate_scales",
     "attended_pairs_count",
-    "dense_attention_oracle",
     "init_attention_params",
 ]
 
@@ -56,13 +61,15 @@ class AttentionMask:
     """Sparse per-query attention pattern over a sequence of length T.
 
     Stored as a padded band: ``key_index[q, j]`` with a validity flag, which
-    keeps windowed masks O(T * window) instead of O(T^2).
+    keeps windowed masks O(T * window) instead of O(T^2). ``spec`` is the
+    window the band was built from; attention runs from it.
     """
 
-    def __init__(self, T: int, key_index: np.ndarray, valid: np.ndarray):
+    def __init__(self, T: int, key_index: np.ndarray, valid: np.ndarray, spec: WindowSpec):
         if T < 1:
             raise ShapeError(f"mask needs T >= 1, got {T}")
         self.T = T
+        self.spec = spec
         self.key_index = key_index
         self.valid = valid
         if not valid.any(axis=1).all():
@@ -126,7 +133,7 @@ def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
     offsets = np.arange(lo, hi + 1) * step
     idx = np.arange(T)[:, None] + offsets[None, :]
     valid = (idx >= 0) & (idx < T)
-    return AttentionMask(T, np.clip(idx, 0, T - 1), valid)
+    return AttentionMask(T, np.clip(idx, 0, T - 1), valid, spec)
 
 
 def attended_pairs_count(mask: AttentionMask) -> int:
@@ -211,22 +218,6 @@ def init_attention_params(d_model: int, attn_dim: int, heads: int, rng) -> Atten
     return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo, heads)
 
 
-def _band_attention(
-    q: Tensor, k: Tensor, v: Tensor, key_index: np.ndarray, valid: np.ndarray, heads: int
-) -> Tensor:
-    """Multi-head attention over a padded key band. q/k/v are [T, A]."""
-    T, A = q.shape
-    hd = A // heads
-    K = key_index.shape[1]
-    scale = 1.0 / math.sqrt(hd)
-    kg = k.take_rows(key_index).reshape(T, K, heads, hd)
-    scores = (q.reshape(T, 1, heads, hd) * kg).sum(axis=3) * scale
-    alpha = masked_softmax(scores.transpose((0, 2, 1)), valid[:, None, :])
-    vg = v.take_rows(key_index).reshape(T, K, heads, hd).transpose((0, 2, 1, 3))
-    out = (alpha.reshape(T, heads, K, 1) * vg).sum(axis=2)
-    return out.reshape(T, A)
-
-
 def dswa_forward(
     x: Tensor,
     expanding: AttentionMask,
@@ -246,14 +237,14 @@ def dswa_forward(
     k = x @ params.wk + params.bk
     v = x @ params.wv + params.bv
     half = params.attn_dim // 2
-    hg = params.heads // 2
-    out_e = _band_attention(
-        q[:, :half], k[:, :half], v[:, :half], expanding.key_index, expanding.valid, hg
-    )
-    out_s = _band_attention(
-        q[:, half:], k[:, half:], v[:, half:], shrinking.key_index, shrinking.valid, hg
-    )
-    return concat([out_e, out_s], axis=1) @ params.wo + params.bo
+    outs = []
+    for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
+        spec = mask.spec
+        outs.append(band_attention(
+            q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
+            spec.one_sided_width, spec.step, spec.causal,
+        ))
+    return concat(outs, axis=1) @ params.wo + params.bo
 
 
 def _hta_band(T: int, scales: ScaleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -274,13 +265,58 @@ def _hta_band(T: int, scales: ScaleSet) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(idx, 0, T - 1), valid
 
 
+# hta_forward gathers about this many floats per chunk of query rows
+HTA_CHUNK = 1 << 18
+
+
+def _window_sums(
+    cum: Tensor, zidx: np.ndarray, inside: np.ndarray, keys: np.ndarray,
+    vsum: Tensor, count: np.ndarray, heads: int,
+):
+    """Softmax sums over pooled key blocks for the queries of one resolution.
+
+    Query a scores key block keys[a, r] with cum[zidx[a, r]] ([heads]); only
+    blocks with inside[a, r] count. Returns the numerator [t, heads, hd] and
+    denominator [t, heads] of sum(exp(z - zmax) * value), where the value is
+    the block's summed values (``vsum``) or its frame count (``count``), and
+    the row max zmax [t, heads] (-inf for a row with no block). Rows run in
+    chunks of about HTA_CHUNK gathered floats to keep the working set small.
+    """
+    t, R = keys.shape
+    A = vsum.shape[1]
+    rows = max(1, HTA_CHUNK // (R * A))
+    nums, dens, maxes = [], [], []
+    for r0 in range(0, t, rows):
+        sl = slice(r0, r0 + rows)
+        z = cum.take_rows(zidx[sl])
+        ins = inside[sl][:, :, None]
+        zmax = np.where(ins, z.data, -np.inf).max(axis=1)
+        # blocks outside are shifted to exp(0) and then zeroed: no overflow
+        e = (z - np.where(ins, zmax[:, None, :], z.data)).exp() * ins
+        idx = np.clip(keys[sl], 0, vsum.shape[0] - 1)
+        g = vsum.take_rows(idx).reshape(*idx.shape, heads, A // heads)
+        nums.append((e.reshape(*idx.shape, heads, 1) * g).sum(axis=1))
+        dens.append((e * (count[idx] * inside[sl])[:, :, None]).sum(axis=1))
+        maxes.append(zmax)
+    if len(nums) == 1:
+        return nums[0], dens[0], maxes[0]
+    return concat(nums), concat(dens), np.concatenate(maxes)
+
+
 def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     """Hierarchical temporal attention.
 
-    Per scale s the input is mean-pooled by 2**s, windowed scores are
-    computed at pooled resolution and broadcast back to frames; scores are
-    aggregated across scales (softmax over the union neighborhood) and
-    applied to frame-resolution values.
+    Per scale s the input is mean-pooled by 2**s and each pooled query
+    scores the 2w+1 pooled keys around it. A frame-level key gets the
+    weighted sum of the scores of every scale whose window holds it; the
+    softmax runs over the union of the windows and weights frame-level
+    values.
+
+    The windows nest, so every key of the ring between two consecutive
+    scales' windows scores the same as the other keys of its pooled block
+    at the finer of the two scales. The sums therefore run over pooled
+    blocks with summed values: the finest window at the finest scale and
+    each ring at its finer scale. The cost is linear in T.
     """
     T = x.shape[0]
     if scales.T != T:
@@ -290,84 +326,66 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     scale_qk = 1.0 / math.sqrt(hd)
     w = scales.window
     W = 2 * w + 1
-    key_index, valid = _hta_band(T, scales)
-    K = key_index.shape[1]
+    off = np.arange(-w, w + 1)
+    levels = sorted(zip(scales.scales, scales.weights), key=lambda p: p[0])
     v = x @ params.wv + params.bv
 
-    combined = None
-    union_valid = np.zeros((T, K), dtype=bool)
-    for s, ws in zip(scales.scales, scales.weights):
+    sizes, scores, vsums, counts = [], [], [], []
+    for s, _ in levels:
         f = 1 << s
         xp = mean_pool1d(x, f)
         ts = xp.shape[0]
         qp = (xp @ params.wq + params.bq).reshape(ts, 1, H, hd)
         kp = xp @ params.wk + params.bk
-        off = np.arange(-w, w + 1)
-        pool_idx = np.arange(ts)[:, None] + off[None, :]
-        pool_ok = (pool_idx >= 0) & (pool_idx < ts)
-        kg = kp.take_rows(np.clip(pool_idx, 0, ts - 1)).reshape(ts, W, H, hd)
-        band = (qp * kg).sum(axis=3) * scale_qk  # [ts, W, H]
-        # broadcast pooled scores to the frame-level band
-        i_pool = (np.arange(T) // f)[:, None]
-        j_pool = key_index // f
-        rel = j_pool - i_pool + w
-        in_scale = valid & (rel >= 0) & (rel < W) & pool_ok[np.clip(i_pool, 0, ts - 1), np.clip(rel, 0, W - 1)]
-        flat = np.clip(i_pool, 0, ts - 1) * W + np.clip(rel, 0, W - 1)
-        contrib = band.reshape(ts * W, H).take_rows(flat) * in_scale[:, :, None].astype(float)
-        combined = contrib * ws if combined is None else combined + contrib * ws
-        union_valid |= in_scale
-    alpha = masked_softmax(combined.transpose((0, 2, 1)), union_valid[:, None, :])
-    vg = v.take_rows(key_index).reshape(T, K, H, hd).transpose((0, 2, 1, 3))
-    out = (alpha.reshape(T, H, K, 1) * vg).sum(axis=2).reshape(T, params.attn_dim)
+        kg = kp.take_rows(np.clip(np.arange(ts)[:, None] + off, 0, ts - 1)).reshape(ts, W, H, hd)
+        scores.append((qp * kg).sum(axis=3) * scale_qk)  # [ts, W, H]
+        count = np.minimum(f, T - np.arange(ts) * f).astype(np.float64)
+        vsums.append(v if f == 1 else mean_pool1d(v, f) * count[:, None])
+        counts.append(count)
+        sizes.append(ts)
+
+    # cum[k][a, r]: score of pooled key block a + r - w at scale k summed
+    # with every coarser scale's score of the block containing it
+    cum = [None] * len(levels)
+    cum[-1] = scores[-1] * levels[-1][1]
+    for k in range(len(levels) - 2, -1, -1):
+        d = levels[k + 1][0] - levels[k][0]
+        a = np.arange(sizes[k])[:, None]
+        rel = np.clip(((a + off) >> d) - (a >> d) + w, 0, W - 1)
+        coarse = cum[k + 1].reshape(sizes[k + 1] * W, H).take_rows((a >> d) * W + rel)
+        cum[k] = scores[k] * levels[k][1] + coarse
+
+    # (resolution, scores, score index, blocks that count, key blocks): the
+    # finest window, then each ring in blocks of its finer scale
+    keys = np.arange(sizes[0])[:, None] + off
+    terms = [(0, cum[0].reshape(sizes[0] * W, H), np.arange(sizes[0] * W).reshape(-1, W),
+              (keys >= 0) & (keys < sizes[0]), keys)]
+    for k in range(1, len(levels)):
+        d = levels[k][0] - levels[k - 1][0]
+        if d == 0:
+            continue  # a repeated scale has an empty ring
+        # the coarse window spans W << d blocks here; the finer window's W
+        # blocks start at offset lo within them and are left out
+        a = np.arange(sizes[k - 1])[:, None]
+        lo = (a & ((1 << d) - 1)) + w * ((1 << d) - 1)
+        j = np.arange(W * ((1 << d) - 1))[None, :]
+        j = j + W * (j >= lo)
+        keys = (((a >> d) - w) << d) + j
+        terms.append((k - 1, cum[k].reshape(sizes[k] * W, H), (a >> d) * W + (j >> d),
+                      (keys >= 0) & (keys < sizes[k - 1]), keys))
+
+    frames = np.arange(T)
+    parts = []
+    for lvl, z, zidx, inside, keys in terms:
+        num, den, zmax = _window_sums(z, zidx, inside, keys, vsums[lvl], counts[lvl], H)
+        at = frames >> levels[lvl][0]
+        parts.append((num.take_rows(at), den.take_rows(at), zmax[at]))
+    # rescale every term to the shared per-frame max (a constant shift)
+    top = np.max([zmax for _, _, zmax in parts], axis=0)
+    num = den = 0.0
+    for n_t, d_t, zmax in parts:
+        fac = np.exp(zmax - top)
+        num = n_t * fac[:, :, None] + num
+        den = d_t * fac + den
+    out = (num / den.reshape(T, H, 1)).reshape(T, params.attn_dim)
     return out @ params.wo + params.bo
-
-
-def aggregate_scales(
-    scores: list[np.ndarray], weights: list[float], neighborhoods: list[np.ndarray]
-) -> np.ndarray:
-    """Cross-scale score aggregation on dense [T, T] score maps.
-
-    alpha_ij = exp(sum_s w_s e_ij^s) / sum_{k in union of neighborhoods}
-    exp(sum_s w_s e_ik^s); a pair missing at a scale contributes 0.
-    Rows of the result sum to 1 over the union; entries outside are 0.
-    """
-    if len(scores) != len(weights) or len(scores) != len(neighborhoods):
-        raise ShapeError("scores, weights and neighborhoods must align")
-    union = np.zeros_like(neighborhoods[0], dtype=bool)
-    total = np.zeros_like(scores[0], dtype=float)
-    for e, ws, nb in zip(scores, weights, neighborhoods):
-        total = total + ws * np.where(nb, e, 0.0)
-        union |= nb
-    if not union.any(axis=1).all():
-        q = int(np.argmin(union.any(axis=1)))
-        raise MaskError(f"query {q} has an empty neighborhood union")
-    shifted = np.where(union, total, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.where(union, np.exp(shifted), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def dense_attention_oracle(
-    x: np.ndarray, params: AttentionParams, mask: np.ndarray, head_slice: slice | None = None
-) -> np.ndarray:
-    """Plain O(T^2) multi-head masked attention on numpy arrays; reference
-    for the sparse band implementation. Returns pre-output-projection head
-    outputs over the given channel slice."""
-    q = x @ params.wq.data + params.bq.data
-    k = x @ params.wk.data + params.bk.data
-    v = x @ params.wv.data + params.bv.data
-    if head_slice is not None:
-        q, k, v = q[:, head_slice], k[:, head_slice], v[:, head_slice]
-    heads = params.heads if head_slice is None else params.heads // 2
-    T, A = q.shape
-    hd = A // heads
-    out = np.zeros((T, A))
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        scores = q[:, sl] @ k[:, sl].T / math.sqrt(hd)
-        scores = np.where(mask, scores, -np.inf)
-        scores = scores - scores.max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(scores), 0.0)
-        alpha = e / e.sum(axis=1, keepdims=True)
-        out[:, sl] = alpha @ v[:, sl]
-    return out

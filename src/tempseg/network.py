@@ -4,10 +4,9 @@ action logits and a boundary score at the original temporal resolution."""
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 

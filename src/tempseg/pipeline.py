@@ -25,7 +25,7 @@ from .segments import (
     refine_prediction,
     segments_to_frames,
 )
-from .seqcore import Adam, Tensor, masked_softmax
+from .seqcore import Adam, Tensor, no_grad
 
 __all__ = [
     "FEATURE_MAGIC",
@@ -262,7 +262,8 @@ def _sequence_loss(model: SegmentationModel, feats, labels, segments, training: 
 def _train_accuracy(model: SegmentationModel, dataset) -> float:
     correct = total = 0
     for feats, labels, _ in dataset:
-        out = model.forward(Tensor(feats), training=False)
+        with no_grad():
+            out = model.forward(Tensor(feats), training=False)
         pred = np.argmax(out.stages[-1].action_logits.data, axis=1)
         correct += int((pred == labels).sum())
         total += labels.size
@@ -309,7 +310,8 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         if val_set:
             vloss = 0.0
             for feats, labels, segments in val_set:
-                _, lv, _ = _sequence_loss(model, feats, labels, segments, training=False)
+                with no_grad():
+                    _, lv, _ = _sequence_loss(model, feats, labels, segments, training=False)
                 vloss += lv.item()
             monitored = vloss / len(val_set)
         else:
@@ -389,7 +391,8 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match model d_in {model.cfg.d_in}"
         )
-    out = model.forward(Tensor(features), training=False)
+    with no_grad():
+        out = model.forward(Tensor(features), training=False)
     final = out.stages[-1]
     logits = final.action_logits.data
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))

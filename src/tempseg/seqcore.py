@@ -4,13 +4,17 @@ Everything is float64. A Tensor wraps a numpy array plus an optional
 gradient accumulator; each op that touches a differentiable input records
 a backward closure, and ``Tensor.backward()`` replays the tape in reverse
 topological order. The primitive set is deliberately closed: matmul,
-dilated 1-D convolution, masked softmax, elementwise arithmetic,
-activations, reductions, gather/reshape/concat plumbing and mean pooling.
+dilated 1-D convolution, masked softmax, banded multi-head attention,
+elementwise arithmetic, activations, reductions, gather/reshape/concat
+plumbing and mean pooling. Inside a ``no_grad()`` block no op records a
+backward closure, so evaluation passes keep no tape alive.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -19,13 +23,20 @@ __all__ = [
     "ShapeError",
     "MaskError",
     "as_tensor",
+    "band_attention",
     "concat",
     "conv1d_dilated",
     "layer_norm",
     "masked_softmax",
     "mean_pool1d",
+    "no_grad",
     "Adam",
 ]
+
+# queries per block in band_attention; each block meets one key slab
+BAND_BLOCK = 64
+
+_grad_mode = threading.local()
 
 
 class ShapeError(ValueError):
@@ -310,8 +321,22 @@ class Tensor:
         return out
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Within this block ops record no parents and no backward closure;
+    their outputs are plain values. Per thread, and nests."""
+    prev = getattr(_grad_mode, "off", False)
+    _grad_mode.off = True
+    try:
+        yield
+    finally:
+        _grad_mode.off = prev
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor(data)
+    if getattr(_grad_mode, "off", False):
+        return out
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(p for p in parents if p.requires_grad)
@@ -358,6 +383,108 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
         def back(g):
             inner = (g * alpha).sum(axis=-1, keepdims=True)
             scores._accumulate(alpha * (g - inner))
+        out._backward = back
+    return out
+
+
+def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
+    """Rows r, r+step, ... of a [T, A] array as a contiguous [heads, n, A/heads]."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], heads, -1)[r::step].transpose(1, 0, 2))
+
+
+def _band_blocks(n: int, width: int, causal: bool):
+    """Query blocks [p0, p1) of an undilated band over n positions, each with
+    its key slab [s0, s1) and the mask of the slab entries outside the band
+    (None when there are none)."""
+    hi = 0 if causal else width
+    # entry (i, j) of an unclipped block: query p0 + i against key p0 - width + j
+    rel = np.arange(BAND_BLOCK + width + hi)[None, :] - width - np.arange(BAND_BLOCK)[:, None]
+    outside = (rel < -width) | (rel > hi)
+    for p0 in range(0, n, BAND_BLOCK):
+        p1 = min(p0 + BAND_BLOCK, n)
+        s0, s1 = max(p0 - width, 0), min(p1 + hi, n)
+        c0 = s0 - p0 + width
+        edges = s0 < p1 - 1 - width or s1 - 1 > p0 + hi
+        yield p0, p1, s0, s1, outside[: p1 - p0, c0 : c0 + s1 - s0] if edges else None
+
+
+def _band_exp(qb: np.ndarray, ks: np.ndarray, outside) -> tuple[np.ndarray, np.ndarray]:
+    """exp(qb @ ks^T - row max) over the slab with out-of-band entries exactly
+    0, and its row sums: the softmax numerator and denominator, stabilised by
+    the in-band row max as in masked_softmax."""
+    e = qb @ ks.transpose(0, 2, 1)
+    if outside is not None:
+        np.copyto(e, -np.inf, where=outside)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
+
+
+def band_attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int, causal: bool = False
+) -> Tensor:
+    """Multi-head attention over a dilated band; q, k and v are [T, A].
+
+    Position t attends t + j*step for j in [-width, width] ([-width, 0] when
+    causal), clipped to the sequence, with scores scaled by 1/sqrt(A/heads).
+    A band of step s is s undilated bands over the residue rows r::s. Each
+    runs as blocks of BAND_BLOCK queries against one contiguous key slab, so
+    the work is batched matmuls over [heads, block, slab]. The backward
+    recomputes each block's probabilities instead of storing them.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+        raise ShapeError(
+            f"band attention needs equal [T, A] q/k/v, got {q.data.shape}, "
+            f"{k.data.shape}, {v.data.shape}"
+        )
+    T, A = q.data.shape
+    if heads < 1 or A % heads != 0:
+        raise ShapeError(f"head count {heads} must divide attention dim {A}")
+    if width < 1 or step < 1:
+        raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
+    hd = A // heads
+    scale = 1.0 / math.sqrt(hd)
+    qs = q.data * scale
+    y = np.empty((T, heads, hd))
+    for r in range(min(step, T)):
+        qr, kr, vr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data))
+        o = np.empty_like(qr)
+        for p0, p1, s0, s1, outside in _band_blocks(qr.shape[1], width, causal):
+            e, rowsum = _band_exp(qr[:, p0:p1], kr[:, s0:s1], outside)
+            o[:, p0:p1] = (e @ vr[:, s0:s1]) / rowsum
+        y[r::step] = o.transpose(1, 0, 2)
+    y = y.reshape(T, A)
+
+    out = _make(y, (q, k, v))
+    if out.requires_grad:
+        def back(g):
+            # per block: dV += P^T dO, dS = P * (dO V^T - rowsum(dO * O)),
+            # dQ = dS K * scale, dK += dS^T Q * scale
+            qs = q.data * scale
+            rowdot = (g * y).reshape(T, heads, hd).sum(axis=2)
+            dq, dk, dv = (np.empty((T, heads, hd)) for _ in range(3))
+            for r in range(min(step, T)):
+                qr, kr, vr, gr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data, g))
+                dr = rowdot[r::step].T[:, :, None]
+                dqr = np.empty_like(qr)
+                dkr, dvr = np.zeros_like(kr), np.zeros_like(vr)
+                for p0, p1, s0, s1, outside in _band_blocks(qr.shape[1], width, causal):
+                    p, rowsum = _band_exp(qr[:, p0:p1], kr[:, s0:s1], outside)
+                    p /= rowsum
+                    gb = gr[:, p0:p1]
+                    dvr[:, s0:s1] += p.transpose(0, 2, 1) @ gb
+                    ds = gb @ vr[:, s0:s1].transpose(0, 2, 1)
+                    ds -= dr[:, p0:p1]
+                    ds *= p
+                    dqr[:, p0:p1] = ds @ kr[:, s0:s1]
+                    dkr[:, s0:s1] += ds.transpose(0, 2, 1) @ qr[:, p0:p1]
+                dq[r::step] = dqr.transpose(1, 0, 2)
+                dk[r::step] = dkr.transpose(1, 0, 2)
+                dv[r::step] = dvr.transpose(1, 0, 2)
+            for t, d in ((q, dq * scale), (k, dk), (v, dv)):
+                if t.requires_grad:
+                    t._accumulate(d.reshape(T, A))
         out._backward = back
     return out
 
@@ -427,7 +554,9 @@ def conv1d_dilated(
                 if x.requires_grad:
                     if x.grad is None:
                         x.grad = np.zeros_like(x.data)
-                    np.add.at(x.grad.T, src, (kernel.data[:, :, j].T @ gm).T)
+                    # the taps of one offset read distinct frames, so a
+                    # fancy-index add sums exactly like a scatter-add
+                    x.grad[:, src] += kernel.data[:, :, j].T @ gm
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=1))
         out._backward = back

@@ -1,12 +1,15 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written the slow, obvious way on purpose: no shared code
-with the package beyond numpy.
+with the package beyond numpy and its error types.
 """
 
 import functools
+import math
 
 import numpy as np
+
+from tempseg.seqcore import MaskError, ShapeError
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -140,10 +143,70 @@ def f1_oracle(pred_segs, gt_segs, threshold, strict=True):
     return 2 * prec * rec / (prec + rec), float(fp), float(fn), prec, rec
 
 
+def dense_attention_oracle(x, params, mask, head_slice=None):
+    """Plain O(T^2) multi-head masked attention on numpy arrays; reference
+    for the sparse band implementation. Returns pre-output-projection head
+    outputs over the given channel slice."""
+    q = x @ params.wq.data + params.bq.data
+    k = x @ params.wk.data + params.bk.data
+    v = x @ params.wv.data + params.bv.data
+    if head_slice is not None:
+        q, k, v = q[:, head_slice], k[:, head_slice], v[:, head_slice]
+    heads = params.heads if head_slice is None else params.heads // 2
+    return dense_multihead(q, k, v, heads, mask)
+
+
+def dense_multihead(q, k, v, heads, mask):
+    """O(T^2) masked multi-head attention of [T, A] arrays under a dense
+    [T, T] boolean mask, scores scaled by 1/sqrt(A/heads)."""
+    T, A = q.shape
+    hd = A // heads
+    out = np.zeros((T, A))
+    for h in range(heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        scores = q[:, sl] @ k[:, sl].T / math.sqrt(hd)
+        scores = np.where(mask, scores, -np.inf)
+        scores = scores - scores.max(axis=1, keepdims=True)
+        e = np.where(mask, np.exp(scores), 0.0)
+        alpha = e / e.sum(axis=1, keepdims=True)
+        out[:, sl] = alpha @ v[:, sl]
+    return out
+
+
+def band_mask_oracle(T, width, step, causal=False):
+    """Dense [T, T] mask of a dilated band: j - i = m*step, -width <= m <= width
+    (m <= 0 when causal)."""
+    d = np.arange(T)[None, :] - np.arange(T)[:, None]
+    m = d // step
+    hi = 0 if causal else width
+    return (d % step == 0) & (m >= -width) & (m <= hi)
+
+
+def aggregate_scales(scores, weights, neighborhoods):
+    """Cross-scale score aggregation on dense [T, T] score maps.
+
+    alpha_ij = exp(sum_s w_s e_ij^s) / sum_{k in union of neighborhoods}
+    exp(sum_s w_s e_ik^s); a pair missing at a scale contributes 0.
+    Rows of the result sum to 1 over the union; entries outside are 0.
+    """
+    if len(scores) != len(weights) or len(scores) != len(neighborhoods):
+        raise ShapeError("scores, weights and neighborhoods must align")
+    union = np.zeros_like(neighborhoods[0], dtype=bool)
+    total = np.zeros_like(scores[0], dtype=float)
+    for e, ws, nb in zip(scores, weights, neighborhoods):
+        total = total + ws * np.where(nb, e, 0.0)
+        union |= nb
+    if not union.any(axis=1).all():
+        q = int(np.argmin(union.any(axis=1)))
+        raise MaskError(f"query {q} has an empty neighborhood union")
+    shifted = np.where(union, total, -np.inf)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.where(union, np.exp(shifted), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def dswa_oracle(x, exp_mask, shr_mask, params):
     """Dense reference for dual sliding-window attention."""
-    from tempseg.attention import dense_attention_oracle
-
     A = params.attn_dim
     half = slice(0, A // 2)
     other = slice(A // 2, A)
@@ -164,10 +227,6 @@ def _ragged_pool(x, f):
 def hta_oracle(x, scales, params):
     """Dense reference: per-scale pooled scores broadcast to [T, T], combined
     with aggregate_scales per head, applied to frame-level values."""
-    import math as _math
-
-    from tempseg.attention import aggregate_scales
-
     T = x.shape[0]
     H = params.heads
     hd = params.attn_dim // H
@@ -188,7 +247,7 @@ def hta_oracle(x, scales, params):
                     pi, pj = i // f, j // f
                     if abs(pi - pj) <= scales.window:
                         nb[i, j] = True
-                        e[i, j] = qp[pi] @ kp[pj] / _math.sqrt(hd)
+                        e[i, j] = qp[pi] @ kp[pj] / math.sqrt(hd)
             es.append(e)
             nbs.append(nb)
         alpha = aggregate_scales(es, scales.weights, nbs)

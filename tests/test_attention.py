@@ -1,24 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tempseg import attention
 from tempseg.attention import (
     AttentionMask,
     ScaleSet,
     WindowSpec,
-    aggregate_scales,
     attended_pairs_count,
     build_sparse_mask,
     build_window_schedule,
-    dense_attention_oracle,
     dswa_forward,
     hta_forward,
     init_attention_params,
 )
 from tempseg.seqcore import MaskError, ShapeError, Tensor
 
-from oracles import dswa_oracle, hta_oracle
+from oracles import (
+    aggregate_scales,
+    dense_attention_oracle,
+    dswa_oracle,
+    fd_check_tensor,
+    hta_oracle,
+)
 
 rng = np.random.default_rng(99)
 
@@ -155,6 +161,23 @@ def test_dswa_matches_dense_oracle_all_layers():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_dswa_default_width_peak_memory():
+    # default d_model/attn_dim/heads at the widest dilated windows of the
+    # default 10-block schedule, at the paper's target length
+    T = 2048
+    params = init_attention_params(256, 64, 8, rng)
+    e, s = build_window_schedule(10)[4]
+    em, sm = build_sparse_mask(T, e), build_sparse_mask(T, s)
+    x = Tensor(rng.normal(size=(T, 256)))
+    tracemalloc.start()
+    try:
+        dswa_forward(x, em, sm, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_dswa_odd_heads_rejected():
     params = init_attention_params(8, 6, 3, rng)
     m = build_sparse_mask(8, WindowSpec(2, 0, False, "e"))
@@ -171,6 +194,32 @@ def test_hta_matches_dense_oracle():
     got = hta_forward(Tensor(x), scales, params).data
     want = hta_oracle(x, scales, params)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "T, scale_list, weights, window",
+    [(45, [0, 1, 2], [0.5, 0.3, 0.2], 2), (30, [1, 3], [0.6, 0.4], 2), (26, [0, 0, 1], [0.5, 0.3, 0.2], 1)],
+)
+def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_list, weights, window):
+    # a tiny chunk size runs the window sums over many row chunks
+    monkeypatch.setattr(attention, "HTA_CHUNK", 64)
+    x = rng.normal(size=(T, 12))
+    params = init_attention_params(12, 8, 2, rng)
+    scales = ScaleSet(T, scale_list, weights, window=window)
+    got = hta_forward(Tensor(x), scales, params).data
+    assert np.max(np.abs(got - hta_oracle(x, scales, params))) < 1e-12
+
+
+def test_grad_hta_chunked(monkeypatch):
+    monkeypatch.setattr(attention, "HTA_CHUNK", 64)
+    T = 21
+    x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
+    params = init_attention_params(6, 4, 2, rng)
+    scales = ScaleSet(T, [0, 1, 2], [0.5, 0.3, 0.2], window=2)
+    w = rng.normal(size=(T, 6))
+    err = fd_check_tensor(lambda: (hta_forward(x, scales, params) * w).sum(),
+                          [x, params.wq, params.wk, params.wv])
+    assert err < 1e-6
 
 
 def test_hta_single_scale_equals_plain_windowed():

@@ -20,7 +20,7 @@ from tempseg.pipeline import (
     train,
 )
 from tempseg.segments import frames_to_segments
-from tempseg.seqcore import Adam, Tensor
+from tempseg.seqcore import Adam, Tensor, no_grad
 
 rng = np.random.default_rng(55)
 
@@ -242,6 +242,23 @@ def test_infer_output_contract():
     assert np.array_equal(res2.raw_labels, res2.refined_labels)
     with pytest.raises(ValueError):
         infer(model, np.zeros((10, 99)))
+
+
+def test_no_grad_inference_is_bit_identical_and_tape_free():
+    data = tiny_data(n=1, T=30)
+    model = SegmentationModel(tiny_run().model)
+    feats = data[0][0]
+    taped = model.forward(Tensor(feats))
+    assert taped.stages[-1].action_logits._prev  # parameters require grad
+    with no_grad():
+        free = model.forward(Tensor(feats))
+    res = infer(model, feats)
+    for out in (free, res.output):
+        for a, b in zip(taped.stages, out.stages):
+            for name in ("action_logits", "boundary_scores", "features"):
+                ta, tb = getattr(a, name), getattr(b, name)
+                assert np.array_equal(ta.data, tb.data)
+                assert tb._prev == () and tb._backward is None
 
 
 # -- CLI ------------------------------------------------------------------

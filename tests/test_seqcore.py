@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from tempseg.attention import WindowSpec, build_sparse_mask
 from tempseg.seqcore import (
+    BAND_BLOCK,
     Adam,
     MaskError,
     ShapeError,
     Tensor,
+    band_attention,
     concat,
     conv1d_dilated,
     layer_norm,
     masked_softmax,
     mean_pool1d,
+    no_grad,
 )
 
-from oracles import fd_check_tensor
+from oracles import band_mask_oracle, dense_multihead, fd_check_tensor
 
 rng = np.random.default_rng(12345)
 
@@ -190,3 +194,73 @@ def test_grad_mean_pool_layer_norm():
     bb = t(rng.normal(size=(4,)))
     _fd(lambda: (mean_pool1d(x, 2) * 3.0).sum() + layer_norm(x, g, bb).pow_const(2.0).sum(),
         [x, g, bb], tol=1e-5)
+
+
+# -- band attention -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "T, width, step, causal, heads",
+    [
+        (1, 3, 1, False, 2),      # a single frame
+        (5, 8, 1, False, 2),      # T < width
+        (3, 2, 5, False, 4),      # T < step: residues 3 and 4 are empty
+        (23, 2, 3, False, 2),     # T not a multiple of step
+        (40, 4, 2, True, 2),      # causal
+        (150, 5, 1, False, 4),    # several query blocks
+        (300, 40, 2, True, 4),    # several blocks, dilated and causal
+        (2 * BAND_BLOCK + 9, BAND_BLOCK + 3, 1, False, 2),  # width beyond a block
+    ],
+)
+def test_band_attention_matches_dense_oracle(T, width, step, causal, heads):
+    q, k, v = (rng.normal(size=(T, 4 * heads)) for _ in range(3))
+    mask = band_mask_oracle(T, width, step, causal)
+    spec = WindowSpec(width, step - 1, causal)
+    assert np.array_equal(mask, build_sparse_mask(T, spec).dense())
+    got = band_attention(Tensor(q), Tensor(k), Tensor(v), heads, width, step, causal).data
+    assert np.max(np.abs(got - dense_multihead(q, k, v, heads, mask))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "T, width, step, causal",
+    [(BAND_BLOCK + 6, 2, 1, False), (20, 3, 3, False), (17, 2, 2, True)],
+)
+def test_grad_band_attention(T, width, step, causal):
+    q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
+    w = rng.normal(size=(T, 4))
+    _fd(lambda: (band_attention(q, k, v, 2, width, step, causal) * w).sum(), [q, k, v])
+
+
+def test_band_attention_rejects_bad_shapes():
+    x = Tensor(rng.normal(size=(6, 4)))
+    with pytest.raises(ShapeError):
+        band_attention(x, Tensor(rng.normal(size=(5, 4))), x, 2, 1, 1)
+    with pytest.raises(ShapeError):
+        band_attention(x, x, x, 3, 1, 1)
+    with pytest.raises(ShapeError):
+        band_attention(x, x, x, 2, 1, 0)
+
+
+# -- no_grad --------------------------------------------------------------
+
+
+def test_no_grad_records_no_tape():
+    x = t(rng.normal(size=(3, 4)))
+    w = t(rng.normal(size=(4, 2)))
+    with no_grad():
+        y = (x @ w).tanh().sum()
+    assert not y.requires_grad and y._prev == () and y._backward is None
+    assert np.array_equal(y.data, (x @ w).tanh().sum().data)
+    z = (x @ w).sum()
+    assert z.requires_grad and z._prev
+
+
+def test_no_grad_nests_and_restores_after_error():
+    x = t(rng.normal(size=(2,)))
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+            raise RuntimeError("boom")
+    assert (x * 2.0).requires_grad

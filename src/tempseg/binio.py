@@ -1,0 +1,37 @@
+"""Exact reads for the binary feature (MSBF) and checkpoint (MSBC) files.
+
+A file that ends early is a malformed input, not an internal fault: every
+short read raises FormatError naming the file and the byte offset.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+
+__all__ = ["FormatError", "read_exact", "read_struct"]
+
+
+class FormatError(ValueError):
+    """A binary input file is truncated or malformed."""
+
+
+def read_exact(f, n: int, what: str) -> bytes:
+    """The next n bytes of binary file f; FormatError if fewer remain.
+
+    The size is checked against the file before reading, so a corrupt
+    length field never allocates more than the file holds.
+    """
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if n > left:
+        raise FormatError(
+            f"{f.name}: truncated {what} at byte {offset}: "
+            f"needs {n} bytes, {max(left, 0)} left"
+        )
+    return f.read(n)
+
+
+def read_struct(f, fmt: str, what: str) -> tuple:
+    """struct.unpack(fmt, ...) over the next exactly-sized read of f."""
+    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), what))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
+from .binio import FormatError, read_exact, read_struct
 from .seqcore import ShapeError, Tensor, as_tensor, concat, conv1d_dilated, layer_norm, masked_softmax
 
 __all__ = [
@@ -444,27 +445,33 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, extra: dict | None = N
 def load_checkpoint(path):
     """Returns (config, params dict, extra arrays dict)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise FormatError(
+                f"{path}: bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
+            )
+        (version,) = read_struct(f, "<I", "checkpoint version")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n,) = struct.unpack("<I", f.read(4))
-        cfg = _config_from_blob(f.read(n))
-        (count,) = struct.unpack("<I", f.read(4))
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        (n,) = read_struct(f, "<I", "config length")
+        blob = read_exact(f, n, "config")
+        try:
+            cfg = _config_from_blob(blob)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad checkpoint config: {exc}") from None
+        (count,) = read_struct(f, "<I", "parameter count")
         blobs = {}
         for _ in range(count):
-            (ln,) = struct.unpack("<I", f.read(4))
-            name = f.read(ln).decode()
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
-            data = np.frombuffer(f.read(int(np.prod(shape)) * 8 if shape else 8), dtype="<f8")
-            blobs[name] = data.reshape(shape).copy()
+            (ln,) = read_struct(f, "<I", "parameter name length")
+            name = read_exact(f, ln, "parameter name").decode()
+            (rank,) = read_struct(f, "<I", f"rank of {name!r}")
+            shape = read_struct(f, f"<{rank}Q", f"shape of {name!r}")
+            data = read_exact(f, math.prod(shape) * 8, f"values of {name!r}")
+            blobs[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     expected = {name for name, _ in _param_specs(cfg)}
     params = {k: Tensor(v, requires_grad=True) for k, v in blobs.items() if k in expected}
     missing = expected - set(params)
     if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}...")
+        raise FormatError(f"{path}: checkpoint missing parameters: {sorted(missing)[:3]}...")
     extra = {k: v for k, v in blobs.items() if k not in expected}
     return cfg, params, extra

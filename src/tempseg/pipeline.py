@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .binio import FormatError, read_exact, read_struct
 from .losses import LossWeights, combined_temporal_loss
 from .network import (
     ModelConfig,
@@ -81,23 +82,21 @@ def save_features(seq: np.ndarray, path):
 
 def load_features(path) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, "feature magic")
         if magic != FEATURE_MAGIC:
-            raise ValueError(f"bad feature magic: expected {FEATURE_MAGIC!r}, found {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != FEATURE_VERSION:
-            raise ValueError(f"unsupported feature file version {version}")
-        t, d = struct.unpack("<QQ", f.read(16))
-        if t < 1:
-            raise ValueError("feature file contains an empty sequence")
-        payload = f.read(t * d * 4)
-        if len(payload) != t * d * 4:
-            raise ValueError(
-                f"truncated feature payload: expected {t * d * 4} bytes, found {len(payload)}"
+            raise FormatError(
+                f"{path}: bad feature magic: expected {FEATURE_MAGIC!r}, found {magic!r}"
             )
+        (version,) = read_struct(f, "<I", "feature version")
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported feature file version {version}")
+        t, d = read_struct(f, "<QQ", "feature shape")
+        if t < 1:
+            raise FormatError(f"{path}: feature file contains an empty sequence")
+        payload = read_exact(f, t * d * 4, "feature payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
     if not np.isfinite(data).all():
-        raise ValueError("feature file contains non-finite values")
+        raise FormatError(f"{path}: feature file contains non-finite values")
     return data
 
 

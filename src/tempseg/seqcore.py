@@ -502,7 +502,8 @@ def conv1d_dilated(
     acausal: output at t reads taps t + j*dilation, j in [-(k-1)/2, (k-1)/2]
     causal:  output at t reads taps t - j*dilation, j in [0, k-1]
     With stride s, output position i corresponds to t = i*s and
-    T' = ceil(T / s).
+    T' = ceil(T / s). The result is the transpose of a C-contiguous
+    [T', C_out] array.
     """
     x = as_tensor(x)
     kernel = as_tensor(kernel)
@@ -524,39 +525,41 @@ def conv1d_dilated(
     else:
         raise ValueError(f"unknown conv mode {mode!r}")
 
-    t_in = x.data.shape[1]
+    # Time-major: xt[t] is frame t, so each tap reads one strided row slice
+    # and adds one GEMM into a contiguous row range of yt. The TCN stacks
+    # pass the transpose of a C-contiguous [T, D] array, so xt is free.
+    xt = x.data.T
+    t_in = xt.shape[0]
     t_out = -(-t_in // stride)
-    pos = np.arange(t_out) * stride
-    y = np.zeros((c_out, t_out))
+    yt = np.zeros((t_out, c_out))
     taps = []
     for j, d in enumerate(deltas):
-        src = pos + d
-        m = (src >= 0) & (src < t_in)
-        taps.append((j, src[m], m))
-        if m.any():
-            y[:, m] += kernel.data[:, :, j] @ x.data[:, src[m]]
+        # output rows [lo, hi) read input frames i*stride + d inside [0, t_in)
+        lo = max(0, -(d // stride))
+        hi = min(t_out, (t_in - 1 - d) // stride + 1)
+        if lo < hi:
+            src = slice(lo * stride + d, (hi - 1) * stride + d + 1, stride)
+            taps.append((j, lo, hi, src))
+            yt[lo:hi] += xt[src] @ kernel.data[:, :, j].T
     if bias is not None:
         bias = as_tensor(bias)
-        y += bias.data[:, None]
+        yt += bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _make(y, parents)
+    out = _make(yt.T, parents)
     if out.requires_grad:
         def back(g):
-            for j, src, m in taps:
-                if not m.any():
-                    continue
-                gm = g[:, m]
+            gt = g.T
+            if kernel.requires_grad and kernel.grad is None:
+                kernel.grad = np.zeros_like(kernel.data)
+            dxt = np.zeros((t_in, c_in)) if x.requires_grad else None
+            for j, lo, hi, src in taps:
                 if kernel.requires_grad:
-                    if kernel.grad is None:
-                        kernel.grad = np.zeros_like(kernel.data)
-                    kernel.grad[:, :, j] += gm @ x.data[:, src].T
-                if x.requires_grad:
-                    if x.grad is None:
-                        x.grad = np.zeros_like(x.data)
-                    # the taps of one offset read distinct frames, so a
-                    # fancy-index add sums exactly like a scatter-add
-                    x.grad[:, src] += kernel.data[:, :, j].T @ gm
+                    kernel.grad[:, :, j] += gt[lo:hi].T @ xt[src]
+                if dxt is not None:
+                    dxt[src] += gt[lo:hi] @ kernel.data[:, :, j]
+            if dxt is not None:
+                x._accumulate(dxt.T)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=1))
         out._backward = back
@@ -574,16 +577,17 @@ def mean_pool1d(x: Tensor, factor: int) -> Tensor:
         return x
     n = -(-t // factor)
     counts = np.minimum(factor, t - np.arange(n) * factor).astype(np.float64)
-    idx = np.arange(t) // factor
+    counts = counts.reshape((n,) + (1,) * (x.data.ndim - 1))
     y = np.zeros((n,) + x.data.shape[1:])
-    np.add.at(y, idx, x.data)
-    y /= counts.reshape((n,) + (1,) * (x.data.ndim - 1))
+    # add the j-th frame of every window in turn: each window sums its frames
+    # in frame order, exactly as a scatter-add would
+    for j in range(factor):
+        part = x.data[j::factor]
+        y[: part.shape[0]] += part
+    y /= counts
     out = _make(y, (x,))
     if out.requires_grad:
-        def back(g):
-            gn = g / counts.reshape((n,) + (1,) * (g.ndim - 1))
-            x._accumulate(gn[idx])
-        out._backward = back
+        out._backward = lambda g: x._accumulate(np.repeat(g / counts, factor, axis=0)[:t])
     return out
 
 
@@ -632,13 +636,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-    def state_arrays(self):
-        """Flat view of optimizer state for checkpointing."""
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load_state(self, step, m, v):
-        self.step_count = int(step)
-        for mi, vi, msrc, vsrc in zip(self.m, self.v, m, v):
-            mi[...] = msrc
-            vi[...] = vsrc

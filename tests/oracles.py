@@ -182,6 +182,38 @@ def band_mask_oracle(T, width, step, causal=False):
     return (d % step == 0) & (m >= -width) & (m <= hi)
 
 
+def conv1d_oracle(x, w, b, dilation, mode, stride=1):
+    """Direct-loop dilated 1-D convolution of a [C_in, T] array with a
+    [C_out, C_in, k] kernel and zero padding: output i reads input frames
+    i*stride + offset, offsets centred (acausal) or non-positive (causal)."""
+    c_out, c_in, k = w.shape
+    T = x.shape[1]
+    t_out = -(-T // stride)
+    y = np.zeros((c_out, t_out))
+    for i in range(t_out):
+        for j in range(k):
+            off = (j - (k - 1) // 2) * dilation if mode == "acausal" else -j * dilation
+            src = i * stride + off
+            if 0 <= src < T:
+                for o in range(c_out):
+                    for c in range(c_in):
+                        y[o, i] += w[o, c, j] * x[c, src]
+    if b is not None:
+        y += np.asarray(b)[:, None]
+    return y
+
+
+def mean_pool_oracle(x, f):
+    """Non-overlapping window means along axis 0 by np.add.at; a ragged tail
+    window is averaged over the frames it covers."""
+    T = x.shape[0]
+    n = -(-T // f)
+    y = np.zeros((n,) + x.shape[1:])
+    np.add.at(y, np.arange(T) // f, x)
+    counts = np.minimum(f, T - np.arange(n) * f).astype(np.float64)
+    return y / counts.reshape((n,) + (1,) * (x.ndim - 1))
+
+
 def aggregate_scales(scores, weights, neighborhoods):
     """Cross-scale score aggregation on dense [T, T] score maps.
 

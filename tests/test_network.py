@@ -67,6 +67,20 @@ def test_tcn_stack_receptive_field():
     assert touched.min() == 0
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_tcn_stack_output_is_time_major(stride):
+    # the stacks take h.T of a C-contiguous [T, D] array and must hand back
+    # a [D, T] array whose transpose is again C-contiguous, so neither .T
+    # around the stack copies
+    model = SegmentationModel(tiny_cfg(stride=stride))
+    h = Tensor(rng.normal(size=(11, 8)))
+    out = model._tcn_stack(h.T, "enc_tcn", "acausal", stride).T
+    assert out.shape == (-(-11 // stride), 8)
+    assert out.data.flags.c_contiguous
+    z = model._tcn_stack(h.T, "dec0.tcn", "causal", 1).T
+    assert z.data.flags.c_contiguous
+
+
 def test_causal_conv_ignores_future():
     x = rng.normal(size=(3, 30))
     w = Tensor(rng.normal(size=(3, 3, 3)))

@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from tempseg.network import ModelConfig, SegmentationModel, load_checkpoint
+from tempseg import cli
+from tempseg.network import ModelConfig, SegmentationModel, load_checkpoint, save_checkpoint
 from tempseg.pipeline import (
     RunConfig,
     SynthSpec,
@@ -302,3 +303,24 @@ def test_cli_validation_errors_exit_two(tmp_path):
     r = _cli("infer", "--ckpt", str(tmp_path / "none.ckpt"), "--features", str(bad),
              "--out", str(tmp_path / "o.txt"))
     assert r.returncode == 2
+
+
+def test_cli_infer_every_truncated_file_exits_two(tmp_path, capsys):
+    cfg = ModelConfig(n_classes=2, d_in=2, d_model=2, n_blocks=1, n_decoders=1,
+                      heads=2, s_avg=4, w_min=1, w_max=1)
+    ckpt, feat, cut = tmp_path / "m.ckpt", tmp_path / "x.feat", tmp_path / "cut.bin"
+    save_checkpoint(ckpt, cfg, SegmentationModel(cfg).params)
+    save_features(rng.normal(size=(5, 2)), feat)
+    for flag, good in (("--ckpt", ckpt), ("--features", feat)):
+        data = good.read_bytes()
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            files = {"--ckpt": str(ckpt), "--features": str(feat), flag: str(cut)}
+            argv = ["infer", "--out", str(tmp_path / "out")]
+            for k, v in files.items():
+                argv += [k, v]
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code == 2 and str(cut) in err, (flag, n, err)
+    assert cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                     "--out", str(tmp_path / "out")]) == 0

@@ -17,7 +17,13 @@ from tempseg.seqcore import (
     no_grad,
 )
 
-from oracles import band_mask_oracle, dense_multihead, fd_check_tensor
+from oracles import (
+    band_mask_oracle,
+    conv1d_oracle,
+    dense_multihead,
+    fd_check_tensor,
+    mean_pool_oracle,
+)
 
 rng = np.random.default_rng(12345)
 
@@ -57,6 +63,26 @@ def test_strided_conv_length():
     assert y.shape == (4, 3)  # ceil(11 / 4)
 
 
+# (T, k, dilation): dilations at and beyond T, a single frame, a 1x1 kernel
+CONV_CASES = ((9, 3, 2), (7, 3, 7), (5, 3, 11), (1, 3, 1), (10, 1, 1), (13, 5, 3))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("mode", ["acausal", "causal"])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_conv_matches_direct_loop_oracle(order, mode, stride):
+    for T, k, dil in CONV_CASES:
+        if mode == "acausal" and k % 2 == 0:
+            continue
+        x = np.asarray(rng.normal(size=(3, T)), order=order)
+        w = rng.normal(size=(2, 3, k))
+        b = rng.normal(size=(2,))
+        y = conv1d_dilated(t(x), t(w), t(b), dilation=dil, mode=mode, stride=stride)
+        want = conv1d_oracle(x, w, b, dil, mode, stride)
+        assert y.shape == want.shape
+        assert np.max(np.abs(y.data - want)) < 1e-12, (T, k, dil)
+
+
 def test_masked_softmax_values():
     s = t([[0.0, np.log(3.0), 5.0]])
     mask = np.array([[True, True, False]])
@@ -84,6 +110,14 @@ def test_mean_pool_ragged_tail():
     y = mean_pool1d(x, 2)
     # tail window has a single frame and averages over 1, not 2
     assert np.allclose(y.data[:, 0], [2.0, 6.0, 9.0])
+
+
+@pytest.mark.parametrize("T", [1, 7, 8, 29, 32])
+@pytest.mark.parametrize("factor", [2, 3, 4, 8])
+def test_mean_pool_equals_scatter_add_oracle(T, factor):
+    # values spanning many magnitudes make any change of summation order show
+    x = rng.normal(size=(T, 5)) * 10.0 ** rng.uniform(-6, 6, size=(T, 1))
+    assert np.array_equal(mean_pool1d(t(x), factor).data, mean_pool_oracle(x, factor))
 
 
 def test_matmul_shape_error():
@@ -176,7 +210,7 @@ def test_grad_masked_softmax():
 
 def test_grad_conv_modes():
     for mode in ("causal", "acausal"):
-        for dil, stride in ((1, 1), (2, 1), (1, 3)):
+        for dil, stride in ((1, 1), (2, 1), (1, 3), (2, 3)):
             x = t(rng.normal(size=(2, 9)))
             w = t(rng.normal(size=(3, 2, 3)))
             b = t(rng.normal(size=(3,)))

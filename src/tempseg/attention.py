@@ -6,16 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .seqcore import (
-    MaskError,
     ShapeError,
     Tensor,
     band_attention,
     concat,
-    mean_pool1d,
+    hta_attention,
 )
 
 __all__ = [
@@ -60,21 +60,34 @@ class WindowSpec:
 class AttentionMask:
     """Sparse per-query attention pattern over a sequence of length T.
 
-    Stored as a padded band: ``key_index[q, j]`` with a validity flag, which
-    keeps windowed masks O(T * window) instead of O(T^2). ``spec`` is the
-    window the band was built from; attention runs from it.
+    Attention runs from ``spec``, the window the mask stands for. The padded
+    band ``key_index[q, j]`` with its validity flags, O(T * window), is
+    built on first access only, for ``allowed``, ``dense()`` and inspection.
     """
 
-    def __init__(self, T: int, key_index: np.ndarray, valid: np.ndarray, spec: WindowSpec):
+    def __init__(self, T: int, spec: WindowSpec):
         if T < 1:
             raise ShapeError(f"mask needs T >= 1, got {T}")
         self.T = T
         self.spec = spec
-        self.key_index = key_index
-        self.valid = valid
-        if not valid.any(axis=1).all():
-            q = int(np.argmin(valid.any(axis=1)))
-            raise MaskError(f"query {q} has no allowed keys")
+
+    @cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        # query i attends i + j*step for j in [-w, w] ([-w, 0] when causal);
+        # j = 0 is always in the sequence, so no row is empty
+        w, step = self.spec.one_sided_width, self.spec.step
+        offsets = np.arange(-w, (0 if self.spec.causal else w) + 1) * step
+        idx = np.arange(self.T)[:, None] + offsets[None, :]
+        valid = (idx >= 0) & (idx < self.T)
+        return np.clip(idx, 0, self.T - 1), valid
+
+    @property
+    def key_index(self) -> np.ndarray:
+        return self._band[0]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self._band[1]
 
     @property
     def allowed(self) -> list:
@@ -127,13 +140,7 @@ def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
     j in [-w, w] (acausal) or [-w, 0] (causal), clipped to bounds."""
     if T < 1:
         raise ShapeError(f"need T >= 1, got {T}")
-    w, step = spec.one_sided_width, spec.step
-    lo = -w
-    hi = 0 if spec.causal else w
-    offsets = np.arange(lo, hi + 1) * step
-    idx = np.arange(T)[:, None] + offsets[None, :]
-    valid = (idx >= 0) & (idx < T)
-    return AttentionMask(T, np.clip(idx, 0, T - 1), valid, spec)
+    return AttentionMask(T, spec)
 
 
 def attended_pairs_count(mask: AttentionMask) -> int:
@@ -247,62 +254,6 @@ def dswa_forward(
     return concat(outs, axis=1) @ params.wo + params.bo
 
 
-def _hta_band(T: int, scales: ScaleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Frame-level union neighborhood as a contiguous band.
-
-    Per-scale neighborhoods nest (each contains the query frame and doubles
-    in span), so the union is the coarsest scale's frame interval.
-    """
-    w = scales.window
-    top = max(scales.scales)
-    f = 1 << top
-    i_pool = np.arange(T) // f
-    lo = (i_pool - w) * f
-    hi = (i_pool + w + 1) * f - 1
-    K = int((hi - lo).max()) + 1
-    idx = lo[:, None] + np.arange(K)[None, :]
-    valid = (idx >= 0) & (idx < T) & (idx <= hi[:, None])
-    return np.clip(idx, 0, T - 1), valid
-
-
-# hta_forward gathers about this many floats per chunk of query rows
-HTA_CHUNK = 1 << 18
-
-
-def _window_sums(
-    cum: Tensor, zidx: np.ndarray, inside: np.ndarray, keys: np.ndarray,
-    vsum: Tensor, count: np.ndarray, heads: int,
-):
-    """Softmax sums over pooled key blocks for the queries of one resolution.
-
-    Query a scores key block keys[a, r] with cum[zidx[a, r]] ([heads]); only
-    blocks with inside[a, r] count. Returns the numerator [t, heads, hd] and
-    denominator [t, heads] of sum(exp(z - zmax) * value), where the value is
-    the block's summed values (``vsum``) or its frame count (``count``), and
-    the row max zmax [t, heads] (-inf for a row with no block). Rows run in
-    chunks of about HTA_CHUNK gathered floats to keep the working set small.
-    """
-    t, R = keys.shape
-    A = vsum.shape[1]
-    rows = max(1, HTA_CHUNK // (R * A))
-    nums, dens, maxes = [], [], []
-    for r0 in range(0, t, rows):
-        sl = slice(r0, r0 + rows)
-        z = cum.take_rows(zidx[sl])
-        ins = inside[sl][:, :, None]
-        zmax = np.where(ins, z.data, -np.inf).max(axis=1)
-        # blocks outside are shifted to exp(0) and then zeroed: no overflow
-        e = (z - np.where(ins, zmax[:, None, :], z.data)).exp() * ins
-        idx = np.clip(keys[sl], 0, vsum.shape[0] - 1)
-        g = vsum.take_rows(idx).reshape(*idx.shape, heads, A // heads)
-        nums.append((e.reshape(*idx.shape, heads, 1) * g).sum(axis=1))
-        dens.append((e * (count[idx] * inside[sl])[:, :, None]).sum(axis=1))
-        maxes.append(zmax)
-    if len(nums) == 1:
-        return nums[0], dens[0], maxes[0]
-    return concat(nums), concat(dens), np.concatenate(maxes)
-
-
 def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     """Hierarchical temporal attention.
 
@@ -310,82 +261,14 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     scores the 2w+1 pooled keys around it. A frame-level key gets the
     weighted sum of the scores of every scale whose window holds it; the
     softmax runs over the union of the windows and weights frame-level
-    values.
-
-    The windows nest, so every key of the ring between two consecutive
-    scales' windows scores the same as the other keys of its pooled block
-    at the finer of the two scales. The sums therefore run over pooled
-    blocks with summed values: the finest window at the finest scale and
-    each ring at its finer scale. The cost is linear in T.
+    values. Mean pooling is linear, so q and k are projected once at frame
+    level and pooled inside ``hta_attention``.
     """
     T = x.shape[0]
     if scales.T != T:
         raise ShapeError(f"scale set built for T={scales.T}, input has T={T}")
-    H = params.heads
-    hd = params.attn_dim // H
-    scale_qk = 1.0 / math.sqrt(hd)
-    w = scales.window
-    W = 2 * w + 1
-    off = np.arange(-w, w + 1)
-    levels = sorted(zip(scales.scales, scales.weights), key=lambda p: p[0])
+    q = x @ params.wq + params.bq
+    k = x @ params.wk + params.bk
     v = x @ params.wv + params.bv
-
-    sizes, scores, vsums, counts = [], [], [], []
-    for s, _ in levels:
-        f = 1 << s
-        xp = mean_pool1d(x, f)
-        ts = xp.shape[0]
-        qp = (xp @ params.wq + params.bq).reshape(ts, 1, H, hd)
-        kp = xp @ params.wk + params.bk
-        kg = kp.take_rows(np.clip(np.arange(ts)[:, None] + off, 0, ts - 1)).reshape(ts, W, H, hd)
-        scores.append((qp * kg).sum(axis=3) * scale_qk)  # [ts, W, H]
-        count = np.minimum(f, T - np.arange(ts) * f).astype(np.float64)
-        vsums.append(v if f == 1 else mean_pool1d(v, f) * count[:, None])
-        counts.append(count)
-        sizes.append(ts)
-
-    # cum[k][a, r]: score of pooled key block a + r - w at scale k summed
-    # with every coarser scale's score of the block containing it
-    cum = [None] * len(levels)
-    cum[-1] = scores[-1] * levels[-1][1]
-    for k in range(len(levels) - 2, -1, -1):
-        d = levels[k + 1][0] - levels[k][0]
-        a = np.arange(sizes[k])[:, None]
-        rel = np.clip(((a + off) >> d) - (a >> d) + w, 0, W - 1)
-        coarse = cum[k + 1].reshape(sizes[k + 1] * W, H).take_rows((a >> d) * W + rel)
-        cum[k] = scores[k] * levels[k][1] + coarse
-
-    # (resolution, scores, score index, blocks that count, key blocks): the
-    # finest window, then each ring in blocks of its finer scale
-    keys = np.arange(sizes[0])[:, None] + off
-    terms = [(0, cum[0].reshape(sizes[0] * W, H), np.arange(sizes[0] * W).reshape(-1, W),
-              (keys >= 0) & (keys < sizes[0]), keys)]
-    for k in range(1, len(levels)):
-        d = levels[k][0] - levels[k - 1][0]
-        if d == 0:
-            continue  # a repeated scale has an empty ring
-        # the coarse window spans W << d blocks here; the finer window's W
-        # blocks start at offset lo within them and are left out
-        a = np.arange(sizes[k - 1])[:, None]
-        lo = (a & ((1 << d) - 1)) + w * ((1 << d) - 1)
-        j = np.arange(W * ((1 << d) - 1))[None, :]
-        j = j + W * (j >= lo)
-        keys = (((a >> d) - w) << d) + j
-        terms.append((k - 1, cum[k].reshape(sizes[k] * W, H), (a >> d) * W + (j >> d),
-                      (keys >= 0) & (keys < sizes[k - 1]), keys))
-
-    frames = np.arange(T)
-    parts = []
-    for lvl, z, zidx, inside, keys in terms:
-        num, den, zmax = _window_sums(z, zidx, inside, keys, vsums[lvl], counts[lvl], H)
-        at = frames >> levels[lvl][0]
-        parts.append((num.take_rows(at), den.take_rows(at), zmax[at]))
-    # rescale every term to the shared per-frame max (a constant shift)
-    top = np.max([zmax for _, _, zmax in parts], axis=0)
-    num = den = 0.0
-    for n_t, d_t, zmax in parts:
-        fac = np.exp(zmax - top)
-        num = n_t * fac[:, :, None] + num
-        den = d_t * fac + den
-    out = (num / den.reshape(T, H, 1)).reshape(T, params.attn_dim)
+    out = hta_attention(q, k, v, params.heads, scales.scales, scales.weights, scales.window)
     return out @ params.wo + params.bo

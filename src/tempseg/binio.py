@@ -6,14 +6,28 @@ short read raises FormatError naming the file and the byte offset.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
-__all__ = ["FormatError", "read_exact", "read_struct"]
+import numpy as np
+
+__all__ = ["FormatError", "read_array", "read_exact", "read_struct"]
 
 
 class FormatError(ValueError):
     """A binary input file is truncated or malformed."""
+
+
+def _check_left(f, n: int, what: str):
+    """FormatError unless binary file f holds n more bytes."""
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if n > left:
+        raise FormatError(
+            f"{f.name}: truncated {what} at byte {offset}: "
+            f"needs {n} bytes, {max(left, 0)} left"
+        )
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -22,14 +36,18 @@ def read_exact(f, n: int, what: str) -> bytes:
     The size is checked against the file before reading, so a corrupt
     length field never allocates more than the file holds.
     """
-    offset = f.tell()
-    left = os.fstat(f.fileno()).st_size - offset
-    if n > left:
-        raise FormatError(
-            f"{f.name}: truncated {what} at byte {offset}: "
-            f"needs {n} bytes, {max(left, 0)} left"
-        )
+    _check_left(f, n, what)
     return f.read(n)
+
+
+def read_array(f, shape: tuple, dtype: str, what: str) -> np.ndarray:
+    """The next array of `shape` and `dtype` from binary file f, read
+    straight into its own buffer; FormatError if the file holds less. The
+    size is checked before the buffer is allocated."""
+    _check_left(f, math.prod(shape) * np.dtype(dtype).itemsize, what)
+    out = np.empty(shape, dtype)
+    f.readinto(memoryview(out).cast("B"))
+    return out
 
 
 def read_struct(f, fmt: str, what: str) -> tuple:

@@ -31,7 +31,7 @@ def _cmd_synth(args):
     print(f"wrote {len(data)} sequences of {args.frames} frames to {args.out}")
 
 
-def _load_dataset(data_dir):
+def _load_dataset(data_dir, n_classes: int):
     stems = sorted(
         f[: -len(".feat")] for f in os.listdir(data_dir) if f.endswith(".feat")
     )
@@ -40,7 +40,12 @@ def _load_dataset(data_dir):
     dataset = []
     for stem in stems:
         feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat"))
-        labels = pipeline.load_labels(os.path.join(data_dir, stem + ".labels"))
+        label_path = os.path.join(data_dir, stem + ".labels")
+        labels = pipeline.load_labels(label_path)
+        if labels.max() >= n_classes:
+            raise ValueError(
+                f"{label_path}: label {labels.max()} is not below n_classes = {n_classes}"
+            )
         if feats.shape[0] != labels.size:
             raise ValueError(f"{stem}: {feats.shape[0]} frames but {labels.size} labels")
         dataset.append((feats, labels, frames_to_segments(labels)))
@@ -49,7 +54,7 @@ def _load_dataset(data_dir):
 
 def _cmd_train(args):
     run = pipeline.load_run_config(args.config) if args.config else pipeline.RunConfig()
-    dataset = _load_dataset(args.data)
+    dataset = _load_dataset(args.data, run.model.n_classes)
     d_in = dataset[0][0].shape[1]
     if run.model.d_in != d_in:
         raise ValueError(f"config d_in {run.model.d_in} does not match data dimension {d_in}")

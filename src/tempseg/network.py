@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, read_exact, read_struct
+from .binio import FormatError, read_array, read_exact, read_struct
 from .seqcore import ShapeError, Tensor, as_tensor, concat, conv1d_dilated, layer_norm, masked_softmax
 
 __all__ = [
@@ -55,7 +55,6 @@ class ModelConfig:
     s_avg: int = 64
     hta_window: int = 8
     max_scales: int = 4
-    learnable_scale_weights: bool = False
     # loss
     loss_alpha: float = 1.0
     loss_beta: float = 0.2
@@ -196,8 +195,6 @@ def _param_specs(cfg: ModelConfig):
             yield f"{p}.{kind}.bv", (a,)
             yield f"{p}.{kind}.wo", (a, d)
             yield f"{p}.{kind}.bo", (d,)
-        if cfg.learnable_scale_weights:
-            yield f"{p}.hta.ws", (8,)
         yield f"{p}.ln2.g", (d,)
         yield f"{p}.ln2.b", (d,)
         yield f"{p}.mlp.w1", (d, cfg.mlp_hidden)
@@ -229,8 +226,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
             data = np.ones(shape)
         elif name.endswith((".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
             data = np.zeros(shape)
-        elif name.endswith(".ws"):
-            data = np.ones(shape)
         elif len(shape) == 3:  # conv kernels: fan_in = C_in * k
             data = rng.standard_normal(shape) / math.sqrt(shape[1] * shape[2])
         else:
@@ -278,19 +273,13 @@ class SegmentationModel:
             ]
         return self._mask_cache[key]
 
-    def scales_for(self, t_red: int, layer: int) -> attn.ScaleSet:
+    def scales_for(self, t_red: int) -> attn.ScaleSet:
         key = ("scales", t_red)
         if key not in self._mask_cache:
             self._mask_cache[key] = attn.ScaleSet.build(
                 t_red, self.cfg.s_avg, self.cfg.hta_window, max_scales=self.cfg.max_scales
             )
-        base = self._mask_cache[key]
-        if self.cfg.learnable_scale_weights:
-            ws = self.params[f"enc_attn.{layer}.hta.ws"]
-            n = len(base.scales)
-            weights = [ws[i] for i in range(n)]
-            return attn.ScaleSet(base.T, base.scales, weights, base.window)
-        return base
+        return self._mask_cache[key]
 
     def _tcn_stack(self, h: Tensor, prefix: str, mode: str, first_stride: int) -> Tensor:
         for i in range(self.cfg.n_blocks):
@@ -330,12 +319,13 @@ class SegmentationModel:
         if t_red < 1:
             raise ShapeError("stride reduced the sequence below one frame")
         masks = self.masks_for(t_red)
+        scales = self.scales_for(t_red)
         p = self.params
         for i in range(self.cfg.n_blocks):
             pre = f"enc_attn.{i}"
             a = layer_norm(h, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
             d_out = attn.dswa_forward(a, masks[i][0], masks[i][1], self._attn_params(f"{pre}.dswa"))
-            t_out = attn.hta_forward(a, self.scales_for(t_red, i), self._attn_params(f"{pre}.hta"))
+            t_out = attn.hta_forward(a, scales, self._attn_params(f"{pre}.hta"))
             h = h + d_out + t_out
             m = layer_norm(h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             m = (m @ p[f"{pre}.mlp.w1"] + p[f"{pre}.mlp.b1"]).gelu()
@@ -396,8 +386,13 @@ def count_params_flops(cfg: ModelConfig, T: int) -> tuple[int, int]:
 
 
 def _hta_pair_count(t_red: int, scales: attn.ScaleSet) -> int:
-    _, valid = attn._hta_band(t_red, scales)
-    return int(valid.sum())
+    """Size of HTA's frame-level union neighbourhood: per frame, the
+    coarsest scale's window of pooled blocks, clipped to the sequence."""
+    f = 1 << max(scales.scales)
+    i_pool = np.arange(t_red) // f
+    lo = np.maximum((i_pool - scales.window) * f, 0)
+    hi = np.minimum((i_pool + scales.window + 1) * f, t_red)
+    return int((hi - lo).sum())
 
 
 # -- checkpoint serialization --------------------------------------------
@@ -466,9 +461,14 @@ def load_checkpoint(path):
             name = read_exact(f, ln, "parameter name").decode()
             (rank,) = read_struct(f, "<I", f"rank of {name!r}")
             shape = read_struct(f, f"<{rank}Q", f"shape of {name!r}")
-            data = read_exact(f, math.prod(shape) * 8, f"values of {name!r}")
-            blobs[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            blobs[name] = read_array(f, shape, "<f8", f"values of {name!r}")
     expected = {name for name, _ in _param_specs(cfg)}
+    learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))
+    if learned:
+        raise FormatError(
+            f"{path}: holds learned HTA scale weights ({learned[0]}, ...), which this "
+            f"version does not support; they would be dropped"
+        )
     params = {k: Tensor(v, requires_grad=True) for k, v in blobs.items() if k in expected}
     missing = expected - set(params)
     if missing:

@@ -45,6 +45,10 @@ __all__ = [
 
 FEATURE_MAGIC = b"MSBF"
 FEATURE_VERSION = 1
+# a segment label file expands to one label per frame; a line is a few bytes
+# whatever its length, so its frame count is bounded here (about 26 days at
+# 30 fps), not by the file size
+MAX_SEGMENT_FRAMES = 1 << 26
 
 # typical surgical suturing gesture durations, mean/std seconds per class id 0..7
 DEFAULT_GESTURE_DURATIONS = (
@@ -103,6 +107,14 @@ def load_features(path) -> np.ndarray:
 # -- label files ----------------------------------------------------------
 
 
+def _label_int(text: str) -> int:
+    """int(text), which must fit in an int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer {value} does not fit in 64 bits")
+    return value
+
+
 def load_labels(path) -> np.ndarray:
     """One integer per line (frame format) or `start,end,class` lines
     (segment format), auto-detected."""
@@ -117,18 +129,32 @@ def load_labels(path) -> np.ndarray:
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{ln}: expected 'start,end,class', got {line!r}")
                 try:
-                    seg_vals.append(Segment(*(int(p) for p in parts)))
+                    seg = Segment(*(_label_int(p) for p in parts))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from None
+                if seg.label < 0:
+                    raise ValueError(f"{path}:{ln}: negative label {seg.label}")
+                if seg.end >= MAX_SEGMENT_FRAMES:
+                    raise ValueError(
+                        f"{path}:{ln}: segment end {seg.end} is beyond the "
+                        f"{MAX_SEGMENT_FRAMES}-frame limit of a segment label file"
+                    )
+                seg_vals.append(seg)
             else:
                 try:
-                    frame_vals.append(int(line))
+                    value = _label_int(line)
                 except ValueError:
                     raise ValueError(f"{path}:{ln}: not an integer label: {line!r}") from None
+                if value < 0:
+                    raise ValueError(f"{path}:{ln}: negative label {value}")
+                frame_vals.append(value)
     if seg_vals and frame_vals:
         raise ValueError(f"{path}: mixes frame and segment label formats")
     if seg_vals:
-        segs = SegmentList(seg_vals).validate()
+        try:
+            segs = SegmentList(seg_vals).validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return segments_to_frames(segs, segs.T)
     if not frame_vals:
         raise ValueError(f"{path}: no labels found")
@@ -328,25 +354,24 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         if log_fn:
             log_fn(line)
 
-        if monitored < best_loss:
+        improved = monitored < best_loss
+        if improved:
             best_loss = monitored
             best_epoch = epoch
             bad_epochs = 0
-            if ckpt_path is not None:
-                extra = {"opt.step": np.array([float(opt.step_count)])}
-                extra.update(_opt_state_blobs(model, opt))
-                save_checkpoint(ckpt_path, run.model, model.params, extra)
         else:
             bad_epochs += 1
-            if bad_epochs > run.patience:
-                log.append(f"early stop at epoch {epoch} (best {best_epoch})")
-                break
-        if run.target_accuracy and acc >= run.target_accuracy:
+        stop = not improved and bad_epochs > run.patience
+        reached = not stop and bool(run.target_accuracy) and acc >= run.target_accuracy
+        if ckpt_path is not None and (improved or reached):
+            extra = {"opt.step": np.array([float(opt.step_count)])}
+            extra.update(_opt_state_blobs(model, opt))
+            save_checkpoint(ckpt_path, run.model, model.params, extra)
+        if stop:
+            log.append(f"early stop at epoch {epoch} (best {best_epoch})")
+            break
+        if reached:
             log.append(f"target accuracy {run.target_accuracy} reached at epoch {epoch}")
-            if ckpt_path is not None:
-                extra = {"opt.step": np.array([float(opt.step_count)])}
-                extra.update(_opt_state_blobs(model, opt))
-                save_checkpoint(ckpt_path, run.model, model.params, extra)
             break
     return TrainResult(log, best_epoch, best_loss, acc, epoch_losses)
 

@@ -6,8 +6,9 @@ a backward closure, and ``Tensor.backward()`` replays the tape in reverse
 topological order. The primitive set is deliberately closed: matmul,
 dilated 1-D convolution, masked softmax, banded multi-head attention,
 elementwise arithmetic, activations, reductions, gather/reshape/concat
-plumbing and mean pooling. Inside a ``no_grad()`` block no op records a
-backward closure, so evaluation passes keep no tape alive.
+plumbing, mean pooling and hierarchical multi-scale attention
+(``hta_attention``). Inside a ``no_grad()`` block no op records a backward
+closure, so evaluation passes keep no tape alive.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "band_attention",
     "concat",
     "conv1d_dilated",
+    "hta_attention",
     "layer_norm",
     "masked_softmax",
     "mean_pool1d",
@@ -35,6 +37,9 @@ __all__ = [
 
 # queries per block in band_attention; each block meets one key slab
 BAND_BLOCK = 64
+# finest-scale query rows per block in hta_attention (at least one row of
+# the coarsest scale)
+HTA_BLOCK = 256
 
 _grad_mode = threading.local()
 
@@ -483,6 +488,300 @@ def band_attention(
                 dk[r::step] = dkr.transpose(1, 0, 2)
                 dv[r::step] = dvr.transpose(1, 0, 2)
             for t, d in ((q, dq * scale), (k, dk), (v, dv)):
+                if t.requires_grad:
+                    t._accumulate(d.reshape(T, A))
+        out._backward = back
+    return out
+
+
+def _sum_pool(x: np.ndarray, shift: int) -> np.ndarray:
+    """Sums of non-overlapping windows of 2**shift rows along axis 0; a
+    ragged tail window sums the rows it covers."""
+    if shift == 0:
+        return x
+    f = 1 << shift
+    y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:])
+    for j in range(f):
+        part = x[j::f]
+        y[: part.shape[0]] += part
+    return y
+
+
+def _unpool(x: np.ndarray, shift: int, n: int) -> np.ndarray:
+    """Each row of x repeated 2**shift times, cut to n rows."""
+    return x[:n] if shift == 0 else np.repeat(x, 1 << shift, axis=0)[:n]
+
+
+def _window(x: np.ndarray, start: int, n: int, width: int) -> np.ndarray:
+    """View [n, H, width, C] of x [*, H, C]: entry [a, h, u] is x[start + a + u, h]."""
+    s0, s1, s2 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x[start:], (n, x.shape[1], width, x.shape[2]), (s0, s1, s0, s2), writeable=False
+    )
+
+
+def _band_dot(x: np.ndarray, y: np.ndarray, start: int, width: int) -> np.ndarray:
+    """[n, H, width]: entry [a, h, u] is x[a, h] . y[start + a + u, h]."""
+    win = _window(y, start, x.shape[0], width).swapaxes(2, 3)
+    return np.matmul(x[:, :, None, :], win)[:, :, 0, :]
+
+
+def _band_sum(e: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
+    """[n, H, C]: row a is the sum over u of e[a, h, u] * y[start + a + u, h]."""
+    win = _window(y, start, e.shape[0], e.shape[2])
+    return np.matmul(e[:, :, None, :], win)[:, :, 0, :]
+
+
+def _band_sum_t(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[n + width - 1, H, C]: row j is the sum over a + u = j of
+    e[a, h, u] * x[a, h]; the transpose of _band_sum."""
+    n, heads, width = e.shape
+    ep = np.zeros((n + 2 * width - 2, heads, width))
+    xp = np.zeros((n + 2 * width - 2, heads, x.shape[2]))
+    ep[width - 1 : width - 1 + n] = e
+    xp[width - 1 : width - 1 + n] = x
+    # anti[j, h, u] = e[j + u - width + 1, h, width - 1 - u], zero off the rows
+    s0, s1, s2 = ep.strides
+    anti = np.lib.stride_tricks.as_strided(
+        ep[:, :, width - 1 :], (n + width - 1, heads, width), (s0, s1, s0 - s2), writeable=False
+    )
+    return _band_sum(anti, xp, 0)
+
+
+def _columns(m: int, d: int, w: int, o_min: int, width: int) -> np.ndarray:
+    """Coarse window column of key offsets o_min .. o_min + width - 1 for a
+    query row a with a % 2**d == m: ((a + o) >> d) - (a >> d) + w."""
+    return ((m + o_min + np.arange(width)) >> d) + w
+
+
+def _expand(src: np.ndarray, n: int, d: int, w: int, o_min: int, width: int) -> np.ndarray:
+    """[n, H, width] from coarse-row scores src [*, H, 2w+1]: entry [a, h, u]
+    is src[a >> d, h, column of key offset o_min + u], clipped to the window."""
+    step = 1 << d
+    out = np.empty((n, src.shape[1], width))
+    for m in range(min(step, n)):
+        cols = np.clip(_columns(m, d, w, o_min, width), 0, 2 * w)
+        rows = out[m::step]
+        rows[...] = src[: rows.shape[0]][:, :, cols]
+    return out
+
+
+def _collapse(g: np.ndarray, n: int, d: int, w: int, o_min: int) -> np.ndarray:
+    """The transpose of _expand: [n, H, 2w+1] sums of g over the entries
+    that read each coarse score inside the window."""
+    step = 1 << d
+    out = np.zeros((n, g.shape[1], 2 * w + 1))
+    for m in range(min(step, g.shape[0])):
+        cols = _columns(m, d, w, o_min, g.shape[2])
+        starts = np.flatnonzero(np.diff(cols, prepend=cols[0] - 1))
+        part = np.add.reduceat(g[m::step], starts, axis=2)
+        c = cols[starts]
+        keep = (c >= 0) & (c <= 2 * w)
+        out[: part.shape[0], :, c[keep]] += part[:, :, keep]
+    return out
+
+
+def _hta_pieces(shifts: list, w: int) -> list:
+    """The softmax sums of hta_attention as (lvl, k, d, o_min, width): the
+    finest window, then the left and right halves of each ring between the
+    windows of levels k-1 and k. Each sums key blocks a + o_min .. a + o_min
+    + width - 1 of level lvl for query block a, scored by level k, which
+    pools 2**d blocks of level lvl."""
+    pieces = [(0, 0, 0, -w, 2 * w + 1)]
+    for k in range(1, len(shifts)):
+        d = shifts[k] - shifts[k - 1]
+        if d:  # a repeated scale has an empty ring
+            width = (w + 1) * ((1 << d) - 1)
+            pieces += [(k - 1, k, d, -w - width, width), (k - 1, k, d, w + 1, width)]
+    return pieces
+
+
+def _hta_keys(lo: int, hi: int, w: int, d: int, o_min: int, width: int, n_fine: int) -> np.ndarray:
+    """[hi - lo, width] flags of the key offsets of a piece that hold a key
+    of query rows [lo, hi): in the sequence and in the coarse window."""
+    a = np.arange(lo, hi)[:, None]
+    b = a + o_min + np.arange(width)
+    keep = (b >= 0) & (b < n_fine)
+    if d:
+        keep &= np.abs((b >> d) - (a >> d)) <= w
+    return keep
+
+
+def _hta_cum(qs, kpad, rows, shifts, weights, w, pad) -> list:
+    """Per level k, scores [rows, H, 2w+1] of query rows `rows[k]` against
+    key blocks a - w .. a + w: the weighted score of level k plus every
+    coarser level's score of the block that holds the key."""
+    W = 2 * w + 1
+    cum = [None] * len(shifts)
+    for k in reversed(range(len(shifts))):
+        lo, hi = rows[k]
+        z = _band_dot(qs[k][lo:hi], kpad[k], pad + lo - w, W)
+        z *= weights[k]
+        if k + 1 < len(shifts):
+            z += _expand(cum[k + 1], hi - lo, shifts[k + 1] - shifts[k], w, -w, W)
+        cum[k] = z
+    return cum
+
+
+def _hta_weights(cum_k: np.ndarray, keys: np.ndarray, d: int, w: int, o_min: int):
+    """exp(score - row max) [rows, H, width] of one piece's keys, 0 off the
+    keys, and the row max [rows, H] (-inf for a row with no key)."""
+    z = _expand(cum_k, keys.shape[0], d, w, o_min, keys.shape[1])
+    np.copyto(z, -np.inf, where=~keys[:, None, :])
+    zmax = z.max(axis=2)
+    z -= np.where(np.isfinite(zmax), zmax, 0.0)[:, :, None]
+    return np.exp(z, out=z), zmax
+
+
+def hta_attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, scales, weights, window: int
+) -> Tensor:
+    """Hierarchical multi-scale multi-head attention; q, k and v are [T, A].
+
+    Scale s mean-pools q and k by 2**s, and pooled query a scores the pooled
+    keys a - window .. a + window, scaled by 1/sqrt(A/heads). A frame-level
+    key takes the weighted sum of the scores of every scale whose window
+    holds it; the softmax runs over the union of the windows and weights the
+    frame-level values v.
+
+    The windows nest, so every key of the ring between two consecutive
+    scales' windows scores the same as the rest of its pooled block at the
+    coarser scale. The sums run over pooled key blocks with summed values
+    and frame counts: the finest window at the finest scale and the two
+    halves of each ring in blocks of its finer scale. Scores and sums are
+    batched matmuls of per-row vectors against a strided sliding-window view
+    of the zero-padded pooled keys or values, so no key or value block is
+    gathered; the sums share one per-row max. Query rows run in blocks of
+    about HTA_BLOCK finest-scale rows, aligned to the coarsest scale. The
+    backward recomputes the weights per block and keeps only q, k, v, the
+    output and the softmax denominators.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+        raise ShapeError(
+            f"hierarchical attention needs equal [T, A] q/k/v, got {q.data.shape}, "
+            f"{k.data.shape}, {v.data.shape}"
+        )
+    T, A = q.data.shape
+    if heads < 1 or A % heads != 0:
+        raise ShapeError(f"head count {heads} must divide attention dim {A}")
+    if not scales or len(scales) != len(weights):
+        raise ShapeError(f"need one weight per scale, got {list(scales)} and {list(weights)}")
+    if min(scales) < 0 or window < 0:
+        raise ShapeError(f"scales and window must be >= 0, got {list(scales)}, {window}")
+    hd = A // heads
+    scale = 1.0 / math.sqrt(hd)
+    levels = sorted(zip(scales, weights), key=lambda p: p[0])
+    shifts = [int(s) for s, _ in levels]
+    wts = [float(x) for _, x in levels]
+    w, L = window, len(shifts)
+    pieces = _hta_pieces(shifts, w)
+    pad = (w + 1) << max(p[2] for p in pieces)
+    sizes = [-(-T // (1 << s)) for s in shifts]
+    G = max(1, HTA_BLOCK >> (shifts[-1] - shifts[0]))
+
+    def pooled():
+        """Per level: scaled mean-pooled queries, zero-padded mean-pooled
+        keys, zero-padded value sums with the frame count as a last column,
+        and the frame counts [blocks, 1, 1]."""
+        qsum, ksum = q.data.reshape(T, heads, hd), k.data.reshape(T, heads, hd)
+        vsum = np.empty((T, heads, hd + 1))
+        vsum[:, :, :hd] = v.data.reshape(T, heads, hd)
+        vsum[:, :, hd] = 1.0
+        qs, kpad, vpad, counts = [], [], [], []
+        prev = 0
+        for s in shifts:
+            qsum, ksum, vsum = (_sum_pool(x, s - prev) for x in (qsum, ksum, vsum))
+            prev, n = s, vsum.shape[0]
+            c = vsum[:, :1, hd:]
+            kp = np.zeros((n + 2 * pad, heads, hd))
+            vp = np.zeros((n + 2 * pad, heads, hd + 1))
+            np.divide(ksum, c, out=kp[pad : pad + n])
+            vp[pad : pad + n] = vsum
+            qs.append(qsum * (scale / c))
+            kpad.append(kp)
+            vpad.append(vp)
+            counts.append(c)
+        return qs, kpad, vpad, counts
+
+    def blocks():
+        """Query rows [lo, hi) per level for one block of G coarsest rows at
+        a time, and the key flags of every piece over its rows."""
+        for c0 in range(0, sizes[-1], G):
+            rows = [(c0 << (shifts[-1] - s), min((c0 + G) << (shifts[-1] - s), n))
+                    for s, n in zip(shifts, sizes)]
+            keys = [_hta_keys(*rows[lvl], w, d, o_min, width, sizes[lvl])
+                    for lvl, _, d, o_min, width in pieces]
+            yield rows, keys
+
+    def rescale(zmaxes, n0):
+        """exp(piece max - shared max) per piece, on finest-level rows."""
+        moved = [_unpool(zm, shifts[p[0]] - shifts[0], n0) for p, zm in zip(pieces, zmaxes)]
+        top = np.max(moved, axis=0)
+        return [np.exp(zm - top) for zm in moved]
+
+    qs, kpad, vpad, _ = pooled()
+    y0 = np.empty((sizes[0], heads, hd))
+    den = np.empty((sizes[0], heads))
+    for rows, keys in blocks():
+        cum = _hta_cum(qs, kpad, rows, shifts, wts, w, pad)
+        lo0, hi0 = rows[0]
+        sums, zmaxes = [], []
+        for (lvl, kk, d, o_min, _), kf in zip(pieces, keys):
+            e, zmax = _hta_weights(cum[kk], kf, d, w, o_min)
+            sums.append(_band_sum(e, vpad[lvl], pad + rows[lvl][0] + o_min))
+            zmaxes.append(zmax)
+        acc = np.zeros((hi0 - lo0, heads, hd + 1))
+        for p, s, c in zip(pieces, sums, rescale(zmaxes, hi0 - lo0)):
+            acc += _unpool(s, shifts[p[0]] - shifts[0], hi0 - lo0) * c[:, :, None]
+        den[lo0:hi0] = acc[:, :, hd]
+        y0[lo0:hi0] = acc[:, :, :hd] / acc[:, :, hd:]
+    y = _unpool(y0.reshape(sizes[0], A), shifts[0], T)
+
+    out = _make(y, (q, k, v))
+    if out.requires_grad:
+        def back(g):
+            qs, kpad, vpad, counts = pooled()
+            g0 = _sum_pool(g.reshape(T, heads, hd), shifts[0])
+            dqs = [np.zeros_like(x) for x in qs]
+            dkpad = [np.zeros_like(x) for x in kpad]
+            dvpad = [np.zeros_like(x) for x in vpad]
+            for rows, keys in blocks():
+                cum = _hta_cum(qs, kpad, rows, shifts, wts, w, pad)
+                lo0, hi0 = rows[0]
+                n0 = hi0 - lo0
+                ws = [_hta_weights(cum[p[1]], kf, p[2], w, p[3]) for p, kf in zip(pieces, keys)]
+                # y = num / den, both sums over the pieces of c * (value sum,
+                # count sum): their gradients, per finest row
+                dy = np.concatenate(
+                    [g0[lo0:hi0], -(g0[lo0:hi0] * y0[lo0:hi0]).sum(axis=2, keepdims=True)],
+                    axis=2) / den[lo0:hi0, :, None]
+                dcum = [np.zeros_like(z) for z in cum]
+                for (lvl, kk, d, o_min, _), (e, _), c in zip(pieces, ws, rescale([z for _, z in ws], n0)):
+                    lo, hi = rows[lvl]
+                    rows0 = np.arange(0, n0, 1 << (shifts[lvl] - shifts[0]))
+                    ds = np.add.reduceat(dy * c[:, :, None], rows0, axis=0)
+                    start = pad + lo + o_min
+                    dv_b = dvpad[lvl][start : start + hi - lo + e.shape[2] - 1]
+                    dv_b += _band_sum_t(e, ds)
+                    # dz = e * (dnum . value sum + dden * count)
+                    dz = e * _band_dot(ds, vpad[lvl], start, e.shape[2])
+                    dcum[kk] += _collapse(dz, len(dcum[kk]), d, w, o_min)
+                for kk in range(L):
+                    lo, hi = rows[kk]
+                    if kk + 1 < L:
+                        d = shifts[kk + 1] - shifts[kk]
+                        dcum[kk + 1] += _collapse(dcum[kk], len(dcum[kk + 1]), d, w, -w)
+                    dz = dcum[kk] * wts[kk]
+                    dqs[kk][lo:hi] += _band_sum(dz, kpad[kk], pad + lo - w)
+                    dk_b = dkpad[kk][pad + lo - w : pad + hi + w]
+                    dk_b += _band_sum_t(dz, qs[kk][lo:hi])
+            dq = dk = dv = 0.0
+            for s, c, n, a, b, vv in zip(shifts, counts, sizes, dqs, dkpad, dvpad):
+                dq = _unpool(a * (scale / c), s, T) + dq
+                dk = _unpool(b[pad : pad + n] / c, s, T) + dk
+                dv = _unpool(vv[pad : pad + n, :, :hd], s, T) + dv
+            for t, d in ((q, dq), (k, dk), (v, dv)):
                 if t.requires_grad:
                     t._accumulate(d.reshape(T, A))
         out._backward = back

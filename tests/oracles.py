@@ -285,3 +285,24 @@ def hta_oracle(x, scales, params):
         alpha = aggregate_scales(es, scales.weights, nbs)
         out[:, sl] = alpha @ v[:, sl]
     return out @ params.wo.data + params.bo.data
+
+
+def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
+    """Dense reference for seqcore.hta_attention on frame-level [T, A] q/k/v:
+    per scale the ragged mean-pooled q and k score every pooled pair within
+    the window, broadcast to [T, T], combined with aggregate_scales per head
+    and applied to v."""
+    T, A = q.shape
+    hd = A // heads
+    out = np.zeros((T, A))
+    for h in range(heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        es, nbs = [], []
+        for s in scales:
+            f = 1 << s
+            qp, kp = _ragged_pool(q[:, sl], f), _ragged_pool(k[:, sl], f)
+            pool = np.arange(T) // f
+            es.append((qp @ kp.T)[pool][:, pool] / math.sqrt(hd))
+            nbs.append(np.abs(pool[:, None] - pool[None, :]) <= window)
+        out[:, sl] = aggregate_scales(es, weights, nbs) @ v[:, sl]
+    return out

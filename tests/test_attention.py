@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tempseg import attention
+from tempseg import seqcore
 from tempseg.attention import (
     AttentionMask,
     ScaleSet,
@@ -16,7 +16,7 @@ from tempseg.attention import (
     hta_forward,
     init_attention_params,
 )
-from tempseg.seqcore import MaskError, ShapeError, Tensor
+from tempseg.seqcore import MaskError, ShapeError, Tensor, no_grad
 
 from oracles import (
     aggregate_scales,
@@ -178,6 +178,38 @@ def test_dswa_default_width_peak_memory():
     assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_hta_default_width_memory():
+    # one tape-mode HTA call at the default d_model/attn_dim/heads and the
+    # paper's target length; the tape keeps the projections, q/k/v and the
+    # output, not the per-scale score and weight arrays (272 MB before the
+    # fused op, 16 MB with it)
+    T = 2048
+    params = init_attention_params(256, 64, 8, rng)
+    x = Tensor(rng.normal(size=(T, 256)))
+    scales = ScaleSet.build(T)
+    tracemalloc.start()
+    try:
+        y = hta_forward(x, scales, params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y._prev
+    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+    assert held < 24e6, f"held {held / 1e6:.1f} MB"
+
+
+def test_masks_build_their_band_on_first_access():
+    T = 2048
+    params = init_attention_params(16, 8, 2, rng)
+    e, s = build_window_schedule(10)[4]
+    em, sm = build_sparse_mask(T, e), build_sparse_mask(T, s)
+    with no_grad():
+        dswa_forward(Tensor(rng.normal(size=(T, 16))), em, sm, params)
+    assert "_band" not in vars(em) and "_band" not in vars(sm)
+    assert em.valid.shape == (T, 2 * e.one_sided_width + 1)
+    assert "_band" in vars(em)
+
+
 def test_dswa_odd_heads_rejected():
     params = init_attention_params(8, 6, 3, rng)
     m = build_sparse_mask(8, WindowSpec(2, 0, False, "e"))
@@ -201,8 +233,8 @@ def test_hta_matches_dense_oracle():
     [(45, [0, 1, 2], [0.5, 0.3, 0.2], 2), (30, [1, 3], [0.6, 0.4], 2), (26, [0, 0, 1], [0.5, 0.3, 0.2], 1)],
 )
 def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_list, weights, window):
-    # a tiny chunk size runs the window sums over many row chunks
-    monkeypatch.setattr(attention, "HTA_CHUNK", 64)
+    # a tiny block size runs the window sums over many row blocks
+    monkeypatch.setattr(seqcore, "HTA_BLOCK", 4)
     x = rng.normal(size=(T, 12))
     params = init_attention_params(12, 8, 2, rng)
     scales = ScaleSet(T, scale_list, weights, window=window)
@@ -211,7 +243,7 @@ def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_
 
 
 def test_grad_hta_chunked(monkeypatch):
-    monkeypatch.setattr(attention, "HTA_CHUNK", 64)
+    monkeypatch.setattr(seqcore, "HTA_BLOCK", 4)
     T = 21
     x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
     params = init_attention_params(6, 4, 2, rng)

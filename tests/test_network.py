@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempseg.binio import FormatError
 from tempseg.network import (
     ModelConfig,
     SegmentationModel,
@@ -222,4 +223,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_with_retired_config_key_loads(tmp_path, monkeypatch):
+    # checkpoints written while ModelConfig still had learnable_scale_weights
+    # carry it in their config text; from_dict skips keys it does not know
+    cfg = tiny_cfg()
+    model = SegmentationModel(cfg)
+    plain = ModelConfig.to_dict
+    monkeypatch.setattr(ModelConfig, "to_dict",
+                        lambda self: {**plain(self), "learnable_scale_weights": False})
+    p = tmp_path / "old.ckpt"
+    save_checkpoint(p, cfg, model.params)
+    monkeypatch.undo()
+    assert b"learnable_scale_weights" in p.read_bytes()
+    cfg2, params2, _ = load_checkpoint(p)
+    assert cfg2 == cfg and sorted(params2) == sorted(model.params)
+
+
+def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):
+    cfg = tiny_cfg()
+    p = tmp_path / "learned.ckpt"
+    save_checkpoint(p, cfg, SegmentationModel(cfg).params,
+                    extra={"enc_attn.0.hta.ws": np.ones(8), "enc_attn.1.hta.ws": np.ones(8)})
+    with pytest.raises(FormatError, match=str(p)):
         load_checkpoint(p)

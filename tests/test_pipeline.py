@@ -1,8 +1,14 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg import cli
 from tempseg.network import ModelConfig, SegmentationModel, load_checkpoint, save_checkpoint
@@ -95,6 +101,67 @@ def test_labels_mixed_format_rejected(tmp_path):
     p.write_text("0\n0,2,1\n")
     with pytest.raises(ValueError):
         load_labels(p)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0\n1\n-3\n", 3),
+    ("# comment\n0,2,1\n3,5,-1\n", 3),
+    ("0\n99999999999999999999\n", 2),
+    ("0,99999999999,1\n", 1),
+])
+def test_labels_out_of_range_rejected_with_line(tmp_path, text, line):
+    p = tmp_path / "l.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"{p}:{line}: "):
+        load_labels(p)
+
+
+def test_cli_eval_negative_label_exits_two(tmp_path, capsys):
+    pred, gt = tmp_path / "pred.labels", tmp_path / "gt.labels"
+    pred.write_text("0\n1\n-3\n")
+    gt.write_text("0\n1\n1\n")
+    assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    assert f"{pred}:3: negative label -3" in capsys.readouterr().err
+
+
+def test_cli_train_label_beyond_classes_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    save_features(rng.normal(size=(4, 3)), data / "seq_000.feat")
+    (data / "seq_000.labels").write_text("0\n1\n8\n1\n")
+    # the default model has 8 classes, so label 8 is out of range
+    code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert str(data / "seq_000.labels") in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+_label_line = st.one_of(
+    st.integers(-5, 40).map(str),
+    st.tuples(st.integers(-2, 40), st.integers(-2, 40), st.integers(-3, 9)).map(
+        lambda t: ",".join(map(str, t))),
+    st.text(st.characters(codec="utf-8"), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(st.text(st.characters(codec="utf-8")),
+                   st.lists(_label_line, max_size=12).map("\n".join)),
+    text_is_pred=st.booleans(),
+)
+def test_cli_eval_any_label_text_exits_zero_or_two(text, text_is_pred):
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzz, fixed = os.path.join(tmp, "fuzz.labels"), os.path.join(tmp, "fixed.labels")
+        with open(fuzz, "w", encoding="utf-8") as f:
+            f.write(text)
+        with open(fixed, "w") as f:
+            f.write("0\n0\n1\n1\n2\n")
+        pred, gt = (fuzz, fixed) if text_is_pred else (fixed, fuzz)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(["eval", "--pred", pred, "--gt", gt])
+    assert code in (0, 2), sink.getvalue()
 
 
 def test_labels_round_trip(tmp_path):

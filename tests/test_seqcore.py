@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempseg import seqcore
 from tempseg.attention import WindowSpec, build_sparse_mask
 from tempseg.seqcore import (
     BAND_BLOCK,
@@ -11,6 +12,7 @@ from tempseg.seqcore import (
     band_attention,
     concat,
     conv1d_dilated,
+    hta_attention,
     layer_norm,
     masked_softmax,
     mean_pool1d,
@@ -22,6 +24,7 @@ from oracles import (
     conv1d_oracle,
     dense_multihead,
     fd_check_tensor,
+    hta_qkv_oracle,
     mean_pool_oracle,
 )
 
@@ -273,6 +276,73 @@ def test_band_attention_rejects_bad_shapes():
         band_attention(x, x, x, 3, 1, 1)
     with pytest.raises(ShapeError):
         band_attention(x, x, x, 2, 1, 0)
+
+
+# -- hierarchical attention -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "T, scales, weights, window, heads, block",
+    [
+        (1, [0, 1, 2], [0.3, 0.3, 0.4], 2, 2, 256),       # a single frame
+        (5, [0, 1, 2, 3], [0.25] * 4, 3, 2, 256),          # T below the coarsest window
+        (29, [0, 1, 2], [0.5, 0.3, 0.2], 2, 2, 4),         # ragged tails, 8 row blocks
+        (30, [1, 3], [0.6, 0.4], 2, 4, 8),                 # non-consecutive scales
+        (26, [0, 0, 1], [0.5, 0.3, 0.2], 1, 2, 2),         # a repeated scale
+        (40, [2, 0, 1], [0.2, 0.5, 0.3], 2, 2, 8),         # unsorted scales
+        (33, [0, 2], [0.5, 0.5], 0, 2, 4),                 # window 0
+        (64, [0, 1, 2], [0.4, 0.4, 0.2], 3, 4, 16),        # several blocks, 4 heads
+    ],
+)
+def test_hta_attention_matches_dense_oracle(monkeypatch, T, scales, weights, window, heads, block):
+    monkeypatch.setattr(seqcore, "HTA_BLOCK", block)
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    got = hta_attention(t(q), t(k), t(v), heads, scales, weights, window).data
+    want = hta_qkv_oracle(q, k, v, heads, scales, weights, window)
+    assert got.shape == (T, 8)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+# a block holds HTA_BLOCK >> (coarsest - finest scale) coarsest rows: 3 of
+# the 6 for [0, 1, 2] and 2 of the 3 for [1, 3, 3], so 21 frames take two
+@pytest.mark.parametrize("scales, block", [([0, 1, 2], 12), ([1, 3, 3], 8)])
+def test_grad_hta_attention_two_blocks(monkeypatch, scales, block):
+    monkeypatch.setattr(seqcore, "HTA_BLOCK", block)
+    T = 21
+    q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
+    wgt = rng.normal(size=(T, 4))
+    err = fd_check_tensor(
+        lambda: (hta_attention(q, k, v, 2, scales, [0.5, 0.3, 0.2], 2) * wgt).sum(), [q, k, v])
+    assert err < 1e-6
+
+
+def test_hta_attention_reruns_bit_identical(monkeypatch):
+    monkeypatch.setattr(seqcore, "HTA_BLOCK", 8)
+    q, k, v = (t(rng.normal(size=(50, 8))) for _ in range(3))
+    g = rng.normal(size=(50, 8))
+    runs = []
+    for _ in range(2):
+        for x in (q, k, v):
+            x.zero_grad()
+        y = hta_attention(q, k, v, 2, [0, 1, 2], [0.5, 0.3, 0.2], 2)
+        (y * g).sum().backward()
+        runs.append([y.data.copy()] + [x.grad.copy() for x in (q, k, v)])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    with no_grad():
+        y = hta_attention(q, k, v, 2, [0, 1, 2], [0.5, 0.3, 0.2], 2)
+    assert np.array_equal(y.data, runs[0][0]) and not y._prev
+
+
+def test_hta_attention_rejects_bad_arguments():
+    q = t(rng.normal(size=(6, 4)))
+    with pytest.raises(ShapeError):
+        hta_attention(q, q, t(rng.normal(size=(5, 4))), 2, [0], [1.0], 1)
+    with pytest.raises(ShapeError):
+        hta_attention(q, q, q, 3, [0], [1.0], 1)
+    with pytest.raises(ShapeError):
+        hta_attention(q, q, q, 2, [0, 1], [1.0], 1)
+    with pytest.raises(ShapeError):
+        hta_attention(q, q, q, 2, [0], [1.0], -1)
 
 
 # -- no_grad --------------------------------------------------------------

@@ -34,7 +34,6 @@ from .segments import (
     detect_boundaries,
     frames_to_segments,
     make_boundary_target,
-    make_transition_buffers,
     refine_prediction,
     segments_to_frames,
 )

@@ -35,12 +35,11 @@ __all__ = [
 @dataclass(frozen=True)
 class WindowSpec:
     """One sliding window: one-sided width in frames, a zero-based dilation
-    rate (rate 0 = adjacent taps), causality and its role in the dual pair."""
+    rate (rate 0 = adjacent taps) and causality."""
 
     one_sided_width: int
     dilation_rate: int = 0
     causal: bool = False
-    role: str = "expanding"
 
     def __post_init__(self):
         if self.one_sided_width < 1:
@@ -55,6 +54,13 @@ class WindowSpec:
     @property
     def receptive_span(self) -> int:
         return 2 * self.one_sided_width * self.step + 1
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Distinct ascending key offsets j*step, j in [-w, w] ([-w, 0] when
+        causal); offset 0 is always in the sequence, so no query is empty."""
+        w = self.one_sided_width
+        return np.arange(-w, (0 if self.causal else w) + 1) * self.step
 
 
 class AttentionMask:
@@ -73,11 +79,7 @@ class AttentionMask:
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
-        # query i attends i + j*step for j in [-w, w] ([-w, 0] when causal);
-        # j = 0 is always in the sequence, so no row is empty
-        w, step = self.spec.one_sided_width, self.spec.step
-        offsets = np.arange(-w, (0 if self.spec.causal else w) + 1) * step
-        idx = np.arange(self.T)[:, None] + offsets[None, :]
+        idx = np.arange(self.T)[:, None] + self.spec.offsets[None, :]
         valid = (idx >= 0) & (idx < self.T)
         return np.clip(idx, 0, self.T - 1), valid
 
@@ -91,8 +93,9 @@ class AttentionMask:
 
     @property
     def allowed(self) -> list:
-        """Sorted allowed key indices per query."""
-        return [np.unique(self.key_index[q][self.valid[q]]) for q in range(self.T)]
+        """Sorted allowed key indices per query (the offsets are distinct and
+        ascending, so each row already is)."""
+        return [self.key_index[q][self.valid[q]] for q in range(self.T)]
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.T, self.T), dtype=bool)
@@ -106,10 +109,8 @@ def build_window_schedule(
     w_min: int = 16,
     w_max: int = 256,
     rate_max: int = 4,
-    causal: bool = False,
-    dilate_shrinking: bool = True,
 ) -> list[tuple[WindowSpec, WindowSpec]]:
-    """Per-layer (expanding, shrinking) window pairs.
+    """Per-layer (expanding, shrinking) acausal window pairs.
 
     Expanding widths double from w_min and clamp at w_max; shrinking widths
     are the reversed ladder. The dilation rate at layer l is min(l, rate_max).
@@ -123,16 +124,10 @@ def build_window_schedule(
         expanding, shrinking = [w_min], [w_max]
     else:
         shrinking = expanding[::-1]
-    pairs = []
-    for layer, (we, ws) in enumerate(zip(expanding, shrinking)):
-        rate = min(layer, rate_max)
-        pairs.append(
-            (
-                WindowSpec(we, rate, causal, "expanding"),
-                WindowSpec(ws, rate if dilate_shrinking else 0, causal, "shrinking"),
-            )
-        )
-    return pairs
+    return [
+        (WindowSpec(we, min(layer, rate_max)), WindowSpec(ws, min(layer, rate_max)))
+        for layer, (we, ws) in enumerate(zip(expanding, shrinking))
+    ]
 
 
 def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
@@ -144,8 +139,9 @@ def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
 
 
 def attended_pairs_count(mask: AttentionMask) -> int:
-    """Exact number of (query, key) pairs the mask allows."""
-    return sum(len(a) for a in mask.allowed)
+    """Exact number of (query, key) pairs the mask allows: offset d keeps
+    the T - |d| queries whose key stays in the sequence."""
+    return int(np.maximum(mask.T - np.abs(mask.spec.offsets), 0).sum())
 
 
 @dataclass
@@ -177,9 +173,6 @@ class ScaleSet:
             weights = [1.0 / n] * n
         return cls(T, scales, list(weights), window)
 
-    def pooled_length(self, s: int) -> int:
-        return -(-self.T // (1 << s))
-
 
 @dataclass
 class AttentionParams:
@@ -207,9 +200,6 @@ class AttentionParams:
     @property
     def attn_dim(self) -> int:
         return self.wq.shape[1]
-
-    def tensors(self):
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
 def init_attention_params(d_model: int, attn_dim: int, heads: int, rng) -> AttentionParams:

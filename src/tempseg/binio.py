@@ -6,13 +6,10 @@ short read raises FormatError naming the file and the byte offset.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
-import numpy as np
-
-__all__ = ["FormatError", "read_array", "read_exact", "read_struct"]
+__all__ = ["FormatError", "read_exact", "read_struct", "skip"]
 
 
 class FormatError(ValueError):
@@ -40,14 +37,13 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
-def read_array(f, shape: tuple, dtype: str, what: str) -> np.ndarray:
-    """The next array of `shape` and `dtype` from binary file f, read
-    straight into its own buffer; FormatError if the file holds less. The
-    size is checked before the buffer is allocated."""
-    _check_left(f, math.prod(shape) * np.dtype(dtype).itemsize, what)
-    out = np.empty(shape, dtype)
-    f.readinto(memoryview(out).cast("B"))
-    return out
+def skip(f, n: int, what: str) -> int:
+    """Move binary file f past its next n bytes and return their offset;
+    FormatError if fewer remain."""
+    _check_left(f, n, what)
+    offset = f.tell()
+    f.seek(n, os.SEEK_CUR)
+    return offset
 
 
 def read_struct(f, fmt: str, what: str) -> tuple:

@@ -99,10 +99,8 @@ def _cmd_refine(args):
 
 
 def _cmd_inspect_mask(args):
-    cfg = ModelConfig.from_dict({}) if not args.config else _read_model(args.config)
-    schedule = attention.build_window_schedule(
-        cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max, dilate_shrinking=cfg.dilate_shrinking
-    )
+    cfg = _read_model(args.config) if args.config else ModelConfig()
+    schedule = attention.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
     if not 0 <= args.layer < len(schedule):
         raise ValueError(f"layer must be in [0, {len(schedule)}), got {args.layer}")
     for role, spec in zip(("expanding", "shrinking"), schedule[args.layer]):

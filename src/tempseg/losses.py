@@ -13,7 +13,6 @@ from .segments import SegmentList, make_boundary_target
 
 __all__ = [
     "LossWeights",
-    "GaussianProfile",
     "focal_loss",
     "dice_loss",
     "gaussian_cosine_similarity_loss",
@@ -35,26 +34,6 @@ class LossWeights:
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
             raise ValueError("loss weights must be non-negative")
-
-
-@dataclass(frozen=True)
-class GaussianProfile:
-    """Gaussian weighting profile: unit peaks at `centers`, width `sigma`."""
-
-    centers: tuple
-    sigma: float
-    kind: str = "segment_center"
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def evaluate(self, T: int) -> np.ndarray:
-        t = np.arange(T)
-        out = np.zeros(T)
-        for c in self.centers:
-            np.maximum(out, np.exp(-((t - c) ** 2) / (2.0 * self.sigma ** 2)), out=out)
-        return out
 
 
 def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
@@ -135,8 +114,6 @@ def gaussian_truncated_boundary_loss(
     tau - relu(tau - x) to stay on the tape."""
     scores = as_tensor(boundary_scores)
     target = np.asarray(boundary_target, dtype=np.float64)
-    if isinstance(profile, GaussianProfile):
-        profile = profile.evaluate(target.size)
     g = np.asarray(profile, dtype=np.float64)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -161,10 +138,9 @@ def combined_temporal_loss(
     labels = np.asarray(labels, dtype=np.int64)
     T = labels.size
     b_target = make_boundary_target(segments, T)
-    stages = output.stages if cfg.supervise_all_stages else output.stages[-1:]
     total = None
     parts = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
-    for stage in stages:
+    for stage in output.stages:
         lf = focal_loss(stage.action_logits, labels, cfg.focal_gamma)
         probs = masked_softmax(stage.action_logits, np.ones(stage.action_logits.shape, bool))
         ld = dice_loss(probs, labels, cfg.dice_smooth)
@@ -178,7 +154,7 @@ def combined_temporal_loss(
         parts["dice"] += ld.item()
         parts["sim"] += ls.item()
         parts["boundary"] += lb.item()
-    n = len(stages)
+    n = len(output.stages)
     loss = total / float(n)
     for k in parts:
         parts[k] /= n

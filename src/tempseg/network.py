@@ -11,11 +11,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, read_array, read_exact, read_struct
+from .binio import FormatError, read_exact, read_struct, skip
 from .seqcore import ShapeError, Tensor, as_tensor, concat, conv1d_dilated, layer_norm, masked_softmax
 
 __all__ = [
     "ModelConfig",
+    "RETIRED_KEYS",
+    "config_kwargs",
     "StagePrediction",
     "ModelOutput",
     "SegmentationModel",
@@ -29,6 +31,57 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"MSBC"
 CHECKPOINT_VERSION = 1
+
+# config keys of removed ModelConfig fields, each with the only value it may
+# still hold: old checkpoints and config files that carry one still load, and
+# any other value would build a model the key no longer describes
+RETIRED_KEYS = {
+    "learnable_scale_weights": False,
+    "boundary_sigma_frac": 0.05,
+    "supervise_all_stages": True,
+    "dilate_shrinking": True,
+}
+
+_BOOL_TEXT = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
+
+
+def _parse_like(default, text: str):
+    """The value of `text` as the type of `default` (bool, int or float)."""
+    if isinstance(default, bool):
+        value = _BOOL_TEXT.get(text.strip().lower())
+        if value is None:
+            raise ValueError(f"expected true/false/1/0/yes/no/on/off, got {text!r}")
+        return value
+    if isinstance(default, int):
+        return int(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def config_kwargs(cls, items, source: str) -> dict:
+    """Keyword arguments for dataclass `cls` from `(key, value)` pairs.
+
+    A text value is parsed by the type of the field's default; any other
+    value (as from ``to_dict()``) passes through. An unknown key, or text
+    that does not parse, raises ValueError naming `source` and the key.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if isinstance(f.default, (int, float))}
+    kwargs = {}
+    for key, value in items:
+        if key not in defaults:
+            raise ValueError(f"{source}: unknown key {key!r}")
+        if isinstance(value, str):
+            try:
+                value = _parse_like(defaults[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {key}: {exc}") from None
+        kwargs[key] = value
+    return kwargs
 
 
 @dataclass
@@ -50,7 +103,6 @@ class ModelConfig:
     w_min: int = 16
     w_max: int = 256
     rate_max: int = 4
-    dilate_shrinking: bool = True
     # hierarchical scales
     s_avg: int = 64
     hta_window: int = 8
@@ -64,8 +116,6 @@ class ModelConfig:
     dice_smooth: float = 1.0
     tau: float = 0.5
     sigma_divisor: float = 6.0
-    boundary_sigma_frac: float = 0.05
-    supervise_all_stages: bool = True
     # refinement / decoding
     boundary_theta: float = 0.5
     boundary_min_distance: int = 8
@@ -79,15 +129,17 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        for name in ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size",
+                     "stride", "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_decoders", "rate_max", "max_scales"):
+            if getattr(self, name) < 0:
+                raise ShapeError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ShapeError(f"heads {self.heads} must divide d_model {self.d_model}")
         if self.attn_dim % self.heads != 0:
             raise ShapeError(f"heads {self.heads} must divide attn_dim {self.attn_dim}")
-        for name in ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size", "stride"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_decoders < 0:
-            raise ShapeError("n_decoders must be >= 0")
         if not 0.0 <= self.temporal_dropout < 1.0:
             raise ShapeError(f"dropout must be in [0, 1), got {self.temporal_dropout}")
 
@@ -95,21 +147,28 @@ class ModelConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
+    def from_dict(cls, d: dict, source: str = "ModelConfig") -> "ModelConfig":
+        """Config from `d` (text or typed values); a key in RETIRED_KEYS is
+        accepted only at its one remaining value, and then dropped."""
+        items = []
+        for key, value in d.items():
+            if key not in RETIRED_KEYS:
+                items.append((key, value))
                 continue
-            v = d[f.name]
-            if isinstance(v, str):
-                if f.type == "bool" or isinstance(f.default, bool):
-                    v = v.strip().lower() in ("1", "true", "yes", "on")
-                elif isinstance(f.default, int):
-                    v = int(v)
-                elif isinstance(f.default, float):
-                    v = float(v)
-            kwargs[f.name] = v
-        return cls(**kwargs)
+            only = RETIRED_KEYS[key]
+            try:
+                kept = (_parse_like(only, value) if isinstance(value, str) else value) == only
+            except ValueError:
+                kept = False
+            if not kept:
+                raise ValueError(
+                    f"{source}: {key} was removed and may only be {only}, got {value!r}"
+                )
+        kwargs = config_kwargs(cls, items, source)
+        try:
+            return cls(**kwargs)
+        except ShapeError as exc:
+            raise ShapeError(f"{source}: {exc}") from None
 
 
 @dataclass
@@ -260,8 +319,7 @@ class SegmentationModel:
 
     def schedule(self):
         return attn.build_window_schedule(
-            self.cfg.n_blocks, self.cfg.w_min, self.cfg.w_max,
-            self.cfg.rate_max, causal=False, dilate_shrinking=self.cfg.dilate_shrinking,
+            self.cfg.n_blocks, self.cfg.w_min, self.cfg.w_max, self.cfg.rate_max
         )
 
     def masks_for(self, t_red: int):
@@ -365,14 +423,12 @@ def count_params_flops(cfg: ModelConfig, T: int) -> tuple[int, int]:
     macs = T * cfg.d_in * d  # input projection
     conv_block = t_red * d * d * k + t_red * d * d  # dilated + pointwise
     macs += cfg.n_blocks * conv_block  # encoder TCN (stride effects ignored at first block)
-    schedule = attn.build_window_schedule(
-        cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max, dilate_shrinking=cfg.dilate_shrinking
-    )
+    schedule = attn.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
     scales = attn.ScaleSet.build(t_red, cfg.s_avg, cfg.hta_window, max_scales=cfg.max_scales)
     hta_pairs = _hta_pair_count(t_red, scales)
     for e_spec, s_spec in schedule:
-        pairs = attn.attended_pairs_count(attn.build_sparse_mask(t_red, e_spec))
-        pairs += attn.attended_pairs_count(attn.build_sparse_mask(t_red, s_spec))
+        pairs = attn.attended_pairs_count(attn.AttentionMask(t_red, e_spec))
+        pairs += attn.attended_pairs_count(attn.AttentionMask(t_red, s_spec))
         macs += 4 * t_red * d * a        # q/k/v/output projections (dswa)
         macs += 2 * pairs * a            # scores + weighted values
         macs += 4 * t_red * d * a        # hta projections
@@ -403,22 +459,19 @@ def _config_blob(cfg: ModelConfig) -> bytes:
     return "\n".join(lines).encode()
 
 
-def _config_from_blob(blob: bytes) -> ModelConfig:
+def _config_from_blob(blob: bytes, path) -> ModelConfig:
     d = {}
-    for line in blob.decode().splitlines():
+    for line in blob.decode(errors="replace").splitlines():
         if "=" in line:
             k, v = line.split("=", 1)
             d[k.strip()] = v.strip()
-    return ModelConfig.from_dict(d)
+    return ModelConfig.from_dict(d, str(path))
 
 
-def save_checkpoint(path, cfg: ModelConfig, params: dict, extra: dict | None = None):
+def save_checkpoint(path, cfg: ModelConfig, params: dict):
     """Binary checkpoint: magic, u32 version, config text blob, then named
-    float64 little-endian parameter blobs. `extra` arrays (e.g. optimizer
-    state) are stored under their given names alongside the parameters."""
+    float64 little-endian parameter blobs."""
     blobs = {name: t.data for name, t in params.items()}
-    if extra:
-        blobs.update({name: np.asarray(v, dtype=np.float64) for name, v in extra.items()})
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -438,7 +491,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, extra: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (config, params dict, extra arrays dict)."""
+    """Returns (config, params dict, dict of the blobs the config does not name)."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
@@ -451,17 +504,29 @@ def load_checkpoint(path):
         (n,) = read_struct(f, "<I", "config length")
         blob = read_exact(f, n, "config")
         try:
-            cfg = _config_from_blob(blob)
+            cfg = _config_from_blob(blob, path)
         except ValueError as exc:
-            raise FormatError(f"{path}: bad checkpoint config: {exc}") from None
+            raise FormatError(f"bad checkpoint config: {exc}") from None
         (count,) = read_struct(f, "<I", "parameter count")
-        blobs = {}
+        # headers first, then every blob into one buffer whose views are the
+        # arrays: one allocation per load, so what a load costs does not hang
+        # on which freed memory the allocator kept from earlier loads
+        layout = []
         for _ in range(count):
             (ln,) = read_struct(f, "<I", "parameter name length")
             name = read_exact(f, ln, "parameter name").decode()
             (rank,) = read_struct(f, "<I", f"rank of {name!r}")
             shape = read_struct(f, f"<{rank}Q", f"shape of {name!r}")
-            blobs[name] = read_array(f, shape, "<f8", f"values of {name!r}")
+            size = math.prod(shape)
+            layout.append((name, shape, size, skip(f, 8 * size, f"values of {name!r}")))
+        buf = np.empty(sum(size for _, _, size, _ in layout), "<f8")
+        blobs, start = {}, 0
+        for name, shape, size, offset in layout:
+            view = buf[start : start + size]
+            f.seek(offset)
+            f.readinto(memoryview(view).cast("B"))
+            blobs[name] = view.reshape(shape)
+            start += size
     expected = {name for name, _ in _param_specs(cfg)}
     learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))
     if learned:

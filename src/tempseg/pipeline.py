@@ -6,18 +6,13 @@ from __future__ import annotations
 import configparser
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binio import FormatError, read_exact, read_struct
 from .losses import LossWeights, combined_temporal_loss
-from .network import (
-    ModelConfig,
-    SegmentationModel,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .network import ModelConfig, SegmentationModel, config_kwargs, save_checkpoint
 from .segments import (
     Segment,
     SegmentList,
@@ -258,7 +253,6 @@ class RunConfig:
     patience: int = 20
     val_fraction: float = 0.0
     target_accuracy: float = 0.0  # early exit once train accuracy reaches this
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -297,7 +291,7 @@ def _train_accuracy(model: SegmentationModel, dataset) -> float:
 
 def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     """Full-sequence Adam training with early stopping; persists the best
-    checkpoint (parameters + optimizer state) when ckpt_path is given."""
+    parameters when ckpt_path is given."""
     if not dataset:
         raise ValueError("need at least one training sequence")
     n_val = min(int(round(run.val_fraction * len(dataset))), len(dataset) - 1)
@@ -364,9 +358,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         stop = not improved and bad_epochs > run.patience
         reached = not stop and bool(run.target_accuracy) and acc >= run.target_accuracy
         if ckpt_path is not None and (improved or reached):
-            extra = {"opt.step": np.array([float(opt.step_count)])}
-            extra.update(_opt_state_blobs(model, opt))
-            save_checkpoint(ckpt_path, run.model, model.params, extra)
+            save_checkpoint(ckpt_path, run.model, model.params)
         if stop:
             log.append(f"early stop at epoch {epoch} (best {best_epoch})")
             break
@@ -374,29 +366,6 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
             log.append(f"target accuracy {run.target_accuracy} reached at epoch {epoch}")
             break
     return TrainResult(log, best_epoch, best_loss, acc, epoch_losses)
-
-
-def _opt_state_blobs(model: SegmentationModel, opt: Adam) -> dict:
-    blobs = {}
-    index = {id(p): i for i, p in enumerate(opt.params)}
-    for name, p in model.params.items():
-        i = index[id(p)]
-        blobs[f"opt.m.{name}"] = opt.m[i]
-        blobs[f"opt.v.{name}"] = opt.v[i]
-    return blobs
-
-
-def resume_optimizer(model: SegmentationModel, opt: Adam, extra: dict):
-    """Restore Adam moments saved by train() into a fresh optimizer."""
-    if "opt.step" not in extra:
-        return
-    opt.step_count = int(extra["opt.step"][0])
-    index = {id(p): i for i, p in enumerate(opt.params)}
-    for name, p in model.params.items():
-        i = index[id(p)]
-        if f"opt.m.{name}" in extra:
-            opt.m[i][...] = extra[f"opt.m.{name}"]
-            opt.v[i][...] = extra[f"opt.v.{name}"]
 
 
 # -- inference ------------------------------------------------------------
@@ -438,52 +407,48 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
 # -- config files ---------------------------------------------------------
 
 
+def _read_ini(path, sections: tuple) -> configparser.ConfigParser:
+    """An INI file that may hold only `sections`; a parse error names the file."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as f:
+            cp.read_file(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    unknown = [name for name in cp.sections() if name not in sections]
+    if unknown:
+        raise ValueError(f"{path}: unknown section [{unknown[0]}]")
+    return cp
+
+
 def load_run_config(path) -> RunConfig:
     """`key = value` file with [model] and [train] sections."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
-    model = ModelConfig.from_dict(dict(cp["model"])) if cp.has_section("model") else ModelConfig()
-    run = RunConfig(model=model)
-    if cp.has_section("train"):
-        for key, value in cp["train"].items():
-            if key == "lr":
-                run.lr = float(value)
-            elif key == "max_epochs":
-                run.max_epochs = int(value)
-            elif key == "patience":
-                run.patience = int(value)
-            elif key == "val_fraction":
-                run.val_fraction = float(value)
-            elif key == "target_accuracy":
-                run.target_accuracy = float(value)
-            elif key == "seed":
-                run.seed = int(value)
-            else:
-                raise ValueError(f"unknown [train] key {key!r} in {path}")
-    return run
+    cp = _read_ini(path, ("model", "train"))
+    model = ModelConfig()
+    if cp.has_section("model"):
+        model = ModelConfig.from_dict(dict(cp["model"]), f"{path} [model]")
+    train = dict(cp["train"]) if cp.has_section("train") else {}
+    if "seed" in train:
+        raise ValueError(
+            f"{path} [train]: seed was removed; [model] seed seeds initialisation and dropout"
+        )
+    return RunConfig(model=model, **config_kwargs(RunConfig, train.items(), f"{path} [train]"))
 
 
 def load_synth_spec(path) -> SynthSpec:
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValueError(f"cannot read spec file {path}")
+    cp = _read_ini(path, ("synth",))
     if not cp.has_section("synth"):
         raise ValueError(f"{path} has no [synth] section")
-    sec = cp["synth"]
+    sec = dict(cp["synth"])
+    source = f"{path} [synth]"
     kwargs = {}
-    for f in fields(SynthSpec):
-        if f.name not in sec:
-            continue
-        raw = sec[f.name]
-        if f.name == "durations":
-            pairs = [p for p in raw.replace(";", "\n").split() if p]
-            kwargs["durations"] = tuple(
-                tuple(float(x) for x in p.split(",")) for p in pairs
-            )
-        elif isinstance(f.default, int):
-            kwargs[f.name] = int(raw)
-        elif isinstance(f.default, float):
-            kwargs[f.name] = float(raw)
+    if "durations" in sec:
+        pairs = sec.pop("durations").replace(";", "\n").split()
+        try:
+            kwargs["durations"] = tuple(tuple(float(x) for x in p.split(",")) for p in pairs)
+        except ValueError as exc:
+            raise ValueError(f"{source}: durations: {exc}") from None
+    kwargs.update(config_kwargs(SynthSpec, sec.items(), source))
     return SynthSpec(**kwargs)

@@ -1,5 +1,5 @@
-"""Segment/frame conversions, transition buffers, boundary targets, peak
-detection and center-weighted segment refinement."""
+"""Segment/frame conversions, boundary targets, peak detection and
+center-weighted segment refinement."""
 
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ import numpy as np
 __all__ = [
     "Segment",
     "SegmentList",
-    "BufferedLabels",
     "frames_to_segments",
     "segments_to_frames",
-    "make_transition_buffers",
     "make_boundary_target",
     "detect_boundaries",
     "refine_prediction",
-    "load_segment_file",
     "save_segment_file",
 ]
 
@@ -70,12 +67,6 @@ class SegmentList(list):
         return self
 
 
-@dataclass
-class BufferedLabels:
-    labels: np.ndarray      # per-frame class ids
-    buffer_mask: np.ndarray  # True inside transition buffer zones
-
-
 def frames_to_segments(labels) -> SegmentList:
     """Maximal constant runs of a per-frame label sequence."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -98,24 +89,6 @@ def segments_to_frames(segments: SegmentList, T: int) -> np.ndarray:
     for seg in segments:
         labels[seg.start : seg.end + 1] = seg.label
     return labels
-
-
-def _buffer_len(length: int) -> int:
-    # round-half-up of 5% of the segment length, capped at floor(len/2)
-    return min(int(np.floor(0.05 * length + 0.5)), length // 2)
-
-
-def make_transition_buffers(segments: SegmentList) -> BufferedLabels:
-    """Flag round(0.05 * len) frames at each end of every segment."""
-    T = SegmentList(segments).validate().T
-    labels = segments_to_frames(segments, T)
-    mask = np.zeros(T, dtype=bool)
-    for seg in segments:
-        b = _buffer_len(seg.length)
-        if b > 0:
-            mask[seg.start : seg.start + b] = True
-            mask[seg.end - b + 1 : seg.end + 1] = True
-    return BufferedLabels(labels, mask)
 
 
 def boundary_sigma(left: Segment, right: Segment) -> float:
@@ -193,21 +166,3 @@ def save_segment_file(path, segments: SegmentList):
         f.write("# start,end,class_id (frames, inclusive)\n")
         for seg in segments:
             f.write(f"{seg.start},{seg.end},{seg.label}\n")
-
-
-def load_segment_file(path) -> SegmentList:
-    segs = []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected 'start,end,class', got {line!r}")
-            try:
-                s, e, c = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            segs.append(Segment(s, e, c))
-    return SegmentList(segs).validate()

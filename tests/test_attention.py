@@ -20,6 +20,7 @@ from tempseg.seqcore import MaskError, ShapeError, Tensor, no_grad
 
 from oracles import (
     aggregate_scales,
+    band_mask_oracle,
     dense_attention_oracle,
     dswa_oracle,
     fd_check_tensor,
@@ -53,7 +54,7 @@ def test_schedule_single_layer():
 
 
 def test_window_spec_step_and_span():
-    spec = WindowSpec(4, 2, False, "expanding")
+    spec = WindowSpec(4, 2, False)
     assert spec.step == 3  # rate 0 means adjacent taps, rate r skips r frames
     assert spec.receptive_span == 2 * 4 * 3 + 1
 
@@ -62,30 +63,42 @@ def test_window_spec_step_and_span():
 
 
 def test_mask_causal_width_one():
-    m = build_sparse_mask(4, WindowSpec(1, 0, True, "expanding"))
+    m = build_sparse_mask(4, WindowSpec(1, 0, True))
     assert [list(a) for a in m.allowed] == [[0], [0, 1], [1, 2], [2, 3]]
 
 
 def test_mask_acausal_dilated():
-    m = build_sparse_mask(5, WindowSpec(1, 1, False, "expanding"))
+    m = build_sparse_mask(5, WindowSpec(1, 1, False))
     assert list(m.allowed[2]) == [0, 2, 4]
     assert list(m.allowed[0]) == [0, 2]  # negative offsets clipped away
 
 
 def test_mask_dense_matches_allowed():
-    m = build_sparse_mask(9, WindowSpec(2, 1, False, "shrinking"))
+    m = build_sparse_mask(9, WindowSpec(2, 1, False))
     d = m.dense()
     for i, js in enumerate(m.allowed):
         assert sorted(np.nonzero(d[i])[0]) == list(js)
 
 
 def test_pairs_count():
-    m = build_sparse_mask(4, WindowSpec(1, 0, True, "expanding"))
+    m = build_sparse_mask(4, WindowSpec(1, 0, True))
     assert attended_pairs_count(m) == 7
 
 
+def test_pairs_count_closed_form_matches_band_and_oracle():
+    specs = [spec for pair in build_window_schedule(10) for spec in pair]
+    specs += [WindowSpec(3, 2, True), WindowSpec(1, 4, True), WindowSpec(5, 6, False)]
+    for spec in specs:
+        for T in sorted({1, 2, max(1, spec.step - 1), spec.step + 1, 37, 300}):
+            m = build_sparse_mask(T, spec)
+            got = attended_pairs_count(m)
+            assert "_band" not in vars(m)  # counted without building the band
+            oracle = band_mask_oracle(T, spec.one_sided_width, spec.step, spec.causal)
+            assert got == int(m.valid.sum()) == int(oracle.sum()), (spec, T)
+
+
 def test_every_query_attends_itself():
-    for spec in (WindowSpec(3, 2, True, "e"), WindowSpec(5, 0, False, "s")):
+    for spec in (WindowSpec(3, 2, True), WindowSpec(5, 0, False)):
         m = build_sparse_mask(23, spec)
         for i, js in enumerate(m.allowed):
             assert i in js
@@ -110,11 +123,6 @@ def test_scale_count_cap():
 def test_scale_weights_default_uniform():
     ss = ScaleSet.build(512, s_avg=64)
     assert np.allclose(ss.weights, [1 / 3] * 3)
-
-
-def test_pooled_length():
-    ss = ScaleSet(10, [0, 1, 2], [0.4, 0.3, 0.3])
-    assert [ss.pooled_length(s) for s in ss.scales] == [10, 5, 3]
 
 
 # -- score aggregation ----------------------------------------------------
@@ -212,7 +220,7 @@ def test_masks_build_their_band_on_first_access():
 
 def test_dswa_odd_heads_rejected():
     params = init_attention_params(8, 6, 3, rng)
-    m = build_sparse_mask(8, WindowSpec(2, 0, False, "e"))
+    m = build_sparse_mask(8, WindowSpec(2, 0, False))
     with pytest.raises(ShapeError):
         dswa_forward(Tensor(rng.normal(size=(8, 8))), m, m, params)
 
@@ -267,7 +275,7 @@ def test_hta_single_scale_equals_plain_windowed():
 
 def test_attention_rows_are_convex_weights():
     # masked softmax output: values inside the band, exact zeros elsewhere
-    m = build_sparse_mask(10, WindowSpec(2, 1, False, "e"))
+    m = build_sparse_mask(10, WindowSpec(2, 1, False))
     d = m.dense()
     assert not d.all()
     assert d.any(axis=1).all()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tempseg.losses import (
-    GaussianProfile,
     LossWeights,
     combined_temporal_loss,
     dice_loss,
@@ -126,13 +125,6 @@ def test_boundary_loss_truncates_large_errors():
     loss = gaussian_truncated_boundary_loss(wild, target, g, tau=0.5)
     # every frame clamps at tau
     assert math.isclose(loss.item(), 0.5, rel_tol=1e-9)
-
-
-def test_gaussian_profile_matches_manual():
-    prof = GaussianProfile(centers=(3.0,), sigma=2.0)
-    g = prof.evaluate(8)
-    want = np.exp(-0.5 * ((np.arange(8) - 3.0) / 2.0) ** 2)
-    assert np.allclose(g, want)
 
 
 def test_loss_weights_validate():

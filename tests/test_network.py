@@ -3,6 +3,7 @@ import pytest
 
 from tempseg.binio import FormatError
 from tempseg.network import (
+    RETIRED_KEYS,
     ModelConfig,
     SegmentationModel,
     count_params_flops,
@@ -205,7 +206,9 @@ def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_cfg(n_decoders=2, stride=2)
     model = SegmentationModel(cfg)
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, cfg, model.params, extra={"opt.step": np.array([3.0])})
+    # a blob the config does not name (as an old checkpoint's optimizer
+    # state) comes back unchanged in the third value
+    save_checkpoint(p, cfg, {**model.params, "opt.step": Tensor(np.array([3.0]))})
     cfg2, params2, extra = load_checkpoint(p)
     assert cfg2 == cfg
     assert sorted(params2) == sorted(model.params)
@@ -227,25 +230,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_with_retired_config_key_loads(tmp_path, monkeypatch):
-    # checkpoints written while ModelConfig still had learnable_scale_weights
-    # carry it in their config text; from_dict skips keys it does not know
+    # checkpoints written before a config field was removed carry it in their
+    # config text; at its only remaining value it loads, at another it fails
     cfg = tiny_cfg()
     model = SegmentationModel(cfg)
     plain = ModelConfig.to_dict
-    monkeypatch.setattr(ModelConfig, "to_dict",
-                        lambda self: {**plain(self), "learnable_scale_weights": False})
-    p = tmp_path / "old.ckpt"
-    save_checkpoint(p, cfg, model.params)
-    monkeypatch.undo()
-    assert b"learnable_scale_weights" in p.read_bytes()
-    cfg2, params2, _ = load_checkpoint(p)
+    for retired, path in ((RETIRED_KEYS, tmp_path / "old.ckpt"),
+                          ({"dilate_shrinking": False}, tmp_path / "other.ckpt")):
+        monkeypatch.setattr(ModelConfig, "to_dict", lambda self: {**plain(self), **retired})
+        save_checkpoint(path, cfg, model.params)
+        monkeypatch.undo()
+    text = (tmp_path / "old.ckpt").read_bytes()
+    assert all(key.encode() in text for key in RETIRED_KEYS)
+    cfg2, params2, _ = load_checkpoint(tmp_path / "old.ckpt")
     assert cfg2 == cfg and sorted(params2) == sorted(model.params)
+    with pytest.raises(FormatError, match=f"{tmp_path / 'other.ckpt'}.*dilate_shrinking"):
+        load_checkpoint(tmp_path / "other.ckpt")
 
 
 def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):
     cfg = tiny_cfg()
     p = tmp_path / "learned.ckpt"
-    save_checkpoint(p, cfg, SegmentationModel(cfg).params,
-                    extra={"enc_attn.0.hta.ws": np.ones(8), "enc_attn.1.hta.ws": np.ones(8)})
+    learned = {f"enc_attn.{i}.hta.ws": Tensor(np.ones(8)) for i in range(2)}
+    save_checkpoint(p, cfg, {**SegmentationModel(cfg).params, **learned})
     with pytest.raises(FormatError, match=str(p)):
         load_checkpoint(p)

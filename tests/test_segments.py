@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from tempseg.pipeline import load_labels
 from tempseg.segments import (
     Segment,
     SegmentList,
     boundary_sigma,
     detect_boundaries,
     frames_to_segments,
-    load_segment_file,
     make_boundary_target,
-    make_transition_buffers,
     refine_prediction,
     save_segment_file,
     segments_to_frames,
@@ -56,22 +55,6 @@ def test_segment_basic_invariants():
         Segment(5, 4, 0)
     assert seg(2, 5, 1).length == 4
     assert seg(0, 3, 0).center == 1.5
-
-
-def test_buffer_length_five_percent_rounded():
-    segs = SegmentList([seg(0, 39, 0), seg(40, 99, 1)])
-    buffered = make_transition_buffers(segs)
-    # 5% of 40 = 2, 5% of 60 = 3
-    assert np.all(buffered.buffer_mask[38:43])
-    assert not buffered.buffer_mask[37] and not buffered.buffer_mask[43]
-
-
-def test_buffer_capped_at_half_segment():
-    segs = SegmentList([seg(0, 0, 0), seg(1, 2, 1), seg(3, 200, 2)])
-    buffered = make_transition_buffers(segs)
-    # a 1-frame segment has buffer 0 and a 2-frame one at most 1 per side
-    assert not buffered.buffer_mask[0]
-    assert int(buffered.buffer_mask[1:3].sum()) <= 2
 
 
 def test_boundary_sigma_floor():
@@ -157,11 +140,11 @@ def test_segment_file_round_trip(tmp_path):
     segs = SegmentList([seg(0, 4, 2), seg(5, 9, 0)])
     p = tmp_path / "ref.seg"
     save_segment_file(p, segs)
-    assert list(load_segment_file(p)) == list(segs)
+    assert list(frames_to_segments(load_labels(p))) == list(segs)
 
 
 def test_segment_file_reports_bad_line(tmp_path):
     p = tmp_path / "bad.seg"
     p.write_text("0,4,2\nnot-a-segment\n")
     with pytest.raises(ValueError, match=":2:"):
-        load_segment_file(p)
+        load_labels(p)

@@ -16,6 +16,7 @@ from .seqcore import (
     band_attention,
     concat,
     hta_attention,
+    linear,
 )
 
 __all__ = [
@@ -230,9 +231,9 @@ def dswa_forward(
         raise ShapeError(
             f"masks built for T={expanding.T}/{shrinking.T} but input has T={T}"
         )
-    q = x @ params.wq + params.bq
-    k = x @ params.wk + params.bk
-    v = x @ params.wv + params.bv
+    q = linear(x, params.wq, params.bq)
+    k = linear(x, params.wk, params.bk)
+    v = linear(x, params.wv, params.bv)
     half = params.attn_dim // 2
     outs = []
     for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
@@ -241,7 +242,7 @@ def dswa_forward(
             q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
             spec.one_sided_width, spec.step, spec.causal,
         ))
-    return concat(outs, axis=1) @ params.wo + params.bo
+    return linear(concat(outs, axis=1), params.wo, params.bo)
 
 
 def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
@@ -257,8 +258,8 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     T = x.shape[0]
     if scales.T != T:
         raise ShapeError(f"scale set built for T={scales.T}, input has T={T}")
-    q = x @ params.wq + params.bq
-    k = x @ params.wk + params.bk
-    v = x @ params.wv + params.bv
+    q = linear(x, params.wq, params.bq)
+    k = linear(x, params.wk, params.bk)
+    v = linear(x, params.wv, params.bv)
     out = hta_attention(q, k, v, params.heads, scales.scales, scales.weights, scales.window)
-    return out @ params.wo + params.bo
+    return linear(out, params.wo, params.bo)

@@ -77,10 +77,22 @@ def _cmd_infer(args):
     print(f"{len(result.boundaries)} boundaries detected; outputs under {stem}.*")
 
 
+def _thresholds(text: str) -> tuple:
+    """The --thresholds value: comma-separated numbers, each in (0, 1)."""
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--thresholds: expected comma-separated numbers, got {text!r}") from None
+    bad = [v for v in values if not 0.0 < v < 1.0]
+    if bad:
+        raise ValueError(f"--thresholds: {bad[0]} is not in (0, 1)")
+    return values
+
+
 def _cmd_eval(args):
+    thresholds = _thresholds(args.thresholds)
     pred = pipeline.load_labels(args.pred)
     gt = pipeline.load_labels(args.gt)
-    thresholds = tuple(float(x) for x in args.thresholds.split(","))
     report = evaluate_all(pred, gt, thresholds)
     for line in report.lines(x100=args.x100):
         print(line)
@@ -91,9 +103,22 @@ def _cmd_eval(args):
 
 def _cmd_refine(args):
     probs = pipeline.load_features(args.probs)
+    bounds = []
     with open(args.boundaries) as f:
-        bounds = [int(line.strip()) for line in f if line.strip() and not line.startswith("#")]
-    labels = refine_prediction(probs, bounds)
+        for ln, line in enumerate(f, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                bounds.append(int(line))
+            except ValueError:
+                raise ValueError(
+                    f"{args.boundaries}:{ln}: not an integer frame index: {line!r}"
+                ) from None
+    try:
+        labels = refine_prediction(probs, bounds)
+    except ValueError as exc:
+        raise ValueError(f"{args.boundaries}: {exc}") from None
     for v in labels:
         print(v)
 

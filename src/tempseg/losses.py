@@ -50,9 +50,8 @@ def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
     """Mean over frames of -(1 - p_t)^gamma_f * log p_t; gamma_f = 0 is
     plain cross-entropy."""
     logits = as_tensor(action_logits)
-    T, C = logits.shape
-    oh = _one_hot(labels, C)
-    probs = masked_softmax(logits, np.ones((T, C), bool))
+    oh = _one_hot(labels, logits.shape[1])
+    probs = masked_softmax(logits)
     p_t = (probs * oh).sum(axis=1)
     p_t = p_t + _EPS
     weight = (1.0 - p_t).pow_const(gamma_f) if gamma_f != 0.0 else 1.0
@@ -142,7 +141,7 @@ def combined_temporal_loss(
     parts = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
     for stage in output.stages:
         lf = focal_loss(stage.action_logits, labels, cfg.focal_gamma)
-        probs = masked_softmax(stage.action_logits, np.ones(stage.action_logits.shape, bool))
+        probs = masked_softmax(stage.action_logits)
         ld = dice_loss(probs, labels, cfg.dice_smooth)
         ls = gaussian_cosine_similarity_loss(stage.features, segments, cfg.sigma_divisor)
         lb = gaussian_truncated_boundary_loss(

@@ -12,7 +12,16 @@ import numpy as np
 
 from . import attention as attn
 from .binio import FormatError, read_exact, read_struct, skip
-from .seqcore import ShapeError, Tensor, as_tensor, concat, conv1d_dilated, layer_norm, masked_softmax
+from .seqcore import (
+    ShapeError,
+    Tensor,
+    as_tensor,
+    concat,
+    conv1d_dilated,
+    layer_norm,
+    linear,
+    masked_softmax,
+)
 
 __all__ = [
     "ModelConfig",
@@ -200,7 +209,7 @@ def upsample_to_original(x: Tensor, T_orig: int, stride: int) -> Tensor:
     pos = np.arange(T_orig) / stride
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, t_red - 1)
-    frac = (pos - i0).reshape((T_orig,) + (1,) * (x.data.ndim - 1))
+    frac = (pos - i0).astype(x.data.dtype).reshape((T_orig,) + (1,) * (x.data.ndim - 1))
     return x.take_rows(i0) * (1.0 - frac) + x.take_rows(i1) * frac
 
 
@@ -353,12 +362,15 @@ class SegmentationModel:
 
     def _heads(self, feats: Tensor, prefix: str, t_orig: int) -> StagePrediction:
         p = self.params
-        logits = feats @ p[f"{prefix}.action.w"] + p[f"{prefix}.action.b"]
-        blogit = feats @ p[f"{prefix}.boundary.w"] + p[f"{prefix}.boundary.b"]
+        logits = linear(feats, p[f"{prefix}.action.w"], p[f"{prefix}.action.b"])
+        blogit = linear(feats, p[f"{prefix}.boundary.w"], p[f"{prefix}.boundary.b"])
         logits = upsample_to_original(logits, t_orig, self.cfg.stride)
         blogit = upsample_to_original(blogit, t_orig, self.cfg.stride)
         feats_up = upsample_to_original(feats, t_orig, self.cfg.stride)
-        return StagePrediction(logits, blogit.sigmoid().reshape(t_orig), feats_up)
+        # the boundary sigmoid runs in float64: a float32 one saturates to
+        # plateaus of exactly 1.0 that peak picking cannot separate
+        scores = blogit.astype(np.float64).sigmoid().reshape(t_orig)
+        return StagePrediction(logits, scores, feats_up)
 
     # -- stages ----------------------------------------------------------
 
@@ -371,7 +383,7 @@ class SegmentationModel:
             keep = 1.0 - self.cfg.temporal_dropout
             mask = (self.rng.random(self.cfg.d_in) < keep) / keep
             x = x * mask[None, :]
-        h = x @ self.params["in_proj.w"] + self.params["in_proj.b"]
+        h = linear(x, self.params["in_proj.w"], self.params["in_proj.b"])
         h = self._tcn_stack(h.T, "enc_tcn", "acausal", self.cfg.stride).T
         t_red = h.shape[0]
         if t_red < 1:
@@ -386,21 +398,21 @@ class SegmentationModel:
             t_out = attn.hta_forward(a, scales, self._attn_params(f"{pre}.hta"))
             h = h + d_out + t_out
             m = layer_norm(h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-            m = (m @ p[f"{pre}.mlp.w1"] + p[f"{pre}.mlp.b1"]).gelu()
-            m = m @ p[f"{pre}.mlp.w2"] + p[f"{pre}.mlp.b2"]
+            m = linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"]).gelu()
+            m = linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
             h = h + m
         return h, self._heads(h, "enc_head", t_orig)
 
     def decoder_forward(self, prev: StagePrediction, enc_features: Tensor, index: int) -> StagePrediction:
         t_orig = prev.action_logits.shape[0]
-        probs = masked_softmax(prev.action_logits, np.ones(prev.action_logits.shape, bool))
+        probs = masked_softmax(prev.action_logits)
         down = probs[:: self.cfg.stride]
         if down.shape[0] != enc_features.shape[0]:
             raise ShapeError(
                 f"stage at {down.shape[0]} frames does not align with encoder {enc_features.shape[0]}"
             )
         z = concat([down, enc_features], axis=1)
-        z = z @ self.params[f"dec{index}.in_proj.w"] + self.params[f"dec{index}.in_proj.b"]
+        z = linear(z, self.params[f"dec{index}.in_proj.w"], self.params[f"dec{index}.in_proj.b"])
         z = self._tcn_stack(z.T, f"dec{index}.tcn", "causal", 1).T
         return self._heads(z, f"dec{index}.head", t_orig)
 

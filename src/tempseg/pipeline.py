@@ -279,12 +279,10 @@ def _sequence_loss(model: SegmentationModel, feats, labels, segments, training: 
 
 
 def _train_accuracy(model: SegmentationModel, dataset) -> float:
+    """Frame accuracy of `infer`'s raw labels, as a saved checkpoint gives them."""
     correct = total = 0
     for feats, labels, _ in dataset:
-        with no_grad():
-            out = model.forward(Tensor(feats), training=False)
-        pred = np.argmax(out.stages[-1].action_logits.data, axis=1)
-        correct += int((pred == labels).sum())
+        correct += int((infer(model, feats, refine=False).raw_labels == labels).sum())
         total += labels.size
     return correct / total
 
@@ -380,14 +378,17 @@ class InferenceResult:
 
 
 def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -> InferenceResult:
+    """Labels for one [T, d_in] sequence. The network runs on the features
+    in float32 under no_grad(); the class probabilities, the boundary
+    sigmoid, boundary detection and refinement run in float64."""
     if features.shape[1] != model.cfg.d_in:
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match model d_in {model.cfg.d_in}"
         )
     with no_grad():
-        out = model.forward(Tensor(features), training=False)
+        out = model.forward(Tensor(features.astype(np.float32, copy=False)), training=False)
     final = out.stages[-1]
-    logits = final.action_logits.data
+    logits = final.action_logits.data.astype(np.float64)
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     raw = np.argmax(logits, axis=1)
@@ -408,8 +409,12 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
 
 
 def _read_ini(path, sections: tuple) -> configparser.ConfigParser:
-    """An INI file that may hold only `sections`; a parse error names the file."""
-    cp = configparser.ConfigParser(interpolation=None)
+    """An INI file that may hold only `sections`; a parse error names the file.
+
+    There is no default section: a `[DEFAULT]` header is an ordinary
+    section, so it is reported as unknown rather than having its keys copied
+    into every other section."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as f:
             cp.read_file(f)

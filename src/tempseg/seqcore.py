@@ -1,14 +1,20 @@
 """Tape-based reverse-mode autodiff over a small set of sequence primitives.
 
-Everything is float64. A Tensor wraps a numpy array plus an optional
-gradient accumulator; each op that touches a differentiable input records
-a backward closure, and ``Tensor.backward()`` replays the tape in reverse
-topological order. The primitive set is deliberately closed: matmul,
-dilated 1-D convolution, masked softmax, banded multi-head attention,
-elementwise arithmetic, activations, reductions, gather/reshape/concat
-plumbing, mean pooling and hierarchical multi-scale attention
-(``hta_attention``). Inside a ``no_grad()`` block no op records a backward
-closure, so evaluation passes keep no tape alive.
+A Tensor wraps a float32 or float64 numpy array (any other dtype becomes
+float64) plus an optional gradient accumulator; each op that touches a
+differentiable input records a backward closure, and ``Tensor.backward()``
+replays the tape in reverse topological order. Every op computes and
+allocates in its input's dtype: a Python scalar operand takes the tensor's
+dtype, and the weight operands of ``linear``, ``layer_norm`` and
+``conv1d_dilated`` are cast to the input's dtype when used, so float64
+parameters run a float32 pass without a float32 copy being kept. Training,
+Adam and the oracles run in float64. The primitive set is deliberately
+closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
+masked softmax, layer normalisation, banded multi-head attention,
+elementwise arithmetic, activations, reductions, a dtype cast,
+gather/reshape/concat plumbing, mean pooling and hierarchical multi-scale
+attention (``hta_attention``). Inside a ``no_grad()`` block no op records a
+backward closure, so evaluation passes keep no tape alive.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "conv1d_dilated",
     "hta_attention",
     "layer_norm",
+    "linear",
     "masked_softmax",
     "mean_pool1d",
     "no_grad",
@@ -65,13 +72,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
-    """A float64 array with optional reverse-mode gradient tracking."""
+    """A float32 or float64 array with optional reverse-mode gradient
+    tracking; data of any other dtype becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self._prev: tuple = ()
@@ -126,7 +138,7 @@ class Tensor:
     # ---- elementwise arithmetic -------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         out = _make(self.data + other.data, (self, other))
         if out.requires_grad:
             def back(g):
@@ -146,13 +158,13 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-as_tensor(other, self.data.dtype))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other, self.data.dtype) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         out = _make(self.data * other.data, (self, other))
         if out.requires_grad:
             def back(g):
@@ -166,7 +178,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         out = _make(self.data / other.data, (self, other))
         if out.requires_grad:
             def back(g):
@@ -180,7 +192,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return as_tensor(other, self.data.dtype) / self
 
     # ---- matmul -----------------------------------------------------
 
@@ -252,13 +264,24 @@ class Tensor:
         # tanh approximation of the Gaussian error linear unit
         c = math.sqrt(2.0 / math.pi)
         x = self.data
-        u = c * (x + 0.044715 * x ** 3)
+        x2 = x * x
+        u = c * (x + 0.044715 * (x2 * x))
         t = np.tanh(u)
         out = _make(0.5 * x * (1.0 + t), (self,))
         if out.requires_grad:
-            du = c * (1.0 + 3 * 0.044715 * x ** 2)
+            du = c * (1.0 + 3 * 0.044715 * x2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
             out._backward = lambda g: self._accumulate(g * dy)
+        return out
+
+    def astype(self, dtype):
+        """This tensor in `dtype` (itself when it already is); the gradient
+        flows back in this tensor's dtype."""
+        if self.data.dtype == dtype:
+            return self
+        out = _make(self.data.astype(dtype), (self,))
+        if out.requires_grad:
+            out._backward = lambda g: self._accumulate(g.astype(self.data.dtype))
         return out
 
     # ---- reductions -------------------------------------------------
@@ -345,8 +368,14 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, dtype=None) -> Tensor:
+    """`x` as a Tensor; a Python scalar takes `dtype` when one is given, as
+    numpy lets a scalar take the dtype of the array it meets."""
+    if isinstance(x, Tensor):
+        return x
+    if dtype is not None and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype))
+    return Tensor(x)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -363,22 +392,25 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax along the last axis restricted to mask-true entries.
+def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax along the last axis restricted to mask-true entries; no mask
+    allows every entry.
 
     Masked entries come out exactly 0; each row of unmasked entries sums
     to 1, stabilised by subtracting the row max over unmasked entries.
     A fully masked row is an error, never a silent uniform.
     """
     scores = as_tensor(scores)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    if not mask.any(axis=-1).all():
-        bad = np.argwhere(~mask.any(axis=-1))[0]
-        raise MaskError(f"fully masked softmax row at index {tuple(bad)}")
-    neg = np.where(mask, scores.data, -np.inf)
-    shifted = neg - neg.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    e = np.where(mask, e, 0.0)
+    if mask is None:
+        e = np.exp(scores.data - scores.data.max(axis=-1, keepdims=True))
+    else:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
+        if not mask.any(axis=-1).all():
+            bad = np.argwhere(~mask.any(axis=-1))[0]
+            raise MaskError(f"fully masked softmax row at index {tuple(bad)}")
+        neg = np.where(mask, scores.data, -np.inf)
+        e = np.exp(neg - neg.max(axis=-1, keepdims=True))
+        e = np.where(mask, e, 0.0)
     alpha = e / e.sum(axis=-1, keepdims=True)
     out = _make(alpha, (scores,))
     if out.requires_grad:
@@ -387,6 +419,25 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
             scores._accumulate(alpha * (g - inner))
         out._backward = back
     return out
+
+
+def _attention_operands(q, k, v, heads: int, kind: str) -> tuple:
+    """q, k and v as Tensors of one [T, A] shape and one dtype, with `heads`
+    dividing A."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+        raise ShapeError(
+            f"{kind} attention needs equal [T, A] q/k/v, got {q.data.shape}, "
+            f"{k.data.shape}, {v.data.shape}"
+        )
+    if not q.data.dtype == k.data.dtype == v.data.dtype:
+        raise ShapeError(
+            f"{kind} attention needs one dtype for q/k/v, got {q.data.dtype}, "
+            f"{k.data.dtype}, {v.data.dtype}"
+        )
+    if heads < 1 or q.data.shape[1] % heads != 0:
+        raise ShapeError(f"head count {heads} must divide attention dim {q.data.shape[1]}")
+    return q, k, v
 
 
 def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
@@ -434,21 +485,14 @@ def band_attention(
     the work is batched matmuls over [heads, block, slab]. The backward
     recomputes each block's probabilities instead of storing them.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
-        raise ShapeError(
-            f"band attention needs equal [T, A] q/k/v, got {q.data.shape}, "
-            f"{k.data.shape}, {v.data.shape}"
-        )
+    q, k, v = _attention_operands(q, k, v, heads, "band")
     T, A = q.data.shape
-    if heads < 1 or A % heads != 0:
-        raise ShapeError(f"head count {heads} must divide attention dim {A}")
     if width < 1 or step < 1:
         raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
     qs = q.data * scale
-    y = np.empty((T, heads, hd))
+    y = np.empty((T, heads, hd), q.data.dtype)
     for r in range(min(step, T)):
         qr, kr, vr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data))
         o = np.empty_like(qr)
@@ -465,7 +509,7 @@ def band_attention(
             # dQ = dS K * scale, dK += dS^T Q * scale
             qs = q.data * scale
             rowdot = (g * y).reshape(T, heads, hd).sum(axis=2)
-            dq, dk, dv = (np.empty((T, heads, hd)) for _ in range(3))
+            dq, dk, dv = (np.empty((T, heads, hd), y.dtype) for _ in range(3))
             for r in range(min(step, T)):
                 qr, kr, vr, gr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data, g))
                 dr = rowdot[r::step].T[:, :, None]
@@ -497,7 +541,7 @@ def _sum_pool(x: np.ndarray, shift: int) -> np.ndarray:
     if shift == 0:
         return x
     f = 1 << shift
-    y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:])
+    y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:], x.dtype)
     for j in range(f):
         part = x[j::f]
         y[: part.shape[0]] += part
@@ -533,8 +577,8 @@ def _band_sum_t(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     """[n + width - 1, H, C]: row j is the sum over a + u = j of
     e[a, h, u] * x[a, h]; the transpose of _band_sum."""
     n, heads, width = e.shape
-    ep = np.zeros((n + 2 * width - 2, heads, width))
-    xp = np.zeros((n + 2 * width - 2, heads, x.shape[2]))
+    ep = np.zeros((n + 2 * width - 2, heads, width), e.dtype)
+    xp = np.zeros((n + 2 * width - 2, heads, x.shape[2]), x.dtype)
     ep[width - 1 : width - 1 + n] = e
     xp[width - 1 : width - 1 + n] = x
     # anti[j, h, u] = e[j + u - width + 1, h, width - 1 - u], zero off the rows
@@ -555,7 +599,7 @@ def _expand(src: np.ndarray, n: int, d: int, w: int, o_min: int, width: int) -> 
     """[n, H, width] from coarse-row scores src [*, H, 2w+1]: entry [a, h, u]
     is src[a >> d, h, column of key offset o_min + u], clipped to the window."""
     step = 1 << d
-    out = np.empty((n, src.shape[1], width))
+    out = np.empty((n, src.shape[1], width), src.dtype)
     for m in range(min(step, n)):
         cols = np.clip(_columns(m, d, w, o_min, width), 0, 2 * w)
         rows = out[m::step]
@@ -567,7 +611,7 @@ def _collapse(g: np.ndarray, n: int, d: int, w: int, o_min: int) -> np.ndarray:
     """The transpose of _expand: [n, H, 2w+1] sums of g over the entries
     that read each coarse score inside the window."""
     step = 1 << d
-    out = np.zeros((n, g.shape[1], 2 * w + 1))
+    out = np.zeros((n, g.shape[1], 2 * w + 1), g.dtype)
     for m in range(min(step, g.shape[0])):
         cols = _columns(m, d, w, o_min, g.shape[2])
         starts = np.flatnonzero(np.diff(cols, prepend=cols[0] - 1))
@@ -653,21 +697,15 @@ def hta_attention(
     backward recomputes the weights per block and keeps only q, k, v, the
     output and the softmax denominators.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
-        raise ShapeError(
-            f"hierarchical attention needs equal [T, A] q/k/v, got {q.data.shape}, "
-            f"{k.data.shape}, {v.data.shape}"
-        )
+    q, k, v = _attention_operands(q, k, v, heads, "hierarchical")
     T, A = q.data.shape
-    if heads < 1 or A % heads != 0:
-        raise ShapeError(f"head count {heads} must divide attention dim {A}")
     if not scales or len(scales) != len(weights):
         raise ShapeError(f"need one weight per scale, got {list(scales)} and {list(weights)}")
     if min(scales) < 0 or window < 0:
         raise ShapeError(f"scales and window must be >= 0, got {list(scales)}, {window}")
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
+    dtype = q.data.dtype
     levels = sorted(zip(scales, weights), key=lambda p: p[0])
     shifts = [int(s) for s, _ in levels]
     wts = [float(x) for _, x in levels]
@@ -682,7 +720,7 @@ def hta_attention(
         keys, zero-padded value sums with the frame count as a last column,
         and the frame counts [blocks, 1, 1]."""
         qsum, ksum = q.data.reshape(T, heads, hd), k.data.reshape(T, heads, hd)
-        vsum = np.empty((T, heads, hd + 1))
+        vsum = np.empty((T, heads, hd + 1), dtype)
         vsum[:, :, :hd] = v.data.reshape(T, heads, hd)
         vsum[:, :, hd] = 1.0
         qs, kpad, vpad, counts = [], [], [], []
@@ -691,8 +729,8 @@ def hta_attention(
             qsum, ksum, vsum = (_sum_pool(x, s - prev) for x in (qsum, ksum, vsum))
             prev, n = s, vsum.shape[0]
             c = vsum[:, :1, hd:]
-            kp = np.zeros((n + 2 * pad, heads, hd))
-            vp = np.zeros((n + 2 * pad, heads, hd + 1))
+            kp = np.zeros((n + 2 * pad, heads, hd), dtype)
+            vp = np.zeros((n + 2 * pad, heads, hd + 1), dtype)
             np.divide(ksum, c, out=kp[pad : pad + n])
             vp[pad : pad + n] = vsum
             qs.append(qsum * (scale / c))
@@ -718,8 +756,8 @@ def hta_attention(
         return [np.exp(zm - top) for zm in moved]
 
     qs, kpad, vpad, _ = pooled()
-    y0 = np.empty((sizes[0], heads, hd))
-    den = np.empty((sizes[0], heads))
+    y0 = np.empty((sizes[0], heads, hd), dtype)
+    den = np.empty((sizes[0], heads), dtype)
     for rows, keys in blocks():
         cum = _hta_cum(qs, kpad, rows, shifts, wts, w, pad)
         lo0, hi0 = rows[0]
@@ -728,7 +766,7 @@ def hta_attention(
             e, zmax = _hta_weights(cum[kk], kf, d, w, o_min)
             sums.append(_band_sum(e, vpad[lvl], pad + rows[lvl][0] + o_min))
             zmaxes.append(zmax)
-        acc = np.zeros((hi0 - lo0, heads, hd + 1))
+        acc = np.zeros((hi0 - lo0, heads, hd + 1), dtype)
         for p, s, c in zip(pieces, sums, rescale(zmaxes, hi0 - lo0)):
             acc += _unpool(s, shifts[p[0]] - shifts[0], hi0 - lo0) * c[:, :, None]
         den[lo0:hi0] = acc[:, :, hd]
@@ -825,9 +863,10 @@ def conv1d_dilated(
     # and adds one GEMM into a contiguous row range of yt. The TCN stacks
     # pass the transpose of a C-contiguous [T, D] array, so xt is free.
     xt = x.data.T
+    w = kernel.data.astype(xt.dtype, copy=False)
     t_in = xt.shape[0]
     t_out = -(-t_in // stride)
-    yt = np.zeros((t_out, c_out))
+    yt = np.zeros((t_out, c_out), xt.dtype)
     taps = []
     for j, d in enumerate(deltas):
         # output rows [lo, hi) read input frames i*stride + d inside [0, t_in)
@@ -836,10 +875,10 @@ def conv1d_dilated(
         if lo < hi:
             src = slice(lo * stride + d, (hi - 1) * stride + d + 1, stride)
             taps.append((j, lo, hi, src))
-            yt[lo:hi] += xt[src] @ kernel.data[:, :, j].T
+            yt[lo:hi] += xt[src] @ w[:, :, j].T
     if bias is not None:
         bias = as_tensor(bias)
-        yt += bias.data
+        yt += bias.data.astype(yt.dtype, copy=False)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = _make(yt.T, parents)
@@ -848,12 +887,12 @@ def conv1d_dilated(
             gt = g.T
             if kernel.requires_grad and kernel.grad is None:
                 kernel.grad = np.zeros_like(kernel.data)
-            dxt = np.zeros((t_in, c_in)) if x.requires_grad else None
+            dxt = np.zeros((t_in, c_in), xt.dtype) if x.requires_grad else None
             for j, lo, hi, src in taps:
                 if kernel.requires_grad:
                     kernel.grad[:, :, j] += gt[lo:hi].T @ xt[src]
                 if dxt is not None:
-                    dxt[src] += gt[lo:hi] @ kernel.data[:, :, j]
+                    dxt[src] += gt[lo:hi] @ w[:, :, j]
             if dxt is not None:
                 x._accumulate(dxt.T)
             if bias is not None and bias.requires_grad:
@@ -872,9 +911,9 @@ def mean_pool1d(x: Tensor, factor: int) -> Tensor:
     if factor == 1:
         return x
     n = -(-t // factor)
-    counts = np.minimum(factor, t - np.arange(n) * factor).astype(np.float64)
+    counts = np.minimum(factor, t - np.arange(n) * factor).astype(x.data.dtype)
     counts = counts.reshape((n,) + (1,) * (x.data.ndim - 1))
-    y = np.zeros((n,) + x.data.shape[1:])
+    y = np.zeros((n,) + x.data.shape[1:], x.data.dtype)
     # add the j-th frame of every window in turn: each window sums its frames
     # in frame order, exactly as a scatter-add would
     for j in range(factor):
@@ -887,14 +926,58 @@ def mean_pool1d(x: Tensor, factor: int) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [N, D_in], w [D_in, D_out] and b [D_out], as one op;
+    w and b are cast to x's dtype for the product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(
+            f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
+        )
+    wd = w.data.astype(x.data.dtype, copy=False)
+    y = x.data @ wd
+    y += b.data.astype(y.dtype, copy=False)
+    out = _make(y, (x, w, b))
+    if out.requires_grad:
+        def back(g):
+            if x.requires_grad:
+                x._accumulate(g @ wd.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+        out._backward = back
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row normalisation over the last axis, then affine gain/bias."""
-    x = as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    xhat = xc / (var + eps).sqrt()
-    return xhat * as_tensor(gain) + as_tensor(bias)
+    """Per-row normalisation over the last axis, then affine gain/bias:
+    xhat * gain + bias with xhat = (x - mean) / sqrt(var + eps), as one op
+    (Ba et al., arXiv:1607.06450). The backward is closed form,
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
+    with dxhat = dy * gain; gain and bias are cast to x's dtype."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    n = x.data.shape[-1]
+    g = gain.data.astype(x.data.dtype, copy=False)
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = xc / std
+    y = xhat * g + bias.data.astype(x.data.dtype, copy=False)
+    out = _make(y, (x, gain, bias))
+    if out.requires_grad:
+        def back(dy):
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(dy * xhat, gain.data.shape))
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(dy, bias.data.shape))
+            if x.requires_grad:
+                dxhat = dy * g
+                dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
+                dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
+                x._accumulate(dx / std)
+        out._backward = back
+    return out
 
 
 class Adam:

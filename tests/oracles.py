@@ -306,3 +306,16 @@ def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
             nbs.append(np.abs(pool[:, None] - pool[None, :]) <= window)
         out[:, sl] = aggregate_scales(es, weights, nbs) @ v[:, sl]
     return out
+
+
+def linear_composite(x, w, b):
+    """x @ w + b as the two tape ops the fused linear replaced."""
+    return x @ w + b
+
+
+def layer_norm_composite(x, gain, bias, eps=1e-6):
+    """Layer norm as the chain of tape ops the fused layer_norm replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / (var + eps).sqrt() * gain + bias

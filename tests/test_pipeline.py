@@ -376,11 +376,15 @@ def test_no_grad_inference_is_bit_identical_and_tape_free():
     assert taped.stages[-1].action_logits._prev  # parameters require grad
     with no_grad():
         free = model.forward(Tensor(feats))
+        free32 = model.forward(Tensor(feats.astype(np.float32)))
     res = infer(model, feats)
-    for out in (free, res.output):
-        for a, b in zip(taped.stages, out.stages):
+    # float64 taped against float64 no_grad, and infer against a float32
+    # no_grad forward: both bit-exact
+    for ref, out in ((taped, free), (free32, res.output)):
+        for a, b in zip(ref.stages, out.stages):
             for name in ("action_logits", "boundary_scores", "features"):
                 ta, tb = getattr(a, name), getattr(b, name)
+                assert ta.data.dtype == tb.data.dtype
                 assert np.array_equal(ta.data, tb.data)
                 assert tb._prev == () and tb._backward is None
 
@@ -426,6 +430,41 @@ def test_cli_validation_errors_exit_two(tmp_path):
     r = _cli("infer", "--ckpt", str(tmp_path / "none.ckpt"), "--features", str(bad),
              "--out", str(tmp_path / "o.txt"))
     assert r.returncode == 2
+
+
+def test_cli_refine_bad_boundary_line_names_file_and_line(tmp_path, capsys):
+    probs, bounds = tmp_path / "p.feat", tmp_path / "b.txt"
+    save_features(rng.uniform(size=(12, 3)), probs)
+    bounds.write_text("# cuts\n3\nx\n")
+    assert cli.main(["refine", "--probs", str(probs), "--boundaries", str(bounds)]) == 2
+    assert f"{bounds}:3" in capsys.readouterr().err
+    bounds.write_text("3\n40\n")
+    assert cli.main(["refine", "--probs", str(probs), "--boundaries", str(bounds)]) == 2
+    assert str(bounds) in capsys.readouterr().err
+    bounds.write_text("3\n  # indented comment\n7\n")
+    assert cli.main(["refine", "--probs", str(probs), "--boundaries", str(bounds)]) == 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("flops", "[DEFAULT]\nlr = 0.1\n[model]\nd_model = 64\n"),
+    ("flops", "[DEFAULT]\n[model]\nd_model = 64\n"),
+    ("synth", "[DEFAULT]\nseed = 2\n[synth]\nn_classes = 3\n"),
+])
+def test_cli_default_section_is_reported_as_such(tmp_path, capsys, command, text):
+    path = tmp_path / "d.cfg"
+    path.write_text(text)
+    assert cli.main(_config_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "[DEFAULT]" in err and "[model]" not in err, err
+
+
+@pytest.mark.parametrize("value", ["2,x", "0.5,", "2", "0.1,nan"])
+def test_cli_eval_bad_thresholds_name_the_flag(tmp_path, capsys, value):
+    labels = tmp_path / "l.txt"
+    labels.write_text("0\n1\n1\n")
+    code = cli.main(["eval", "--pred", str(labels), "--gt", str(labels), "--thresholds", value])
+    err = capsys.readouterr().err
+    assert code == 2 and "--thresholds" in err and value.split(",")[-1] in err, err
 
 
 def test_cli_infer_every_truncated_file_exits_two(tmp_path, capsys):

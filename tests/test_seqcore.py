@@ -14,6 +14,7 @@ from tempseg.seqcore import (
     conv1d_dilated,
     hta_attention,
     layer_norm,
+    linear,
     masked_softmax,
     mean_pool1d,
     no_grad,
@@ -25,6 +26,8 @@ from oracles import (
     dense_multihead,
     fd_check_tensor,
     hta_qkv_oracle,
+    layer_norm_composite,
+    linear_composite,
     mean_pool_oracle,
 )
 
@@ -368,3 +371,91 @@ def test_no_grad_nests_and_restores_after_error():
             assert not (x * 2.0).requires_grad
             raise RuntimeError("boom")
     assert (x * 2.0).requires_grad
+
+
+# -- fused linear and layer_norm -------------------------------------------
+
+
+def _values_and_grads(build, tensors):
+    for x in tensors:
+        x.grad = None
+    y = build()
+    (y * Tensor(np.linspace(-1.0, 2.0, y.data.size).reshape(y.shape))).sum().backward()
+    return [y.data] + [x.grad for x in tensors]
+
+
+@pytest.mark.parametrize("fused, composite, shapes", [
+    (linear, linear_composite, [(7, 5), (5, 3), (3,)]),
+    (layer_norm, layer_norm_composite, [(7, 6), (6,), (6,)]),
+])
+def test_fused_op_matches_composite_and_finite_differences(fused, composite, shapes):
+    x, a, b = (t(rng.normal(size=s) * 3.0 + 0.5) for s in shapes)
+    got = _values_and_grads(lambda: fused(x, a, b), [x, a, b])
+    want = _values_and_grads(lambda: composite(x, a, b), [x, a, b])
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-12
+    _fd(lambda: (fused(x, a, b) * fused(x, a, b)).sum() / 10.0, [x, a, b], tol=1e-6)
+
+
+def test_fused_ops_are_one_tape_node():
+    x, w, b = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 2))), t(np.zeros(2))
+    for y in (linear(x, w, b), layer_norm(x, t(np.ones(3)), t(np.zeros(3)))):
+        assert all(p._prev == () for p in y._prev)
+
+
+def test_linear_shape_errors():
+    x = t(np.zeros((2, 3)))
+    for w, b in (((4, 2), (2,)), ((3, 2), (3,)), ((3, 2), (1, 2))):
+        with pytest.raises(ShapeError):
+            linear(x, t(np.zeros(w)), t(np.zeros(b)))
+
+
+def test_gelu_matches_pow_form():
+    # the cube as products, against the tanh approximation written with pow
+    x = rng.normal(size=(50,)) * 4.0
+    want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    assert np.max(np.abs(t(x).gelu().data - want)) < 1e-12
+
+
+def test_masked_softmax_without_mask_equals_all_true_mask():
+    s = t(rng.normal(size=(5, 4)) * 10.0)
+    w = rng.normal(size=(5, 4))
+    got = _values_and_grads(lambda: masked_softmax(s, None) * w, [s])
+    want = _values_and_grads(lambda: masked_softmax(s, np.ones((5, 4), bool)) * w, [s])
+    for g, h in zip(got, want):
+        assert np.array_equal(g, h)
+
+
+# -- dtypes -----------------------------------------------------------------
+
+
+def test_tensor_keeps_float32_and_float64_only():
+    assert Tensor(np.zeros(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.zeros(2)).data.dtype == np.float64
+    for data in (np.zeros(2, np.float16), np.arange(3), [True, False], 1.5):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_scalar_operands_take_the_tensor_dtype():
+    x = Tensor(np.ones(3, np.float32))
+    for y in (x + 1.0, 1.0 - x, x * 2, x / 3.0, 2.0 / x, x - 1):
+        assert y.data.dtype == np.float32
+
+
+def test_astype_casts_and_casts_the_gradient_back():
+    x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
+    assert x.astype(np.float32) is x
+    y = x.astype(np.float64)
+    assert y.data.dtype == np.float64 and np.array_equal(y.data, x.data)
+    (y * y).sum().backward()
+    assert x.grad.dtype == np.float32
+    assert np.allclose(x.grad, 2.0 * x.data)
+
+
+def test_attention_ops_reject_mixed_dtypes():
+    q = rng.normal(size=(6, 4))
+    k = q.astype(np.float32)
+    with pytest.raises(ShapeError):
+        band_attention(t(q), Tensor(k), t(q), 2, 2, 1)
+    with pytest.raises(ShapeError):
+        hta_attention(t(q), Tensor(k), t(q), 2, [0], [1.0], 1)

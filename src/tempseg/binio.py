@@ -6,10 +6,13 @@ short read raises FormatError naming the file and the byte offset.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
-__all__ = ["FormatError", "read_exact", "read_struct", "skip"]
+import numpy as np
+
+__all__ = ["FormatError", "read_array", "read_exact", "read_struct", "skip"]
 
 
 class FormatError(ValueError):
@@ -35,6 +38,18 @@ def read_exact(f, n: int, what: str) -> bytes:
     """
     _check_left(f, n, what)
     return f.read(n)
+
+
+def read_array(f, dtype: str, shape: tuple, what: str) -> np.ndarray:
+    """The next array of `shape` and `dtype` in binary file f, read straight
+    into a new writable array; FormatError if fewer bytes remain. As with
+    read_exact, the size is checked before anything is allocated."""
+    n = np.dtype(dtype).itemsize * math.prod(shape)
+    _check_left(f, n, what)
+    out = np.empty(shape, dtype)
+    if n and f.readinto(memoryview(out).cast("B")) != n:
+        raise FormatError(f"{f.name}: {what} changed size while it was read")
+    return out
 
 
 def skip(f, n: int, what: str) -> int:

@@ -19,7 +19,15 @@ from .segments import frames_to_segments, refine_prediction, save_segment_file
 from .seqcore import MaskError, ShapeError
 
 
+def _at_least_one(**flags):
+    """ValueError naming the first flag whose value is below 1."""
+    for flag, value in flags.items():
+        if value < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
+
+
 def _cmd_synth(args):
+    _at_least_one(n=args.n, frames=args.frames)
     spec = pipeline.load_synth_spec(args.spec) if args.spec else pipeline.SynthSpec()
     os.makedirs(args.out, exist_ok=True)
     data = pipeline.synth_dataset(spec, args.n, args.frames)
@@ -39,7 +47,8 @@ def _load_dataset(data_dir, n_classes: int):
         raise ValueError(f"no .feat files in {data_dir}")
     dataset = []
     for stem in stems:
-        feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat"))
+        # training runs in float64
+        feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat")).astype(np.float64)
         label_path = os.path.join(data_dir, stem + ".labels")
         labels = pipeline.load_labels(label_path)
         if labels.max() >= n_classes:
@@ -102,7 +111,7 @@ def _cmd_eval(args):
 
 
 def _cmd_refine(args):
-    probs = pipeline.load_features(args.probs)
+    probs = pipeline.load_features(args.probs).astype(np.float64)
     bounds = []
     with open(args.boundaries) as f:
         for ln, line in enumerate(f, 1):
@@ -124,6 +133,7 @@ def _cmd_refine(args):
 
 
 def _cmd_inspect_mask(args):
+    _at_least_one(T=args.T)
     cfg = _read_model(args.config) if args.config else ModelConfig()
     schedule = attention.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
     if not 0 <= args.layer < len(schedule):
@@ -141,6 +151,7 @@ def _read_model(path) -> ModelConfig:
 
 
 def _cmd_flops(args):
+    _at_least_one(T=args.T)
     cfg = _read_model(args.config) if args.config else ModelConfig()
     n_params, macs = count_params_flops(cfg, args.T)
     print(f"parameters = {n_params} ({n_params / 1e6:.4f} M)")
@@ -201,8 +212,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ValueError, ShapeError, MaskError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, ShapeError, MaskError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = "".join(f"{n}: " for n in (exc.filename, exc.filename2) if n is not None)
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except pipeline.TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

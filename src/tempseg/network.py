@@ -4,7 +4,10 @@ action logits and a boundary score at the original temporal resolution."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -406,7 +409,7 @@ class SegmentationModel:
     def decoder_forward(self, prev: StagePrediction, enc_features: Tensor, index: int) -> StagePrediction:
         t_orig = prev.action_logits.shape[0]
         probs = masked_softmax(prev.action_logits)
-        down = probs[:: self.cfg.stride]
+        down = probs if self.cfg.stride == 1 else probs[:: self.cfg.stride]
         if down.shape[0] != enc_features.shape[0]:
             raise ShapeError(
                 f"stage at {down.shape[0]} frames does not align with encoder {enc_features.shape[0]}"
@@ -482,28 +485,43 @@ def _config_from_blob(blob: bytes, path) -> ModelConfig:
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict):
     """Binary checkpoint: magic, u32 version, config text blob, then named
-    float64 little-endian parameter blobs."""
-    blobs = {name: t.data for name, t in params.items()}
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg_blob = _config_blob(cfg)
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
-        f.write(struct.pack("<I", len(blobs)))
-        for name in sorted(blobs):
-            arr = blobs[name]
-            nb = name.encode()
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            for ext in arr.shape:
-                f.write(struct.pack("<Q", ext))
-            f.write(arr.astype("<f8").tobytes())
+    float64 little-endian parameter blobs.
+
+    The file is written beside `path` and renamed onto it, so a failed write
+    leaves the old checkpoint as it was, and a process that still maps the
+    old file (see `load_checkpoint`) keeps reading the old inode."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            cfg_blob = _config_blob(cfg)
+            f.write(struct.pack("<I", len(cfg_blob)))
+            f.write(cfg_blob)
+            f.write(struct.pack("<I", len(params)))
+            for name in sorted(params):
+                data = params[name].data
+                nb = name.encode()
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
+                f.write(np.ascontiguousarray(data, "<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Returns (config, params dict, dict of the blobs the config does not name)."""
+    """Returns (config, params dict, dict of the blobs the config does not name).
+
+    Every header and size is checked before anything is mapped; then the
+    file is mapped read-only once, and each blob is a read-only float64 view
+    on that mapping, not a copy. The mapping lives as long as any view.
+    Truncating the file in place while a view is alive makes reads past the
+    new end fault (SIGBUS); `save_checkpoint` never does, it replaces the
+    file."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
@@ -520,9 +538,6 @@ def load_checkpoint(path):
         except ValueError as exc:
             raise FormatError(f"bad checkpoint config: {exc}") from None
         (count,) = read_struct(f, "<I", "parameter count")
-        # headers first, then every blob into one buffer whose views are the
-        # arrays: one allocation per load, so what a load costs does not hang
-        # on which freed memory the allocator kept from earlier loads
         layout = []
         for _ in range(count):
             (ln,) = read_struct(f, "<I", "parameter name length")
@@ -531,14 +546,12 @@ def load_checkpoint(path):
             shape = read_struct(f, f"<{rank}Q", f"shape of {name!r}")
             size = math.prod(shape)
             layout.append((name, shape, size, skip(f, 8 * size, f"values of {name!r}")))
-        buf = np.empty(sum(size for _, _, size, _ in layout), "<f8")
-        blobs, start = {}, 0
-        for name, shape, size, offset in layout:
-            view = buf[start : start + size]
-            f.seek(offset)
-            f.readinto(memoryview(view).cast("B"))
-            blobs[name] = view.reshape(shape)
-            start += size
+        # every size is checked against the file, so every view lies inside it
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    blobs = {
+        name: np.frombuffer(mapped, "<f8", size, offset).reshape(shape)
+        for name, shape, size, offset in layout
+    }
     expected = {name for name, _ in _param_specs(cfg)}
     learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))
     if learned:

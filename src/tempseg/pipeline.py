@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import FormatError, read_exact, read_struct
+from .binio import FormatError, read_array, read_exact, read_struct
 from .losses import LossWeights, combined_temporal_loss
 from .network import ModelConfig, SegmentationModel, config_kwargs, save_checkpoint
 from .segments import (
@@ -44,6 +44,8 @@ FEATURE_VERSION = 1
 # whatever its length, so its frame count is bounded here (about 26 days at
 # 30 fps), not by the file size
 MAX_SEGMENT_FRAMES = 1 << 26
+# frames per block of synthetic noise
+NOISE_BLOCK_ROWS = 64
 
 # typical surgical suturing gesture durations, mean/std seconds per class id 0..7
 DEFAULT_GESTURE_DURATIONS = (
@@ -80,6 +82,8 @@ def save_features(seq: np.ndarray, path):
 
 
 def load_features(path) -> np.ndarray:
+    """The [T, D] float32 payload of an MSBF file, read straight into the
+    array; callers that need float64 cast it."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4, "feature magic")
         if magic != FEATURE_MAGIC:
@@ -92,8 +96,7 @@ def load_features(path) -> np.ndarray:
         t, d = read_struct(f, "<QQ", "feature shape")
         if t < 1:
             raise FormatError(f"{path}: feature file contains an empty sequence")
-        payload = read_exact(f, t * d * 4, "feature payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
+        data = read_array(f, "<f4", (t, d), "feature payload")
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: feature file contains non-finite values")
     return data
@@ -217,7 +220,7 @@ def synth_sequence(spec: SynthSpec, T_target: int, rng, prototypes: np.ndarray):
         segs[-2:] = [Segment(a.start, b.end, a.label)]
     segments = SegmentList(segs).validate(T_target)
     labels = segments_to_frames(segments, T_target)
-    features = prototypes[labels].copy()
+    features = prototypes[labels]  # fancy indexing already copies
     # smooth transitions: blend adjacent prototypes inside the buffer zones
     for left, right in zip(segments[:-1], segments[1:]):
         bl = int(round(spec.transition_fraction * left.length))
@@ -231,7 +234,11 @@ def synth_sequence(spec: SynthSpec, T_target: int, rng, prototypes: np.ndarray):
             w = 0.5 * (1.0 - k / max(br, 1))
             features[t_idx] = (1 - w) * prototypes[right.label] + w * prototypes[left.label]
     if spec.noise > 0:
-        features = features + rng.normal(0.0, spec.noise, features.shape)
+        # row blocks draw the same stream as one call without a second
+        # [T, D] array
+        for lo in range(0, T_target, NOISE_BLOCK_ROWS):
+            block = features[lo : lo + NOISE_BLOCK_ROWS]
+            block += rng.normal(0.0, spec.noise, block.shape)
     return features, labels, segments
 
 

@@ -326,9 +326,16 @@ class Tensor:
     def __getitem__(self, key):
         out = _make(self.data[key], (self,))
         if out.requires_grad:
+            # a basic key selects each element at most once, so assignment
+            # places the gradient; an index array may repeat, so it scatters
+            scatter = not _is_basic_key(key)
+
             def back(g):
                 dx = np.zeros_like(self.data)
-                np.add.at(dx, key, g)
+                if scatter:
+                    np.add.at(dx, key, g)
+                else:
+                    dx[key] = g
                 self._accumulate(dx)
             out._backward = back
         return out
@@ -344,6 +351,16 @@ class Tensor:
                 self._accumulate(dx)
             out._backward = back
         return out
+
+
+def _is_basic_key(key) -> bool:
+    """True for an index built only of ints, slices, Ellipsis and None."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ with the package beyond numpy and its error types.
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -319,3 +320,19 @@ def layer_norm_composite(x, gain, bias, eps=1e-6):
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     return xc / (var + eps).sqrt() * gain + bias
+
+
+def checkpoint_v1_bytes(cfg, params):
+    """A version-1 MSBC checkpoint, field by field: magic, u32 version, the
+    config as `key = value` lines, u32 count, then per name in sorted order
+    its u32 length and bytes, u32 rank, u64 extents and float64 LE values."""
+    text = "\n".join(f"{k} = {v}" for k, v in cfg.to_dict().items()).encode()
+    out = [b"MSBC", struct.pack("<I", 1), struct.pack("<I", len(text)), text,
+           struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.asarray(params[name].data)
+        out += [struct.pack("<I", len(name.encode())), name.encode(),
+                struct.pack("<I", arr.ndim)]
+        out += [struct.pack("<Q", ext) for ext in arr.shape]
+        out.append(arr.astype("<f8").tobytes())
+    return b"".join(out)

@@ -1,3 +1,7 @@
+import mmap
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from tempseg.network import (
     upsample_to_original,
 )
 from tempseg.seqcore import ShapeError, Tensor, conv1d_dilated
+
+from oracles import checkpoint_v1_bytes
 
 rng = np.random.default_rng(808)
 
@@ -255,3 +261,67 @@ def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):
     save_checkpoint(p, cfg, {**SegmentationModel(cfg).params, **learned})
     with pytest.raises(FormatError, match=str(p)):
         load_checkpoint(p)
+
+
+def _mapping_of(arr):
+    """The object at the bottom of an array's base chain."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_checkpoint_writes_the_version_1_layout(tmp_path):
+    cfg = tiny_cfg(n_decoders=2)
+    params = {**SegmentationModel(cfg).params, "opt.step": Tensor(np.array(3.0)),
+              "opt.f32": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3).T)}
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, cfg, params)
+    assert p.read_bytes() == checkpoint_v1_bytes(cfg, params)
+
+
+def test_loaded_checkpoint_is_read_only_views_of_one_mapping(tmp_path):
+    cfg = tiny_cfg()
+    model = SegmentationModel(cfg)
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(checkpoint_v1_bytes(cfg, {**model.params, "opt.step": Tensor(np.array([3.0]))}))
+    _, params, extra = load_checkpoint(p)
+    arrays = [t.data for t in params.values()] + list(extra.values())
+    for name, t in params.items():
+        assert np.array_equal(t.data, model.params[name].data) and t.data.dtype == np.float64
+    assert np.array_equal(extra["opt.step"], [3.0]) and extra["opt.step"].dtype == np.float64
+    assert all(not a.flags.writeable for a in arrays)
+    mapping = _mapping_of(arrays[0])
+    assert isinstance(mapping, mmap.mmap)
+    assert all(_mapping_of(a) is mapping for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        params["in_proj.w"].data[0, 0] = 1.0
+
+
+def test_save_over_a_loaded_checkpoint_keeps_its_views(tmp_path):
+    cfg = tiny_cfg()
+    p = tmp_path / "model.ckpt"
+    first = SegmentationModel(cfg).params
+    second = SegmentationModel(tiny_cfg(seed=cfg.seed + 1)).params
+    save_checkpoint(p, cfg, first)
+    _, held, _ = load_checkpoint(p)
+    save_checkpoint(p, cfg, second)
+    for name, t in held.items():
+        assert np.array_equal(t.data, first[name].data), name
+    _, fresh, _ = load_checkpoint(p)
+    for name, t in fresh.items():
+        assert np.array_equal(t.data, second[name].data), name
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+
+def test_failed_save_leaves_the_old_checkpoint(tmp_path):
+    cfg = tiny_cfg()
+    p = tmp_path / "model.ckpt"
+    params = SegmentationModel(cfg).params
+    save_checkpoint(p, cfg, params)
+    before = p.read_bytes()
+    # sorts after every parameter, so the write fails part way through
+    bad = {**params, "zz.text": SimpleNamespace(data=np.array(["not a number"]))}
+    with pytest.raises(ValueError):
+        save_checkpoint(p, cfg, bad)
+    assert p.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]

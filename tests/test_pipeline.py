@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -30,10 +31,13 @@ from tempseg.pipeline import (
     save_features,
     save_labels,
     synth_dataset,
+    synth_sequence,
     train,
 )
-from tempseg.segments import frames_to_segments
+from tempseg.segments import frames_to_segments, save_segment_file
 from tempseg.seqcore import Tensor, no_grad
+
+from oracles import checkpoint_v1_bytes
 
 rng = np.random.default_rng(55)
 
@@ -61,6 +65,15 @@ def test_features_round_trip(tmp_path):
     back = load_features(p)
     assert back.shape == (17, 5)
     assert np.array_equal(back, seq.astype(np.float32).astype(np.float64))
+
+
+def test_load_features_returns_the_float32_payload(tmp_path):
+    seq = rng.normal(size=(9, 4))
+    p = tmp_path / "x.feat"
+    save_features(seq, p)
+    back = load_features(p)
+    assert back.dtype == np.float32 and back.flags.writeable
+    assert np.array_equal(back, seq.astype(np.float32))
 
 
 def test_features_bad_magic(tmp_path):
@@ -212,6 +225,20 @@ def test_synth_features_separate_classes():
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             assert np.linalg.norm(means[i] - means[j]) > 1.0
+
+
+def test_synth_sequence_peaks_at_about_one_feature_matrix():
+    # the noise goes in by row blocks: no second or third [T, D] array
+    spec = SynthSpec(n_classes=3, durations=((50.0, 5.0),) * 3, d_features=256, seed=4)
+    draw = np.random.default_rng(0)
+    prototypes = draw.normal(size=(3, 256))
+    tracemalloc.start()
+    try:
+        feats, _, _ = synth_sequence(spec, 2048, draw, prototypes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * feats.nbytes, peak / feats.nbytes
 
 
 def test_synth_validates():
@@ -486,3 +513,89 @@ def test_cli_infer_every_truncated_file_exits_two(tmp_path, capsys):
             assert code == 2 and str(cut) in err, (flag, n, err)
     assert cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--ckpt", "--features", "--pred", "--gt"])
+def test_cli_directory_as_input_file_exits_two_naming_it(tmp_path, capsys, flag):
+    cfg = tiny_run().model
+    files = {"--ckpt": tmp_path / "m.ckpt", "--features": tmp_path / "x.feat",
+             "--pred": tmp_path / "p.labels", "--gt": tmp_path / "g.labels"}
+    save_checkpoint(files["--ckpt"], cfg, SegmentationModel(cfg).params)
+    save_features(rng.normal(size=(12, cfg.d_in)), files["--features"])
+    save_labels([0, 1, 1], files["--pred"])
+    save_labels([0, 1, 2], files["--gt"])
+    files[flag] = tmp_path / "a_directory"
+    files[flag].mkdir()
+    if flag in ("--ckpt", "--features"):
+        argv = ["infer", "--out", str(tmp_path / "out"), "--ckpt", str(files["--ckpt"]),
+                "--features", str(files["--features"])]
+    else:
+        argv = ["eval", "--pred", str(files["--pred"]), "--gt", str(files["--gt"])]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and str(files[flag]) in err and "internal" not in err, err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--n", "0", "--frames", "8"], "--n"),
+    (["synth", "--n", "-1", "--frames", "8"], "--n"),
+    (["synth", "--n", "2", "--frames", "0"], "--frames"),
+    (["flops", "--T", "0"], "--T"),
+    (["flops", "--T", "-5"], "--T"),
+    (["inspect-mask", "--T", "0", "--layer", "0"], "--T"),
+])
+def test_cli_count_below_one_names_the_flag(tmp_path, capsys, argv, flag):
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and f"{flag} must be >= 1" in captured.err, captured
+    assert "wrote" not in captured.out
+
+
+def test_cli_train_on_files_equals_training_on_float64_features(tmp_path):
+    run = tiny_run()
+    m = run.model
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[model]\nn_classes = {m.n_classes}\nd_in = {m.d_in}\nd_model = {m.d_model}\n"
+        f"n_blocks = {m.n_blocks}\nn_decoders = {m.n_decoders}\nheads = {m.heads}\n"
+        f"s_avg = {m.s_avg}\nw_min = {m.w_min}\nw_max = {m.w_max}\n"
+        f"temporal_dropout = {m.temporal_dropout}\n"
+        f"[train]\nlr = {run.lr}\nmax_epochs = {run.max_epochs}\npatience = {run.patience}\n"
+    )
+    assert load_run_config(config) == run
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    in_memory = []
+    for i, (feats, labels, _) in enumerate(tiny_data()):
+        save_features(feats, data_dir / f"seq_{i:03d}.feat")
+        save_labels(labels, data_dir / f"seq_{i:03d}.labels")
+        stored = feats.astype(np.float32).astype(np.float64)
+        in_memory.append((stored, labels, frames_to_segments(labels)))
+    train(run, in_memory, ckpt_path=tmp_path / "memory.ckpt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["train", "--config", str(config), "--data", str(data_dir),
+                         "--out", str(tmp_path / "files.ckpt")])
+    assert code == 0
+    assert (tmp_path / "files.ckpt").read_bytes() == (tmp_path / "memory.ckpt").read_bytes()
+
+
+def test_cli_infer_from_a_version_1_checkpoint_matches_the_model(tmp_path, capsys):
+    cfg = tiny_run().model
+    model = SegmentationModel(cfg)
+    ckpt, feat = tmp_path / "m.ckpt", tmp_path / "x.feat"
+    ckpt.write_bytes(checkpoint_v1_bytes(cfg, model.params))
+    save_features(rng.normal(size=(40, cfg.d_in)), feat)
+    assert cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                     "--out", str(tmp_path / "out")]) == 0
+    result = infer(model, load_features(feat))
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for kind, labels in (("raw", result.raw_labels), ("refined", result.refined_labels)):
+        save_labels(labels, expected / f"x.{kind}.labels")
+        save_segment_file(expected / f"x.{kind}.segments", frames_to_segments(labels))
+    names = sorted(os.listdir(expected))
+    assert sorted(os.listdir(tmp_path / "out")) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name

@@ -348,6 +348,24 @@ def test_hta_attention_rejects_bad_arguments():
         hta_attention(q, q, q, 2, [0], [1.0], -1)
 
 
+# -- indexing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [
+    np.s_[::2], np.s_[::-1], np.s_[5:0:-2], np.s_[:, ::3], np.s_[1, ::-2],
+    np.s_[..., 1:], np.s_[None, 2:], np.s_[-1], np.s_[np.int64(2), 1:4],
+    np.array([0, 0, 2]), (np.array([1, 1]), np.array([3, 3])),
+])
+def test_getitem_backward_equals_scatter_add(key):
+    x = t(rng.normal(size=(6, 5)))
+    y = x[key]
+    g = rng.normal(size=y.shape)
+    (y * Tensor(g)).sum().backward()
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, key, g)
+    assert np.array_equal(x.grad, expected)
+
+
 # -- no_grad --------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, read_exact, read_struct, skip
+from .binio import FormatError, Reader
 from .seqcore import (
     ShapeError,
     Tensor,
@@ -523,29 +523,30 @@ def load_checkpoint(path):
     new end fault (SIGBUS); `save_checkpoint` never does, it replaces the
     file."""
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "checkpoint magic")
+        r = Reader(f)
+        magic = r.read_exact(4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(
                 f"{path}: bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
             )
-        (version,) = read_struct(f, "<I", "checkpoint version")
+        (version,) = r.read_struct("<I", "checkpoint version")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (n,) = read_struct(f, "<I", "config length")
-        blob = read_exact(f, n, "config")
+        (n,) = r.read_struct("<I", "config length")
+        blob = r.read_exact(n, "config")
         try:
             cfg = _config_from_blob(blob, path)
         except ValueError as exc:
             raise FormatError(f"bad checkpoint config: {exc}") from None
-        (count,) = read_struct(f, "<I", "parameter count")
+        (count,) = r.read_struct("<I", "parameter count")
         layout = []
         for _ in range(count):
-            (ln,) = read_struct(f, "<I", "parameter name length")
-            name = read_exact(f, ln, "parameter name").decode()
-            (rank,) = read_struct(f, "<I", f"rank of {name!r}")
-            shape = read_struct(f, f"<{rank}Q", f"shape of {name!r}")
+            (ln,) = r.read_struct("<I", "parameter name length")
+            name = r.read_exact(ln, "parameter name").decode()
+            (rank,) = r.read_struct("<I", f"rank of {name!r}")
+            shape = r.read_struct(f"<{rank}Q", f"shape of {name!r}")
             size = math.prod(shape)
-            layout.append((name, shape, size, skip(f, 8 * size, f"values of {name!r}")))
+            layout.append((name, shape, size, r.skip(8 * size, f"values of {name!r}")))
         # every size is checked against the file, so every view lies inside it
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     blobs = {

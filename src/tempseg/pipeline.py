@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import FormatError, read_array, read_exact, read_struct
+from .binio import FormatError, Reader
 from .losses import LossWeights, combined_temporal_loss
 from .network import ModelConfig, SegmentationModel, config_kwargs, save_checkpoint
 from .segments import (
@@ -85,18 +85,19 @@ def load_features(path) -> np.ndarray:
     """The [T, D] float32 payload of an MSBF file, read straight into the
     array; callers that need float64 cast it."""
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "feature magic")
+        r = Reader(f)
+        magic = r.read_exact(4, "feature magic")
         if magic != FEATURE_MAGIC:
             raise FormatError(
                 f"{path}: bad feature magic: expected {FEATURE_MAGIC!r}, found {magic!r}"
             )
-        (version,) = read_struct(f, "<I", "feature version")
+        (version,) = r.read_struct("<I", "feature version")
         if version != FEATURE_VERSION:
             raise FormatError(f"{path}: unsupported feature file version {version}")
-        t, d = read_struct(f, "<QQ", "feature shape")
+        t, d = r.read_struct("<QQ", "feature shape")
         if t < 1:
             raise FormatError(f"{path}: feature file contains an empty sequence")
-        data = read_array(f, "<f4", (t, d), "feature payload")
+        data = r.read_array("<f4", (t, d), "feature payload")
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: feature file contains non-finite values")
     return data

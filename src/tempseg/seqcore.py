@@ -13,8 +13,10 @@ closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
 masked softmax, layer normalisation, banded multi-head attention,
 elementwise arithmetic, activations, reductions, a dtype cast,
 gather/reshape/concat plumbing, mean pooling and hierarchical multi-scale
-attention (``hta_attention``). Inside a ``no_grad()`` block no op records a
-backward closure, so evaluation passes keep no tape alive.
+attention (``hta_attention``). Both attention ops run as dense blocks of
+query rows against one key slab each and recompute them in the backward.
+Inside a ``no_grad()`` block no op records a backward closure, so
+evaluation passes keep no tape alive.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ __all__ = [
 
 # queries per block in band_attention; each block meets one key slab
 BAND_BLOCK = 64
-# finest-scale query rows per block in hta_attention (at least one row of
-# the coarsest scale)
-HTA_BLOCK = 256
+# finest-scale query rows per tile in hta_attention, rounded down to whole
+# coarsest-scale blocks (at least one)
+HTA_BLOCK = 32
 
 _grad_mode = threading.local()
 
@@ -212,13 +214,6 @@ class Tensor:
         return out
 
     # ---- unary ------------------------------------------------------
-
-    def exp(self):
-        y = np.exp(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y)
-        return out
 
     def log(self):
         out = _make(np.log(self.data), (self,))
@@ -570,125 +565,21 @@ def _unpool(x: np.ndarray, shift: int, n: int) -> np.ndarray:
     return x[:n] if shift == 0 else np.repeat(x, 1 << shift, axis=0)[:n]
 
 
-def _window(x: np.ndarray, start: int, n: int, width: int) -> np.ndarray:
-    """View [n, H, width, C] of x [*, H, C]: entry [a, h, u] is x[start + a + u, h]."""
-    s0, s1, s2 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x[start:], (n, x.shape[1], width, x.shape[2]), (s0, s1, s0, s2), writeable=False
-    )
+def _block_sum(x: np.ndarray, r: int) -> np.ndarray:
+    """[H, R/r, C/r] sums of the r x r blocks of x [H, R, C], r a power of
+    two: the transpose of repeating r times along rows and columns."""
+    while r > 1:
+        x = x[:, 0::2] + x[:, 1::2]
+        x = x[:, :, 0::2] + x[:, :, 1::2]
+        r >>= 1
+    return x
 
 
-def _band_dot(x: np.ndarray, y: np.ndarray, start: int, width: int) -> np.ndarray:
-    """[n, H, width]: entry [a, h, u] is x[a, h] . y[start + a + u, h]."""
-    win = _window(y, start, x.shape[0], width).swapaxes(2, 3)
-    return np.matmul(x[:, :, None, :], win)[:, :, 0, :]
-
-
-def _band_sum(e: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
-    """[n, H, C]: row a is the sum over u of e[a, h, u] * y[start + a + u, h]."""
-    win = _window(y, start, e.shape[0], e.shape[2])
-    return np.matmul(e[:, :, None, :], win)[:, :, 0, :]
-
-
-def _band_sum_t(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[n + width - 1, H, C]: row j is the sum over a + u = j of
-    e[a, h, u] * x[a, h]; the transpose of _band_sum."""
-    n, heads, width = e.shape
-    ep = np.zeros((n + 2 * width - 2, heads, width), e.dtype)
-    xp = np.zeros((n + 2 * width - 2, heads, x.shape[2]), x.dtype)
-    ep[width - 1 : width - 1 + n] = e
-    xp[width - 1 : width - 1 + n] = x
-    # anti[j, h, u] = e[j + u - width + 1, h, width - 1 - u], zero off the rows
-    s0, s1, s2 = ep.strides
-    anti = np.lib.stride_tricks.as_strided(
-        ep[:, :, width - 1 :], (n + width - 1, heads, width), (s0, s1, s0 - s2), writeable=False
-    )
-    return _band_sum(anti, xp, 0)
-
-
-def _columns(m: int, d: int, w: int, o_min: int, width: int) -> np.ndarray:
-    """Coarse window column of key offsets o_min .. o_min + width - 1 for a
-    query row a with a % 2**d == m: ((a + o) >> d) - (a >> d) + w."""
-    return ((m + o_min + np.arange(width)) >> d) + w
-
-
-def _expand(src: np.ndarray, n: int, d: int, w: int, o_min: int, width: int) -> np.ndarray:
-    """[n, H, width] from coarse-row scores src [*, H, 2w+1]: entry [a, h, u]
-    is src[a >> d, h, column of key offset o_min + u], clipped to the window."""
-    step = 1 << d
-    out = np.empty((n, src.shape[1], width), src.dtype)
-    for m in range(min(step, n)):
-        cols = np.clip(_columns(m, d, w, o_min, width), 0, 2 * w)
-        rows = out[m::step]
-        rows[...] = src[: rows.shape[0]][:, :, cols]
-    return out
-
-
-def _collapse(g: np.ndarray, n: int, d: int, w: int, o_min: int) -> np.ndarray:
-    """The transpose of _expand: [n, H, 2w+1] sums of g over the entries
-    that read each coarse score inside the window."""
-    step = 1 << d
-    out = np.zeros((n, g.shape[1], 2 * w + 1), g.dtype)
-    for m in range(min(step, g.shape[0])):
-        cols = _columns(m, d, w, o_min, g.shape[2])
-        starts = np.flatnonzero(np.diff(cols, prepend=cols[0] - 1))
-        part = np.add.reduceat(g[m::step], starts, axis=2)
-        c = cols[starts]
-        keep = (c >= 0) & (c <= 2 * w)
-        out[: part.shape[0], :, c[keep]] += part[:, :, keep]
-    return out
-
-
-def _hta_pieces(shifts: list, w: int) -> list:
-    """The softmax sums of hta_attention as (lvl, k, d, o_min, width): the
-    finest window, then the left and right halves of each ring between the
-    windows of levels k-1 and k. Each sums key blocks a + o_min .. a + o_min
-    + width - 1 of level lvl for query block a, scored by level k, which
-    pools 2**d blocks of level lvl."""
-    pieces = [(0, 0, 0, -w, 2 * w + 1)]
-    for k in range(1, len(shifts)):
-        d = shifts[k] - shifts[k - 1]
-        if d:  # a repeated scale has an empty ring
-            width = (w + 1) * ((1 << d) - 1)
-            pieces += [(k - 1, k, d, -w - width, width), (k - 1, k, d, w + 1, width)]
-    return pieces
-
-
-def _hta_keys(lo: int, hi: int, w: int, d: int, o_min: int, width: int, n_fine: int) -> np.ndarray:
-    """[hi - lo, width] flags of the key offsets of a piece that hold a key
-    of query rows [lo, hi): in the sequence and in the coarse window."""
-    a = np.arange(lo, hi)[:, None]
-    b = a + o_min + np.arange(width)
-    keep = (b >= 0) & (b < n_fine)
-    if d:
-        keep &= np.abs((b >> d) - (a >> d)) <= w
-    return keep
-
-
-def _hta_cum(qs, kpad, rows, shifts, weights, w, pad) -> list:
-    """Per level k, scores [rows, H, 2w+1] of query rows `rows[k]` against
-    key blocks a - w .. a + w: the weighted score of level k plus every
-    coarser level's score of the block that holds the key."""
-    W = 2 * w + 1
-    cum = [None] * len(shifts)
-    for k in reversed(range(len(shifts))):
-        lo, hi = rows[k]
-        z = _band_dot(qs[k][lo:hi], kpad[k], pad + lo - w, W)
-        z *= weights[k]
-        if k + 1 < len(shifts):
-            z += _expand(cum[k + 1], hi - lo, shifts[k + 1] - shifts[k], w, -w, W)
-        cum[k] = z
-    return cum
-
-
-def _hta_weights(cum_k: np.ndarray, keys: np.ndarray, d: int, w: int, o_min: int):
-    """exp(score - row max) [rows, H, width] of one piece's keys, 0 off the
-    keys, and the row max [rows, H] (-inf for a row with no key)."""
-    z = _expand(cum_k, keys.shape[0], d, w, o_min, keys.shape[1])
-    np.copyto(z, -np.inf, where=~keys[:, None, :])
-    zmax = z.max(axis=2)
-    z -= np.where(np.isfinite(zmax), zmax, 0.0)[:, :, None]
-    return np.exp(z, out=z), zmax
+def _frame_counts(T: int, shift: int, n: int, dtype) -> np.ndarray:
+    """[n, 1, 1] frames per window of 2**shift rows over T rows; the ragged
+    tail window counts the rows it covers."""
+    f = 1 << shift
+    return np.minimum(f, T - np.arange(n) * f).astype(dtype)[:, None, None]
 
 
 def hta_attention(
@@ -702,17 +593,19 @@ def hta_attention(
     holds it; the softmax runs over the union of the windows and weights the
     frame-level values v.
 
-    The windows nest, so every key of the ring between two consecutive
-    scales' windows scores the same as the rest of its pooled block at the
-    coarser scale. The sums run over pooled key blocks with summed values
-    and frame counts: the finest window at the finest scale and the two
-    halves of each ring in blocks of its finer scale. Scores and sums are
-    batched matmuls of per-row vectors against a strided sliding-window view
-    of the zero-padded pooled keys or values, so no key or value block is
-    gathered; the sums share one per-row max. Query rows run in blocks of
-    about HTA_BLOCK finest-scale rows, aligned to the coarsest scale. The
-    backward recomputes the weights per block and keeps only q, k, v, the
-    output and the softmax denominators.
+    All frames of one finest-scale block share their query and their scores,
+    so the op works on finest-scale blocks, with summed values and frame
+    counts as [V | count]. Query rows run in tiles of about HTA_BLOCK
+    finest-scale rows, a whole number of coarsest-scale blocks, and each tile
+    meets one key slab: its own coarsest blocks plus `window` on each side,
+    clipped to the sequence. The tile's scores are built coarsest scale
+    first: per scale one batched matmul of the pooled queries, pre-scaled by
+    weight / (sqrt(hd) * count), against the slab's pooled keys, times that
+    scale's window mask, plus the coarser scales' sum repeated over the
+    finer rows and columns. Entries outside the coarsest window are -inf.
+    One row max, one exp and one matmul against [V | count] give the
+    softmax numerator and denominator together. The backward recomputes
+    each tile and keeps only q, k, v, the output and the denominators.
     """
     q, k, v = _attention_operands(q, k, v, heads, "hierarchical")
     T, A = q.data.shape
@@ -725,114 +618,120 @@ def hta_attention(
     dtype = q.data.dtype
     levels = sorted(zip(scales, weights), key=lambda p: p[0])
     shifts = [int(s) for s, _ in levels]
-    wts = [float(x) for _, x in levels]
+    wts = [float(x) * scale for _, x in levels]
     w, L = window, len(shifts)
-    pieces = _hta_pieces(shifts, w)
-    pad = (w + 1) << max(p[2] for p in pieces)
     sizes = [-(-T // (1 << s)) for s in shifts]
-    G = max(1, HTA_BLOCK >> (shifts[-1] - shifts[0]))
+    n0, nc = sizes[0], sizes[-1]
+    # rows of each level per coarsest block, finest level first
+    per = [1 << (shifts[-1] - s) for s in shifts]
+    G = max(1, HTA_BLOCK // per[0])
+
+    # per level, entry (i, j) of a whole tile: pooled query row c0*per + i
+    # against key row (c0 - w)*per + j; the coarsest mask is additive
+    masks = []
+    for lvl, p in enumerate(per):
+        rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
+        inside = np.abs(rel) <= w
+        masks.append(inside.astype(dtype) if lvl < L - 1
+                     else np.where(inside, 0.0, -np.inf).astype(dtype))
 
     def pooled():
-        """Per level: scaled mean-pooled queries, zero-padded mean-pooled
-        keys, zero-padded value sums with the frame count as a last column,
-        and the frame counts [blocks, 1, 1]."""
+        """Head-major operands, zero-padded to nc coarsest blocks: per level
+        the pooled query sums times weight / (sqrt(hd) * count) and the
+        pooled key means, and [V | count] at the finest level (count 0 in
+        the padding)."""
         qsum, ksum = q.data.reshape(T, heads, hd), k.data.reshape(T, heads, hd)
         vsum = np.empty((T, heads, hd + 1), dtype)
         vsum[:, :, :hd] = v.data.reshape(T, heads, hd)
         vsum[:, :, hd] = 1.0
-        qs, kpad, vpad, counts = [], [], [], []
-        prev = 0
-        for s in shifts:
-            qsum, ksum, vsum = (_sum_pool(x, s - prev) for x in (qsum, ksum, vsum))
-            prev, n = s, vsum.shape[0]
-            c = vsum[:, :1, hd:]
-            kp = np.zeros((n + 2 * pad, heads, hd), dtype)
-            vp = np.zeros((n + 2 * pad, heads, hd + 1), dtype)
-            np.divide(ksum, c, out=kp[pad : pad + n])
-            vp[pad : pad + n] = vsum
-            qs.append(qsum * (scale / c))
-            kpad.append(kp)
-            vpad.append(vp)
-            counts.append(c)
-        return qs, kpad, vpad, counts
+        vc = np.zeros((heads, nc * per[0], hd + 1), dtype)
+        vc[:, :n0] = _sum_pool(vsum, shifts[0]).transpose(1, 0, 2)
+        qs, ks, prev = [], [], 0
+        for s, wt, p, n in zip(shifts, wts, per, sizes):
+            qsum, ksum = _sum_pool(qsum, s - prev), _sum_pool(ksum, s - prev)
+            c = _frame_counts(T, s, n, dtype)
+            qp, kp = (np.zeros((heads, nc * p, hd), dtype) for _ in range(2))
+            qp[:, :n] = (qsum * (wt / c)).transpose(1, 0, 2)
+            kp[:, :n] = (ksum / c).transpose(1, 0, 2)
+            qs.append(qp)
+            ks.append(kp)
+            prev = s
+        return qs, ks, vc
 
-    def blocks():
-        """Query rows [lo, hi) per level for one block of G coarsest rows at
-        a time, and the key flags of every piece over its rows."""
-        for c0 in range(0, sizes[-1], G):
-            rows = [(c0 << (shifts[-1] - s), min((c0 + G) << (shifts[-1] - s), n))
-                    for s, n in zip(shifts, sizes)]
-            keys = [_hta_keys(*rows[lvl], w, d, o_min, width, sizes[lvl])
-                    for lvl, _, d, o_min, width in pieces]
-            yield rows, keys
+    def tiles():
+        """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
+        for c0 in range(0, nc, G):
+            c1 = min(c0 + G, nc)
+            yield c0, c1, max(c0 - w, 0), min(c1 + w, nc)
 
-    def rescale(zmaxes, n0):
-        """exp(piece max - shared max) per piece, on finest-level rows."""
-        moved = [_unpool(zm, shifts[p[0]] - shifts[0], n0) for p, zm in zip(pieces, zmaxes)]
-        top = np.max(moved, axis=0)
-        return [np.exp(zm - top) for zm in moved]
+    def tile_mask(lvl, c0, c1, b0, b1):
+        p = per[lvl]
+        return masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
 
-    qs, kpad, vpad, _ = pooled()
-    y0 = np.empty((sizes[0], heads, hd), dtype)
-    den = np.empty((sizes[0], heads), dtype)
-    for rows, keys in blocks():
-        cum = _hta_cum(qs, kpad, rows, shifts, wts, w, pad)
-        lo0, hi0 = rows[0]
-        sums, zmaxes = [], []
-        for (lvl, kk, d, o_min, _), kf in zip(pieces, keys):
-            e, zmax = _hta_weights(cum[kk], kf, d, w, o_min)
-            sums.append(_band_sum(e, vpad[lvl], pad + rows[lvl][0] + o_min))
-            zmaxes.append(zmax)
-        acc = np.zeros((hi0 - lo0, heads, hd + 1), dtype)
-        for p, s, c in zip(pieces, sums, rescale(zmaxes, hi0 - lo0)):
-            acc += _unpool(s, shifts[p[0]] - shifts[0], hi0 - lo0) * c[:, :, None]
-        den[lo0:hi0] = acc[:, :, hd]
-        y0[lo0:hi0] = acc[:, :, :hd] / acc[:, :, hd:]
-    y = _unpool(y0.reshape(sizes[0], A), shifts[0], T)
+    def tile_exp(qs, ks, c0, c1, b0, b1):
+        """exp(score - row max) [heads, rows, cols] of one tile at the
+        finest level, 0 outside the coarsest window and the sequence."""
+        z = None
+        for lvl in reversed(range(L)):
+            p = per[lvl]
+            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
+            if z is None:
+                s += tile_mask(lvl, c0, c1, b0, b1)
+            else:
+                s *= tile_mask(lvl, c0, c1, b0, b1)
+                r = p // per[lvl + 1]
+                if r > 1:
+                    z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
+                s += z
+            z = s
+        tail = n0 - b0 * per[0]
+        if tail < z.shape[2]:
+            z[:, :, tail:] = -np.inf
+        z -= z.max(axis=2, keepdims=True)
+        return np.exp(z, out=z)
+
+    qs, ks, vc = pooled()
+    f0 = per[0]
+    yh = np.empty((heads, nc * f0, hd), dtype)
+    den = np.empty((heads, nc * f0, 1), dtype)
+    for c0, c1, b0, b1 in tiles():
+        nd = tile_exp(qs, ks, c0, c1, b0, b1) @ vc[:, b0 * f0 : b1 * f0]
+        den[:, c0 * f0 : c1 * f0] = nd[:, :, hd:]
+        yh[:, c0 * f0 : c1 * f0] = nd[:, :, :hd] / nd[:, :, hd:]
+    y = _unpool(yh[:, :n0].transpose(1, 0, 2).reshape(n0, A), shifts[0], T)
 
     out = _make(y, (q, k, v))
     if out.requires_grad:
         def back(g):
-            qs, kpad, vpad, counts = pooled()
-            g0 = _sum_pool(g.reshape(T, heads, hd), shifts[0])
-            dqs = [np.zeros_like(x) for x in qs]
-            dkpad = [np.zeros_like(x) for x in kpad]
-            dvpad = [np.zeros_like(x) for x in vpad]
-            for rows, keys in blocks():
-                cum = _hta_cum(qs, kpad, rows, shifts, wts, w, pad)
-                lo0, hi0 = rows[0]
-                n0 = hi0 - lo0
-                ws = [_hta_weights(cum[p[1]], kf, p[2], w, p[3]) for p, kf in zip(pieces, keys)]
-                # y = num / den, both sums over the pieces of c * (value sum,
-                # count sum): their gradients, per finest row
-                dy = np.concatenate(
-                    [g0[lo0:hi0], -(g0[lo0:hi0] * y0[lo0:hi0]).sum(axis=2, keepdims=True)],
-                    axis=2) / den[lo0:hi0, :, None]
-                dcum = [np.zeros_like(z) for z in cum]
-                for (lvl, kk, d, o_min, _), (e, _), c in zip(pieces, ws, rescale([z for _, z in ws], n0)):
-                    lo, hi = rows[lvl]
-                    rows0 = np.arange(0, n0, 1 << (shifts[lvl] - shifts[0]))
-                    ds = np.add.reduceat(dy * c[:, :, None], rows0, axis=0)
-                    start = pad + lo + o_min
-                    dv_b = dvpad[lvl][start : start + hi - lo + e.shape[2] - 1]
-                    dv_b += _band_sum_t(e, ds)
-                    # dz = e * (dnum . value sum + dden * count)
-                    dz = e * _band_dot(ds, vpad[lvl], start, e.shape[2])
-                    dcum[kk] += _collapse(dz, len(dcum[kk]), d, w, o_min)
-                for kk in range(L):
-                    lo, hi = rows[kk]
-                    if kk + 1 < L:
-                        d = shifts[kk + 1] - shifts[kk]
-                        dcum[kk + 1] += _collapse(dcum[kk], len(dcum[kk + 1]), d, w, -w)
-                    dz = dcum[kk] * wts[kk]
-                    dqs[kk][lo:hi] += _band_sum(dz, kpad[kk], pad + lo - w)
-                    dk_b = dkpad[kk][pad + lo - w : pad + hi + w]
-                    dk_b += _band_sum_t(dz, qs[kk][lo:hi])
-            dq = dk = dv = 0.0
-            for s, c, n, a, b, vv in zip(shifts, counts, sizes, dqs, dkpad, dvpad):
-                dq = _unpool(a * (scale / c), s, T) + dq
-                dk = _unpool(b[pad : pad + n] / c, s, T) + dk
-                dv = _unpool(vv[pad : pad + n, :, :hd], s, T) + dv
+            # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
+            qs, ks, vc = pooled()
+            g0 = np.zeros_like(yh)
+            g0[:, :n0] = _sum_pool(g.reshape(T, heads, hd), shifts[0]).transpose(1, 0, 2)
+            dy = np.concatenate([g0, -(g0 * yh).sum(axis=2, keepdims=True)], axis=2) / den
+            dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
+            dvc = np.zeros_like(vc)
+            for c0, c1, b0, b1 in tiles():
+                e = tile_exp(qs, ks, c0, c1, b0, b1)
+                dyt, vt = dy[:, c0 * f0 : c1 * f0], vc[:, b0 * f0 : b1 * f0]
+                dvc[:, b0 * f0 : b1 * f0] += e.transpose(0, 2, 1) @ dyt
+                ds = dyt @ vt.transpose(0, 2, 1)
+                ds *= e
+                # ds is the gradient of the accumulated score at each level,
+                # finest first; the coarsest entries outside the window have e = 0
+                for lvl in range(L):
+                    p = per[lvl]
+                    dz = ds if lvl == L - 1 else ds * tile_mask(lvl, c0, c1, b0, b1)
+                    rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
+                    dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
+                    dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
+                    if lvl + 1 < L:
+                        ds = _block_sum(ds, p // per[lvl + 1])
+            dq = dk = 0.0
+            for s, wt, n, a, b in zip(shifts, wts, sizes, dqs, dks):
+                c = _frame_counts(T, s, n, dtype)
+                dq = _unpool(a[:, :n].transpose(1, 0, 2) * (wt / c), s, T) + dq
+                dk = _unpool(b[:, :n].transpose(1, 0, 2) / c, s, T) + dk
+            dv = _unpool(dvc[:, :n0, :hd].transpose(1, 0, 2), shifts[0], T)
             for t, d in ((q, dq), (k, dk), (v, dv)):
                 if t.requires_grad:
                     t._accumulate(d.reshape(T, A))

@@ -1,9 +1,12 @@
 import mmap
 import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg.binio import FormatError
 from tempseg.network import (
@@ -226,6 +229,49 @@ def test_checkpoint_round_trip(tmp_path):
     a = model.forward(x).stages[-1].action_logits.data
     b = SegmentationModel(cfg2, params2).forward(x).stages[-1].action_logits.data
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 4)),
+    sizes=st.tuples(st.integers(2, 5), st.integers(1, 7), st.integers(1, 3), st.integers(0, 2),
+                    st.integers(1, 3), st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6)),
+    dropout=st.floats(0.0, 1.0, exclude_max=True),
+    alpha=st.floats(0.0, 1e6, allow_subnormal=True),
+    values=st.lists(st.floats(allow_nan=True), min_size=1, max_size=4),
+)
+def test_checkpoint_round_trips_any_small_config(shape, sizes, dropout, alpha, values):
+    heads, per_head = shape
+    n_classes, d_in, n_blocks, n_decoders, stride, w_min, max_scales, seed = sizes
+    cfg = ModelConfig(n_classes=n_classes, d_in=d_in, d_model=heads * per_head,
+                      n_blocks=n_blocks, n_decoders=n_decoders, heads=heads, stride=stride,
+                      w_min=w_min, w_max=2 * w_min, max_scales=max_scales, seed=seed,
+                      temporal_dropout=dropout, loss_alpha=alpha)
+    params = SegmentationModel(cfg).params
+    # any float64 bit pattern, NaN and signed zero included, comes back
+    flat = params["in_proj.w"].data.reshape(-1)
+    n = min(len(values), flat.size)
+    flat[:n] = values[:n]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(path, cfg, params)
+        cfg2, params2, extra = load_checkpoint(path)
+    assert cfg2 == cfg and extra == {}
+    assert sorted(params2) == sorted(params)
+    for name, t in params2.items():
+        assert t.data.shape == params[name].data.shape
+        assert t.data.tobytes() == params[name].data.tobytes(), name
+
+
+def test_load_checkpoint_reads_the_file_size_once(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, cfg, SegmentationModel(cfg).params)
+    calls = []
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: calls.append(fd) or fstat(fd))
+    load_checkpoint(p)
+    assert len(calls) <= 1
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

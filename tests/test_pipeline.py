@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tempseg import cli
 from tempseg.network import (
@@ -65,6 +66,18 @@ def test_features_round_trip(tmp_path):
     back = load_features(p)
     assert back.shape == (17, 5)
     assert np.array_equal(back, seq.astype(np.float32).astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(0, 6)),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+def test_features_round_trip_any_finite_matrix(seq):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.feat")
+        save_features(seq, path)
+        back = load_features(path)
+    assert back.dtype == np.float32 and back.shape == seq.shape
+    assert back.tobytes() == seq.astype("<f4").tobytes()
 
 
 def test_load_features_returns_the_float32_payload(tmp_path):
@@ -181,6 +194,19 @@ def test_cli_eval_any_label_text_exits_zero_or_two(text, text_is_pred):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = cli.main(["eval", "--pred", pred, "--gt", gt])
     assert code in (0, 2), sink.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 30)), min_size=1, max_size=12))
+def test_segment_file_round_trips_through_load_labels(runs):
+    labels = np.concatenate([np.full(n, label) for label, n in runs])
+    segments = frames_to_segments(labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.segments")
+        save_segment_file(path, segments)
+        back = load_labels(path)
+    assert np.array_equal(back, labels)
+    assert frames_to_segments(back) == segments
 
 
 def test_labels_round_trip(tmp_path):
@@ -350,6 +376,88 @@ def test_cli_flops_any_config_text_exits_zero_or_two(text):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = cli.main(["flops", "--T", "64", "--config", path])
     assert code in (0, 2), sink.getvalue()
+
+
+# Every subcommand with a valid argument vector over the fixture files that
+# _cli_fixture writes; the fuzz test below drops, replaces and adds to them.
+_CLI_VALID = {
+    "synth": ["--out", "out", "--n", "2", "--frames", "20"],
+    "train": ["--config", "tiny.cfg", "--data", "data", "--out", "out.ckpt"],
+    "infer": ["--ckpt", "tiny.ckpt", "--features", "x.feat", "--out", "out"],
+    "eval": ["--pred", "x.labels", "--gt", "x.segments", "--thresholds", "0.1,0.5"],
+    "refine": ["--probs", "probs.feat", "--boundaries", "bounds.txt"],
+    "inspect-mask": ["--T", "20", "--layer", "1", "--config", "tiny.cfg"],
+    "flops": ["--T", "30", "--config", "tiny.cfg"],
+}
+_CLI_FLAGS = sorted({a for argv in _CLI_VALID.values() for a in argv if a.startswith("--")}
+                    | {"--spec", "--no-refine", "--x100", "--report", "-h"})
+_CLI_FILES = ["data", "tiny.cfg", "tiny.ckpt", "x.feat", "x.labels", "x.segments",
+              "probs.feat", "bounds.txt", "missing", "out", "out.ckpt"]
+# no digits (int() reads every Unicode digit, so "--n" could ask for millions
+# of sequences) and no path separators or dots, so every path stays in the
+# example's directory
+_cli_text = st.text(st.characters(codec="utf-8", exclude_categories=("Nd",),
+                                  exclude_characters="/\\."), max_size=8)
+_cli_value = st.one_of(st.sampled_from(_CLI_FILES), st.integers(-3, 40).map(str),
+                       st.sampled_from(["0.5", "1,2", "nan", "-"]), _cli_text)
+
+
+def _cli_fixture(tmp):
+    """A tiny model's config and checkpoint, a two-sequence training
+    directory, and feature, label, segment, probability and boundary files."""
+    model = tiny_run().model
+    with open(os.path.join(tmp, "tiny.cfg"), "w") as f:
+        f.write("[model]\n" + "".join(
+            f"{k} = {getattr(model, k)}\n" for k in ("n_classes", "d_in", "d_model", "n_blocks",
+                                                   "n_decoders", "heads", "s_avg", "w_min",
+                                                   "w_max")))
+        f.write("[train]\nmax_epochs = 1\n")
+    save_checkpoint(os.path.join(tmp, "tiny.ckpt"), model, SegmentationModel(model).params)
+    os.mkdir(os.path.join(tmp, "data"))
+    for i, (feats, labels, segs) in enumerate(tiny_data()):
+        save_features(feats, os.path.join(tmp, "data", f"s{i}.feat"))
+        save_labels(labels, os.path.join(tmp, "data", f"s{i}.labels"))
+    save_features(feats, os.path.join(tmp, "x.feat"))
+    save_labels(labels, os.path.join(tmp, "x.labels"))
+    save_segment_file(os.path.join(tmp, "x.segments"), segs)
+    save_features(np.full((24, 3), 1.0 / 3), os.path.join(tmp, "probs.feat"))
+    with open(os.path.join(tmp, "bounds.txt"), "w") as f:
+        f.write("6\n13\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_CLI_VALID)),
+    edits=st.lists(st.sampled_from(["keep", "keep", "keep", "drop", "replace"]),
+                   min_size=3, max_size=3),
+    values=st.lists(_cli_value, min_size=3, max_size=3),
+    extra=st.one_of(st.just([]), st.lists(
+        st.one_of(st.sampled_from(_CLI_FLAGS), _cli_value), min_size=1, max_size=4)),
+)
+def test_cli_any_argument_vector_exits_zero_or_two(command, edits, values, extra):
+    """Each flag of the valid vector is kept, dropped or given another
+    value; then the `extra` tokens follow. Exit 0 or 2, never a traceback."""
+    base = _CLI_VALID[command]
+    argv = [command]
+    for (flag, value), edit, other in zip(zip(base[::2], base[1::2]), edits, values):
+        if edit != "drop":
+            argv += [flag, other if edit == "replace" else value]
+    argv += extra
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _cli_fixture(tmp)
+        sink = io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's usage errors and --help
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2), (argv, sink.getvalue())
+    assert "Traceback" not in sink.getvalue(), argv
 
 
 # -- training and inference ----------------------------------------------

@@ -54,7 +54,9 @@ def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
     probs = masked_softmax(logits)
     p_t = (probs * oh).sum(axis=1)
     p_t = p_t + _EPS
-    weight = (1.0 - p_t).pow_const(gamma_f) if gamma_f != 0.0 else 1.0
+    # a frame whose softmax saturates has p_t = 1 + _EPS: clamp the base at 0,
+    # or a fractional gamma_f makes the loss and every gradient NaN
+    weight = (1.0 - p_t).relu().pow_const(gamma_f) if gamma_f != 0.0 else 1.0
     return (weight * -p_t.log()).mean() if gamma_f != 0.0 else (-p_t.log()).mean()
 
 

@@ -142,12 +142,17 @@ class ModelConfig:
 
     def validate(self):
         for name in ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size",
-                     "stride", "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window"):
+                     "stride", "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window",
+                     "boundary_min_distance"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_decoders", "rate_max", "max_scales"):
-            if getattr(self, name) < 0:
+        for name in ("n_decoders", "rate_max", "max_scales", "focal_gamma", "dice_smooth",
+                     "loss_alpha", "loss_beta", "loss_gamma", "loss_delta"):
+            if not getattr(self, name) >= 0:
                 raise ShapeError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("tau", "sigma_divisor"):
+            if not getattr(self, name) > 0:
+                raise ShapeError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ShapeError(f"heads {self.heads} must divide d_model {self.d_model}")
         if self.attn_dim % self.heads != 0:

@@ -3,7 +3,11 @@
 A Tensor wraps a float32 or float64 numpy array (any other dtype becomes
 float64) plus an optional gradient accumulator; each op that touches a
 differentiable input records a backward closure, and ``Tensor.backward()``
-replays the tape in reverse topological order. Every op computes and
+replays the tape in reverse topological order and releases it as it goes:
+each interior node drops its gradient, closure and parent links once its
+closure has run, so only leaf gradients (parameters, inputs made with
+``requires_grad=True``) survive, a second backward through the same graph
+raises, and a training loop holds one tape at a time. Every op computes and
 allocates in its input's dtype: a Python scalar operand takes the tensor's
 dtype, and the weight operands of ``linear``, ``layer_norm`` and
 ``conv1d_dilated`` are cast to the input's dtype when used, so float64
@@ -110,10 +114,23 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never `g` itself: `__add__` hands one `g` to both parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf this
+        scalar was computed from, releasing the graph as the walk goes.
+
+        Leaves (parameters and inputs made with ``requires_grad=True``) keep
+        their ``.grad``. Each interior node, this one included, drops its
+        gradient, backward closure and parent links once its closure has
+        run, and the walk drops its own reference at the same time, so a
+        node nothing else holds is freed at once. Backward through a graph
+        that an earlier backward released raises RuntimeError before any
+        gradient moves: build the loss again instead.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -127,15 +144,27 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._prev is None:
+                raise RuntimeError(
+                    "backward() through a graph that an earlier backward() released"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
                 if id(p) not in visited:
                     stack.append((p, False))
+        del node  # from here on `topo` alone holds each node
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if not node._prev:
+                continue  # a leaf keeps its gradient
+            back, g = node._backward, node.grad
+            node._backward = node.grad = node._prev = None
+            del node
+            if back is not None and g is not None:
+                back(g)
+            del back, g
 
     # ---- elementwise arithmetic -------------------------------------
 
@@ -252,7 +281,9 @@ class Tensor:
         out = _make(np.maximum(self.data, 0.0), (self,))
         if out.requires_grad:
             mask = self.data > 0.0
-            out._backward = lambda g: self._accumulate(g * mask)
+            # where, not g * mask: an infinite g at a clamped entry (as from
+            # pow_const(p < 1) at 0) must give 0, not inf * 0 = NaN
+            out._backward = lambda g: self._accumulate(np.where(mask, g, 0.0))
         return out
 
     def gelu(self):

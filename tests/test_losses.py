@@ -132,6 +132,17 @@ def test_loss_weights_validate():
         LossWeights(-0.1, 0.2, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.0])
+def test_focal_loss_finite_on_a_saturated_frame(gamma):
+    # frame 0's softmax is 1.0 exactly, so 1 - (p_t + eps) < 0 there
+    logits = t([[40.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
+    loss = focal_loss(logits, [0, 2], gamma)
+    loss.backward()
+    assert math.isfinite(loss.item())
+    assert np.isfinite(logits.grad).all()
+    assert np.array_equal(logits.grad[0], np.zeros(3))
+
+
 # -- gradients ------------------------------------------------------------
 
 

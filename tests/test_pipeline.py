@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -34,9 +36,10 @@ from tempseg.pipeline import (
     synth_dataset,
     synth_sequence,
     train,
+    _sequence_loss,
 )
 from tempseg.segments import frames_to_segments, save_segment_file
-from tempseg.seqcore import Tensor, no_grad
+from tempseg.seqcore import Adam, Tensor, no_grad
 
 from oracles import checkpoint_v1_bytes
 
@@ -337,6 +340,30 @@ def test_cli_bad_config_exits_two_naming_file_and_key(tmp_path, capsys, command,
     assert str(path) in err and key in err, err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sigma_divisor", "0"),
+    ("sigma_divisor", "-2"),
+    ("tau", "0"),
+    ("focal_gamma", "-1"),
+    ("dice_smooth", "-1"),
+    ("loss_alpha", "-0.5"),
+    ("loss_beta", "-1"),
+    ("loss_gamma", "-1"),
+    ("loss_delta", "-1"),
+    ("boundary_min_distance", "0"),
+])
+def test_cli_train_rejects_bad_loss_and_decoding_values_before_training(
+        tmp_path, capsys, key, value):
+    _cli_fixture(str(tmp_path))
+    config, out = tmp_path / "tiny.cfg", tmp_path / "out.ckpt"
+    config.write_text(config.read_text().replace("[train]", f"{key} = {value}\n[train]"))
+    code = cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data"),
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and str(config) in captured.err and key in captured.err, captured.err
+    assert "epoch" not in captured.out and not out.exists()
+
+
 def test_cli_config_with_retired_keys_at_their_values_runs(tmp_path, capsys):
     assert cli.main(["flops", "--T", "64"]) == 0
     default = capsys.readouterr().out
@@ -489,6 +516,32 @@ def test_validation_split_logged():
     assert all("val_loss" in line for line in result.log)
 
 
+def test_two_training_steps_hold_under_a_tenth_of_one_tape():
+    # train()'s loop: the last step's `loss` stays referenced, and backward
+    # has released its graph, so no tape and no interior gradient is held
+    cfg = ModelConfig(n_classes=3, d_in=6, d_model=32, n_blocks=2, n_decoders=1,
+                      heads=4, s_avg=8, w_min=2, w_max=8)
+    ((feats, labels, segments),) = tiny_data(n=1, T=128)
+    model = SegmentationModel(cfg)
+    opt = Adam(model.parameters(), lr=1e-3)
+    _sequence_loss(model, feats, labels, segments, training=True)  # fills the mask cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for step in range(2):
+            loss = _sequence_loss(model, feats, labels, segments, training=True)[1]
+            if step == 0:
+                tape = tracemalloc.get_traced_memory()[0] - before
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tape > 1e6, f"tape {tape / 1e6:.2f} MB"
+    assert held < 0.1 * tape, f"held {held / 1e6:.2f} MB of a {tape / 1e6:.2f} MB tape"
+
+
 def test_infer_output_contract():
     data = tiny_data(n=1, T=30)
     model = SegmentationModel(tiny_run().model)
@@ -621,6 +674,54 @@ def test_cli_infer_every_truncated_file_exits_two(tmp_path, capsys):
             assert code == 2 and str(cut) in err, (flag, n, err)
     assert cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_checkpoint():
+    """A tiny checkpoint's bytes and the offsets of its header bytes: magic,
+    version, config length and text, parameter count, and each parameter's
+    name length, name, rank and shape (not its values)."""
+    cfg = ModelConfig(n_classes=2, d_in=2, d_model=2, n_blocks=1, n_decoders=1,
+                      heads=2, s_avg=4, w_min=1, w_max=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(path, cfg, SegmentationModel(cfg).params)
+        with open(path, "rb") as f:
+            data = f.read()
+    (n,) = struct.unpack_from("<I", data, 8)
+    header = list(range(16 + n))
+    pos = 16 + n
+    (count,) = struct.unpack_from("<I", data, pos - 4)
+    for _ in range(count):
+        (ln,) = struct.unpack_from("<I", data, pos)
+        (rank,) = struct.unpack_from("<I", data, pos + 4 + ln)
+        shape = struct.unpack_from(f"<{rank}Q", data, pos + 8 + ln)
+        end = pos + 8 + ln + 8 * rank
+        header += range(pos, end)
+        pos = end + 8 * int(np.prod(shape))
+    assert pos == len(data)
+    return data, tuple(header)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_cli_infer_checkpoint_with_flipped_header_bytes_exits_zero_or_two(flips):
+    data, header = _tiny_checkpoint()
+    corrupt = bytearray(data)
+    for at, mask in flips:
+        corrupt[header[at % len(header)]] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, feat = os.path.join(tmp, "m.ckpt"), os.path.join(tmp, "x.feat")
+        with open(ckpt, "wb") as f:
+            f.write(corrupt)
+        save_features(np.linspace(-1.0, 1.0, 10).reshape(5, 2), feat)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(["infer", "--ckpt", ckpt, "--features", feat,
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2), (flips, sink.getvalue())
+    assert "Traceback" not in sink.getvalue(), flips
 
 
 @pytest.mark.parametrize("flag", ["--ckpt", "--features", "--pred", "--gt"])

@@ -366,6 +366,72 @@ def test_getitem_backward_equals_scatter_add(key):
     assert np.array_equal(x.grad, expected)
 
 
+# -- backward releases the graph -------------------------------------------
+
+
+def _graph(root):
+    """Every node reachable from `root` through parent links."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    return nodes
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    x = t(rng.normal(size=(4, 3)))
+    w = t(rng.normal(size=(3, 2)))
+    b = t(rng.normal(size=(2,)))
+
+    def build():
+        h = linear(x, w, b)
+        a = (h * h).relu()
+        return (a + a.tanh()).sum() + (x @ w).mean()  # `a` and `x`, `w` are shared
+
+    loss = build()
+    nodes = _graph(loss)
+    interior = [n for n in nodes if n._prev]
+    assert len(interior) >= 8 and {id(n) for n in nodes if not n._prev} == {id(x), id(w), id(b)}
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._backward is None and not node._prev
+    assert all(v.grad is not None for v in (x, w, b))
+    # fd_check_tensor runs its own backward through a fresh graph
+    _fd(build, [x, w, b])
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = t(rng.normal(size=(3,)))
+    h = x * 2.0
+    loss = (h * h).sum()
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    # a new loss through a released node raises too, before any gradient moves
+    with pytest.raises(RuntimeError, match="released"):
+        (h + x).sum().backward()
+    assert np.array_equal(x.grad, grad)
+    # a fresh graph from the same leaves runs and accumulates
+    (x * 2.0).sum().backward()
+    assert np.array_equal(x.grad, grad + 2.0)
+
+
+def test_first_accumulation_copies_the_gradient():
+    # `__add__` hands one array to both parents; neither may hold it
+    x, y = t(np.ones(3)), t(np.ones(3))
+    (x + y).sum().backward()
+    assert x.grad is not y.grad
+    x.grad += 1.0
+    assert np.array_equal(y.grad, np.ones(3))
+    z = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    z._accumulate(np.full(3, 0.5))
+    assert z.grad.dtype == np.float32 and np.array_equal(z.grad, np.full(3, 0.5))
+
+
 # -- no_grad --------------------------------------------------------------
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +66,9 @@ class WindowSpec:
 class AttentionMask:
     """Sparse per-query attention pattern over a sequence of length T.
 
-    Attention runs from ``spec``, the window the mask stands for. The padded
-    band ``key_index[q, j]`` with its validity flags, O(T * window), is
-    built on first access only, for ``allowed``, ``dense()`` and inspection.
+    Attention runs from ``spec``, the window the mask stands for; the mask
+    stores nothing else, and ``valid`` and ``allowed`` are computed from the
+    window's offsets when they are read.
     """
 
     def __init__(self, T: int, spec: WindowSpec):
@@ -78,31 +77,19 @@ class AttentionMask:
         self.T = T
         self.spec = spec
 
-    @cached_property
-    def _band(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(self.T)[:, None] + self.spec.offsets[None, :]
-        valid = (idx >= 0) & (idx < self.T)
-        return np.clip(idx, 0, self.T - 1), valid
-
-    @property
-    def key_index(self) -> np.ndarray:
-        return self._band[0]
-
     @property
     def valid(self) -> np.ndarray:
-        return self._band[1]
+        """[T, offsets] flags: query q's key q + offsets[j] lies in the sequence."""
+        keys = np.arange(self.T)[:, None] + self.spec.offsets[None, :]
+        return (keys >= 0) & (keys < self.T)
 
     @property
     def allowed(self) -> list:
-        """Sorted allowed key indices per query (the offsets are distinct and
-        ascending, so each row already is)."""
-        return [self.key_index[q][self.valid[q]] for q in range(self.T)]
-
-    def dense(self) -> np.ndarray:
-        m = np.zeros((self.T, self.T), dtype=bool)
-        rows = np.repeat(np.arange(self.T), self.valid.sum(axis=1))
-        m[rows, self.key_index[self.valid]] = True
-        return m
+        """Sorted allowed key indices per query: q + offsets, clipped to the
+        sequence (the offsets are distinct and ascending)."""
+        offsets, q = self.spec.offsets, np.arange(self.T)
+        lo, hi = np.searchsorted(offsets, -q), np.searchsorted(offsets, self.T - q)
+        return [i + offsets[a:b] for i, a, b in zip(q, lo, hi)]
 
 
 def build_window_schedule(

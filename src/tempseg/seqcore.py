@@ -1,8 +1,16 @@
 """Tape-based reverse-mode autodiff over a small set of sequence primitives.
 
 A Tensor wraps a float32 or float64 numpy array (any other dtype becomes
-float64) plus an optional gradient accumulator; each op that touches a
-differentiable input records a backward closure, and ``Tensor.backward()``
+float64) plus an optional gradient accumulator. Each op that touches a
+differentiable input gives its result a graph node: its backward closure,
+its parents' nodes, its gradient and its dtype, but not its value. A leaf
+(a tensor made with ``requires_grad=True``) is its own node. Each closure
+keeps only the arrays its formula reads: the operands of ``*``, ``/``,
+``@``, ``log`` and ``pow_const``, the inputs of ``linear``,
+``conv1d_dilated`` and both attention ops, its own output where the
+formula is written in it, and masks and shapes. So the tape holds nodes,
+closures and gradients, and an interior value that no backward reads is
+freed as soon as the caller drops its Tensor. ``Tensor.backward()``
 replays the tape in reverse topological order and releases it as it goes:
 each interior node drops its gradient, closure and parent links once its
 closure has run, so only leaf gradients (parameters, inputs made with
@@ -28,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+import weakref
 
 import numpy as np
 
@@ -79,21 +88,66 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+# what an interior node's `data` reads once nothing references its value
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
+
+
+class _Node:
+    """The tape entry of one op result: its backward closure, its parents'
+    nodes, its gradient and its dtype. It holds its value only weakly, so
+    the value lives exactly as long as the result's Tensor or a closure that
+    reads it."""
+
+    __slots__ = ("_prev", "_backward", "grad", "dtype", "_value")
+
+    def __init__(self, prev: tuple, value: np.ndarray):
+        self._prev = prev
+        self._backward = None
+        self.grad = None
+        self.dtype = value.dtype
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The value while something still references it, else an empty array."""
+        value = self._value()
+        return _EMPTY if value is None else value
+
+    def _accumulate(self, g: np.ndarray):
+        if self.grad is None:
+            # a copy, never `g` itself: `__add__` hands one `g` to both parents
+            self.grad = np.array(g, dtype=self.dtype)
+        else:
+            self.grad += g
 
 
 class Tensor:
     """A float32 or float64 array with optional reverse-mode gradient
     tracking; data of any other dtype becomes float64."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._prev: tuple = ()
-        self._backward = None
+        self._node = None  # the graph node of an op result; None for a leaf
+
+    @property
+    def _prev(self):
+        """Parents' nodes of the op that made this tensor: () for a leaf or
+        an untracked tensor, None once backward has released the node."""
+        return () if self._node is None else self._node._prev
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def shape(self):
@@ -112,12 +166,7 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            # a copy, never `g` itself: `__add__` hands one `g` to both parents
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
+    _accumulate = _Node._accumulate
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf this
@@ -135,8 +184,9 @@ class Tensor:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
+        root = self if self._node is None else self._node
         # Iterative topological sort; graphs can be deep.
-        topo, visited, stack = [], set(), [(self, False)]
+        topo, visited, stack = [], set(), [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -154,7 +204,8 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         del node  # from here on `topo` alone holds each node
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
+        del root
         while topo:
             node = topo.pop()
             if not node._prev:
@@ -172,12 +223,15 @@ class Tensor:
         other = as_tensor(other, self.data.dtype)
         out = _make(self.data + other.data, (self, other))
         if out.requires_grad:
+            na, nb = _grad_node(self), _grad_node(other)
+            sa, sb = self.data.shape, other.data.shape
+
             def back(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-            out._backward = back
+                if na is not None:
+                    na._accumulate(_unbroadcast(g, sa))
+                if nb is not None:
+                    nb._accumulate(_unbroadcast(g, sb))
+            out._node._backward = back
         return out
 
     __radd__ = __add__
@@ -185,7 +239,8 @@ class Tensor:
     def __neg__(self):
         out = _make(-self.data, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(-g)
         return out
 
     def __sub__(self, other):
@@ -198,12 +253,18 @@ class Tensor:
         other = as_tensor(other, self.data.dtype)
         out = _make(self.data * other.data, (self, other))
         if out.requires_grad:
+            na, nb = _grad_node(self), _grad_node(other)
+            # each operand's gradient reads the other operand only
+            a = self.data if nb is not None else None
+            b = other.data if na is not None else None
+            sa, sb = self.data.shape, other.data.shape
+
             def back(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = back
+                if na is not None:
+                    na._accumulate(_unbroadcast(g * b, sa))
+                if nb is not None:
+                    nb._accumulate(_unbroadcast(g * a, sb))
+            out._node._backward = back
         return out
 
     __rmul__ = __mul__
@@ -212,14 +273,17 @@ class Tensor:
         other = as_tensor(other, self.data.dtype)
         out = _make(self.data / other.data, (self, other))
         if out.requires_grad:
+            na, nb = _grad_node(self), _grad_node(other)
+            a = self.data if nb is not None else None
+            b = other.data
+            sa, sb = self.data.shape, other.data.shape
+
             def back(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(-g * self.data / other.data ** 2, other.data.shape)
-                    )
-            out._backward = back
+                if na is not None:
+                    na._accumulate(_unbroadcast(g / b, sa))
+                if nb is not None:
+                    nb._accumulate(_unbroadcast(-g * a / b ** 2, sb))
+            out._node._backward = back
         return out
 
     def __rtruediv__(self, other):
@@ -234,56 +298,76 @@ class Tensor:
             raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         out = _make(a @ b, (self, other))
         if out.requires_grad:
+            na, nb = _grad_node(self), _grad_node(other)
+            if na is None:
+                b = None
+            if nb is None:
+                a = None
+
             def back(g):
-                if self.requires_grad:
-                    self._accumulate(g @ b.T)
-                if other.requires_grad:
-                    other._accumulate(a.T @ g)
-            out._backward = back
+                if na is not None:
+                    na._accumulate(g @ b.T)
+                if nb is not None:
+                    nb._accumulate(a.T @ g)
+            out._node._backward = back
         return out
 
     # ---- unary ------------------------------------------------------
 
     def log(self):
-        out = _make(np.log(self.data), (self,))
+        x = self.data
+        out = _make(np.log(x), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g / self.data)
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(g / x)
         return out
 
     def sqrt(self):
         y = np.sqrt(self.data)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * 0.5 / y)
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(g * 0.5 / y)
         return out
 
     def pow_const(self, p: float):
-        out = _make(self.data ** p, (self,))
+        x = self.data
+        out = _make(x ** p, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * p * self.data ** (p - 1))
+            n = _grad_node(self)
+
+            def back(g):
+                # x ** (p - 1) is inf at x = 0 for p < 1; a caller that
+                # clamps x there (focal_loss's relu) masks it with np.where
+                with np.errstate(divide="ignore"):
+                    n._accumulate(g * p * x ** (p - 1))
+            out._node._backward = back
         return out
 
     def tanh(self):
         y = np.tanh(self.data)
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(g * (1.0 - y * y))
         return out
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
         out = _make(y, (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(g * y * (1.0 - y))
         return out
 
     def relu(self):
         out = _make(np.maximum(self.data, 0.0), (self,))
         if out.requires_grad:
+            n = _grad_node(self)
             mask = self.data > 0.0
             # where, not g * mask: an infinite g at a clamped entry (as from
             # pow_const(p < 1) at 0) must give 0, not inf * 0 = NaN
-            out._backward = lambda g: self._accumulate(np.where(mask, g, 0.0))
+            out._node._backward = lambda g: n._accumulate(np.where(mask, g, 0.0))
         return out
 
     def gelu(self):
@@ -295,9 +379,10 @@ class Tensor:
         t = np.tanh(u)
         out = _make(0.5 * x * (1.0 + t), (self,))
         if out.requires_grad:
+            n = _grad_node(self)
             du = c * (1.0 + 3 * 0.044715 * x2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            out._backward = lambda g: self._accumulate(g * dy)
+            out._node._backward = lambda g: n._accumulate(g * dy)
         return out
 
     def astype(self, dtype):
@@ -307,7 +392,8 @@ class Tensor:
             return self
         out = _make(self.data.astype(dtype), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.astype(self.data.dtype))
+            n, own = _grad_node(self), self.data.dtype
+            out._node._backward = lambda g: n._accumulate(g.astype(own))
         return out
 
     # ---- reductions -------------------------------------------------
@@ -315,11 +401,13 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
+            n, shape = _grad_node(self), self.data.shape
+
             def back(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-            out._backward = back
+                n._accumulate(np.broadcast_to(g, shape).copy())
+            out._node._backward = back
         return out
 
     def mean(self, axis=None, keepdims=False):
@@ -335,14 +423,16 @@ class Tensor:
             shape = tuple(shape[0])
         out = _make(self.data.reshape(shape), (self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
+            n, own = _grad_node(self), self.data.shape
+            out._node._backward = lambda g: n._accumulate(g.reshape(own))
         return out
 
     def transpose(self, axes=None):
         out = _make(self.data.transpose(axes), (self,))
         if out.requires_grad:
+            n = _grad_node(self)
             inv = None if axes is None else np.argsort(axes)
-            out._backward = lambda g: self._accumulate(g.transpose(inv))
+            out._node._backward = lambda g: n._accumulate(g.transpose(inv))
         return out
 
     @property
@@ -352,18 +442,19 @@ class Tensor:
     def __getitem__(self, key):
         out = _make(self.data[key], (self,))
         if out.requires_grad:
+            n, zeros = _grad_node(self), _zeros_like(self.data)
             # a basic key selects each element at most once, so assignment
             # places the gradient; an index array may repeat, so it scatters
             scatter = not _is_basic_key(key)
 
             def back(g):
-                dx = np.zeros_like(self.data)
+                dx = zeros()
                 if scatter:
                     np.add.at(dx, key, g)
                 else:
                     dx[key] = g
-                self._accumulate(dx)
-            out._backward = back
+                n._accumulate(dx)
+            out._node._backward = back
         return out
 
     def take_rows(self, idx: np.ndarray):
@@ -371,12 +462,22 @@ class Tensor:
         idx = np.asarray(idx, dtype=np.intp)
         out = _make(self.data[idx], (self,))
         if out.requires_grad:
+            n, zeros = _grad_node(self), _zeros_like(self.data)
+
             def back(g):
-                dx = np.zeros_like(self.data)
+                dx = zeros()
                 np.add.at(dx, idx, g)
-                self._accumulate(dx)
-            out._backward = back
+                n._accumulate(dx)
+            out._node._backward = back
         return out
+
+
+def _zeros_like(a: np.ndarray):
+    """A maker of zero arrays with a's shape, dtype and C or Fortran order,
+    that does not hold `a`."""
+    shape, dtype = a.shape, a.dtype
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    return lambda: np.zeros(shape, dtype, order)
 
 
 def _is_basic_key(key) -> bool:
@@ -401,13 +502,24 @@ def no_grad():
         _grad_mode.off = prev
 
 
+def _grad_node(t: Tensor):
+    """The node that gradients of `t` flow into: the node of the op that
+    made it, `t` itself for a leaf, or None when `t` needs no gradient."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
+    """`data` as the result of an op on `parents`; it gets a graph node when
+    a parent needs a gradient, and the op then sets the node's closure."""
     out = Tensor(data)
     if getattr(_grad_mode, "off", False):
         return out
-    if any(p.requires_grad for p in parents):
+    prev = tuple(n for n in map(_grad_node, parents) if n is not None)
+    if prev:
         out.requires_grad = True
-        out._prev = tuple(p for p in parents if p.requires_grad)
+        out._node = _Node(prev, out.data)
     return out
 
 
@@ -425,13 +537,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
+        nodes = [_grad_node(t) for t in tensors]
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
         def back(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                if t.requires_grad:
-                    t._accumulate(piece)
-        out._backward = back
+            for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+                if n is not None:
+                    n._accumulate(piece)
+        out._node._backward = back
     return out
 
 
@@ -457,10 +570,12 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     alpha = e / e.sum(axis=-1, keepdims=True)
     out = _make(alpha, (scores,))
     if out.requires_grad:
+        n = _grad_node(scores)
+
         def back(g):
             inner = (g * alpha).sum(axis=-1, keepdims=True)
-            scores._accumulate(alpha * (g - inner))
-        out._backward = back
+            n._accumulate(alpha * (g - inner))
+        out._node._backward = back
     return out
 
 
@@ -504,6 +619,22 @@ def _band_blocks(n: int, width: int, causal: bool):
         yield p0, p1, s0, s1, outside[: p1 - p0, c0 : c0 + s1 - s0] if edges else None
 
 
+def _exp_rows(z: np.ndarray, dead) -> np.ndarray:
+    """exp(z - row max) in place, where z is -inf at the `dead` entries (None
+    when there are none) and nowhere else, so those come out exactly 0.
+
+    numpy's float64 exp takes a slow path for arguments below about -708,
+    so in float64 the dead entries are zeroed before the exp and after it;
+    the result is the same to the bit. Float32 has no such path."""
+    z -= z.max(axis=-1, keepdims=True)
+    if dead is None or z.dtype != np.float64:
+        return np.exp(z, out=z)
+    np.copyto(z, 0.0, where=dead)
+    np.exp(z, out=z)
+    np.copyto(z, 0.0, where=dead)
+    return z
+
+
 def _band_exp(qb: np.ndarray, ks: np.ndarray, outside) -> tuple[np.ndarray, np.ndarray]:
     """exp(qb @ ks^T - row max) over the slab with out-of-band entries exactly
     0, and its row sums: the softmax numerator and denominator, stabilised by
@@ -511,8 +642,7 @@ def _band_exp(qb: np.ndarray, ks: np.ndarray, outside) -> tuple[np.ndarray, np.n
     e = qb @ ks.transpose(0, 2, 1)
     if outside is not None:
         np.copyto(e, -np.inf, where=outside)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    _exp_rows(e, outside)
     return e, e.sum(axis=-1, keepdims=True)
 
 
@@ -534,10 +664,11 @@ def band_attention(
         raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
-    qs = q.data * scale
-    y = np.empty((T, heads, hd), q.data.dtype)
+    qd, kd, vd = q.data, k.data, v.data
+    qs = qd * scale
+    y = np.empty((T, heads, hd), qd.dtype)
     for r in range(min(step, T)):
-        qr, kr, vr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data))
+        qr, kr, vr = (_residue(a, r, step, heads) for a in (qs, kd, vd))
         o = np.empty_like(qr)
         for p0, p1, s0, s1, outside in _band_blocks(qr.shape[1], width, causal):
             e, rowsum = _band_exp(qr[:, p0:p1], kr[:, s0:s1], outside)
@@ -547,14 +678,16 @@ def band_attention(
 
     out = _make(y, (q, k, v))
     if out.requires_grad:
+        nodes = _grad_node(q), _grad_node(k), _grad_node(v)
+
         def back(g):
             # per block: dV += P^T dO, dS = P * (dO V^T - rowsum(dO * O)),
             # dQ = dS K * scale, dK += dS^T Q * scale
-            qs = q.data * scale
+            qs = qd * scale
             rowdot = (g * y).reshape(T, heads, hd).sum(axis=2)
             dq, dk, dv = (np.empty((T, heads, hd), y.dtype) for _ in range(3))
             for r in range(min(step, T)):
-                qr, kr, vr, gr = (_residue(a, r, step, heads) for a in (qs, k.data, v.data, g))
+                qr, kr, vr, gr = (_residue(a, r, step, heads) for a in (qs, kd, vd, g))
                 dr = rowdot[r::step].T[:, :, None]
                 dqr = np.empty_like(qr)
                 dkr, dvr = np.zeros_like(kr), np.zeros_like(vr)
@@ -571,10 +704,10 @@ def band_attention(
                 dq[r::step] = dqr.transpose(1, 0, 2)
                 dk[r::step] = dkr.transpose(1, 0, 2)
                 dv[r::step] = dvr.transpose(1, 0, 2)
-            for t, d in ((q, dq * scale), (k, dk), (v, dv)):
-                if t.requires_grad:
-                    t._accumulate(d.reshape(T, A))
-        out._backward = back
+            for n, d in zip(nodes, (dq * scale, dk, dv)):
+                if n is not None:
+                    n._accumulate(d.reshape(T, A))
+        out._node._backward = back
     return out
 
 
@@ -646,7 +779,8 @@ def hta_attention(
         raise ShapeError(f"scales and window must be >= 0, got {list(scales)}, {window}")
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
-    dtype = q.data.dtype
+    qd, kd, vd = q.data, k.data, v.data
+    dtype = qd.dtype
     levels = sorted(zip(scales, weights), key=lambda p: p[0])
     shifts = [int(s) for s, _ in levels]
     wts = [float(x) * scale for _, x in levels]
@@ -665,15 +799,17 @@ def hta_attention(
         inside = np.abs(rel) <= w
         masks.append(inside.astype(dtype) if lvl < L - 1
                      else np.where(inside, 0.0, -np.inf).astype(dtype))
+    # the -inf entries of a whole tile at the finest level
+    dead = np.repeat(np.repeat(np.isneginf(masks[-1]), per[0], axis=0), per[0], axis=1)
 
     def pooled():
         """Head-major operands, zero-padded to nc coarsest blocks: per level
         the pooled query sums times weight / (sqrt(hd) * count) and the
         pooled key means, and [V | count] at the finest level (count 0 in
         the padding)."""
-        qsum, ksum = q.data.reshape(T, heads, hd), k.data.reshape(T, heads, hd)
+        qsum, ksum = qd.reshape(T, heads, hd), kd.reshape(T, heads, hd)
         vsum = np.empty((T, heads, hd + 1), dtype)
-        vsum[:, :, :hd] = v.data.reshape(T, heads, hd)
+        vsum[:, :, :hd] = vd.reshape(T, heads, hd)
         vsum[:, :, hd] = 1.0
         vc = np.zeros((heads, nc * per[0], hd + 1), dtype)
         vc[:, :n0] = _sum_pool(vsum, shifts[0]).transpose(1, 0, 2)
@@ -715,11 +851,14 @@ def hta_attention(
                     z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
                 s += z
             z = s
-        tail = n0 - b0 * per[0]
+        f = per[0]
+        dead_tile = dead[: (c1 - c0) * f, (b0 - c0 + w) * f : (b1 - c0 + w) * f]
+        tail = n0 - b0 * f
         if tail < z.shape[2]:
             z[:, :, tail:] = -np.inf
-        z -= z.max(axis=2, keepdims=True)
-        return np.exp(z, out=z)
+            dead_tile = dead_tile.copy()
+            dead_tile[:, tail:] = True
+        return _exp_rows(z, dead_tile)
 
     qs, ks, vc = pooled()
     f0 = per[0]
@@ -733,6 +872,8 @@ def hta_attention(
 
     out = _make(y, (q, k, v))
     if out.requires_grad:
+        nodes = _grad_node(q), _grad_node(k), _grad_node(v)
+
         def back(g):
             # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
             qs, ks, vc = pooled()
@@ -763,10 +904,10 @@ def hta_attention(
                 dq = _unpool(a[:, :n].transpose(1, 0, 2) * (wt / c), s, T) + dq
                 dk = _unpool(b[:, :n].transpose(1, 0, 2) / c, s, T) + dk
             dv = _unpool(dvc[:, :n0, :hd].transpose(1, 0, 2), shifts[0], T)
-            for t, d in ((q, dq), (k, dk), (v, dv)):
-                if t.requires_grad:
-                    t._accumulate(d.reshape(T, A))
-        out._backward = back
+            for n, d in zip(nodes, (dq, dk, dv)):
+                if n is not None:
+                    n._accumulate(d.reshape(T, A))
+        out._node._backward = back
     return out
 
 
@@ -830,21 +971,30 @@ def conv1d_dilated(
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = _make(yt.T, parents)
     if out.requires_grad:
+        nx, nk = _grad_node(x), _grad_node(kernel)
+        nb = None if bias is None else _grad_node(bias)
+        k_zeros = _zeros_like(kernel.data)
+        # the kernel's gradient reads the input, the input's reads the kernel
+        if nk is None:
+            xt = None
+        if nx is None:
+            w = None
+
         def back(g):
             gt = g.T
-            if kernel.requires_grad and kernel.grad is None:
-                kernel.grad = np.zeros_like(kernel.data)
-            dxt = np.zeros((t_in, c_in), xt.dtype) if x.requires_grad else None
+            if nk is not None and nk.grad is None:
+                nk.grad = k_zeros()
+            dxt = np.zeros((t_in, c_in), gt.dtype) if nx is not None else None
             for j, lo, hi, src in taps:
-                if kernel.requires_grad:
-                    kernel.grad[:, :, j] += gt[lo:hi].T @ xt[src]
+                if nk is not None:
+                    nk.grad[:, :, j] += gt[lo:hi].T @ xt[src]
                 if dxt is not None:
                     dxt[src] += gt[lo:hi] @ w[:, :, j]
             if dxt is not None:
-                x._accumulate(dxt.T)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=1))
-        out._backward = back
+                nx._accumulate(dxt.T)
+            if nb is not None:
+                nb._accumulate(g.sum(axis=1))
+        out._node._backward = back
     return out
 
 
@@ -869,7 +1019,8 @@ def mean_pool1d(x: Tensor, factor: int) -> Tensor:
     y /= counts
     out = _make(y, (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(np.repeat(g / counts, factor, axis=0)[:t])
+        n = _grad_node(x)
+        out._node._backward = lambda g: n._accumulate(np.repeat(g / counts, factor, axis=0)[:t])
     return out
 
 
@@ -882,19 +1033,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
         )
-    wd = w.data.astype(x.data.dtype, copy=False)
-    y = x.data @ wd
+    xd, wd = x.data, w.data.astype(x.data.dtype, copy=False)
+    y = xd @ wd
     y += b.data.astype(y.dtype, copy=False)
     out = _make(y, (x, w, b))
     if out.requires_grad:
+        nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+        # the weight's gradient reads the input, the input's reads the weight
+        if nw is None:
+            xd = None
+        if nx is None:
+            wd = None
+
         def back(g):
-            if x.requires_grad:
-                x._accumulate(g @ wd.T)
-            if w.requires_grad:
-                w._accumulate(x.data.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
-        out._backward = back
+            if nx is not None:
+                nx._accumulate(g @ wd.T)
+            if nw is not None:
+                nw._accumulate(xd.T @ g)
+            if nb is not None:
+                nb._accumulate(g.sum(axis=0))
+        out._node._backward = back
     return out
 
 
@@ -913,17 +1071,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     y = xhat * g + bias.data.astype(x.data.dtype, copy=False)
     out = _make(y, (x, gain, bias))
     if out.requires_grad:
+        nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(bias)
+        sg, sb = gain.data.shape, bias.data.shape
+
         def back(dy):
-            if gain.requires_grad:
-                gain._accumulate(_unbroadcast(dy * xhat, gain.data.shape))
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(dy, bias.data.shape))
-            if x.requires_grad:
+            if ng is not None:
+                ng._accumulate(_unbroadcast(dy * xhat, sg))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(dy, sb))
+            if nx is not None:
                 dxhat = dy * g
                 dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
                 dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
-                x._accumulate(dx / std)
-        out._backward = back
+                nx._accumulate(dx / std)
+        out._node._backward = back
     return out
 
 

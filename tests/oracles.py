@@ -183,6 +183,17 @@ def band_mask_oracle(T, width, step, causal=False):
     return (d % step == 0) & (m >= -width) & (m <= hi)
 
 
+def dense_mask(mask):
+    """Dense [T, T] form of an AttentionMask, from its `valid` flags and its
+    window's offsets."""
+    T = mask.T
+    keys = np.arange(T)[:, None] + mask.spec.offsets[None, :]
+    valid = mask.valid
+    m = np.zeros((T, T), dtype=bool)
+    m[np.repeat(np.arange(T), valid.sum(axis=1)), keys[valid]] = True
+    return m
+
+
 def conv1d_oracle(x, w, b, dilation, mode, stride=1):
     """Direct-loop dilated 1-D convolution of a [C_in, T] array with a
     [C_out, C_in, k] kernel and zero padding: output i reads input frames
@@ -243,8 +254,8 @@ def dswa_oracle(x, exp_mask, shr_mask, params):
     A = params.attn_dim
     half = slice(0, A // 2)
     other = slice(A // 2, A)
-    oe = dense_attention_oracle(x, params, exp_mask.dense(), head_slice=half)
-    os_ = dense_attention_oracle(x, params, shr_mask.dense(), head_slice=other)
+    oe = dense_attention_oracle(x, params, dense_mask(exp_mask), head_slice=half)
+    os_ = dense_attention_oracle(x, params, dense_mask(shr_mask), head_slice=other)
     return np.concatenate([oe, os_], axis=1) @ params.wo.data + params.bo.data
 
 

@@ -22,6 +22,7 @@ from oracles import (
     aggregate_scales,
     band_mask_oracle,
     dense_attention_oracle,
+    dense_mask,
     dswa_oracle,
     fd_check_tensor,
     hta_oracle,
@@ -75,7 +76,7 @@ def test_mask_acausal_dilated():
 
 def test_mask_dense_matches_allowed():
     m = build_sparse_mask(9, WindowSpec(2, 1, False))
-    d = m.dense()
+    d = dense_mask(m)
     for i, js in enumerate(m.allowed):
         assert sorted(np.nonzero(d[i])[0]) == list(js)
 
@@ -92,7 +93,6 @@ def test_pairs_count_closed_form_matches_band_and_oracle():
         for T in sorted({1, 2, max(1, spec.step - 1), spec.step + 1, 37, 300}):
             m = build_sparse_mask(T, spec)
             got = attended_pairs_count(m)
-            assert "_band" not in vars(m)  # counted without building the band
             oracle = band_mask_oracle(T, spec.one_sided_width, spec.step, spec.causal)
             assert got == int(m.valid.sum()) == int(oracle.sum()), (spec, T)
 
@@ -206,16 +206,20 @@ def test_hta_default_width_memory():
     assert held < 24e6, f"held {held / 1e6:.1f} MB"
 
 
-def test_masks_build_their_band_on_first_access():
+def test_masks_store_only_their_window():
+    # attention reads the spec; `valid` and `allowed` are computed when read
     T = 2048
     params = init_attention_params(16, 8, 2, rng)
     e, s = build_window_schedule(10)[4]
     em, sm = build_sparse_mask(T, e), build_sparse_mask(T, s)
     with no_grad():
         dswa_forward(Tensor(rng.normal(size=(T, 16))), em, sm, params)
-    assert "_band" not in vars(em) and "_band" not in vars(sm)
+    assert vars(em) == {"T": T, "spec": e} and vars(sm) == {"T": T, "spec": s}
     assert em.valid.shape == (T, 2 * e.one_sided_width + 1)
-    assert "_band" in vars(em)
+    allowed, valid = em.allowed, em.valid
+    assert vars(em) == {"T": T, "spec": e}
+    for q in (0, 1, T // 2, T - 1):
+        assert np.array_equal(allowed[q], (q + e.offsets)[valid[q]])
 
 
 def test_dswa_odd_heads_rejected():
@@ -276,6 +280,6 @@ def test_hta_single_scale_equals_plain_windowed():
 def test_attention_rows_are_convex_weights():
     # masked softmax output: values inside the band, exact zeros elsewhere
     m = build_sparse_mask(10, WindowSpec(2, 1, False))
-    d = m.dense()
+    d = dense_mask(m)
     assert not d.all()
     assert d.any(axis=1).all()

@@ -542,6 +542,30 @@ def test_two_training_steps_hold_under_a_tenth_of_one_tape():
     assert held < 0.1 * tape, f"held {held / 1e6:.2f} MB of a {tape / 1e6:.2f} MB tape"
 
 
+def test_training_step_keeps_only_what_backward_reads():
+    # criterion 4's model at T = 512: the tape keeps nodes, closures and the
+    # arrays backward reads; interior values nothing reads are freed as the
+    # forward drops them, which about halves what a step holds
+    cfg = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
+                      temporal_dropout=0.3, seed=0)
+    spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
+    ((feats, labels, segments),) = synth_dataset(spec, 1, 512)
+    model = SegmentationModel(cfg)
+    _sequence_loss(model, feats, labels, segments, training=True)  # fills the mask cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = _sequence_loss(model, feats, labels, segments, training=True)[1]
+        live = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert live < 20e6, f"live after forward+loss {live / 1e6:.1f} MB"
+    assert peak < 20e6, f"backward peak {peak / 1e6:.1f} MB"
+
+
 def test_infer_output_contract():
     data = tiny_data(n=1, T=30)
     model = SegmentationModel(tiny_run().model)

@@ -1,3 +1,6 @@
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from tempseg.seqcore import (
 from oracles import (
     band_mask_oracle,
     conv1d_oracle,
+    dense_mask,
     dense_multihead,
     fd_check_tensor,
     hta_qkv_oracle,
@@ -256,7 +260,7 @@ def test_band_attention_matches_dense_oracle(T, width, step, causal, heads):
     q, k, v = (rng.normal(size=(T, 4 * heads)) for _ in range(3))
     mask = band_mask_oracle(T, width, step, causal)
     spec = WindowSpec(width, step - 1, causal)
-    assert np.array_equal(mask, build_sparse_mask(T, spec).dense())
+    assert np.array_equal(mask, dense_mask(build_sparse_mask(T, spec)))
     got = band_attention(Tensor(q), Tensor(k), Tensor(v), heads, width, step, causal).data
     assert np.max(np.abs(got - dense_multihead(q, k, v, heads, mask))) < 1e-12
 
@@ -430,6 +434,87 @@ def test_first_accumulation_copies_the_gradient():
     z = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     z._accumulate(np.full(3, 0.5))
     assert z.grad.dtype == np.float32 and np.array_equal(z.grad, np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exp_rows_is_exp_to_the_bit(dtype):
+    # float64 zeroes the -inf entries around the exp; the bytes do not change
+    z = rng.normal(size=(3, 5, 40)) * 300.0
+    dead = rng.random((5, 40)) < 0.4
+    dead[:, 7] = False
+    z[:, dead] = -np.inf
+    z = z.astype(dtype)
+    want = np.exp(z - z.max(axis=-1, keepdims=True))
+    got = seqcore._exp_rows(z.copy(), dead)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+# -- the tape holds nodes, not values --------------------------------------
+
+
+def test_values_no_backward_reads_are_freed_mid_forward():
+    x = t(rng.normal(size=(3, 20)))
+    kernel, bias = t(rng.normal(size=(3, 3, 3)) * 0.5), t(rng.normal(size=(3,)))
+    gain, shift = t(rng.normal(size=(3,))), t(rng.normal(size=(3,)))
+
+    def build(refs=None):
+        conv = conv1d_dilated(x, kernel, bias, dilation=2)
+        h = conv.relu()  # relu's backward reads its mask, not the conv output
+        res = x + h  # a residual sum; layer_norm's backward reads xhat, not res
+        loss = layer_norm(res.T, gain, shift).tanh().sum()
+        if refs is not None:
+            refs += [weakref.ref(a) for a in (conv, conv.data, res, res.data)]
+        return loss
+
+    refs = []
+    loss = build(refs)
+    assert [r() for r in refs] == [None] * 4
+    loss.backward()
+    _fd(build, [x, kernel, bias, gain, shift])
+
+
+def _captured(fn):
+    """Every object a closure holds, through nested functions, tuples and lists."""
+    seen, stack = set(), [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, types.FunctionType):
+            stack.extend(c.cell_contents for c in v.__closure__ or ())
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        else:
+            yield v
+
+
+def test_backward_closures_hold_no_tensor_but_leaves():
+    # each op with one operand that needs no gradient, so a closure that kept
+    # either operand's Tensor instead of the array it reads would show
+    x, w, b = t(rng.normal(size=(8, 4))), t(rng.normal(size=(4, 4))), t(rng.normal(size=(4,)))
+    kernel = t(rng.normal(size=(4, 4, 3)) * 0.3)
+    c = Tensor(rng.normal(size=(8, 4)))
+    h = linear(x, w, b) * c + c / (x * x + 1.0) - c @ w - x @ Tensor(np.eye(4))
+    h = layer_norm(h, w[0], b).gelu().tanh()
+    h = band_attention(h, c, h, 2, 2, 1) + hta_attention(h, h, c, 2, [0, 1], [0.5, 0.5], 1)
+    h = conv1d_dilated(h.T, kernel, b, dilation=2).relu().T
+    h = concat([mean_pool1d(h, 2), h[::2], h.take_rows([0, 3, 3, 1])], axis=1)
+    p = masked_softmax(h.reshape(4, 12)).astype(np.float32).astype(np.float64)
+    loss = ((p + 1.0).log() + (p * p + 0.5).sqrt().sigmoid() + p.pow_const(1.5)).mean()
+    leaves = {id(x), id(w), id(b), id(kernel)}
+    seen, stack, kinds = set(), [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in leaves:
+            continue
+        seen.add(id(node))
+        kinds.add(node._backward.__qualname__.split(".<locals>")[0])
+        held = [v for v in _captured(node._backward) if isinstance(v, Tensor) and id(v) not in leaves]
+        assert held == [], node._backward.__qualname__
+        stack.extend(node._prev)
+    assert len(kinds) >= 24, sorted(kinds)
+    loss.backward()
 
 
 # -- no_grad --------------------------------------------------------------

@@ -47,8 +47,7 @@ def _load_dataset(data_dir, n_classes: int):
         raise ValueError(f"no .feat files in {data_dir}")
     dataset = []
     for stem in stems:
-        # training runs in float64
-        feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat")).astype(np.float64)
+        feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat"))
         label_path = os.path.join(data_dir, stem + ".labels")
         labels = pipeline.load_labels(label_path)
         if labels.max() >= n_classes:

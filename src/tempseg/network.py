@@ -390,7 +390,8 @@ class SegmentationModel:
         if training and self.cfg.temporal_dropout > 0.0:
             keep = 1.0 - self.cfg.temporal_dropout
             mask = (self.rng.random(self.cfg.d_in) < keep) / keep
-            x = x * mask[None, :]
+            # in the input's dtype: a float64 mask would upcast a float32 pass
+            x = x * mask[None, :].astype(x.dtype)
         h = linear(x, self.params["in_proj.w"], self.params["in_proj.b"])
         h = self._tcn_stack(h.T, "enc_tcn", "acausal", self.cfg.stride).T
         t_red = h.shape[0]

@@ -295,9 +295,23 @@ def _train_accuracy(model: SegmentationModel, dataset) -> float:
     return correct / total
 
 
+def _first_nonfinite_grad(params: dict):
+    """Name of the first parameter whose gradient holds a NaN or inf, else None."""
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return name
+    return None
+
+
 def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     """Full-sequence Adam training with early stopping; persists the best
-    parameters when ckpt_path is given."""
+    parameters when ckpt_path is given.
+
+    Every training and validation forward, and every backward, runs on the
+    features cast to float32; the parameters, their gradients and the Adam
+    state stay float64. A non-finite loss, or a non-finite parameter
+    gradient before the optimizer step, raises TrainingError naming the
+    epoch, the sequence and the loss component or the parameter."""
     if not dataset:
         raise ValueError("need at least one training sequence")
     n_val = min(int(round(run.val_fraction * len(dataset))), len(dataset) - 1)
@@ -315,6 +329,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         running = 0.0
         comp = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
         for si, (feats, labels, segments) in enumerate(train_set):
+            feats = np.asarray(feats, np.float32)
             _, loss, parts = _sequence_loss(model, feats, labels, segments, training=True)
             value = loss.item()
             if not math.isfinite(value):
@@ -323,6 +338,11 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
                     f"non-finite loss at epoch {epoch}, component {bad}, sequence {si}"
                 )
             loss.backward()
+            bad = _first_nonfinite_grad(model.params)
+            if bad is not None:
+                raise TrainingError(
+                    f"non-finite gradient at epoch {epoch}, sequence {si}, parameter {bad}"
+                )
             opt.step()
             opt.zero_grad()
             running += value
@@ -335,6 +355,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         if val_set:
             vloss = 0.0
             for feats, labels, segments in val_set:
+                feats = np.asarray(feats, np.float32)
                 with no_grad():
                     _, lv, _ = _sequence_loss(model, feats, labels, segments, training=False)
                 vloss += lv.item()

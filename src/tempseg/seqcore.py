@@ -19,8 +19,11 @@ raises, and a training loop holds one tape at a time. Every op computes and
 allocates in its input's dtype: a Python scalar operand takes the tensor's
 dtype, and the weight operands of ``linear``, ``layer_norm`` and
 ``conv1d_dilated`` are cast to the input's dtype when used, so float64
-parameters run a float32 pass without a float32 copy being kept. Training,
-Adam and the oracles run in float64. The primitive set is deliberately
+parameters run a float32 pass without a float32 copy being kept. Training
+and inference run their passes in float32 this way; a leaf's gradient
+accumulates in the leaf's own dtype, so float64 parameters get float64
+gradients and Adam keeps float64 master weights and state. The oracles
+run in float64. The primitive set is deliberately
 closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
 masked softmax, layer normalisation, banded multi-head attention,
 elementwise arithmetic, activations, reductions, a dtype cast,

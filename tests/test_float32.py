@@ -1,6 +1,8 @@
-"""Float32 inference: every op runs in its input's dtype, a float32 forward
-makes no float64 array beyond the boundary sigmoid, and `infer` (float32
-network, float64 post-processing) gives the labels of a float64 forward."""
+"""Float32 inference and training: every op runs in its input's dtype, a
+float32 forward (with or without the tape) makes no float64 array beyond
+the boundary sigmoid, float64 parameters get float64 gradients, and `infer`
+(float32 network, float64 post-processing) gives the labels of a float64
+forward."""
 
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 
 from tempseg import seqcore
 from tempseg.network import ModelConfig, SegmentationModel
-from tempseg.pipeline import SynthSpec, infer, synth_dataset
+from tempseg.pipeline import SynthSpec, _sequence_loss, infer, synth_dataset
 from tempseg.segments import detect_boundaries, refine_prediction
 from tempseg.seqcore import (
     Tensor,
@@ -95,6 +97,59 @@ def test_float32_forward_makes_float64_only_for_the_boundary_sigmoid(monkeypatch
         assert stage.action_logits.data.dtype == np.float32
         assert stage.features.data.dtype == np.float32
         assert stage.boundary_scores.data.dtype == np.float64
+
+
+# criterion 4's model and data, as `train` runs them
+_TRAIN_CFG = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
+                         temporal_dropout=0.3)
+
+
+def _train_case(T=600):
+    spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
+    return SegmentationModel(_TRAIN_CFG), synth_dataset(spec, 1, T)[0]
+
+
+def test_float32_training_forward_makes_float64_only_for_the_boundary_sigmoid(monkeypatch):
+    """The training twin of the no_grad test above: temporal dropout on,
+    tape kept. Float64 parameters get float64 gradients."""
+    model, (feats, labels, segments) = _train_case()
+    T = feats.shape[0]
+    made = []
+    make = seqcore._make
+
+    def spy(data, parents):
+        made.append((data.dtype, data.shape))
+        return make(data, parents)
+
+    monkeypatch.setattr(seqcore, "_make", spy)
+    out = model.forward(Tensor(feats.astype(np.float32)), training=True)
+    monkeypatch.undo()
+    n_stages = 1 + _TRAIN_CFG.n_decoders
+    wide = sorted(shape for dtype, shape in made if dtype != np.float32)
+    assert wide == sorted([(T, 1), (T, 1), (T,)] * n_stages)
+    assert len(made) > 50 * n_stages
+    loss = sum(stage.action_logits.sum() + stage.boundary_scores.sum()
+               for stage in out.stages)
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sequence_loss_runs_the_network_in_the_features_dtype(dtype):
+    """Callers keep their dtype: float64 features (criterion 2's finite
+    differences) give a float64 network, float32 ones a float32 network;
+    the loss is finite and every parameter gradient float64 either way."""
+    model, (feats, labels, segments) = _train_case(T=256)
+    out, loss, _ = _sequence_loss(model, feats.astype(dtype), labels, segments, training=True)
+    for stage in out.stages:
+        assert stage.action_logits.data.dtype == dtype
+        assert stage.features.data.dtype == dtype
+    assert np.isfinite(loss.item())
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.dtype == np.float64, name
+        assert np.isfinite(p.grad).all(), name
 
 
 def _float64_labels(model, feats):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tempseg import cli
+from tempseg import cli, pipeline
 from tempseg.network import (
     RETIRED_KEYS,
     ModelConfig,
@@ -26,6 +26,7 @@ from tempseg.network import (
 from tempseg.pipeline import (
     RunConfig,
     SynthSpec,
+    TrainingError,
     infer,
     load_features,
     load_labels,
@@ -57,6 +58,27 @@ def tiny_run(**kw):
 def tiny_data(n=2, T=24, seed=3):
     spec = SynthSpec(n_classes=3, durations=((6.0, 1.0),) * 3, d_features=6, seed=seed)
     return synth_dataset(spec, n, T)
+
+
+def tiny_files(tmp_path, run):
+    """tiny_data() as .feat/.labels files plus a config file for `run`:
+    (config path, data directory)."""
+    m = run.model
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[model]\nn_classes = {m.n_classes}\nd_in = {m.d_in}\nd_model = {m.d_model}\n"
+        f"n_blocks = {m.n_blocks}\nn_decoders = {m.n_decoders}\nheads = {m.heads}\n"
+        f"s_avg = {m.s_avg}\nw_min = {m.w_min}\nw_max = {m.w_max}\n"
+        f"temporal_dropout = {m.temporal_dropout}\n"
+        f"[train]\nlr = {run.lr}\nmax_epochs = {run.max_epochs}\npatience = {run.patience}\n"
+    )
+    assert load_run_config(config) == run
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for i, (feats, labels, _) in enumerate(tiny_data()):
+        save_features(feats, data_dir / f"seq_{i:03d}.feat")
+        save_labels(labels, data_dir / f"seq_{i:03d}.labels")
+    return config, data_dir
 
 
 # -- feature files --------------------------------------------------------
@@ -516,6 +538,68 @@ def test_validation_split_logged():
     assert all("val_loss" in line for line in result.log)
 
 
+def _poison_second_backward(monkeypatch, names):
+    """After train()'s second backward (epoch 1, sequence 1), a NaN in the
+    gradient of each named parameter. Returns the models train() builds and
+    a dict that then holds each parameter's value at that point."""
+    models, calls, before = [], [], {}
+
+    class Recorded(SegmentationModel):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            models.append(self)
+
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        calls.append(None)
+        if len(calls) == 2:
+            params = models[-1].params
+            before.update((k, p.data.copy()) for k, p in params.items())
+            for name in names:
+                params[name].grad.flat[-1] = np.nan
+
+    monkeypatch.setattr(pipeline, "SegmentationModel", Recorded)
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    return models, before
+
+
+def test_nonfinite_gradient_names_the_first_parameter_before_the_step(monkeypatch):
+    names = ["dec0.head.boundary.w", "enc_tcn.0.pw.w"]  # model.params order: pw.w first
+    models, before = _poison_second_backward(monkeypatch, names)
+    with pytest.raises(TrainingError) as err:
+        train(tiny_run(), tiny_data())
+    assert str(err.value) == (
+        "non-finite gradient at epoch 1, sequence 1, parameter enc_tcn.0.pw.w")
+    # Adam never saw the NaN: every parameter is as the backward left it
+    for name, p in models[-1].params.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_cli_train_nonfinite_gradient_exits_one_naming_the_parameter(
+        tmp_path, monkeypatch, capsys):
+    config, data_dir = tiny_files(tmp_path, tiny_run())
+    _poison_second_backward(monkeypatch, ["dec0.head.action.b"])
+    code = cli.main(["train", "--config", str(config), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "training aborted: non-finite gradient at epoch 1, sequence 1,"
+        " parameter dec0.head.action.b\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_load_dataset_keeps_float32_features(tmp_path):
+    _, data_dir = tiny_files(tmp_path, tiny_run())
+    dataset = cli._load_dataset(data_dir, 3)
+    assert len(dataset) == 2
+    for (feats, labels, _), (ref, ref_labels, _) in zip(dataset, tiny_data()):
+        assert feats.dtype == np.float32
+        assert np.array_equal(feats, ref.astype(np.float32))
+        assert np.array_equal(labels, ref_labels)
+
+
 def test_two_training_steps_hold_under_a_tenth_of_one_tape():
     # train()'s loop: the last step's `loss` stays referenced, and backward
     # has released its graph, so no tape and no interior gradient is held
@@ -788,24 +872,9 @@ def test_cli_count_below_one_names_the_flag(tmp_path, capsys, argv, flag):
 
 def test_cli_train_on_files_equals_training_on_float64_features(tmp_path):
     run = tiny_run()
-    m = run.model
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        f"[model]\nn_classes = {m.n_classes}\nd_in = {m.d_in}\nd_model = {m.d_model}\n"
-        f"n_blocks = {m.n_blocks}\nn_decoders = {m.n_decoders}\nheads = {m.heads}\n"
-        f"s_avg = {m.s_avg}\nw_min = {m.w_min}\nw_max = {m.w_max}\n"
-        f"temporal_dropout = {m.temporal_dropout}\n"
-        f"[train]\nlr = {run.lr}\nmax_epochs = {run.max_epochs}\npatience = {run.patience}\n"
-    )
-    assert load_run_config(config) == run
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    in_memory = []
-    for i, (feats, labels, _) in enumerate(tiny_data()):
-        save_features(feats, data_dir / f"seq_{i:03d}.feat")
-        save_labels(labels, data_dir / f"seq_{i:03d}.labels")
-        stored = feats.astype(np.float32).astype(np.float64)
-        in_memory.append((stored, labels, frames_to_segments(labels)))
+    config, data_dir = tiny_files(tmp_path, run)
+    in_memory = [(feats.astype(np.float32).astype(np.float64), labels,
+                  frames_to_segments(labels)) for feats, labels, _ in tiny_data()]
     train(run, in_memory, ckpt_path=tmp_path / "memory.ckpt")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["train", "--config", str(config), "--data", str(data_dir),

@@ -45,9 +45,13 @@ def _load_dataset(data_dir, n_classes: int):
     )
     if not stems:
         raise ValueError(f"no .feat files in {data_dir}")
-    dataset = []
+    dataset, first = [], os.path.join(data_dir, stems[0] + ".feat")
     for stem in stems:
-        feats = pipeline.load_features(os.path.join(data_dir, stem + ".feat"))
+        feat_path = os.path.join(data_dir, stem + ".feat")
+        feats = pipeline.load_features(feat_path)
+        if dataset and feats.shape[1] != dataset[0][0].shape[1]:
+            raise ValueError(f"{feat_path}: {feats.shape[1]} feature columns, "
+                             f"but {first} has {dataset[0][0].shape[1]}")
         label_path = os.path.join(data_dir, stem + ".labels")
         labels = pipeline.load_labels(label_path)
         if labels.max() >= n_classes:
@@ -65,7 +69,8 @@ def _cmd_train(args):
     dataset = _load_dataset(args.data, run.model.n_classes)
     d_in = dataset[0][0].shape[1]
     if run.model.d_in != d_in:
-        raise ValueError(f"config d_in {run.model.d_in} does not match data dimension {d_in}")
+        raise ValueError(
+            f"{args.data}: {d_in} feature columns, but the config's d_in is {run.model.d_in}")
     result = pipeline.train(run, dataset, ckpt_path=args.out, log_fn=print)
     print(f"best epoch {result.best_epoch} loss {result.best_loss:.6f} "
           f"train_acc {result.final_train_accuracy:.4f}")
@@ -75,6 +80,9 @@ def _cmd_infer(args):
     cfg, params, _ = load_checkpoint(args.ckpt)
     model = SegmentationModel(cfg, params)
     feats = pipeline.load_features(args.features)
+    if feats.shape[1] != cfg.d_in:
+        raise ValueError(f"{args.features}: {feats.shape[1]} feature columns, "
+                         f"but {args.ckpt} has d_in {cfg.d_in}")
     result = pipeline.infer(model, feats, refine=not args.no_refine)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, os.path.splitext(os.path.basename(args.features))[0])
@@ -101,6 +109,8 @@ def _cmd_eval(args):
     thresholds = _thresholds(args.thresholds)
     pred = pipeline.load_labels(args.pred)
     gt = pipeline.load_labels(args.gt)
+    if pred.size != gt.size:
+        raise ValueError(f"{args.pred} has {pred.size} labels, but {args.gt} has {gt.size}")
     report = evaluate_all(pred, gt, thresholds)
     for line in report.lines(x100=args.x100):
         print(line)

@@ -559,7 +559,7 @@ def load_checkpoint(path):
         name: np.frombuffer(mapped, "<f8", size, offset).reshape(shape)
         for name, shape, size, offset in layout
     }
-    expected = {name for name, _ in _param_specs(cfg)}
+    expected = dict(_param_specs(cfg))
     learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))
     if learned:
         raise FormatError(
@@ -567,8 +567,13 @@ def load_checkpoint(path):
             f"version does not support; they would be dropped"
         )
     params = {k: Tensor(v, requires_grad=True) for k, v in blobs.items() if k in expected}
-    missing = expected - set(params)
+    missing = expected.keys() - params
     if missing:
         raise FormatError(f"{path}: checkpoint missing parameters: {sorted(missing)[:3]}...")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(
+                f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
+            )
     extra = {k: v for k, v in blobs.items() if k not in expected}
     return cfg, params, extra

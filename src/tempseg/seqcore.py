@@ -28,8 +28,9 @@ closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
 masked softmax, layer normalisation, banded multi-head attention,
 elementwise arithmetic, activations, reductions, a dtype cast,
 gather/reshape/concat plumbing, mean pooling and hierarchical multi-scale
-attention (``hta_attention``). Both attention ops run as dense blocks of
-query rows against one key slab each and recompute them in the backward.
+attention (``hta_attention``). Both attention ops run on one tiled kernel,
+``_TileKernel``: dense tiles of query rows, each against one key slab,
+recomputed in the backward; a band is its one-level case.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive.
 """
@@ -60,11 +61,10 @@ __all__ = [
     "Adam",
 ]
 
-# queries per block in band_attention; each block meets one key slab
-BAND_BLOCK = 64
-# finest-scale query rows per tile in hta_attention, rounded down to whole
-# coarsest-scale blocks (at least one)
-HTA_BLOCK = 32
+# finest-level query rows per tile of the attention kernel that
+# band_attention and hta_attention share, rounded down to whole
+# coarsest-level blocks (at least one); each tile meets one key slab
+TILE_ROWS = 32
 
 _grad_mode = threading.local()
 
@@ -606,31 +606,15 @@ def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(a.shape[0], heads, -1)[r::step].transpose(1, 0, 2))
 
 
-def _band_blocks(n: int, width: int, causal: bool):
-    """Query blocks [p0, p1) of an undilated band over n positions, each with
-    its key slab [s0, s1) and the mask of the slab entries outside the band
-    (None when there are none)."""
-    hi = 0 if causal else width
-    # entry (i, j) of an unclipped block: query p0 + i against key p0 - width + j
-    rel = np.arange(BAND_BLOCK + width + hi)[None, :] - width - np.arange(BAND_BLOCK)[:, None]
-    outside = (rel < -width) | (rel > hi)
-    for p0 in range(0, n, BAND_BLOCK):
-        p1 = min(p0 + BAND_BLOCK, n)
-        s0, s1 = max(p0 - width, 0), min(p1 + hi, n)
-        c0 = s0 - p0 + width
-        edges = s0 < p1 - 1 - width or s1 - 1 > p0 + hi
-        yield p0, p1, s0, s1, outside[: p1 - p0, c0 : c0 + s1 - s0] if edges else None
-
-
-def _exp_rows(z: np.ndarray, dead) -> np.ndarray:
-    """exp(z - row max) in place, where z is -inf at the `dead` entries (None
-    when there are none) and nowhere else, so those come out exactly 0.
+def _exp_rows(z: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """exp(z - row max) in place, where z is -inf at the `dead` entries and
+    nowhere else, so those come out exactly 0.
 
     numpy's float64 exp takes a slow path for arguments below about -708,
     so in float64 the dead entries are zeroed before the exp and after it;
     the result is the same to the bit. Float32 has no such path."""
     z -= z.max(axis=-1, keepdims=True)
-    if dead is None or z.dtype != np.float64:
+    if z.dtype != np.float64:
         return np.exp(z, out=z)
     np.copyto(z, 0.0, where=dead)
     np.exp(z, out=z)
@@ -638,88 +622,11 @@ def _exp_rows(z: np.ndarray, dead) -> np.ndarray:
     return z
 
 
-def _band_exp(qb: np.ndarray, ks: np.ndarray, outside) -> tuple[np.ndarray, np.ndarray]:
-    """exp(qb @ ks^T - row max) over the slab with out-of-band entries exactly
-    0, and its row sums: the softmax numerator and denominator, stabilised by
-    the in-band row max as in masked_softmax."""
-    e = qb @ ks.transpose(0, 2, 1)
-    if outside is not None:
-        np.copyto(e, -np.inf, where=outside)
-    _exp_rows(e, outside)
-    return e, e.sum(axis=-1, keepdims=True)
-
-
-def band_attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int, causal: bool = False
-) -> Tensor:
-    """Multi-head attention over a dilated band; q, k and v are [T, A].
-
-    Position t attends t + j*step for j in [-width, width] ([-width, 0] when
-    causal), clipped to the sequence, with scores scaled by 1/sqrt(A/heads).
-    A band of step s is s undilated bands over the residue rows r::s. Each
-    runs as blocks of BAND_BLOCK queries against one contiguous key slab, so
-    the work is batched matmuls over [heads, block, slab]. The backward
-    recomputes each block's probabilities instead of storing them.
-    """
-    q, k, v = _attention_operands(q, k, v, heads, "band")
-    T, A = q.data.shape
-    if width < 1 or step < 1:
-        raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
-    hd = A // heads
-    scale = 1.0 / math.sqrt(hd)
-    qd, kd, vd = q.data, k.data, v.data
-    qs = qd * scale
-    y = np.empty((T, heads, hd), qd.dtype)
-    for r in range(min(step, T)):
-        qr, kr, vr = (_residue(a, r, step, heads) for a in (qs, kd, vd))
-        o = np.empty_like(qr)
-        for p0, p1, s0, s1, outside in _band_blocks(qr.shape[1], width, causal):
-            e, rowsum = _band_exp(qr[:, p0:p1], kr[:, s0:s1], outside)
-            o[:, p0:p1] = (e @ vr[:, s0:s1]) / rowsum
-        y[r::step] = o.transpose(1, 0, 2)
-    y = y.reshape(T, A)
-
-    out = _make(y, (q, k, v))
-    if out.requires_grad:
-        nodes = _grad_node(q), _grad_node(k), _grad_node(v)
-
-        def back(g):
-            # per block: dV += P^T dO, dS = P * (dO V^T - rowsum(dO * O)),
-            # dQ = dS K * scale, dK += dS^T Q * scale
-            qs = qd * scale
-            rowdot = (g * y).reshape(T, heads, hd).sum(axis=2)
-            dq, dk, dv = (np.empty((T, heads, hd), y.dtype) for _ in range(3))
-            for r in range(min(step, T)):
-                qr, kr, vr, gr = (_residue(a, r, step, heads) for a in (qs, kd, vd, g))
-                dr = rowdot[r::step].T[:, :, None]
-                dqr = np.empty_like(qr)
-                dkr, dvr = np.zeros_like(kr), np.zeros_like(vr)
-                for p0, p1, s0, s1, outside in _band_blocks(qr.shape[1], width, causal):
-                    p, rowsum = _band_exp(qr[:, p0:p1], kr[:, s0:s1], outside)
-                    p /= rowsum
-                    gb = gr[:, p0:p1]
-                    dvr[:, s0:s1] += p.transpose(0, 2, 1) @ gb
-                    ds = gb @ vr[:, s0:s1].transpose(0, 2, 1)
-                    ds -= dr[:, p0:p1]
-                    ds *= p
-                    dqr[:, p0:p1] = ds @ kr[:, s0:s1]
-                    dkr[:, s0:s1] += ds.transpose(0, 2, 1) @ qr[:, p0:p1]
-                dq[r::step] = dqr.transpose(1, 0, 2)
-                dk[r::step] = dkr.transpose(1, 0, 2)
-                dv[r::step] = dvr.transpose(1, 0, 2)
-            for n, d in zip(nodes, (dq * scale, dk, dv)):
-                if n is not None:
-                    n._accumulate(d.reshape(T, A))
-        out._node._backward = back
-    return out
-
-
-def _sum_pool(x: np.ndarray, shift: int) -> np.ndarray:
-    """Sums of non-overlapping windows of 2**shift rows along axis 0; a
-    ragged tail window sums the rows it covers."""
-    if shift == 0:
+def _sum_pool(x: np.ndarray, f: int) -> np.ndarray:
+    """Sums of non-overlapping windows of f rows along axis 0, each adding
+    its rows in order; a ragged tail window sums the rows it covers."""
+    if f == 1:
         return x
-    f = 1 << shift
     y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:], x.dtype)
     for j in range(f):
         part = x[j::f]
@@ -727,9 +634,15 @@ def _sum_pool(x: np.ndarray, shift: int) -> np.ndarray:
     return y
 
 
-def _unpool(x: np.ndarray, shift: int, n: int) -> np.ndarray:
-    """Each row of x repeated 2**shift times, cut to n rows."""
-    return x[:n] if shift == 0 else np.repeat(x, 1 << shift, axis=0)[:n]
+def _unpool(x: np.ndarray, f: int, n: int) -> np.ndarray:
+    """Each row of x repeated f times, cut to n rows."""
+    return x[:n] if f == 1 else np.repeat(x, f, axis=0)[:n]
+
+
+def _frame_counts(T: int, f: int, dtype) -> np.ndarray:
+    """Frames per window of f rows over T rows; the ragged tail window
+    counts the rows it covers."""
+    return np.minimum(f, T - np.arange(-(-T // f)) * f).astype(dtype)
 
 
 def _block_sum(x: np.ndarray, r: int) -> np.ndarray:
@@ -742,11 +655,176 @@ def _block_sum(x: np.ndarray, r: int) -> np.ndarray:
     return x
 
 
-def _frame_counts(T: int, shift: int, n: int, dtype) -> np.ndarray:
-    """[n, 1, 1] frames per window of 2**shift rows over T rows; the ragged
-    tail window counts the rows it covers."""
-    f = 1 << shift
-    return np.minimum(f, T - np.arange(n) * f).astype(dtype)[:, None, None]
+def _value_count(v: np.ndarray, heads: int, f: int, rows: int) -> np.ndarray:
+    """[V | count] of v [T, A], head-major and zero-padded to `rows` rows: per
+    head the sums of windows of f rows, then each window's frame count."""
+    T = v.shape[0]
+    vs = _sum_pool(v.reshape(T, heads, -1), f)
+    vc = np.zeros((heads, rows, vs.shape[2] + 1), v.dtype)
+    vc[:, : vs.shape[0], :-1] = vs.transpose(1, 0, 2)
+    vc[:, : vs.shape[0], -1] = _frame_counts(T, f, v.dtype)
+    return vc
+
+
+class _TileKernel:
+    """The tiled softmax attention that band_attention and hta_attention
+    share, over head-major operands at one or more levels, finest first.
+
+    Level l has per[l] rows per coarsest-level block (per[-1] = 1), and its
+    query row i scores its key rows i + lo .. i + hi. A finest-level entry
+    scores the sum over levels of the scores of the rows that hold it; it
+    is -inf outside the coarsest level's window and beyond the sequence's
+    n0 finest rows. One row max, one exp and one matmul against [V | count]
+    give the softmax numerator and denominator together. Query rows run in
+    tiles of G whole coarsest blocks, about TILE_ROWS finest rows, and each
+    tile meets one key slab, blocks c0 + lo .. c1 - 1 + hi clipped to the
+    sequence. A tile's scores are built coarsest level first: per level one
+    batched matmul, times that level's window mask, plus the coarser
+    levels' sum repeated over the finer rows and columns. The masks of a
+    whole tile are built once, with the kernel; the backward recomputes
+    each tile from the operands, the outputs and the denominators.
+    """
+
+    def __init__(self, per: list, lo: int, hi: int, dtype):
+        self.per, self.lo, self.hi = per, lo, hi
+        G = self.G = max(1, TILE_ROWS // per[0])
+        # per level, entry (i, j) of a whole tile: query row c0*p + i against
+        # key row (c0 + lo)*p + j; the coarsest mask is additive
+        self.masks = []
+        for p in per:
+            rel = np.arange((G + hi - lo) * p)[None, :] + lo * p - np.arange(G * p)[:, None]
+            inside = (rel >= lo) & (rel <= hi)
+            self.masks.append(inside.astype(dtype))
+        self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
+        # the -inf entries of a whole tile at the finest level
+        self.dead = np.repeat(np.repeat(~inside, per[0], axis=0), per[0], axis=1)
+
+    def _tiles(self, nc: int):
+        """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
+        for c0 in range(0, nc, self.G):
+            c1 = min(c0 + self.G, nc)
+            yield c0, c1, max(c0 + self.lo, 0), min(c1 + self.hi, nc)
+
+    def _mask(self, lvl, c0, c1, b0, b1):
+        p = self.per[lvl]
+        return self.masks[lvl][: (c1 - c0) * p, (b0 - c0 - self.lo) * p : (b1 - c0 - self.lo) * p]
+
+    def _exp(self, qs, ks, n0, c0, c1, b0, b1):
+        """exp(score - row max) [heads, rows, cols] of one tile at the finest
+        level, 0 outside the coarsest window and the sequence."""
+        per, z = self.per, None
+        for lvl in reversed(range(len(per))):
+            p = per[lvl]
+            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
+            if z is None:
+                s += self._mask(lvl, c0, c1, b0, b1)
+            else:
+                s *= self._mask(lvl, c0, c1, b0, b1)
+                r = p // per[lvl + 1]
+                if r > 1:
+                    z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
+                s += z
+            z = s
+        f = per[0]
+        dead = self.dead[: (c1 - c0) * f, (b0 - c0 - self.lo) * f : (b1 - c0 - self.lo) * f]
+        tail = n0 - b0 * f
+        if tail < z.shape[2]:
+            z[:, :, tail:] = -np.inf
+            dead = dead.copy()
+            dead[:, tail:] = True
+        return _exp_rows(z, dead)
+
+    def forward(self, qs, ks, vc, n0):
+        """The outputs [heads, rows, hd] and softmax denominators
+        [heads, rows, 1] of every finest query row."""
+        f, hd = self.per[0], vc.shape[2] - 1
+        y = np.empty(vc.shape[:2] + (hd,), vc.dtype)
+        den = np.empty(vc.shape[:2] + (1,), vc.dtype)
+        for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
+            nd = self._exp(qs, ks, n0, c0, c1, b0, b1) @ vc[:, b0 * f : b1 * f]
+            den[:, c0 * f : c1 * f] = nd[:, :, hd:]
+            y[:, c0 * f : c1 * f] = nd[:, :, :hd] / nd[:, :, hd:]
+        return y, den
+
+    def backward(self, qs, ks, vc, n0, y, den, g):
+        """The gradients of qs and ks per level and of [V | count], from the
+        forward's outputs and denominators and the outputs' gradient g."""
+        # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
+        f, L = self.per[0], len(self.per)
+        dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
+        dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
+        dvc = np.zeros_like(vc)
+        for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
+            e = self._exp(qs, ks, n0, c0, c1, b0, b1)
+            dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
+            dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
+            ds = dyt @ vt.transpose(0, 2, 1)
+            ds *= e
+            # ds is the gradient of the accumulated score at each level,
+            # finest first; the coarsest entries outside the window have e = 0
+            for lvl in range(L):
+                p = self.per[lvl]
+                dz = ds if lvl == L - 1 else ds * self._mask(lvl, c0, c1, b0, b1)
+                rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
+                dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
+                dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
+                if lvl + 1 < L:
+                    ds = _block_sum(ds, p // self.per[lvl + 1])
+        return dqs, dks, dvc
+
+
+def band_attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int, causal: bool = False
+) -> Tensor:
+    """Multi-head attention over a dilated band; q, k and v are [T, A].
+
+    Position t attends t + j*step for j in [-width, width] ([-width, 0] when
+    causal), clipped to the sequence, with scores scaled by 1/sqrt(A/heads).
+    A band of step s is s undilated bands over the residue rows r::s, and
+    each runs through the tiled kernel of hta_attention as one level with
+    that window, weight 1 and count 1. The backward recomputes each tile's
+    probabilities instead of storing them.
+    """
+    q, k, v = _attention_operands(q, k, v, heads, "band")
+    T, A = q.data.shape
+    if width < 1 or step < 1:
+        raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
+    hd = A // heads
+    scale = 1.0 / math.sqrt(hd)
+    qd, kd, vd = q.data, k.data, v.data
+    kernel = _TileKernel([1], -width, 0 if causal else width, qd.dtype)
+    residues = range(min(step, T))
+
+    def operands(qs, r):
+        """The kernel's operands over rows r::step, and their count."""
+        n = len(range(r, T, step))
+        qr, kr = _residue(qs, r, step, heads), _residue(kd, r, step, heads)
+        return [qr], [kr], _value_count(vd[r::step], heads, 1, n), n
+
+    qs = qd * scale
+    y, den = np.empty((T, heads, hd), qd.dtype), np.empty((T, heads, 1), qd.dtype)
+    for r in residues:
+        yr, dr = kernel.forward(*operands(qs, r))
+        y[r::step], den[r::step] = yr.transpose(1, 0, 2), dr.transpose(1, 0, 2)
+    y = y.reshape(T, A)
+
+    out = _make(y, (q, k, v))
+    if out.requires_grad:
+        nodes = _grad_node(q), _grad_node(k), _grad_node(v)
+
+        def back(g):
+            qs = qd * scale
+            dq, dk, dv = (np.empty((T, heads, hd), y.dtype) for _ in range(3))
+            for r in residues:
+                saved = (_residue(a, r, step, heads) for a in (y, den, g))
+                dqs, dks, dvc = kernel.backward(*operands(qs, r), *saved)
+                dq[r::step], dk[r::step] = dqs[0].transpose(1, 0, 2), dks[0].transpose(1, 0, 2)
+                dv[r::step] = dvc[:, :, :hd].transpose(1, 0, 2)
+            for n, d in zip(nodes, (dq * scale, dk, dv)):
+                if n is not None:
+                    n._accumulate(d.reshape(T, A))
+        out._node._backward = back
+    return out
 
 
 def hta_attention(
@@ -761,18 +839,11 @@ def hta_attention(
     frame-level values v.
 
     All frames of one finest-scale block share their query and their scores,
-    so the op works on finest-scale blocks, with summed values and frame
-    counts as [V | count]. Query rows run in tiles of about HTA_BLOCK
-    finest-scale rows, a whole number of coarsest-scale blocks, and each tile
-    meets one key slab: its own coarsest blocks plus `window` on each side,
-    clipped to the sequence. The tile's scores are built coarsest scale
-    first: per scale one batched matmul of the pooled queries, pre-scaled by
-    weight / (sqrt(hd) * count), against the slab's pooled keys, times that
-    scale's window mask, plus the coarser scales' sum repeated over the
-    finer rows and columns. Entries outside the coarsest window are -inf.
-    One row max, one exp and one matmul against [V | count] give the
-    softmax numerator and denominator together. The backward recomputes
-    each tile and keeps only q, k, v, the output and the denominators.
+    so the op runs the tiled kernel over finest-scale blocks, one level per
+    scale with window [-window, window], on summed values and frame counts
+    as [V | count]. Each level's pooled queries are pre-scaled by
+    weight / (sqrt(hd) * count), and its keys are pooled means. The backward
+    keeps only q, k, v, the output and the denominators.
     """
     q, k, v = _attention_operands(q, k, v, heads, "hierarchical")
     T, A = q.data.shape
@@ -785,128 +856,47 @@ def hta_attention(
     qd, kd, vd = q.data, k.data, v.data
     dtype = qd.dtype
     levels = sorted(zip(scales, weights), key=lambda p: p[0])
-    shifts = [int(s) for s, _ in levels]
+    fs = [1 << int(s) for s, _ in levels]  # frames per row, finest level first
     wts = [float(x) * scale for _, x in levels]
-    w, L = window, len(shifts)
-    sizes = [-(-T // (1 << s)) for s in shifts]
+    sizes = [-(-T // f) for f in fs]
     n0, nc = sizes[0], sizes[-1]
-    # rows of each level per coarsest block, finest level first
-    per = [1 << (shifts[-1] - s) for s in shifts]
-    G = max(1, HTA_BLOCK // per[0])
-
-    # per level, entry (i, j) of a whole tile: pooled query row c0*per + i
-    # against key row (c0 - w)*per + j; the coarsest mask is additive
-    masks = []
-    for lvl, p in enumerate(per):
-        rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
-        inside = np.abs(rel) <= w
-        masks.append(inside.astype(dtype) if lvl < L - 1
-                     else np.where(inside, 0.0, -np.inf).astype(dtype))
-    # the -inf entries of a whole tile at the finest level
-    dead = np.repeat(np.repeat(np.isneginf(masks[-1]), per[0], axis=0), per[0], axis=1)
+    per = [fs[-1] // f for f in fs]
+    kernel = _TileKernel(per, -window, window, dtype)
 
     def pooled():
-        """Head-major operands, zero-padded to nc coarsest blocks: per level
-        the pooled query sums times weight / (sqrt(hd) * count) and the
-        pooled key means, and [V | count] at the finest level (count 0 in
-        the padding)."""
+        """The kernel's operands, zero-padded to nc coarsest blocks: per
+        level the pooled query sums times weight / (sqrt(hd) * count) and
+        the pooled key means, and [V | count] at the finest level."""
         qsum, ksum = qd.reshape(T, heads, hd), kd.reshape(T, heads, hd)
-        vsum = np.empty((T, heads, hd + 1), dtype)
-        vsum[:, :, :hd] = vd.reshape(T, heads, hd)
-        vsum[:, :, hd] = 1.0
-        vc = np.zeros((heads, nc * per[0], hd + 1), dtype)
-        vc[:, :n0] = _sum_pool(vsum, shifts[0]).transpose(1, 0, 2)
-        qs, ks, prev = [], [], 0
-        for s, wt, p, n in zip(shifts, wts, per, sizes):
-            qsum, ksum = _sum_pool(qsum, s - prev), _sum_pool(ksum, s - prev)
-            c = _frame_counts(T, s, n, dtype)
+        qs, ks, prev = [], [], 1
+        for f, wt, p, n in zip(fs, wts, per, sizes):
+            qsum, ksum = _sum_pool(qsum, f // prev), _sum_pool(ksum, f // prev)
+            c = _frame_counts(T, f, dtype)[:, None, None]
             qp, kp = (np.zeros((heads, nc * p, hd), dtype) for _ in range(2))
             qp[:, :n] = (qsum * (wt / c)).transpose(1, 0, 2)
             kp[:, :n] = (ksum / c).transpose(1, 0, 2)
             qs.append(qp)
             ks.append(kp)
-            prev = s
-        return qs, ks, vc
+            prev = f
+        return qs, ks, _value_count(vd, heads, fs[0], nc * per[0]), n0
 
-    def tiles():
-        """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
-        for c0 in range(0, nc, G):
-            c1 = min(c0 + G, nc)
-            yield c0, c1, max(c0 - w, 0), min(c1 + w, nc)
-
-    def tile_mask(lvl, c0, c1, b0, b1):
-        p = per[lvl]
-        return masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
-
-    def tile_exp(qs, ks, c0, c1, b0, b1):
-        """exp(score - row max) [heads, rows, cols] of one tile at the
-        finest level, 0 outside the coarsest window and the sequence."""
-        z = None
-        for lvl in reversed(range(L)):
-            p = per[lvl]
-            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
-            if z is None:
-                s += tile_mask(lvl, c0, c1, b0, b1)
-            else:
-                s *= tile_mask(lvl, c0, c1, b0, b1)
-                r = p // per[lvl + 1]
-                if r > 1:
-                    z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
-                s += z
-            z = s
-        f = per[0]
-        dead_tile = dead[: (c1 - c0) * f, (b0 - c0 + w) * f : (b1 - c0 + w) * f]
-        tail = n0 - b0 * f
-        if tail < z.shape[2]:
-            z[:, :, tail:] = -np.inf
-            dead_tile = dead_tile.copy()
-            dead_tile[:, tail:] = True
-        return _exp_rows(z, dead_tile)
-
-    qs, ks, vc = pooled()
-    f0 = per[0]
-    yh = np.empty((heads, nc * f0, hd), dtype)
-    den = np.empty((heads, nc * f0, 1), dtype)
-    for c0, c1, b0, b1 in tiles():
-        nd = tile_exp(qs, ks, c0, c1, b0, b1) @ vc[:, b0 * f0 : b1 * f0]
-        den[:, c0 * f0 : c1 * f0] = nd[:, :, hd:]
-        yh[:, c0 * f0 : c1 * f0] = nd[:, :, :hd] / nd[:, :, hd:]
-    y = _unpool(yh[:, :n0].transpose(1, 0, 2).reshape(n0, A), shifts[0], T)
+    yh, den = kernel.forward(*pooled())
+    y = _unpool(yh[:, :n0].transpose(1, 0, 2).reshape(n0, A), fs[0], T)
 
     out = _make(y, (q, k, v))
     if out.requires_grad:
         nodes = _grad_node(q), _grad_node(k), _grad_node(v)
 
         def back(g):
-            # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
-            qs, ks, vc = pooled()
             g0 = np.zeros_like(yh)
-            g0[:, :n0] = _sum_pool(g.reshape(T, heads, hd), shifts[0]).transpose(1, 0, 2)
-            dy = np.concatenate([g0, -(g0 * yh).sum(axis=2, keepdims=True)], axis=2) / den
-            dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
-            dvc = np.zeros_like(vc)
-            for c0, c1, b0, b1 in tiles():
-                e = tile_exp(qs, ks, c0, c1, b0, b1)
-                dyt, vt = dy[:, c0 * f0 : c1 * f0], vc[:, b0 * f0 : b1 * f0]
-                dvc[:, b0 * f0 : b1 * f0] += e.transpose(0, 2, 1) @ dyt
-                ds = dyt @ vt.transpose(0, 2, 1)
-                ds *= e
-                # ds is the gradient of the accumulated score at each level,
-                # finest first; the coarsest entries outside the window have e = 0
-                for lvl in range(L):
-                    p = per[lvl]
-                    dz = ds if lvl == L - 1 else ds * tile_mask(lvl, c0, c1, b0, b1)
-                    rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
-                    dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
-                    dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
-                    if lvl + 1 < L:
-                        ds = _block_sum(ds, p // per[lvl + 1])
+            g0[:, :n0] = _sum_pool(g.reshape(T, heads, hd), fs[0]).transpose(1, 0, 2)
+            dqs, dks, dvc = kernel.backward(*pooled(), yh, den, g0)
             dq = dk = 0.0
-            for s, wt, n, a, b in zip(shifts, wts, sizes, dqs, dks):
-                c = _frame_counts(T, s, n, dtype)
-                dq = _unpool(a[:, :n].transpose(1, 0, 2) * (wt / c), s, T) + dq
-                dk = _unpool(b[:, :n].transpose(1, 0, 2) / c, s, T) + dk
-            dv = _unpool(dvc[:, :n0, :hd].transpose(1, 0, 2), shifts[0], T)
+            for f, wt, n, a, b in zip(fs, wts, sizes, dqs, dks):
+                c = _frame_counts(T, f, dtype)[:, None, None]
+                dq = _unpool(a[:, :n].transpose(1, 0, 2) * (wt / c), f, T) + dq
+                dk = _unpool(b[:, :n].transpose(1, 0, 2) / c, f, T) + dk
+            dv = _unpool(dvc[:, :n0, :hd].transpose(1, 0, 2), fs[0], T)
             for n, d in zip(nodes, (dq, dk, dv)):
                 if n is not None:
                     n._accumulate(d.reshape(T, A))
@@ -1010,20 +1000,13 @@ def mean_pool1d(x: Tensor, factor: int) -> Tensor:
         raise ShapeError(f"pool factor must be >= 1, got {factor}")
     if factor == 1:
         return x
-    n = -(-t // factor)
-    counts = np.minimum(factor, t - np.arange(n) * factor).astype(x.data.dtype)
-    counts = counts.reshape((n,) + (1,) * (x.data.ndim - 1))
-    y = np.zeros((n,) + x.data.shape[1:], x.data.dtype)
-    # add the j-th frame of every window in turn: each window sums its frames
-    # in frame order, exactly as a scatter-add would
-    for j in range(factor):
-        part = x.data[j::factor]
-        y[: part.shape[0]] += part
-    y /= counts
+    counts = _frame_counts(t, factor, x.data.dtype).reshape((-1,) + (1,) * (x.data.ndim - 1))
+    # each window adds its frames in frame order, exactly as a scatter-add would
+    y = _sum_pool(x.data, factor) / counts
     out = _make(y, (x,))
     if out.requires_grad:
         n = _grad_node(x)
-        out._node._backward = lambda g: n._accumulate(np.repeat(g / counts, factor, axis=0)[:t])
+        out._node._backward = lambda g: n._accumulate(_unpool(g / counts, factor, t))
     return out
 
 

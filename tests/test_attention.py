@@ -246,7 +246,7 @@ def test_hta_matches_dense_oracle():
 )
 def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_list, weights, window):
     # a tiny block size runs the window sums over many row blocks
-    monkeypatch.setattr(seqcore, "HTA_BLOCK", 4)
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
     x = rng.normal(size=(T, 12))
     params = init_attention_params(12, 8, 2, rng)
     scales = ScaleSet(T, scale_list, weights, window=window)
@@ -255,7 +255,7 @@ def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_
 
 
 def test_grad_hta_chunked(monkeypatch):
-    monkeypatch.setattr(seqcore, "HTA_BLOCK", 4)
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
     T = 21
     x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
     params = init_attention_params(6, 4, 2, rng)

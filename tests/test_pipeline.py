@@ -728,6 +728,60 @@ def test_cli_validation_errors_exit_two(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("enc_attn.0.ln1.g", (1,)),    # would broadcast silently
+    ("enc_tcn.0.conv.b", (1,)),
+    ("enc_head.action.w", (8, 3)),
+])
+def test_cli_infer_checkpoint_with_a_wrong_parameter_shape_names_it(tmp_path, capsys, name, bad):
+    cfg = ModelConfig(n_classes=2, d_in=2, d_model=8, n_blocks=1, n_decoders=1,
+                      heads=2, s_avg=4, w_min=1, w_max=1)
+    params = dict(SegmentationModel(cfg).params)
+    want = params[name].shape
+    params[name] = Tensor(np.ones(bad))
+    ckpt, feat = tmp_path / "m.ckpt", tmp_path / "x.feat"
+    save_checkpoint(ckpt, cfg, params)
+    save_features(rng.normal(size=(20, 2)), feat)
+    code = cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert all(str(x) in err for x in (ckpt, repr(name), bad, want)), err
+
+
+def test_cli_train_on_files_of_two_widths_names_the_odd_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, width in enumerate((6, 6, 4)):
+        save_features(rng.normal(size=(5, width)), data / f"seq_{i:03d}.feat")
+        save_labels(np.zeros(5, dtype=np.int64), data / f"seq_{i:03d}.labels")
+    code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 2 and str(data / "seq_002.feat") in err and str(data / "seq_000.feat") in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_infer_feature_width_mismatch_names_the_features_file(tmp_path, capsys):
+    cfg = ModelConfig(n_classes=2, d_in=2, d_model=2, n_blocks=1, n_decoders=1,
+                      heads=2, s_avg=4, w_min=1, w_max=1)
+    ckpt, feat = tmp_path / "m.ckpt", tmp_path / "x.feat"
+    save_checkpoint(ckpt, cfg, SegmentationModel(cfg).params)
+    save_features(rng.normal(size=(9, 3)), feat)
+    code = cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and str(feat) in err and str(ckpt) in err, err
+
+
+def test_cli_eval_length_mismatch_names_both_files(tmp_path, capsys):
+    pred, gt = tmp_path / "pred.labels", tmp_path / "gt.labels"
+    pred.write_text("0\n1\n1\n")
+    gt.write_text("0\n1\n")
+    assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    err = capsys.readouterr().err
+    assert str(pred) in err and str(gt) in err, err
+
+
 def test_cli_refine_bad_boundary_line_names_file_and_line(tmp_path, capsys):
     probs, bounds = tmp_path / "p.feat", tmp_path / "b.txt"
     save_features(rng.uniform(size=(12, 3)), probs)

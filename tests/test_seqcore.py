@@ -7,7 +7,7 @@ import pytest
 from tempseg import seqcore
 from tempseg.attention import WindowSpec, build_sparse_mask
 from tempseg.seqcore import (
-    BAND_BLOCK,
+    TILE_ROWS,
     Adam,
     MaskError,
     ShapeError,
@@ -253,7 +253,7 @@ def test_grad_mean_pool_layer_norm():
         (40, 4, 2, True, 2),      # causal
         (150, 5, 1, False, 4),    # several query blocks
         (300, 40, 2, True, 4),    # several blocks, dilated and causal
-        (2 * BAND_BLOCK + 9, BAND_BLOCK + 3, 1, False, 2),  # width beyond a block
+        (4 * TILE_ROWS + 9, 2 * TILE_ROWS + 3, 1, False, 2),  # width beyond two tiles
     ],
 )
 def test_band_attention_matches_dense_oracle(T, width, step, causal, heads):
@@ -267,12 +267,27 @@ def test_band_attention_matches_dense_oracle(T, width, step, causal, heads):
 
 @pytest.mark.parametrize(
     "T, width, step, causal",
-    [(BAND_BLOCK + 6, 2, 1, False), (20, 3, 3, False), (17, 2, 2, True)],
+    [(2 * TILE_ROWS + 6, 2, 1, False), (20, 3, 3, False), (17, 2, 2, True)],
 )
 def test_grad_band_attention(T, width, step, causal):
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     w = rng.normal(size=(T, 4))
     _fd(lambda: (band_attention(q, k, v, 2, width, step, causal) * w).sum(), [q, k, v])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("T, width", [(100, 5), (300, 40)])
+def test_band_attention_is_one_level_hta_to_the_bit(T, width, dtype):
+    # one kernel: a step-1 band is HTA at the single scale 0 with weight 1
+    q, k, v, g = (rng.normal(size=(T, 8)).astype(dtype) for _ in range(4))
+    runs = []
+    for op in (lambda *x: band_attention(*x, 2, width, 1),
+               lambda *x: hta_attention(*x, 2, [0], [1.0], width)):
+        xs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        y = op(*xs)
+        (y * Tensor(g)).sum().backward()
+        runs.append([y.data] + [x.grad for x in xs])
+    assert all(a.dtype == dtype and a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
 def test_band_attention_rejects_bad_shapes():
@@ -302,7 +317,7 @@ def test_band_attention_rejects_bad_shapes():
     ],
 )
 def test_hta_attention_matches_dense_oracle(monkeypatch, T, scales, weights, window, heads, block):
-    monkeypatch.setattr(seqcore, "HTA_BLOCK", block)
+    monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
     got = hta_attention(t(q), t(k), t(v), heads, scales, weights, window).data
     want = hta_qkv_oracle(q, k, v, heads, scales, weights, window)
@@ -310,11 +325,11 @@ def test_hta_attention_matches_dense_oracle(monkeypatch, T, scales, weights, win
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# a block holds HTA_BLOCK >> (coarsest - finest scale) coarsest rows: 3 of
+# a tile holds TILE_ROWS >> (coarsest - finest scale) coarsest rows: 3 of
 # the 6 for [0, 1, 2] and 2 of the 3 for [1, 3, 3], so 21 frames take two
 @pytest.mark.parametrize("scales, block", [([0, 1, 2], 12), ([1, 3, 3], 8)])
 def test_grad_hta_attention_two_blocks(monkeypatch, scales, block):
-    monkeypatch.setattr(seqcore, "HTA_BLOCK", block)
+    monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     T = 21
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     wgt = rng.normal(size=(T, 4))
@@ -324,7 +339,7 @@ def test_grad_hta_attention_two_blocks(monkeypatch, scales, block):
 
 
 def test_hta_attention_reruns_bit_identical(monkeypatch):
-    monkeypatch.setattr(seqcore, "HTA_BLOCK", 8)
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
     q, k, v = (t(rng.normal(size=(50, 8))) for _ in range(3))
     g = rng.normal(size=(50, 8))
     runs = []

@@ -49,6 +49,9 @@ def _load_dataset(data_dir, n_classes: int):
     for stem in stems:
         feat_path = os.path.join(data_dir, stem + ".feat")
         feats = pipeline.load_features(feat_path)
+        if feats.shape[0] < 2:
+            raise ValueError(
+                f"{feat_path}: training needs at least 2 frames, found {feats.shape[0]}")
         if dataset and feats.shape[1] != dataset[0][0].shape[1]:
             raise ValueError(f"{feat_path}: {feats.shape[1]} feature columns, "
                              f"but {first} has {dataset[0][0].shape[1]}")

@@ -218,7 +218,7 @@ def upsample_to_original(x: Tensor, T_orig: int, stride: int) -> Tensor:
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, t_red - 1)
     frac = (pos - i0).astype(x.data.dtype).reshape((T_orig,) + (1,) * (x.data.ndim - 1))
-    return x.take_rows(i0) * (1.0 - frac) + x.take_rows(i1) * frac
+    return x[i0] * (1.0 - frac) + x[i1] * frac
 
 
 def tcn_block_forward(

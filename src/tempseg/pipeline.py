@@ -21,7 +21,7 @@ from .segments import (
     refine_prediction,
     segments_to_frames,
 )
-from .seqcore import Adam, Tensor, no_grad
+from .seqcore import Adam, Tensor, masked_softmax, no_grad
 
 __all__ = [
     "FEATURE_MAGIC",
@@ -418,8 +418,7 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
         out = model.forward(Tensor(features.astype(np.float32, copy=False)), training=False)
     final = out.stages[-1]
     logits = final.action_logits.data.astype(np.float64)
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = masked_softmax(Tensor(logits)).data
     raw = np.argmax(logits, axis=1)
     if refine:
         bounds = detect_boundaries(

@@ -460,20 +460,6 @@ class Tensor:
             out._node._backward = back
         return out
 
-    def take_rows(self, idx: np.ndarray):
-        """Gather along axis 0 with an integer index array of any shape."""
-        idx = np.asarray(idx, dtype=np.intp)
-        out = _make(self.data[idx], (self,))
-        if out.requires_grad:
-            n, zeros = _grad_node(self), _zeros_like(self.data)
-
-            def back(g):
-                dx = zeros()
-                np.add.at(dx, idx, g)
-                n._accumulate(dx)
-            out._node._backward = back
-        return out
-
 
 def _zeros_like(a: np.ndarray):
     """A maker of zero arrays with a's shape, dtype and C or Fortran order,
@@ -606,22 +592,6 @@ def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(a.shape[0], heads, -1)[r::step].transpose(1, 0, 2))
 
 
-def _exp_rows(z: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """exp(z - row max) in place, where z is -inf at the `dead` entries and
-    nowhere else, so those come out exactly 0.
-
-    numpy's float64 exp takes a slow path for arguments below about -708,
-    so in float64 the dead entries are zeroed before the exp and after it;
-    the result is the same to the bit. Float32 has no such path."""
-    z -= z.max(axis=-1, keepdims=True)
-    if z.dtype != np.float64:
-        return np.exp(z, out=z)
-    np.copyto(z, 0.0, where=dead)
-    np.exp(z, out=z)
-    np.copyto(z, 0.0, where=dead)
-    return z
-
-
 def _sum_pool(x: np.ndarray, f: int) -> np.ndarray:
     """Sums of non-overlapping windows of f rows along axis 0, each adding
     its rows in order; a ragged tail window sums the rows it covers."""
@@ -696,8 +666,6 @@ class _TileKernel:
             inside = (rel >= lo) & (rel <= hi)
             self.masks.append(inside.astype(dtype))
         self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
-        # the -inf entries of a whole tile at the finest level
-        self.dead = np.repeat(np.repeat(~inside, per[0], axis=0), per[0], axis=1)
 
     def _tiles(self, nc: int):
         """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
@@ -725,14 +693,11 @@ class _TileKernel:
                     z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
                 s += z
             z = s
-        f = per[0]
-        dead = self.dead[: (c1 - c0) * f, (b0 - c0 - self.lo) * f : (b1 - c0 - self.lo) * f]
-        tail = n0 - b0 * f
-        if tail < z.shape[2]:
-            z[:, :, tail:] = -np.inf
-            dead = dead.copy()
-            dead[:, tail:] = True
-        return _exp_rows(z, dead)
+        # keys past the sequence join the entries outside the window at -inf,
+        # which exp maps to exactly 0
+        z[:, :, n0 - b0 * per[0] :] = -np.inf
+        z -= z.max(axis=-1, keepdims=True)
+        return np.exp(z, out=z)
 
     def forward(self, qs, ks, vc, n0):
         """The outputs [heads, rows, hd] and softmax denominators

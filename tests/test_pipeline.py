@@ -761,6 +761,19 @@ def test_cli_train_on_files_of_two_widths_names_the_odd_file(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_cli_train_on_a_one_frame_file_names_it(tmp_path, capsys):
+    run = tiny_run()
+    config, data_dir = tiny_files(tmp_path, run)
+    short = data_dir / "seq_999.feat"
+    save_features(rng.normal(size=(1, run.model.d_in)), short)
+    save_labels(np.zeros(1, dtype=np.int64), data_dir / "seq_999.labels")
+    code = cli.main(["train", "--config", str(config), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2 and f"{short}: training needs at least 2 frames, found 1" in captured.err
+    assert "epoch" not in captured.out and not (tmp_path / "m.ckpt").exists()
+
+
 def test_cli_infer_feature_width_mismatch_names_the_features_file(tmp_path, capsys):
     cfg = ModelConfig(n_classes=2, d_in=2, d_model=2, n_blocks=1, n_decoders=1,
                       heads=2, s_avg=4, w_min=1, w_max=1)

@@ -198,10 +198,10 @@ def test_grad_reductions_and_reshape():
     )
 
 
-def test_grad_indexing_and_take_rows():
+def test_grad_indexing_with_slices_and_index_arrays():
     x = t(rng.normal(size=(6, 3)))
     idx = np.array([[0, 2], [2, 5]])
-    _fd(lambda: (x[1:4] * 2.0).sum() + x.take_rows(idx).sum(), [x])
+    _fd(lambda: (x[1:4] * 2.0).sum() + x[idx].sum(), [x])
 
 
 def test_grad_concat_transpose():
@@ -451,19 +451,6 @@ def test_first_accumulation_copies_the_gradient():
     assert z.grad.dtype == np.float32 and np.array_equal(z.grad, np.full(3, 0.5))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_exp_rows_is_exp_to_the_bit(dtype):
-    # float64 zeroes the -inf entries around the exp; the bytes do not change
-    z = rng.normal(size=(3, 5, 40)) * 300.0
-    dead = rng.random((5, 40)) < 0.4
-    dead[:, 7] = False
-    z[:, dead] = -np.inf
-    z = z.astype(dtype)
-    want = np.exp(z - z.max(axis=-1, keepdims=True))
-    got = seqcore._exp_rows(z.copy(), dead)
-    assert got.dtype == dtype and got.tobytes() == want.tobytes()
-
-
 # -- the tape holds nodes, not values --------------------------------------
 
 
@@ -514,7 +501,7 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = layer_norm(h, w[0], b).gelu().tanh()
     h = band_attention(h, c, h, 2, 2, 1) + hta_attention(h, h, c, 2, [0, 1], [0.5, 0.5], 1)
     h = conv1d_dilated(h.T, kernel, b, dilation=2).relu().T
-    h = concat([mean_pool1d(h, 2), h[::2], h.take_rows([0, 3, 3, 1])], axis=1)
+    h = concat([mean_pool1d(h, 2), h[::2], h[np.array([0, 3, 3, 1])]], axis=1)
     p = masked_softmax(h.reshape(4, 12)).astype(np.float32).astype(np.float64)
     loss = ((p + 1.0).log() + (p * p + 0.5).sqrt().sigmoid() + p.pow_const(1.5)).mean()
     leaves = {id(x), id(w), id(b), id(kernel)}

@@ -34,12 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """One sliding window: one-sided width in frames, a zero-based dilation
-    rate (rate 0 = adjacent taps) and causality."""
+    """One symmetric sliding window: one-sided width in frames and a
+    zero-based dilation rate (rate 0 = adjacent taps)."""
 
     one_sided_width: int
     dilation_rate: int = 0
-    causal: bool = False
 
     def __post_init__(self):
         if self.one_sided_width < 1:
@@ -52,15 +51,11 @@ class WindowSpec:
         return self.dilation_rate + 1
 
     @property
-    def receptive_span(self) -> int:
-        return 2 * self.one_sided_width * self.step + 1
-
-    @property
     def offsets(self) -> np.ndarray:
-        """Distinct ascending key offsets j*step, j in [-w, w] ([-w, 0] when
-        causal); offset 0 is always in the sequence, so no query is empty."""
+        """Distinct ascending key offsets j*step, j in [-w, w]; offset 0 is
+        always in the sequence, so no query is empty."""
         w = self.one_sided_width
-        return np.arange(-w, (0 if self.causal else w) + 1) * self.step
+        return np.arange(-w, w + 1) * self.step
 
 
 class AttentionMask:
@@ -120,9 +115,7 @@ def build_window_schedule(
 
 def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
     """Banded mask for one window: query i attends i + j*(rate+1) for
-    j in [-w, w] (acausal) or [-w, 0] (causal), clipped to bounds."""
-    if T < 1:
-        raise ShapeError(f"need T >= 1, got {T}")
+    j in [-w, w], clipped to bounds."""
     return AttentionMask(T, spec)
 
 
@@ -134,32 +127,29 @@ def attended_pairs_count(mask: AttentionMask) -> int:
 
 @dataclass
 class ScaleSet:
-    """Temporal scales for hierarchical attention: scale s pools by 2**s to
-    length T_s = ceil(T / 2**s); w_s weights the per-scale scores."""
+    """Temporal scales for hierarchical attention: scale s = 0, 1, ... pools
+    by 2**s to length T_s = ceil(T / 2**s), and weights[s] weights its scores."""
 
     T: int
-    scales: list[int]
     weights: list[float]
     window: int = 8
 
     def __post_init__(self):
-        for s in self.scales:
-            if -(-self.T // (1 << s)) < 1:
-                raise ShapeError(f"scale {s} collapses T={self.T} below one frame")
+        if self.T < 1 or not self.weights:
+            raise ShapeError(f"scales need T >= 1 and a weight, got T={self.T}, {self.weights}")
+
+    @property
+    def scales(self) -> list[int]:
+        return list(range(len(self.weights)))
 
     @classmethod
-    def build(
-        cls, T: int, s_avg: int = 64, window: int = 8, weights=None, max_scales: int = 4
-    ) -> "ScaleSet":
+    def build(cls, T: int, s_avg: int = 64, window: int = 8, max_scales: int = 4) -> "ScaleSet":
         # log2(T / S_avg) scales, capped so the coarsest span stays bounded
         # and the hierarchical pass stays sub-quadratic in T
         n = max(1, int(math.floor(math.log2(max(T / s_avg, 1.0)))))
         if max_scales:
             n = min(n, max_scales)
-        scales = list(range(n))
-        if weights is None:
-            weights = [1.0 / n] * n
-        return cls(T, scales, list(weights), window)
+        return cls(T, [1.0 / n] * n, window)
 
 
 @dataclass
@@ -225,10 +215,8 @@ def dswa_forward(
     outs = []
     for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
         spec = mask.spec
-        outs.append(band_attention(
-            q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
-            spec.one_sided_width, spec.step, spec.causal,
-        ))
+        outs.append(band_attention(q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
+                                   spec.one_sided_width, spec.step))
     return linear(concat(outs, axis=1), params.wo, params.bo)
 
 
@@ -248,5 +236,5 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     q = linear(x, params.wq, params.bq)
     k = linear(x, params.wk, params.bk)
     v = linear(x, params.wv, params.bv)
-    out = hta_attention(q, k, v, params.heads, scales.scales, scales.weights, scales.window)
+    out = hta_attention(q, k, v, params.heads, scales.weights, scales.window)
     return linear(out, params.wo, params.bo)

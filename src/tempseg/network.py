@@ -147,7 +147,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("n_decoders", "rate_max", "max_scales", "focal_gamma", "dice_smooth",
-                     "loss_alpha", "loss_beta", "loss_gamma", "loss_delta"):
+                     "loss_alpha", "loss_beta", "loss_gamma", "loss_delta", "seed"):
             if not getattr(self, name) >= 0:
                 raise ShapeError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("tau", "sigma_divisor"):

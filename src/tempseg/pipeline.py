@@ -70,7 +70,7 @@ class TrainingError(RuntimeError):
 def save_features(seq: np.ndarray, path):
     """Frame-major float32 little-endian payload behind an MSBF header."""
     seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] < 1:
+    if seq.ndim != 2 or seq.size < 1:
         raise ValueError(f"features must be a non-empty [T, D] matrix, got shape {seq.shape}")
     if not np.isfinite(seq).all():
         raise ValueError("refusing to write non-finite feature values")
@@ -97,6 +97,8 @@ def load_features(path) -> np.ndarray:
         t, d = r.read_struct("<QQ", "feature shape")
         if t < 1:
             raise FormatError(f"{path}: feature file contains an empty sequence")
+        if d < 1:
+            raise FormatError(f"{path}: feature file has no feature columns")
         data = r.read_array("<f4", (t, d), "feature payload")
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: feature file contains non-finite values")
@@ -183,16 +185,31 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        _check_ranges(self, [
+            ("n_classes", self.n_classes >= 2, ">= 2"),
+            ("fps", self.fps > 0, "> 0"),
+            ("d_features", self.d_features >= 1, ">= 1"),
+            ("prototype_spread", self.prototype_spread >= 0, ">= 0"),
+            ("transition_fraction", 0.0 <= self.transition_fraction < 0.5, "in [0, 0.5)"),
+            ("noise", self.noise >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ])
+        for pair in self.durations:
+            if len(pair) != 2 or not all(map(math.isfinite, pair)) or pair[0] <= 0 or pair[1] < 0:
+                raise ValueError(
+                    f"durations must be finite (mean > 0, std >= 0) pairs, got {pair}")
         if len(self.durations) < self.n_classes:
             raise ValueError(
-                f"{len(self.durations)} duration entries for {self.n_classes} classes"
+                f"durations has {len(self.durations)} entries for {self.n_classes} classes"
             )
-        if any(m <= 0 for m, _ in self.durations):
-            raise ValueError("duration means must be positive")
-        if not 0.0 <= self.transition_fraction < 0.5:
-            raise ValueError("transition fraction must be in [0, 0.5)")
+
+
+def _check_ranges(obj, checks):
+    """Raise ValueError naming the first field of `obj` whose check is False,
+    from (field, check, allowed range) triples."""
+    for name, ok, allowed in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {allowed}, got {getattr(obj, name)}")
 
 
 def _draw_duration(spec: SynthSpec, cls: int, rng) -> int:
@@ -263,8 +280,13 @@ class RunConfig:
     target_accuracy: float = 0.0  # early exit once train accuracy reaches this
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        _check_ranges(self, [
+            ("lr", self.lr > 0, "> 0"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+            ("val_fraction", 0.0 <= self.val_fraction < 1.0, "in [0, 1)"),
+            ("target_accuracy", 0.0 <= self.target_accuracy <= 1.0, "in [0, 1]"),
+        ])
 
 
 @dataclass
@@ -467,7 +489,12 @@ def load_run_config(path) -> RunConfig:
         raise ValueError(
             f"{path} [train]: seed was removed; [model] seed seeds initialisation and dropout"
         )
-    return RunConfig(model=model, **config_kwargs(RunConfig, train.items(), f"{path} [train]"))
+    source = f"{path} [train]"
+    kwargs = config_kwargs(RunConfig, train.items(), source)
+    try:
+        return RunConfig(model=model, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_synth_spec(path) -> SynthSpec:
@@ -484,4 +511,7 @@ def load_synth_spec(path) -> SynthSpec:
         except ValueError as exc:
             raise ValueError(f"{source}: durations: {exc}") from None
     kwargs.update(config_kwargs(SynthSpec, sec.items(), source))
-    return SynthSpec(**kwargs)
+    try:
+        return SynthSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None

@@ -595,8 +595,6 @@ def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
 def _sum_pool(x: np.ndarray, f: int) -> np.ndarray:
     """Sums of non-overlapping windows of f rows along axis 0, each adding
     its rows in order; a ragged tail window sums the rows it covers."""
-    if f == 1:
-        return x
     y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:], x.dtype)
     for j in range(f):
         part = x[j::f]
@@ -615,55 +613,45 @@ def _frame_counts(T: int, f: int, dtype) -> np.ndarray:
     return np.minimum(f, T - np.arange(-(-T // f)) * f).astype(dtype)
 
 
-def _block_sum(x: np.ndarray, r: int) -> np.ndarray:
-    """[H, R/r, C/r] sums of the r x r blocks of x [H, R, C], r a power of
-    two: the transpose of repeating r times along rows and columns."""
-    while r > 1:
-        x = x[:, 0::2] + x[:, 1::2]
-        x = x[:, :, 0::2] + x[:, :, 1::2]
-        r >>= 1
-    return x
-
-
-def _value_count(v: np.ndarray, heads: int, f: int, rows: int) -> np.ndarray:
-    """[V | count] of v [T, A], head-major and zero-padded to `rows` rows: per
-    head the sums of windows of f rows, then each window's frame count."""
+def _value_count(v: np.ndarray, heads: int, rows: int) -> np.ndarray:
+    """[V | count] of v [T, A], head-major and zero-padded to `rows` rows;
+    each of the T rows counts one frame."""
     T = v.shape[0]
-    vs = _sum_pool(v.reshape(T, heads, -1), f)
-    vc = np.zeros((heads, rows, vs.shape[2] + 1), v.dtype)
-    vc[:, : vs.shape[0], :-1] = vs.transpose(1, 0, 2)
-    vc[:, : vs.shape[0], -1] = _frame_counts(T, f, v.dtype)
+    vc = np.zeros((heads, rows, v.shape[1] // heads + 1), v.dtype)
+    vc[:, :T, :-1] = v.reshape(T, heads, -1).transpose(1, 0, 2)
+    vc[:, :T, -1] = 1
     return vc
 
 
 class _TileKernel:
     """The tiled softmax attention that band_attention and hta_attention
-    share, over head-major operands at one or more levels, finest first.
+    share, over head-major operands at `levels` levels, finest first.
 
-    Level l has per[l] rows per coarsest-level block (per[-1] = 1), and its
-    query row i scores its key rows i + lo .. i + hi. A finest-level entry
-    scores the sum over levels of the scores of the rows that hold it; it
-    is -inf outside the coarsest level's window and beyond the sequence's
-    n0 finest rows. One row max, one exp and one matmul against [V | count]
-    give the softmax numerator and denominator together. Query rows run in
-    tiles of G whole coarsest blocks, about TILE_ROWS finest rows, and each
-    tile meets one key slab, blocks c0 + lo .. c1 - 1 + hi clipped to the
-    sequence. A tile's scores are built coarsest level first: per level one
-    batched matmul, times that level's window mask, plus the coarser
-    levels' sum repeated over the finer rows and columns. The masks of a
-    whole tile are built once, with the kernel; the backward recomputes
-    each tile from the operands, the outputs and the denominators.
+    Each level pools the one before by 2, so level l has 2**(levels-1-l)
+    rows per coarsest-level block, and its query row i scores its key rows
+    i - w .. i + w. A finest-level entry scores the sum over levels of the
+    scores of the rows that hold it; it is -inf outside the coarsest
+    level's window and beyond the sequence's n0 finest rows. One row max,
+    one exp and one matmul against [V | count] give the softmax numerator
+    and denominator together. Query rows run in tiles of G whole coarsest
+    blocks, about TILE_ROWS finest rows, and each tile meets one key slab,
+    blocks c0 - w .. c1 - 1 + w clipped to the sequence. A tile's scores
+    are built coarsest level first: per level one batched matmul, times
+    that level's window mask, plus the coarser level's sum repeated twice
+    over the rows and the columns. The masks of a whole tile are built
+    once, with the kernel; the backward recomputes each tile from the
+    operands, the outputs and the denominators.
     """
 
-    def __init__(self, per: list, lo: int, hi: int, dtype):
-        self.per, self.lo, self.hi = per, lo, hi
-        G = self.G = max(1, TILE_ROWS // per[0])
+    def __init__(self, levels: int, w: int, dtype):
+        self.per, self.w = [1 << (levels - 1 - lvl) for lvl in range(levels)], w
+        G = self.G = max(1, TILE_ROWS // self.per[0])
         # per level, entry (i, j) of a whole tile: query row c0*p + i against
-        # key row (c0 + lo)*p + j; the coarsest mask is additive
+        # key row (c0 - w)*p + j; the coarsest mask is additive
         self.masks = []
-        for p in per:
-            rel = np.arange((G + hi - lo) * p)[None, :] + lo * p - np.arange(G * p)[:, None]
-            inside = (rel >= lo) & (rel <= hi)
+        for p in self.per:
+            rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
+            inside = np.abs(rel) <= w
             self.masks.append(inside.astype(dtype))
         self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
 
@@ -671,11 +659,11 @@ class _TileKernel:
         """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
         for c0 in range(0, nc, self.G):
             c1 = min(c0 + self.G, nc)
-            yield c0, c1, max(c0 + self.lo, 0), min(c1 + self.hi, nc)
+            yield c0, c1, max(c0 - self.w, 0), min(c1 + self.w, nc)
 
     def _mask(self, lvl, c0, c1, b0, b1):
-        p = self.per[lvl]
-        return self.masks[lvl][: (c1 - c0) * p, (b0 - c0 - self.lo) * p : (b1 - c0 - self.lo) * p]
+        p, w = self.per[lvl], self.w
+        return self.masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
 
     def _exp(self, qs, ks, n0, c0, c1, b0, b1):
         """exp(score - row max) [heads, rows, cols] of one tile at the finest
@@ -688,10 +676,7 @@ class _TileKernel:
                 s += self._mask(lvl, c0, c1, b0, b1)
             else:
                 s *= self._mask(lvl, c0, c1, b0, b1)
-                r = p // per[lvl + 1]
-                if r > 1:
-                    z = np.repeat(np.repeat(z, r, axis=2), r, axis=1)
-                s += z
+                s += np.repeat(np.repeat(z, 2, axis=2), 2, axis=1)
             z = s
         # keys past the sequence join the entries outside the window at -inf,
         # which exp maps to exactly 0
@@ -734,21 +719,21 @@ class _TileKernel:
                 dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
                 dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
                 if lvl + 1 < L:
-                    ds = _block_sum(ds, p // self.per[lvl + 1])
+                    # sums of 2 x 2 blocks: the transpose of the repeat in _exp
+                    ds = ds[:, 0::2] + ds[:, 1::2]
+                    ds = ds[:, :, 0::2] + ds[:, :, 1::2]
         return dqs, dks, dvc
 
 
-def band_attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int, causal: bool = False
-) -> Tensor:
+def band_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int) -> Tensor:
     """Multi-head attention over a dilated band; q, k and v are [T, A].
 
-    Position t attends t + j*step for j in [-width, width] ([-width, 0] when
-    causal), clipped to the sequence, with scores scaled by 1/sqrt(A/heads).
-    A band of step s is s undilated bands over the residue rows r::s, and
-    each runs through the tiled kernel of hta_attention as one level with
-    that window, weight 1 and count 1. The backward recomputes each tile's
-    probabilities instead of storing them.
+    Position t attends t + j*step for j in [-width, width], clipped to the
+    sequence, with scores scaled by 1/sqrt(A/heads). A band of step s is s
+    undilated bands over the residue rows r::s, and each runs through the
+    tiled kernel of hta_attention as one level with that window, weight 1
+    and count 1. The backward recomputes each tile's probabilities instead
+    of storing them.
     """
     q, k, v = _attention_operands(q, k, v, heads, "band")
     T, A = q.data.shape
@@ -757,14 +742,14 @@ def band_attention(
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
     qd, kd, vd = q.data, k.data, v.data
-    kernel = _TileKernel([1], -width, 0 if causal else width, qd.dtype)
+    kernel = _TileKernel(1, width, qd.dtype)
     residues = range(min(step, T))
 
     def operands(qs, r):
         """The kernel's operands over rows r::step, and their count."""
         n = len(range(r, T, step))
         qr, kr = _residue(qs, r, step, heads), _residue(kd, r, step, heads)
-        return [qr], [kr], _value_count(vd[r::step], heads, 1, n), n
+        return [qr], [kr], _value_count(vd[r::step], heads, n), n
 
     qs = qd * scale
     y, den = np.empty((T, heads, hd), qd.dtype), np.empty((T, heads, 1), qd.dtype)
@@ -792,61 +777,53 @@ def band_attention(
     return out
 
 
-def hta_attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, scales, weights, window: int
-) -> Tensor:
+def hta_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, window: int) -> Tensor:
     """Hierarchical multi-scale multi-head attention; q, k and v are [T, A].
 
-    Scale s mean-pools q and k by 2**s, and pooled query a scores the pooled
-    keys a - window .. a + window, scaled by 1/sqrt(A/heads). A frame-level
-    key takes the weighted sum of the scores of every scale whose window
-    holds it; the softmax runs over the union of the windows and weights the
-    frame-level values v.
+    Scale s = 0, 1, ..., len(weights) - 1 mean-pools q and k by 2**s, and
+    pooled query a scores the pooled keys a - window .. a + window, scaled
+    by 1/sqrt(A/heads). A frame-level key takes the sum of the scores of
+    every scale whose window holds it, scale s weighted by weights[s]; the
+    softmax runs over the union of the windows and weights the frame-level
+    values v.
 
-    All frames of one finest-scale block share their query and their scores,
-    so the op runs the tiled kernel over finest-scale blocks, one level per
-    scale with window [-window, window], on summed values and frame counts
-    as [V | count]. Each level's pooled queries are pre-scaled by
-    weight / (sqrt(hd) * count), and its keys are pooled means. The backward
-    keeps only q, k, v, the output and the denominators.
+    The op runs the tiled kernel with one level per scale, frame level
+    first, on the values and a count of 1 per frame as [V | count]. Each
+    level's pooled queries are pre-scaled by weight / (sqrt(hd) * count),
+    and its keys are pooled means. The backward keeps only q, k, v, the
+    output and the denominators.
     """
     q, k, v = _attention_operands(q, k, v, heads, "hierarchical")
     T, A = q.data.shape
-    if not scales or len(scales) != len(weights):
-        raise ShapeError(f"need one weight per scale, got {list(scales)} and {list(weights)}")
-    if min(scales) < 0 or window < 0:
-        raise ShapeError(f"scales and window must be >= 0, got {list(scales)}, {window}")
+    if not weights or window < 0:
+        raise ShapeError(f"need a weight per scale and window >= 0, got {weights}, {window}")
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
     qd, kd, vd = q.data, k.data, v.data
     dtype = qd.dtype
-    levels = sorted(zip(scales, weights), key=lambda p: p[0])
-    fs = [1 << int(s) for s, _ in levels]  # frames per row, finest level first
-    wts = [float(x) * scale for _, x in levels]
-    sizes = [-(-T // f) for f in fs]
-    n0, nc = sizes[0], sizes[-1]
-    per = [fs[-1] // f for f in fs]
-    kernel = _TileKernel(per, -window, window, dtype)
+    wts = [float(x) * scale for x in weights]
+    kernel = _TileKernel(len(wts), window, dtype)
+    rows = -(-T // kernel.per[0]) * kernel.per[0]  # whole coarsest blocks
 
     def pooled():
-        """The kernel's operands, zero-padded to nc coarsest blocks: per
-        level the pooled query sums times weight / (sqrt(hd) * count) and
-        the pooled key means, and [V | count] at the finest level."""
+        """The kernel's operands, zero-padded to whole coarsest blocks: per
+        scale the pooled query sums times weight / (sqrt(hd) * count) and
+        the pooled key means, and [V | count] at frame level."""
         qsum, ksum = qd.reshape(T, heads, hd), kd.reshape(T, heads, hd)
-        qs, ks, prev = [], [], 1
-        for f, wt, p, n in zip(fs, wts, per, sizes):
-            qsum, ksum = _sum_pool(qsum, f // prev), _sum_pool(ksum, f // prev)
-            c = _frame_counts(T, f, dtype)[:, None, None]
-            qp, kp = (np.zeros((heads, nc * p, hd), dtype) for _ in range(2))
-            qp[:, :n] = (qsum * (wt / c)).transpose(1, 0, 2)
-            kp[:, :n] = (ksum / c).transpose(1, 0, 2)
+        qs, ks = [], []
+        for s, wt in enumerate(wts):
+            if s:
+                qsum, ksum = _sum_pool(qsum, 2), _sum_pool(ksum, 2)
+            c = _frame_counts(T, 1 << s, dtype)[:, None, None]
+            qp, kp = (np.zeros((heads, rows >> s, hd), dtype) for _ in range(2))
+            qp[:, : len(c)] = (qsum * (wt / c)).transpose(1, 0, 2)
+            kp[:, : len(c)] = (ksum / c).transpose(1, 0, 2)
             qs.append(qp)
             ks.append(kp)
-            prev = f
-        return qs, ks, _value_count(vd, heads, fs[0], nc * per[0]), n0
+        return qs, ks, _value_count(vd, heads, rows), T
 
     yh, den = kernel.forward(*pooled())
-    y = _unpool(yh[:, :n0].transpose(1, 0, 2).reshape(n0, A), fs[0], T)
+    y = yh[:, :T].transpose(1, 0, 2).reshape(T, A)
 
     out = _make(y, (q, k, v))
     if out.requires_grad:
@@ -854,14 +831,15 @@ def hta_attention(
 
         def back(g):
             g0 = np.zeros_like(yh)
-            g0[:, :n0] = _sum_pool(g.reshape(T, heads, hd), fs[0]).transpose(1, 0, 2)
+            g0[:, :T] = g.reshape(T, heads, hd).transpose(1, 0, 2)
             dqs, dks, dvc = kernel.backward(*pooled(), yh, den, g0)
             dq = dk = 0.0
-            for f, wt, n, a, b in zip(fs, wts, sizes, dqs, dks):
+            for s, (wt, a, b) in enumerate(zip(wts, dqs, dks)):
+                f = 1 << s
                 c = _frame_counts(T, f, dtype)[:, None, None]
-                dq = _unpool(a[:, :n].transpose(1, 0, 2) * (wt / c), f, T) + dq
-                dk = _unpool(b[:, :n].transpose(1, 0, 2) / c, f, T) + dk
-            dv = _unpool(dvc[:, :n0, :hd].transpose(1, 0, 2), fs[0], T)
+                dq = _unpool(a[:, : len(c)].transpose(1, 0, 2) * (wt / c), f, T) + dq
+                dk = _unpool(b[:, : len(c)].transpose(1, 0, 2) / c, f, T) + dk
+            dv = dvc[:, :T, :hd].transpose(1, 0, 2)
             for n, d in zip(nodes, (dq, dk, dv)):
                 if n is not None:
                     n._accumulate(d.reshape(T, A))

@@ -174,13 +174,11 @@ def dense_multihead(q, k, v, heads, mask):
     return out
 
 
-def band_mask_oracle(T, width, step, causal=False):
-    """Dense [T, T] mask of a dilated band: j - i = m*step, -width <= m <= width
-    (m <= 0 when causal)."""
+def band_mask_oracle(T, width, step):
+    """Dense [T, T] mask of a dilated band: j - i = m*step, -width <= m <= width."""
     d = np.arange(T)[None, :] - np.arange(T)[:, None]
     m = d // step
-    hi = 0 if causal else width
-    return (d % step == 0) & (m >= -width) & (m <= hi)
+    return (d % step == 0) & (m >= -width) & (m <= width)
 
 
 def dense_mask(mask):

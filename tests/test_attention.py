@@ -55,50 +55,46 @@ def test_schedule_single_layer():
 
 
 def test_window_spec_step_and_span():
-    spec = WindowSpec(4, 2, False)
+    spec = WindowSpec(4, 2)
     assert spec.step == 3  # rate 0 means adjacent taps, rate r skips r frames
-    assert spec.receptive_span == 2 * 4 * 3 + 1
+    assert spec.offsets[-1] - spec.offsets[0] + 1 == 2 * 4 * 3 + 1
 
 
 # -- sparse masks ---------------------------------------------------------
 
 
-def test_mask_causal_width_one():
-    m = build_sparse_mask(4, WindowSpec(1, 0, True))
-    assert [list(a) for a in m.allowed] == [[0], [0, 1], [1, 2], [2, 3]]
-
-
 def test_mask_acausal_dilated():
-    m = build_sparse_mask(5, WindowSpec(1, 1, False))
+    m = build_sparse_mask(5, WindowSpec(1, 1))
     assert list(m.allowed[2]) == [0, 2, 4]
     assert list(m.allowed[0]) == [0, 2]  # negative offsets clipped away
 
 
 def test_mask_dense_matches_allowed():
-    m = build_sparse_mask(9, WindowSpec(2, 1, False))
+    m = build_sparse_mask(9, WindowSpec(2, 1))
     d = dense_mask(m)
     for i, js in enumerate(m.allowed):
         assert sorted(np.nonzero(d[i])[0]) == list(js)
 
 
 def test_pairs_count():
-    m = build_sparse_mask(4, WindowSpec(1, 0, True))
-    assert attended_pairs_count(m) == 7
+    m = build_sparse_mask(4, WindowSpec(1, 0))
+    assert [list(a) for a in m.allowed] == [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
+    assert attended_pairs_count(m) == 10
 
 
 def test_pairs_count_closed_form_matches_band_and_oracle():
     specs = [spec for pair in build_window_schedule(10) for spec in pair]
-    specs += [WindowSpec(3, 2, True), WindowSpec(1, 4, True), WindowSpec(5, 6, False)]
+    specs += [WindowSpec(3, 2), WindowSpec(1, 4), WindowSpec(5, 6)]
     for spec in specs:
         for T in sorted({1, 2, max(1, spec.step - 1), spec.step + 1, 37, 300}):
             m = build_sparse_mask(T, spec)
             got = attended_pairs_count(m)
-            oracle = band_mask_oracle(T, spec.one_sided_width, spec.step, spec.causal)
+            oracle = band_mask_oracle(T, spec.one_sided_width, spec.step)
             assert got == int(m.valid.sum()) == int(oracle.sum()), (spec, T)
 
 
 def test_every_query_attends_itself():
-    for spec in (WindowSpec(3, 2, True), WindowSpec(5, 0, False)):
+    for spec in (WindowSpec(3, 2), WindowSpec(5, 0)):
         m = build_sparse_mask(23, spec)
         for i, js in enumerate(m.allowed):
             assert i in js
@@ -123,6 +119,14 @@ def test_scale_count_cap():
 def test_scale_weights_default_uniform():
     ss = ScaleSet.build(512, s_avg=64)
     assert np.allclose(ss.weights, [1 / 3] * 3)
+
+
+def test_scale_set_is_a_ladder_over_at_least_one_frame():
+    # scale s is the s-th weight; a set needs a frame and a weight
+    assert ScaleSet(3, [0.5, 0.3, 0.2]).scales == [0, 1, 2]
+    for T, weights in ((0, [1.0]), (5, [])):
+        with pytest.raises(ShapeError):
+            ScaleSet(T, weights)
 
 
 # -- score aggregation ----------------------------------------------------
@@ -224,7 +228,7 @@ def test_masks_store_only_their_window():
 
 def test_dswa_odd_heads_rejected():
     params = init_attention_params(8, 6, 3, rng)
-    m = build_sparse_mask(8, WindowSpec(2, 0, False))
+    m = build_sparse_mask(8, WindowSpec(2, 0))
     with pytest.raises(ShapeError):
         dswa_forward(Tensor(rng.normal(size=(8, 8))), m, m, params)
 
@@ -240,16 +244,14 @@ def test_hta_matches_dense_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "T, scale_list, weights, window",
-    [(45, [0, 1, 2], [0.5, 0.3, 0.2], 2), (30, [1, 3], [0.6, 0.4], 2), (26, [0, 0, 1], [0.5, 0.3, 0.2], 1)],
-)
-def test_hta_chunked_and_sparse_scales_match_dense_oracle(monkeypatch, T, scale_list, weights, window):
+def test_hta_chunked_matches_dense_oracle(monkeypatch):
     # a tiny block size runs the window sums over many row blocks
     monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    T = 45
     x = rng.normal(size=(T, 12))
     params = init_attention_params(12, 8, 2, rng)
-    scales = ScaleSet(T, scale_list, weights, window=window)
+    scales = ScaleSet(T, [0.5, 0.3, 0.2], window=2)
+    assert scales.scales == [0, 1, 2]
     got = hta_forward(Tensor(x), scales, params).data
     assert np.max(np.abs(got - hta_oracle(x, scales, params))) < 1e-12
 
@@ -259,7 +261,7 @@ def test_grad_hta_chunked(monkeypatch):
     T = 21
     x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
     params = init_attention_params(6, 4, 2, rng)
-    scales = ScaleSet(T, [0, 1, 2], [0.5, 0.3, 0.2], window=2)
+    scales = ScaleSet(T, [0.5, 0.3, 0.2], window=2)
     w = rng.normal(size=(T, 6))
     err = fd_check_tensor(lambda: (hta_forward(x, scales, params) * w).sum(),
                           [x, params.wq, params.wk, params.wv])
@@ -270,7 +272,7 @@ def test_hta_single_scale_equals_plain_windowed():
     T = 20
     x = rng.normal(size=(T, 8))
     params = init_attention_params(8, 4, 2, rng)
-    scales = ScaleSet(T, [0], [1.0], window=3)
+    scales = ScaleSet(T, [1.0], window=3)
     got = hta_forward(Tensor(x), scales, params).data
     mask = np.abs(np.arange(T)[:, None] - np.arange(T)[None, :]) <= 3
     want = dense_attention_oracle(x, params, mask) @ params.wo.data + params.bo.data
@@ -279,7 +281,7 @@ def test_hta_single_scale_equals_plain_windowed():
 
 def test_attention_rows_are_convex_weights():
     # masked softmax output: values inside the band, exact zeros elsewhere
-    m = build_sparse_mask(10, WindowSpec(2, 1, False))
+    m = build_sparse_mask(10, WindowSpec(2, 1))
     d = dense_mask(m)
     assert not d.all()
     assert d.any(axis=1).all()

@@ -41,7 +41,7 @@ _OPS = {
         [(12, 50), (8, 12, 3), (8,)], 1),
     "band_attention": (lambda q, k, v: band_attention(q, k, v, 2, 9, 2),
                        [(200, 16)] * 3, 3),
-    "hta_attention": (lambda q, k, v: hta_attention(q, k, v, 2, [0, 1, 2], [0.5, 0.3, 0.2], 3),
+    "hta_attention": (lambda q, k, v: hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 3),
                       [(300, 16)] * 3, 3),
     "gelu": (lambda x: x.gelu(), [(40, 24)], 1),
     "masked_softmax": (lambda x: masked_softmax(x * 4.0), [(40, 24)], 1),

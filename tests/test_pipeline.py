@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tempseg import cli, pipeline
+from tempseg.binio import FormatError
 from tempseg.network import (
     RETIRED_KEYS,
     ModelConfig,
@@ -24,6 +25,7 @@ from tempseg.network import (
     save_checkpoint,
 )
 from tempseg.pipeline import (
+    FEATURE_MAGIC,
     RunConfig,
     SynthSpec,
     TrainingError,
@@ -94,7 +96,7 @@ def test_features_round_trip(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(0, 6)),
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(1, 6)),
                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
 def test_features_round_trip_any_finite_matrix(seq):
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,6 +131,21 @@ def test_features_truncated(tmp_path):
     p.write_bytes(data[:-7])
     with pytest.raises(ValueError, match="truncat"):
         load_features(p)
+
+
+def test_features_reject_zero_columns(tmp_path, capsys):
+    p = tmp_path / "x.feat"
+    with pytest.raises(ValueError, match="non-empty"):
+        save_features(np.zeros((3, 0)), p)
+    assert not p.exists()
+    p.write_bytes(FEATURE_MAGIC + struct.pack("<IQQ", 1, 3, 0))
+    with pytest.raises(FormatError, match="no feature columns") as err:
+        load_features(p)
+    assert str(p) in str(err.value)
+    bounds = tmp_path / "b.txt"
+    bounds.write_text("1\n")
+    assert cli.main(["refine", "--probs", str(p), "--boundaries", str(bounds)]) == 2
+    assert f"{p}: feature file has no feature columns" in capsys.readouterr().err
 
 
 def test_features_reject_non_finite(tmp_path):
@@ -360,6 +377,37 @@ def test_cli_bad_config_exits_two_naming_file_and_key(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert code == 2, err
     assert str(path) in err and key in err, err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("flops", "train", "lr", "-1"),
+    ("flops", "train", "lr", "0"),
+    ("flops", "train", "max_epochs", "0"),
+    ("flops", "train", "patience", "-2"),
+    ("flops", "train", "val_fraction", "-3"),
+    ("flops", "train", "val_fraction", "1"),
+    ("flops", "train", "target_accuracy", "1.5"),
+    ("flops", "model", "seed", "-1"),
+    ("synth", "synth", "n_classes", "1"),
+    ("synth", "synth", "d_features", "0"),
+    ("synth", "synth", "fps", "-1"),
+    ("synth", "synth", "noise", "-1"),
+    ("synth", "synth", "prototype_spread", "-1"),
+    ("synth", "synth", "transition_fraction", "0.5"),
+    ("synth", "synth", "seed", "-1"),
+    ("synth", "synth", "durations", "6,-1"),
+    ("synth", "synth", "durations", "6,inf"),
+    ("synth", "synth", "durations", "6,1,2"),
+])
+def test_cli_out_of_range_config_exits_two_naming_file_and_key(
+        tmp_path, capsys, command, section, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    code = cli.main(_config_argv(command, path, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{path} [{section}]: {key} must be" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [

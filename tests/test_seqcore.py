@@ -244,35 +244,32 @@ def test_grad_mean_pool_layer_norm():
 
 
 @pytest.mark.parametrize(
-    "T, width, step, causal, heads",
+    "T, width, step, heads",
     [
-        (1, 3, 1, False, 2),      # a single frame
-        (5, 8, 1, False, 2),      # T < width
-        (3, 2, 5, False, 4),      # T < step: residues 3 and 4 are empty
-        (23, 2, 3, False, 2),     # T not a multiple of step
-        (40, 4, 2, True, 2),      # causal
-        (150, 5, 1, False, 4),    # several query blocks
-        (300, 40, 2, True, 4),    # several blocks, dilated and causal
-        (4 * TILE_ROWS + 9, 2 * TILE_ROWS + 3, 1, False, 2),  # width beyond two tiles
+        (1, 3, 1, 2),       # a single frame
+        (5, 8, 1, 2),       # T < width
+        (3, 2, 5, 4),       # T < step: residues 3 and 4 are empty
+        (23, 2, 3, 2),      # T not a multiple of step
+        (40, 4, 2, 2),      # dilated, T a multiple of step
+        (150, 5, 1, 4),     # several query blocks
+        (300, 40, 2, 4),    # several blocks, dilated
+        (4 * TILE_ROWS + 9, 2 * TILE_ROWS + 3, 1, 2),  # width beyond two tiles
     ],
 )
-def test_band_attention_matches_dense_oracle(T, width, step, causal, heads):
+def test_band_attention_matches_dense_oracle(T, width, step, heads):
     q, k, v = (rng.normal(size=(T, 4 * heads)) for _ in range(3))
-    mask = band_mask_oracle(T, width, step, causal)
-    spec = WindowSpec(width, step - 1, causal)
+    mask = band_mask_oracle(T, width, step)
+    spec = WindowSpec(width, step - 1)
     assert np.array_equal(mask, dense_mask(build_sparse_mask(T, spec)))
-    got = band_attention(Tensor(q), Tensor(k), Tensor(v), heads, width, step, causal).data
+    got = band_attention(Tensor(q), Tensor(k), Tensor(v), heads, width, step).data
     assert np.max(np.abs(got - dense_multihead(q, k, v, heads, mask))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "T, width, step, causal",
-    [(2 * TILE_ROWS + 6, 2, 1, False), (20, 3, 3, False), (17, 2, 2, True)],
-)
-def test_grad_band_attention(T, width, step, causal):
+@pytest.mark.parametrize("T, width, step", [(2 * TILE_ROWS + 6, 2, 1), (20, 3, 3), (17, 2, 2)])
+def test_grad_band_attention(T, width, step):
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     w = rng.normal(size=(T, 4))
-    _fd(lambda: (band_attention(q, k, v, 2, width, step, causal) * w).sum(), [q, k, v])
+    _fd(lambda: (band_attention(q, k, v, 2, width, step) * w).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -282,7 +279,7 @@ def test_band_attention_is_one_level_hta_to_the_bit(T, width, dtype):
     q, k, v, g = (rng.normal(size=(T, 8)).astype(dtype) for _ in range(4))
     runs = []
     for op in (lambda *x: band_attention(*x, 2, width, 1),
-               lambda *x: hta_attention(*x, 2, [0], [1.0], width)):
+               lambda *x: hta_attention(*x, 2, [1.0], width)):
         xs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         y = op(*xs)
         (y * Tensor(g)).sum().backward()
@@ -304,37 +301,36 @@ def test_band_attention_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize(
-    "T, scales, weights, window, heads, block",
+    "T, weights, window, heads, block",
     [
-        (1, [0, 1, 2], [0.3, 0.3, 0.4], 2, 2, 256),       # a single frame
-        (5, [0, 1, 2, 3], [0.25] * 4, 3, 2, 256),          # T below the coarsest window
-        (29, [0, 1, 2], [0.5, 0.3, 0.2], 2, 2, 4),         # ragged tails, 8 row blocks
-        (30, [1, 3], [0.6, 0.4], 2, 4, 8),                 # non-consecutive scales
-        (26, [0, 0, 1], [0.5, 0.3, 0.2], 1, 2, 2),         # a repeated scale
-        (40, [2, 0, 1], [0.2, 0.5, 0.3], 2, 2, 8),         # unsorted scales
-        (33, [0, 2], [0.5, 0.5], 0, 2, 4),                 # window 0
-        (64, [0, 1, 2], [0.4, 0.4, 0.2], 3, 4, 16),        # several blocks, 4 heads
+        (1, [0.3, 0.3, 0.4], 2, 2, 256),       # a single frame
+        (5, [0.25] * 4, 3, 2, 256),            # T below the coarsest window
+        (29, [0.5, 0.3, 0.2], 2, 2, 4),        # ragged tails, 8 row blocks
+        (33, [0.5, 0.5], 0, 2, 4),             # window 0
+        (64, [0.4, 0.4, 0.2], 3, 4, 16),       # several blocks, 4 heads
     ],
 )
-def test_hta_attention_matches_dense_oracle(monkeypatch, T, scales, weights, window, heads, block):
+def test_hta_attention_matches_dense_oracle(monkeypatch, T, weights, window, heads, block):
+    # scale s is the s-th weight: the ladder 0 .. len(weights) - 1
     monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
-    got = hta_attention(t(q), t(k), t(v), heads, scales, weights, window).data
-    want = hta_qkv_oracle(q, k, v, heads, scales, weights, window)
+    got = hta_attention(t(q), t(k), t(v), heads, weights, window).data
+    want = hta_qkv_oracle(q, k, v, heads, range(len(weights)), weights, window)
     assert got.shape == (T, 8)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# a tile holds TILE_ROWS >> (coarsest - finest scale) coarsest rows: 3 of
-# the 6 for [0, 1, 2] and 2 of the 3 for [1, 3, 3], so 21 frames take two
-@pytest.mark.parametrize("scales, block", [([0, 1, 2], 12), ([1, 3, 3], 8)])
-def test_grad_hta_attention_two_blocks(monkeypatch, scales, block):
+# a tile holds TILE_ROWS >> (scales - 1) coarsest rows: 3 of the 6 for 3
+# scales and 2 of the 3 for 4 scales, so 21 frames take two
+@pytest.mark.parametrize(
+    "weights, block", [([0.5, 0.3, 0.2], 12), ([0.4, 0.3, 0.2, 0.1], 16)])
+def test_grad_hta_attention_two_blocks(monkeypatch, weights, block):
     monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     T = 21
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     wgt = rng.normal(size=(T, 4))
     err = fd_check_tensor(
-        lambda: (hta_attention(q, k, v, 2, scales, [0.5, 0.3, 0.2], 2) * wgt).sum(), [q, k, v])
+        lambda: (hta_attention(q, k, v, 2, weights, 2) * wgt).sum(), [q, k, v])
     assert err < 1e-6
 
 
@@ -346,25 +342,25 @@ def test_hta_attention_reruns_bit_identical(monkeypatch):
     for _ in range(2):
         for x in (q, k, v):
             x.zero_grad()
-        y = hta_attention(q, k, v, 2, [0, 1, 2], [0.5, 0.3, 0.2], 2)
+        y = hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2)
         (y * g).sum().backward()
         runs.append([y.data.copy()] + [x.grad.copy() for x in (q, k, v)])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
     with no_grad():
-        y = hta_attention(q, k, v, 2, [0, 1, 2], [0.5, 0.3, 0.2], 2)
+        y = hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2)
     assert np.array_equal(y.data, runs[0][0]) and not y._prev
 
 
 def test_hta_attention_rejects_bad_arguments():
     q = t(rng.normal(size=(6, 4)))
     with pytest.raises(ShapeError):
-        hta_attention(q, q, t(rng.normal(size=(5, 4))), 2, [0], [1.0], 1)
+        hta_attention(q, q, t(rng.normal(size=(5, 4))), 2, [1.0], 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 3, [0], [1.0], 1)
+        hta_attention(q, q, q, 3, [1.0], 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 2, [0, 1], [1.0], 1)
+        hta_attention(q, q, q, 2, [], 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 2, [0], [1.0], -1)
+        hta_attention(q, q, q, 2, [1.0], -1)
 
 
 # -- indexing -------------------------------------------------------------
@@ -499,7 +495,7 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     c = Tensor(rng.normal(size=(8, 4)))
     h = linear(x, w, b) * c + c / (x * x + 1.0) - c @ w - x @ Tensor(np.eye(4))
     h = layer_norm(h, w[0], b).gelu().tanh()
-    h = band_attention(h, c, h, 2, 2, 1) + hta_attention(h, h, c, 2, [0, 1], [0.5, 0.5], 1)
+    h = band_attention(h, c, h, 2, 2, 1) + hta_attention(h, h, c, 2, [0.5, 0.5], 1)
     h = conv1d_dilated(h.T, kernel, b, dilation=2).relu().T
     h = concat([mean_pool1d(h, 2), h[::2], h[np.array([0, 3, 3, 1])]], axis=1)
     p = masked_softmax(h.reshape(4, 12)).astype(np.float32).astype(np.float64)
@@ -629,4 +625,4 @@ def test_attention_ops_reject_mixed_dtypes():
     with pytest.raises(ShapeError):
         band_attention(t(q), Tensor(k), t(q), 2, 2, 1)
     with pytest.raises(ShapeError):
-        hta_attention(t(q), Tensor(k), t(q), 2, [0], [1.0], 1)
+        hta_attention(t(q), Tensor(k), t(q), 2, [1.0], 1)

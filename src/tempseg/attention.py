@@ -12,10 +12,9 @@ import numpy as np
 from .seqcore import (
     ShapeError,
     Tensor,
-    band_attention,
     concat,
-    hta_attention,
     linear,
+    window_attention,
 )
 
 __all__ = [
@@ -215,8 +214,8 @@ def dswa_forward(
     outs = []
     for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
         spec = mask.spec
-        outs.append(band_attention(q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
-                                   spec.one_sided_width, spec.step))
+        outs.append(window_attention(q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
+                                     [1.0], spec.one_sided_width, spec.step))
     return linear(concat(outs, axis=1), params.wo, params.bo)
 
 
@@ -228,7 +227,8 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     weighted sum of the scores of every scale whose window holds it; the
     softmax runs over the union of the windows and weights frame-level
     values. Mean pooling is linear, so q and k are projected once at frame
-    level and pooled inside ``hta_attention``.
+    level and pooled inside ``window_attention``, which runs the ladder of
+    scales at step 1.
     """
     T = x.shape[0]
     if scales.T != T:
@@ -236,5 +236,5 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     q = linear(x, params.wq, params.bq)
     k = linear(x, params.wk, params.bk)
     v = linear(x, params.wv, params.bv)
-    out = hta_attention(q, k, v, params.heads, scales.weights, scales.window)
+    out = window_attention(q, k, v, params.heads, scales.weights, scales.window, 1)
     return linear(out, params.wo, params.bo)

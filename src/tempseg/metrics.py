@@ -122,7 +122,7 @@ def segmental_f1(
     return precision, recall, f1
 
 
-def evaluate_all(pred, gt, thresholds=DEFAULT_THRESHOLDS, strict: bool = True) -> EvalReport:
+def evaluate_all(pred, gt, thresholds=DEFAULT_THRESHOLDS) -> EvalReport:
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
@@ -131,5 +131,5 @@ def evaluate_all(pred, gt, thresholds=DEFAULT_THRESHOLDS, strict: bool = True) -
     gs = frames_to_segments(gt)
     report = EvalReport(frame_accuracy(pred, gt), edit_score(pred, gt))
     for th in thresholds:
-        report.f1[th] = segmental_f1(ps, gs, th, strict=strict)
+        report.f1[th] = segmental_f1(ps, gs, th)
     return report

@@ -545,19 +545,25 @@ def load_checkpoint(path):
         except ValueError as exc:
             raise FormatError(f"bad checkpoint config: {exc}") from None
         (count,) = r.read_struct("<I", "parameter count")
-        layout = []
+        layout = {}
         for _ in range(count):
             (ln,) = r.read_struct("<I", "parameter name length")
-            name = r.read_exact(ln, "parameter name").decode()
+            at = f.tell()
+            try:
+                name = r.read_exact(ln, "parameter name").decode()
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: parameter name at byte {at} is not UTF-8") from None
+            if name in layout:
+                raise FormatError(f"{path}: parameter {name!r} appears twice")
             (rank,) = r.read_struct("<I", f"rank of {name!r}")
             shape = r.read_struct(f"<{rank}Q", f"shape of {name!r}")
             size = math.prod(shape)
-            layout.append((name, shape, size, r.skip(8 * size, f"values of {name!r}")))
+            layout[name] = shape, size, r.skip(8 * size, f"values of {name!r}")
         # every size is checked against the file, so every view lies inside it
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     blobs = {
         name: np.frombuffer(mapped, "<f8", size, offset).reshape(shape)
-        for name, shape, size, offset in layout
+        for name, (shape, size, offset) in layout.items()
     }
     expected = dict(_param_specs(cfg))
     learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))

@@ -430,8 +430,9 @@ class InferenceResult:
 
 def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -> InferenceResult:
     """Labels for one [T, d_in] sequence. The network runs on the features
-    in float32 under no_grad(); the class probabilities, the boundary
-    sigmoid, boundary detection and refinement run in float64."""
+    in float32 under no_grad(); the boundary sigmoid, boundary detection,
+    refinement and the class probabilities it reads (computed only when
+    refining) run in float64."""
     if features.shape[1] != model.cfg.d_in:
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match model d_in {model.cfg.d_in}"
@@ -440,7 +441,6 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
         out = model.forward(Tensor(features.astype(np.float32, copy=False)), training=False)
     final = out.stages[-1]
     logits = final.action_logits.data.astype(np.float64)
-    probs = masked_softmax(Tensor(logits)).data
     raw = np.argmax(logits, axis=1)
     if refine:
         bounds = detect_boundaries(
@@ -448,7 +448,7 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
             model.cfg.boundary_theta,
             model.cfg.boundary_min_distance,
         )
-        refined = refine_prediction(probs, bounds)
+        refined = refine_prediction(masked_softmax(Tensor(logits)).data, bounds)
     else:
         bounds = []
         refined = raw.copy()

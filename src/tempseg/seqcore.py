@@ -7,7 +7,7 @@ its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, ``/``,
 ``@``, ``log`` and ``pow_const``, the inputs of ``linear``,
-``conv1d_dilated`` and both attention ops, its own output where the
+``conv1d_dilated`` and ``window_attention``, its own output where the
 formula is written in it, and masks and shapes. So the tape holds nodes,
 closures and gradients, and an interior value that no backward reads is
 freed as soon as the caller drops its Tensor. ``Tensor.backward()``
@@ -25,12 +25,13 @@ accumulates in the leaf's own dtype, so float64 parameters get float64
 gradients and Adam keeps float64 master weights and state. The oracles
 run in float64. The primitive set is deliberately
 closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
-masked softmax, layer normalisation, banded multi-head attention,
-elementwise arithmetic, activations, reductions, a dtype cast,
-gather/reshape/concat plumbing, mean pooling and hierarchical multi-scale
-attention (``hta_attention``). Both attention ops run on one tiled kernel,
-``_TileKernel``: dense tiles of query rows, each against one key slab,
-recomputed in the backward; a band is its one-level case.
+masked softmax, layer normalisation, elementwise arithmetic, activations,
+reductions, a dtype cast, gather/reshape/concat plumbing, mean pooling and
+one windowed multi-scale multi-head attention op (``window_attention``):
+DSWA's dilated band is its one-scale case over each residue of the
+dilation step, HTA its ladder of scales at step 1. It runs on one tiled
+kernel, ``_TileKernel``: dense tiles of query rows, each against one key
+slab, recomputed in the backward.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive.
 """
@@ -49,21 +50,20 @@ __all__ = [
     "ShapeError",
     "MaskError",
     "as_tensor",
-    "band_attention",
     "concat",
     "conv1d_dilated",
-    "hta_attention",
     "layer_norm",
     "linear",
     "masked_softmax",
     "mean_pool1d",
     "no_grad",
+    "window_attention",
     "Adam",
 ]
 
-# finest-level query rows per tile of the attention kernel that
-# band_attention and hta_attention share, rounded down to whole
-# coarsest-level blocks (at least one); each tile meets one key slab
+# finest-level query rows per tile of window_attention's kernel, rounded
+# down to whole coarsest-level blocks (at least one); each tile meets one
+# key slab
 TILE_ROWS = 32
 
 _grad_mode = threading.local()
@@ -568,28 +568,23 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def _attention_operands(q, k, v, heads: int, kind: str) -> tuple:
+def _attention_operands(q, k, v, heads: int) -> tuple:
     """q, k and v as Tensors of one [T, A] shape and one dtype, with `heads`
     dividing A."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
         raise ShapeError(
-            f"{kind} attention needs equal [T, A] q/k/v, got {q.data.shape}, "
+            f"attention needs equal [T, A] q/k/v, got {q.data.shape}, "
             f"{k.data.shape}, {v.data.shape}"
         )
     if not q.data.dtype == k.data.dtype == v.data.dtype:
         raise ShapeError(
-            f"{kind} attention needs one dtype for q/k/v, got {q.data.dtype}, "
+            f"attention needs one dtype for q/k/v, got {q.data.dtype}, "
             f"{k.data.dtype}, {v.data.dtype}"
         )
     if heads < 1 or q.data.shape[1] % heads != 0:
         raise ShapeError(f"head count {heads} must divide attention dim {q.data.shape[1]}")
     return q, k, v
-
-
-def _residue(a: np.ndarray, r: int, step: int, heads: int) -> np.ndarray:
-    """Rows r, r+step, ... of a [T, A] array as a contiguous [heads, n, A/heads]."""
-    return np.ascontiguousarray(a.reshape(a.shape[0], heads, -1)[r::step].transpose(1, 0, 2))
 
 
 def _sum_pool(x: np.ndarray, f: int) -> np.ndarray:
@@ -624,8 +619,8 @@ def _value_count(v: np.ndarray, heads: int, rows: int) -> np.ndarray:
 
 
 class _TileKernel:
-    """The tiled softmax attention that band_attention and hta_attention
-    share, over head-major operands at `levels` levels, finest first.
+    """The tiled softmax attention under window_attention, over one
+    residue's head-major operands at `levels` levels, finest first.
 
     Each level pools the one before by 2, so level l has 2**(levels-1-l)
     rows per coarsest-level block, and its query row i scores its key rows
@@ -725,124 +720,97 @@ class _TileKernel:
         return dqs, dks, dvc
 
 
-def band_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, width: int, step: int) -> Tensor:
-    """Multi-head attention over a dilated band; q, k and v are [T, A].
+def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, window: int,
+                     step: int) -> Tensor:
+    """Windowed multi-scale multi-head attention; q, k and v are [T, A].
 
-    Position t attends t + j*step for j in [-width, width], clipped to the
-    sequence, with scores scaled by 1/sqrt(A/heads). A band of step s is s
-    undilated bands over the residue rows r::s, and each runs through the
-    tiled kernel of hta_attention as one level with that window, weight 1
-    and count 1. The backward recomputes each tile's probabilities instead
-    of storing them.
+    The rows r, r + step, ... of each residue r attend only each other, as
+    one sequence. Inside it, scale s = 0, 1, ..., len(weights) - 1
+    mean-pools q and k by 2**s, and pooled query a scores the pooled keys
+    a - window .. a + window, scaled by 1/sqrt(A/heads). A frame-level key
+    takes the sum of the scores of every scale whose window holds it, scale
+    s weighted by weights[s]; the softmax runs over the union of the windows
+    and weights the frame-level values v. One scale of weight 1 is a band of
+    one-sided width `window` dilated by `step` (DSWA); a ladder of scales at
+    step 1 is hierarchical attention (HTA).
+
+    Per residue the op runs the tiled kernel with one level per scale, frame
+    level first, on the values and a count of 1 per frame as [V | count].
+    Each level's pooled queries are pre-scaled by weight / (sqrt(hd) *
+    count), and its keys are pooled means. The backward keeps only q, k, v,
+    the output and the denominators.
     """
-    q, k, v = _attention_operands(q, k, v, heads, "band")
+    q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
-    if width < 1 or step < 1:
-        raise ShapeError(f"band width and step must be >= 1, got {width}, {step}")
-    hd = A // heads
-    scale = 1.0 / math.sqrt(hd)
-    qd, kd, vd = q.data, k.data, v.data
-    kernel = _TileKernel(1, width, qd.dtype)
-    residues = range(min(step, T))
-
-    def operands(qs, r):
-        """The kernel's operands over rows r::step, and their count."""
-        n = len(range(r, T, step))
-        qr, kr = _residue(qs, r, step, heads), _residue(kd, r, step, heads)
-        return [qr], [kr], _value_count(vd[r::step], heads, n), n
-
-    qs = qd * scale
-    y, den = np.empty((T, heads, hd), qd.dtype), np.empty((T, heads, 1), qd.dtype)
-    for r in residues:
-        yr, dr = kernel.forward(*operands(qs, r))
-        y[r::step], den[r::step] = yr.transpose(1, 0, 2), dr.transpose(1, 0, 2)
-    y = y.reshape(T, A)
-
-    out = _make(y, (q, k, v))
-    if out.requires_grad:
-        nodes = _grad_node(q), _grad_node(k), _grad_node(v)
-
-        def back(g):
-            qs = qd * scale
-            dq, dk, dv = (np.empty((T, heads, hd), y.dtype) for _ in range(3))
-            for r in residues:
-                saved = (_residue(a, r, step, heads) for a in (y, den, g))
-                dqs, dks, dvc = kernel.backward(*operands(qs, r), *saved)
-                dq[r::step], dk[r::step] = dqs[0].transpose(1, 0, 2), dks[0].transpose(1, 0, 2)
-                dv[r::step] = dvc[:, :, :hd].transpose(1, 0, 2)
-            for n, d in zip(nodes, (dq * scale, dk, dv)):
-                if n is not None:
-                    n._accumulate(d.reshape(T, A))
-        out._node._backward = back
-    return out
-
-
-def hta_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, window: int) -> Tensor:
-    """Hierarchical multi-scale multi-head attention; q, k and v are [T, A].
-
-    Scale s = 0, 1, ..., len(weights) - 1 mean-pools q and k by 2**s, and
-    pooled query a scores the pooled keys a - window .. a + window, scaled
-    by 1/sqrt(A/heads). A frame-level key takes the sum of the scores of
-    every scale whose window holds it, scale s weighted by weights[s]; the
-    softmax runs over the union of the windows and weights the frame-level
-    values v.
-
-    The op runs the tiled kernel with one level per scale, frame level
-    first, on the values and a count of 1 per frame as [V | count]. Each
-    level's pooled queries are pre-scaled by weight / (sqrt(hd) * count),
-    and its keys are pooled means. The backward keeps only q, k, v, the
-    output and the denominators.
-    """
-    q, k, v = _attention_operands(q, k, v, heads, "hierarchical")
-    T, A = q.data.shape
-    if not weights or window < 0:
-        raise ShapeError(f"need a weight per scale and window >= 0, got {weights}, {window}")
+    if not weights or window < 0 or step < 1:
+        raise ShapeError(
+            f"need a weight per scale, window >= 0 and step >= 1, got {weights}, {window}, {step}"
+        )
     hd = A // heads
     scale = 1.0 / math.sqrt(hd)
     qd, kd, vd = q.data, k.data, v.data
     dtype = qd.dtype
     wts = [float(x) * scale for x in weights]
     kernel = _TileKernel(len(wts), window, dtype)
-    rows = -(-T // kernel.per[0]) * kernel.per[0]  # whole coarsest blocks
+    residues = range(min(step, T))
 
-    def pooled():
-        """The kernel's operands, zero-padded to whole coarsest blocks: per
-        scale the pooled query sums times weight / (sqrt(hd) * count) and
-        the pooled key means, and [V | count] at frame level."""
-        qsum, ksum = qd.reshape(T, heads, hd), kd.reshape(T, heads, hd)
+    def operands(r):
+        """The kernel's operands over rows r::step, zero-padded to whole
+        coarsest blocks: per scale the pooled query sums times weight /
+        (sqrt(hd) * count) and the pooled key means, [V | count] at frame
+        level, and the residue's row count."""
+        qsum, ksum = qd[r::step].reshape(-1, heads, hd), kd[r::step].reshape(-1, heads, hd)
+        n = len(qsum)
+        rows = -(-n // kernel.per[0]) * kernel.per[0]
         qs, ks = [], []
+        c = 1.0  # a frame-level row counts one frame
         for s, wt in enumerate(wts):
             if s:
                 qsum, ksum = _sum_pool(qsum, 2), _sum_pool(ksum, 2)
-            c = _frame_counts(T, 1 << s, dtype)[:, None, None]
+                c = _frame_counts(n, 1 << s, dtype)[:, None]
             qp, kp = (np.zeros((heads, rows >> s, hd), dtype) for _ in range(2))
-            qp[:, : len(c)] = (qsum * (wt / c)).transpose(1, 0, 2)
-            kp[:, : len(c)] = (ksum / c).transpose(1, 0, 2)
+            np.multiply(qsum.transpose(1, 0, 2), wt / c, out=qp[:, : len(qsum)])
+            np.divide(ksum.transpose(1, 0, 2), c, out=kp[:, : len(ksum)])
             qs.append(qp)
             ks.append(kp)
-        return qs, ks, _value_count(vd, heads, rows), T
+        return qs, ks, _value_count(vd[r::step], heads, rows), n
 
-    yh, den = kernel.forward(*pooled())
-    y = yh[:, :T].transpose(1, 0, 2).reshape(T, A)
+    y, den = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
+    for r in residues:
+        qs, ks, vc, n = operands(r)
+        yr, dr = kernel.forward(qs, ks, vc, n)
+        y[r::step], den[r::step] = yr[:, :n].transpose(1, 0, 2), dr[:, :n].transpose(1, 0, 2)
 
-    out = _make(y, (q, k, v))
+    out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
         nodes = _grad_node(q), _grad_node(k), _grad_node(v)
 
         def back(g):
-            g0 = np.zeros_like(yh)
-            g0[:, :T] = g.reshape(T, heads, hd).transpose(1, 0, 2)
-            dqs, dks, dvc = kernel.backward(*pooled(), yh, den, g0)
-            dq = dk = 0.0
-            for s, (wt, a, b) in enumerate(zip(wts, dqs, dks)):
-                f = 1 << s
-                c = _frame_counts(T, f, dtype)[:, None, None]
-                dq = _unpool(a[:, : len(c)].transpose(1, 0, 2) * (wt / c), f, T) + dq
-                dk = _unpool(b[:, : len(c)].transpose(1, 0, 2) / c, f, T) + dk
-            dv = dvc[:, :T, :hd].transpose(1, 0, 2)
-            for n, d in zip(nodes, (dq, dk, dv)):
-                if n is not None:
-                    n._accumulate(d.reshape(T, A))
+            g = g.reshape(T, heads, hd)
+            dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
+            for r in residues:
+                qs, ks, vc, n = operands(r)
+                # head-major and padded like vc: a padded row has g = y = 0
+                # and den = 1, so its dY is 0 / 1 = 0, not a 0 / 0 warning
+                saved = []
+                for a, fill in ((y, 0), (den, 1), (g, 0)):
+                    p = np.full(vc.shape[:2] + a.shape[2:], fill, dtype)
+                    p[:, :n] = a[r::step].transpose(1, 0, 2)
+                    saved.append(p)
+                dqs, dks, dvc = kernel.backward(qs, ks, vc, n, *saved)
+                dqr = dkr = 0.0
+                c = 1.0
+                for s, (wt, a, b) in enumerate(zip(wts, dqs, dks)):
+                    f, m = 1 << s, -(-n >> s)
+                    if s:
+                        c = _frame_counts(n, f, dtype)[:, None, None]
+                    dqr = _unpool(a[:, :m].transpose(1, 0, 2) * (wt / c), f, n) + dqr
+                    dkr = _unpool(b[:, :m].transpose(1, 0, 2) / c, f, n) + dkr
+                dq[r::step], dk[r::step] = dqr, dkr
+                dv[r::step] = dvc[:, :n, :hd].transpose(1, 0, 2)
+            for node, d in zip(nodes, (dq, dk, dv)):
+                if node is not None:
+                    node._accumulate(d.reshape(T, A))
         out._node._backward = back
     return out
 

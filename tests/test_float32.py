@@ -15,13 +15,12 @@ from tempseg.pipeline import SynthSpec, _sequence_loss, infer, synth_dataset
 from tempseg.segments import detect_boundaries, refine_prediction
 from tempseg.seqcore import (
     Tensor,
-    band_attention,
     conv1d_dilated,
-    hta_attention,
     layer_norm,
     linear,
     masked_softmax,
     no_grad,
+    window_attention,
 )
 
 from oracles import rel_err
@@ -39,9 +38,10 @@ _OPS = {
     "conv1d_dilated": (
         lambda x, w, b: conv1d_dilated(x, w, b, dilation=2, mode="acausal", stride=2),
         [(12, 50), (8, 12, 3), (8,)], 1),
-    "band_attention": (lambda q, k, v: band_attention(q, k, v, 2, 9, 2),
+    # the op's two uses: one scale over a dilated band, a ladder at step 1
+    "band_attention": (lambda q, k, v: window_attention(q, k, v, 2, [1.0], 9, 2),
                        [(200, 16)] * 3, 3),
-    "hta_attention": (lambda q, k, v: hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 3),
+    "hta_attention": (lambda q, k, v: window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 3, 1),
                       [(300, 16)] * 3, 3),
     "gelu": (lambda x: x.gelu(), [(40, 24)], 1),
     "masked_softmax": (lambda x: masked_softmax(x * 4.0), [(40, 24)], 1),

@@ -1,5 +1,7 @@
 import mmap
 import os
+import re
+import struct
 import tempfile
 from types import SimpleNamespace
 
@@ -306,6 +308,31 @@ def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):
     learned = {f"enc_attn.{i}.hta.ws": Tensor(np.ones(8)) for i in range(2)}
     save_checkpoint(p, cfg, {**SegmentationModel(cfg).params, **learned})
     with pytest.raises(FormatError, match=str(p)):
+        load_checkpoint(p)
+
+
+def test_checkpoint_parameter_name_not_utf8_names_file_and_offset(tmp_path):
+    cfg = tiny_cfg()
+    data = checkpoint_v1_bytes(cfg, SegmentationModel(cfg).params)
+    (n,) = struct.unpack_from("<I", data, 8)
+    at = 20 + n  # magic, version, config length and text, count, name length
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(FormatError, match=re.escape(f"{p}: parameter name at byte {at} ")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_with_a_duplicated_parameter_rejected(tmp_path):
+    # a record of the last name follows the real one: a silent load would let
+    # the later copy win
+    cfg = tiny_cfg()
+    params = SegmentationModel(cfg).params
+    name = max(params)
+    twin = name[:-1] + chr(ord(name[-1]) + 1)
+    data = checkpoint_v1_bytes(cfg, {**params, twin: Tensor(params[name].data + 1.0)})
+    p = tmp_path / "twice.ckpt"
+    p.write_bytes(data.replace(twin.encode(), name.encode()))
+    with pytest.raises(FormatError, match=re.escape(f"{p}: parameter {name!r} appears twice")):
         load_checkpoint(p)
 
 

@@ -797,6 +797,23 @@ def test_cli_infer_checkpoint_with_a_wrong_parameter_shape_names_it(tmp_path, ca
     assert all(str(x) in err for x in (ckpt, repr(name), bad, want)), err
 
 
+def test_cli_infer_checkpoint_with_a_non_utf8_parameter_name_names_file_and_offset(
+        tmp_path, capsys):
+    cfg = tiny_run().model
+    ckpt, feat = tmp_path / "m.ckpt", tmp_path / "x.feat"
+    save_checkpoint(ckpt, cfg, SegmentationModel(cfg).params)
+    data = ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", data, 8)
+    at = 20 + n  # the first parameter name's first byte
+    ckpt.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    save_features(rng.normal(size=(12, cfg.d_in)), feat)
+    code = cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{ckpt}: parameter name at byte {at} is not UTF-8" in err, err
+
+
 def test_cli_train_on_files_of_two_widths_names_the_odd_file(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -12,15 +12,14 @@ from tempseg.seqcore import (
     MaskError,
     ShapeError,
     Tensor,
-    band_attention,
     concat,
     conv1d_dilated,
-    hta_attention,
     layer_norm,
     linear,
     masked_softmax,
     mean_pool1d,
     no_grad,
+    window_attention,
 )
 
 from oracles import (
@@ -240,7 +239,7 @@ def test_grad_mean_pool_layer_norm():
         [x, g, bb], tol=1e-5)
 
 
-# -- band attention -------------------------------------------------------
+# -- windowed attention: one scale over a dilated band (DSWA) -------------
 
 
 @pytest.mark.parametrize(
@@ -261,7 +260,7 @@ def test_band_attention_matches_dense_oracle(T, width, step, heads):
     mask = band_mask_oracle(T, width, step)
     spec = WindowSpec(width, step - 1)
     assert np.array_equal(mask, dense_mask(build_sparse_mask(T, spec)))
-    got = band_attention(Tensor(q), Tensor(k), Tensor(v), heads, width, step).data
+    got = window_attention(Tensor(q), Tensor(k), Tensor(v), heads, [1.0], width, step).data
     assert np.max(np.abs(got - dense_multihead(q, k, v, heads, mask))) < 1e-12
 
 
@@ -269,35 +268,47 @@ def test_band_attention_matches_dense_oracle(T, width, step, heads):
 def test_grad_band_attention(T, width, step):
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     w = rng.normal(size=(T, 4))
-    _fd(lambda: (band_attention(q, k, v, 2, width, step) * w).sum(), [q, k, v])
+    _fd(lambda: (window_attention(q, k, v, 2, [1.0], width, step) * w).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("T, width", [(100, 5), (300, 40)])
-def test_band_attention_is_one_level_hta_to_the_bit(T, width, dtype):
-    # one kernel: a step-1 band is HTA at the single scale 0 with weight 1
+def test_dilated_window_is_one_window_per_residue_to_the_bit(T, width, dtype):
+    # a step-s call attends each residue's rows r::s as its own sequence,
+    # so it equals, byte for byte, s step-1 calls on those rows
     q, k, v, g = (rng.normal(size=(T, 8)).astype(dtype) for _ in range(4))
-    runs = []
-    for op in (lambda *x: band_attention(*x, 2, width, 1),
-               lambda *x: hta_attention(*x, 2, [1.0], width)):
+    for step, weights in ((3, [1.0]), (2, [0.5, 0.3, 0.2])):
         xs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        y = op(*xs)
+        y = window_attention(*xs, 2, weights, width, step)
         (y * Tensor(g)).sum().backward()
-        runs.append([y.data] + [x.grad for x in xs])
-    assert all(a.dtype == dtype and a.tobytes() == b.tobytes() for a, b in zip(*runs))
+        for r in range(step):
+            rs = [Tensor(a[r::step], requires_grad=True) for a in (q, k, v)]
+            yr = window_attention(*rs, 2, weights, width, 1)
+            (yr * Tensor(g[r::step])).sum().backward()
+            for a, b in zip([y.data] + [x.grad for x in xs], [yr.data] + [x.grad for x in rs]):
+                assert a.dtype == dtype
+                assert np.ascontiguousarray(a[r::step]).tobytes() == b.tobytes()
 
 
 def test_band_attention_rejects_bad_shapes():
     x = Tensor(rng.normal(size=(6, 4)))
     with pytest.raises(ShapeError):
-        band_attention(x, Tensor(rng.normal(size=(5, 4))), x, 2, 1, 1)
+        window_attention(x, Tensor(rng.normal(size=(5, 4))), x, 2, [1.0], 1, 1)
     with pytest.raises(ShapeError):
-        band_attention(x, x, x, 3, 1, 1)
+        window_attention(x, x, x, 3, [1.0], 1, 1)
     with pytest.raises(ShapeError):
-        band_attention(x, x, x, 2, 1, 0)
+        window_attention(x, x, x, 2, [1.0], 1, 0)
 
 
-# -- hierarchical attention -----------------------------------------------
+@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.5]])
+@pytest.mark.parametrize("step", [0, -1])
+def test_window_attention_rejects_step_below_one(step, weights):
+    x = Tensor(rng.normal(size=(6, 4)))
+    with pytest.raises(ShapeError, match="step >= 1"):
+        window_attention(x, x, x, 2, weights, 1, step)
+
+
+# -- windowed attention: a ladder of scales (HTA) -------------------------
 
 
 @pytest.mark.parametrize(
@@ -314,10 +325,22 @@ def test_hta_attention_matches_dense_oracle(monkeypatch, T, weights, window, hea
     # scale s is the s-th weight: the ladder 0 .. len(weights) - 1
     monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
-    got = hta_attention(t(q), t(k), t(v), heads, weights, window).data
+    got = window_attention(t(q), t(k), t(v), heads, weights, window, 1).data
     want = hta_qkv_oracle(q, k, v, heads, range(len(weights)), weights, window)
     assert got.shape == (T, 8)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_dilated_ladder_matches_dense_oracle_per_residue(monkeypatch):
+    # no caller dilates a ladder, but the op allows it: the rows r::2 of each
+    # residue run the 3-scale attention as one sequence, with ragged tails
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    T, weights = 29, [0.5, 0.3, 0.2]
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    got = window_attention(t(q), t(k), t(v), 2, weights, 2, 2).data
+    for r in range(2):
+        want = hta_qkv_oracle(q[r::2], k[r::2], v[r::2], 2, range(3), weights, 2)
+        assert np.max(np.abs(got[r::2] - want)) < 1e-12
 
 
 # a tile holds TILE_ROWS >> (scales - 1) coarsest rows: 3 of the 6 for 3
@@ -330,7 +353,7 @@ def test_grad_hta_attention_two_blocks(monkeypatch, weights, block):
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     wgt = rng.normal(size=(T, 4))
     err = fd_check_tensor(
-        lambda: (hta_attention(q, k, v, 2, weights, 2) * wgt).sum(), [q, k, v])
+        lambda: (window_attention(q, k, v, 2, weights, 2, 1) * wgt).sum(), [q, k, v])
     assert err < 1e-6
 
 
@@ -342,25 +365,25 @@ def test_hta_attention_reruns_bit_identical(monkeypatch):
     for _ in range(2):
         for x in (q, k, v):
             x.zero_grad()
-        y = hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2)
+        y = window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2, 1)
         (y * g).sum().backward()
         runs.append([y.data.copy()] + [x.grad.copy() for x in (q, k, v)])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
     with no_grad():
-        y = hta_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2)
+        y = window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2, 1)
     assert np.array_equal(y.data, runs[0][0]) and not y._prev
 
 
 def test_hta_attention_rejects_bad_arguments():
     q = t(rng.normal(size=(6, 4)))
     with pytest.raises(ShapeError):
-        hta_attention(q, q, t(rng.normal(size=(5, 4))), 2, [1.0], 1)
+        window_attention(q, q, t(rng.normal(size=(5, 4))), 2, [1.0], 1, 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 3, [1.0], 1)
+        window_attention(q, q, q, 3, [1.0], 1, 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 2, [], 1)
+        window_attention(q, q, q, 2, [], 1, 1)
     with pytest.raises(ShapeError):
-        hta_attention(q, q, q, 2, [1.0], -1)
+        window_attention(q, q, q, 2, [1.0], -1, 1)
 
 
 # -- indexing -------------------------------------------------------------
@@ -495,7 +518,8 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     c = Tensor(rng.normal(size=(8, 4)))
     h = linear(x, w, b) * c + c / (x * x + 1.0) - c @ w - x @ Tensor(np.eye(4))
     h = layer_norm(h, w[0], b).gelu().tanh()
-    h = band_attention(h, c, h, 2, 2, 1) + hta_attention(h, h, c, 2, [0.5, 0.5], 1)
+    h = (window_attention(h, c, h, 2, [1.0], 2, 1)
+         + window_attention(h, h, c, 2, [0.5, 0.5], 1, 1))
     h = conv1d_dilated(h.T, kernel, b, dilation=2).relu().T
     h = concat([mean_pool1d(h, 2), h[::2], h[np.array([0, 3, 3, 1])]], axis=1)
     p = masked_softmax(h.reshape(4, 12)).astype(np.float32).astype(np.float64)
@@ -623,6 +647,6 @@ def test_attention_ops_reject_mixed_dtypes():
     q = rng.normal(size=(6, 4))
     k = q.astype(np.float32)
     with pytest.raises(ShapeError):
-        band_attention(t(q), Tensor(k), t(q), 2, 2, 1)
+        window_attention(t(q), Tensor(k), t(q), 2, [1.0], 2, 1)
     with pytest.raises(ShapeError):
-        hta_attention(t(q), Tensor(k), t(q), 2, [1.0], 1)
+        window_attention(t(q), Tensor(k), t(q), 2, [1.0], 1, 1)

@@ -1,0 +1,212 @@
+"""Bit-identity digests of the package's outputs, one sha256 line per item.
+
+Runs in a fresh Python process against DIR/src and prints, one line each:
+
+- the acceptance criterion-4 training run: its epoch losses, its final
+  training accuracy and the bytes of the checkpoint it writes;
+- default-config `infer` on a T = 2048 synthetic sequence for data seeds
+  5 and 11: every stage's action logits, every stage's boundary scores,
+  the raw labels, the refined labels and the boundaries;
+- every `attention.dswa_forward` and `attention.hta_forward` call of a
+  training forward of the train_small benchmark model (T = 512) and of a
+  default-config inference forward (T = 2048), each replayed in float32
+  and in float64 with a tape: the output and the gradients of the input
+  and of every projection parameter, one line per workload, op and dtype;
+- `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer).
+
+Two checkouts whose outputs agree bit for bit print the same lines:
+
+    python3 tools/bitcheck.py > change.txt
+    python3 tools/bitcheck.py --repo ../parent-checkout > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+INFER_T = 2048
+INFER_SEEDS = (5, 11)
+MASK_CASES = ((64, 2), (37, 0), (300, 9), (1, 4))
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            part = part.encode()
+        elif not isinstance(part, bytes):
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            part = a.tobytes()
+        h.update(part)
+    return h.hexdigest()
+
+
+def _line(item: str, *parts, note: str = ""):
+    print(f"{_digest(*parts)}  {item}" + (f"  ({note})" if note else ""), flush=True)
+
+
+def _criterion4(work: Path):
+    """Acceptance criterion 4's training run, configured as its test is."""
+    from tempseg.network import ModelConfig
+    from tempseg.pipeline import RunConfig, SynthSpec, synth_dataset, train
+
+    model = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
+                        temporal_dropout=0.3, seed=0)
+    spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
+    run = RunConfig(model=model, lr=5e-4, max_epochs=120, patience=120, target_accuracy=0.95)
+    ckpt = work / "criterion4.ckpt"
+    result = train(run, synth_dataset(spec, 5, 512), ckpt_path=ckpt)
+    acc = result.final_train_accuracy
+    _line("criterion4.epoch_losses", repr(result.epoch_losses),
+          note=f"{len(result.epoch_losses)} epochs")
+    _line("criterion4.accuracy", repr(acc), note=repr(acc))
+    _line("criterion4.checkpoint", ckpt.read_bytes())
+
+
+def _infer_inputs(seed: int):
+    from tempseg.network import ModelConfig, SegmentationModel
+    from tempseg.pipeline import SynthSpec, synth_dataset
+
+    cfg = ModelConfig()
+    spec = SynthSpec(n_classes=cfg.n_classes, d_features=cfg.d_in, seed=seed)
+    return SegmentationModel(cfg), synth_dataset(spec, 1, INFER_T)[0][0]
+
+
+def _infer():
+    """Default-config inference at T = 2048, refined, per data seed."""
+    from tempseg.pipeline import infer
+
+    for seed in INFER_SEEDS:
+        model, feats = _infer_inputs(seed)
+        result = infer(model, feats, refine=True)
+        stages = result.output.stages
+        item = f"infer.T{INFER_T}.seed{seed}"
+        _line(f"{item}.logits", *(s.action_logits.data for s in stages))
+        _line(f"{item}.boundary_scores", *(s.boundary_scores.data for s in stages))
+        _line(f"{item}.raw_labels", result.raw_labels)
+        _line(f"{item}.refined_labels", result.refined_labels)
+        _line(f"{item}.boundaries", repr(list(result.boundaries)),
+              note=f"{len(result.boundaries)} boundaries")
+
+
+@contextlib.contextmanager
+def _recorded(calls: list):
+    """Record the arguments of every dswa_forward and hta_forward call."""
+    from tempseg import attention
+
+    saved = attention.dswa_forward, attention.hta_forward
+
+    def wrap(name, fn):
+        def recording(x, *rest):
+            calls.append((name, x.data.copy(), rest))
+            return fn(x, *rest)
+        return recording
+
+    attention.dswa_forward = wrap("dswa", saved[0])
+    attention.hta_forward = wrap("hta", saved[1])
+    try:
+        yield
+    finally:
+        attention.dswa_forward, attention.hta_forward = saved
+
+
+def _replay(name, x, rest, dtype, seed):
+    """The output and the input and parameter gradients of one recorded
+    call, replayed with a tape on `x` in `dtype`."""
+    from tempseg import attention
+    from tempseg.seqcore import Tensor
+
+    *masks, params = rest
+    fields = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    ps = {f: Tensor(np.array(getattr(params, f).data), requires_grad=True) for f in fields}
+    params = attention.AttentionParams(**ps, heads=params.heads)
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    fn = attention.dswa_forward if name == "dswa" else attention.hta_forward
+    y = fn(xt, *masks, params)
+    g = np.random.default_rng(seed).normal(size=y.shape).astype(dtype)
+    (y * Tensor(g)).sum().backward()
+    return [y.data, xt.grad] + [ps[f].grad for f in fields]
+
+
+def _attention_calls():
+    """Replays of every attention call of a train_small training forward
+    and a default-config inference forward."""
+    from tempseg.network import ModelConfig, SegmentationModel
+    from tempseg.pipeline import SynthSpec, synth_dataset
+    from tempseg.seqcore import Tensor, no_grad
+
+    cfg = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
+                      temporal_dropout=0.3)
+    spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
+    feats = synth_dataset(spec, 1, 512)[0][0].astype(np.float32)
+    train_calls, infer_calls = [], []
+    with _recorded(train_calls):
+        SegmentationModel(cfg).forward(Tensor(feats), training=True)
+    model, feats = _infer_inputs(INFER_SEEDS[0])
+    with _recorded(infer_calls), no_grad():
+        model.forward(Tensor(feats.astype(np.float32)), training=False)
+    for workload, calls in (("train_small", train_calls), (f"infer_T{INFER_T}", infer_calls)):
+        for op in ("dswa", "hta"):
+            mine = [(i, c) for i, c in enumerate(calls) if c[0] == op]
+            for dtype in (np.float32, np.float64):
+                parts = [a for i, (name, x, rest) in mine
+                         for a in _replay(name, x, rest, dtype, seed=i)]
+                _line(f"attention.{workload}.{op}.{np.dtype(dtype).name}", *parts,
+                      note=f"{len(mine)} calls")
+
+
+def _inspect_mask():
+    from tempseg import cli
+
+    for T, layer in MASK_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["inspect-mask", "--T", str(T), "--layer", str(layer)])
+        _line(f"inspect_mask.T{T}.layer{layer}", out.getvalue(), f"exit {code}")
+
+
+def _worker():
+    """Every item, in the fresh process. Each function imports tempseg
+    itself, so only this process, whose PYTHONPATH points at the checkout
+    under test, ever imports it."""
+    import tempseg
+
+    print(f"checking {Path(tempseg.__file__).parent}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as work:
+        _criterion4(Path(work))
+    _infer()
+    _attention_calls()
+    _inspect_mask()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--repo", type=Path, default=ROOT, help="checkout to check (default: this one)")
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        _worker()
+        return 0
+    src = args.repo.resolve() / "src"
+    if not (src / "tempseg").is_dir():
+        p.error(f"no package at {src / 'tempseg'}")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, __file__, "--worker"], env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

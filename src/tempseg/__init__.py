@@ -1,7 +1,7 @@
 """Temporal action segmentation with sparse sliding-window attention,
 multi-stage TCN refinement and boundary-aware training."""
 
-from .seqcore import Adam, Tensor, conv1d_dilated, layer_norm, masked_softmax
+from .seqcore import Adam, Tensor, conv1d_dilated, layer_norm, softmax
 from .attention import (
     AttentionMask,
     ScaleSet,
@@ -21,7 +21,6 @@ from .network import (
     upsample_to_original,
 )
 from .losses import (
-    LossWeights,
     combined_temporal_loss,
     dice_loss,
     focal_loss,

@@ -27,7 +27,6 @@ __all__ = [
     "dswa_forward",
     "hta_forward",
     "attended_pairs_count",
-    "init_attention_params",
 ]
 
 
@@ -177,19 +176,6 @@ class AttentionParams:
     @property
     def attn_dim(self) -> int:
         return self.wq.shape[1]
-
-
-def init_attention_params(d_model: int, attn_dim: int, heads: int, rng) -> AttentionParams:
-    def lin(n_in, n_out):
-        w = Tensor(rng.standard_normal((n_in, n_out)) / math.sqrt(n_in), requires_grad=True)
-        b = Tensor(np.zeros(n_out), requires_grad=True)
-        return w, b
-
-    wq, bq = lin(d_model, attn_dim)
-    wk, bk = lin(d_model, attn_dim)
-    wv, bv = lin(d_model, attn_dim)
-    wo, bo = lin(attn_dim, d_model)
-    return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo, heads)
 
 
 def dswa_forward(

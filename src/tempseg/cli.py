@@ -16,7 +16,6 @@ from . import attention, pipeline
 from .metrics import DEFAULT_THRESHOLDS, evaluate_all
 from .network import ModelConfig, SegmentationModel, count_params_flops, load_checkpoint
 from .segments import frames_to_segments, refine_prediction, save_segment_file
-from .seqcore import MaskError, ShapeError
 
 
 def _at_least_one(**flags):
@@ -224,7 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ValueError, ShapeError, MaskError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -4,15 +4,12 @@ Gaussian truncated boundary MSE, combined with fixed weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .seqcore import ShapeError, Tensor, as_tensor, masked_softmax
+from .seqcore import ShapeError, Tensor, as_tensor, softmax
 from .segments import SegmentList, make_boundary_target
 
 __all__ = [
-    "LossWeights",
     "focal_loss",
     "dice_loss",
     "gaussian_cosine_similarity_loss",
@@ -22,18 +19,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 1.0
-    beta: float = 0.2
-    gamma: float = 0.5
-    delta: float = 0.5
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
-            raise ValueError("loss weights must be non-negative")
 
 
 def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
@@ -51,7 +36,7 @@ def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
     plain cross-entropy."""
     logits = as_tensor(action_logits)
     oh = _one_hot(labels, logits.shape[1])
-    probs = masked_softmax(logits)
+    probs = softmax(logits)
     p_t = (probs * oh).sum(axis=1)
     p_t = p_t + _EPS
     # a frame whose softmax saturates has p_t = 1 + _EPS: clamp the base at 0,
@@ -105,37 +90,27 @@ def gaussian_cosine_similarity_loss(
 
 
 def gaussian_truncated_boundary_loss(
-    boundary_scores: Tensor,
-    boundary_target,
-    profile: np.ndarray,
-    tau: float = 0.5,
+    boundary_scores: Tensor, boundary_target, tau: float = 0.5
 ) -> Tensor:
-    """sum_t G_boundary(t) * min((b_hat_t - b_t)^2, tau) / T, where the
-    profile peaks at annotated boundaries. min is realised as
+    """sum_t b_t * min((b_hat_t - b_t)^2, tau) / T: the Gaussian boundary
+    target b (``make_boundary_target``) is also the weight profile, so the
+    loss peaks at annotated boundaries. min is realised as
     tau - relu(tau - x) to stay on the tape."""
     scores = as_tensor(boundary_scores)
     target = np.asarray(boundary_target, dtype=np.float64)
-    g = np.asarray(profile, dtype=np.float64)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if scores.shape != target.shape or scores.shape != g.shape:
-        raise ShapeError(
-            f"boundary loss shapes disagree: {scores.shape}, {target.shape}, {g.shape}"
-        )
+    if scores.shape != target.shape:
+        raise ShapeError(f"boundary loss shapes disagree: {scores.shape}, {target.shape}")
     sq = (scores - target) * (scores - target)
     truncated = tau - (tau - sq).relu()
-    return (truncated * g).sum() / float(scores.shape[0])
+    return (truncated * target).sum() / float(scores.shape[0])
 
 
-def combined_temporal_loss(
-    output,
-    labels,
-    segments: SegmentList,
-    weights: LossWeights,
-    cfg,
-) -> tuple[Tensor, dict]:
+def combined_temporal_loss(output, labels, segments: SegmentList, cfg) -> tuple[Tensor, dict]:
     """Mean over stages of alpha*focal + beta*dice + gamma*similarity +
-    delta*boundary. Returns the scalar loss and per-component float values."""
+    delta*boundary, with alpha .. delta from cfg.loss_alpha .. cfg.loss_delta.
+    Returns the scalar loss and per-component float values."""
     labels = np.asarray(labels, dtype=np.int64)
     T = labels.size
     b_target = make_boundary_target(segments, T)
@@ -143,13 +118,12 @@ def combined_temporal_loss(
     parts = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
     for stage in output.stages:
         lf = focal_loss(stage.action_logits, labels, cfg.focal_gamma)
-        probs = masked_softmax(stage.action_logits)
+        probs = softmax(stage.action_logits)
         ld = dice_loss(probs, labels, cfg.dice_smooth)
         ls = gaussian_cosine_similarity_loss(stage.features, segments, cfg.sigma_divisor)
-        lb = gaussian_truncated_boundary_loss(
-            stage.boundary_scores, b_target, b_target, cfg.tau
-        )
-        stage_loss = weights.alpha * lf + weights.beta * ld + weights.gamma * ls + weights.delta * lb
+        lb = gaussian_truncated_boundary_loss(stage.boundary_scores, b_target, cfg.tau)
+        stage_loss = (cfg.loss_alpha * lf + cfg.loss_beta * ld + cfg.loss_gamma * ls
+                      + cfg.loss_delta * lb)
         total = stage_loss if total is None else total + stage_loss
         parts["focal"] += lf.item()
         parts["dice"] += ld.item()

@@ -87,13 +87,13 @@ def _iou(a, b) -> float:
 
 
 def segmental_f1(
-    pred: SegmentList, gt: SegmentList, threshold: float, strict: bool = True
+    pred: SegmentList, gt: SegmentList, threshold: float
 ) -> tuple[float, float, float]:
     """Greedy IoU matching in temporal order of the predicted segments.
 
     A prediction is a TP when its best unmatched same-class ground-truth
-    segment has IoU > threshold (or >= with strict=False); everything else
-    is FP, and unmatched ground-truth segments are FN.
+    segment has IoU > threshold, strictly; everything else is FP, and
+    unmatched ground-truth segments are FN.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -109,8 +109,7 @@ def segmental_f1(
             iou = _iou(p, g)
             if iou > best_iou:
                 best, best_iou = i, iou
-        hit = best_iou > threshold if strict else best_iou >= threshold
-        if best >= 0 and hit:
+        if best_iou > threshold:
             matched[best] = True
             tp += 1
         else:

@@ -23,7 +23,7 @@ from .seqcore import (
     conv1d_dilated,
     layer_norm,
     linear,
-    masked_softmax,
+    softmax,
 )
 
 __all__ = [
@@ -414,7 +414,7 @@ class SegmentationModel:
 
     def decoder_forward(self, prev: StagePrediction, enc_features: Tensor, index: int) -> StagePrediction:
         t_orig = prev.action_logits.shape[0]
-        probs = masked_softmax(prev.action_logits)
+        probs = softmax(prev.action_logits)
         down = probs if self.cfg.stride == 1 else probs[:: self.cfg.stride]
         if down.shape[0] != enc_features.shape[0]:
             raise ShapeError(
@@ -464,12 +464,20 @@ def count_params_flops(cfg: ModelConfig, T: int) -> tuple[int, int]:
 
 def _hta_pair_count(t_red: int, scales: attn.ScaleSet) -> int:
     """Size of HTA's frame-level union neighbourhood: per frame, the
-    coarsest scale's window of pooled blocks, clipped to the sequence."""
-    f = 1 << max(scales.scales)
-    i_pool = np.arange(t_red) // f
-    lo = np.maximum((i_pool - scales.window) * f, 0)
-    hi = np.minimum((i_pool + scales.window + 1) * f, t_red)
-    return int((hi - lo).sum())
+    coarsest scale's window of pooled blocks, clipped to the sequence.
+
+    A block of f frames whose window of 2w + 1 blocks lies inside the
+    sequence adds f * (2w + 1) * f pairs; only the at most 2w + 1 blocks
+    at the two ends are summed one by one, so the count is exact at any
+    length without a per-frame array."""
+    f, w = 1 << max(scales.scales), scales.window
+    n_blocks = -(-t_red // f)
+    inner_end = max(t_red // f - w, w)  # interior blocks are w .. inner_end - 1
+    pairs = (inner_end - w) * f * (2 * w + 1) * f
+    for b in [*range(min(w, n_blocks)), *range(inner_end, n_blocks)]:
+        frames = min(f, t_red - b * f)
+        pairs += frames * (min((b + w + 1) * f, t_red) - max((b - w) * f, 0))
+    return pairs
 
 
 # -- checkpoint serialization --------------------------------------------

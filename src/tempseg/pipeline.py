@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binio import FormatError, Reader
-from .losses import LossWeights, combined_temporal_loss
+from .losses import combined_temporal_loss
 from .network import ModelConfig, SegmentationModel, config_kwargs, save_checkpoint
 from .segments import (
     Segment,
@@ -21,7 +21,7 @@ from .segments import (
     refine_prediction,
     segments_to_frames,
 )
-from .seqcore import Adam, Tensor, masked_softmax, no_grad
+from .seqcore import Adam, Tensor, no_grad, softmax
 
 __all__ = [
     "FEATURE_MAGIC",
@@ -301,10 +301,7 @@ class TrainResult:
 def _sequence_loss(model: SegmentationModel, feats, labels, segments, training: bool):
     x = Tensor(feats)
     out = model.forward(x, training=training)
-    weights = LossWeights(
-        model.cfg.loss_alpha, model.cfg.loss_beta, model.cfg.loss_gamma, model.cfg.loss_delta
-    )
-    loss, parts = combined_temporal_loss(out, labels, segments, weights, model.cfg)
+    loss, parts = combined_temporal_loss(out, labels, segments, model.cfg)
     return out, loss, parts
 
 
@@ -448,7 +445,7 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
             model.cfg.boundary_theta,
             model.cfg.boundary_min_distance,
         )
-        refined = refine_prediction(masked_softmax(Tensor(logits)).data, bounds)
+        refined = refine_prediction(softmax(Tensor(logits)).data, bounds)
     else:
         bounds = []
         refined = raw.copy()

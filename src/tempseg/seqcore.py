@@ -6,7 +6,7 @@ differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, ``/``,
-``@``, ``log`` and ``pow_const``, the inputs of ``linear``,
+``log`` and ``pow_const``, the inputs of ``linear``,
 ``conv1d_dilated`` and ``window_attention``, its own output where the
 formula is written in it, and masks and shapes. So the tape holds nodes,
 closures and gradients, and an interior value that no backward reads is
@@ -23,15 +23,20 @@ parameters run a float32 pass without a float32 copy being kept. Training
 and inference run their passes in float32 this way; a leaf's gradient
 accumulates in the leaf's own dtype, so float64 parameters get float64
 gradients and Adam keeps float64 master weights and state. The oracles
-run in float64. The primitive set is deliberately
-closed: matmul, the fused affine map ``linear``, dilated 1-D convolution,
-masked softmax, layer normalisation, elementwise arithmetic, activations,
-reductions, a dtype cast, gather/reshape/concat plumbing, mean pooling and
-one windowed multi-scale multi-head attention op (``window_attention``):
-DSWA's dilated band is its one-scale case over each residue of the
-dilation step, HTA its ladder of scales at step 1. It runs on one tiled
-kernel, ``_TileKernel``: dense tiles of query rows, each against one key
-slab, recomputed in the backward.
+run in float64.
+
+The primitive set is closed: it holds the ops the package's network, losses
+and pipeline run, and no other. Tensor methods: ``+``, ``-`` and ``*``
+(with their reflected forms), ``/``, negation, ``log``, ``sqrt``,
+``pow_const``, ``sigmoid``, ``relu``, ``gelu``, ``astype``, ``sum``,
+``mean``, ``reshape``, ``transpose`` and indexing. Functions: ``concat``,
+the affine map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
+``layer_norm``, ``softmax`` over the last axis, and one windowed
+multi-scale multi-head attention op (``window_attention``): DSWA's dilated
+band is its one-scale case over each residue of the dilation step, HTA its
+ladder of scales at step 1. It runs on one tiled kernel, ``_TileKernel``:
+dense tiles of query rows, each against one key slab, recomputed in the
+backward.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive.
 """
@@ -48,15 +53,13 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
-    "MaskError",
     "as_tensor",
     "concat",
     "conv1d_dilated",
     "layer_norm",
     "linear",
-    "masked_softmax",
-    "mean_pool1d",
     "no_grad",
+    "softmax",
     "window_attention",
     "Adam",
 ]
@@ -71,10 +74,6 @@ _grad_mode = threading.local()
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-class MaskError(ValueError):
-    """Raised for degenerate attention masks (e.g. a fully masked row)."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -165,9 +164,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     _accumulate = _Node._accumulate
 
@@ -289,32 +285,6 @@ class Tensor:
             out._node._backward = back
         return out
 
-    def __rtruediv__(self, other):
-        return as_tensor(other, self.data.dtype) / self
-
-    # ---- matmul -----------------------------------------------------
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        out = _make(a @ b, (self, other))
-        if out.requires_grad:
-            na, nb = _grad_node(self), _grad_node(other)
-            if na is None:
-                b = None
-            if nb is None:
-                a = None
-
-            def back(g):
-                if na is not None:
-                    na._accumulate(g @ b.T)
-                if nb is not None:
-                    nb._accumulate(a.T @ g)
-            out._node._backward = back
-        return out
-
     # ---- unary ------------------------------------------------------
 
     def log(self):
@@ -347,16 +317,11 @@ class Tensor:
             out._node._backward = back
         return out
 
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            out._node._backward = lambda g: n._accumulate(g * (1.0 - y * y))
-        return out
-
     def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
+        # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf)
+        # is exactly the limit 0
+        with np.errstate(over="ignore"):
+            y = 1.0 / (1.0 + np.exp(-self.data))
         out = _make(y, (self,))
         if out.requires_grad:
             n = _grad_node(self)
@@ -537,25 +502,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along the last axis restricted to mask-true entries; no mask
-    allows every entry.
-
-    Masked entries come out exactly 0; each row of unmasked entries sums
-    to 1, stabilised by subtracting the row max over unmasked entries.
-    A fully masked row is an error, never a silent uniform.
-    """
+def softmax(scores: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilised by subtracting the row max."""
     scores = as_tensor(scores)
-    if mask is None:
-        e = np.exp(scores.data - scores.data.max(axis=-1, keepdims=True))
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-        if not mask.any(axis=-1).all():
-            bad = np.argwhere(~mask.any(axis=-1))[0]
-            raise MaskError(f"fully masked softmax row at index {tuple(bad)}")
-        neg = np.where(mask, scores.data, -np.inf)
-        e = np.exp(neg - neg.max(axis=-1, keepdims=True))
-        e = np.where(mask, e, 0.0)
+    e = np.exp(scores.data - scores.data.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
     out = _make(alpha, (scores,))
     if out.requires_grad:
@@ -899,25 +849,6 @@ def conv1d_dilated(
             if nb is not None:
                 nb._accumulate(g.sum(axis=1))
         out._node._backward = back
-    return out
-
-
-def mean_pool1d(x: Tensor, factor: int) -> Tensor:
-    """Non-overlapping mean pooling along axis 0; a ragged tail window is
-    averaged over the frames it actually covers."""
-    x = as_tensor(x)
-    t = x.data.shape[0]
-    if factor < 1:
-        raise ShapeError(f"pool factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x
-    counts = _frame_counts(t, factor, x.data.dtype).reshape((-1,) + (1,) * (x.data.ndim - 1))
-    # each window adds its frames in frame order, exactly as a scatter-add would
-    y = _sum_pool(x.data, factor) / counts
-    out = _make(y, (x,))
-    if out.requires_grad:
-        n = _grad_node(x)
-        out._node._backward = lambda g: n._accumulate(_unpool(g / counts, factor, t))
     return out
 
 

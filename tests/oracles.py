@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written the slow, obvious way on purpose: no shared code
-with the package beyond numpy and its error types.
+with the package beyond numpy, its error types and the Tensor and
+AttentionParams containers that `init_attention_params` fills.
 """
 
 import functools
@@ -10,7 +11,8 @@ import struct
 
 import numpy as np
 
-from tempseg.seqcore import MaskError, ShapeError
+from tempseg.attention import AttentionParams
+from tempseg.seqcore import ShapeError, Tensor
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -224,6 +226,15 @@ def mean_pool_oracle(x, f):
     return y / counts.reshape((n,) + (1,) * (x.ndim - 1))
 
 
+def hta_pair_count_oracle(T, f, window):
+    """HTA's union neighbourhood size summed per frame: frame i attends the
+    frames of the blocks of f frames within `window` blocks of its own."""
+    block = np.arange(T) // f
+    lo = np.maximum((block - window) * f, 0)
+    hi = np.minimum((block + window + 1) * f, T)
+    return int((hi - lo).sum())
+
+
 def aggregate_scales(scores, weights, neighborhoods):
     """Cross-scale score aggregation on dense [T, T] score maps.
 
@@ -240,11 +251,24 @@ def aggregate_scales(scores, weights, neighborhoods):
         union |= nb
     if not union.any(axis=1).all():
         q = int(np.argmin(union.any(axis=1)))
-        raise MaskError(f"query {q} has an empty neighborhood union")
+        raise ValueError(f"query {q} has an empty neighborhood union")
     shifted = np.where(union, total, -np.inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     e = np.where(union, np.exp(shifted), 0.0)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def init_attention_params(d_model: int, attn_dim: int, heads: int, rng) -> AttentionParams:
+    def lin(n_in, n_out):
+        w = Tensor(rng.standard_normal((n_in, n_out)) / math.sqrt(n_in), requires_grad=True)
+        b = Tensor(np.zeros(n_out), requires_grad=True)
+        return w, b
+
+    wq, bq = lin(d_model, attn_dim)
+    wk, bk = lin(d_model, attn_dim)
+    wv, bv = lin(d_model, attn_dim)
+    wo, bo = lin(attn_dim, d_model)
+    return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo, heads)
 
 
 def dswa_oracle(x, exp_mask, shr_mask, params):
@@ -319,8 +343,10 @@ def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
 
 
 def linear_composite(x, w, b):
-    """x @ w + b as the two tape ops the fused linear replaced."""
-    return x @ w + b
+    """x @ w + b as elementwise tape ops: broadcast products of x [N, D] and
+    w [D, O], summed over D, plus b."""
+    (n, d), o = x.shape, w.shape[1]
+    return (x.reshape(n, d, 1) * w.reshape(1, d, o)).sum(axis=1) + b
 
 
 def layer_norm_composite(x, gain, bias, eps=1e-6):

@@ -14,9 +14,8 @@ from tempseg.attention import (
     build_window_schedule,
     dswa_forward,
     hta_forward,
-    init_attention_params,
 )
-from tempseg.seqcore import MaskError, ShapeError, Tensor, no_grad
+from tempseg.seqcore import ShapeError, Tensor, no_grad
 
 from oracles import (
     aggregate_scales,
@@ -26,6 +25,7 @@ from oracles import (
     dswa_oracle,
     fd_check_tensor,
     hta_oracle,
+    init_attention_params,
 )
 
 rng = np.random.default_rng(99)
@@ -155,7 +155,7 @@ def test_aggregate_scales_empty_union_raises():
     T = 3
     nb = np.ones((T, T), bool)
     nb[1] = False
-    with pytest.raises(MaskError):
+    with pytest.raises(ValueError, match="empty neighborhood"):
         aggregate_scales([np.zeros((T, T))], [1.0], [nb])
 
 

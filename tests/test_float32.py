@@ -18,8 +18,8 @@ from tempseg.seqcore import (
     conv1d_dilated,
     layer_norm,
     linear,
-    masked_softmax,
     no_grad,
+    softmax,
     window_attention,
 )
 
@@ -44,7 +44,7 @@ _OPS = {
     "hta_attention": (lambda q, k, v: window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 3, 1),
                       [(300, 16)] * 3, 3),
     "gelu": (lambda x: x.gelu(), [(40, 24)], 1),
-    "masked_softmax": (lambda x: masked_softmax(x * 4.0), [(40, 24)], 1),
+    "softmax": (lambda x: softmax(x * 4.0), [(40, 24)], 1),
 }
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tempseg.losses import (
-    LossWeights,
     combined_temporal_loss,
     dice_loss,
     focal_loss,
@@ -14,7 +13,7 @@ from tempseg.losses import (
 )
 from tempseg.network import ModelConfig, StagePrediction, ModelOutput
 from tempseg.segments import Segment, SegmentList
-from tempseg.seqcore import Tensor
+from tempseg.seqcore import Tensor, softmax
 
 from oracles import fd_check_tensor
 
@@ -114,22 +113,22 @@ def test_boundary_loss_zero_at_target():
     from tempseg.segments import make_boundary_target
 
     b = make_boundary_target(segs, 20)
-    loss = gaussian_truncated_boundary_loss(t(b), b, b, tau=0.5)
+    loss = gaussian_truncated_boundary_loss(t(b), b, tau=0.5)
     assert loss.item() < 1e-12
 
 
 def test_boundary_loss_truncates_large_errors():
-    target = np.zeros(4)
-    g = np.ones(4)
+    target = np.ones(4)
     wild = t(np.full(4, 100.0))
-    loss = gaussian_truncated_boundary_loss(wild, target, g, tau=0.5)
-    # every frame clamps at tau
+    loss = gaussian_truncated_boundary_loss(wild, target, tau=0.5)
+    # every frame clamps at tau and weighs 1
     assert math.isclose(loss.item(), 0.5, rel_tol=1e-9)
 
 
 def test_loss_weights_validate():
-    with pytest.raises(ValueError):
-        LossWeights(-0.1, 0.2, 0.5, 0.5)
+    for name in ("loss_alpha", "loss_beta", "loss_gamma", "loss_delta"):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{name: -0.1})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -157,16 +156,9 @@ def test_focal_gradient_fd():
 
 
 def test_dice_gradient_fd_through_softmax():
-    from tempseg.seqcore import masked_softmax
-
     logits = t(rng.normal(size=(6, 3)))
     labels = rng.integers(0, 3, size=6)
-
-    def build():
-        probs = masked_softmax(logits, np.ones((6, 3), bool))
-        return dice_loss(probs, labels)
-
-    assert fd_check_tensor(build, [logits]) < 1e-6
+    assert fd_check_tensor(lambda: dice_loss(softmax(logits), labels), [logits]) < 1e-6
 
 
 def test_similarity_gradient_fd():
@@ -183,7 +175,7 @@ def test_boundary_gradient_fd():
     b = make_boundary_target(segs, 20)
     scores = t(rng.uniform(0.0, 1.0, size=20))
     err = fd_check_tensor(
-        lambda: gaussian_truncated_boundary_loss(scores, b, b, tau=0.5), [scores]
+        lambda: gaussian_truncated_boundary_loss(scores, b, tau=0.5), [scores]
     )
     assert err < 1e-6
 
@@ -208,29 +200,30 @@ def test_combined_loss_is_stage_mean():
     cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=0, heads=2)
     labels = np.array([0] * 6 + [1] * 6)
     segs = SegmentList([Segment(0, 5, 0), Segment(6, 11, 1)])
-    w = LossWeights(1.0, 0.2, 0.5, 0.5)
     r = np.random.default_rng(5)
     out2 = _fake_output(12, 3, 8, 2, r)
-    loss2, parts = combined_temporal_loss(out2, labels, segs, w, cfg)
+    loss2, parts = combined_temporal_loss(out2, labels, segs, cfg)
     per_stage = []
     for st in out2.stages:
         one = ModelOutput([st])
-        l, _ = combined_temporal_loss(one, labels, segs, w, cfg)
+        l, _ = combined_temporal_loss(one, labels, segs, cfg)
         per_stage.append(l.item())
     assert math.isclose(loss2.item(), np.mean(per_stage), rel_tol=1e-12)
     assert set(parts) == {"focal", "dice", "sim", "boundary"}
 
 
 def test_combined_loss_weight_scaling():
-    cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=0, heads=2)
+    dims = dict(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=0, heads=2)
     labels = np.array([0] * 5 + [2] * 5)
     segs = SegmentList([Segment(0, 4, 0), Segment(5, 9, 2)])
     r = np.random.default_rng(6)
     out = _fake_output(10, 3, 8, 1, r)
-    base, parts = combined_temporal_loss(out, labels, segs, LossWeights(1, 0, 0, 0), cfg)
+    focal_only = ModelConfig(**dims, loss_alpha=1, loss_beta=0, loss_gamma=0, loss_delta=0)
+    base, parts = combined_temporal_loss(out, labels, segs, focal_only)
     assert math.isclose(base.item(), parts["focal"], rel_tol=1e-12)
     full, parts = combined_temporal_loss(
-        out, labels, segs, LossWeights(1.0, 0.2, 0.5, 0.5), cfg
+        out, labels, segs,
+        ModelConfig(**dims, loss_alpha=1.0, loss_beta=0.2, loss_gamma=0.5, loss_delta=0.5),
     )
     want = (
         parts["focal"] + 0.2 * parts["dice"] + 0.5 * parts["sim"] + 0.5 * parts["boundary"]

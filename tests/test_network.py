@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempseg import cli
+from tempseg.attention import ScaleSet
 from tempseg.binio import FormatError
 from tempseg.network import (
     RETIRED_KEYS,
     ModelConfig,
     SegmentationModel,
+    _hta_pair_count,
     count_params_flops,
     init_params,
     load_checkpoint,
@@ -22,9 +25,10 @@ from tempseg.network import (
     tcn_block_forward,
     upsample_to_original,
 )
+from tempseg.pipeline import SynthSpec, _sequence_loss, synth_dataset
 from tempseg.seqcore import ShapeError, Tensor, conv1d_dilated
 
-from oracles import checkpoint_v1_bytes
+from oracles import checkpoint_v1_bytes, fd_check_tensor, hta_pair_count_oracle
 
 rng = np.random.default_rng(808)
 
@@ -211,6 +215,40 @@ def test_flops_grow_with_T():
     _, f1 = count_params_flops(cfg, T=64)
     _, f2 = count_params_flops(cfg, T=128)
     assert f2 > f1
+
+
+def test_hta_pair_count_equals_per_frame_sum():
+    for T in range(1, 301):
+        for n_scales in range(1, 6):
+            for window in range(10):
+                scales = ScaleSet(T, [1.0 / n_scales] * n_scales, window)
+                want = hta_pair_count_oracle(T, 1 << (n_scales - 1), window)
+                assert _hta_pair_count(T, scales) == want, (T, n_scales, window)
+
+
+def test_cli_flops_at_a_huge_length(capsys):
+    # no per-frame array: 1e11 frames would need hundreds of GiB
+    assert cli.main(["flops", "--T", "100000000000"]) == 0
+    assert "at T=100000000000" in capsys.readouterr().out
+
+
+def test_stride_two_model_gradients_match_finite_differences():
+    # acceptance criterion 2's tiny model and sampling at stride 2: the
+    # strided first TCN block, the decoder's downsample and the
+    # upsampling gather and scatter all sit on the gradient path
+    cfg = tiny_cfg(temporal_dropout=0.0, stride=2)
+    model = SegmentationModel(cfg)
+    spec = SynthSpec(n_classes=3, durations=((10.0, 2.0),) * 3, d_features=6, seed=4)
+    f_in, lab, seg_list = synth_dataset(spec, 1, 32)[0]
+
+    def full_loss():
+        _, loss, _ = _sequence_loss(model, f_in, lab, seg_list, training=False)
+        return loss
+
+    check = sorted(model.params)[:: max(1, len(model.params) // 12)]
+    worst = fd_check_tensor(full_loss, [model.params[k] for k in check], sample=2,
+                            rng=np.random.default_rng(0))
+    assert worst < 1e-3
 
 
 def test_checkpoint_round_trip(tmp_path):

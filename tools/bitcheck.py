@@ -6,13 +6,16 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   training accuracy and the bytes of the checkpoint it writes;
 - default-config `infer` on a T = 2048 synthetic sequence for data seeds
   5 and 11: every stage's action logits, every stage's boundary scores,
-  the raw labels, the refined labels and the boundaries;
+  the raw labels, the refined labels and the boundaries, and the
+  `evaluate_all` report lines of the raw and of the refined labels against
+  the sequence's synthetic ground truth;
 - every `attention.dswa_forward` and `attention.hta_forward` call of a
   training forward of the train_small benchmark model (T = 512) and of a
   default-config inference forward (T = 2048), each replayed in float32
   and in float64 with a tape: the output and the gradients of the input
   and of every projection parameter, one line per workload, op and dtype;
-- `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer).
+- `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer);
+- `tempseg flops` output (stdout and exit code) at a few T.
 
 Two checkouts whose outputs agree bit for bit print the same lines:
 
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 INFER_T = 2048
 INFER_SEEDS = (5, 11)
 MASK_CASES = ((64, 2), (37, 0), (300, 9), (1, 4))
+FLOPS_T = (1, 37, 512, 2048, 65536)
 
 
 def _digest(*parts) -> str:
@@ -77,20 +81,24 @@ def _criterion4(work: Path):
 
 
 def _infer_inputs(seed: int):
+    """The default-config model and one synthetic T = 2048 sequence's
+    features and labels."""
     from tempseg.network import ModelConfig, SegmentationModel
     from tempseg.pipeline import SynthSpec, synth_dataset
 
     cfg = ModelConfig()
     spec = SynthSpec(n_classes=cfg.n_classes, d_features=cfg.d_in, seed=seed)
-    return SegmentationModel(cfg), synth_dataset(spec, 1, INFER_T)[0][0]
+    feats, labels, _ = synth_dataset(spec, 1, INFER_T)[0]
+    return SegmentationModel(cfg), feats, labels
 
 
 def _infer():
     """Default-config inference at T = 2048, refined, per data seed."""
+    from tempseg.metrics import evaluate_all
     from tempseg.pipeline import infer
 
     for seed in INFER_SEEDS:
-        model, feats = _infer_inputs(seed)
+        model, feats, labels = _infer_inputs(seed)
         result = infer(model, feats, refine=True)
         stages = result.output.stages
         item = f"infer.T{INFER_T}.seed{seed}"
@@ -100,6 +108,9 @@ def _infer():
         _line(f"{item}.refined_labels", result.refined_labels)
         _line(f"{item}.boundaries", repr(list(result.boundaries)),
               note=f"{len(result.boundaries)} boundaries")
+        for kind in ("raw", "refined"):
+            lines = evaluate_all(getattr(result, f"{kind}_labels"), labels).lines()
+            _line(f"{item}.{kind}_eval", "\n".join(lines))
 
 
 @contextlib.contextmanager
@@ -155,7 +166,7 @@ def _attention_calls():
     train_calls, infer_calls = [], []
     with _recorded(train_calls):
         SegmentationModel(cfg).forward(Tensor(feats), training=True)
-    model, feats = _infer_inputs(INFER_SEEDS[0])
+    model, feats, _ = _infer_inputs(INFER_SEEDS[0])
     with _recorded(infer_calls), no_grad():
         model.forward(Tensor(feats.astype(np.float32)), training=False)
     for workload, calls in (("train_small", train_calls), (f"infer_T{INFER_T}", infer_calls)):
@@ -178,6 +189,16 @@ def _inspect_mask():
         _line(f"inspect_mask.T{T}.layer{layer}", out.getvalue(), f"exit {code}")
 
 
+def _flops():
+    from tempseg import cli
+
+    for T in FLOPS_T:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["flops", "--T", str(T)])
+        _line(f"flops.T{T}", out.getvalue(), f"exit {code}")
+
+
 def _worker():
     """Every item, in the fresh process. Each function imports tempseg
     itself, so only this process, whose PYTHONPATH points at the checkout
@@ -190,6 +211,7 @@ def _worker():
     _infer()
     _attention_calls()
     _inspect_mask()
+    _flops()
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,6 @@ from .network import (
     SegmentationModel,
     StagePrediction,
     count_params_flops,
-    upsample_to_original,
 )
 from .losses import (
     combined_temporal_loss,

@@ -1,6 +1,7 @@
 """Multi-stage segmentation network: an acausal TCN + sparse-attention
-encoder followed by causal TCN decoders, each stage emitting per-frame
-action logits and a boundary score at the original temporal resolution."""
+encoder followed by causal TCN decoders. Every layer runs at frame rate, so
+each stage emits per-frame action logits and a boundary score for every
+input frame."""
 
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ __all__ = [
     "ModelOutput",
     "SegmentationModel",
     "tcn_block_forward",
-    "upsample_to_original",
     "count_params_flops",
     "save_checkpoint",
     "load_checkpoint",
@@ -52,6 +52,7 @@ RETIRED_KEYS = {
     "boundary_sigma_frac": 0.05,
     "supervise_all_stages": True,
     "dilate_shrinking": True,
+    "stride": 1,
 }
 
 _BOOL_TEXT = {
@@ -107,7 +108,6 @@ class ModelConfig:
     n_decoders: int = 3
     heads: int = 8
     kernel_size: int = 3
-    stride: int = 1
     temporal_dropout: float = 0.3
     attn_dim: int = 0          # 0 -> d_model // 4
     mlp_hidden: int = 0        # 0 -> d_model // 2
@@ -133,6 +133,10 @@ class ModelConfig:
     boundary_min_distance: int = 8
     seed: int = 0
 
+    # not a field: the model always runs at frame rate, and only perfbench's
+    # tracer still reads this; ROADMAP item 5 deletes it
+    stride = 1
+
     def __post_init__(self):
         if self.attn_dim == 0:
             self.attn_dim = max(self.heads, self.d_model // 4)
@@ -142,7 +146,7 @@ class ModelConfig:
 
     def validate(self):
         for name in ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size",
-                     "stride", "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window",
+                     "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window",
                      "boundary_min_distance"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -190,35 +194,16 @@ class ModelConfig:
 
 @dataclass
 class StagePrediction:
-    """Per-stage per-frame outputs at original resolution."""
+    """Per-stage per-frame outputs."""
 
-    action_logits: Tensor        # [T_orig, C]
-    boundary_scores: Tensor      # [T_orig]
-    features: Tensor             # [T_orig, d_model], pre-head, for the similarity loss
+    action_logits: Tensor        # [T, C]
+    boundary_scores: Tensor      # [T]
+    features: Tensor             # [T, d_model], pre-head, for the similarity loss
 
 
 @dataclass
 class ModelOutput:
     stages: list  # encoder stage first, then one per decoder
-
-
-def upsample_to_original(x: Tensor, T_orig: int, stride: int) -> Tensor:
-    """Linear interpolation along time from T_reduced = ceil(T_orig/stride)
-    back to T_orig; identity when stride == 1. Positions beyond the last
-    reduced sample hold its value."""
-    x = as_tensor(x)
-    t_red = x.shape[0]
-    if t_red != -(-T_orig // stride):
-        raise ShapeError(
-            f"length mismatch: {t_red} reduced frames cannot map to {T_orig} at stride {stride}"
-        )
-    if stride == 1:
-        return x
-    pos = np.arange(T_orig) / stride
-    i0 = np.floor(pos).astype(np.intp)
-    i1 = np.minimum(i0 + 1, t_red - 1)
-    frac = (pos - i0).astype(x.data.dtype).reshape((T_orig,) + (1,) * (x.data.ndim - 1))
-    return x[i0] * (1.0 - frac) + x[i1] * frac
 
 
 def tcn_block_forward(
@@ -229,19 +214,14 @@ def tcn_block_forward(
     pw_b: Tensor,
     dilation: int,
     mode: str,
-    stride: int = 1,
 ) -> Tensor:
-    """Dilated conv -> ReLU -> 1x1 conv -> residual add, on [D, T] input.
-
-    With stride > 1 the residual is the strided slice of the input.
-    """
-    h = conv1d_dilated(x, conv_w, conv_b, dilation=dilation, mode=mode, stride=stride)
+    """Dilated conv -> ReLU -> 1x1 conv -> residual add, on [D, T] input."""
+    h = conv1d_dilated(x, conv_w, conv_b, dilation=dilation, mode=mode)
     h = h.relu()
-    h = conv1d_dilated(h, pw_w, pw_b, dilation=1, mode="acausal", stride=1)
-    res = x if stride == 1 else x[:, ::stride]
-    if res.shape != h.shape:
-        raise ShapeError(f"residual shape {res.shape} does not match block output {h.shape}")
-    return res + h
+    h = conv1d_dilated(h, pw_w, pw_b, dilation=1, mode="acausal")
+    if x.shape != h.shape:
+        raise ShapeError(f"residual shape {x.shape} does not match block output {h.shape}")
+    return x + h
 
 
 def _linear_init(rng, n_in, n_out):
@@ -317,7 +297,6 @@ class SegmentationModel:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.params = params if params is not None else init_params(cfg, self.rng)
-        self._mask_cache: dict = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -339,24 +318,16 @@ class SegmentationModel:
             self.cfg.n_blocks, self.cfg.w_min, self.cfg.w_max, self.cfg.rate_max
         )
 
-    def masks_for(self, t_red: int):
-        key = ("masks", t_red)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = [
-                (attn.build_sparse_mask(t_red, e), attn.build_sparse_mask(t_red, s))
-                for e, s in self.schedule()
-            ]
-        return self._mask_cache[key]
+    def masks_for(self, T: int):
+        """Per layer, the (expanding, shrinking) DSWA masks at length T."""
+        return [(attn.build_sparse_mask(T, e), attn.build_sparse_mask(T, s))
+                for e, s in self.schedule()]
 
-    def scales_for(self, t_red: int) -> attn.ScaleSet:
-        key = ("scales", t_red)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = attn.ScaleSet.build(
-                t_red, self.cfg.s_avg, self.cfg.hta_window, max_scales=self.cfg.max_scales
-            )
-        return self._mask_cache[key]
+    def scales_for(self, T: int) -> attn.ScaleSet:
+        return attn.ScaleSet.build(T, self.cfg.s_avg, self.cfg.hta_window,
+                                   max_scales=self.cfg.max_scales)
 
-    def _tcn_stack(self, h: Tensor, prefix: str, mode: str, first_stride: int) -> Tensor:
+    def _tcn_stack(self, h: Tensor, prefix: str, mode: str) -> Tensor:
         for i in range(self.cfg.n_blocks):
             p = self.params
             h = tcn_block_forward(
@@ -364,27 +335,22 @@ class SegmentationModel:
                 p[f"{prefix}.{i}.conv.w"], p[f"{prefix}.{i}.conv.b"],
                 p[f"{prefix}.{i}.pw.w"], p[f"{prefix}.{i}.pw.b"],
                 dilation=2 ** i, mode=mode,
-                stride=first_stride if i == 0 else 1,
             )
         return h
 
-    def _heads(self, feats: Tensor, prefix: str, t_orig: int) -> StagePrediction:
+    def _heads(self, feats: Tensor, prefix: str) -> StagePrediction:
         p = self.params
         logits = linear(feats, p[f"{prefix}.action.w"], p[f"{prefix}.action.b"])
         blogit = linear(feats, p[f"{prefix}.boundary.w"], p[f"{prefix}.boundary.b"])
-        logits = upsample_to_original(logits, t_orig, self.cfg.stride)
-        blogit = upsample_to_original(blogit, t_orig, self.cfg.stride)
-        feats_up = upsample_to_original(feats, t_orig, self.cfg.stride)
         # the boundary sigmoid runs in float64: a float32 one saturates to
         # plateaus of exactly 1.0 that peak picking cannot separate
-        scores = blogit.astype(np.float64).sigmoid().reshape(t_orig)
-        return StagePrediction(logits, scores, feats_up)
+        scores = blogit.astype(np.float64).sigmoid().reshape(feats.shape[0])
+        return StagePrediction(logits, scores, feats)
 
     # -- stages ----------------------------------------------------------
 
     def encoder_forward(self, x: Tensor, training: bool = False):
         x = as_tensor(x)
-        t_orig = x.shape[0]
         if x.shape[1] != self.cfg.d_in:
             raise ShapeError(f"expected {self.cfg.d_in} input channels, got {x.shape[1]}")
         if training and self.cfg.temporal_dropout > 0.0:
@@ -393,12 +359,9 @@ class SegmentationModel:
             # in the input's dtype: a float64 mask would upcast a float32 pass
             x = x * mask[None, :].astype(x.dtype)
         h = linear(x, self.params["in_proj.w"], self.params["in_proj.b"])
-        h = self._tcn_stack(h.T, "enc_tcn", "acausal", self.cfg.stride).T
-        t_red = h.shape[0]
-        if t_red < 1:
-            raise ShapeError("stride reduced the sequence below one frame")
-        masks = self.masks_for(t_red)
-        scales = self.scales_for(t_red)
+        h = self._tcn_stack(h.T, "enc_tcn", "acausal").T
+        masks = self.masks_for(h.shape[0])
+        scales = self.scales_for(h.shape[0])
         p = self.params
         for i in range(self.cfg.n_blocks):
             pre = f"enc_attn.{i}"
@@ -410,20 +373,18 @@ class SegmentationModel:
             m = linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"]).gelu()
             m = linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
             h = h + m
-        return h, self._heads(h, "enc_head", t_orig)
+        return h, self._heads(h, "enc_head")
 
     def decoder_forward(self, prev: StagePrediction, enc_features: Tensor, index: int) -> StagePrediction:
-        t_orig = prev.action_logits.shape[0]
         probs = softmax(prev.action_logits)
-        down = probs if self.cfg.stride == 1 else probs[:: self.cfg.stride]
-        if down.shape[0] != enc_features.shape[0]:
+        if probs.shape[0] != enc_features.shape[0]:
             raise ShapeError(
-                f"stage at {down.shape[0]} frames does not align with encoder {enc_features.shape[0]}"
+                f"stage at {probs.shape[0]} frames does not align with encoder {enc_features.shape[0]}"
             )
-        z = concat([down, enc_features], axis=1)
+        z = concat([probs, enc_features], axis=1)
         z = linear(z, self.params[f"dec{index}.in_proj.w"], self.params[f"dec{index}.in_proj.b"])
-        z = self._tcn_stack(z.T, f"dec{index}.tcn", "causal", 1).T
-        return self._heads(z, f"dec{index}.head", t_orig)
+        z = self._tcn_stack(z.T, f"dec{index}.tcn", "causal").T
+        return self._heads(z, f"dec{index}.head")
 
     def forward(self, x, training: bool = False) -> ModelOutput:
         enc_features, stage = self.encoder_forward(x, training=training)
@@ -439,30 +400,27 @@ def count_params_flops(cfg: ModelConfig, T: int) -> tuple[int, int]:
     for one forward pass at sequence length T (sparse attended pairs)."""
     n_params = sum(int(np.prod(shape)) for _, shape in _param_specs(cfg))
 
-    t_red = -(-T // cfg.stride)
     d, a, k, c = cfg.d_model, cfg.attn_dim, cfg.kernel_size, cfg.n_classes
-    macs = T * cfg.d_in * d  # input projection
-    conv_block = t_red * d * d * k + t_red * d * d  # dilated + pointwise
-    macs += cfg.n_blocks * conv_block  # encoder TCN (stride effects ignored at first block)
+    tcn = cfg.n_blocks * (T * d * d * k + T * d * d)  # one TCN stack: dilated + pointwise
+    macs = T * cfg.d_in * d + tcn  # input projection, encoder TCN
     schedule = attn.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
-    scales = attn.ScaleSet.build(t_red, cfg.s_avg, cfg.hta_window, max_scales=cfg.max_scales)
-    hta_pairs = _hta_pair_count(t_red, scales)
+    scales = attn.ScaleSet.build(T, cfg.s_avg, cfg.hta_window, max_scales=cfg.max_scales)
+    hta_pairs = _hta_pair_count(T, scales)
     for e_spec, s_spec in schedule:
-        pairs = attn.attended_pairs_count(attn.AttentionMask(t_red, e_spec))
-        pairs += attn.attended_pairs_count(attn.AttentionMask(t_red, s_spec))
-        macs += 4 * t_red * d * a        # q/k/v/output projections (dswa)
-        macs += 2 * pairs * a            # scores + weighted values
-        macs += 4 * t_red * d * a        # hta projections
+        pairs = attn.attended_pairs_count(attn.AttentionMask(T, e_spec))
+        pairs += attn.attended_pairs_count(attn.AttentionMask(T, s_spec))
+        macs += 4 * T * d * a        # q/k/v/output projections (dswa)
+        macs += 2 * pairs * a        # scores + weighted values
+        macs += 4 * T * d * a        # hta projections
         macs += 2 * hta_pairs * a
-        macs += 2 * t_red * d * cfg.mlp_hidden
-    macs += t_red * d * (c + 1)  # encoder heads
-    dec_block = T * d * d * k + T * d * d
+        macs += 2 * T * d * cfg.mlp_hidden
+    macs += T * d * (c + 1)  # encoder heads
     for _ in range(cfg.n_decoders):
-        macs += T * (c + d) * d + cfg.n_blocks * dec_block + T * d * (c + 1)
+        macs += T * (c + d) * d + tcn + T * d * (c + 1)
     return n_params, macs
 
 
-def _hta_pair_count(t_red: int, scales: attn.ScaleSet) -> int:
+def _hta_pair_count(T: int, scales: attn.ScaleSet) -> int:
     """Size of HTA's frame-level union neighbourhood: per frame, the
     coarsest scale's window of pooled blocks, clipped to the sequence.
 
@@ -471,12 +429,12 @@ def _hta_pair_count(t_red: int, scales: attn.ScaleSet) -> int:
     at the two ends are summed one by one, so the count is exact at any
     length without a per-frame array."""
     f, w = 1 << max(scales.scales), scales.window
-    n_blocks = -(-t_red // f)
-    inner_end = max(t_red // f - w, w)  # interior blocks are w .. inner_end - 1
+    n_blocks = -(-T // f)
+    inner_end = max(T // f - w, w)  # interior blocks are w .. inner_end - 1
     pairs = (inner_end - w) * f * (2 * w + 1) * f
     for b in [*range(min(w, n_blocks)), *range(inner_end, n_blocks)]:
-        frames = min(f, t_red - b * f)
-        pairs += frames * (min((b + w + 1) * f, t_red) - max((b - w) * f, 0))
+        frames = min(f, T - b * f)
+        pairs += frames * (min((b + w + 1) * f, T) - max((b - w) * f, 0))
     return pairs
 
 

@@ -26,10 +26,12 @@ gradients and Adam keeps float64 master weights and state. The oracles
 run in float64.
 
 The primitive set is closed: it holds the ops the package's network, losses
-and pipeline run, and no other. Tensor methods: ``+``, ``-`` and ``*``
-(with their reflected forms), ``/``, negation, ``log``, ``sqrt``,
+and pipeline run, and no other. Tensor methods: ``+``, ``-``, ``*``, the
+reflected forms ``__rsub__`` and ``__rmul__`` (``scalar - t``,
+``scalar * t``), ``/``, negation, ``log``, ``sqrt``,
 ``pow_const``, ``sigmoid``, ``relu``, ``gelu``, ``astype``, ``sum``,
-``mean``, ``reshape``, ``transpose`` and indexing. Functions: ``concat``,
+``mean``, ``reshape``, ``transpose`` and basic indexing (ints, slices,
+``None`` and ``...``). Functions: ``concat``,
 the affine map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
 ``layer_norm``, ``softmax`` over the last axis, and one windowed
 multi-scale multi-head attention op (``window_attention``): DSWA's dilated
@@ -233,8 +235,6 @@ class Tensor:
             out._node._backward = back
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = _make(-self.data, (self,))
         if out.requires_grad:
@@ -410,17 +410,17 @@ class Tensor:
     def __getitem__(self, key):
         out = _make(self.data[key], (self,))
         if out.requires_grad:
-            n, zeros = _grad_node(self), _zeros_like(self.data)
             # a basic key selects each element at most once, so assignment
-            # places the gradient; an index array may repeat, so it scatters
-            scatter = not _is_basic_key(key)
+            # places the gradient; an index array may repeat an element,
+            # and assignment would drop all but one of its gradients
+            if not _is_basic_key(key):
+                raise ShapeError(f"index {key!r} is not basic; a tensor that needs a "
+                                 "gradient takes only ints, slices, None and ...")
+            n, zeros = _grad_node(self), _zeros_like(self.data)
 
             def back(g):
                 dx = zeros()
-                if scatter:
-                    np.add.at(dx, key, g)
-                else:
-                    dx[key] = g
+                dx[key] = g
                 n._accumulate(dx)
             out._node._backward = back
         return out
@@ -537,13 +537,11 @@ def _attention_operands(q, k, v, heads: int) -> tuple:
     return q, k, v
 
 
-def _sum_pool(x: np.ndarray, f: int) -> np.ndarray:
-    """Sums of non-overlapping windows of f rows along axis 0, each adding
-    its rows in order; a ragged tail window sums the rows it covers."""
-    y = np.zeros((-(-x.shape[0] // f),) + x.shape[1:], x.dtype)
-    for j in range(f):
-        part = x[j::f]
-        y[: part.shape[0]] += part
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """Sums of rows 2i and 2i + 1 along axis 0, in that order; an odd last
+    row is its own sum."""
+    y = x[0::2].copy()
+    y[: len(x) // 2] += x[1::2]
     return y
 
 
@@ -716,7 +714,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, windo
         c = 1.0  # a frame-level row counts one frame
         for s, wt in enumerate(wts):
             if s:
-                qsum, ksum = _sum_pool(qsum, 2), _sum_pool(ksum, 2)
+                qsum, ksum = _pair_sum(qsum), _pair_sum(ksum)
                 c = _frame_counts(n, 1 << s, dtype)[:, None]
             qp, kp = (np.zeros((heads, rows >> s, hd), dtype) for _ in range(2))
             np.multiply(qsum.transpose(1, 0, 2), wt / c, out=qp[:, : len(qsum)])
@@ -768,25 +766,21 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, windo
 def conv1d_dilated(
     x: Tensor,
     kernel: Tensor,
-    bias: Tensor | None = None,
+    bias: Tensor,
     dilation: int = 1,
     mode: str = "acausal",
-    stride: int = 1,
 ) -> Tensor:
-    """Dilated 1-D convolution over [C_in, T] with zero padding.
+    """Dilated 1-D convolution over [C_in, T] with zero padding, plus bias.
 
     acausal: output at t reads taps t + j*dilation, j in [-(k-1)/2, (k-1)/2]
     causal:  output at t reads taps t - j*dilation, j in [0, k-1]
-    With stride s, output position i corresponds to t = i*s and
-    T' = ceil(T / s). The result is the transpose of a C-contiguous
-    [T', C_out] array.
+    The result is the transpose of a C-contiguous [T, C_out] array.
     """
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 2 or x.data.shape[1] < 1:
         raise ShapeError(f"conv1d expects non-empty [C_in, T] input, got {x.data.shape}")
-    if dilation < 1 or stride < 1:
-        raise ShapeError(f"dilation and stride must be >= 1, got {dilation}, {stride}")
+    if dilation < 1:
+        raise ShapeError(f"dilation must be >= 1, got {dilation}")
     c_out, c_in, k = kernel.data.shape
     if c_in != x.data.shape[0]:
         raise ShapeError(
@@ -801,32 +795,26 @@ def conv1d_dilated(
     else:
         raise ValueError(f"unknown conv mode {mode!r}")
 
-    # Time-major: xt[t] is frame t, so each tap reads one strided row slice
-    # and adds one GEMM into a contiguous row range of yt. The TCN stacks
-    # pass the transpose of a C-contiguous [T, D] array, so xt is free.
+    # Time-major: xt[t] is frame t, so each tap reads one row slice and
+    # adds one GEMM into a contiguous row range of yt. The TCN stacks pass
+    # the transpose of a C-contiguous [T, D] array, so xt is free.
     xt = x.data.T
     w = kernel.data.astype(xt.dtype, copy=False)
-    t_in = xt.shape[0]
-    t_out = -(-t_in // stride)
-    yt = np.zeros((t_out, c_out), xt.dtype)
+    T = xt.shape[0]
+    yt = np.zeros((T, c_out), xt.dtype)
     taps = []
     for j, d in enumerate(deltas):
-        # output rows [lo, hi) read input frames i*stride + d inside [0, t_in)
-        lo = max(0, -(d // stride))
-        hi = min(t_out, (t_in - 1 - d) // stride + 1)
+        # output rows [lo, hi) read input frames t + d inside [0, T)
+        lo, hi = max(0, -d), min(T, T - d)
         if lo < hi:
-            src = slice(lo * stride + d, (hi - 1) * stride + d + 1, stride)
+            src = slice(lo + d, hi + d)
             taps.append((j, lo, hi, src))
             yt[lo:hi] += xt[src] @ w[:, :, j].T
-    if bias is not None:
-        bias = as_tensor(bias)
-        yt += bias.data.astype(yt.dtype, copy=False)
+    yt += bias.data.astype(yt.dtype, copy=False)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _make(yt.T, parents)
+    out = _make(yt.T, (x, kernel, bias))
     if out.requires_grad:
-        nx, nk = _grad_node(x), _grad_node(kernel)
-        nb = None if bias is None else _grad_node(bias)
+        nx, nk, nb = _grad_node(x), _grad_node(kernel), _grad_node(bias)
         k_zeros = _zeros_like(kernel.data)
         # the kernel's gradient reads the input, the input's reads the kernel
         if nk is None:
@@ -838,7 +826,7 @@ def conv1d_dilated(
             gt = g.T
             if nk is not None and nk.grad is None:
                 nk.grad = k_zeros()
-            dxt = np.zeros((t_in, c_in), gt.dtype) if nx is not None else None
+            dxt = np.zeros((T, c_in), gt.dtype) if nx is not None else None
             for j, lo, hi, src in taps:
                 if nk is not None:
                     nk.grad[:, :, j] += gt[lo:hi].T @ xt[src]

@@ -194,35 +194,33 @@ def dense_mask(mask):
     return m
 
 
-def conv1d_oracle(x, w, b, dilation, mode, stride=1):
+def conv1d_oracle(x, w, b, dilation, mode):
     """Direct-loop dilated 1-D convolution of a [C_in, T] array with a
-    [C_out, C_in, k] kernel and zero padding: output i reads input frames
-    i*stride + offset, offsets centred (acausal) or non-positive (causal)."""
+    [C_out, C_in, k] kernel and zero padding, plus bias b: output i reads
+    input frames i + offset, offsets centred (acausal) or non-positive
+    (causal)."""
     c_out, c_in, k = w.shape
     T = x.shape[1]
-    t_out = -(-T // stride)
-    y = np.zeros((c_out, t_out))
-    for i in range(t_out):
+    y = np.zeros((c_out, T))
+    for i in range(T):
         for j in range(k):
             off = (j - (k - 1) // 2) * dilation if mode == "acausal" else -j * dilation
-            src = i * stride + off
+            src = i + off
             if 0 <= src < T:
                 for o in range(c_out):
                     for c in range(c_in):
                         y[o, i] += w[o, c, j] * x[c, src]
-    if b is not None:
-        y += np.asarray(b)[:, None]
-    return y
+    return y + np.asarray(b)[:, None]
 
 
-def mean_pool_oracle(x, f):
-    """Non-overlapping window means along axis 0 by np.add.at; a ragged tail
-    window is averaged over the frames it covers."""
+def mean_pool_oracle(x):
+    """Means of row pairs (2i, 2i + 1) along axis 0 by np.add.at; an odd
+    last row is its own mean."""
     T = x.shape[0]
-    n = -(-T // f)
+    n = -(-T // 2)
     y = np.zeros((n,) + x.shape[1:])
-    np.add.at(y, np.arange(T) // f, x)
-    counts = np.minimum(f, T - np.arange(n) * f).astype(np.float64)
+    np.add.at(y, np.arange(T) // 2, x)
+    counts = np.minimum(2, T - np.arange(n) * 2).astype(np.float64)
     return y / counts.reshape((n,) + (1,) * (x.ndim - 1))
 
 

@@ -36,7 +36,7 @@ _OPS = {
     "linear": (lambda x, w, b: linear(x, w, b), [(40, 24), (24, 16), (16,)], 1),
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b), [(40, 24), (24,), (24,)], 1),
     "conv1d_dilated": (
-        lambda x, w, b: conv1d_dilated(x, w, b, dilation=2, mode="acausal", stride=2),
+        lambda x, w, b: conv1d_dilated(x, w, b, dilation=2, mode="acausal"),
         [(12, 50), (8, 12, 3), (8,)], 1),
     # the op's two uses: one scale over a dilated band, a ladder at step 1
     "band_attention": (lambda q, k, v: window_attention(q, k, v, 2, [1.0], 9, 2),
@@ -73,9 +73,9 @@ def test_op_in_float32_matches_float64(name):
         assert rel_err(a.grad, b.grad) < F32_REL_TOL, i
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_float32_forward_makes_float64_only_for_the_boundary_sigmoid(monkeypatch, stride):
-    cfg = ModelConfig(stride=stride)
+@pytest.mark.parametrize("n_decoders", [1, 2])
+def test_float32_forward_makes_float64_only_for_the_boundary_sigmoid(monkeypatch, n_decoders):
+    cfg = ModelConfig(n_decoders=n_decoders)
     model = SegmentationModel(cfg)
     T = 600  # three HTA scales
     made = []
@@ -128,8 +128,8 @@ def test_float32_training_forward_makes_float64_only_for_the_boundary_sigmoid(mo
     wide = sorted(shape for dtype, shape in made if dtype != np.float32)
     assert wide == sorted([(T, 1), (T, 1), (T,)] * n_stages)
     assert len(made) > 50 * n_stages
-    loss = sum(stage.action_logits.sum() + stage.boundary_scores.sum()
-               for stage in out.stages)
+    loss = sum((stage.action_logits.sum() + stage.boundary_scores.sum()
+                for stage in out.stages), Tensor(0.0))
     loss.backward()
     for name, p in model.params.items():
         assert p.grad is not None and p.grad.dtype == np.float64, name

@@ -23,12 +23,10 @@ from tempseg.network import (
     load_checkpoint,
     save_checkpoint,
     tcn_block_forward,
-    upsample_to_original,
 )
-from tempseg.pipeline import SynthSpec, _sequence_loss, synth_dataset
-from tempseg.seqcore import ShapeError, Tensor, conv1d_dilated
+from tempseg.seqcore import Tensor, conv1d_dilated
 
-from oracles import checkpoint_v1_bytes, fd_check_tensor, hta_pair_count_oracle
+from oracles import checkpoint_v1_bytes, hta_pair_count_oracle
 
 rng = np.random.default_rng(808)
 
@@ -41,22 +39,6 @@ def tiny_cfg(**kw):
 
 
 # -- plumbing -------------------------------------------------------------
-
-
-def test_upsample_linear_example():
-    x = Tensor(np.array([[0.0], [2.0]]))
-    y = upsample_to_original(x, 4, 2)
-    assert np.allclose(y.data[:, 0], [0.0, 1.0, 2.0, 2.0])  # edge held
-
-
-def test_upsample_requires_matching_reduction():
-    with pytest.raises(ShapeError):
-        upsample_to_original(Tensor(np.zeros((3, 2))), 10, 2)  # ceil(10/2)=5 != 3
-
-
-def test_upsample_identity_at_stride_one():
-    x = Tensor(rng.normal(size=(7, 3)))
-    assert np.array_equal(upsample_to_original(x, 7, 1).data, x.data)
 
 
 def test_tcn_stack_receptive_field():
@@ -84,17 +66,17 @@ def test_tcn_stack_receptive_field():
     assert touched.min() == 0
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_tcn_stack_output_is_time_major(stride):
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_tcn_stack_output_is_time_major(n_blocks):
     # the stacks take h.T of a C-contiguous [T, D] array and must hand back
     # a [D, T] array whose transpose is again C-contiguous, so neither .T
     # around the stack copies
-    model = SegmentationModel(tiny_cfg(stride=stride))
+    model = SegmentationModel(tiny_cfg(n_blocks=n_blocks))
     h = Tensor(rng.normal(size=(11, 8)))
-    out = model._tcn_stack(h.T, "enc_tcn", "acausal", stride).T
-    assert out.shape == (-(-11 // stride), 8)
+    out = model._tcn_stack(h.T, "enc_tcn", "acausal").T
+    assert out.shape == (11, 8)
     assert out.data.flags.c_contiguous
-    z = model._tcn_stack(h.T, "dec0.tcn", "causal", 1).T
+    z = model._tcn_stack(h.T, "dec0.tcn", "causal").T
     assert z.data.flags.c_contiguous
 
 
@@ -122,7 +104,7 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    cfg = tiny_cfg(stride=2, temporal_dropout=0.1)
+    cfg = tiny_cfg(kernel_size=5, temporal_dropout=0.1)
     again = ModelConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -143,14 +125,6 @@ def test_forward_shapes_and_stage_count():
         assert np.all(st.boundary_scores.data >= 0) and np.all(st.boundary_scores.data <= 1)
 
 
-def test_forward_with_stride_keeps_original_length():
-    cfg = tiny_cfg(stride=4)
-    model = SegmentationModel(cfg)
-    T = 30  # not divisible by the stride
-    out = model.forward(Tensor(rng.normal(size=(T, cfg.d_in))))
-    assert out.stages[-1].action_logits.shape == (T, cfg.n_classes)
-
-
 def test_forward_random_tiny_configs_finite():
     r = np.random.default_rng(77)
     for _ in range(25):
@@ -162,7 +136,6 @@ def test_forward_random_tiny_configs_finite():
             n_blocks=int(r.integers(1, 4)),
             n_decoders=int(r.integers(0, 3)),
             heads=heads,
-            stride=int(r.choice([1, 2])),
             s_avg=8,
             w_min=2,
             w_max=8,
@@ -199,7 +172,7 @@ def test_deterministic_init_by_seed():
 
 
 def test_param_count_matches_instantiated_model():
-    for cfg in (tiny_cfg(), tiny_cfg(n_decoders=0, stride=2), ModelConfig()):
+    for cfg in (tiny_cfg(), tiny_cfg(n_decoders=0, kernel_size=5), ModelConfig()):
         n, _ = count_params_flops(cfg, T=64)
         model = SegmentationModel(cfg)
         assert n == sum(p.data.size for p in model.params.values())
@@ -232,27 +205,8 @@ def test_cli_flops_at_a_huge_length(capsys):
     assert "at T=100000000000" in capsys.readouterr().out
 
 
-def test_stride_two_model_gradients_match_finite_differences():
-    # acceptance criterion 2's tiny model and sampling at stride 2: the
-    # strided first TCN block, the decoder's downsample and the
-    # upsampling gather and scatter all sit on the gradient path
-    cfg = tiny_cfg(temporal_dropout=0.0, stride=2)
-    model = SegmentationModel(cfg)
-    spec = SynthSpec(n_classes=3, durations=((10.0, 2.0),) * 3, d_features=6, seed=4)
-    f_in, lab, seg_list = synth_dataset(spec, 1, 32)[0]
-
-    def full_loss():
-        _, loss, _ = _sequence_loss(model, f_in, lab, seg_list, training=False)
-        return loss
-
-    check = sorted(model.params)[:: max(1, len(model.params) // 12)]
-    worst = fd_check_tensor(full_loss, [model.params[k] for k in check], sample=2,
-                            rng=np.random.default_rng(0))
-    assert worst < 1e-3
-
-
 def test_checkpoint_round_trip(tmp_path):
-    cfg = tiny_cfg(n_decoders=2, stride=2)
+    cfg = tiny_cfg(n_decoders=2, kernel_size=5)
     model = SegmentationModel(cfg)
     p = tmp_path / "model.ckpt"
     # a blob the config does not name (as an old checkpoint's optimizer
@@ -275,16 +229,16 @@ def test_checkpoint_round_trip(tmp_path):
 @given(
     shape=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 4)),
     sizes=st.tuples(st.integers(2, 5), st.integers(1, 7), st.integers(1, 3), st.integers(0, 2),
-                    st.integers(1, 3), st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6)),
+                    st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6)),
     dropout=st.floats(0.0, 1.0, exclude_max=True),
     alpha=st.floats(0.0, 1e6, allow_subnormal=True),
     values=st.lists(st.floats(allow_nan=True), min_size=1, max_size=4),
 )
 def test_checkpoint_round_trips_any_small_config(shape, sizes, dropout, alpha, values):
     heads, per_head = shape
-    n_classes, d_in, n_blocks, n_decoders, stride, w_min, max_scales, seed = sizes
+    n_classes, d_in, n_blocks, n_decoders, w_min, max_scales, seed = sizes
     cfg = ModelConfig(n_classes=n_classes, d_in=d_in, d_model=heads * per_head,
-                      n_blocks=n_blocks, n_decoders=n_decoders, heads=heads, stride=stride,
+                      n_blocks=n_blocks, n_decoders=n_decoders, heads=heads,
                       w_min=w_min, w_max=2 * w_min, max_scales=max_scales, seed=seed,
                       temporal_dropout=dropout, loss_alpha=alpha)
     params = SegmentationModel(cfg).params
@@ -321,23 +275,36 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(p)
 
 
+def _save_with_config_text(path, cfg, params, monkeypatch, extra: dict):
+    """A checkpoint whose config text also holds `extra`, as one written
+    before those config fields were removed."""
+    plain = ModelConfig.to_dict
+    monkeypatch.setattr(ModelConfig, "to_dict", lambda self: {**plain(self), **extra})
+    save_checkpoint(path, cfg, params)
+    monkeypatch.undo()
+
+
 def test_checkpoint_with_retired_config_key_loads(tmp_path, monkeypatch):
-    # checkpoints written before a config field was removed carry it in their
-    # config text; at its only remaining value it loads, at another it fails
+    # at its only remaining value a retired key loads and is dropped
     cfg = tiny_cfg()
     model = SegmentationModel(cfg)
-    plain = ModelConfig.to_dict
-    for retired, path in ((RETIRED_KEYS, tmp_path / "old.ckpt"),
-                          ({"dilate_shrinking": False}, tmp_path / "other.ckpt")):
-        monkeypatch.setattr(ModelConfig, "to_dict", lambda self: {**plain(self), **retired})
-        save_checkpoint(path, cfg, model.params)
-        monkeypatch.undo()
-    text = (tmp_path / "old.ckpt").read_bytes()
-    assert all(key.encode() in text for key in RETIRED_KEYS)
-    cfg2, params2, _ = load_checkpoint(tmp_path / "old.ckpt")
+    path = tmp_path / "old.ckpt"
+    _save_with_config_text(path, cfg, model.params, monkeypatch, RETIRED_KEYS)
+    text = path.read_bytes()
+    assert all(f"\n{key} = ".encode() in text for key in RETIRED_KEYS)
+    cfg2, params2, _ = load_checkpoint(path)
     assert cfg2 == cfg and sorted(params2) == sorted(model.params)
-    with pytest.raises(FormatError, match=f"{tmp_path / 'other.ckpt'}.*dilate_shrinking"):
-        load_checkpoint(tmp_path / "other.ckpt")
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+def test_checkpoint_with_retired_key_at_another_value_rejected(tmp_path, monkeypatch, key):
+    only = RETIRED_KEYS[key]
+    wrong = (not only) if isinstance(only, bool) else only * 2
+    cfg = tiny_cfg()
+    path = tmp_path / "other.ckpt"
+    _save_with_config_text(path, cfg, SegmentationModel(cfg).params, monkeypatch, {key: wrong})
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {key} was removed")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):

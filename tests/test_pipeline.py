@@ -443,6 +443,18 @@ def test_cli_config_with_retired_keys_at_their_values_runs(tmp_path, capsys):
     assert capsys.readouterr().out == default
 
 
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+def test_cli_config_with_a_retired_key_at_another_value_exits_two(tmp_path, capsys, key):
+    only = RETIRED_KEYS[key]
+    wrong = (not only) if isinstance(only, bool) else only * 2
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[model]\n{key} = {wrong}\n")
+    code = cli.main(_config_argv("flops", path, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.err
+    assert f"{path} [model]: {key} was removed and may only be {only}" in captured.err
+
+
 _CONFIG_KEYS = sorted(
     {f.name for f in fields(ModelConfig)} | set(RETIRED_KEYS)
     | {f.name for f in fields(RunConfig)} | {"seed", "learning_rate"}

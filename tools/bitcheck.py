@@ -3,7 +3,10 @@
 Runs in a fresh Python process against DIR/src and prints, one line each:
 
 - the acceptance criterion-4 training run: its epoch losses, its final
-  training accuracy and the bytes of the checkpoint it writes;
+  training accuracy, the bytes of the checkpoint it writes, and, each on
+  its own line, the checkpoint's parameters as loaded (each one's name,
+  shape and bytes) and its config text, so a change of the config format
+  shows as a config change with identical parameters;
 - default-config `infer` on a T = 2048 synthetic sequence for data seeds
   5 and 11: every stage's action logits, every stage's boundary scores,
   the raw labels, the refined labels and the boundaries, and the
@@ -31,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -64,7 +68,7 @@ def _line(item: str, *parts, note: str = ""):
 
 def _criterion4(work: Path):
     """Acceptance criterion 4's training run, configured as its test is."""
-    from tempseg.network import ModelConfig
+    from tempseg.network import ModelConfig, load_checkpoint
     from tempseg.pipeline import RunConfig, SynthSpec, synth_dataset, train
 
     model = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
@@ -77,7 +81,16 @@ def _criterion4(work: Path):
     _line("criterion4.epoch_losses", repr(result.epoch_losses),
           note=f"{len(result.epoch_losses)} epochs")
     _line("criterion4.accuracy", repr(acc), note=repr(acc))
-    _line("criterion4.checkpoint", ckpt.read_bytes())
+    data = ckpt.read_bytes()
+    _line("criterion4.checkpoint", data)
+    params = load_checkpoint(ckpt)[1]
+    _line("criterion4.params", *(part for name in sorted(params)
+                                 for part in (name, params[name].data)),
+          note=f"{len(params)} parameters")
+    # magic, u32 version, u32 length, then the config text
+    (n,) = struct.unpack_from("<I", data, 8)
+    config = data[12 : 12 + n]
+    _line("criterion4.config", config, note=f"{len(config.splitlines())} lines")
 
 
 def _infer_inputs(seed: int):

@@ -30,7 +30,7 @@ from .seqcore import (
 __all__ = [
     "ModelConfig",
     "RETIRED_KEYS",
-    "config_kwargs",
+    "build_config",
     "StagePrediction",
     "ModelOutput",
     "SegmentationModel",
@@ -76,25 +76,48 @@ def _parse_like(default, text: str):
     return value
 
 
-def config_kwargs(cls, items, source: str) -> dict:
-    """Keyword arguments for dataclass `cls` from `(key, value)` pairs.
+def _check_ranges(obj, checks):
+    """Raise ValueError naming the first field of `obj` whose check is False,
+    from (field, check, allowed range) triples."""
+    for name, ok, allowed in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {allowed}, got {getattr(obj, name)}")
+
+
+def build_config(cls, items, source: str, retired: dict, **fixed):
+    """Dataclass `cls` from `(key, value)` pairs plus the `fixed` arguments.
 
     A text value is parsed by the type of the field's default; any other
-    value (as from ``to_dict()``) passes through. An unknown key, or text
-    that does not parse, raises ValueError naming `source` and the key.
+    value (as from ``to_dict()``) passes through. A key in `retired` (the
+    key of a removed field, with the one value it may still hold) is
+    accepted only at that value, and then dropped. An unknown key, text that
+    does not parse, or a value that `cls` rejects raises ValueError naming
+    `source`.
     """
     defaults = {f.name: f.default for f in fields(cls) if isinstance(f.default, (int, float))}
     kwargs = {}
-    for key, value in items:
-        if key not in defaults:
-            raise ValueError(f"{source}: unknown key {key!r}")
-        if isinstance(value, str):
-            try:
-                value = _parse_like(defaults[key], value)
-            except ValueError as exc:
-                raise ValueError(f"{source}: {key}: {exc}") from None
-        kwargs[key] = value
-    return kwargs
+    try:
+        for key, value in items:
+            if key in retired:
+                only = retired[key]
+                try:
+                    kept = (_parse_like(only, value) if isinstance(value, str) else value) == only
+                except ValueError:
+                    kept = False
+                if not kept:
+                    raise ValueError(f"{key} was removed and may only be {only}, got {value!r}")
+                continue
+            if key not in defaults:
+                raise ValueError(f"unknown key {key!r}")
+            if isinstance(value, str):
+                try:
+                    value = _parse_like(defaults[key], value)
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+            kwargs[key] = value
+        return cls(**fixed, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass
@@ -145,24 +168,22 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        for name in ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size",
-                     "attn_dim", "mlp_hidden", "w_min", "s_avg", "hta_window",
-                     "boundary_min_distance"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_decoders", "rate_max", "max_scales", "focal_gamma", "dice_smooth",
-                     "loss_alpha", "loss_beta", "loss_gamma", "loss_delta", "seed"):
-            if not getattr(self, name) >= 0:
-                raise ShapeError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("tau", "sigma_divisor"):
-            if not getattr(self, name) > 0:
-                raise ShapeError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.d_model % self.heads != 0:
-            raise ShapeError(f"heads {self.heads} must divide d_model {self.d_model}")
-        if self.attn_dim % self.heads != 0:
-            raise ShapeError(f"heads {self.heads} must divide attn_dim {self.attn_dim}")
-        if not 0.0 <= self.temporal_dropout < 1.0:
-            raise ShapeError(f"dropout must be in [0, 1), got {self.temporal_dropout}")
+        sizes = ("n_classes", "d_in", "d_model", "n_blocks", "heads", "kernel_size", "attn_dim",
+                 "mlp_hidden", "w_min", "s_avg", "hta_window", "boundary_min_distance")
+        weights = ("n_decoders", "rate_max", "max_scales", "focal_gamma", "dice_smooth",
+                   "loss_alpha", "loss_beta", "loss_gamma", "loss_delta", "seed")
+        heads = max(self.heads, 1)  # heads < 1 fails its own row first; no 0 divisor below
+        _check_ranges(self, [
+            *((name, getattr(self, name) >= 1, ">= 1") for name in sizes),
+            *((name, getattr(self, name) >= 0, ">= 0") for name in weights),
+            *((name, getattr(self, name) > 0, "> 0") for name in ("tau", "sigma_divisor")),
+            ("heads", heads % 2 == 0, "even"),  # DSWA gives each window half the heads
+            ("heads", self.d_model % heads == 0, f"a divisor of d_model {self.d_model}"),
+            ("attn_dim", self.attn_dim % heads == 0, f"a multiple of heads {heads}"),
+            ("kernel_size", self.kernel_size % 2 == 1, "odd"),  # acausal taps are centred
+            ("w_max", self.w_max >= self.w_min, f">= w_min {self.w_min}"),
+            ("temporal_dropout", 0.0 <= self.temporal_dropout < 1.0, "in [0, 1)"),
+        ])
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -171,25 +192,7 @@ class ModelConfig:
     def from_dict(cls, d: dict, source: str = "ModelConfig") -> "ModelConfig":
         """Config from `d` (text or typed values); a key in RETIRED_KEYS is
         accepted only at its one remaining value, and then dropped."""
-        items = []
-        for key, value in d.items():
-            if key not in RETIRED_KEYS:
-                items.append((key, value))
-                continue
-            only = RETIRED_KEYS[key]
-            try:
-                kept = (_parse_like(only, value) if isinstance(value, str) else value) == only
-            except ValueError:
-                kept = False
-            if not kept:
-                raise ValueError(
-                    f"{source}: {key} was removed and may only be {only}, got {value!r}"
-                )
-        kwargs = config_kwargs(cls, items, source)
-        try:
-            return cls(**kwargs)
-        except ShapeError as exc:
-            raise ShapeError(f"{source}: {exc}") from None
+        return build_config(cls, d.items(), source, RETIRED_KEYS)
 
 
 @dataclass

@@ -12,7 +12,13 @@ import numpy as np
 
 from .binio import FormatError, Reader
 from .losses import combined_temporal_loss
-from .network import ModelConfig, SegmentationModel, config_kwargs, save_checkpoint
+from .network import (
+    ModelConfig,
+    SegmentationModel,
+    _check_ranges,
+    build_config,
+    save_checkpoint,
+)
 from .segments import (
     Segment,
     SegmentList,
@@ -27,6 +33,7 @@ __all__ = [
     "FEATURE_MAGIC",
     "SynthSpec",
     "RunConfig",
+    "RETIRED_TRAIN_KEYS",
     "TrainingError",
     "save_features",
     "load_features",
@@ -46,6 +53,9 @@ FEATURE_VERSION = 1
 MAX_SEGMENT_FRAMES = 1 << 26
 # frames per block of synthetic noise
 NOISE_BLOCK_ROWS = 64
+# [train] keys of removed RunConfig fields, each with the only value it may
+# still hold (see network.RETIRED_KEYS)
+RETIRED_TRAIN_KEYS = {"val_fraction": 0.0}
 
 # typical surgical suturing gesture durations, mean/std seconds per class id 0..7
 DEFAULT_GESTURE_DURATIONS = (
@@ -204,14 +214,6 @@ class SynthSpec:
             )
 
 
-def _check_ranges(obj, checks):
-    """Raise ValueError naming the first field of `obj` whose check is False,
-    from (field, check, allowed range) triples."""
-    for name, ok, allowed in checks:
-        if not ok:
-            raise ValueError(f"{name} must be {allowed}, got {getattr(obj, name)}")
-
-
 def _draw_duration(spec: SynthSpec, cls: int, rng) -> int:
     mean, std = spec.durations[cls]
     frames = rng.normal(mean, std) * spec.fps
@@ -276,7 +278,6 @@ class RunConfig:
     lr: float = 5e-4
     max_epochs: int = 120
     patience: int = 20
-    val_fraction: float = 0.0
     target_accuracy: float = 0.0  # early exit once train accuracy reaches this
 
     def __post_init__(self):
@@ -284,7 +285,6 @@ class RunConfig:
             ("lr", self.lr > 0, "> 0"),
             ("max_epochs", self.max_epochs >= 1, ">= 1"),
             ("patience", self.patience >= 0, ">= 0"),
-            ("val_fraction", 0.0 <= self.val_fraction < 1.0, "in [0, 1)"),
             ("target_accuracy", 0.0 <= self.target_accuracy <= 1.0, "in [0, 1]"),
         ])
 
@@ -323,22 +323,28 @@ def _first_nonfinite_grad(params: dict):
 
 
 def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
-    """Full-sequence Adam training with early stopping; persists the best
-    parameters when ckpt_path is given.
+    """Full-sequence Adam training with early stopping on the epoch's mean
+    training loss; persists the best parameters when ckpt_path is given.
 
-    Every training and validation forward, and every backward, runs on the
-    features cast to float32; the parameters, their gradients and the Adam
-    state stay float64. A non-finite loss, or a non-finite parameter
-    gradient before the optimizer step, raises TrainingError naming the
-    epoch, the sequence and the loss component or the parameter."""
+    Each log line (one per epoch, then the reason for stopping early, if
+    any) goes to the result's log and, when given, to log_fn. Every forward
+    and backward runs on the features cast to float32; the parameters,
+    their gradients and the Adam state stay float64. A non-finite loss, or a
+    non-finite parameter gradient before the optimizer step, raises
+    TrainingError naming the epoch, the sequence and the loss component or
+    the parameter."""
     if not dataset:
         raise ValueError("need at least one training sequence")
-    n_val = min(int(round(run.val_fraction * len(dataset))), len(dataset) - 1)
-    train_set, val_set = dataset[: len(dataset) - n_val], dataset[len(dataset) - n_val :]
     model = SegmentationModel(run.model)
     opt = Adam(model.parameters(), lr=run.lr)
 
     log: list[str] = []
+
+    def emit(line: str):
+        log.append(line)
+        if log_fn:
+            log_fn(line)
+
     epoch_losses: list[float] = []
     best_loss = math.inf
     best_epoch = 0
@@ -347,7 +353,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     for epoch in range(1, run.max_epochs + 1):
         running = 0.0
         comp = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
-        for si, (feats, labels, segments) in enumerate(train_set):
+        for si, (feats, labels, segments) in enumerate(dataset):
             feats = np.asarray(feats, np.float32)
             _, loss, parts = _sequence_loss(model, feats, labels, segments, training=True)
             value = loss.item()
@@ -367,36 +373,20 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
             running += value
             for k in comp:
                 comp[k] += parts[k]
-        n = len(train_set)
+        n = len(dataset)
         epoch_loss = running / n
         epoch_losses.append(epoch_loss)
-
-        if val_set:
-            vloss = 0.0
-            for feats, labels, segments in val_set:
-                feats = np.asarray(feats, np.float32)
-                with no_grad():
-                    _, lv, _ = _sequence_loss(model, feats, labels, segments, training=False)
-                vloss += lv.item()
-            monitored = vloss / len(val_set)
-        else:
-            monitored = epoch_loss
-        acc = _train_accuracy(model, train_set)
-        line = (
+        acc = _train_accuracy(model, dataset)
+        emit(
             f"epoch {epoch} loss {epoch_loss:.6f}"
             f" focal {comp['focal'] / n:.6f} dice {comp['dice'] / n:.6f}"
             f" sim {comp['sim'] / n:.6f} boundary {comp['boundary'] / n:.6f}"
             f" train_acc {acc:.4f}"
         )
-        if val_set:
-            line += f" val_loss {monitored:.6f}"
-        log.append(line)
-        if log_fn:
-            log_fn(line)
 
-        improved = monitored < best_loss
+        improved = epoch_loss < best_loss
         if improved:
-            best_loss = monitored
+            best_loss = epoch_loss
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -406,10 +396,10 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         if ckpt_path is not None and (improved or reached):
             save_checkpoint(ckpt_path, run.model, model.params)
         if stop:
-            log.append(f"early stop at epoch {epoch} (best {best_epoch})")
+            emit(f"early stop at epoch {epoch} (best {best_epoch})")
             break
         if reached:
-            log.append(f"target accuracy {run.target_accuracy} reached at epoch {epoch}")
+            emit(f"target accuracy {run.target_accuracy} reached at epoch {epoch}")
             break
     return TrainResult(log, best_epoch, best_loss, acc, epoch_losses)
 
@@ -486,12 +476,8 @@ def load_run_config(path) -> RunConfig:
         raise ValueError(
             f"{path} [train]: seed was removed; [model] seed seeds initialisation and dropout"
         )
-    source = f"{path} [train]"
-    kwargs = config_kwargs(RunConfig, train.items(), source)
-    try:
-        return RunConfig(model=model, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    return build_config(RunConfig, train.items(), f"{path} [train]", RETIRED_TRAIN_KEYS,
+                        model=model)
 
 
 def load_synth_spec(path) -> SynthSpec:
@@ -500,15 +486,11 @@ def load_synth_spec(path) -> SynthSpec:
         raise ValueError(f"{path} has no [synth] section")
     sec = dict(cp["synth"])
     source = f"{path} [synth]"
-    kwargs = {}
+    fixed = {}
     if "durations" in sec:
         pairs = sec.pop("durations").replace(";", "\n").split()
         try:
-            kwargs["durations"] = tuple(tuple(float(x) for x in p.split(",")) for p in pairs)
+            fixed["durations"] = tuple(tuple(float(x) for x in p.split(",")) for p in pairs)
         except ValueError as exc:
             raise ValueError(f"{source}: durations: {exc}") from None
-    kwargs.update(config_kwargs(SynthSpec, sec.items(), source))
-    try:
-        return SynthSpec(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    return build_config(SynthSpec, sec.items(), source, {}, **fixed)

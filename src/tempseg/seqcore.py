@@ -29,9 +29,10 @@ The primitive set is closed: it holds the ops the package's network, losses
 and pipeline run, and no other. Tensor methods: ``+``, ``-``, ``*``, the
 reflected forms ``__rsub__`` and ``__rmul__`` (``scalar - t``,
 ``scalar * t``), ``/``, negation, ``log``, ``sqrt``,
-``pow_const``, ``sigmoid``, ``relu``, ``gelu``, ``astype``, ``sum``,
-``mean``, ``reshape``, ``transpose`` and basic indexing (ints, slices,
-``None`` and ``...``). Functions: ``concat``,
+``pow_const``, ``sigmoid``, ``relu``, ``gelu``, ``astype``, ``sum`` (of
+all elements or over one axis), ``mean`` (of all elements), ``reshape``,
+the transpose ``.T`` and basic indexing (ints, slices, ``None`` and
+``...``). Functions: ``concat``,
 the affine map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
 ``layer_norm``, ``softmax`` over the last axis, and one windowed
 multi-scale multi-head attention op (``window_attention``): DSWA's dilated
@@ -40,7 +41,8 @@ ladder of scales at step 1. It runs on one tiled kernel, ``_TileKernel``:
 dense tiles of query rows, each against one key slab, recomputed in the
 backward.
 Inside a ``no_grad()`` block no op records a backward closure, so
-evaluation passes keep no tape alive.
+evaluation passes keep no tape alive. ``Adam`` takes only the learning
+rate; its decay rates and guard are the module constants ``ADAM_*``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ __all__ = [
 # down to whole coarsest-level blocks (at least one); each tile meets one
 # key slab
 TILE_ROWS = 32
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 _grad_mode = threading.local()
 
@@ -366,23 +370,20 @@ class Tensor:
 
     # ---- reductions -------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self, axis=None):
+        out = _make(self.data.sum(axis=axis), (self,))
         if out.requires_grad:
             n, shape = _grad_node(self), self.data.shape
 
             def back(g):
-                if axis is not None and not keepdims:
+                if axis is not None:
                     g = np.expand_dims(g, axis)
                 n._accumulate(np.broadcast_to(g, shape).copy())
             out._node._backward = back
         return out
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
+    def mean(self):
+        return self.sum() / float(self.data.size)
 
     # ---- structural -------------------------------------------------
 
@@ -395,17 +396,13 @@ class Tensor:
             out._node._backward = lambda g: n._accumulate(g.reshape(own))
         return out
 
-    def transpose(self, axes=None):
-        out = _make(self.data.transpose(axes), (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            inv = None if axes is None else np.argsort(axes)
-            out._node._backward = lambda g: n._accumulate(g.transpose(inv))
-        return out
-
     @property
     def T(self):
-        return self.transpose()
+        out = _make(self.data.T, (self,))
+        if out.requires_grad:
+            n = _grad_node(self)
+            out._node._backward = lambda g: n._accumulate(g.T)
+        return out
 
     def __getitem__(self, key):
         out = _make(self.data[key], (self,))
@@ -583,7 +580,7 @@ class _TileKernel:
     that level's window mask, plus the coarser level's sum repeated twice
     over the rows and the columns. The masks of a whole tile are built
     once, with the kernel; the backward recomputes each tile from the
-    operands, the outputs and the denominators.
+    operands and meets it with the numerator's gradient dY.
     """
 
     def __init__(self, levels: int, w: int, dtype):
@@ -639,12 +636,10 @@ class _TileKernel:
             y[:, c0 * f : c1 * f] = nd[:, :, :hd] / nd[:, :, hd:]
         return y, den
 
-    def backward(self, qs, ks, vc, n0, y, den, g):
+    def backward(self, qs, ks, vc, n0, dy):
         """The gradients of qs and ks per level and of [V | count], from the
-        forward's outputs and denominators and the outputs' gradient g."""
-        # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
+        gradient dy of the softmax numerator [num | den], laid out like vc."""
         f, L = self.per[0], len(self.per)
-        dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
         dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
         dvc = np.zeros_like(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
@@ -686,7 +681,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, windo
     level first, on the values and a count of 1 per frame as [V | count].
     Each level's pooled queries are pre-scaled by weight / (sqrt(hd) *
     count), and its keys are pooled means. The backward keeps only q, k, v,
-    the output and the denominators.
+    the output and the denominators; it forms the numerator's gradient dY
+    once, frame-major, and pads it per residue.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -735,17 +731,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, windo
 
         def back(g):
             g = g.reshape(T, heads, hd)
+            # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
+            dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
             for r in residues:
                 qs, ks, vc, n = operands(r)
-                # head-major and padded like vc: a padded row has g = y = 0
-                # and den = 1, so its dY is 0 / 1 = 0, not a 0 / 0 warning
-                saved = []
-                for a, fill in ((y, 0), (den, 1), (g, 0)):
-                    p = np.full(vc.shape[:2] + a.shape[2:], fill, dtype)
-                    p[:, :n] = a[r::step].transpose(1, 0, 2)
-                    saved.append(p)
-                dqs, dks, dvc = kernel.backward(qs, ks, vc, n, *saved)
+                dyr = np.zeros_like(vc)  # head-major and zero-padded like vc
+                dyr[:, :n] = dy[r::step].transpose(1, 0, 2)
+                dqs, dks, dvc = kernel.backward(qs, ks, vc, n, dyr)
                 dqr = dkr = 0.0
                 c = 1.0
                 for s, (wt, a, b) in enumerate(zip(wts, dqs, dks)):
@@ -907,19 +900,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 class Adam:
     """Adam with bias correction over a list of parameter Tensors."""
 
-    def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=5e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
@@ -934,7 +924,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:

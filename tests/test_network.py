@@ -101,6 +101,15 @@ def test_config_validation():
         tiny_cfg(d_model=0).validate()
     with pytest.raises(ValueError):
         tiny_cfg(temporal_dropout=1.5).validate()
+    # values the model would reject only at its first forward
+    for kw, message in [
+        (dict(kernel_size=2), "kernel_size must be odd, got 2"),
+        (dict(kernel_size=4), "kernel_size must be odd, got 4"),
+        (dict(heads=1), "heads must be even, got 1"),
+        (dict(w_min=8, w_max=4), "w_max must be >= w_min 8, got 4"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_cfg(**kw)
 
 
 def test_config_dict_round_trip():
@@ -227,7 +236,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    shape=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 4)),
+    shape=st.tuples(st.sampled_from([2, 4]), st.integers(1, 4)),
     sizes=st.tuples(st.integers(2, 5), st.integers(1, 7), st.integers(1, 3), st.integers(0, 2),
                     st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6)),
     dropout=st.floats(0.0, 1.0, exclude_max=True),
@@ -305,6 +314,16 @@ def test_checkpoint_with_retired_key_at_another_value_rejected(tmp_path, monkeyp
     _save_with_config_text(path, cfg, SegmentationModel(cfg).params, monkeypatch, {key: wrong})
     with pytest.raises(FormatError, match=re.escape(f"{path}: {key} was removed")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("kernel_size", 2), ("heads", 1), ("w_min", 8)])
+def test_checkpoint_config_the_model_cannot_run_rejected(tmp_path, monkeypatch, key, value):
+    cfg = tiny_cfg()
+    path = tmp_path / "bad.ckpt"
+    _save_with_config_text(path, cfg, SegmentationModel(cfg).params, monkeypatch, {key: value})
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")) as err:
+        load_checkpoint(path)
+    assert "must be" in str(err.value) and key in str(err.value), err.value
 
 
 def test_checkpoint_with_learned_scale_weights_rejected(tmp_path):

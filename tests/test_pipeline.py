@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from tempseg.network import (
 )
 from tempseg.pipeline import (
     FEATURE_MAGIC,
+    RETIRED_TRAIN_KEYS,
     RunConfig,
     SynthSpec,
     TrainingError,
@@ -384,10 +386,11 @@ def test_cli_bad_config_exits_two_naming_file_and_key(tmp_path, capsys, command,
     ("flops", "train", "lr", "0"),
     ("flops", "train", "max_epochs", "0"),
     ("flops", "train", "patience", "-2"),
-    ("flops", "train", "val_fraction", "-3"),
-    ("flops", "train", "val_fraction", "1"),
     ("flops", "train", "target_accuracy", "1.5"),
     ("flops", "model", "seed", "-1"),
+    ("flops", "model", "kernel_size", "2"),
+    ("flops", "model", "heads", "1"),
+    ("flops", "model", "w_max", "8"),
     ("synth", "synth", "n_classes", "1"),
     ("synth", "synth", "d_features", "0"),
     ("synth", "synth", "fps", "-1"),
@@ -421,12 +424,16 @@ def test_cli_out_of_range_config_exits_two_naming_file_and_key(
     ("loss_gamma", "-1"),
     ("loss_delta", "-1"),
     ("boundary_min_distance", "0"),
+    ("kernel_size", "2"),
+    ("heads", "1"),
+    ("w_min", "8"),
 ])
 def test_cli_train_rejects_bad_loss_and_decoding_values_before_training(
         tmp_path, capsys, key, value):
     _cli_fixture(str(tmp_path))
     config, out = tmp_path / "tiny.cfg", tmp_path / "out.ckpt"
-    config.write_text(config.read_text().replace("[train]", f"{key} = {value}\n[train]"))
+    text = re.sub(rf"^{key} = .*\n", "", config.read_text(), flags=re.M)
+    config.write_text(text.replace("[train]", f"{key} = {value}\n[train]"))
     code = cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data"),
                      "--out", str(out)])
     captured = capsys.readouterr()
@@ -438,7 +445,10 @@ def test_cli_config_with_retired_keys_at_their_values_runs(tmp_path, capsys):
     assert cli.main(["flops", "--T", "64"]) == 0
     default = capsys.readouterr().out
     path = tmp_path / "old.cfg"
-    path.write_text("[model]\n" + "".join(f"{k} = {v}\n" for k, v in RETIRED_KEYS.items()))
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in retired.items())
+        for section, retired in (("model", RETIRED_KEYS), ("train", RETIRED_TRAIN_KEYS))
+    ))
     assert cli.main(_config_argv("flops", path, tmp_path)) == 0
     assert capsys.readouterr().out == default
 
@@ -455,8 +465,30 @@ def test_cli_config_with_a_retired_key_at_another_value_exits_two(tmp_path, caps
     assert f"{path} [model]: {key} was removed and may only be {only}" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-3", "1", "0.25"])
+def test_cli_config_with_val_fraction_other_than_zero_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[train]\nval_fraction = {value}\n")
+    code = cli.main(_config_argv("flops", path, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.err
+    assert f"{path} [train]: val_fraction was removed and may only be 0.0" in captured.err
+
+
+def test_cli_train_prints_why_it_stopped(tmp_path, capsys):
+    _cli_fixture(str(tmp_path))
+    config = tmp_path / "tiny.cfg"
+    config.write_text(config.read_text().replace(
+        "max_epochs = 1", "max_epochs = 3\ntarget_accuracy = 0.01"))
+    assert cli.main(["train", "--config", str(config), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out.ckpt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("epoch 1 loss ") and lines[2].startswith("best epoch 1 "), lines
+    assert lines[1:2] == ["target accuracy 0.01 reached at epoch 1"], lines
+
+
 _CONFIG_KEYS = sorted(
-    {f.name for f in fields(ModelConfig)} | set(RETIRED_KEYS)
+    {f.name for f in fields(ModelConfig)} | set(RETIRED_KEYS) | set(RETIRED_TRAIN_KEYS)
     | {f.name for f in fields(RunConfig)} | {"seed", "learning_rate"}
 )
 _config_value = st.one_of(
@@ -590,12 +622,6 @@ def test_train_reruns_bit_identical():
     b = train(tiny_run(), data)
     assert a.log == b.log
     assert a.epoch_losses == b.epoch_losses
-
-
-def test_validation_split_logged():
-    data = tiny_data(n=4)
-    result = train(tiny_run(val_fraction=0.25), data)
-    assert all("val_loss" in line for line in result.log)
 
 
 def _poison_second_backward(monkeypatch, names):

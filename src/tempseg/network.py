@@ -42,7 +42,10 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"MSBC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the values' dtype per checkpoint version; from version 2 on, a rank-3 blob
+# (a conv kernel [C_out, C_in, k]) is stored with its axes reversed
+_BLOB_DTYPES = {1: np.dtype("<f8"), 2: np.dtype("<f4")}
 
 # config keys of removed ModelConfig fields, each with the only value it may
 # still hold: old checkpoints and config files that carry one still load, and
@@ -459,8 +462,15 @@ def _config_from_blob(blob: bytes, path) -> ModelConfig:
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict):
-    """Binary checkpoint: magic, u32 version, config text blob, then named
-    float64 little-endian parameter blobs.
+    """Binary checkpoint: magic, u32 version 2, config text blob, then named
+    float32 little-endian parameter blobs.
+
+    A blob holds the float32 rounding of its parameter, which is what every
+    forward runs on: float64 master weights exist only in memory, during
+    `train`. A value beyond the float32 range is stored as the infinity of
+    its sign, as that forward's cast gives. A conv kernel (a rank-3 parameter, [C_out, C_in, k])
+    is stored tap-major, with its axes reversed to [k, C_in, C_out]: the
+    header lists that stored shape, and `load_checkpoint` reverses it back.
 
     The file is written beside `path` and renamed onto it, so a failed write
     leaves the old checkpoint as it was, and a process that still maps the
@@ -476,11 +486,14 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict):
             f.write(struct.pack("<I", len(params)))
             for name in sorted(params):
                 data = params[name].data
+                if data.ndim == 3:
+                    data = data.T  # tap-major: each tap is one [C_in, C_out] block
                 nb = name.encode()
                 f.write(struct.pack("<I", len(nb)))
                 f.write(nb)
                 f.write(struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
-                f.write(np.ascontiguousarray(data, "<f8"))
+                with np.errstate(over="ignore"):
+                    f.write(np.ascontiguousarray(data, "<f4"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -492,8 +505,12 @@ def load_checkpoint(path):
     """Returns (config, params dict, dict of the blobs the config does not name).
 
     Every header and size is checked before anything is mapped; then the
-    file is mapped read-only once, and each blob is a read-only float64 view
-    on that mapping, not a copy. The mapping lives as long as any view.
+    file is mapped read-only once, and each blob is a read-only view on that
+    mapping, not a copy. The mapping lives as long as any view. A version-2
+    blob is a float32 view, and a rank-3 one is the reversed view of its
+    stored [k, C_in, C_out] values, so a conv kernel reads as
+    [C_out, C_in, k] and each tap's `w[:, :, j].T` is C-contiguous. A
+    version-1 file loads as float64 views in the stored axis order.
     Truncating the file in place while a view is alive makes reads past the
     new end fault (SIGBUS); `save_checkpoint` never does, it replaces the
     file."""
@@ -505,7 +522,8 @@ def load_checkpoint(path):
                 f"{path}: bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
             )
         (version,) = r.read_struct("<I", "checkpoint version")
-        if version != CHECKPOINT_VERSION:
+        dtype = _BLOB_DTYPES.get(version)
+        if dtype is None:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (n,) = r.read_struct("<I", "config length")
         blob = r.read_exact(n, "config")
@@ -527,13 +545,13 @@ def load_checkpoint(path):
             (rank,) = r.read_struct("<I", f"rank of {name!r}")
             shape = r.read_struct(f"<{rank}Q", f"shape of {name!r}")
             size = math.prod(shape)
-            layout[name] = shape, size, r.skip(8 * size, f"values of {name!r}")
+            layout[name] = shape, size, r.skip(dtype.itemsize * size, f"values of {name!r}")
         # every size is checked against the file, so every view lies inside it
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    blobs = {
-        name: np.frombuffer(mapped, "<f8", size, offset).reshape(shape)
-        for name, (shape, size, offset) in layout.items()
-    }
+    blobs = {}
+    for name, (shape, size, offset) in layout.items():
+        blob = np.frombuffer(mapped, dtype, size, offset).reshape(shape)
+        blobs[name] = blob.T if version >= 2 and blob.ndim == 3 else blob
     expected = dict(_param_specs(cfg))
     learned = sorted(k for k in blobs if k.startswith("enc_attn.") and k.endswith(".hta.ws"))
     if learned:

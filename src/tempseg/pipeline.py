@@ -88,7 +88,7 @@ def save_features(seq: np.ndarray, path):
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<I", FEATURE_VERSION))
         f.write(struct.pack("<QQ", seq.shape[0], seq.shape[1]))
-        f.write(seq.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(seq, "<f4"))
 
 
 def load_features(path) -> np.ndarray:

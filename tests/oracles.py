@@ -370,3 +370,24 @@ def checkpoint_v1_bytes(cfg, params):
         out += [struct.pack("<Q", ext) for ext in arr.shape]
         out.append(arr.astype("<f8").tobytes())
     return b"".join(out)
+
+
+def checkpoint_v2_bytes(cfg, params):
+    """A version-2 MSBC checkpoint, field by field: as version 1, but with
+    u32 version 2 and float32 LE values, and a rank-3 parameter
+    [C_out, C_in, k] written tap-major, as u64 extents k, C_in, C_out and
+    then, for each tap j and input channel i, its values w[:, i, j]."""
+    text = "\n".join(f"{k} = {v}" for k, v in cfg.to_dict().items()).encode()
+    out = [b"MSBC", struct.pack("<I", 2), struct.pack("<I", len(text)), text,
+           struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.asarray(params[name].data)
+        if arr.ndim == 3:
+            c_out, c_in, k = arr.shape
+            arr = np.array([[[arr[o, i, j] for o in range(c_out)] for i in range(c_in)]
+                            for j in range(k)]).reshape(k, c_in, c_out)
+        out += [struct.pack("<I", len(name.encode())), name.encode(),
+                struct.pack("<I", arr.ndim)]
+        out += [struct.pack("<Q", ext) for ext in arr.shape]
+        out.append(arr.astype("<f4").tobytes())
+    return b"".join(out)

@@ -1,3 +1,4 @@
+import math
 import mmap
 import os
 import re
@@ -24,9 +25,10 @@ from tempseg.network import (
     save_checkpoint,
     tcn_block_forward,
 )
+from tempseg.pipeline import infer
 from tempseg.seqcore import Tensor, conv1d_dilated
 
-from oracles import checkpoint_v1_bytes, hta_pair_count_oracle
+from oracles import checkpoint_v1_bytes, checkpoint_v2_bytes, hta_pair_count_oracle
 
 rng = np.random.default_rng(808)
 
@@ -225,13 +227,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg2 == cfg
     assert sorted(params2) == sorted(model.params)
     for k in params2:
-        assert np.array_equal(params2[k].data, model.params[k].data)
+        assert np.array_equal(params2[k].data, model.params[k].data.astype(np.float32))
     assert extra["opt.step"][0] == 3.0
-    # restored model predicts identically
-    x = Tensor(rng.normal(size=(15, cfg.d_in)))
-    a = model.forward(x).stages[-1].action_logits.data
-    b = SegmentationModel(cfg2, params2).forward(x).stages[-1].action_logits.data
-    assert np.array_equal(a, b)
+    # the file holds the float32 rounding the forward applies on use, so the
+    # restored model infers the in-memory float64 model's bits
+    x = rng.normal(size=(15, cfg.d_in))
+    a = infer(model, x)
+    b = infer(SegmentationModel(cfg2, params2), x)
+    for sa, sb in zip(a.output.stages, b.output.stages, strict=True):
+        assert sa.action_logits.data.tobytes() == sb.action_logits.data.tobytes()
+        assert sa.boundary_scores.data.tobytes() == sb.boundary_scores.data.tobytes()
+    assert np.array_equal(a.raw_labels, b.raw_labels)
+    assert np.array_equal(a.refined_labels, b.refined_labels)
+    assert a.boundaries == b.boundaries
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,19 +259,29 @@ def test_checkpoint_round_trips_any_small_config(shape, sizes, dropout, alpha, v
                       w_min=w_min, w_max=2 * w_min, max_scales=max_scales, seed=seed,
                       temporal_dropout=dropout, loss_alpha=alpha)
     params = SegmentationModel(cfg).params
-    # any float64 bit pattern, NaN and signed zero included, comes back
+    # any float64 value, NaN, infinities and signed zero included, comes
+    # back as its float32 cast, the rounding the forward applies on use
     flat = params["in_proj.w"].data.reshape(-1)
     n = min(len(values), flat.size)
     flat[:n] = values[:n]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.ckpt")
+        # an overflowing cast would warn, and pyproject.toml makes that an error
         save_checkpoint(path, cfg, params)
         cfg2, params2, extra = load_checkpoint(path)
     assert cfg2 == cfg and extra == {}
     assert sorted(params2) == sorted(params)
     for name, t in params2.items():
         assert t.data.shape == params[name].data.shape
-        assert t.data.tobytes() == params[name].data.tobytes(), name
+        with np.errstate(over="ignore"):
+            want = params[name].data.astype(np.float32)
+        assert t.data.tobytes() == want.tobytes(), name
+    # beyond the float32 range a value becomes +-inf; NaN stays NaN
+    for value, got in zip(values[:n], params2["in_proj.w"].data.reshape(-1)):
+        if math.isnan(value):
+            assert math.isnan(got)
+        elif abs(value) >= 2.0**128:
+            assert got == math.copysign(math.inf, value)
 
 
 def test_load_checkpoint_reads_the_file_size_once(tmp_path, monkeypatch):
@@ -367,13 +385,13 @@ def _mapping_of(arr):
     return arr.obj if isinstance(arr, memoryview) else arr
 
 
-def test_checkpoint_writes_the_version_1_layout(tmp_path):
+def test_checkpoint_writes_the_version_2_layout(tmp_path):
     cfg = tiny_cfg(n_decoders=2)
     params = {**SegmentationModel(cfg).params, "opt.step": Tensor(np.array(3.0)),
               "opt.f32": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3).T)}
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, cfg, params)
-    assert p.read_bytes() == checkpoint_v1_bytes(cfg, params)
+    assert p.read_bytes() == checkpoint_v2_bytes(cfg, params)
 
 
 def test_loaded_checkpoint_is_read_only_views_of_one_mapping(tmp_path):
@@ -394,6 +412,29 @@ def test_loaded_checkpoint_is_read_only_views_of_one_mapping(tmp_path):
         params["in_proj.w"].data[0, 0] = 1.0
 
 
+def test_loaded_version_2_checkpoint_is_float32_tap_major_views_of_one_mapping(tmp_path):
+    cfg = tiny_cfg(kernel_size=5)
+    model = SegmentationModel(cfg)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, cfg, model.params)
+    _, params, _ = load_checkpoint(p)
+    arrays = [t.data for t in params.values()]
+    assert all(a.dtype == np.float32 and not a.flags.writeable for a in arrays)
+    mapping = _mapping_of(arrays[0])
+    assert isinstance(mapping, mmap.mmap)
+    assert all(_mapping_of(a) is mapping for a in arrays)
+    kernels = {name: t.data for name, t in params.items() if t.data.ndim == 3}
+    assert len(kernels) == 2 * cfg.n_blocks * (1 + cfg.n_decoders)
+    for name, w in kernels.items():
+        assert w.shape == model.params[name].shape, name
+        assert np.array_equal(w, model.params[name].data.astype(np.float32)), name
+        # the float32 forward's cast is a no-op, and every tap is a
+        # C-contiguous [C_in, C_out] operand
+        assert w.astype(np.float32, copy=False) is w, name
+        for j in range(w.shape[2]):
+            assert w[:, :, j].T.flags.c_contiguous, (name, j)
+
+
 def test_save_over_a_loaded_checkpoint_keeps_its_views(tmp_path):
     cfg = tiny_cfg()
     p = tmp_path / "model.ckpt"
@@ -403,10 +444,10 @@ def test_save_over_a_loaded_checkpoint_keeps_its_views(tmp_path):
     _, held, _ = load_checkpoint(p)
     save_checkpoint(p, cfg, second)
     for name, t in held.items():
-        assert np.array_equal(t.data, first[name].data), name
+        assert np.array_equal(t.data, first[name].data.astype(np.float32)), name
     _, fresh, _ = load_checkpoint(p)
     for name, t in fresh.items():
-        assert np.array_equal(t.data, second[name].data), name
+        assert np.array_equal(t.data, second[name].data.astype(np.float32)), name
     assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
 

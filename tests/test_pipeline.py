@@ -118,6 +118,22 @@ def test_load_features_returns_the_float32_payload(tmp_path):
     assert np.array_equal(back, seq.astype(np.float32))
 
 
+def test_save_features_holds_one_float32_copy(tmp_path):
+    # the payload goes to the file through the buffer protocol, not through
+    # a second, bytes copy of the float32 matrix
+    seq = rng.normal(size=(2048, 512))
+    p = tmp_path / "x.feat"
+    tracemalloc.start()
+    try:
+        save_features(seq, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = seq.astype("<f4")
+    assert peak < 1.5 * payload.nbytes, peak / payload.nbytes
+    assert p.read_bytes()[24:] == payload.tobytes()
+
+
 def test_features_bad_magic(tmp_path):
     p = tmp_path / "x.feat"
     p.write_bytes(b"WHAT" + b"\x00" * 32)
@@ -976,7 +992,7 @@ def _tiny_checkpoint():
         shape = struct.unpack_from(f"<{rank}Q", data, pos + 8 + ln)
         end = pos + 8 + ln + 8 * rank
         header += range(pos, end)
-        pos = end + 8 * int(np.prod(shape))
+        pos = end + 4 * int(np.prod(shape))  # float32 values
     assert pos == len(data)
     return data, tuple(header)
 
@@ -1071,3 +1087,24 @@ def test_cli_infer_from_a_version_1_checkpoint_matches_the_model(tmp_path, capsy
     assert sorted(os.listdir(tmp_path / "out")) == names
     for name in names:
         assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("T", [5, 37])
+def test_cli_infer_from_version_1_and_2_checkpoints_writes_the_same_files(tmp_path, T):
+    cfg = tiny_run().model
+    params = SegmentationModel(cfg).params
+    v1, v2, feat = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt", tmp_path / "x.feat"
+    v1.write_bytes(checkpoint_v1_bytes(cfg, params))
+    save_checkpoint(v2, cfg, params)
+    assert struct.unpack_from("<I", v2.read_bytes(), 4) == (2,)
+    save_features(rng.normal(size=(T, cfg.d_in)), feat)
+    written = {}
+    for ckpt in (v1, v2):
+        out, stdout = tmp_path / ckpt.stem, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                             "--out", str(out)]) == 0
+        files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        written[ckpt.stem] = files, stdout.getvalue().replace(str(out), "OUT")
+    assert len(written["v1"][0]) == 4
+    assert written["v1"] == written["v2"]

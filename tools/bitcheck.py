@@ -12,6 +12,10 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   the raw labels, the refined labels and the boundaries, and the
   `evaluate_all` report lines of the raw and of the refined labels against
   the sequence's synthetic ground truth;
+- `tempseg infer` from a default-config checkpoint written by
+  `save_checkpoint`, on a synthetic feature file at T = 64 and at
+  T = 256: the four label and segment files it writes and its stdout, so
+  a change of the checkpoint format alone leaves these lines as they were;
 - every `attention.dswa_forward` and `attention.hta_forward` call of a
   training forward of the train_small benchmark model (T = 512) and of a
   default-config inference forward (T = 2048), each replayed in float32
@@ -45,6 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 INFER_T = 2048
 INFER_SEEDS = (5, 11)
+CLI_INFER_T = (64, 256)
 MASK_CASES = ((64, 2), (37, 0), (300, 9), (1, 4))
 FLOPS_T = (1, 37, 512, 2048, 65536)
 
@@ -124,6 +129,30 @@ def _infer():
         for kind in ("raw", "refined"):
             lines = evaluate_all(getattr(result, f"{kind}_labels"), labels).lines()
             _line(f"{item}.{kind}_eval", "\n".join(lines))
+
+
+def _cli_infer(work: Path):
+    """In-process `tempseg infer` from a saved default-config checkpoint,
+    per length in CLI_INFER_T."""
+    from tempseg import cli
+    from tempseg.network import save_checkpoint
+    from tempseg.pipeline import save_features
+
+    model, feats, _ = _infer_inputs(INFER_SEEDS[0])
+    ckpt = work / "model.ckpt"
+    save_checkpoint(ckpt, model.cfg, model.params)
+    for T in CLI_INFER_T:
+        feat, out_dir = work / f"x{T}.feat", work / f"out{T}"
+        save_features(feats[:T], feat)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["infer", "--ckpt", str(ckpt), "--features", str(feat),
+                             "--out", str(out_dir)])
+        names = sorted(os.listdir(out_dir))
+        _line(f"cli.infer.T{T}", *(part for name in names
+                                   for part in (name, (out_dir / name).read_bytes())),
+              out.getvalue().replace(str(work), "WORK"), f"exit {code}",
+              note=f"{len(names)} files")
 
 
 @contextlib.contextmanager
@@ -222,6 +251,8 @@ def _worker():
     with tempfile.TemporaryDirectory() as work:
         _criterion4(Path(work))
     _infer()
+    with tempfile.TemporaryDirectory() as work:
+        _cli_infer(Path(work))
     _attention_calls()
     _inspect_mask()
     _flops()

@@ -60,8 +60,8 @@ class AttentionMask:
     """Sparse per-query attention pattern over a sequence of length T.
 
     Attention runs from ``spec``, the window the mask stands for; the mask
-    stores nothing else, and ``valid`` and ``allowed`` are computed from the
-    window's offsets when they are read.
+    stores nothing else, and ``valid`` is computed from the window's offsets
+    when it is read.
     """
 
     def __init__(self, T: int, spec: WindowSpec):
@@ -75,14 +75,6 @@ class AttentionMask:
         """[T, offsets] flags: query q's key q + offsets[j] lies in the sequence."""
         keys = np.arange(self.T)[:, None] + self.spec.offsets[None, :]
         return (keys >= 0) & (keys < self.T)
-
-    @property
-    def allowed(self) -> list:
-        """Sorted allowed key indices per query: q + offsets, clipped to the
-        sequence (the offsets are distinct and ascending)."""
-        offsets, q = self.spec.offsets, np.arange(self.T)
-        lo, hi = np.searchsorted(offsets, -q), np.searchsorted(offsets, self.T - q)
-        return [i + offsets[a:b] for i, a, b in zip(q, lo, hi)]
 
 
 def build_window_schedule(
@@ -125,20 +117,21 @@ def attended_pairs_count(mask: AttentionMask) -> int:
 
 @dataclass
 class ScaleSet:
-    """Temporal scales for hierarchical attention: scale s = 0, 1, ... pools
-    by 2**s to length T_s = ceil(T / 2**s), and weights[s] weights its scores."""
+    """Temporal scales for hierarchical attention: scale s = 0 .. levels - 1
+    pools by 2**s to length T_s = ceil(T / 2**s), and every scale's scores
+    weigh the same, 1 / levels."""
 
     T: int
-    weights: list[float]
+    levels: int
     window: int = 8
 
     def __post_init__(self):
-        if self.T < 1 or not self.weights:
-            raise ShapeError(f"scales need T >= 1 and a weight, got T={self.T}, {self.weights}")
+        if self.T < 1 or self.levels < 1:
+            raise ShapeError(f"scales need T >= 1 and a scale, got T={self.T}, {self.levels}")
 
     @property
     def scales(self) -> list[int]:
-        return list(range(len(self.weights)))
+        return list(range(self.levels))
 
     @classmethod
     def build(cls, T: int, s_avg: int = 64, window: int = 8, max_scales: int = 4) -> "ScaleSet":
@@ -147,7 +140,7 @@ class ScaleSet:
         n = max(1, int(math.floor(math.log2(max(T / s_avg, 1.0)))))
         if max_scales:
             n = min(n, max_scales)
-        return cls(T, [1.0 / n] * n, window)
+        return cls(T, n, window)
 
 
 @dataclass
@@ -201,7 +194,7 @@ def dswa_forward(
     for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
         spec = mask.spec
         outs.append(window_attention(q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
-                                     [1.0], spec.one_sided_width, spec.step))
+                                     1, spec.one_sided_width, spec.step))
     return linear(concat(outs, axis=1), params.wo, params.bo)
 
 
@@ -209,12 +202,12 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     """Hierarchical temporal attention.
 
     Per scale s the input is mean-pooled by 2**s and each pooled query
-    scores the 2w+1 pooled keys around it. A frame-level key gets the
-    weighted sum of the scores of every scale whose window holds it; the
-    softmax runs over the union of the windows and weights frame-level
-    values. Mean pooling is linear, so q and k are projected once at frame
-    level and pooled inside ``window_attention``, which runs the ladder of
-    scales at step 1.
+    scores the 2w+1 pooled keys around it. A frame-level key gets the sum
+    of the scores of every scale whose window holds it, each weighted
+    1 / levels; the softmax runs over the union of the windows and weights
+    frame-level values. Mean pooling is linear, so q and k are projected
+    once at frame level and pooled inside ``window_attention``, which runs
+    the ladder of scales at step 1.
     """
     T = x.shape[0]
     if scales.T != T:
@@ -222,5 +215,5 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     q = linear(x, params.wq, params.bq)
     k = linear(x, params.wk, params.bk)
     v = linear(x, params.wv, params.bv)
-    out = window_attention(q, k, v, params.heads, scales.weights, scales.window, 1)
+    out = window_attention(q, k, v, params.heads, scales.levels, scales.window, 1)
     return linear(out, params.wo, params.bo)

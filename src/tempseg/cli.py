@@ -62,7 +62,7 @@ def _load_dataset(data_dir, n_classes: int):
             )
         if feats.shape[0] != labels.size:
             raise ValueError(f"{stem}: {feats.shape[0]} frames but {labels.size} labels")
-        dataset.append((feats, labels, frames_to_segments(labels)))
+        dataset.append((feats, labels))
     return dataset
 
 
@@ -146,15 +146,16 @@ def _cmd_refine(args):
 def _cmd_inspect_mask(args):
     _at_least_one(T=args.T)
     cfg = _read_model(args.config) if args.config else ModelConfig()
-    schedule = attention.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
-    if not 0 <= args.layer < len(schedule):
-        raise ValueError(f"layer must be in [0, {len(schedule)}), got {args.layer}")
-    for role, spec in zip(("expanding", "shrinking"), schedule[args.layer]):
+    pairs = cfg.window_pairs()
+    if not 0 <= args.layer < len(pairs):
+        raise ValueError(f"layer must be in [0, {len(pairs)}), got {args.layer}")
+    for role, spec in zip(("expanding", "shrinking"), pairs[args.layer]):
         mask = attention.build_sparse_mask(args.T, spec)
         print(f"# {role}: width {spec.one_sided_width}, rate {spec.dilation_rate}, "
               f"pairs {attention.attended_pairs_count(mask)}")
-        for q, keys in enumerate(mask.allowed):
-            print(f"{q}: {' '.join(str(k) for k in keys)}")
+        for q in range(args.T):  # one query at a time: no per-sequence array
+            keys = q + spec.offsets
+            print(f"{q}: {' '.join(str(k) for k in keys[(keys >= 0) & (keys < args.T)])}")
 
 
 def _read_model(path) -> ModelConfig:

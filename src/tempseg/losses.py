@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .seqcore import ShapeError, Tensor, as_tensor, softmax
-from .segments import SegmentList, make_boundary_target
+from .segments import SegmentList, frames_to_segments, make_boundary_target
 
 __all__ = [
     "focal_loss",
@@ -107,28 +107,27 @@ def gaussian_truncated_boundary_loss(
     return (truncated * target).sum() / float(scores.shape[0])
 
 
-def combined_temporal_loss(output, labels, segments: SegmentList, cfg) -> tuple[Tensor, dict]:
+def combined_temporal_loss(output, labels, cfg) -> tuple[Tensor, dict]:
     """Mean over stages of alpha*focal + beta*dice + gamma*similarity +
     delta*boundary, with alpha .. delta from cfg.loss_alpha .. cfg.loss_delta.
+    The boundary target and every stage's similarity term read the segments
+    (label runs) that ``frames_to_segments`` makes from the labels.
     Returns the scalar loss and per-component float values."""
     labels = np.asarray(labels, dtype=np.int64)
-    T = labels.size
-    b_target = make_boundary_target(segments, T)
+    segments = frames_to_segments(labels)
+    b_target = make_boundary_target(segments, labels.size)
     total = None
     parts = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
     for stage in output.stages:
         lf = focal_loss(stage.action_logits, labels, cfg.focal_gamma)
-        probs = softmax(stage.action_logits)
-        ld = dice_loss(probs, labels, cfg.dice_smooth)
+        ld = dice_loss(softmax(stage.action_logits), labels, cfg.dice_smooth)
         ls = gaussian_cosine_similarity_loss(stage.features, segments, cfg.sigma_divisor)
         lb = gaussian_truncated_boundary_loss(stage.boundary_scores, b_target, cfg.tau)
         stage_loss = (cfg.loss_alpha * lf + cfg.loss_beta * ld + cfg.loss_gamma * ls
                       + cfg.loss_delta * lb)
         total = stage_loss if total is None else total + stage_loss
-        parts["focal"] += lf.item()
-        parts["dice"] += ld.item()
-        parts["sim"] += ls.item()
-        parts["boundary"] += lb.item()
+        for k, term in zip(parts, (lf, ld, ls, lb)):
+            parts[k] += term.item()
     n = len(output.stages)
     loss = total / float(n)
     for k in parts:

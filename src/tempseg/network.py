@@ -188,6 +188,14 @@ class ModelConfig:
             ("temporal_dropout", 0.0 <= self.temporal_dropout < 1.0, "in [0, 1)"),
         ])
 
+    def window_pairs(self) -> list[tuple[attn.WindowSpec, attn.WindowSpec]]:
+        """Per encoder layer, its (expanding, shrinking) DSWA windows."""
+        return attn.build_window_schedule(self.n_blocks, self.w_min, self.w_max, self.rate_max)
+
+    def scale_set(self, T: int) -> attn.ScaleSet:
+        """HTA's scales at sequence length T."""
+        return attn.ScaleSet.build(T, self.s_avg, self.hta_window, self.max_scales)
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -319,19 +327,10 @@ class SegmentationModel:
             self.cfg.heads,
         )
 
-    def schedule(self):
-        return attn.build_window_schedule(
-            self.cfg.n_blocks, self.cfg.w_min, self.cfg.w_max, self.cfg.rate_max
-        )
-
     def masks_for(self, T: int):
         """Per layer, the (expanding, shrinking) DSWA masks at length T."""
         return [(attn.build_sparse_mask(T, e), attn.build_sparse_mask(T, s))
-                for e, s in self.schedule()]
-
-    def scales_for(self, T: int) -> attn.ScaleSet:
-        return attn.ScaleSet.build(T, self.cfg.s_avg, self.cfg.hta_window,
-                                   max_scales=self.cfg.max_scales)
+                for e, s in self.cfg.window_pairs()]
 
     def _tcn_stack(self, h: Tensor, prefix: str, mode: str) -> Tensor:
         for i in range(self.cfg.n_blocks):
@@ -367,7 +366,7 @@ class SegmentationModel:
         h = linear(x, self.params["in_proj.w"], self.params["in_proj.b"])
         h = self._tcn_stack(h.T, "enc_tcn", "acausal").T
         masks = self.masks_for(h.shape[0])
-        scales = self.scales_for(h.shape[0])
+        scales = self.cfg.scale_set(h.shape[0])
         p = self.params
         for i in range(self.cfg.n_blocks):
             pre = f"enc_attn.{i}"
@@ -409,12 +408,9 @@ def count_params_flops(cfg: ModelConfig, T: int) -> tuple[int, int]:
     d, a, k, c = cfg.d_model, cfg.attn_dim, cfg.kernel_size, cfg.n_classes
     tcn = cfg.n_blocks * (T * d * d * k + T * d * d)  # one TCN stack: dilated + pointwise
     macs = T * cfg.d_in * d + tcn  # input projection, encoder TCN
-    schedule = attn.build_window_schedule(cfg.n_blocks, cfg.w_min, cfg.w_max, cfg.rate_max)
-    scales = attn.ScaleSet.build(T, cfg.s_avg, cfg.hta_window, max_scales=cfg.max_scales)
-    hta_pairs = _hta_pair_count(T, scales)
-    for e_spec, s_spec in schedule:
-        pairs = attn.attended_pairs_count(attn.AttentionMask(T, e_spec))
-        pairs += attn.attended_pairs_count(attn.AttentionMask(T, s_spec))
+    hta_pairs = _hta_pair_count(T, cfg.scale_set(T))
+    for pair in cfg.window_pairs():
+        pairs = sum(attn.attended_pairs_count(attn.AttentionMask(T, spec)) for spec in pair)
         macs += 4 * T * d * a        # q/k/v/output projections (dswa)
         macs += 2 * pairs * a        # scores + weighted values
         macs += 4 * T * d * a        # hta projections
@@ -434,7 +430,7 @@ def _hta_pair_count(T: int, scales: attn.ScaleSet) -> int:
     sequence adds f * (2w + 1) * f pairs; only the at most 2w + 1 blocks
     at the two ends are summed one by one, so the count is exact at any
     length without a per-frame array."""
-    f, w = 1 << max(scales.scales), scales.window
+    f, w = 1 << (scales.levels - 1), scales.window
     n_blocks = -(-T // f)
     inner_end = max(T // f - w, w)  # interior blocks are w .. inner_end - 1
     pairs = (inner_end - w) * f * (2 * w + 1) * f

@@ -23,7 +23,6 @@ from .segments import (
     Segment,
     SegmentList,
     detect_boundaries,
-    frames_to_segments,
     refine_prediction,
     segments_to_frames,
 )
@@ -78,17 +77,24 @@ class TrainingError(RuntimeError):
 
 
 def save_features(seq: np.ndarray, path):
-    """Frame-major float32 little-endian payload behind an MSBF header."""
-    seq = np.asarray(seq, dtype=np.float64)
+    """Frame-major float32 little-endian payload behind an MSBF header. The
+    values are checked as given, then cast (a float32 input is not copied);
+    one beyond the float32 range raises ValueError before the file opens."""
+    seq = np.asarray(seq)
     if seq.ndim != 2 or seq.size < 1:
         raise ValueError(f"features must be a non-empty [T, D] matrix, got shape {seq.shape}")
     if not np.isfinite(seq).all():
         raise ValueError("refusing to write non-finite feature values")
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(seq, "<f4")
+    except FloatingPointError:
+        raise ValueError("refusing to write feature values beyond the float32 range") from None
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<I", FEATURE_VERSION))
         f.write(struct.pack("<QQ", seq.shape[0], seq.shape[1]))
-        f.write(np.ascontiguousarray(seq, "<f4"))
+        f.write(payload)
 
 
 def load_features(path) -> np.ndarray:
@@ -298,17 +304,17 @@ class TrainResult:
     epoch_losses: list
 
 
-def _sequence_loss(model: SegmentationModel, feats, labels, segments, training: bool):
+def _sequence_loss(model: SegmentationModel, feats, labels, training: bool):
     x = Tensor(feats)
     out = model.forward(x, training=training)
-    loss, parts = combined_temporal_loss(out, labels, segments, model.cfg)
+    loss, parts = combined_temporal_loss(out, labels, model.cfg)
     return out, loss, parts
 
 
 def _train_accuracy(model: SegmentationModel, dataset) -> float:
     """Frame accuracy of `infer`'s raw labels, as a saved checkpoint gives them."""
     correct = total = 0
-    for feats, labels, _ in dataset:
+    for feats, labels, *_ in dataset:
         correct += int((infer(model, feats, refine=False).raw_labels == labels).sum())
         total += labels.size
     return correct / total
@@ -325,6 +331,9 @@ def _first_nonfinite_grad(params: dict):
 def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     """Full-sequence Adam training with early stopping on the epoch's mean
     training loss; persists the best parameters when ckpt_path is given.
+
+    Only the first two entries of each dataset item are read, a sequence's
+    features and frame labels: the loss derives the segments from the labels.
 
     Each log line (one per epoch, then the reason for stopping early, if
     any) goes to the result's log and, when given, to log_fn. Every forward
@@ -353,9 +362,9 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     for epoch in range(1, run.max_epochs + 1):
         running = 0.0
         comp = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
-        for si, (feats, labels, segments) in enumerate(dataset):
+        for si, (feats, labels, *_) in enumerate(dataset):
             feats = np.asarray(feats, np.float32)
-            _, loss, parts = _sequence_loss(model, feats, labels, segments, training=True)
+            _, loss, parts = _sequence_loss(model, feats, labels, training=True)
             value = loss.item()
             if not math.isfinite(value):
                 bad = max(parts, key=lambda k: 0.0 if math.isfinite(parts[k]) else 1.0)

@@ -663,52 +663,51 @@ class _TileKernel:
         return dqs, dks, dvc
 
 
-def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, window: int,
+def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int, window: int,
                      step: int) -> Tensor:
     """Windowed multi-scale multi-head attention; q, k and v are [T, A].
 
     The rows r, r + step, ... of each residue r attend only each other, as
-    one sequence. Inside it, scale s = 0, 1, ..., len(weights) - 1
-    mean-pools q and k by 2**s, and pooled query a scores the pooled keys
-    a - window .. a + window, scaled by 1/sqrt(A/heads). A frame-level key
-    takes the sum of the scores of every scale whose window holds it, scale
-    s weighted by weights[s]; the softmax runs over the union of the windows
-    and weights the frame-level values v. One scale of weight 1 is a band of
-    one-sided width `window` dilated by `step` (DSWA); a ladder of scales at
-    step 1 is hierarchical attention (HTA).
+    one sequence. Inside it, scale s = 0 .. levels - 1 mean-pools q and k by
+    2**s, and pooled query a scores the pooled keys a - window ..
+    a + window, scaled by 1/sqrt(A/heads). A frame-level key takes the sum
+    of the scores of every scale whose window holds it, each weighted
+    1 / levels; the softmax runs over the union of the windows and weights
+    the frame-level values v. One level is a band of one-sided width
+    `window` dilated by `step` (DSWA); a ladder of levels at step 1 is
+    hierarchical attention (HTA).
 
     Per residue the op runs the tiled kernel with one level per scale, frame
     level first, on the values and a count of 1 per frame as [V | count].
-    Each level's pooled queries are pre-scaled by weight / (sqrt(hd) *
-    count), and its keys are pooled means. The backward keeps only q, k, v,
-    the output and the denominators; it forms the numerator's gradient dY
+    Each level's pooled queries are pre-scaled by (1 / levels) / (sqrt(hd)
+    * count), and its keys are pooled means. The backward keeps only q, k,
+    v, the output and the denominators; it forms the numerator's gradient dY
     once, frame-major, and pads it per residue.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
-    if not weights or window < 0 or step < 1:
+    if levels < 1 or window < 0 or step < 1:
         raise ShapeError(
-            f"need a weight per scale, window >= 0 and step >= 1, got {weights}, {window}, {step}"
+            f"need levels >= 1, window >= 0 and step >= 1, got {levels}, {window}, {step}"
         )
     hd = A // heads
-    scale = 1.0 / math.sqrt(hd)
+    wt = (1.0 / levels) * (1.0 / math.sqrt(hd))  # every level's score weight
     qd, kd, vd = q.data, k.data, v.data
     dtype = qd.dtype
-    wts = [float(x) * scale for x in weights]
-    kernel = _TileKernel(len(wts), window, dtype)
+    kernel = _TileKernel(levels, window, dtype)
     residues = range(min(step, T))
 
     def operands(r):
         """The kernel's operands over rows r::step, zero-padded to whole
-        coarsest blocks: per scale the pooled query sums times weight /
-        (sqrt(hd) * count) and the pooled key means, [V | count] at frame
-        level, and the residue's row count."""
+        coarsest blocks: per scale the pooled query sums times wt / count
+        and the pooled key means, [V | count] at frame level, and the
+        residue's row count."""
         qsum, ksum = qd[r::step].reshape(-1, heads, hd), kd[r::step].reshape(-1, heads, hd)
         n = len(qsum)
         rows = -(-n // kernel.per[0]) * kernel.per[0]
         qs, ks = [], []
         c = 1.0  # a frame-level row counts one frame
-        for s, wt in enumerate(wts):
+        for s in range(levels):
             if s:
                 qsum, ksum = _pair_sum(qsum), _pair_sum(ksum)
                 c = _frame_counts(n, 1 << s, dtype)[:, None]
@@ -741,7 +740,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, weights, windo
                 dqs, dks, dvc = kernel.backward(qs, ks, vc, n, dyr)
                 dqr = dkr = 0.0
                 c = 1.0
-                for s, (wt, a, b) in enumerate(zip(wts, dqs, dks)):
+                for s, (a, b) in enumerate(zip(dqs, dks)):
                     f, m = 1 << s, -(-n >> s)
                     if s:
                         c = _frame_counts(n, f, dtype)[:, None, None]

@@ -290,7 +290,8 @@ def _ragged_pool(x, f):
 
 def hta_oracle(x, scales, params):
     """Dense reference: per-scale pooled scores broadcast to [T, T], combined
-    with aggregate_scales per head, applied to frame-level values."""
+    with aggregate_scales per head at equal weights 1 / levels, applied to
+    frame-level values."""
     T = x.shape[0]
     H = params.heads
     hd = params.attn_dim // H
@@ -314,13 +315,13 @@ def hta_oracle(x, scales, params):
                         e[i, j] = qp[pi] @ kp[pj] / math.sqrt(hd)
             es.append(e)
             nbs.append(nb)
-        alpha = aggregate_scales(es, scales.weights, nbs)
+        alpha = aggregate_scales(es, [1.0 / scales.levels] * scales.levels, nbs)
         out[:, sl] = alpha @ v[:, sl]
     return out @ params.wo.data + params.bo.data
 
 
 def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
-    """Dense reference for seqcore.hta_attention on frame-level [T, A] q/k/v:
+    """Dense reference for seqcore.window_attention on frame-level [T, A] q/k/v:
     per scale the ragged mean-pooled q and k score every pooled pair within
     the window, broadcast to [T, T], combined with aggregate_scales per head
     and applied to v."""

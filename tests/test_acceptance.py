@@ -139,10 +139,10 @@ def test_criterion_2_finite_difference_gradients(announce):
                       heads=2, s_avg=8, w_min=2, w_max=4, temporal_dropout=0.0)
     model = SegmentationModel(cfg)
     spec = SynthSpec(n_classes=3, durations=((10.0, 2.0),) * 3, d_features=6, seed=4)
-    f_in, lab, seg_list = synth_dataset(spec, 1, 32)[0]
+    f_in, lab, _ = synth_dataset(spec, 1, 32)[0]
 
     def full_loss():
-        _, loss, _ = _sequence_loss(model, f_in, lab, seg_list, training=False)
+        _, loss, _ = _sequence_loss(model, f_in, lab, training=False)
         return loss
 
     check = sorted(model.params)[:: max(1, len(model.params) // 12)]

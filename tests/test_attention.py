@@ -25,6 +25,7 @@ from oracles import (
     dswa_oracle,
     fd_check_tensor,
     hta_oracle,
+    hta_qkv_oracle,
     init_attention_params,
 )
 
@@ -64,21 +65,21 @@ def test_window_spec_step_and_span():
 
 
 def test_mask_acausal_dilated():
-    m = build_sparse_mask(5, WindowSpec(1, 1))
-    assert list(m.allowed[2]) == [0, 2, 4]
-    assert list(m.allowed[0]) == [0, 2]  # negative offsets clipped away
+    d = dense_mask(build_sparse_mask(5, WindowSpec(1, 1)))
+    assert list(np.flatnonzero(d[2])) == [0, 2, 4]
+    assert list(np.flatnonzero(d[0])) == [0, 2]  # negative offsets clipped away
 
 
 def test_mask_dense_matches_allowed():
+    # the keys each query may attend, from the mask, against the band oracle
     m = build_sparse_mask(9, WindowSpec(2, 1))
-    d = dense_mask(m)
-    for i, js in enumerate(m.allowed):
-        assert sorted(np.nonzero(d[i])[0]) == list(js)
+    assert np.array_equal(dense_mask(m), band_mask_oracle(9, 2, 2))
 
 
 def test_pairs_count():
     m = build_sparse_mask(4, WindowSpec(1, 0))
-    assert [list(a) for a in m.allowed] == [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
+    keys = [list(np.flatnonzero(row)) for row in dense_mask(m)]
+    assert keys == [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
     assert attended_pairs_count(m) == 10
 
 
@@ -95,9 +96,7 @@ def test_pairs_count_closed_form_matches_band_and_oracle():
 
 def test_every_query_attends_itself():
     for spec in (WindowSpec(3, 2), WindowSpec(5, 0)):
-        m = build_sparse_mask(23, spec)
-        for i, js in enumerate(m.allowed):
-            assert i in js
+        assert dense_mask(build_sparse_mask(23, spec)).diagonal().all()
 
 
 # -- scale sets -----------------------------------------------------------
@@ -117,16 +116,26 @@ def test_scale_count_cap():
 
 
 def test_scale_weights_default_uniform():
-    ss = ScaleSet.build(512, s_avg=64)
-    assert np.allclose(ss.weights, [1 / 3] * 3)
+    # each of a built set's 3 scales weighs 1/3: HTA equals the dense oracle
+    # given those weights on the projected q, k and v
+    T = 64
+    x = rng.normal(size=(T, 8))
+    params = init_attention_params(8, 4, 2, rng)
+    scales = ScaleSet.build(T, s_avg=8, window=2)
+    assert scales.scales == [0, 1, 2]
+    q, k, v = (x @ w.data + b.data for w, b in
+               ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv)))
+    want = hta_qkv_oracle(q, k, v, 2, scales.scales, [1 / 3] * 3, 2)
+    got = hta_forward(Tensor(x), scales, params).data
+    assert np.max(np.abs(got - (want @ params.wo.data + params.bo.data))) < 1e-12
 
 
 def test_scale_set_is_a_ladder_over_at_least_one_frame():
-    # scale s is the s-th weight; a set needs a frame and a weight
-    assert ScaleSet(3, [0.5, 0.3, 0.2]).scales == [0, 1, 2]
-    for T, weights in ((0, [1.0]), (5, [])):
+    # scale s pools by 2**s; a set needs a frame and a scale
+    assert ScaleSet(3, 3).scales == [0, 1, 2]
+    for T, levels in ((0, 1), (5, 0)):
         with pytest.raises(ShapeError):
-            ScaleSet(T, weights)
+            ScaleSet(T, levels)
 
 
 # -- score aggregation ----------------------------------------------------
@@ -211,7 +220,7 @@ def test_hta_default_width_memory():
 
 
 def test_masks_store_only_their_window():
-    # attention reads the spec; `valid` and `allowed` are computed when read
+    # attention reads the spec; `valid` is computed when read
     T = 2048
     params = init_attention_params(16, 8, 2, rng)
     e, s = build_window_schedule(10)[4]
@@ -219,11 +228,10 @@ def test_masks_store_only_their_window():
     with no_grad():
         dswa_forward(Tensor(rng.normal(size=(T, 16))), em, sm, params)
     assert vars(em) == {"T": T, "spec": e} and vars(sm) == {"T": T, "spec": s}
-    assert em.valid.shape == (T, 2 * e.one_sided_width + 1)
-    allowed, valid = em.allowed, em.valid
+    valid = em.valid
+    assert valid.shape == (T, 2 * e.one_sided_width + 1)
     assert vars(em) == {"T": T, "spec": e}
-    for q in (0, 1, T // 2, T - 1):
-        assert np.array_equal(allowed[q], (q + e.offsets)[valid[q]])
+    assert int(valid.sum()) == attended_pairs_count(em)
 
 
 def test_dswa_odd_heads_rejected():
@@ -250,7 +258,7 @@ def test_hta_chunked_matches_dense_oracle(monkeypatch):
     T = 45
     x = rng.normal(size=(T, 12))
     params = init_attention_params(12, 8, 2, rng)
-    scales = ScaleSet(T, [0.5, 0.3, 0.2], window=2)
+    scales = ScaleSet(T, 3, window=2)
     assert scales.scales == [0, 1, 2]
     got = hta_forward(Tensor(x), scales, params).data
     assert np.max(np.abs(got - hta_oracle(x, scales, params))) < 1e-12
@@ -261,7 +269,7 @@ def test_grad_hta_chunked(monkeypatch):
     T = 21
     x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
     params = init_attention_params(6, 4, 2, rng)
-    scales = ScaleSet(T, [0.5, 0.3, 0.2], window=2)
+    scales = ScaleSet(T, 3, window=2)
     w = rng.normal(size=(T, 6))
     err = fd_check_tensor(lambda: (hta_forward(x, scales, params) * w).sum(),
                           [x, params.wq, params.wk, params.wv])
@@ -272,7 +280,7 @@ def test_hta_single_scale_equals_plain_windowed():
     T = 20
     x = rng.normal(size=(T, 8))
     params = init_attention_params(8, 4, 2, rng)
-    scales = ScaleSet(T, [1.0], window=3)
+    scales = ScaleSet(T, 1, window=3)
     got = hta_forward(Tensor(x), scales, params).data
     mask = np.abs(np.arange(T)[:, None] - np.arange(T)[None, :]) <= 3
     want = dense_attention_oracle(x, params, mask) @ params.wo.data + params.bo.data

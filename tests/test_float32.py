@@ -39,9 +39,9 @@ _OPS = {
         lambda x, w, b: conv1d_dilated(x, w, b, dilation=2, mode="acausal"),
         [(12, 50), (8, 12, 3), (8,)], 1),
     # the op's two uses: one scale over a dilated band, a ladder at step 1
-    "band_attention": (lambda q, k, v: window_attention(q, k, v, 2, [1.0], 9, 2),
+    "band_attention": (lambda q, k, v: window_attention(q, k, v, 2, 1, 9, 2),
                        [(200, 16)] * 3, 3),
-    "hta_attention": (lambda q, k, v: window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 3, 1),
+    "hta_attention": (lambda q, k, v: window_attention(q, k, v, 2, 3, 3, 1),
                       [(300, 16)] * 3, 3),
     "gelu": (lambda x: x.gelu(), [(40, 24)], 1),
     "softmax": (lambda x: softmax(x * 4.0), [(40, 24)], 1),
@@ -140,8 +140,8 @@ def test_sequence_loss_runs_the_network_in_the_features_dtype(dtype):
     """Callers keep their dtype: float64 features (criterion 2's finite
     differences) give a float64 network, float32 ones a float32 network;
     the loss is finite and every parameter gradient float64 either way."""
-    model, (feats, labels, segments) = _train_case(T=256)
-    out, loss, _ = _sequence_loss(model, feats.astype(dtype), labels, segments, training=True)
+    model, (feats, labels, _) = _train_case(T=256)
+    out, loss, _ = _sequence_loss(model, feats.astype(dtype), labels, training=True)
     for stage in out.stages:
         assert stage.action_logits.data.dtype == dtype
         assert stage.features.data.dtype == dtype

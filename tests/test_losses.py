@@ -12,7 +12,7 @@ from tempseg.losses import (
     segment_center_weights,
 )
 from tempseg.network import ModelConfig, StagePrediction, ModelOutput
-from tempseg.segments import Segment, SegmentList
+from tempseg.segments import Segment, SegmentList, frames_to_segments, make_boundary_target
 from tempseg.seqcore import Tensor, softmax
 
 from oracles import fd_check_tensor
@@ -199,30 +199,56 @@ def _fake_output(T, C, d, n_stages, r):
 def test_combined_loss_is_stage_mean():
     cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=0, heads=2)
     labels = np.array([0] * 6 + [1] * 6)
-    segs = SegmentList([Segment(0, 5, 0), Segment(6, 11, 1)])
     r = np.random.default_rng(5)
     out2 = _fake_output(12, 3, 8, 2, r)
-    loss2, parts = combined_temporal_loss(out2, labels, segs, cfg)
+    loss2, parts = combined_temporal_loss(out2, labels, cfg)
     per_stage = []
     for st in out2.stages:
         one = ModelOutput([st])
-        l, _ = combined_temporal_loss(one, labels, segs, cfg)
+        l, _ = combined_temporal_loss(one, labels, cfg)
         per_stage.append(l.item())
     assert math.isclose(loss2.item(), np.mean(per_stage), rel_tol=1e-12)
     assert set(parts) == {"focal", "dice", "sim", "boundary"}
 
 
+def test_combined_loss_derives_segments_from_the_labels():
+    # bit for bit the four public terms over frames_to_segments(labels),
+    # combined stage by stage as the loss does, over three stages
+    cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=2, heads=2)
+    labels = np.array([0] * 4 + [2] * 7 + [1] * 3 + [0] * 6)
+    out = _fake_output(20, 3, 8, 3, np.random.default_rng(7))
+    loss, parts = combined_temporal_loss(out, labels, cfg)
+    segs = frames_to_segments(labels)
+    target = make_boundary_target(segs, labels.size)
+    total, want = None, dict.fromkeys(parts, 0.0)
+    for st in out.stages:
+        terms = {
+            "focal": focal_loss(st.action_logits, labels, cfg.focal_gamma),
+            "dice": dice_loss(softmax(st.action_logits), labels, cfg.dice_smooth),
+            "sim": gaussian_cosine_similarity_loss(st.features, segs, cfg.sigma_divisor),
+            "boundary": gaussian_truncated_boundary_loss(st.boundary_scores, target, cfg.tau),
+        }
+        stage = (cfg.loss_alpha * terms["focal"] + cfg.loss_beta * terms["dice"]
+                 + cfg.loss_gamma * terms["sim"] + cfg.loss_delta * terms["boundary"])
+        total = stage if total is None else total + stage
+        for k, term in terms.items():
+            want[k] += term.item()
+    assert loss.item() == (total / 3.0).item()
+    assert parts == {k: v / 3 for k, v in want.items()}
+    # one class throughout: one segment, so no boundary to target
+    assert combined_temporal_loss(out, np.zeros(20, np.int64), cfg)[1]["boundary"] == 0.0
+
+
 def test_combined_loss_weight_scaling():
     dims = dict(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=0, heads=2)
     labels = np.array([0] * 5 + [2] * 5)
-    segs = SegmentList([Segment(0, 4, 0), Segment(5, 9, 2)])
     r = np.random.default_rng(6)
     out = _fake_output(10, 3, 8, 1, r)
     focal_only = ModelConfig(**dims, loss_alpha=1, loss_beta=0, loss_gamma=0, loss_delta=0)
-    base, parts = combined_temporal_loss(out, labels, segs, focal_only)
+    base, parts = combined_temporal_loss(out, labels, focal_only)
     assert math.isclose(base.item(), parts["focal"], rel_tol=1e-12)
     full, parts = combined_temporal_loss(
-        out, labels, segs,
+        out, labels,
         ModelConfig(**dims, loss_alpha=1.0, loss_beta=0.2, loss_gamma=0.5, loss_delta=0.5),
     )
     want = (

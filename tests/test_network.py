@@ -205,7 +205,7 @@ def test_hta_pair_count_equals_per_frame_sum():
     for T in range(1, 301):
         for n_scales in range(1, 6):
             for window in range(10):
-                scales = ScaleSet(T, [1.0 / n_scales] * n_scales, window)
+                scales = ScaleSet(T, n_scales, window)
                 want = hta_pair_count_oracle(T, 1 << (n_scales - 1), window)
                 assert _hta_pair_count(T, scales) == want, (T, n_scales, window)
 

@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import functools
+import hashlib
 import io
 import os
 import re
@@ -109,6 +111,40 @@ def test_features_round_trip_any_finite_matrix(seq):
     assert back.tobytes() == seq.astype("<f4").tobytes()
 
 
+def test_save_features_rejects_values_beyond_float32_before_writing(tmp_path):
+    # 1e39 is finite in float64 but overflows the float32 payload
+    p = tmp_path / "x.feat"
+    with pytest.raises(ValueError, match="float32 range"):
+        save_features(np.array([[1.0, 1e39]]), p)
+    assert not p.exists()
+
+
+def test_save_features_writes_float32_input_without_a_copy(tmp_path):
+    # the values are checked as given, so the peak is the finiteness mask, a
+    # quarter of the payload
+    seq = rng.normal(size=(2048, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        save_features(seq, tmp_path / "x.feat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < seq.nbytes / 4 + 64 * 1024, peak / seq.nbytes
+    assert (tmp_path / "x.feat").read_bytes()[24:] == seq.tobytes()
+
+
+def test_cli_synth_files_keep_their_bytes(tmp_path):
+    # the sha256 of the files `tempseg synth --n 2 --frames 40` writes, in
+    # name order: the default spec's features, labels and segments
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(tmp_path), "--n", "2", "--frames", "40"]) == 0
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        h.update(name.encode())
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == "b4813a9811579b81dd00fbe6ab8a51a290b8076408cf5850a7994a5d4bcc4fd9"
+
+
 def test_load_features_returns_the_float32_payload(tmp_path):
     seq = rng.normal(size=(9, 4))
     p = tmp_path / "x.feat"
@@ -130,7 +166,7 @@ def test_save_features_holds_one_float32_copy(tmp_path):
     finally:
         tracemalloc.stop()
     payload = seq.astype("<f4")
-    assert peak < 1.5 * payload.nbytes, peak / payload.nbytes
+    assert peak < payload.nbytes + 64 * 1024, peak / payload.nbytes
     assert p.read_bytes()[24:] == payload.tobytes()
 
 
@@ -632,6 +668,18 @@ def test_train_smoke_and_checkpoint(tmp_path):
     assert 0.0 <= result.final_train_accuracy <= 1.0
 
 
+def test_train_reads_only_features_and_labels(tmp_path):
+    # the loss derives each sequence's segments from its labels, so
+    # (features, labels) pairs train exactly as synth_dataset's triples
+    triples = tiny_data()
+    runs = []
+    for i, data in enumerate((triples, [(feats, labels) for feats, labels, _ in triples])):
+        ckpt = tmp_path / f"{i}.ckpt"
+        result = train(tiny_run(), data, ckpt_path=ckpt)
+        runs.append((result.log, result.epoch_losses, ckpt.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_train_reruns_bit_identical():
     data = tiny_data()
     a = train(tiny_run(), data)
@@ -696,7 +744,8 @@ def test_cli_load_dataset_keeps_float32_features(tmp_path):
     _, data_dir = tiny_files(tmp_path, tiny_run())
     dataset = cli._load_dataset(data_dir, 3)
     assert len(dataset) == 2
-    for (feats, labels, _), (ref, ref_labels, _) in zip(dataset, tiny_data()):
+    # (features, labels) pairs: the loss derives the segments from the labels
+    for (feats, labels), (ref, ref_labels, _) in zip(dataset, tiny_data()):
         assert feats.dtype == np.float32
         assert np.array_equal(feats, ref.astype(np.float32))
         assert np.array_equal(labels, ref_labels)
@@ -707,15 +756,15 @@ def test_two_training_steps_hold_under_a_tenth_of_one_tape():
     # has released its graph, so no tape and no interior gradient is held
     cfg = ModelConfig(n_classes=3, d_in=6, d_model=32, n_blocks=2, n_decoders=1,
                       heads=4, s_avg=8, w_min=2, w_max=8)
-    ((feats, labels, segments),) = tiny_data(n=1, T=128)
+    ((feats, labels, _),) = tiny_data(n=1, T=128)
     model = SegmentationModel(cfg)
     opt = Adam(model.parameters(), lr=1e-3)
-    _sequence_loss(model, feats, labels, segments, training=True)  # fills the mask cache
+    _sequence_loss(model, feats, labels, training=True)  # warms the allocator
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for step in range(2):
-            loss = _sequence_loss(model, feats, labels, segments, training=True)[1]
+            loss = _sequence_loss(model, feats, labels, training=True)[1]
             if step == 0:
                 tape = tracemalloc.get_traced_memory()[0] - before
             loss.backward()
@@ -735,13 +784,13 @@ def test_training_step_keeps_only_what_backward_reads():
     cfg = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
                       temporal_dropout=0.3, seed=0)
     spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
-    ((feats, labels, segments),) = synth_dataset(spec, 1, 512)
+    ((feats, labels, _),) = synth_dataset(spec, 1, 512)
     model = SegmentationModel(cfg)
-    _sequence_loss(model, feats, labels, segments, training=True)  # fills the mask cache
+    _sequence_loss(model, feats, labels, training=True)  # warms the allocator
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = _sequence_loss(model, feats, labels, segments, training=True)[1]
+        loss = _sequence_loss(model, feats, labels, training=True)[1]
         live = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         loss.backward()
@@ -818,6 +867,36 @@ def test_cli_inspect_mask_and_flops():
     r = _cli("flops", "--T", "256")
     assert r.returncode == 0
     assert "param" in r.stdout.lower()
+
+
+class _ReaderGone(io.StringIO):
+    """A stdout whose reader goes away after `lines` whole lines."""
+
+    def __init__(self, lines):
+        super().__init__()
+        self.lines = lines
+
+    def write(self, s):
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(s)
+
+
+def test_cli_inspect_mask_prints_one_query_at_a_time(monkeypatch, capsys):
+    # no array of 10^12 entries is made: each line comes from the window's
+    # offsets as it is printed, so a reader that stops gets exit 2
+    out = _ReaderGone(3)
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main(["inspect-mask", "--T", str(10**12), "--layer", "0"])
+    monkeypatch.undo()
+    assert out.getvalue().splitlines() == [
+        "# expanding: width 16, rate 0, pairs 32999999999728",
+        "0: " + " ".join(map(str, range(17))),
+        "1: " + " ".join(map(str, range(18))),
+    ]
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Broken pipe" in err and "internal error" not in err
 
 
 def test_cli_validation_errors_exit_two(tmp_path):

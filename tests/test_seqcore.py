@@ -270,7 +270,7 @@ def test_band_attention_matches_dense_oracle(T, width, step, heads):
     mask = band_mask_oracle(T, width, step)
     spec = WindowSpec(width, step - 1)
     assert np.array_equal(mask, dense_mask(build_sparse_mask(T, spec)))
-    got = window_attention(Tensor(q), Tensor(k), Tensor(v), heads, [1.0], width, step).data
+    got = window_attention(Tensor(q), Tensor(k), Tensor(v), heads, 1, width, step).data
     assert np.max(np.abs(got - dense_multihead(q, k, v, heads, mask))) < 1e-12
 
 
@@ -278,7 +278,7 @@ def test_band_attention_matches_dense_oracle(T, width, step, heads):
 def test_grad_band_attention(T, width, step):
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     w = rng.normal(size=(T, 4))
-    _fd(lambda: (window_attention(q, k, v, 2, [1.0], width, step) * w).sum(), [q, k, v])
+    _fd(lambda: (window_attention(q, k, v, 2, 1, width, step) * w).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -287,35 +287,40 @@ def test_dilated_window_is_one_window_per_residue_to_the_bit(T, width, dtype):
     # a step-s call attends each residue's rows r::s as its own sequence,
     # so it equals, byte for byte, s step-1 calls on those rows
     q, k, v, g = (rng.normal(size=(T, 8)).astype(dtype) for _ in range(4))
-    for step, weights in ((3, [1.0]), (2, [0.5, 0.3, 0.2])):
+    for step, levels in ((3, 1), (2, 3)):
         xs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        y = window_attention(*xs, 2, weights, width, step)
+        y = window_attention(*xs, 2, levels, width, step)
         (y * Tensor(g)).sum().backward()
         for r in range(step):
             rs = [Tensor(a[r::step], requires_grad=True) for a in (q, k, v)]
-            yr = window_attention(*rs, 2, weights, width, 1)
+            yr = window_attention(*rs, 2, levels, width, 1)
             (yr * Tensor(g[r::step])).sum().backward()
             for a, b in zip([y.data] + [x.grad for x in xs], [yr.data] + [x.grad for x in rs]):
                 assert a.dtype == dtype
                 assert np.ascontiguousarray(a[r::step]).tobytes() == b.tobytes()
 
 
-def test_band_attention_rejects_bad_shapes():
-    x = Tensor(rng.normal(size=(6, 4)))
-    with pytest.raises(ShapeError):
-        window_attention(x, Tensor(rng.normal(size=(5, 4))), x, 2, [1.0], 1, 1)
-    with pytest.raises(ShapeError):
-        window_attention(x, x, x, 3, [1.0], 1, 1)
-    with pytest.raises(ShapeError):
-        window_attention(x, x, x, 2, [1.0], 1, 0)
-
-
-@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.5]])
-@pytest.mark.parametrize("step", [0, -1])
-def test_window_attention_rejects_step_below_one(step, weights):
-    x = Tensor(rng.normal(size=(6, 4)))
-    with pytest.raises(ShapeError, match="step >= 1"):
-        window_attention(x, x, x, 2, weights, 1, step)
+# q, k and v of 6 rows, 4 columns and float64, but for the named change
+@pytest.mark.parametrize("change, heads, levels, window, step, match", [
+    ({"k_rows": 5}, 2, 1, 1, 1, "equal"),
+    ({"v_rows": 5}, 2, 3, 1, 1, "equal"),
+    ({"k_dtype": np.float32}, 2, 1, 2, 1, "one dtype"),
+    ({"k_dtype": np.float32}, 2, 2, 1, 1, "one dtype"),
+    ({}, 3, 1, 1, 1, "must divide"),
+    ({}, 2, 0, 1, 1, "levels >= 1"),
+    ({}, 2, 1, -1, 1, "window >= 0"),
+    ({}, 2, 1, 1, 0, "step >= 1"),
+    ({}, 2, 2, 1, 0, "step >= 1"),
+    ({}, 2, 1, 1, -1, "step >= 1"),
+    ({}, 2, 2, 1, -1, "step >= 1"),
+], ids=["k-rows", "v-rows", "mixed-dtypes-band", "mixed-dtypes-ladder", "heads",
+        "no-levels", "window-below-0", "step-0-band", "step-0-ladder", "step-below-0-band",
+        "step-below-0-ladder"])
+def test_window_attention_rejects_bad_arguments(change, heads, levels, window, step, match):
+    q, k, v = (rng.normal(size=(change.get(f"{n}_rows", 6), 4)).astype(
+        change.get(f"{n}_dtype", np.float64)) for n in "qkv")
+    with pytest.raises(ShapeError, match=match):
+        window_attention(Tensor(q), Tensor(k), Tensor(v), heads, levels, window, step)
 
 
 # -- windowed attention: a ladder of scales (HTA) -------------------------
@@ -324,18 +329,19 @@ def test_window_attention_rejects_step_below_one(step, weights):
 @pytest.mark.parametrize(
     "T, weights, window, heads, block",
     [
-        (1, [0.3, 0.3, 0.4], 2, 2, 256),       # a single frame
-        (5, [0.25] * 4, 3, 2, 256),            # T below the coarsest window
-        (29, [0.5, 0.3, 0.2], 2, 2, 4),        # ragged tails, 8 row blocks
-        (33, [0.5, 0.5], 0, 2, 4),             # window 0
-        (64, [0.4, 0.4, 0.2], 3, 4, 16),       # several blocks, 4 heads
+        (1, [1 / 3] * 3, 2, 2, 256),           # a single frame
+        (5, [1 / 4] * 4, 3, 2, 256),           # T below the coarsest window
+        (29, [1 / 3] * 3, 2, 2, 4),            # ragged tails, 8 row blocks
+        (33, [1 / 2] * 2, 0, 2, 4),            # window 0
+        (64, [1 / 3] * 3, 3, 4, 16),           # several blocks, 4 heads
     ],
 )
 def test_hta_attention_matches_dense_oracle(monkeypatch, T, weights, window, heads, block):
-    # scale s is the s-th weight: the ladder 0 .. len(weights) - 1
+    # the oracle's weights are the op's: 1 / levels for each of the
+    # len(weights) levels of the ladder
     monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
-    got = window_attention(t(q), t(k), t(v), heads, weights, window, 1).data
+    got = window_attention(t(q), t(k), t(v), heads, len(weights), window, 1).data
     want = hta_qkv_oracle(q, k, v, heads, range(len(weights)), weights, window)
     assert got.shape == (T, 8)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -345,25 +351,46 @@ def test_dilated_ladder_matches_dense_oracle_per_residue(monkeypatch):
     # no caller dilates a ladder, but the op allows it: the rows r::2 of each
     # residue run the 3-scale attention as one sequence, with ragged tails
     monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
-    T, weights = 29, [0.5, 0.3, 0.2]
+    T = 29
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
-    got = window_attention(t(q), t(k), t(v), 2, weights, 2, 2).data
+    got = window_attention(t(q), t(k), t(v), 2, 3, 2, 2).data
     for r in range(2):
-        want = hta_qkv_oracle(q[r::2], k[r::2], v[r::2], 2, range(3), weights, 2)
+        want = hta_qkv_oracle(q[r::2], k[r::2], v[r::2], 2, range(3), [1 / 3] * 3, 2)
         assert np.max(np.abs(got[r::2] - want)) < 1e-12
 
 
-# a tile holds TILE_ROWS >> (scales - 1) coarsest rows: 3 of the 6 for 3
-# scales and 2 of the 3 for 4 scales, so 21 frames take two
+# a tile holds TILE_ROWS >> (levels - 1) coarsest rows: 3 of the 6 for 3
+# levels and 2 of the 3 for 4 levels, so 21 frames take two; the levels are
+# len(weights), each weighing 1 / levels
 @pytest.mark.parametrize(
-    "weights, block", [([0.5, 0.3, 0.2], 12), ([0.4, 0.3, 0.2, 0.1], 16)])
+    "weights, block", [([1 / 3] * 3, 12), ([1 / 4] * 4, 16)])
 def test_grad_hta_attention_two_blocks(monkeypatch, weights, block):
     monkeypatch.setattr(seqcore, "TILE_ROWS", block)
     T = 21
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     wgt = rng.normal(size=(T, 4))
     err = fd_check_tensor(
-        lambda: (window_attention(q, k, v, 2, weights, 2, 1) * wgt).sum(), [q, k, v])
+        lambda: (window_attention(q, k, v, 2, len(weights), 2, 1) * wgt).sum(), [q, k, v])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_window_attention_weighs_levels_equally(monkeypatch, levels, step):
+    # each residue's rows r::step run the ladder as one sequence, every
+    # level weighing 1 / levels, with ragged tails and several tiles
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
+    T = 37
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    got = window_attention(t(q), t(k), t(v), 2, levels, 2, step).data
+    for r in range(step):
+        want = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                              [1 / levels] * levels, 2)
+        assert np.max(np.abs(got[r::step] - want)) < 1e-12
+    qt, kt, vt = (t(rng.normal(size=(19, 4))) for _ in range(3))
+    wgt = rng.normal(size=(19, 4))
+    err = fd_check_tensor(
+        lambda: (window_attention(qt, kt, vt, 2, levels, 1, step) * wgt).sum(), [qt, kt, vt])
     assert err < 1e-6
 
 
@@ -375,25 +402,13 @@ def test_hta_attention_reruns_bit_identical(monkeypatch):
     for _ in range(2):
         for x in (q, k, v):
             x.grad = None
-        y = window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2, 1)
+        y = window_attention(q, k, v, 2, 3, 2, 1)
         (y * g).sum().backward()
         runs.append([y.data.copy()] + [x.grad.copy() for x in (q, k, v)])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
     with no_grad():
-        y = window_attention(q, k, v, 2, [0.5, 0.3, 0.2], 2, 1)
+        y = window_attention(q, k, v, 2, 3, 2, 1)
     assert np.array_equal(y.data, runs[0][0]) and not y._prev
-
-
-def test_hta_attention_rejects_bad_arguments():
-    q = t(rng.normal(size=(6, 4)))
-    with pytest.raises(ShapeError):
-        window_attention(q, q, t(rng.normal(size=(5, 4))), 2, [1.0], 1, 1)
-    with pytest.raises(ShapeError):
-        window_attention(q, q, q, 3, [1.0], 1, 1)
-    with pytest.raises(ShapeError):
-        window_attention(q, q, q, 2, [], 1, 1)
-    with pytest.raises(ShapeError):
-        window_attention(q, q, q, 2, [1.0], -1, 1)
 
 
 # -- indexing -------------------------------------------------------------
@@ -545,8 +560,8 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
     h = linear(x, w, b) * c + c / (x * x + 1.0) - linear(c, w, b) - linear(x, eye, zero)
     h = layer_norm(h, w[0], b).gelu()
-    h = (window_attention(h, c, h, 2, [1.0], 2, 1)
-         + window_attention(h, h, c, 2, [0.5, 0.5], 1, 1))
+    h = (window_attention(h, c, h, 2, 1, 2, 1)
+         + window_attention(h, h, c, 2, 2, 1, 1))
     h = conv1d_dilated(h.T, kernel, b, dilation=2).relu().T
     h = concat([h[1::2], h[::2], h[6:2:-1]], axis=1)
     p = softmax(h.reshape(4, 12)).astype(np.float32).astype(np.float64)
@@ -668,12 +683,3 @@ def test_astype_casts_and_casts_the_gradient_back():
     (y * y).sum().backward()
     assert x.grad.dtype == np.float32
     assert np.allclose(x.grad, 2.0 * x.data)
-
-
-def test_attention_ops_reject_mixed_dtypes():
-    q = rng.normal(size=(6, 4))
-    k = q.astype(np.float32)
-    with pytest.raises(ShapeError):
-        window_attention(t(q), Tensor(k), t(q), 2, [1.0], 2, 1)
-    with pytest.raises(ShapeError):
-        window_attention(t(q), Tensor(k), t(q), 2, [1.0], 1, 1)

@@ -22,7 +22,9 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   and in float64 with a tape: the output and the gradients of the input
   and of every projection parameter, one line per workload, op and dtype;
 - `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer);
-- `tempseg flops` output (stdout and exit code) at a few T.
+- `tempseg flops` output (stdout and exit code) at a few T, for the
+  default config and for the train_small benchmark model's config file,
+  which the tool writes.
 
 Two checkouts whose outputs agree bit for bit print the same lines:
 
@@ -231,14 +233,31 @@ def _inspect_mask():
         _line(f"inspect_mask.T{T}.layer{layer}", out.getvalue(), f"exit {code}")
 
 
-def _flops():
+# the train_small benchmark model as a config file, for `tempseg flops --config`
+TRAIN_SMALL_CONFIG = """[model]
+n_classes = 4
+d_in = 64
+d_model = 64
+n_blocks = 4
+n_decoders = 2
+heads = 8
+temporal_dropout = 0.3
+"""
+
+
+def _flops(work: Path):
+    """`tempseg flops` at each T in FLOPS_T for the default config, then for
+    the train_small config file."""
     from tempseg import cli
 
-    for T in FLOPS_T:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["flops", "--T", str(T)])
-        _line(f"flops.T{T}", out.getvalue(), f"exit {code}")
+    config = work / "train_small.cfg"
+    config.write_text(TRAIN_SMALL_CONFIG)
+    for item, extra in (("flops", []), ("flops.train_small", ["--config", str(config)])):
+        for T in FLOPS_T:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["flops", "--T", str(T), *extra])
+            _line(f"{item}.T{T}", out.getvalue(), f"exit {code}")
 
 
 def _worker():
@@ -255,7 +274,8 @@ def _worker():
         _cli_infer(Path(work))
     _attention_calls()
     _inspect_mask()
-    _flops()
+    with tempfile.TemporaryDirectory() as work:
+        _flops(Path(work))
 
 
 def main(argv=None) -> int:

@@ -111,8 +111,9 @@ def build_sparse_mask(T: int, spec: WindowSpec) -> AttentionMask:
 
 def attended_pairs_count(mask: AttentionMask) -> int:
     """Exact number of (query, key) pairs the mask allows: offset d keeps
-    the T - |d| queries whose key stays in the sequence."""
-    return int(np.maximum(mask.T - np.abs(mask.spec.offsets), 0).sum())
+    the T - |d| queries whose key stays in the sequence. Summed as Python
+    ints, so no length overflows."""
+    return sum(max(mask.T - abs(int(d)), 0) for d in mask.spec.offsets)
 
 
 @dataclass

@@ -1,12 +1,17 @@
 """The boundary-aware composite training objective: focal classification,
 soft Dice overlap, Gaussian center-weighted feature similarity and a
-Gaussian truncated boundary MSE, combined with fixed weights."""
+Gaussian truncated boundary MSE, combined with fixed weights.
+
+Each term is one tape op (``scalar_op``): it computes its value and its
+gradient with respect to its one tensor input in float64 numpy, in closed
+form, and the gradient is cast back to the input's dtype as it
+accumulates. Labels are used as indices and class counts."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .seqcore import ShapeError, Tensor, as_tensor, softmax
+from .seqcore import ShapeError, Tensor, as_tensor, scalar_op, softmax
 from .segments import SegmentList, frames_to_segments, make_boundary_target
 
 __all__ = [
@@ -21,41 +26,66 @@ __all__ = [
 _EPS = 1e-12
 
 
-def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
+def _labels(labels, T: int, C: int) -> np.ndarray:
+    """`labels` as T int64 class indices, each in [0, C)."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (T,):
+        raise ShapeError(f"labels of shape {labels.shape} do not match T={T} frames")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= C:
         bad = labels[(labels < 0) | (labels >= C)][0]
         raise ValueError(f"label {bad} outside [0, {C})")
-    oh = np.zeros((labels.size, C))
-    oh[np.arange(labels.size), labels] = 1.0
-    return oh
+    return labels
 
 
 def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
-    """Mean over frames of -(1 - p_t)^gamma_f * log p_t; gamma_f = 0 is
-    plain cross-entropy."""
+    """Mean over frames of -(1 - p_t)^gamma_f * log p_t, with p_t the
+    softmax of the logits at the label plus 1e-12; gamma_f = 0 is plain
+    cross-entropy. The gradient runs through the softmax in closed form:
+    d/dz_c = dl/dp_t * p_label * (1[c = label] - p_c)."""
     logits = as_tensor(action_logits)
-    oh = _one_hot(labels, logits.shape[1])
-    probs = softmax(logits)
-    p_t = (probs * oh).sum(axis=1)
-    p_t = p_t + _EPS
-    # a frame whose softmax saturates has p_t = 1 + _EPS: clamp the base at 0,
-    # or a fractional gamma_f makes the loss and every gradient NaN
-    weight = (1.0 - p_t).relu().pow_const(gamma_f) if gamma_f != 0.0 else 1.0
-    return (weight * -p_t.log()).mean() if gamma_f != 0.0 else (-p_t.log()).mean()
+    z = logits.data.astype(np.float64)
+    T, C = z.shape
+    frames = np.arange(T)
+    y = _labels(labels, T, C)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p_y = p[frames, y]
+    p_t = p_y + _EPS
+    # a frame whose softmax saturates has p_t = 1 + _EPS: its base u is
+    # clamped at 0, where no gradient flows, so the factor
+    # gamma_f * u ** (gamma_f - 1), inf or NaN at u = 0, is masked to 0
+    u = np.maximum(1.0 - p_t, 0.0)
+    log_p = np.log(p_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.where(u > 0.0, gamma_f * u ** (gamma_f - 1.0), 0.0)
+    weight = u ** gamma_f
+    # dl/dp_t, times dp_t/dz_label = p_y and the mean's 1 / T
+    coef = (du * log_p - weight / p_t) * (p_y / T)
+    grad = p * -coef[:, None]
+    grad[frames, y] += coef
+    return scalar_op(np.sum(weight * -log_p) / T, logits, grad)
 
 
 def dice_loss(action_probs: Tensor, labels, smooth: float = 1.0) -> Tensor:
-    """1 - mean soft Dice over the classes present in the labels."""
+    """1 - mean soft Dice over the classes present in the labels, with
+    class c's Dice (2 * sum_{t: y_t = c} p_tc + smooth) /
+    (sum_t p_tc + n_c + smooth) and n_c the frames labelled c."""
     probs = as_tensor(action_probs)
-    T, C = probs.shape
-    oh = _one_hot(labels, C)
-    present = oh.sum(axis=0) > 0
-    inter = (probs * oh).sum(axis=0)
-    denom = probs.sum(axis=0) + oh.sum(axis=0)
-    dice = (2.0 * inter + smooth) / (denom + smooth)
+    P = probs.data.astype(np.float64)
+    T, C = P.shape
+    frames = np.arange(T)
+    y = _labels(labels, T, C)
+    counts = np.bincount(y, minlength=C)
+    present = counts > 0
+    inter = np.bincount(y, weights=P[frames, y], minlength=C)
+    denom = P.sum(axis=0) + counts + smooth
+    dice = (2.0 * inter + smooth) / denom
     n_present = float(present.sum())
-    return 1.0 - (dice * present.astype(float)).sum() / n_present
+    # d(dice_c)/dp_tc = (2 * 1[y_t = c] - dice_c) / denom_c
+    scale = present / (n_present * denom)
+    grad = np.broadcast_to(dice * scale, (T, C)).copy()
+    grad[frames, y] -= 2.0 * scale[y]
+    return scalar_op(1.0 - np.sum(dice[present]) / n_present, probs, grad)
 
 
 def segment_center_weights(segments: SegmentList, T: int, sigma_divisor: float = 6.0) -> np.ndarray:
@@ -74,19 +104,31 @@ def gaussian_cosine_similarity_loss(
     features: Tensor, segments: SegmentList, sigma_divisor: float = 6.0
 ) -> Tensor:
     """Center-weighted penalty on consecutive-frame feature dissimilarity:
-    sum_t G(t) * (1 - cos(f_t, f_{t+1})) / (T - 1). A pair straddling a
-    segment boundary uses the left frame's profile."""
-    f = as_tensor(features)
+    sum_t G(t) * (1 - cos(f_t, f_{t+1})) / (T - 1), each norm taken as
+    sqrt(|f|^2 + 1e-12). A pair straddling a segment boundary uses the left
+    frame's profile."""
+    feats = as_tensor(features)
+    f = feats.data.astype(np.float64)
     T = f.shape[0]
     if T < 2:
         raise ShapeError(f"similarity loss needs T >= 2, got {T}")
     g = segment_center_weights(segments, T, sigma_divisor)[:-1]
     a, b = f[:-1], f[1:]
-    dots = (a * b).sum(axis=1)
-    na = ((a * a).sum(axis=1) + _EPS).sqrt()
-    nb = ((b * b).sum(axis=1) + _EPS).sqrt()
-    cos = dots / (na * nb)
-    return ((1.0 - cos) * g).sum() / float(T - 1)
+    na = np.sqrt(np.einsum("td,td->t", a, a) + _EPS)
+    nb = np.sqrt(np.einsum("td,td->t", b, b) + _EPS)
+    cos = np.einsum("td,td->t", a, b) / (na * nb)
+    # d(cos)/da = b / (na nb) - cos * a / na^2, and likewise for b; with w
+    # the loss's slope in each pair's cos, a frame's gradient is its own
+    # row times one scale plus its neighbours' rows times w / (na nb)
+    w = -g / (T - 1)
+    own = np.zeros(T)
+    own[:-1] -= w * cos / (na * na)
+    own[1:] -= w * cos / (nb * nb)
+    cross = (w / (na * nb))[:, None]
+    grad = f * own[:, None]
+    grad[:-1] += cross * b
+    grad[1:] += cross * a
+    return scalar_op(np.sum((1.0 - cos) * g) / (T - 1), feats, grad)
 
 
 def gaussian_truncated_boundary_loss(
@@ -94,42 +136,49 @@ def gaussian_truncated_boundary_loss(
 ) -> Tensor:
     """sum_t b_t * min((b_hat_t - b_t)^2, tau) / T: the Gaussian boundary
     target b (``make_boundary_target``) is also the weight profile, so the
-    loss peaks at annotated boundaries. min is realised as
-    tau - relu(tau - x) to stay on the tape."""
+    loss peaks at annotated boundaries. A frame whose squared error is at
+    least tau passes no gradient."""
     scores = as_tensor(boundary_scores)
     target = np.asarray(boundary_target, dtype=np.float64)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if scores.shape != target.shape:
         raise ShapeError(f"boundary loss shapes disagree: {scores.shape}, {target.shape}")
-    sq = (scores - target) * (scores - target)
-    truncated = tau - (tau - sq).relu()
-    return (truncated * target).sum() / float(scores.shape[0])
+    T = target.shape[0]
+    err = scores.data.astype(np.float64) - target
+    sq = err * err
+    grad = np.where(sq < tau, 2.0 * err * target / T, 0.0)
+    return scalar_op(np.sum(np.minimum(sq, tau) * target) / T, scores, grad)
 
 
 def combined_temporal_loss(output, labels, cfg) -> tuple[Tensor, dict]:
     """Mean over stages of alpha*focal + beta*dice + gamma*similarity +
-    delta*boundary, with alpha .. delta from cfg.loss_alpha .. cfg.loss_delta.
-    The boundary target and every stage's similarity term read the segments
-    (label runs) that ``frames_to_segments`` makes from the labels.
-    Returns the scalar loss and per-component float values."""
-    labels = np.asarray(labels, dtype=np.int64)
+    delta*boundary, with alpha .. delta from cfg.loss_alpha .. cfg.loss_delta,
+    summed as term * (weight / stages). The boundary target and every
+    stage's similarity term read the segments (label runs) that
+    ``frames_to_segments`` makes from the labels, which must hold one class
+    index per frame of every stage. Returns the scalar loss and per-component
+    float values."""
+    stages = output.stages
+    for stage in stages:
+        labels = _labels(labels, *stage.action_logits.shape)
     segments = frames_to_segments(labels)
     b_target = make_boundary_target(segments, labels.size)
+    n = len(stages)
+    weights = (cfg.loss_alpha, cfg.loss_beta, cfg.loss_gamma, cfg.loss_delta)
     total = None
     parts = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
-    for stage in output.stages:
-        lf = focal_loss(stage.action_logits, labels, cfg.focal_gamma)
-        ld = dice_loss(softmax(stage.action_logits), labels, cfg.dice_smooth)
-        ls = gaussian_cosine_similarity_loss(stage.features, segments, cfg.sigma_divisor)
-        lb = gaussian_truncated_boundary_loss(stage.boundary_scores, b_target, cfg.tau)
-        stage_loss = (cfg.loss_alpha * lf + cfg.loss_beta * ld + cfg.loss_gamma * ls
-                      + cfg.loss_delta * lb)
-        total = stage_loss if total is None else total + stage_loss
-        for k, term in zip(parts, (lf, ld, ls, lb)):
+    for stage in stages:
+        terms = (
+            focal_loss(stage.action_logits, labels, cfg.focal_gamma),
+            dice_loss(softmax(stage.action_logits), labels, cfg.dice_smooth),
+            gaussian_cosine_similarity_loss(stage.features, segments, cfg.sigma_divisor),
+            gaussian_truncated_boundary_loss(stage.boundary_scores, b_target, cfg.tau),
+        )
+        for k, term, weight in zip(parts, terms, weights):
+            scaled = term * (weight / n)
+            total = scaled if total is None else total + scaled
             parts[k] += term.item()
-    n = len(output.stages)
-    loss = total / float(n)
     for k in parts:
         parts[k] /= n
-    return loss, parts
+    return total, parts

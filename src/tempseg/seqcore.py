@@ -5,41 +5,39 @@ float64) plus an optional gradient accumulator. Each op that touches a
 differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
-keeps only the arrays its formula reads: the operands of ``*``, ``/``,
-``log`` and ``pow_const``, the inputs of ``linear``,
-``conv1d_dilated`` and ``window_attention``, its own output where the
-formula is written in it, and masks and shapes. So the tape holds nodes,
-closures and gradients, and an interior value that no backward reads is
-freed as soon as the caller drops its Tensor. ``Tensor.backward()``
-replays the tape in reverse topological order and releases it as it goes:
-each interior node drops its gradient, closure and parent links once its
-closure has run, so only leaf gradients (parameters, inputs made with
-``requires_grad=True``) survive, a second backward through the same graph
-raises, and a training loop holds one tape at a time. Every op computes and
-allocates in its input's dtype: a Python scalar operand takes the tensor's
-dtype, and the weight operands of ``linear``, ``layer_norm`` and
-``conv1d_dilated`` are cast to the input's dtype when used, so float64
-parameters run a float32 pass without a float32 copy being kept. Training
-and inference run their passes in float32 this way; a leaf's gradient
-accumulates in the leaf's own dtype, so float64 parameters get float64
-gradients and Adam keeps float64 master weights and state. The oracles
-run in float64.
+keeps only the arrays its formula reads: the operands of ``*``, the
+inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, its own
+output where the formula is written in it, the gradient ``scalar_op`` is
+given, and masks and shapes. So the tape holds nodes, closures and
+gradients, and an interior value that no backward reads is freed as soon
+as the caller drops its Tensor. ``Tensor.backward()`` replays the tape in
+reverse topological order and releases it as it goes: each interior node
+drops its gradient, closure and parent links once its closure has run, so
+only leaf gradients (parameters, inputs made with ``requires_grad=True``)
+survive, a second backward through the same graph raises, and a training
+loop holds one tape at a time. Every op but ``scalar_op``, whose value is
+float64, computes and allocates in its input's dtype: a Python scalar
+operand takes the tensor's dtype, and the weight operands of ``linear``,
+``layer_norm`` and ``conv1d_dilated`` are cast to the input's dtype when
+used, so float64 parameters run a float32 pass without a float32 copy
+being kept. Training and inference run their passes in float32 this way;
+a leaf's gradient accumulates in the leaf's own dtype, so float64
+parameters get float64 gradients and Adam keeps float64 master weights and
+state. The oracles run in float64.
 
 The primitive set is closed: it holds the ops the package's network, losses
-and pipeline run, and no other. Tensor methods: ``+``, ``-``, ``*``, the
-reflected forms ``__rsub__`` and ``__rmul__`` (``scalar - t``,
-``scalar * t``), ``/``, negation, ``log``, ``sqrt``,
-``pow_const``, ``sigmoid``, ``relu``, ``gelu``, ``astype``, ``sum`` (of
-all elements or over one axis), ``mean`` (of all elements), ``reshape``,
-the transpose ``.T`` and basic indexing (ints, slices, ``None`` and
-``...``). Functions: ``concat``,
-the affine map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
-``layer_norm``, ``softmax`` over the last axis, and one windowed
-multi-scale multi-head attention op (``window_attention``): DSWA's dilated
-band is its one-scale case over each residue of the dilation step, HTA its
-ladder of scales at step 1. It runs on one tiled kernel, ``_TileKernel``:
-dense tiles of query rows, each against one key slab, recomputed in the
-backward.
+and pipeline run, and no other. Tensor methods: ``+`` and ``*`` (with a
+tensor, an array or a Python scalar on the right), ``sigmoid``, ``relu``,
+``gelu``, ``astype``, ``reshape``, the transpose ``.T`` and basic indexing
+(ints, slices, ``None`` and ``...``). Functions: ``concat``, the affine
+map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
+``layer_norm``, ``softmax`` over the last axis, ``scalar_op`` (a scalar
+function of one tensor from its value and gradient, which the loss terms
+compute in closed form), and one windowed multi-scale multi-head attention
+op (``window_attention``): DSWA's dilated band is its one-scale case over
+each residue of the dilation step, HTA its ladder of scales at step 1. It
+runs on one tiled kernel, ``_TileKernel``: dense tiles of query rows, each
+against one key slab, recomputed in the backward.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -63,6 +61,7 @@ __all__ = [
     "layer_norm",
     "linear",
     "no_grad",
+    "scalar_op",
     "softmax",
     "window_attention",
     "Adam",
@@ -239,19 +238,6 @@ class Tensor:
             out._node._backward = back
         return out
 
-    def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            out._node._backward = lambda g: n._accumulate(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other, self.data.dtype))
-
-    def __rsub__(self, other):
-        return as_tensor(other, self.data.dtype) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other, self.data.dtype)
         out = _make(self.data * other.data, (self, other))
@@ -270,56 +256,7 @@ class Tensor:
             out._node._backward = back
         return out
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other, self.data.dtype)
-        out = _make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            na, nb = _grad_node(self), _grad_node(other)
-            a = self.data if nb is not None else None
-            b = other.data
-            sa, sb = self.data.shape, other.data.shape
-
-            def back(g):
-                if na is not None:
-                    na._accumulate(_unbroadcast(g / b, sa))
-                if nb is not None:
-                    nb._accumulate(_unbroadcast(-g * a / b ** 2, sb))
-            out._node._backward = back
-        return out
-
     # ---- unary ------------------------------------------------------
-
-    def log(self):
-        x = self.data
-        out = _make(np.log(x), (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            out._node._backward = lambda g: n._accumulate(g / x)
-        return out
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            out._node._backward = lambda g: n._accumulate(g * 0.5 / y)
-        return out
-
-    def pow_const(self, p: float):
-        x = self.data
-        out = _make(x ** p, (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-
-            def back(g):
-                # x ** (p - 1) is inf at x = 0 for p < 1; a caller that
-                # clamps x there (focal_loss's relu) masks it with np.where
-                with np.errstate(divide="ignore"):
-                    n._accumulate(g * p * x ** (p - 1))
-            out._node._backward = back
-        return out
 
     def sigmoid(self):
         # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf)
@@ -337,8 +274,8 @@ class Tensor:
         if out.requires_grad:
             n = _grad_node(self)
             mask = self.data > 0.0
-            # where, not g * mask: an infinite g at a clamped entry (as from
-            # pow_const(p < 1) at 0) must give 0, not inf * 0 = NaN
+            # where, not g * mask: a clamped entry's gradient is 0 even
+            # where g is infinite, not inf * 0 = NaN
             out._node._backward = lambda g: n._accumulate(np.where(mask, g, 0.0))
         return out
 
@@ -367,23 +304,6 @@ class Tensor:
             n, own = _grad_node(self), self.data.dtype
             out._node._backward = lambda g: n._accumulate(g.astype(own))
         return out
-
-    # ---- reductions -------------------------------------------------
-
-    def sum(self, axis=None):
-        out = _make(self.data.sum(axis=axis), (self,))
-        if out.requires_grad:
-            n, shape = _grad_node(self), self.data.shape
-
-            def back(g):
-                if axis is not None:
-                    g = np.expand_dims(g, axis)
-                n._accumulate(np.broadcast_to(g, shape).copy())
-            out._node._backward = back
-        return out
-
-    def mean(self):
-        return self.sum() / float(self.data.size)
 
     # ---- structural -------------------------------------------------
 
@@ -482,6 +402,20 @@ def as_tensor(x, dtype=None) -> Tensor:
     if dtype is not None and isinstance(x, (int, float)):
         return Tensor(np.asarray(x, dtype))
     return Tensor(x)
+
+
+def scalar_op(value: float, x: Tensor, grad: np.ndarray) -> Tensor:
+    """A scalar function of `x` as one tape op, from its value and its
+    gradient with respect to x, both computed by the caller in float64.
+    The result is float64; the gradient is cast to x's dtype as it
+    accumulates."""
+    if grad.shape != x.data.shape:
+        raise ShapeError(f"gradient of shape {grad.shape} for an input of shape {x.data.shape}")
+    out = _make(np.float64(value), (x,))
+    if out.requires_grad:
+        n = _grad_node(x)
+        out._node._backward = lambda g: n._accumulate(g * grad)
+    return out
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written the slow, obvious way on purpose: no shared code
-with the package beyond numpy, its error types and the Tensor and
-AttentionParams containers that `init_attention_params` fills.
+with the package beyond numpy, its error types, the Tensor and
+AttentionParams containers that `init_attention_params` fills, and the
+`linear` op that `project` forms a test's scalar with.
 """
 
 import functools
@@ -12,7 +13,7 @@ import struct
 import numpy as np
 
 from tempseg.attention import AttentionParams
-from tempseg.seqcore import ShapeError, Tensor
+from tempseg.seqcore import ShapeError, Tensor, linear
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -341,20 +342,104 @@ def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
     return out
 
 
-def linear_composite(x, w, b):
-    """x @ w + b as elementwise tape ops: broadcast products of x [N, D] and
-    w [D, O], summed over D, plus b."""
-    (n, d), o = x.shape, w.shape[1]
-    return (x.reshape(n, d, 1) * w.reshape(1, d, o)).sum(axis=1) + b
+def project(y, g=1.0):
+    """The scalar sum(y * g) on the tape, for a test to call backward() on:
+    one `linear` of y's flattened values against g, broadcast to y's shape
+    and cast to y's dtype, so y's gradient is exactly g."""
+    g = np.broadcast_to(np.asarray(g, y.dtype), y.shape).reshape(-1, 1)
+    return linear(y.reshape(1, -1), Tensor(g), Tensor(np.zeros(1, y.dtype))).reshape(())
 
 
-def layer_norm_composite(x, gain, bias, eps=1e-6):
-    """Layer norm as the chain of tape ops the fused layer_norm replaced."""
-    rows, n = x.shape[:-1] + (1,), float(x.shape[-1])
-    mu = x.sum(axis=-1).reshape(rows) / n
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1).reshape(rows) / n
-    return xc / (var + eps).sqrt() * gain + bias
+def complex_step_grads(f, arrays, weight):
+    """The gradients of sum(f(*arrays) * weight) with respect to each array
+    by the complex step, d/dx_i = Im f(x + ih e_i) / h, which has no
+    cancellation and is exact to rounding for a real-analytic numpy f."""
+    h = 1e-30
+    arrays = [np.array(a, dtype=np.complex128) for a in arrays]
+    grads = []
+    for a in arrays:
+        g = np.zeros(a.shape)
+        for i in np.ndindex(a.shape):
+            a[i] += 1j * h
+            g[i] = np.sum(f(*arrays) * weight).imag / h
+            a[i] -= 1j * h
+        grads.append(g)
+    return grads
+
+
+def linear_oracle(x, w, b):
+    """x @ w + b, one output entry at a time."""
+    y = np.zeros((x.shape[0], w.shape[1]), dtype=np.result_type(x, w, b))
+    for n in range(x.shape[0]):
+        for o in range(w.shape[1]):
+            y[n, o] = sum(x[n, d] * w[d, o] for d in range(x.shape[1])) + b[o]
+    return y
+
+
+def layer_norm_oracle(x, gain, bias, eps=1e-6):
+    """(x - mean) / sqrt(var + eps) * gain + bias per row of x."""
+    y = np.zeros_like(x)
+    for r in range(x.shape[0]):
+        xc = x[r] - sum(x[r]) / x.shape[1]
+        var = sum(xc * xc) / x.shape[1]
+        y[r] = xc / np.sqrt(var + eps) * gain + bias
+    return y
+
+
+def _label_runs(labels):
+    """(start, end) of each maximal run of equal labels, end inclusive."""
+    runs, start = [], 0
+    for t in range(1, len(labels) + 1):
+        if t == len(labels) or labels[t] != labels[start]:
+            runs.append((start, t - 1))
+            start = t
+    return runs
+
+
+def focal_loss_oracle(logits, labels, gamma):
+    """Mean over frames of -max(1 - p_t, 0)^gamma * log p_t, with p_t the
+    softmax probability of the frame's label plus 1e-12."""
+    total = 0.0
+    for z, y in zip(logits, labels):
+        e = np.exp(z - max(z))
+        p_t = e[y] / sum(e) + 1e-12
+        total += -max(1.0 - p_t, 0.0) ** gamma * math.log(p_t)
+    return total / len(labels)
+
+
+def dice_loss_oracle(probs, labels, smooth):
+    """1 - the mean over the classes in `labels` of (2 * the probability
+    mass on the class's frames + smooth) / (the class's total probability
+    mass + its frame count + smooth)."""
+    dices = []
+    for c in range(probs.shape[1]):
+        frames = [t for t, y in enumerate(labels) if y == c]
+        if frames:
+            inter = sum(probs[t, c] for t in frames)
+            dices.append((2.0 * inter + smooth) / (sum(probs[:, c]) + len(frames) + smooth))
+    return 1.0 - sum(dices) / len(dices)
+
+
+def similarity_loss_oracle(feats, labels, sigma_divisor):
+    """Sum over consecutive frame pairs (t, t + 1) of G(t) * (1 - cos), over
+    T - 1: G(t) is a Gaussian at the centre of t's label run with sigma
+    max(1, run length / sigma_divisor), and each norm is sqrt(|f|^2 + 1e-12)."""
+    g = np.zeros(len(labels))
+    for start, end in _label_runs(labels):
+        sigma = max(1.0, (end - start + 1) / sigma_divisor)
+        for t in range(start, end + 1):
+            g[t] = math.exp(-((t - (start + end) / 2.0) ** 2) / (2.0 * sigma ** 2))
+    total = 0.0
+    for t in range(len(labels) - 1):
+        a, b = feats[t], feats[t + 1]
+        cos = a @ b / (math.sqrt(a @ a + 1e-12) * math.sqrt(b @ b + 1e-12))
+        total += g[t] * (1.0 - cos)
+    return total / (len(labels) - 1)
+
+
+def boundary_loss_oracle(scores, target, tau):
+    """Mean over frames of target * min((score - target)^2, tau)."""
+    return sum(b * min((s - b) ** 2, tau) for s, b in zip(scores, target)) / len(target)
 
 
 def checkpoint_v1_bytes(cfg, params):

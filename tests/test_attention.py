@@ -27,6 +27,7 @@ from oracles import (
     hta_oracle,
     hta_qkv_oracle,
     init_attention_params,
+    project,
 )
 
 rng = np.random.default_rng(99)
@@ -92,6 +93,15 @@ def test_pairs_count_closed_form_matches_band_and_oracle():
             got = attended_pairs_count(m)
             oracle = band_mask_oracle(T, spec.one_sided_width, spec.step)
             assert got == int(m.valid.sum()) == int(oracle.sum()), (spec, T)
+
+
+@pytest.mark.parametrize("T", [10**17, 10**19])
+def test_pairs_count_is_exact_beyond_int64(T):
+    # sum over offsets j * step, |j| <= w, of T - |j| * step
+    for spec in (spec for pair in build_window_schedule(10) for spec in pair):
+        w = spec.one_sided_width
+        want = (2 * w + 1) * T - spec.step * w * (w + 1)
+        assert attended_pairs_count(build_sparse_mask(T, spec)) == want, spec
 
 
 def test_every_query_attends_itself():
@@ -271,7 +281,7 @@ def test_grad_hta_chunked(monkeypatch):
     params = init_attention_params(6, 4, 2, rng)
     scales = ScaleSet(T, 3, window=2)
     w = rng.normal(size=(T, 6))
-    err = fd_check_tensor(lambda: (hta_forward(x, scales, params) * w).sum(),
+    err = fd_check_tensor(lambda: project(hta_forward(x, scales, params), w),
                           [x, params.wq, params.wk, params.wv])
     assert err < 1e-6
 

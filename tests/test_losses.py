@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg.losses import (
     combined_temporal_loss,
@@ -13,9 +16,17 @@ from tempseg.losses import (
 )
 from tempseg.network import ModelConfig, StagePrediction, ModelOutput
 from tempseg.segments import Segment, SegmentList, frames_to_segments, make_boundary_target
-from tempseg.seqcore import Tensor, softmax
+from tempseg.seqcore import ShapeError, Tensor, softmax
 
-from oracles import fd_check_tensor
+from oracles import (
+    boundary_loss_oracle,
+    dice_loss_oracle,
+    fd_check_tensor,
+    focal_loss_oracle,
+    rel_err,
+    similarity_loss_oracle,
+)
+from test_float32 import F32_REL_TOL
 
 rng = np.random.default_rng(31337)
 
@@ -135,8 +146,8 @@ def test_loss_weights_validate():
 @pytest.mark.parametrize("gamma", [0.5, 1.5, 2.0])
 def test_focal_loss_finite_on_a_saturated_frame(gamma):
     # frame 0's softmax is 1.0 exactly, so 1 - (p_t + eps) < 0 there; the
-    # clamped base is 0, where pow_const's backward is inf for gamma < 1,
-    # and neither the forward nor the backward may warn
+    # clamped base u is 0, where gamma * u ** (gamma - 1) is inf for
+    # gamma < 1, and neither the forward nor the backward may warn
     logits = t([[40.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
     loss = focal_loss(logits, [0, 2], gamma)
     loss.backward()
@@ -213,27 +224,28 @@ def test_combined_loss_is_stage_mean():
 
 def test_combined_loss_derives_segments_from_the_labels():
     # bit for bit the four public terms over frames_to_segments(labels),
-    # combined stage by stage as the loss does, over three stages
+    # summed term by term as the loss does, each times its weight over the
+    # three stages
     cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=2, heads=2)
     labels = np.array([0] * 4 + [2] * 7 + [1] * 3 + [0] * 6)
     out = _fake_output(20, 3, 8, 3, np.random.default_rng(7))
     loss, parts = combined_temporal_loss(out, labels, cfg)
     segs = frames_to_segments(labels)
     target = make_boundary_target(segs, labels.size)
+    weights = (cfg.loss_alpha, cfg.loss_beta, cfg.loss_gamma, cfg.loss_delta)
     total, want = None, dict.fromkeys(parts, 0.0)
-    for st in out.stages:
+    for stage in out.stages:
         terms = {
-            "focal": focal_loss(st.action_logits, labels, cfg.focal_gamma),
-            "dice": dice_loss(softmax(st.action_logits), labels, cfg.dice_smooth),
-            "sim": gaussian_cosine_similarity_loss(st.features, segs, cfg.sigma_divisor),
-            "boundary": gaussian_truncated_boundary_loss(st.boundary_scores, target, cfg.tau),
+            "focal": focal_loss(stage.action_logits, labels, cfg.focal_gamma),
+            "dice": dice_loss(softmax(stage.action_logits), labels, cfg.dice_smooth),
+            "sim": gaussian_cosine_similarity_loss(stage.features, segs, cfg.sigma_divisor),
+            "boundary": gaussian_truncated_boundary_loss(stage.boundary_scores, target, cfg.tau),
         }
-        stage = (cfg.loss_alpha * terms["focal"] + cfg.loss_beta * terms["dice"]
-                 + cfg.loss_gamma * terms["sim"] + cfg.loss_delta * terms["boundary"])
-        total = stage if total is None else total + stage
-        for k, term in terms.items():
+        for (k, term), weight in zip(terms.items(), weights):
+            scaled = term * (weight / 3)
+            total = scaled if total is None else total + scaled
             want[k] += term.item()
-    assert loss.item() == (total / 3.0).item()
+    assert loss.item() == total.item()
     assert parts == {k: v / 3 for k, v in want.items()}
     # one class throughout: one segment, so no boundary to target
     assert combined_temporal_loss(out, np.zeros(20, np.int64), cfg)[1]["boundary"] == 0.0
@@ -255,3 +267,107 @@ def test_combined_loss_weight_scaling():
         parts["focal"] + 0.2 * parts["dice"] + 0.5 * parts["sim"] + 0.5 * parts["boundary"]
     )
     assert math.isclose(full.item(), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (11,), (15,), (12, 1)])
+def test_combined_loss_rejects_labels_of_another_shape(shape):
+    # one class index per frame of every stage, or a ShapeError naming both
+    cfg = ModelConfig(n_classes=3, d_in=4, d_model=8, n_blocks=1, n_decoders=1, heads=2)
+    out = _fake_output(12, 3, 8, 2, np.random.default_rng(8))
+    labels = np.zeros(shape, np.int64)
+    with pytest.raises(ShapeError, match=re.escape(f"labels of shape {shape}") + ".*T=12"):
+        combined_temporal_loss(out, labels, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=5),
+    classes=st.integers(1, 5),
+    width=st.integers(1, 5),
+    gamma=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    saturated=st.lists(st.booleans(), max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_terms_match_the_loop_oracles(runs, classes, width, gamma, saturated, seed):
+    # each closed form's value to 1e-12 against a per-frame loop, and its
+    # gradient against finite differences; a saturated frame's softmax is
+    # exactly 1 at its label, and one run makes a single segment
+    labels = np.concatenate([np.full(n, label % classes) for label, n in runs])
+    T = labels.size
+    if T < 2:
+        labels, T = np.repeat(labels, 2), 2
+    r = np.random.default_rng(seed)
+    z = r.normal(size=(T, classes)) * 3.0
+    for frame, hot in zip(range(T), saturated):
+        if hot:
+            z[frame, labels[frame]] = 60.0
+    logits, feats = t(z), t(r.normal(size=(T, width)))
+    segs = frames_to_segments(labels)
+    target = make_boundary_target(segs, T)
+    scores = t(np.clip(target + r.normal(size=T) * 0.5, 0.0, 1.0))
+    probs = softmax(logits)
+    cases = [
+        (lambda: focal_loss(logits, labels, gamma), focal_loss_oracle(z, labels, gamma), logits),
+        (lambda: dice_loss(softmax(logits), labels, 0.7),
+         dice_loss_oracle(probs.data, labels, 0.7), logits),
+        (lambda: gaussian_cosine_similarity_loss(feats, segs, 4.0),
+         similarity_loss_oracle(feats.data, labels, 4.0), feats),
+        (lambda: gaussian_truncated_boundary_loss(scores, target, 0.3),
+         boundary_loss_oracle(scores.data, target, 0.3), scores),
+    ]
+    for build, want, leaf in cases:
+        got = build().item()
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+        assert fd_check_tensor(build, [leaf]) < 1e-6
+    if len(segs) == 1:
+        assert gaussian_truncated_boundary_loss(scores, target, 0.3).item() == 0.0
+
+
+def test_loss_terms_take_float32_inputs():
+    # the value is float64 and each gradient comes back in its input's dtype,
+    # within F32_REL_TOL of a float64 run on the same values
+    r = np.random.default_rng(9)
+    labels = np.array([0] * 9 + [2] * 14 + [1] * 7 + [0] * 10)
+    T = labels.size
+    segs = frames_to_segments(labels)
+    logits = r.normal(size=(T, 3)).astype(np.float32).astype(np.float64)
+    feats = r.normal(size=(T, 16)).astype(np.float32).astype(np.float64)
+    terms = [
+        (lambda x: focal_loss(x, labels, 0.5), logits),
+        (lambda x: dice_loss(softmax(x), labels), logits),
+        (lambda x: gaussian_cosine_similarity_loss(x, segs), feats),
+    ]
+    for term, data in terms:
+        runs = []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(data.astype(dtype), requires_grad=True)
+            loss = term(x)
+            loss.backward()
+            assert loss.data.dtype == np.float64 and x.grad.dtype == dtype
+            runs.append((loss.item(), x.grad))
+        (v32, g32), (v64, g64) = runs
+        assert math.isclose(v32, v64, rel_tol=F32_REL_TOL)
+        assert rel_err(g32, g64) < F32_REL_TOL
+
+
+def _interior_nodes(loss):
+    """Nodes that hold a backward closure, reachable from `loss`."""
+    seen, stack, count = set(), [loss._node], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._prev:
+            continue
+        seen.add(id(node))
+        count += 1
+        stack.extend(node._prev)
+    return count
+
+
+def test_one_stage_loss_is_at_most_twelve_tape_nodes():
+    # the tape softmax the Dice term reads, the four terms, their four
+    # weightings and three sums; each further stage adds one more sum
+    cfg = ModelConfig(n_classes=4, d_in=4, d_model=8, n_blocks=1, n_decoders=2, heads=2)
+    labels = np.array([0] * 20 + [3] * 30 + [1] * 14)
+    counts = [_interior_nodes(combined_temporal_loss(
+        _fake_output(64, 4, 8, n, np.random.default_rng(10)), labels, cfg)[0]) for n in (1, 2, 3)]
+    assert counts[0] <= 12 and counts[2] - counts[1] <= 13, counts

@@ -899,6 +899,21 @@ def test_cli_inspect_mask_prints_one_query_at_a_time(monkeypatch, capsys):
     assert "Broken pipe" in err and "internal error" not in err
 
 
+def test_cli_counts_pairs_beyond_int64(monkeypatch, capsys):
+    # 10^19 frames overflow int64: flops exits 0, and inspect-mask prints
+    # the exact pair count until its reader goes
+    T = 10**19
+    assert cli.main(["flops", "--T", str(T)]) == 0
+    assert f"at T={T}" in capsys.readouterr().out
+    out = _ReaderGone(1)
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main(["inspect-mask", "--T", str(T), "--layer", "0"])
+    monkeypatch.undo()
+    assert out.getvalue() == f"# expanding: width 16, rate 0, pairs {33 * T - 16 * 17}\n"
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_cli_validation_errors_exit_two(tmp_path):
     r = _cli("eval", "--pred", str(tmp_path / "nope.txt"), "--gt", str(tmp_path / "nope.txt"))
     assert r.returncode == 2

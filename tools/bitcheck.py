@@ -24,7 +24,11 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
 - `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer);
 - `tempseg flops` output (stdout and exit code) at a few T, for the
   default config and for the train_small benchmark model's config file,
-  which the tool writes.
+  which the tool writes;
+- `combined_temporal_loss` on a fixed float64 three-stage output with a
+  saturated frame, at each focal gamma in LOSS_GAMMAS: its value and
+  parts on one line, the gradients of every stage's logits, boundary
+  scores and features on another.
 
 Two checkouts whose outputs agree bit for bit print the same lines:
 
@@ -54,6 +58,7 @@ INFER_SEEDS = (5, 11)
 CLI_INFER_T = (64, 256)
 MASK_CASES = ((64, 2), (37, 0), (300, 9), (1, 4))
 FLOPS_T = (1, 37, 512, 2048, 65536)
+LOSS_GAMMAS = (0.0, 0.5, 2.0)
 
 
 def _digest(*parts) -> str:
@@ -182,7 +187,7 @@ def _replay(name, x, rest, dtype, seed):
     """The output and the input and parameter gradients of one recorded
     call, replayed with a tape on `x` in `dtype`."""
     from tempseg import attention
-    from tempseg.seqcore import Tensor
+    from tempseg.seqcore import Tensor, linear
 
     *masks, params = rest
     fields = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
@@ -192,7 +197,8 @@ def _replay(name, x, rest, dtype, seed):
     fn = attention.dswa_forward if name == "dswa" else attention.hta_forward
     y = fn(xt, *masks, params)
     g = np.random.default_rng(seed).normal(size=y.shape).astype(dtype)
-    (y * Tensor(g)).sum().backward()
+    # sum(y * g) as one linear, so y's gradient is exactly g
+    linear(y.reshape(1, -1), Tensor(g.reshape(-1, 1)), Tensor(np.zeros(1, dtype))).backward()
     return [y.data, xt.grad] + [ps[f].grad for f in fields]
 
 
@@ -260,6 +266,37 @@ def _flops(work: Path):
             _line(f"{item}.T{T}", out.getvalue(), f"exit {code}")
 
 
+def _loss_case(gamma: float):
+    """The loss value, its parts in name order and the gradients of each
+    stage's logits, boundary scores and features, on a fixed float64
+    three-stage output of T = 64 frames, 5 classes and 16 features."""
+    from tempseg.losses import combined_temporal_loss
+    from tempseg.network import ModelConfig, ModelOutput, StagePrediction
+    from tempseg.seqcore import Tensor
+
+    rng = np.random.default_rng(22)
+    labels = np.repeat([3, 0, 4, 1, 0, 2], [9, 14, 6, 17, 11, 7])
+    stages = []
+    for _ in range(3):
+        logits = rng.normal(size=(64, 5)) * 3.0
+        logits[20, 0] = 60.0  # a saturated frame at its label
+        stages.append(StagePrediction(Tensor(logits, requires_grad=True),
+                                      Tensor(rng.uniform(0, 1, 64), requires_grad=True),
+                                      Tensor(rng.normal(size=(64, 16)), requires_grad=True)))
+    cfg = ModelConfig(n_classes=5, focal_gamma=gamma)
+    loss, parts = combined_temporal_loss(ModelOutput(stages), labels, cfg)
+    loss.backward()
+    grads = [t.grad for s in stages for t in (s.action_logits, s.boundary_scores, s.features)]
+    return loss.data, np.array([parts[k] for k in sorted(parts)]), grads
+
+
+def _loss():
+    for gamma in LOSS_GAMMAS:
+        value, parts, grads = _loss_case(gamma)
+        _line(f"loss.focal_gamma{gamma}.value", value, parts, note=repr(float(value)))
+        _line(f"loss.focal_gamma{gamma}.grads", *grads)
+
+
 def _worker():
     """Every item, in the fresh process. Each function imports tempseg
     itself, so only this process, whose PYTHONPATH points at the checkout
@@ -276,6 +313,7 @@ def _worker():
     _inspect_mask()
     with tempfile.TemporaryDirectory() as work:
         _flops(Path(work))
+    _loss()
 
 
 def main(argv=None) -> int:

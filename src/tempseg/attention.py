@@ -12,7 +12,6 @@ import numpy as np
 from .seqcore import (
     ShapeError,
     Tensor,
-    concat,
     linear,
     window_attention,
 )
@@ -178,10 +177,10 @@ def dswa_forward(
     shrinking: AttentionMask,
     params: AttentionParams,
 ) -> Tensor:
-    """Dual sliding-window attention: the first half of the heads uses the
-    expanding mask, the second half the shrinking mask."""
-    if params.heads % 2 != 0:
-        raise ShapeError(f"dual windows need an even head count, got {params.heads}")
+    """Dual sliding-window attention: one attention over all heads, whose
+    first half attends through the expanding mask's window and whose second
+    half through the shrinking mask's. ``window_attention`` rejects a head
+    count that two groups do not divide."""
     T = x.shape[0]
     if expanding.T != T or shrinking.T != T:
         raise ShapeError(
@@ -190,13 +189,9 @@ def dswa_forward(
     q = linear(x, params.wq, params.bq)
     k = linear(x, params.wk, params.bk)
     v = linear(x, params.wv, params.bv)
-    half = params.attn_dim // 2
-    outs = []
-    for mask, cols in ((expanding, slice(None, half)), (shrinking, slice(half, None))):
-        spec = mask.spec
-        outs.append(window_attention(q[:, cols], k[:, cols], v[:, cols], params.heads // 2,
-                                     1, spec.one_sided_width, spec.step))
-    return linear(concat(outs, axis=1), params.wo, params.bo)
+    windows = [(m.spec.one_sided_width, m.spec.step) for m in (expanding, shrinking)]
+    out = window_attention(q, k, v, params.heads, 1, windows)
+    return linear(out, params.wo, params.bo)
 
 
 def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
@@ -216,5 +211,5 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     q = linear(x, params.wq, params.bq)
     k = linear(x, params.wk, params.bk)
     v = linear(x, params.wv, params.bv)
-    out = window_attention(q, k, v, params.heads, scales.levels, scales.window, 1)
+    out = window_attention(q, k, v, params.heads, scales.levels, [(scales.window, 1)])
     return linear(out, params.wo, params.bo)

@@ -229,7 +229,8 @@ def tcn_block_forward(
     dilation: int,
     mode: str,
 ) -> Tensor:
-    """Dilated conv -> ReLU -> 1x1 conv -> residual add, on [D, T] input."""
+    """Dilated conv -> ReLU -> 1x1 conv -> residual add, time-major: [T, D]
+    in and [T, D] out."""
     h = conv1d_dilated(x, conv_w, conv_b, dilation=dilation, mode=mode)
     h = h.relu()
     h = conv1d_dilated(h, pw_w, pw_b, dilation=1, mode="acausal")
@@ -364,7 +365,7 @@ class SegmentationModel:
             # in the input's dtype: a float64 mask would upcast a float32 pass
             x = x * mask[None, :].astype(x.dtype)
         h = linear(x, self.params["in_proj.w"], self.params["in_proj.b"])
-        h = self._tcn_stack(h.T, "enc_tcn", "acausal").T
+        h = self._tcn_stack(h, "enc_tcn", "acausal")
         masks = self.masks_for(h.shape[0])
         scales = self.cfg.scale_set(h.shape[0])
         p = self.params
@@ -388,7 +389,7 @@ class SegmentationModel:
             )
         z = concat([probs, enc_features], axis=1)
         z = linear(z, self.params[f"dec{index}.in_proj.w"], self.params[f"dec{index}.in_proj.b"])
-        z = self._tcn_stack(z.T, f"dec{index}.tcn", "causal").T
+        z = self._tcn_stack(z, f"dec{index}.tcn", "causal")
         return self._heads(z, f"dec{index}.head")
 
     def forward(self, x, training: bool = False) -> ModelOutput:

@@ -111,7 +111,11 @@ def make_boundary_target(segments: SegmentList, T: int) -> np.ndarray:
 
 def detect_boundaries(scores, theta: float = 0.5, min_distance: int = 8) -> list[int]:
     """Strict interior local maxima above theta, greedily kept in descending
-    score order subject to a pairwise minimum distance."""
+    score order subject to a pairwise minimum distance.
+
+    Keeping peak p blocks the frames p - (min_distance - 1) ..
+    p + (min_distance - 1), so each candidate costs one lookup and the
+    greedy is linear in T."""
     scores = np.asarray(scores, dtype=np.float64)
     if min_distance < 1:
         raise ValueError(f"min_distance must be >= 1, got {min_distance}")
@@ -124,11 +128,14 @@ def detect_boundaries(scores, theta: float = 0.5, min_distance: int = 8) -> list
         & (scores[1:-1] > scores[2:])
         & (scores[1:-1] > theta)
     ]
-    order = peaks[np.argsort(-scores[peaks], kind="stable")]
+    order = peaks[np.argsort(-scores[peaks], kind="stable")].tolist()
+    # blocked[t]: a kept peak lies fewer than min_distance frames from t
+    blocked = np.zeros(T, dtype=bool)
     kept: list[int] = []
     for p in order:
-        if all(abs(p - q) >= min_distance for q in kept):
-            kept.append(int(p))
+        if not blocked[p]:
+            kept.append(p)
+            blocked[max(p - min_distance + 1, 0) : p + min_distance] = True
     return sorted(kept)
 
 

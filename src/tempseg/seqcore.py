@@ -28,16 +28,19 @@ state. The oracles run in float64.
 The primitive set is closed: it holds the ops the package's network, losses
 and pipeline run, and no other. Tensor methods: ``+`` and ``*`` (with a
 tensor, an array or a Python scalar on the right), ``sigmoid``, ``relu``,
-``gelu``, ``astype``, ``reshape``, the transpose ``.T`` and basic indexing
-(ints, slices, ``None`` and ``...``). Functions: ``concat``, the affine
-map ``linear``, dilated 1-D convolution ``conv1d_dilated``,
-``layer_norm``, ``softmax`` over the last axis, ``scalar_op`` (a scalar
-function of one tensor from its value and gradient, which the loss terms
-compute in closed form), and one windowed multi-scale multi-head attention
-op (``window_attention``): DSWA's dilated band is its one-scale case over
-each residue of the dilation step, HTA its ladder of scales at step 1. It
-runs on one tiled kernel, ``_TileKernel``: dense tiles of query rows, each
-against one key slab, recomputed in the backward.
+``gelu``, ``astype`` and ``reshape``; a Tensor is neither indexed nor
+transposed, and every sequence op runs time-major, on [T, C] rows.
+Functions: ``concat``, the affine map ``linear``, dilated 1-D convolution
+``conv1d_dilated``, ``layer_norm``, ``softmax`` over the last axis,
+``scalar_op`` (a scalar function of one tensor from its value and
+gradient, which the loss terms compute in closed form), and one windowed
+multi-scale multi-head attention op (``window_attention``) whose equal
+head groups each take their own window width and dilation step: DSWA is
+its one-scale case with two groups, the expanding and the shrinking
+window, each run over every residue of its step; HTA is its ladder of
+scales with one group at step 1. It runs on one tiled kernel,
+``_TileKernel``: dense tiles of query rows, each against one key slab,
+recomputed in the backward.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -316,32 +319,6 @@ class Tensor:
             out._node._backward = lambda g: n._accumulate(g.reshape(own))
         return out
 
-    @property
-    def T(self):
-        out = _make(self.data.T, (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            out._node._backward = lambda g: n._accumulate(g.T)
-        return out
-
-    def __getitem__(self, key):
-        out = _make(self.data[key], (self,))
-        if out.requires_grad:
-            # a basic key selects each element at most once, so assignment
-            # places the gradient; an index array may repeat an element,
-            # and assignment would drop all but one of its gradients
-            if not _is_basic_key(key):
-                raise ShapeError(f"index {key!r} is not basic; a tensor that needs a "
-                                 "gradient takes only ints, slices, None and ...")
-            n, zeros = _grad_node(self), _zeros_like(self.data)
-
-            def back(g):
-                dx = zeros()
-                dx[key] = g
-                n._accumulate(dx)
-            out._node._backward = back
-        return out
-
 
 def _zeros_like(a: np.ndarray):
     """A maker of zero arrays with a's shape, dtype and C or Fortran order,
@@ -349,16 +326,6 @@ def _zeros_like(a: np.ndarray):
     shape, dtype = a.shape, a.dtype
     order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
     return lambda: np.zeros(shape, dtype, order)
-
-
-def _is_basic_key(key) -> bool:
-    """True for an index built only of ints, slices, Ellipsis and None."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(
-        k is None or k is Ellipsis or isinstance(k, slice)
-        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-        for k in parts
-    )
 
 
 @contextlib.contextmanager
@@ -487,12 +454,12 @@ def _frame_counts(T: int, f: int, dtype) -> np.ndarray:
     return np.minimum(f, T - np.arange(-(-T // f)) * f).astype(dtype)
 
 
-def _value_count(v: np.ndarray, heads: int, rows: int) -> np.ndarray:
-    """[V | count] of v [T, A], head-major and zero-padded to `rows` rows;
-    each of the T rows counts one frame."""
-    T = v.shape[0]
-    vc = np.zeros((heads, rows, v.shape[1] // heads + 1), v.dtype)
-    vc[:, :T, :-1] = v.reshape(T, heads, -1).transpose(1, 0, 2)
+def _value_count(v: np.ndarray, rows: int) -> np.ndarray:
+    """[V | count] of v [T, heads, hd], head-major and zero-padded to `rows`
+    rows; each of the T rows counts one frame."""
+    T, heads, hd = v.shape
+    vc = np.zeros((heads, rows, hd + 1), v.dtype)
+    vc[:, :T, :-1] = v.transpose(1, 0, 2)
     vc[:, :T, -1] = 1
     return vc
 
@@ -597,46 +564,54 @@ class _TileKernel:
         return dqs, dks, dvc
 
 
-def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int, window: int,
-                     step: int) -> Tensor:
+def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
+                     windows: list) -> Tensor:
     """Windowed multi-scale multi-head attention; q, k and v are [T, A].
 
-    The rows r, r + step, ... of each residue r attend only each other, as
-    one sequence. Inside it, scale s = 0 .. levels - 1 mean-pools q and k by
+    The heads form len(windows) equal groups, in column order, and group i
+    attends through windows[i] = (window, step). Within a group, the rows r,
+    r + step, ... of each residue r attend only each other, as one
+    sequence. Inside it, scale s = 0 .. levels - 1 mean-pools q and k by
     2**s, and pooled query a scores the pooled keys a - window ..
     a + window, scaled by 1/sqrt(A/heads). A frame-level key takes the sum
     of the scores of every scale whose window holds it, each weighted
     1 / levels; the softmax runs over the union of the windows and weights
     the frame-level values v. One level is a band of one-sided width
-    `window` dilated by `step` (DSWA); a ladder of levels at step 1 is
-    hierarchical attention (HTA).
+    `window` dilated by `step`: DSWA's two groups are its expanding and
+    shrinking bands. One group with a ladder of levels at step 1 is
+    hierarchical attention (HTA). Every head is independent of the others,
+    so a group computes exactly what a one-group call on its columns does.
 
-    Per residue the op runs the tiled kernel with one level per scale, frame
-    level first, on the values and a count of 1 per frame as [V | count].
-    Each level's pooled queries are pre-scaled by (1 / levels) / (sqrt(hd)
-    * count), and its keys are pooled means. The backward keeps only q, k,
-    v, the output and the denominators; it forms the numerator's gradient dY
-    once, frame-major, and pads it per residue.
+    Per group and residue the op runs the tiled kernel with one level per
+    scale, frame level first, on the values and a count of 1 per frame as
+    [V | count]. Each level's pooled queries are pre-scaled by (1 / levels)
+    / (sqrt(hd) * count), and its keys are pooled means. The backward keeps
+    only q, k, v, the output and the denominators; it forms the
+    numerator's gradient dY once, frame-major, and pads it per group and
+    residue.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
-    if levels < 1 or window < 0 or step < 1:
+    if not windows or heads % len(windows) != 0:
+        raise ShapeError(f"{len(windows)} window groups must divide head count {heads}, "
+                         f"got windows {windows}")
+    if levels < 1 or any(w < 0 or step < 1 for w, step in windows):
         raise ShapeError(
-            f"need levels >= 1, window >= 0 and step >= 1, got {levels}, {window}, {step}"
-        )
-    hd = A // heads
+            f"need levels >= 1, widths >= 0 and steps >= 1, got {levels}, {windows}")
+    hd, hg = A // heads, heads // len(windows)
     wt = (1.0 / levels) * (1.0 / math.sqrt(hd))  # every level's score weight
-    qd, kd, vd = q.data, k.data, v.data
-    dtype = qd.dtype
-    kernel = _TileKernel(levels, window, dtype)
-    residues = range(min(step, T))
+    dtype = q.data.dtype
+    qd, kd, vd = (x.data.reshape(T, heads, hd) for x in (q, k, v))
+    # per group: its heads, its kernel and its dilation step
+    groups = [(slice(i * hg, (i + 1) * hg), _TileKernel(levels, w, dtype), step)
+              for i, (w, step) in enumerate(windows)]
 
-    def operands(r):
-        """The kernel's operands over rows r::step, zero-padded to whole
-        coarsest blocks: per scale the pooled query sums times wt / count
-        and the pooled key means, [V | count] at frame level, and the
-        residue's row count."""
-        qsum, ksum = qd[r::step].reshape(-1, heads, hd), kd[r::step].reshape(-1, heads, hd)
+    def operands(hs, kernel, step, r):
+        """The kernel's operands over heads hs and rows r::step, zero-padded
+        to whole coarsest blocks: per scale the pooled query sums times
+        wt / count and the pooled key means, [V | count] at frame level,
+        and the residue's row count."""
+        qsum, ksum = qd[r::step, hs], kd[r::step, hs]
         n = len(qsum)
         rows = -(-n // kernel.per[0]) * kernel.per[0]
         qs, ks = [], []
@@ -645,18 +620,20 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int, w
             if s:
                 qsum, ksum = _pair_sum(qsum), _pair_sum(ksum)
                 c = _frame_counts(n, 1 << s, dtype)[:, None]
-            qp, kp = (np.zeros((heads, rows >> s, hd), dtype) for _ in range(2))
+            qp, kp = (np.zeros((hg, rows >> s, hd), dtype) for _ in range(2))
             np.multiply(qsum.transpose(1, 0, 2), wt / c, out=qp[:, : len(qsum)])
             np.divide(ksum.transpose(1, 0, 2), c, out=kp[:, : len(ksum)])
             qs.append(qp)
             ks.append(kp)
-        return qs, ks, _value_count(vd[r::step], heads, rows), n
+        return qs, ks, _value_count(vd[r::step, hs], rows), n
 
     y, den = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
-    for r in residues:
-        qs, ks, vc, n = operands(r)
-        yr, dr = kernel.forward(qs, ks, vc, n)
-        y[r::step], den[r::step] = yr[:, :n].transpose(1, 0, 2), dr[:, :n].transpose(1, 0, 2)
+    for hs, kernel, step in groups:
+        for r in range(min(step, T)):
+            qs, ks, vc, n = operands(hs, kernel, step, r)
+            yr, dr = kernel.forward(qs, ks, vc, n)
+            y[r::step, hs] = yr[:, :n].transpose(1, 0, 2)
+            den[r::step, hs] = dr[:, :n].transpose(1, 0, 2)
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -667,21 +644,22 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int, w
             # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
             dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
-            for r in residues:
-                qs, ks, vc, n = operands(r)
-                dyr = np.zeros_like(vc)  # head-major and zero-padded like vc
-                dyr[:, :n] = dy[r::step].transpose(1, 0, 2)
-                dqs, dks, dvc = kernel.backward(qs, ks, vc, n, dyr)
-                dqr = dkr = 0.0
-                c = 1.0
-                for s, (a, b) in enumerate(zip(dqs, dks)):
-                    f, m = 1 << s, -(-n >> s)
-                    if s:
-                        c = _frame_counts(n, f, dtype)[:, None, None]
-                    dqr = _unpool(a[:, :m].transpose(1, 0, 2) * (wt / c), f, n) + dqr
-                    dkr = _unpool(b[:, :m].transpose(1, 0, 2) / c, f, n) + dkr
-                dq[r::step], dk[r::step] = dqr, dkr
-                dv[r::step] = dvc[:, :n, :hd].transpose(1, 0, 2)
+            for hs, kernel, step in groups:
+                for r in range(min(step, T)):
+                    qs, ks, vc, n = operands(hs, kernel, step, r)
+                    dyr = np.zeros_like(vc)  # head-major and zero-padded like vc
+                    dyr[:, :n] = dy[r::step, hs].transpose(1, 0, 2)
+                    dqs, dks, dvc = kernel.backward(qs, ks, vc, n, dyr)
+                    dqr = dkr = 0.0
+                    c = 1.0
+                    for s, (a, b) in enumerate(zip(dqs, dks)):
+                        f, m = 1 << s, -(-n >> s)
+                        if s:
+                            c = _frame_counts(n, f, dtype)[:, None, None]
+                        dqr = _unpool(a[:, :m].transpose(1, 0, 2) * (wt / c), f, n) + dqr
+                        dkr = _unpool(b[:, :m].transpose(1, 0, 2) / c, f, n) + dkr
+                    dq[r::step, hs], dk[r::step, hs] = dqr, dkr
+                    dv[r::step, hs] = dvc[:, :n, :hd].transpose(1, 0, 2)
             for node, d in zip(nodes, (dq, dk, dv)):
                 if node is not None:
                     node._accumulate(d.reshape(T, A))
@@ -696,19 +674,21 @@ def conv1d_dilated(
     dilation: int = 1,
     mode: str = "acausal",
 ) -> Tensor:
-    """Dilated 1-D convolution over [C_in, T] with zero padding, plus bias.
+    """Dilated 1-D convolution over time-major [T, C_in] input with zero
+    padding, plus bias; the result is [T, C_out].
 
     acausal: output at t reads taps t + j*dilation, j in [-(k-1)/2, (k-1)/2]
     causal:  output at t reads taps t - j*dilation, j in [0, k-1]
-    The result is the transpose of a C-contiguous [T, C_out] array.
+    Each tap reads one row slice of x and adds one GEMM into a contiguous
+    row range of the output.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
-    if x.data.ndim != 2 or x.data.shape[1] < 1:
-        raise ShapeError(f"conv1d expects non-empty [C_in, T] input, got {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[0] < 1:
+        raise ShapeError(f"conv1d expects non-empty [T, C_in] input, got {x.data.shape}")
     if dilation < 1:
         raise ShapeError(f"dilation must be >= 1, got {dilation}")
     c_out, c_in, k = kernel.data.shape
-    if c_in != x.data.shape[0]:
+    if c_in != x.data.shape[1]:
         raise ShapeError(
             f"conv1d channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}"
         )
@@ -721,13 +701,10 @@ def conv1d_dilated(
     else:
         raise ValueError(f"unknown conv mode {mode!r}")
 
-    # Time-major: xt[t] is frame t, so each tap reads one row slice and
-    # adds one GEMM into a contiguous row range of yt. The TCN stacks pass
-    # the transpose of a C-contiguous [T, D] array, so xt is free.
-    xt = x.data.T
-    w = kernel.data.astype(xt.dtype, copy=False)
-    T = xt.shape[0]
-    yt = np.zeros((T, c_out), xt.dtype)
+    xd = x.data
+    w = kernel.data.astype(xd.dtype, copy=False)
+    T = xd.shape[0]
+    y = np.zeros((T, c_out), xd.dtype)
     taps = []
     for j, d in enumerate(deltas):
         # output rows [lo, hi) read input frames t + d inside [0, T)
@@ -735,33 +712,32 @@ def conv1d_dilated(
         if lo < hi:
             src = slice(lo + d, hi + d)
             taps.append((j, lo, hi, src))
-            yt[lo:hi] += xt[src] @ w[:, :, j].T
-    yt += bias.data.astype(yt.dtype, copy=False)
+            y[lo:hi] += xd[src] @ w[:, :, j].T
+    y += bias.data.astype(y.dtype, copy=False)
 
-    out = _make(yt.T, (x, kernel, bias))
+    out = _make(y, (x, kernel, bias))
     if out.requires_grad:
         nx, nk, nb = _grad_node(x), _grad_node(kernel), _grad_node(bias)
         k_zeros = _zeros_like(kernel.data)
         # the kernel's gradient reads the input, the input's reads the kernel
         if nk is None:
-            xt = None
+            xd = None
         if nx is None:
             w = None
 
         def back(g):
-            gt = g.T
             if nk is not None and nk.grad is None:
                 nk.grad = k_zeros()
-            dxt = np.zeros((T, c_in), gt.dtype) if nx is not None else None
+            dx = np.zeros((T, c_in), g.dtype) if nx is not None else None
             for j, lo, hi, src in taps:
                 if nk is not None:
-                    nk.grad[:, :, j] += gt[lo:hi].T @ xt[src]
-                if dxt is not None:
-                    dxt[src] += gt[lo:hi] @ w[:, :, j]
-            if dxt is not None:
-                nx._accumulate(dxt.T)
+                    nk.grad[:, :, j] += g[lo:hi].T @ xd[src]
+                if dx is not None:
+                    dx[src] += g[lo:hi] @ w[:, :, j]
+            if dx is not None:
+                nx._accumulate(dx)
             if nb is not None:
-                nb._accumulate(g.sum(axis=1))
+                nb._accumulate(g.sum(axis=0))
         out._node._backward = back
     return out
 

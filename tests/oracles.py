@@ -196,13 +196,13 @@ def dense_mask(mask):
 
 
 def conv1d_oracle(x, w, b, dilation, mode):
-    """Direct-loop dilated 1-D convolution of a [C_in, T] array with a
-    [C_out, C_in, k] kernel and zero padding, plus bias b: output i reads
-    input frames i + offset, offsets centred (acausal) or non-positive
-    (causal)."""
+    """Direct-loop dilated 1-D convolution of a time-major [T, C_in] array
+    with a [C_out, C_in, k] kernel and zero padding, plus bias b, as
+    [T, C_out]: output i reads input frames i + offset, offsets centred
+    (acausal) or non-positive (causal)."""
     c_out, c_in, k = w.shape
-    T = x.shape[1]
-    y = np.zeros((c_out, T))
+    T = x.shape[0]
+    y = np.zeros((T, c_out))
     for i in range(T):
         for j in range(k):
             off = (j - (k - 1) // 2) * dilation if mode == "acausal" else -j * dilation
@@ -210,8 +210,21 @@ def conv1d_oracle(x, w, b, dilation, mode):
             if 0 <= src < T:
                 for o in range(c_out):
                     for c in range(c_in):
-                        y[o, i] += w[o, c, j] * x[c, src]
-    return y + np.asarray(b)[:, None]
+                        y[i, o] += w[o, c, j] * x[src, c]
+    return y + np.asarray(b)[None, :]
+
+
+def detect_boundaries_oracle(scores, theta, min_distance):
+    """Brute-force peak picking: every strict interior local maximum above
+    theta, visited by descending score (ties by frame), is kept unless a
+    peak kept before it lies fewer than min_distance frames away."""
+    s = [float(x) for x in scores]
+    peaks = [i for i in range(1, len(s) - 1) if s[i - 1] < s[i] > s[i + 1] and s[i] > theta]
+    kept = []
+    for p in sorted(peaks, key=lambda i: (-s[i], i)):
+        if all(abs(p - q) >= min_distance for q in kept):
+            kept.append(p)
+    return sorted(kept)
 
 
 def mean_pool_oracle(x):

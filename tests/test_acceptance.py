@@ -103,7 +103,7 @@ def test_criterion_2_finite_difference_gradients(announce):
         return Tensor(np.asarray(a, dtype=np.float64), requires_grad=True)
 
     worst_prim = 0.0
-    x = t(rng.normal(size=(3, 7)))
+    x = t(np.ascontiguousarray(rng.normal(size=(3, 7)).T))  # time-major [T, C]
     w = t(rng.normal(size=(2, 3, 3)))
     b = t(rng.normal(size=(2,)))
     worst_prim = max(worst_prim, fd_check_tensor(

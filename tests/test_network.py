@@ -25,7 +25,7 @@ from tempseg.network import (
     save_checkpoint,
     tcn_block_forward,
 )
-from tempseg.pipeline import infer
+from tempseg.pipeline import SynthSpec, _sequence_loss, infer, synth_dataset
 from tempseg.seqcore import Tensor, conv1d_dilated
 
 from oracles import checkpoint_v1_bytes, checkpoint_v2_bytes, hta_pair_count_oracle
@@ -59,10 +59,10 @@ def test_tcn_stack_receptive_field():
         return h.data
 
     T = 2100
-    base = stack(np.zeros((2, T)))
-    hit = np.zeros((2, T))
-    hit[:, 0] = 1.0
-    diff = np.abs(stack(hit) - base).sum(axis=0)
+    base = stack(np.zeros((T, 2)))
+    hit = np.zeros((T, 2))
+    hit[0] = 1.0
+    diff = np.abs(stack(hit) - base).sum(axis=1)
     touched = np.nonzero(diff)[0]
     assert touched.max() == 2046
     assert touched.min() == 0
@@ -70,27 +70,54 @@ def test_tcn_stack_receptive_field():
 
 @pytest.mark.parametrize("n_blocks", [1, 2])
 def test_tcn_stack_output_is_time_major(n_blocks):
-    # the stacks take h.T of a C-contiguous [T, D] array and must hand back
-    # a [D, T] array whose transpose is again C-contiguous, so neither .T
-    # around the stack copies
+    # the stacks take a C-contiguous [T, D] array and hand back a
+    # C-contiguous [T, D] array, so each conv tap reads and writes whole rows
     model = SegmentationModel(tiny_cfg(n_blocks=n_blocks))
     h = Tensor(rng.normal(size=(11, 8)))
-    out = model._tcn_stack(h.T, "enc_tcn", "acausal").T
+    out = model._tcn_stack(h, "enc_tcn", "acausal")
     assert out.shape == (11, 8)
     assert out.data.flags.c_contiguous
-    z = model._tcn_stack(h.T, "dec0.tcn", "causal").T
+    z = model._tcn_stack(h, "dec0.tcn", "causal")
+    assert z.shape == (11, 8)
     assert z.data.flags.c_contiguous
 
 
 def test_causal_conv_ignores_future():
-    x = rng.normal(size=(3, 30))
+    x = rng.normal(size=(3, 30)).T
     w = Tensor(rng.normal(size=(3, 3, 3)))
     b = Tensor(rng.normal(size=(3,)))
     ya = conv1d_dilated(Tensor(x), w, b, dilation=4, mode="causal").data
     x2 = x.copy()
-    x2[:, 20:] += 100.0
+    x2[20:] += 100.0
     yb = conv1d_dilated(Tensor(x2), w, b, dilation=4, mode="causal").data
-    assert np.array_equal(ya[:, :20], yb[:, :20])
+    assert np.array_equal(ya[:20], yb[:20])
+
+
+def _interior_nodes(root) -> int:
+    """Tape nodes with parents reachable from `root` through `_prev`."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._prev:
+            count += 1
+            stack.extend(node._prev)
+    return count
+
+
+def test_training_step_tape_size():
+    # criterion 4's model, one training step at T = 256. DSWA is one
+    # attention op and the TCN stacks run time-major; slicing DSWA's heads
+    # and transposing around each stack made 218 nodes
+    cfg = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
+                      temporal_dropout=0.3, seed=0)
+    spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
+    feats, labels, _ = synth_dataset(spec, 1, 256)[0]
+    _, loss, _ = _sequence_loss(SegmentationModel(cfg), feats.astype(np.float32), labels,
+                                training=True)
+    assert _interior_nodes(loss) == 180
 
 
 # -- config ---------------------------------------------------------------

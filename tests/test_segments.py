@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg.pipeline import load_labels
 from tempseg.segments import (
@@ -15,6 +18,8 @@ from tempseg.segments import (
     save_segment_file,
     segments_to_frames,
 )
+
+from oracles import detect_boundaries_oracle
 
 rng = np.random.default_rng(4242)
 
@@ -98,6 +103,32 @@ def test_detect_boundaries_edges_excluded():
     s[0] = 1.0
     s[9] = 1.0
     assert detect_boundaries(s, theta=0.5, min_distance=2) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.integers(0, 6), max_size=120),
+    theta=st.sampled_from([-1.0, 0.0, 0.3, 0.5]),
+    min_distance=st.integers(1, 15),
+)
+def test_detect_boundaries_matches_the_brute_force_oracle(levels, theta, min_distance):
+    # seven score levels make ties between peaks and plateaus common
+    scores = np.asarray(levels, dtype=np.float64) / 6.0
+    got = detect_boundaries(scores, theta=theta, min_distance=min_distance)
+    assert got == detect_boundaries_oracle(scores, theta, min_distance)
+    assert all(type(b) is int for b in got)
+
+
+def test_detect_boundaries_is_linear_on_a_long_random_sequence():
+    # uniform scores over-detect: about 89 000 of 10^6 frames are kept, and a
+    # check of each candidate against every kept peak takes minutes
+    scores = np.random.default_rng(7).uniform(size=10**6)
+    start = time.perf_counter()
+    kept = detect_boundaries(scores, theta=0.5, min_distance=8)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f} s for {len(kept)} kept peaks"
+    gaps = np.diff(kept)
+    assert len(kept) > 80_000 and gaps.min() >= 8
 
 
 def test_refine_majority_vote_removes_blip():

@@ -2,6 +2,7 @@
 
 A file that ends early is a malformed input, not an internal fault: every
 short read raises FormatError naming the file and the byte offset.
+`Reader` reads from an open file; `MappedReader` walks a mapped one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["FormatError", "Reader"]
+__all__ = ["FormatError", "MappedReader", "Reader"]
 
 
 class FormatError(ValueError):
@@ -68,3 +69,38 @@ class Reader:
     def read_struct(self, fmt: str, what: str) -> tuple:
         """struct.unpack(fmt, ...) over the next exactly-sized read."""
         return struct.unpack(fmt, self.read_exact(struct.calcsize(fmt), what))
+
+
+class MappedReader:
+    """Exact reads from `buf`, the bytes of the file `name` (a mapping),
+    walked from its start. Every read is checked against the buffer's
+    length before anything is unpacked, with the same FormatError as
+    Reader's."""
+
+    def __init__(self, buf, name: str):
+        self.buf, self.name, self.pos = buf, name, 0
+
+    def _take(self, n: int, what: str) -> int:
+        """The offset of the next n bytes, then move past them; FormatError
+        if fewer remain."""
+        at, left = self.pos, len(self.buf) - self.pos
+        if n > left:
+            raise FormatError(
+                f"{self.name}: truncated {what} at byte {at}: needs {n} bytes, {max(left, 0)} left"
+            )
+        self.pos = at + n
+        return at
+
+    def read_exact(self, n: int, what: str) -> bytes:
+        """The next n bytes; FormatError if fewer remain."""
+        at = self._take(n, what)
+        return self.buf[at : at + n]
+
+    def read_struct(self, fmt: str, what: str) -> tuple:
+        """struct.unpack_from(fmt, ...) at the next exactly-sized field."""
+        return struct.unpack_from(fmt, self.buf, self._take(struct.calcsize(fmt), what))
+
+    def skip(self, n: int, what: str) -> int:
+        """Move past the next n bytes and return their offset; FormatError
+        if fewer remain."""
+        return self._take(n, what)

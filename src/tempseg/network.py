@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, Reader
+from .binio import FormatError, MappedReader
 from .seqcore import (
     ShapeError,
     Tensor,
@@ -501,8 +501,9 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict):
 def load_checkpoint(path):
     """Returns (config, params dict, dict of the blobs the config does not name).
 
-    Every header and size is checked before anything is mapped; then the
-    file is mapped read-only once, and each blob is a read-only view on that
+    The file is mapped read-only once and its header walked over the
+    mapping, every field and size checked against the mapping's length
+    before it is unpacked; each blob is then a read-only view on that
     mapping, not a copy. The mapping lives as long as any view. A version-2
     blob is a float32 view, and a rank-3 one is the reversed view of its
     stored [k, C_in, C_out] values, so a conv kernel reads as
@@ -512,39 +513,41 @@ def load_checkpoint(path):
     new end fault (SIGBUS); `save_checkpoint` never does, it replaces the
     file."""
     with open(path, "rb") as f:
-        r = Reader(f)
-        magic = r.read_exact(4, "checkpoint magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"{path}: bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
-            )
-        (version,) = r.read_struct("<I", "checkpoint version")
-        dtype = _BLOB_DTYPES.get(version)
-        if dtype is None:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (n,) = r.read_struct("<I", "config length")
-        blob = r.read_exact(n, "config")
+        # mmap refuses an empty file, whose first read below fails anyway
+        empty = os.fstat(f.fileno()).st_size == 0
+        mapped = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        r = MappedReader(mapped, f.name)
+    magic = r.read_exact(4, "checkpoint magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(
+            f"{path}: bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
+        )
+    (version,) = r.read_struct("<I", "checkpoint version")
+    dtype = _BLOB_DTYPES.get(version)
+    if dtype is None:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    (n,) = r.read_struct("<I", "config length")
+    blob = r.read_exact(n, "config")
+    try:
+        cfg = _config_from_blob(blob, path)
+    except ValueError as exc:
+        raise FormatError(f"bad checkpoint config: {exc}") from None
+    (count,) = r.read_struct("<I", "parameter count")
+    layout = {}
+    for _ in range(count):
+        (ln,) = r.read_struct("<I", "parameter name length")
+        at = r.pos
         try:
-            cfg = _config_from_blob(blob, path)
-        except ValueError as exc:
-            raise FormatError(f"bad checkpoint config: {exc}") from None
-        (count,) = r.read_struct("<I", "parameter count")
-        layout = {}
-        for _ in range(count):
-            (ln,) = r.read_struct("<I", "parameter name length")
-            at = f.tell()
-            try:
-                name = r.read_exact(ln, "parameter name").decode()
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: parameter name at byte {at} is not UTF-8") from None
-            if name in layout:
-                raise FormatError(f"{path}: parameter {name!r} appears twice")
-            (rank,) = r.read_struct("<I", f"rank of {name!r}")
-            shape = r.read_struct(f"<{rank}Q", f"shape of {name!r}")
-            size = math.prod(shape)
-            layout[name] = shape, size, r.skip(dtype.itemsize * size, f"values of {name!r}")
-        # every size is checked against the file, so every view lies inside it
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            name = r.read_exact(ln, "parameter name").decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: parameter name at byte {at} is not UTF-8") from None
+        if name in layout:
+            raise FormatError(f"{path}: parameter {name!r} appears twice")
+        (rank,) = r.read_struct("<I", f"rank of {name!r}")
+        shape = r.read_struct(f"<{rank}Q", f"shape of {name!r}")
+        size = math.prod(shape)
+        # every size is checked against the mapping, so every view lies inside it
+        layout[name] = shape, size, r.skip(dtype.itemsize * size, f"values of {name!r}")
     blobs = {}
     for name, (shape, size, offset) in layout.items():
         blob = np.frombuffer(mapped, dtype, size, offset).reshape(shape)

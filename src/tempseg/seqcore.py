@@ -7,8 +7,9 @@ its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, the
 inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, its own
-output where the formula is written in it, the gradient ``scalar_op`` is
-given, and masks and shapes. So the tape holds nodes, closures and
+output where the formula is written in it, ``window_attention``'s softmax
+denominators and score shifts, the gradient ``scalar_op`` is given, and
+masks and shapes. So the tape holds nodes, closures and
 gradients, and an interior value that no backward reads is freed as soon
 as the caller drops its Tensor. ``Tensor.backward()`` replays the tape in
 reverse topological order and releases it as it goes: each interior node
@@ -38,9 +39,12 @@ multi-scale multi-head attention op (``window_attention``) whose equal
 head groups each take their own window width and dilation step: DSWA is
 its one-scale case with two groups, the expanding and the shrinking
 window, each run over every residue of its step; HTA is its ladder of
-scales with one group at step 1. It runs on one tiled kernel,
-``_TileKernel``: dense tiles of query rows, each against one key slab,
-recomputed in the backward.
+scales with one group at step 1. It makes one call of one tiled kernel,
+``_TileKernel``, per head group, with the group's residues stacked as
+sequences: dense tiles of query rows, each against one key slab, each
+tile's softmax shifted by its per-head max (by each row's own max where
+that would underflow a row), recomputed in the backward with the saved
+shifts.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -49,6 +53,7 @@ rate; its decay rates and guard are the module constants ``ADAM_*``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 import weakref
@@ -71,9 +76,11 @@ __all__ = [
 ]
 
 # finest-level query rows per tile of window_attention's kernel, rounded
-# down to whole coarsest-level blocks (at least one); each tile meets one
-# key slab
+# down to whole coarsest-level blocks (at least one) and halved while a
+# tile's scores, over its stacked sequences and its key slab, would hold
+# more than TILE_ENTRIES entries (512 KB in float32)
 TILE_ROWS = 32
+TILE_ENTRIES = 1 << 17
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -436,57 +443,70 @@ def _attention_operands(q, k, v, heads: int) -> tuple:
 
 
 def _pair_sum(x: np.ndarray) -> np.ndarray:
-    """Sums of rows 2i and 2i + 1 along axis 0, in that order; an odd last
-    row is its own sum."""
-    y = x[0::2].copy()
-    y[: len(x) // 2] += x[1::2]
-    return y
+    """Sums of rows 2i and 2i + 1 along axis 1 of x [B, rows, d], rows even."""
+    return x[:, 0::2] + x[:, 1::2]
 
 
-def _unpool(x: np.ndarray, f: int, n: int) -> np.ndarray:
-    """Each row of x repeated f times, cut to n rows."""
-    return x[:n] if f == 1 else np.repeat(x, f, axis=0)[:n]
+def _unpool(x: np.ndarray, f: int) -> np.ndarray:
+    """Each row of x [B, rows, d] repeated f times along axis 1."""
+    return x if f == 1 else np.repeat(x, f, axis=1)
 
 
-def _frame_counts(T: int, f: int, dtype) -> np.ndarray:
-    """Frames per window of f rows over T rows; the ragged tail window
-    counts the rows it covers."""
-    return np.minimum(f, T - np.arange(-(-T // f)) * f).astype(dtype)
+def _stack(x: np.ndarray, step: int, rows: int, width: int = 0) -> np.ndarray:
+    """x [T, hg, d] as step * hg head-major sequences [step * hg, rows,
+    width or d]: sequence r * hg + h holds head h's residue rows r::step,
+    zero-padded to `rows` rows and `width` columns."""
+    T, hg, d = x.shape
+    out = np.zeros((step, hg, rows, width or d), x.dtype)
+    for r in range(min(step, T)):
+        xr = x[r::step]
+        out[r, :, : len(xr), :d] = xr.transpose(1, 0, 2)
+    return out.reshape(step * hg, rows, -1)
 
 
-def _value_count(v: np.ndarray, rows: int) -> np.ndarray:
-    """[V | count] of v [T, heads, hd], head-major and zero-padded to `rows`
-    rows; each of the T rows counts one frame."""
-    T, heads, hd = v.shape
-    vc = np.zeros((heads, rows, hd + 1), v.dtype)
-    vc[:, :T, :-1] = v.transpose(1, 0, 2)
-    vc[:, :T, -1] = 1
-    return vc
+def _unstack(x: np.ndarray, out: np.ndarray):
+    """The first out.shape[2] columns of the stacked sequences x, written
+    back into out [T, hg, d] frame-major: the inverse of _stack."""
+    T, hg, d = out.shape
+    step = x.shape[0] // hg
+    x = x.reshape(step, hg, x.shape[1], x.shape[2])
+    for r in range(min(step, T)):
+        n = -(-(T - r) // step)
+        out[r::step] = x[r, :, :n, :d].transpose(1, 0, 2)
 
 
 class _TileKernel:
-    """The tiled softmax attention under window_attention, over one
-    residue's head-major operands at `levels` levels, finest first.
+    """The tiled softmax attention under window_attention, over B stacked
+    head-major sequences at `levels` levels, finest first, in tiles of G
+    coarsest blocks.
 
     Each level pools the one before by 2, so level l has 2**(levels-1-l)
     rows per coarsest-level block, and its query row i scores its key rows
     i - w .. i + w. A finest-level entry scores the sum over levels of the
     scores of the rows that hold it; it is -inf outside the coarsest
-    level's window and beyond the sequence's n0 finest rows. One row max,
-    one exp and one matmul against [V | count] give the softmax numerator
-    and denominator together. Query rows run in tiles of G whole coarsest
-    blocks, about TILE_ROWS finest rows, and each tile meets one key slab,
-    blocks c0 - w .. c1 - 1 + w clipped to the sequence. A tile's scores
-    are built coarsest level first: per level one batched matmul, times
-    that level's window mask, plus the coarser level's sum repeated twice
-    over the rows and the columns. The masks of a whole tile are built
-    once, with the kernel; the backward recomputes each tile from the
-    operands and meets it with the numerator's gradient dY.
+    level's window and wherever its query or key row is padding, which the
+    count 0 in [V | count] marks. Query rows run in tiles of G whole
+    coarsest blocks, which `_tile_kernel` sizes from TILE_ROWS and the
+    TILE_ENTRIES budget, and each tile meets one key slab, blocks c0 - w ..
+    c1 - 1 + w clipped to the sequences. A tile's scores are built
+    coarsest level first: per level one batched matmul, times that level's
+    window mask, plus the coarser level's sum repeated twice over the rows
+    and the columns. Each tile's softmax is shifted by its per-sequence
+    max, so one flat max, one exp and one matmul against [V | count] give
+    the numerator and denominator together. A tile where some row's
+    denominator falls below (slab columns) * tiny / eps has lost that row
+    to underflow; it is redone with each row shifted by its own max. The
+    forward returns each row's shift, and the backward recomputes each
+    tile with it, taking no max, and meets it with the numerator's
+    gradient dY. The window masks of a whole tile are built with the
+    kernel, and `_kernel` keeps one kernel per (levels, w, dtype, G).
     """
 
-    def __init__(self, levels: int, w: int, dtype):
-        self.per, self.w = [1 << (levels - 1 - lvl) for lvl in range(levels)], w
-        G = self.G = max(1, TILE_ROWS // self.per[0])
+    def __init__(self, levels: int, w: int, dtype, G: int):
+        self.per, self.w, self.G = [1 << (levels - 1 - lvl) for lvl in range(levels)], w, G
+        info = np.finfo(dtype)
+        # a shift for a sequence whose tile is all -inf; a floor per slab column
+        self.low, self.floor = info.min, info.tiny / info.eps
         # per level, entry (i, j) of a whole tile: query row c0*p + i against
         # key row (c0 - w)*p + j; the coarsest mask is additive
         self.masks = []
@@ -495,6 +515,8 @@ class _TileKernel:
             inside = np.abs(rel) <= w
             self.masks.append(inside.astype(dtype))
         self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
+        for m in self.masks:  # shared by every call that gets this kernel
+            m.flags.writeable = False
 
     def _tiles(self, nc: int):
         """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
@@ -506,9 +528,15 @@ class _TileKernel:
         p, w = self.per[lvl], self.w
         return self.masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
 
-    def _exp(self, qs, ks, n0, c0, c1, b0, b1):
-        """exp(score - row max) [heads, rows, cols] of one tile at the finest
-        level, 0 outside the coarsest window and the sequence."""
+    @staticmethod
+    def _padding(vc):
+        """[B, rows, 1]: 0 at each sequence's rows and -inf at its padding;
+        and the leading rows that no sequence pads."""
+        live = vc[:, :, -1:] > 0
+        return np.where(live, 0.0, -np.inf).astype(vc.dtype), int(live.all(axis=0).sum())
+
+    def _scores(self, qs, ks, pad, c0, c1, b0, b1):
+        """The scores [B, rows, cols] of one tile at the finest level."""
         per, z = self.per, None
         for lvl in reversed(range(len(per))):
             p = per[lvl]
@@ -519,32 +547,54 @@ class _TileKernel:
                 s *= self._mask(lvl, c0, c1, b0, b1)
                 s += np.repeat(np.repeat(z, 2, axis=2), 2, axis=1)
             z = s
-        # keys past the sequence join the entries outside the window at -inf,
-        # which exp maps to exactly 0
-        z[:, :, n0 - b0 * per[0] :] = -np.inf
-        z -= z.max(axis=-1, keepdims=True)
-        return np.exp(z, out=z)
+        # padded keys and query rows, all past row n in every sequence, join
+        # the entries outside the window at -inf, which exp maps to 0
+        neg, n = pad
+        f = per[0]
+        k0, q0 = max(n, b0 * f), max(n, c0 * f)
+        if k0 < b1 * f:
+            z[:, :, k0 - b0 * f :] += neg[:, k0 : b1 * f].transpose(0, 2, 1)
+        if q0 < c1 * f:
+            z[:, q0 - c0 * f :] += neg[:, q0 : c1 * f]
+        return z
 
-    def forward(self, qs, ks, vc, n0):
-        """The outputs [heads, rows, hd] and softmax denominators
-        [heads, rows, 1] of every finest query row."""
+    def forward(self, qs, ks, vc):
+        """The outputs [B, rows, hd], the softmax denominators and the score
+        shifts [B, rows, 1] of every finest query row; a padded row has
+        denominator 1 and output 0."""
         f, hd = self.per[0], vc.shape[2] - 1
         y = np.empty(vc.shape[:2] + (hd,), vc.dtype)
-        den = np.empty(vc.shape[:2] + (1,), vc.dtype)
+        den, shift = (np.empty(vc.shape[:2] + (1,), vc.dtype) for _ in range(2))
+        pad = neg, n = self._padding(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
-            nd = self._exp(qs, ks, n0, c0, c1, b0, b1) @ vc[:, b0 * f : b1 * f]
-            den[:, c0 * f : c1 * f] = nd[:, :, hd:]
-            y[:, c0 * f : c1 * f] = nd[:, :, :hd] / nd[:, :, hd:]
-        return y, den
+            rows, q0 = slice(c0 * f, c1 * f), max(n, c0 * f)
+            # the per-sequence max first, each row's own max if a row underflows
+            for axes in ((1, 2), 2):
+                z = self._scores(qs, ks, pad, c0, c1, b0, b1)
+                m = z.max(axis=axes, keepdims=True, initial=self.low)
+                nd = np.exp(np.subtract(z, m, out=z), out=z) @ vc[:, b0 * f : b1 * f]
+                del z  # freed before the next scores are built
+                d = nd[:, :, hd:]
+                # a padded row's denominator 0 becomes 1, so its output is 0
+                if q0 < c1 * f:
+                    d[:, q0 - c0 * f :] += neg[:, q0 : c1 * f] != 0
+                if d.min() >= (b1 - b0) * f * self.floor:
+                    break
+            den[:, rows], shift[:, rows] = d, m
+            np.divide(nd[:, :, :hd], d, out=y[:, rows])
+        return y, den, shift
 
-    def backward(self, qs, ks, vc, n0, dy):
+    def backward(self, qs, ks, vc, shift, dy):
         """The gradients of qs and ks per level and of [V | count], from the
-        gradient dy of the softmax numerator [num | den], laid out like vc."""
+        forward's score shifts and the gradient dy of the softmax numerator
+        [num | den], laid out like vc."""
         f, L = self.per[0], len(self.per)
         dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
         dvc = np.zeros_like(vc)
+        pad = self._padding(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
-            e = self._exp(qs, ks, n0, c0, c1, b0, b1)
+            z = self._scores(qs, ks, pad, c0, c1, b0, b1)
+            e = np.exp(np.subtract(z, shift[:, c0 * f : c1 * f], out=z), out=z)
             dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
             dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
             ds = dyt @ vt.transpose(0, 2, 1)
@@ -558,10 +608,25 @@ class _TileKernel:
                 dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
                 dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
                 if lvl + 1 < L:
-                    # sums of 2 x 2 blocks: the transpose of the repeat in _exp
+                    # sums of 2 x 2 blocks: the transpose of the repeat in _scores
                     ds = ds[:, 0::2] + ds[:, 1::2]
                     ds = ds[:, :, 0::2] + ds[:, :, 1::2]
         return dqs, dks, dvc
+
+
+# the one kernel, its masks built, per (levels, w, dtype, G)
+_kernel = functools.lru_cache(maxsize=64)(_TileKernel)
+
+
+def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKernel:
+    """The kernel for `batch` stacked sequences of `rows` finest rows: tiles
+    of TILE_ROWS finest rows in whole coarsest blocks (at least one),
+    halved while a tile's scores would hold more than TILE_ENTRIES."""
+    f = 1 << (levels - 1)
+    nc, G = rows // f, max(1, TILE_ROWS // f)
+    while G > 1 and batch * min(G, nc) * f * min(G + 2 * w, nc) * f > TILE_ENTRIES:
+        G //= 2
+    return _kernel(levels, w, np.dtype(dtype), G)
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
@@ -582,13 +647,18 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     hierarchical attention (HTA). Every head is independent of the others,
     so a group computes exactly what a one-group call on its columns does.
 
-    Per group and residue the op runs the tiled kernel with one level per
-    scale, frame level first, on the values and a count of 1 per frame as
-    [V | count]. Each level's pooled queries are pre-scaled by (1 / levels)
-    / (sqrt(hd) * count), and its keys are pooled means. The backward keeps
-    only q, k, v, the output and the denominators; it forms the
-    numerator's gradient dY once, frame-major, and pads it per group and
-    residue.
+    Each group is one call of the tiled kernel, with one level per scale,
+    frame level first, over step * heads-per-group stacked sequences: each
+    head's residues, zero-padded to the rows of the longest, rounded up to
+    whole coarsest blocks. The values carry a count of 1 per frame and 0
+    per padded row, as [V | count]; each level pools q, k and the count by
+    2, so a residue's ragged tail gets its own frame count. Each level's
+    pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) * count),
+    and its keys are pooled means. The tile rows shrink from TILE_ROWS to
+    keep a tile within TILE_ENTRIES scores. The backward keeps only q, k,
+    v, the output and, per frame and head, the softmax denominator and the
+    shift its tile's scores took; it forms the numerator's gradient dY
+    once, frame-major, and stacks it per group like [V | count].
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -600,40 +670,38 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             f"need levels >= 1, widths >= 0 and steps >= 1, got {levels}, {windows}")
     hd, hg = A // heads, heads // len(windows)
     wt = (1.0 / levels) * (1.0 / math.sqrt(hd))  # every level's score weight
-    dtype = q.data.dtype
+    dtype, f = q.data.dtype, 1 << (levels - 1)
     qd, kd, vd = (x.data.reshape(T, heads, hd) for x in (q, k, v))
-    # per group: its heads, its kernel and its dilation step
-    groups = [(slice(i * hg, (i + 1) * hg), _TileKernel(levels, w, dtype), step)
-              for i, (w, step) in enumerate(windows)]
+    # per group: its heads, its window width and its dilation step
+    groups = [(slice(i * hg, (i + 1) * hg), w, step) for i, (w, step) in enumerate(windows)]
 
-    def operands(hs, kernel, step, r):
-        """The kernel's operands over heads hs and rows r::step, zero-padded
-        to whole coarsest blocks: per scale the pooled query sums times
+    def operands(hs, w, step):
+        """The kernel and its operands for heads hs, stacked over the
+        residues of `step`: per level the pooled query sums times
         wt / count and the pooled key means, [V | count] at frame level,
-        and the residue's row count."""
-        qsum, ksum = qd[r::step, hs], kd[r::step, hs]
-        n = len(qsum)
-        rows = -(-n // kernel.per[0]) * kernel.per[0]
-        qs, ks = [], []
-        c = 1.0  # a frame-level row counts one frame
-        for s in range(levels):
-            if s:
-                qsum, ksum = _pair_sum(qsum), _pair_sum(ksum)
-                c = _frame_counts(n, 1 << s, dtype)[:, None]
-            qp, kp = (np.zeros((hg, rows >> s, hd), dtype) for _ in range(2))
-            np.multiply(qsum.transpose(1, 0, 2), wt / c, out=qp[:, : len(qsum)])
-            np.divide(ksum.transpose(1, 0, 2), c, out=kp[:, : len(ksum)])
-            qs.append(qp)
-            ks.append(kp)
-        return qs, ks, _value_count(vd[r::step, hs], rows), n
+        and per level the counts each pooled sum was divided by."""
+        n = -(-T // step)  # the rows of residue 0, the longest
+        rows = -(-n // f) * f  # in whole coarsest blocks
+        # residue r's row i is frame i * step + r, and counts 1 if it exists
+        live = np.arange(rows) * step + np.arange(step)[:, None] < T
+        c = np.repeat(live.astype(dtype), hg, axis=0)[:, :, None]
+        vc = _stack(vd[:, hs], step, rows, hd + 1)
+        vc[:, :, hd:] = c
+        qsum, ksum = _stack(qd[:, hs], step, rows), _stack(kd[:, hs], step, rows)
+        qs, ks, cs = [qsum * wt], [ksum], [1.0]  # a frame-level row counts one frame
+        for _ in range(1, levels):
+            qsum, ksum, c = _pair_sum(qsum), _pair_sum(ksum), _pair_sum(c)
+            cs.append(np.maximum(c, 1))  # a block of padding only sums to 0
+            qs.append(qsum * (wt / cs[-1]))
+            ks.append(ksum / cs[-1])
+        return _tile_kernel(levels, w, dtype, step * hg, rows), qs, ks, vc, cs
 
-    y, den = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
-    for hs, kernel, step in groups:
-        for r in range(min(step, T)):
-            qs, ks, vc, n = operands(hs, kernel, step, r)
-            yr, dr = kernel.forward(qs, ks, vc, n)
-            y[r::step, hs] = yr[:, :n].transpose(1, 0, 2)
-            den[r::step, hs] = dr[:, :n].transpose(1, 0, 2)
+    y = np.empty((T, heads, hd), dtype)
+    den, shift = np.empty((T, heads, 1), dtype), np.empty((T, heads, 1), dtype)
+    for hs, w, step in groups:
+        kernel, qs, ks, vc, _ = operands(hs, w, step)
+        for a, b in zip(kernel.forward(qs, ks, vc), (y, den, shift)):
+            _unstack(a, b[:, hs])
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -644,22 +712,17 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
             dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
-            for hs, kernel, step in groups:
-                for r in range(min(step, T)):
-                    qs, ks, vc, n = operands(hs, kernel, step, r)
-                    dyr = np.zeros_like(vc)  # head-major and zero-padded like vc
-                    dyr[:, :n] = dy[r::step, hs].transpose(1, 0, 2)
-                    dqs, dks, dvc = kernel.backward(qs, ks, vc, n, dyr)
-                    dqr = dkr = 0.0
-                    c = 1.0
-                    for s, (a, b) in enumerate(zip(dqs, dks)):
-                        f, m = 1 << s, -(-n >> s)
-                        if s:
-                            c = _frame_counts(n, f, dtype)[:, None, None]
-                        dqr = _unpool(a[:, :m].transpose(1, 0, 2) * (wt / c), f, n) + dqr
-                        dkr = _unpool(b[:, :m].transpose(1, 0, 2) / c, f, n) + dkr
-                    dq[r::step, hs], dk[r::step, hs] = dqr, dkr
-                    dv[r::step, hs] = dvc[:, :n, :hd].transpose(1, 0, 2)
+            for hs, w, step in groups:
+                kernel, qs, ks, vc, cs = operands(hs, w, step)
+                rows = vc.shape[1]
+                dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(shift[:, hs], step, rows),
+                                                _stack(dy[:, hs], step, rows))
+                dqg = dkg = 0.0
+                for s, (a, b, c) in enumerate(zip(dqs, dks, cs)):
+                    dqg = _unpool(a * (wt / c), 1 << s) + dqg
+                    dkg = _unpool(b / c, 1 << s) + dkg
+                for a, b in ((dqg, dq), (dkg, dk), (dvc, dv)):
+                    _unstack(a, b[:, hs])
             for node, d in zip(nodes, (dq, dk, dv)):
                 if node is not None:
                     node._accumulate(d.reshape(T, A))

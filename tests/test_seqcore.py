@@ -33,7 +33,9 @@ from oracles import (
     linear_oracle,
     mean_pool_oracle,
     project,
+    rel_err,
 )
+from test_float32 import F32_REL_TOL
 
 rng = np.random.default_rng(12345)
 
@@ -103,9 +105,14 @@ def test_layer_norm_example():
 
 
 def _mean_pool(x):
-    """Means of row pairs of x along axis 0 from the pooling helpers that
-    window_attention builds each scale's rows from the one before with."""
-    return seqcore._pair_sum(x) / seqcore._frame_counts(len(x), 2, x.dtype)[:, None]
+    """Means of row pairs of x along axis 0, as window_attention builds each
+    scale's rows from the one before: the pair sums of the rows, zero-padded
+    to an even count, over the pair sums of their counts."""
+    rows = len(x) + len(x) % 2
+    xc = np.zeros((1, rows, x.shape[1] + 1), x.dtype)
+    xc[0, : len(x)] = np.concatenate([x, np.ones((len(x), 1), x.dtype)], axis=1)
+    pooled = seqcore._pair_sum(xc)[0]
+    return pooled[:, :-1] / pooled[:, -1:]
 
 
 def test_mean_pool_ragged_tail():
@@ -283,9 +290,12 @@ def test_grad_band_attention(T, width, step):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("T, width", [(100, 5), (300, 40)])
-def test_dilated_window_is_one_window_per_residue_to_the_bit(T, width, dtype):
-    # a step-s call attends each residue's rows r::s as its own sequence,
-    # so it equals, byte for byte, s step-1 calls on those rows
+def test_dilated_window_is_one_window_per_residue_within_rounding(T, width, dtype):
+    # a step-s call attends each residue's rows r::s as its own sequence, so
+    # it equals s step-1 calls on those rows; it stacks the residues in one
+    # kernel call, whose tiles and per-tile shifts differ from theirs, so
+    # the two agree to rounding, not to the bit
+    tol = F32_REL_TOL if dtype == np.float32 else 1e-12
     q, k, v, g = (rng.normal(size=(T, 8)).astype(dtype) for _ in range(4))
     for step, levels in ((3, 1), (2, 3)):
         xs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
@@ -296,8 +306,8 @@ def test_dilated_window_is_one_window_per_residue_to_the_bit(T, width, dtype):
             yr = window_attention(*rs, 2, levels, [(width, 1)])
             project(yr, g[r::step]).backward()
             for a, b in zip([y.data] + [x.grad for x in xs], [yr.data] + [x.grad for x in rs]):
-                assert a.dtype == dtype
-                assert np.ascontiguousarray(a[r::step]).tobytes() == b.tobytes()
+                assert a.dtype == b.dtype == dtype
+                assert rel_err(a[r::step], b) < tol, (step, r)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -444,6 +454,161 @@ def test_hta_attention_reruns_bit_identical(monkeypatch):
     assert np.array_equal(y.data, runs[0][0]) and not y._prev
 
 
+# -- windowed attention: stacked residues, tile sizes and score shifts -----
+
+
+def _scored_tiles(monkeypatch):
+    """The (c0, c1, b0, b1) of every tile the kernel scores, in order: a
+    forward scores each tile once, and once more if it shifts its rows by
+    their own maxima."""
+    tiles = []
+    scores = seqcore._TileKernel._scores
+
+    def spy(self, qs, ks, pad, *tile):
+        tiles.append(tile)
+        return scores(self, qs, ks, pad, *tile)
+    monkeypatch.setattr(seqcore._TileKernel, "_scores", spy)
+    return tiles
+
+
+def _outrunning_exp(T, big):
+    """q, k and v of 8 columns whose every fifth query row is scaled by
+    `big`: the scores of a tile then span more than exp's range, and a
+    shift by the tile's per-head max underflows the other rows."""
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    q *= np.where(np.arange(T) % 5 == 0, big, 1.0)[:, None]
+    return q, 3.0 * k, v
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 60.0), (np.float64, 400.0)])
+@pytest.mark.parametrize("T, width, step, levels", [
+    (200, 20, 1, 1),    # a band over several tiles
+    (200, 20, 3, 1),    # a dilated band: stacked residues of 67, 67 and 66 rows
+    (91, 2, 1, 3),      # a ladder with a ragged tail
+    (91, 2, 2, 3),      # a dilated ladder: residues of 46 and 45 rows
+])
+def test_tiles_whose_scores_outrun_exp_shift_rows_by_their_own_max(monkeypatch, dtype, big,
+                                                                   T, width, step, levels):
+    tiles = _scored_tiles(monkeypatch)
+    q, k, v = (a.astype(dtype) for a in _outrunning_exp(T, big))
+    with no_grad():
+        got = window_attention(Tensor(q), Tensor(k), Tensor(v), 2, levels, [(width, step)]).data
+    assert len(tiles) > len(set(tiles))  # some tile was scored again
+    assert got.dtype == dtype
+    q, k, v = (a.astype(np.float64) for a in (q, k, v))
+    if levels == 1:
+        want = dense_multihead(q, k, v, 2, band_mask_oracle(T, width, step))
+    else:
+        want = np.empty_like(q)
+        for r in range(step):
+            want[r::step] = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                                           [1 / levels] * levels, width)
+    # a float32 score of magnitude 10^3 alone rounds by about 6e-5
+    assert rel_err(got, want) < (1e-4 if dtype == np.float32 else 1e-12)
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 400.0), (np.float64, 4000.0)])
+def test_padded_keys_set_no_row_shift(dtype, big):
+    # frames 1 and 3 form residue 1 of step 2, stacked with residue 0's
+    # three rows, so a padded key (score 0) follows them; frame 1 scores
+    # +big/2 and frame 3 -big/2 on both live keys. Frame 3 underflows under
+    # the per-head shift, and its own max, -big/2, must come from the live
+    # keys alone: the padded key's exp(big/2) would overflow
+    T, u = 5, np.full(4, 0.5)
+    q = np.tile(u, (T, 2)) * np.array([1.0, 1.0, 1.0, -1.0, 1.0])[:, None] * big
+    k, v = np.tile(u, (T, 2)), rng.normal(size=(T, 8))
+    xs = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+    got = window_attention(*xs, 2, 1, [(2, 2)])
+    want = dense_multihead(q, k, v, 2, band_mask_oracle(T, 2, 2))
+    assert got.data.dtype == dtype
+    assert rel_err(got.data, want) < (F32_REL_TOL if dtype == np.float32 else 1e-12)
+    project(got, rng.normal(size=(T, 8))).backward()  # recomputed with the same shifts
+    assert all(np.isfinite(x.grad).all() for x in xs)
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 400.0), (np.float64, 4000.0)])
+def test_padded_query_rows_of_a_ladder_add_nothing(dtype, big):
+    # 5 frames at 2 levels pad to 6 rows: the padded row 5 shares its coarse
+    # block with frame 4, whose coarse score, big/4, it would take on; it is
+    # -inf in both passes, so the backward's exp of it, under no saved
+    # shift, cannot overflow
+    T, u = 5, np.full(4, 0.5)
+    q, k, v = np.tile(u, (T, 2)), np.tile(u, (T, 2)), rng.normal(size=(T, 8))
+    q[4] *= big
+    xs = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+    got = window_attention(*xs, 2, 2, [(1, 1)])
+    want = hta_qkv_oracle(q, k, v, 2, range(2), [1 / 2] * 2, 1)
+    assert rel_err(got.data, want) < (F32_REL_TOL if dtype == np.float32 else 1e-12)
+    project(got, rng.normal(size=(T, 8))).backward()
+    assert all(np.isfinite(x.grad).all() for x in xs)
+
+
+@pytest.mark.parametrize("T, width, step, levels", [
+    (40, 3, 1, 1), (40, 3, 3, 1), (43, 1, 1, 3), (43, 1, 2, 3)])
+def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, T, width, step, levels):
+    # the backward recomputes each tile with the shift its forward took
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
+    tiles = _scored_tiles(monkeypatch)
+    q, k, v = (t(a) for a in _outrunning_exp(T, 400.0))
+    with no_grad():
+        window_attention(q, k, v, 2, levels, [(width, step)])
+    assert len(tiles) > len(set(tiles))
+    g = rng.normal(size=(T, 8))
+    _fd(lambda: project(window_attention(q, k, v, 2, levels, [(width, step)]), g), [q, k, v])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T, step, levels", [
+    (23, 3, 1),     # T % step != 0: residues of 8, 8 and 7 rows
+    (3, 5, 1),      # T < step: residues 3 and 4 are empty
+    (2, 4, 3),      # T < step under a ladder
+    (29, 2, 3),     # 3 levels at step 2: residues of 15 and 14 rows, ragged tails
+    (37, 4, 2),     # residues of 10, 9, 9 and 9 rows
+])
+def test_stacked_residues_match_the_oracle_per_residue(monkeypatch, T, step, levels):
+    # the residues run as one batch, padded to the longest: padding must
+    # change no output or gradient and raise no warning, also in discarded
+    # rows and in residues with no rows at all
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    q, k, v, g = (rng.normal(size=(T, 8)) for _ in range(4))
+    got = window_attention(t(q), t(k), t(v), 2, levels, [(2, step)]).data
+    for r in range(min(step, T)):
+        want = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                              [1 / levels] * levels, 2)
+        assert np.max(np.abs(got[r::step] - want)) < 1e-12
+    runs = []
+    for dtype in (np.float64, np.float32):
+        xs = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+        y = window_attention(*xs, 2, levels, [(2, step)])
+        project(y, g).backward()
+        runs.append([y.data] + [x.grad for x in xs])
+    # against 1 at least: with one row per residue the q and k gradients
+    # are 0 up to rounding
+    for a, b in zip(*runs):
+        assert b.dtype == np.float32
+        assert np.max(np.abs(b - a)) < F32_REL_TOL * max(np.max(np.abs(a)), 1.0)
+    qt, kt, vt = (t(a) for a in (q, k, v))
+    _fd(lambda: project(window_attention(qt, kt, vt, 2, levels, [(2, step)]), g), [qt, kt, vt])
+
+
+def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
+    # kernels are kept per (levels, width, dtype, tile rows), so a default
+    # kernel built first does not stand in for a patched tile size
+    T = 30
+    q, k, v = (t(rng.normal(size=(T, 8))) for _ in range(3))
+    tiles = _scored_tiles(monkeypatch)
+    with no_grad():
+        window_attention(q, k, v, 2, 1, [(3, 1)])
+    assert len(tiles) == 1
+    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    tiles.clear()
+    with no_grad():
+        got = window_attention(q, k, v, 2, 1, [(3, 1)]).data
+    assert len(tiles) == -(-T // 4)
+    want = dense_multihead(q.data, k.data, v.data, 2, band_mask_oracle(T, 3, 1))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 # -- backward releases the graph -------------------------------------------
 
 
@@ -551,6 +716,13 @@ def _captured(fn):
             yield v
 
 
+def _root(a):
+    """The array at the bottom of a view's base chain."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_backward_closures_hold_no_tensor_but_leaves():
     # each op with one operand that needs no gradient, so a closure that kept
     # either operand's Tensor instead of the array it reads would show
@@ -560,8 +732,20 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
     h = linear(x, w, b) * c + c * (x * x + 1.0) + linear(c, w, b) * -1.0 + linear(x, eye, zero)
     h = layer_norm(h, b * 2.0, b).gelu()
-    h = (window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)])
-         + window_attention(h, h, c, 2, 2, [(1, 1)]))
+    attended = [(window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)]), (h, c, h)),
+                (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
+    # an attention closure keeps arrays, not the kernel or its masks: q, k,
+    # v, the output, and per frame and head the softmax denominator and the
+    # score shift; beyond them only numbers, slices, a dtype and the nodes
+    for y, qkv in attended:
+        held = list(_captured(y._node._backward))
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        mine = {id(_root(x.data)) for x in (*qkv, y)}
+        assert {id(_root(a)) for a in arrays} >= mine
+        assert sorted(a.shape for a in arrays if id(_root(a)) not in mine) == [(8, 2, 1)] * 2
+        assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node))
+                   or v is None for v in held), held
+    h = attended[0][0] + attended[1][0]
     h = conv1d_dilated(h, kernel, b, dilation=2).relu()
     h = concat([h, h * c], axis=0)
     p = softmax(h.reshape(4, 16)).astype(np.float32).astype(np.float64)

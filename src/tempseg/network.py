@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, MappedReader
+from .binio import FormatError, Reader, map_file
 from .seqcore import (
     ShapeError,
     Tensor,
@@ -513,10 +512,8 @@ def load_checkpoint(path):
     new end fault (SIGBUS); `save_checkpoint` never does, it replaces the
     file."""
     with open(path, "rb") as f:
-        # mmap refuses an empty file, whose first read below fails anyway
-        empty = os.fstat(f.fileno()).st_size == 0
-        mapped = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        r = MappedReader(mapped, f.name)
+        mapped = map_file(f)
+        r = Reader(mapped, f.name)
     magic = r.read_exact(4, "checkpoint magic")
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(

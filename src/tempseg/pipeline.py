@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import FormatError, Reader
+from .binio import FormatError, Reader, map_file
 from .losses import combined_temporal_loss
 from .network import (
     ModelConfig,
@@ -98,10 +98,12 @@ def save_features(seq: np.ndarray, path):
 
 
 def load_features(path) -> np.ndarray:
-    """The [T, D] float32 payload of an MSBF file, read straight into the
-    array; callers that need float64 cast it."""
+    """The [T, D] float32 payload of an MSBF file. The header is walked
+    over the file's mapping, and the payload, once checked against the
+    mapping's length, is read straight into a new array, so no page of it
+    is mapped in; callers that need float64 cast it."""
     with open(path, "rb") as f:
-        r = Reader(f)
+        r = Reader(map_file(f), f.name)
         magic = r.read_exact(4, "feature magic")
         if magic != FEATURE_MAGIC:
             raise FormatError(
@@ -115,7 +117,11 @@ def load_features(path) -> np.ndarray:
             raise FormatError(f"{path}: feature file contains an empty sequence")
         if d < 1:
             raise FormatError(f"{path}: feature file has no feature columns")
-        data = r.read_array("<f4", (t, d), "feature payload")
+        at = r.skip(4 * t * d, "feature payload")
+        data = np.empty((t, d), "<f4")
+        f.seek(at)
+        if f.readinto(memoryview(data).cast("B")) != data.nbytes:
+            raise FormatError(f"{path}: feature payload changed size while it was read")
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: feature file contains non-finite values")
     return data

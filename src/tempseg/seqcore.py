@@ -7,8 +7,8 @@ its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, the
 inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, its own
-output where the formula is written in it, ``window_attention``'s softmax
-denominators and score shifts, the gradient ``scalar_op`` is given, and
+output where the formula is written in it, ``window_attention``'s log
+softmax denominators, the gradient ``scalar_op`` is given, and
 masks and shapes. So the tape holds nodes, closures and
 gradients, and an interior value that no backward reads is freed as soon
 as the caller drops its Tensor. ``Tensor.backward()`` replays the tape in
@@ -43,8 +43,8 @@ scales with one group at step 1. It makes one call of one tiled kernel,
 ``_TileKernel``, per head group, with the group's residues stacked as
 sequences: dense tiles of query rows, each against one key slab, each
 tile's softmax shifted by its per-head max (by each row's own max where
-that would underflow a row), recomputed in the backward with the saved
-shifts.
+that would underflow a row), recomputed in the backward from each row's
+saved log denominator.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -53,7 +53,6 @@ rate; its decay rates and guard are the module constants ``ADAM_*``.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import threading
 import weakref
@@ -76,11 +75,13 @@ __all__ = [
 ]
 
 # finest-level query rows per tile of window_attention's kernel, rounded
-# down to whole coarsest-level blocks (at least one) and halved while a
-# tile's scores, over its stacked sequences and its key slab, would hold
-# more than TILE_ENTRIES entries (512 KB in float32)
+# down to whole coarsest-level blocks (at least one), then cut by whole
+# blocks while a tile's scores, over its stacked sequences and its key
+# slab, would hold more than TILE_ENTRIES entries (512 KB in float32); and
+# the bytes of tile masks the kept kernels may hold
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
+KERNEL_CACHE_BYTES = 1 << 23
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -496,10 +497,12 @@ class _TileKernel:
     the numerator and denominator together. A tile where some row's
     denominator falls below (slab columns) * tiny / eps has lost that row
     to underflow; it is redone with each row shifted by its own max. The
-    forward returns each row's shift, and the backward recomputes each
-    tile with it, taking no max, and meets it with the numerator's
-    gradient dY. The window masks of a whole tile are built with the
-    kernel, and `_kernel` keeps one kernel per (levels, w, dtype, G).
+    forward returns each row's shift plus the log of its denominator, and
+    the backward recomputes each tile's softmax weights with it, taking no
+    max and dividing by no denominator, and meets them with dY, the
+    numerator's gradient times the denominator. The window masks of a
+    whole tile are built with the kernel, and `_kernel` keeps the recent
+    kernels.
     """
 
     def __init__(self, levels: int, w: int, dtype, G: int):
@@ -517,6 +520,7 @@ class _TileKernel:
         self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
         for m in self.masks:  # shared by every call that gets this kernel
             m.flags.writeable = False
+        self.nbytes = sum(m.nbytes for m in self.masks)
 
     def _tiles(self, nc: int):
         """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
@@ -559,12 +563,13 @@ class _TileKernel:
         return z
 
     def forward(self, qs, ks, vc):
-        """The outputs [B, rows, hd], the softmax denominators and the score
-        shifts [B, rows, 1] of every finest query row; a padded row has
-        denominator 1 and output 0."""
+        """The outputs [B, rows, hd] and the log softmax denominators
+        [B, rows, 1] of every finest query row: the shift its tile's scores
+        took plus the log of the sum of their exps. A padded row has output
+        0 and, with a sum of 1, its shift."""
         f, hd = self.per[0], vc.shape[2] - 1
         y = np.empty(vc.shape[:2] + (hd,), vc.dtype)
-        den, shift = (np.empty(vc.shape[:2] + (1,), vc.dtype) for _ in range(2))
+        lse = np.empty(vc.shape[:2] + (1,), vc.dtype)
         pad = neg, n = self._padding(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
             rows, q0 = slice(c0 * f, c1 * f), max(n, c0 * f)
@@ -580,21 +585,22 @@ class _TileKernel:
                     d[:, q0 - c0 * f :] += neg[:, q0 : c1 * f] != 0
                 if d.min() >= (b1 - b0) * f * self.floor:
                     break
-            den[:, rows], shift[:, rows] = d, m
+            np.add(np.log(d), m, out=lse[:, rows])
             np.divide(nd[:, :, :hd], d, out=y[:, rows])
-        return y, den, shift
+        return y, lse
 
-    def backward(self, qs, ks, vc, shift, dy):
+    def backward(self, qs, ks, vc, lse, dy):
         """The gradients of qs and ks per level and of [V | count], from the
-        forward's score shifts and the gradient dy of the softmax numerator
-        [num | den], laid out like vc."""
+        forward's log denominators and dy, laid out like vc: the gradient of
+        the softmax numerator [num | den] times each row's denominator."""
         f, L = self.per[0], len(self.per)
         dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
         dvc = np.zeros_like(vc)
         pad = self._padding(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
             z = self._scores(qs, ks, pad, c0, c1, b0, b1)
-            e = np.exp(np.subtract(z, shift[:, c0 * f : c1 * f], out=z), out=z)
+            # the softmax weights, each at most 1
+            e = np.exp(np.subtract(z, lse[:, c0 * f : c1 * f], out=z), out=z)
             dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
             dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
             ds = dyt @ vt.transpose(0, 2, 1)
@@ -614,18 +620,39 @@ class _TileKernel:
         return dqs, dks, dvc
 
 
-# the one kernel, its masks built, per (levels, w, dtype, G)
-_kernel = functools.lru_cache(maxsize=64)(_TileKernel)
+# kernels with their masks built, per (levels, w, dtype, G), least
+# recently used first; kept while their masks total KERNEL_CACHE_BYTES at most
+_kernels: dict = {}
+_kernels_lock = threading.Lock()
+
+
+def _kernel(levels: int, w: int, dtype, G: int) -> _TileKernel:
+    """The kept kernel for (levels, w, dtype, G), or a new one, which is
+    kept unless its masks alone outgrow KERNEL_CACHE_BYTES; the least
+    recently used kernels are dropped while the kept masks do."""
+    key = levels, w, dtype, G
+    with _kernels_lock:
+        kernel = _kernels.pop(key, None)
+        if kernel is not None:  # now the most recently used
+            _kernels[key] = kernel
+            return kernel
+        kernel = _TileKernel(*key)
+        if kernel.nbytes <= KERNEL_CACHE_BYTES:
+            _kernels[key] = kernel
+            held = sum(k.nbytes for k in _kernels.values())
+            while held > KERNEL_CACHE_BYTES:
+                held -= _kernels.pop(next(iter(_kernels))).nbytes
+    return kernel
 
 
 def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKernel:
     """The kernel for `batch` stacked sequences of `rows` finest rows: tiles
-    of TILE_ROWS finest rows in whole coarsest blocks (at least one),
-    halved while a tile's scores would hold more than TILE_ENTRIES."""
+    of the most whole coarsest blocks, up to TILE_ROWS finest rows, whose
+    scores hold TILE_ENTRIES at most; one block if even that holds more."""
     f = 1 << (levels - 1)
     nc, G = rows // f, max(1, TILE_ROWS // f)
     while G > 1 and batch * min(G, nc) * f * min(G + 2 * w, nc) * f > TILE_ENTRIES:
-        G //= 2
+        G -= 1
     return _kernel(levels, w, np.dtype(dtype), G)
 
 
@@ -656,9 +683,10 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) * count),
     and its keys are pooled means. The tile rows shrink from TILE_ROWS to
     keep a tile within TILE_ENTRIES scores. The backward keeps only q, k,
-    v, the output and, per frame and head, the softmax denominator and the
-    shift its tile's scores took; it forms the numerator's gradient dY
-    once, frame-major, and stacks it per group like [V | count].
+    v, the output and, per frame and head, the log softmax denominator:
+    the shift its tile's scores took plus the log of their exps' sum. It
+    forms dY = [g, -(g . y)] once, frame-major, and stacks it per group
+    like [V | count].
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -696,11 +724,10 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             ks.append(ksum / cs[-1])
         return _tile_kernel(levels, w, dtype, step * hg, rows), qs, ks, vc, cs
 
-    y = np.empty((T, heads, hd), dtype)
-    den, shift = np.empty((T, heads, 1), dtype), np.empty((T, heads, 1), dtype)
+    y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
     for hs, w, step in groups:
         kernel, qs, ks, vc, _ = operands(hs, w, step)
-        for a, b in zip(kernel.forward(qs, ks, vc), (y, den, shift)):
+        for a, b in zip(kernel.forward(qs, ks, vc), (y, lse)):
             _unstack(a, b[:, hs])
 
     out = _make(y.reshape(T, A), (q, k, v))
@@ -709,13 +736,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
 
         def back(g):
             g = g.reshape(T, heads, hd)
-            # y = num / den: dY = [g / den, -(g . y) / den] against [V | count]
-            dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2) / den
+            # y = num / den, so the numerator [num | den] gets [g, -(g . y)] / den;
+            # the kernel's weights exp(score - lse) already hold the 1 / den
+            dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2)
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
             for hs, w, step in groups:
                 kernel, qs, ks, vc, cs = operands(hs, w, step)
                 rows = vc.shape[1]
-                dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(shift[:, hs], step, rows),
+                dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(lse[:, hs], step, rows),
                                                 _stack(dy[:, hs], step, rows))
                 dqg = dkg = 0.0
                 for s, (a, b, c) in enumerate(zip(dqs, dks, cs)):

@@ -187,6 +187,15 @@ def test_features_truncated(tmp_path):
         load_features(p)
 
 
+def test_features_declaring_more_than_the_file_holds_allocate_nothing(tmp_path):
+    # the payload's length is checked against the file before the array is
+    # made: a 2^60-entry header fails as a truncated payload, not in np.empty
+    p = tmp_path / "x.feat"
+    p.write_bytes(FEATURE_MAGIC + struct.pack("<IQQ", 1, 1 << 40, 1 << 20) + bytes(16))
+    with pytest.raises(FormatError, match="truncated feature payload at byte 24: needs "):
+        load_features(p)
+
+
 def test_features_reject_zero_columns(tmp_path, capsys):
     p = tmp_path / "x.feat"
     with pytest.raises(ValueError, match="non-empty"):

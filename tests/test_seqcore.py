@@ -1,3 +1,5 @@
+import sys
+import threading
 import types
 import weakref
 
@@ -558,6 +560,31 @@ def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, T, width, step, l
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rows_far_below_their_tile_max_take_bounded_gradients():
+    # row 1 scores 62 below row 0 in every column, so under the tile's
+    # per-head shift its denominator is about 8 * e^-62 = 1e-26: above the
+    # fallback floor, 8 * tiny / eps = 8e-31 in float32. Its softmax weights
+    # are still 1/8, so a gradient of 1e13 gives gradients of about 1e13,
+    # where one divided by that denominator would overflow float32
+    T, u = 8, np.full(4, np.sqrt(0.5))  # u . u / sqrt(4) = 1
+    a = np.array([30.0, -32.0, 0.0, 1.0, -1.0, 2.0, 0.5, -0.5])
+    q = a[:, None] * u
+    k = u + 0.01 * rng.normal(size=(T, 4))
+    v, g = rng.normal(size=(T, 4)), 1e13 * rng.normal(size=(T, 4))
+    runs = []
+    for dtype in (np.float64, np.float32):
+        xs = [Tensor(x.astype(dtype), requires_grad=True) for x in (q, k, v)]
+        y = window_attention(*xs, 1, 1, [(T, 1)])
+        project(y, g).backward()
+        runs.append([y.data] + [x.grad for x in xs])
+    want = dense_multihead(q, k, v, 1, band_mask_oracle(T, T, 1))
+    assert rel_err(runs[0][0], want) < 1e-12
+    for a64, a32 in zip(*runs):
+        assert np.isfinite(a32).all()
+        assert rel_err(a32, a64) < 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("T, step, levels", [
     (23, 3, 1),     # T % step != 0: residues of 8, 8 and 7 rows
     (3, 5, 1),      # T < step: residues 3 and 4 are empty
@@ -607,6 +634,66 @@ def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
     assert len(tiles) == -(-T // 4)
     want = dense_multihead(q.data, k.data, v.data, 2, band_mask_oracle(T, 3, 1))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_kernels_are_kept_within_a_byte_budget(monkeypatch):
+    # a kernel is kept for the next call unless its masks alone outgrow
+    # KERNEL_CACHE_BYTES, and the least recently used go while the kept
+    # masks do
+    monkeypatch.setattr(seqcore, "_kernels", {})
+    q, k, v = (t(rng.normal(size=(40, 8))) for _ in range(3))
+
+    def kept(width):
+        with no_grad():
+            window_attention(q, k, v, 2, 1, [(width, 1)])
+        return list(seqcore._kernels.values())
+    a = kept(1)[0]
+    assert kept(1) == [a]  # the same kernel again
+    b = kept(2)[1]
+    monkeypatch.setattr(seqcore, "KERNEL_CACHE_BYTES", a.nbytes + b.nbytes)
+    assert kept(1) == [b, a]  # a is now the most recently used
+    assert kept(40) == [b, a]  # masks alone too large: not kept
+    held = kept(0)  # a new kernel: b, the least recently used, goes
+    assert len(held) == 2 and held[0] is a and held[1].nbytes < b.nbytes
+
+
+def test_threads_share_the_kernel_cache(monkeypatch):
+    # more threads than cores ask for kernels that evict each other from a
+    # cache with room for two; every output stays what one thread computes
+    monkeypatch.setattr(seqcore, "_kernels", {})
+    q, k, v = (rng.normal(size=(40, 8)) for _ in range(3))
+    widths = [0, 1, 2, 3, 5]
+
+    def attend(w):
+        with no_grad():
+            return window_attention(Tensor(q), Tensor(k), Tensor(v), 2, 1, [(w, 1)]).data
+    want = {w: attend(w) for w in widths}
+    room = 2 * max(x.nbytes for x in seqcore._kernels.values())
+    monkeypatch.setattr(seqcore, "KERNEL_CACHE_BYTES", room)
+    monkeypatch.setattr(seqcore, "_kernels", {})
+    errors = []
+
+    def work(i):
+        try:
+            for n in range(40):
+                w = widths[(i + n) % len(widths)]
+                assert np.array_equal(attend(w), want[w])
+        except Exception as exc:  # raised again below, in the test's thread
+            errors.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    if errors:
+        raise errors[0]
+    assert sum(x.nbytes for x in seqcore._kernels.values()) <= room
 
 
 # -- backward releases the graph -------------------------------------------
@@ -735,14 +822,14 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     attended = [(window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)]), (h, c, h)),
                 (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
     # an attention closure keeps arrays, not the kernel or its masks: q, k,
-    # v, the output, and per frame and head the softmax denominator and the
-    # score shift; beyond them only numbers, slices, a dtype and the nodes
+    # v, the output, and per frame and head the log softmax denominator;
+    # beyond them only numbers, slices, a dtype and the nodes
     for y, qkv in attended:
         held = list(_captured(y._node._backward))
         arrays = [v for v in held if isinstance(v, np.ndarray)]
         mine = {id(_root(x.data)) for x in (*qkv, y)}
         assert {id(_root(a)) for a in arrays} >= mine
-        assert sorted(a.shape for a in arrays if id(_root(a)) not in mine) == [(8, 2, 1)] * 2
+        assert [a.shape for a in arrays if id(_root(a)) not in mine] == [(8, 2, 1)]
         assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node))
                    or v is None for v in held), held
     h = attended[0][0] + attended[1][0]

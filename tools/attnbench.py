@@ -31,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tempseg.network import ModelConfig  # noqa: E402
 
+SEED = 0  # of the random q, k and v
 # (name, model config, T), as perfbench/workloads.py sizes them
 WORKLOADS = (
     ("train_small", ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2,
@@ -80,12 +81,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repo", type=Path, required=True, help="checkout to compare against")
     p.add_argument("--reps", type=int, default=8, help="timed passes per side (default 8)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random q, k, v")
     args = p.parse_args(argv)
     if args.reps < 1:
         p.error("--reps must be >= 1")
     sides = (load_seqcore(ROOT, "seqcore_this"), load_seqcore(args.repo.resolve(), "seqcore_other"))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     print(f"{'workload':<12} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
     for name, cfg, T in WORKLOADS:
         ops = calls(cfg, T)

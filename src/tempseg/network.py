@@ -20,10 +20,14 @@ from .seqcore import (
     Tensor,
     as_tensor,
     concat,
+    # no network code runs conv1d_dilated: it is imported only because
+    # perfbench/tracing.py wraps network.conv1d_dilated, so its
+    # seqcore.conv1d.* metrics read 0, as attention.mask_cache_hit does
     conv1d_dilated,
     layer_norm,
     linear,
     softmax,
+    tcn_block,
 )
 
 __all__ = [
@@ -229,13 +233,11 @@ def tcn_block_forward(
     mode: str,
 ) -> Tensor:
     """Dilated conv -> ReLU -> 1x1 conv -> residual add, time-major: [T, D]
-    in and [T, D] out."""
-    h = conv1d_dilated(x, conv_w, conv_b, dilation=dilation, mode=mode)
-    h = h.relu()
-    h = conv1d_dilated(h, pw_w, pw_b, dilation=1, mode="acausal")
-    if x.shape != h.shape:
-        raise ShapeError(f"residual shape {x.shape} does not match block output {h.shape}")
-    return x + h
+    in and [T, D] out, as one `seqcore.tcn_block` op. Its forward holds two
+    [T, D] arrays at a time and fills neither with zeros first; its backward
+    is closed form, and its output and gradients have the bits of the
+    composite of two `conv1d_dilated` calls, a ReLU and a residual add."""
+    return tcn_block(x, conv_w, conv_b, pw_w, pw_b, dilation, mode)
 
 
 def _linear_init(rng, n_in, n_out):

@@ -6,45 +6,47 @@ differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, the
-inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, its own
-output where the formula is written in it, ``window_attention``'s log
-softmax denominators, the gradient ``scalar_op`` is given, and
-masks and shapes. So the tape holds nodes, closures and
-gradients, and an interior value that no backward reads is freed as soon
-as the caller drops its Tensor. ``Tensor.backward()`` replays the tape in
-reverse topological order and releases it as it goes: each interior node
-drops its gradient, closure and parent links once its closure has run, so
-only leaf gradients (parameters, inputs made with ``requires_grad=True``)
-survive, a second backward through the same graph raises, and a training
-loop holds one tape at a time. Every op but ``scalar_op``, whose value is
-float64, computes and allocates in its input's dtype: a Python scalar
-operand takes the tensor's dtype, and the weight operands of ``linear``,
-``layer_norm`` and ``conv1d_dilated`` are cast to the input's dtype when
-used, so float64 parameters run a float32 pass without a float32 copy
-being kept. Training and inference run their passes in float32 this way;
-a leaf's gradient accumulates in the leaf's own dtype, so float64
-parameters get float64 gradients and Adam keeps float64 master weights and
-state. The oracles run in float64.
+inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, the
+input and the ReLU output of ``tcn_block``, its own output where the
+formula is written in it, ``window_attention``'s log softmax
+denominators, the gradient ``scalar_op`` is given, and masks and shapes.
+So the tape holds nodes, closures and gradients, and an interior value
+that no backward reads is freed as soon as the caller drops its Tensor.
+``Tensor.backward()`` replays the tape in reverse topological order and
+releases it as it goes: each interior node drops its gradient, closure
+and parent links once its closure has run, so only leaf gradients
+(parameters, inputs made with ``requires_grad=True``) survive, a second
+backward through the same graph raises, and a training loop holds one
+tape at a time. Every op but ``scalar_op``, whose value is float64,
+computes and allocates in its input's dtype: a Python scalar operand
+takes the tensor's dtype, and the weight operands of ``linear``,
+``layer_norm``, ``conv1d_dilated`` and ``tcn_block`` are cast to the
+input's dtype when used, so float64 parameters run a float32 pass without
+a float32 copy being kept. Training and inference run their passes in
+float32 this way; a leaf's gradient accumulates in the leaf's own dtype,
+so float64 parameters get float64 gradients and Adam keeps float64 master
+weights and state. The oracles run in float64.
 
 The primitive set is closed: it holds the ops the package's network, losses
 and pipeline run, and no other. Tensor methods: ``+`` and ``*`` (with a
-tensor, an array or a Python scalar on the right), ``sigmoid``, ``relu``,
-``gelu``, ``astype`` and ``reshape``; a Tensor is neither indexed nor
-transposed, and every sequence op runs time-major, on [T, C] rows.
-Functions: ``concat``, the affine map ``linear``, dilated 1-D convolution
-``conv1d_dilated``, ``layer_norm``, ``softmax`` over the last axis,
-``scalar_op`` (a scalar function of one tensor from its value and
-gradient, which the loss terms compute in closed form), and one windowed
-multi-scale multi-head attention op (``window_attention``) whose equal
-head groups each take their own window width and dilation step: DSWA is
-its one-scale case with two groups, the expanding and the shrinking
-window, each run over every residue of its step; HTA is its ladder of
-scales with one group at step 1. It makes one call of one tiled kernel,
-``_TileKernel``, per head group, with the group's residues stacked as
-sequences: dense tiles of query rows, each against one key slab, each
-tile's softmax shifted by its per-head max (by each row's own max where
-that would underflow a row), recomputed in the backward from each row's
-saved log denominator.
+tensor, an array or a Python scalar on the right), ``sigmoid``, ``gelu``,
+``astype`` and ``reshape``; a Tensor is neither indexed nor transposed,
+and every sequence op runs time-major, on [T, C] rows. Functions:
+``concat``, the affine map ``linear``, dilated 1-D convolution
+``conv1d_dilated``, the residual TCN block ``tcn_block`` (dilated conv,
+ReLU, pointwise conv and residual add as one op), ``layer_norm``,
+``softmax`` over the last axis, ``scalar_op`` (a scalar function of one
+tensor from its value and gradient, which the loss terms compute in
+closed form), and one windowed multi-scale multi-head attention op
+(``window_attention``) whose equal head groups each take their own window
+width and dilation step: DSWA is its one-scale case with two groups, the
+expanding and the shrinking window, each run over every residue of its
+step; HTA is its ladder of scales with one group at step 1. It makes one
+call of one tiled kernel, ``_TileKernel``, per head group, with the
+group's residues stacked as sequences: dense tiles of query rows, each
+against one key slab, each tile's softmax shifted by its per-head max (by
+each row's own max where that would underflow a row), recomputed in the
+backward from each row's saved log denominator.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -70,6 +72,7 @@ __all__ = [
     "no_grad",
     "scalar_op",
     "softmax",
+    "tcn_block",
     "window_attention",
     "Adam",
 ]
@@ -278,16 +281,6 @@ class Tensor:
         if out.requires_grad:
             n = _grad_node(self)
             out._node._backward = lambda g: n._accumulate(g * y * (1.0 - y))
-        return out
-
-    def relu(self):
-        out = _make(np.maximum(self.data, 0.0), (self,))
-        if out.requires_grad:
-            n = _grad_node(self)
-            mask = self.data > 0.0
-            # where, not g * mask: a clamped entry's gradient is 0 even
-            # where g is infinite, not inf * 0 = NaN
-            out._node._backward = lambda g: n._accumulate(np.where(mask, g, 0.0))
         return out
 
     def gelu(self):
@@ -758,31 +751,24 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     return out
 
 
-def conv1d_dilated(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor,
-    dilation: int = 1,
-    mode: str = "acausal",
-) -> Tensor:
-    """Dilated 1-D convolution over time-major [T, C_in] input with zero
-    padding, plus bias; the result is [T, C_out].
+def _conv_taps(x: np.ndarray, kernel: np.ndarray, dilation: int, mode: str) -> list:
+    """The taps of a dilated conv of time-major x [T, C_in] with kernel
+    [C_out, C_in, k] that meet the sequence, in tap order, as (j, lo, hi,
+    src): output rows [lo, hi) read the input rows src, the same range
+    shifted by tap j's offset d, so lo, hi = max(0, -d), min(T, T - d).
 
     acausal: output at t reads taps t + j*dilation, j in [-(k-1)/2, (k-1)/2]
     causal:  output at t reads taps t - j*dilation, j in [0, k-1]
-    Each tap reads one row slice of x and adds one GEMM into a contiguous
-    row range of the output.
+    Either way the tap of offset 0 meets every row, so the list is never
+    empty.
     """
-    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
-    if x.data.ndim != 2 or x.data.shape[0] < 1:
-        raise ShapeError(f"conv1d expects non-empty [T, C_in] input, got {x.data.shape}")
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ShapeError(f"conv1d expects non-empty [T, C_in] input, got {x.shape}")
     if dilation < 1:
         raise ShapeError(f"dilation must be >= 1, got {dilation}")
-    c_out, c_in, k = kernel.data.shape
-    if c_in != x.data.shape[1]:
-        raise ShapeError(
-            f"conv1d channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}"
-        )
+    if kernel.ndim != 3 or kernel.shape[1] != x.shape[1]:
+        raise ShapeError(f"conv1d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    k = kernel.shape[2]
     if mode == "acausal":
         if k % 2 == 0:
             raise ShapeError(f"acausal mode requires odd kernel size, got {k}")
@@ -791,19 +777,69 @@ def conv1d_dilated(
         deltas = [-j * dilation for j in range(k)]
     else:
         raise ValueError(f"unknown conv mode {mode!r}")
-
-    xd = x.data
-    w = kernel.data.astype(xd.dtype, copy=False)
-    T = xd.shape[0]
-    y = np.zeros((T, c_out), xd.dtype)
-    taps = []
+    T, taps = x.shape[0], []
     for j, d in enumerate(deltas):
-        # output rows [lo, hi) read input frames t + d inside [0, T)
         lo, hi = max(0, -d), min(T, T - d)
         if lo < hi:
-            src = slice(lo + d, hi + d)
-            taps.append((j, lo, hi, src))
-            y[lo:hi] += xd[src] @ w[:, :, j].T
+            taps.append((j, lo, hi, slice(lo + d, hi + d)))
+    return taps
+
+
+def _tap_sum(out: np.ndarray, terms) -> np.ndarray:
+    """out [T, C] as the sum of the products a @ b of terms (rows, a, b),
+    each over out[rows], in order. The first product is written into its
+    rows and only the rows it misses are zeroed; the rest are added. Each
+    entry gets the bits that adding every product into zeros gives, since
+    0 + a == a."""
+    (rows, a, b), *rest = terms
+    np.matmul(a, b, out=out[rows])
+    out[: rows.start] = 0
+    out[rows.stop :] = 0
+    for rows, a, b in rest:
+        out[rows] += a @ b
+    return out
+
+
+def _conv_forward(xd: np.ndarray, w: np.ndarray, taps: list) -> np.ndarray:
+    """The bias-free conv output [T, C_out]: one GEMM per tap into a
+    contiguous row range."""
+    out = np.empty((xd.shape[0], w.shape[0]), xd.dtype)
+    return _tap_sum(out, [(slice(lo, hi), xd[src], w[:, :, j].T) for j, lo, hi, src in taps])
+
+
+def _conv_backward(g, taps, xd, w, nk, k_zeros, nb):
+    """From a conv's output gradient g [T, C_out], accumulate its kernel's
+    gradient into node nk and its bias's into nb (each when not None), and
+    return its input's gradient [T, C_in], or None when w is None."""
+    if nk is not None:
+        if nk.grad is None:
+            nk.grad = k_zeros()
+        for j, lo, hi, src in taps:
+            nk.grad[:, :, j] += g[lo:hi].T @ xd[src]
+    if nb is not None:
+        nb._accumulate(g.sum(axis=0))
+    if w is None:
+        return None
+    dx = np.empty((g.shape[0], w.shape[1]), g.dtype)
+    return _tap_sum(dx, [(src, g[lo:hi], w[:, :, j]) for j, lo, hi, src in taps])
+
+
+def conv1d_dilated(
+    x: Tensor,
+    kernel: Tensor,
+    bias: Tensor,
+    dilation: int = 1,
+    mode: str = "acausal",
+) -> Tensor:
+    """Dilated 1-D convolution over time-major [T, C_in] input with zero
+    padding, plus bias; the result is [T, C_out]. The taps are those of
+    `_conv_taps`: each reads one row slice of x and adds one GEMM into a
+    contiguous row range of the output."""
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    taps = _conv_taps(x.data, kernel.data, dilation, mode)
+    xd = x.data
+    w = kernel.data.astype(xd.dtype, copy=False)
+    y = _conv_forward(xd, w, taps)
     y += bias.data.astype(y.dtype, copy=False)
 
     out = _make(y, (x, kernel, bias))
@@ -817,18 +853,78 @@ def conv1d_dilated(
             w = None
 
         def back(g):
-            if nk is not None and nk.grad is None:
-                nk.grad = k_zeros()
-            dx = np.zeros((T, c_in), g.dtype) if nx is not None else None
-            for j, lo, hi, src in taps:
-                if nk is not None:
-                    nk.grad[:, :, j] += g[lo:hi].T @ xd[src]
-                if dx is not None:
-                    dx[src] += g[lo:hi] @ w[:, :, j]
+            dx = _conv_backward(g, taps, xd, w, nk, k_zeros, nb)
             if dx is not None:
                 nx._accumulate(dx)
-            if nb is not None:
-                nb._accumulate(g.sum(axis=0))
+        out._node._backward = back
+    return out
+
+
+def tcn_block(x: Tensor, conv_w: Tensor, conv_b: Tensor, pw_w: Tensor, pw_b: Tensor,
+              dilation: int, mode: str) -> Tensor:
+    """One residual TCN block as one op: x + pw(relu(conv(x))) for
+    time-major x [T, C], with the dilated conv `conv_w` [C_h, C, k] plus
+    `conv_b` [C_h] (taps as in `conv1d_dilated`) and the pointwise conv
+    `pw_w` [C, C_h, 1] plus `pw_b` [C].
+
+    The forward holds two arrays of T rows at a time and zero-fills
+    neither: the conv writes its first tap in place, and the biases, the
+    ReLU and the residual are applied in place. The closed-form backward
+    forms the input's gradient by the same rule, adds the residual's to it
+    and accumulates the sum once. Every sum is the one that the composite
+    of `conv1d_dilated`, a ReLU, a pointwise `conv1d_dilated` and `+`
+    makes, so outputs and gradients have its bits. The closure keeps x and
+    the ReLU output h; an entry clamped where h > 0 fails.
+    """
+    x, conv_w, conv_b, pw_w, pw_b = (as_tensor(t) for t in (x, conv_w, conv_b, pw_w, pw_b))
+    xd = x.data
+    taps = _conv_taps(xd, conv_w.data, dilation, mode)
+    T, C = xd.shape
+    c = conv_w.data.shape[0]
+    if conv_b.data.shape != (c,) or pw_w.data.shape != (C, c, 1) or pw_b.data.shape != (C,):
+        raise ShapeError(
+            f"tcn block on {xd.shape} needs conv bias ({c},), pointwise kernel ({C}, {c}, 1) "
+            f"and bias ({C},), got {conv_b.data.shape}, {pw_w.data.shape}, {pw_b.data.shape}"
+        )
+    dtype = xd.dtype
+    w = conv_w.data.astype(dtype, copy=False)
+    pw = pw_w.data.astype(dtype, copy=False)
+    pw_taps = [(0, 0, T, slice(0, T))]
+    h = _conv_forward(xd, w, taps)
+    h += conv_b.data.astype(dtype, copy=False)
+    np.maximum(h, 0.0, out=h)
+    y = _conv_forward(h, pw, pw_taps)
+    y += pw_b.data.astype(dtype, copy=False)
+    y += xd
+
+    out = _make(y, (x, conv_w, conv_b, pw_w, pw_b))
+    if out.requires_grad:
+        nx, nk, nb, npw, npb = map(_grad_node, (x, conv_w, conv_b, pw_w, pw_b))
+        k_zeros, pw_zeros = _zeros_like(conv_w.data), _zeros_like(pw_w.data)
+        needs_dh = nx is not None or nk is not None or nb is not None
+        # each gradient reads only what its formula does
+        if nk is None:
+            xd = None
+        if nx is None:
+            w = None
+        if not needs_dh:
+            pw = None
+            if npw is None:
+                h = None
+
+        def back(g):
+            dh = _conv_backward(g, pw_taps, h, pw, npw, pw_zeros, npb)
+            if dh is None:
+                return
+            # the ReLU's gradient: zeroed, not times a mask, where it clamped,
+            # so an infinite g gives 0 there, not inf * 0 = NaN
+            clamped = h > 0.0
+            np.logical_not(clamped, out=clamped)
+            np.copyto(dh, 0.0, where=clamped)
+            dx = _conv_backward(dh, taps, xd, w, nk, k_zeros, nb)
+            if dx is not None:
+                dx += g  # the residual's gradient
+                nx._accumulate(dx)
         out._node._backward = back
     return out
 
@@ -874,10 +970,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
     g = gain.data.astype(x.data.dtype, copy=False)
+    # two [T, D] buffers: the centred rows become xhat in place, and the
+    # squares' buffer becomes the output
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
-    xhat = xc / std
-    y = xhat * g + bias.data.astype(x.data.dtype, copy=False)
+    y = xc * xc
+    std = np.sqrt(y.sum(axis=-1, keepdims=True) / n + eps)
+    xhat = np.divide(xc, std, out=xc)
+    np.multiply(xhat, g, out=y)
+    y += bias.data.astype(x.data.dtype, copy=False)
     out = _make(y, (x, gain, bias))
     if out.requires_grad:
         nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(bias)

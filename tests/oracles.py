@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose: no shared code
 with the package beyond numpy, its error types, the Tensor and
-AttentionParams containers that `init_attention_params` fills, and the
-`linear` op that `project` forms a test's scalar with.
+AttentionParams containers that `init_attention_params` fills, the
+`linear` op that `project` forms a test's scalar with, and the tape ops
+that `tcn_block_composite` chains as the unfused reference of `tcn_block`.
 """
 
 import functools
@@ -12,6 +13,7 @@ import struct
 
 import numpy as np
 
+from tempseg import seqcore
 from tempseg.attention import AttentionParams
 from tempseg.seqcore import ShapeError, Tensor, linear
 
@@ -212,6 +214,23 @@ def conv1d_oracle(x, w, b, dilation, mode):
                     for c in range(c_in):
                         y[i, o] += w[o, c, j] * x[src, c]
     return y + np.asarray(b)[None, :]
+
+
+def _relu(h):
+    """numpy's ReLU as a tape op, its gradient zeroed where it clamped."""
+    out = seqcore._make(np.maximum(h.data, 0.0), (h,))
+    if out.requires_grad:
+        n, mask = seqcore._grad_node(h), h.data > 0.0
+        out._node._backward = lambda g: n._accumulate(np.where(mask, g, 0.0))
+    return out
+
+
+def tcn_block_composite(x, conv_w, conv_b, pw_w, pw_b, dilation, mode):
+    """x + pw(relu(conv(x))) as the chain of tape ops that `tcn_block`
+    fuses: `conv1d_dilated`, numpy's ReLU, a pointwise `conv1d_dilated`
+    and a residual `+`."""
+    h = _relu(seqcore.conv1d_dilated(x, conv_w, conv_b, dilation=dilation, mode=mode))
+    return x + seqcore.conv1d_dilated(h, pw_w, pw_b, dilation=1, mode="acausal")
 
 
 def detect_boundaries_oracle(scores, theta, min_distance):

@@ -20,6 +20,7 @@ from tempseg.seqcore import (
     linear,
     no_grad,
     softmax,
+    tcn_block,
     window_attention,
 )
 
@@ -38,6 +39,8 @@ _OPS = {
     "conv1d_dilated": (
         lambda x, w, b: conv1d_dilated(x, w, b, dilation=2, mode="acausal"),
         [(50, 12), (8, 12, 3), (8,)], 1),
+    "tcn_block": (lambda x, w, b, pw, pb: tcn_block(x, w, b, pw, pb, dilation=2, mode="causal"),
+                  [(50, 12), (8, 12, 3), (8,), (12, 8, 1), (12,)], 1),
     # the op's two uses: one scale over a dilated band, a ladder at step 1
     "band_attention": (lambda q, k, v: window_attention(q, k, v, 2, 1, [(9, 2)]),
                        [(200, 16)] * 3, 3),
@@ -92,7 +95,10 @@ def test_float32_forward_makes_float64_only_for_the_boundary_sigmoid(monkeypatch
     wide = sorted(shape for dtype, shape in made if dtype != np.float32)
     # per stage: the cast of the boundary logit, its sigmoid and the reshape
     assert wide == sorted([(T, 1), (T, 1), (T,)] * n_stages)
-    assert len(made) > 100 * n_stages
+    # every op of the forward: the encoder's 196 (its input projection, 10
+    # TCN blocks, 18 per attention layer and 5 in its heads), and 18 per
+    # decoder (softmax, concat, input projection, 10 TCN blocks, its heads)
+    assert len(made) == 196 + 18 * cfg.n_decoders
     for stage in out.stages:
         assert stage.action_logits.data.dtype == np.float32
         assert stage.features.data.dtype == np.float32
@@ -127,8 +133,10 @@ def test_float32_training_forward_makes_float64_only_for_the_boundary_sigmoid(mo
     n_stages = 1 + _TRAIN_CFG.n_decoders
     wide = sorted(shape for dtype, shape in made if dtype != np.float32)
     assert wide == sorted([(T, 1), (T, 1), (T,)] * n_stages)
-    # the spy saw the whole forward: 143 ops over the three stages
-    assert len(made) > 40 * n_stages
+    # the spy saw the whole forward: 83 encoder ops (dropout, input
+    # projection, 4 TCN blocks, 18 per attention layer, 5 in its heads) and
+    # 12 per decoder (softmax, concat, input projection, 4 TCN blocks, heads)
+    assert len(made) == 83 + 12 * _TRAIN_CFG.n_decoders
     loss = sum((project(stage.action_logits) + project(stage.boundary_scores)
                 for stage in out.stages), Tensor(0.0))
     loss.backward()

@@ -109,15 +109,16 @@ def _interior_nodes(root) -> int:
 
 def test_training_step_tape_size():
     # criterion 4's model, one training step at T = 256. DSWA is one
-    # attention op and the TCN stacks run time-major; slicing DSWA's heads
-    # and transposing around each stack made 218 nodes
+    # attention op, the TCN stacks run time-major and each TCN block is one
+    # op; slicing DSWA's heads and transposing around each stack made 218
+    # nodes, and a TCN block of conv, ReLU, conv and residual add made 180
     cfg = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
                       temporal_dropout=0.3, seed=0)
     spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
     feats, labels, _ = synth_dataset(spec, 1, 256)[0]
     _, loss, _ = _sequence_loss(SegmentationModel(cfg), feats.astype(np.float32), labels,
                                 training=True)
-    assert _interior_nodes(loss) == 180
+    assert _interior_nodes(loss) == 144
 
 
 # -- config ---------------------------------------------------------------

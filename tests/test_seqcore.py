@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import types
 import weakref
 
@@ -20,6 +21,7 @@ from tempseg.seqcore import (
     no_grad,
     scalar_op,
     softmax,
+    tcn_block,
     window_attention,
 )
 
@@ -36,6 +38,7 @@ from oracles import (
     mean_pool_oracle,
     project,
     rel_err,
+    tcn_block_composite,
 )
 from test_float32 import F32_REL_TOL
 
@@ -180,9 +183,9 @@ def test_sigmoid_saturates_without_warning(dtype):
     assert np.isfinite(x.grad).all() and np.array_equal(x.grad, [0.0, 0.25, 0.0])
 
 
-def test_grad_sigmoid_relu_gelu():
+def test_grad_sigmoid_gelu():
     x = t(rng.normal(size=(6,)))
-    _fd(lambda: project(x.sigmoid() + (x + 0.3).relu() * x.gelu()), [x], tol=1e-5)
+    _fd(lambda: project(x.sigmoid() + (x + 0.3).gelu() * x.gelu()), [x], tol=1e-5)
 
 
 def test_grad_matmul_broadcast_bias():
@@ -718,7 +721,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 
     def build():
         h = linear(x, w, b)
-        a = (h * h).relu()
+        a = (h * h).gelu()
         # `a` and the leaves are shared
         return project(a + a.sigmoid()) + project(linear(x, w, b), 1 / 8)
 
@@ -769,12 +772,15 @@ def test_first_accumulation_copies_the_gradient():
 def test_values_no_backward_reads_are_freed_mid_forward():
     x = t(np.ascontiguousarray(rng.normal(size=(3, 20)).T))
     kernel, bias = t(rng.normal(size=(3, 3, 3)) * 0.5), t(rng.normal(size=(3,)))
+    pw, pb = t(rng.normal(size=(3, 3, 1)) * 0.5), t(rng.normal(size=(3,)))
     gain, shift = t(rng.normal(size=(3,))), t(rng.normal(size=(3,)))
 
     def build(refs=None):
         conv = conv1d_dilated(x, kernel, bias, dilation=2)
-        h = conv.relu()  # relu's backward reads its mask, not the conv output
-        res = x + h  # a residual sum; layer_norm's backward reads xhat, not res
+        # a residual sum, whose backward reads neither operand; tcn_block's
+        # backward reads its input and ReLU output, not its own output
+        res = tcn_block(x + conv, kernel, bias, pw, pb, 2, "causal")
+        # layer_norm's backward reads xhat, not res
         loss = project(layer_norm(res, gain, shift).sigmoid())
         if refs is not None:
             refs += [weakref.ref(a) for a in (conv, conv.data, res, res.data)]
@@ -784,7 +790,7 @@ def test_values_no_backward_reads_are_freed_mid_forward():
     loss = build(refs)
     assert [r() for r in refs] == [None] * 4
     loss.backward()
-    _fd(build, [x, kernel, bias, gain, shift])
+    _fd(build, [x, kernel, bias, pw, pb, gain, shift])
 
 
 def _captured(fn):
@@ -815,6 +821,7 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     # either operand's Tensor instead of the array it reads would show
     x, w, b = t(rng.normal(size=(8, 4))), t(rng.normal(size=(4, 4))), t(rng.normal(size=(4,)))
     kernel = t(rng.normal(size=(4, 4, 3)) * 0.3)
+    pw = t(rng.normal(size=(4, 4, 1)) * 0.3)
     c = Tensor(rng.normal(size=(8, 4)))
     eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
     h = linear(x, w, b) * c + c * (x * x + 1.0) + linear(c, w, b) * -1.0 + linear(x, eye, zero)
@@ -833,11 +840,11 @@ def test_backward_closures_hold_no_tensor_but_leaves():
         assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node))
                    or v is None for v in held), held
     h = attended[0][0] + attended[1][0]
-    h = conv1d_dilated(h, kernel, b, dilation=2).relu()
+    h = tcn_block(conv1d_dilated(h, kernel, b, dilation=2), kernel, b, pw, b, 2, "causal")
     h = concat([h, h * c], axis=0)
     p = softmax(h.reshape(4, 16)).astype(np.float32).astype(np.float64)
     loss = project(p + (p * p + 0.5).sigmoid(), 1 / 64) + scalar_op(0.0, p, np.ones((4, 16)))
-    leaves = {id(x), id(w), id(b), id(kernel)}
+    leaves = {id(x), id(w), id(b), id(kernel), id(pw)}
     seen, stack, kinds = set(), [loss._node], set()
     while stack:
         node = stack.pop()
@@ -850,8 +857,9 @@ def test_backward_closures_hold_no_tensor_but_leaves():
         stack.extend(node._prev)
     # every op of the closed set that records a backward closure
     assert kinds == {
-        "Tensor.__add__", "Tensor.__mul__", "Tensor.sigmoid", "Tensor.relu", "Tensor.gelu",
-        "Tensor.astype", "Tensor.reshape", "concat", "softmax", "window_attention", "conv1d_dilated", "linear", "layer_norm", "scalar_op",
+        "Tensor.__add__", "Tensor.__mul__", "Tensor.sigmoid", "Tensor.gelu", "Tensor.astype",
+        "Tensor.reshape", "concat", "softmax", "window_attention", "conv1d_dilated",
+        "tcn_block", "linear", "layer_norm", "scalar_op",
     }, sorted(kinds)
     loss.backward()
 
@@ -905,8 +913,81 @@ def test_fused_op_matches_oracle_and_finite_differences(fused, oracle, shapes):
 
 def test_fused_ops_are_one_tape_node():
     x, w, b = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 2))), t(np.zeros(2))
-    for y in (linear(x, w, b), layer_norm(x, t(np.ones(3)), t(np.zeros(3)))):
+    block = tcn_block(*_tcn_leaves(6, np.float64, rng), 2, "causal")
+    for y in (linear(x, w, b), layer_norm(x, t(np.ones(3)), t(np.zeros(3))), block):
         assert all(p._prev == () for p in y._prev)
+
+
+# -- tcn_block ------------------------------------------------------------
+
+# (T, dilation): every tap inside, taps at and beyond T, one frame
+TCN_CASES = ((9, 2), (7, 7), (5, 11), (1, 1))
+
+
+def _tcn_leaves(T, dtype, r):
+    """Input [T, 4] in `dtype` and float64 parameters of a block with 5
+    hidden channels and kernel size 3, all needing gradients."""
+    shapes = ((5, 4, 3), (5,), (4, 5, 1), (4,))
+    return [Tensor(r.normal(size=(T, 4)).astype(dtype), requires_grad=True)] + [
+        Tensor(r.normal(size=s), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["acausal", "causal"])
+@pytest.mark.parametrize("T, dilation", TCN_CASES)
+def test_tcn_block_equals_its_composite_bit_for_bit(dtype, mode, T, dilation):
+    # the value and the gradients of the input and all four parameters
+    runs = []
+    for op in (tcn_block, tcn_block_composite):
+        leaves = _tcn_leaves(T, dtype, np.random.default_rng(T * dilation))
+        y = op(*leaves, dilation, mode)
+        project(y, np.linspace(-2.0, 1.0, y.size).reshape(y.shape)).backward()
+        runs.append([y.data] + [p.grad for p in leaves])
+    assert runs[0][0].dtype == runs[0][1].dtype == dtype
+    for a, b in zip(*runs):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["acausal", "causal"])
+def test_grad_tcn_block(mode):
+    for dil in (1, 2, 5):
+        leaves = _tcn_leaves(9, np.float64, rng)
+        _fd(lambda ls=leaves, d=dil: project(tcn_block(*ls, d, mode) * tcn_block(*ls, d, mode),
+                                             0.1), leaves)
+
+
+def test_tcn_block_shape_errors():
+    shapes = [(6, 4), (5, 4, 3), (5,), (4, 5, 1), (4,)]
+    # a conv kernel of other input channels, a conv bias of other width, a
+    # pointwise kernel of other output or input channels or size, and a
+    # pointwise bias of other width
+    for i, bad in ((1, (5, 3, 3)), (2, (4,)), (2, (1, 5)), (3, (5, 5, 1)), (3, (4, 4, 1)),
+                   (3, (4, 5, 3)), (4, (5,))):
+        args = [t(np.zeros(bad if j == i else s)) for j, s in enumerate(shapes)]
+        with pytest.raises(ShapeError):
+            tcn_block(*args, 1, "acausal")
+
+
+def test_tcn_block_forward_holds_two_buffers():
+    """A no-grad block at the default width (256) and T = 2048 in float32,
+    its parameters float32 as a loaded checkpoint's. The forward holds the
+    conv output and one more [T, C] array at a time, the output included;
+    zero-filled conv outputs and a fresh array for the ReLU, the pointwise
+    conv and the residual peaked at three."""
+    T, C = 2048, 256
+    r = np.random.default_rng(0)
+    x = Tensor(r.normal(size=(T, C)).astype(np.float32))
+    params = [Tensor((r.normal(size=s) * 0.05).astype(np.float32))
+              for s in ((C, C, 3), (C,), (C, C, 1), (C,))]
+    with no_grad():
+        tcn_block(x, *params, 4, "acausal")
+        tracemalloc.start()
+        try:
+            tcn_block(x, *params, 4, "acausal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * T * C * 4 + 64 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_linear_shape_errors():

@@ -21,6 +21,10 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   default-config inference forward (T = 2048), each replayed in float32
   and in float64 with a tape: the output and the gradients of the input
   and of every projection parameter, one line per workload, op and dtype;
+- one default-width TCN block at T = 2048, run through
+  `network.tcn_block_forward` with a tape at each dilation in
+  TCN_DILATIONS: its output and the gradients of its input and of its four
+  parameters, one line per mode and dtype;
 - `tempseg inspect-mask` output (stdout and exit code) at a few (T, layer);
 - `tempseg flops` output (stdout and exit code) at a few T, for the
   default config and for the train_small benchmark model's config file,
@@ -59,6 +63,8 @@ CLI_INFER_T = (64, 256)
 MASK_CASES = ((64, 2), (37, 0), (300, 9), (1, 4))
 FLOPS_T = (1, 37, 512, 2048, 65536)
 LOSS_GAMMAS = (0.0, 0.5, 2.0)
+# every tap inside the sequence; the outer taps of a quarter of it
+TCN_DILATIONS = (4, 512)
 
 
 def _digest(*parts) -> str:
@@ -229,6 +235,36 @@ def _attention_calls():
                       note=f"{len(mine)} calls")
 
 
+def _tcn():
+    """A default-config TCN block at T = INFER_T and each dilation in
+    TCN_DILATIONS, per mode and dtype: the input in that dtype, the
+    parameters float64 as `train` keeps them, and the output's gradient a
+    fixed random array."""
+    from tempseg.network import ModelConfig, tcn_block_forward
+    from tempseg.seqcore import Tensor, linear
+
+    cfg = ModelConfig()
+    d, k = cfg.d_model, cfg.kernel_size
+    shapes = ((d, d, k), (d,), (d, d, 1), (d,))
+    scales = (1 / np.sqrt(d * k), 0.1, 1 / np.sqrt(d), 0.1)
+    for mode in ("acausal", "causal"):
+        for dtype in (np.float32, np.float64):
+            parts = []
+            for dilation in TCN_DILATIONS:
+                rng = np.random.default_rng(dilation)
+                x = Tensor(rng.normal(size=(INFER_T, d)).astype(dtype), requires_grad=True)
+                ps = [Tensor(rng.normal(size=s) * c, requires_grad=True)
+                      for s, c in zip(shapes, scales)]
+                y = tcn_block_forward(x, *ps, dilation=dilation, mode=mode)
+                g = rng.normal(size=y.shape).astype(dtype)
+                # sum(y * g) as one linear, so y's gradient is exactly g
+                linear(y.reshape(1, -1), Tensor(g.reshape(-1, 1)),
+                       Tensor(np.zeros(1, dtype))).backward()
+                parts += [y.data, x.grad, *(p.grad for p in ps)]
+            _line(f"tcn.{mode}.{np.dtype(dtype).name}", *parts,
+                  note=f"dilations {', '.join(map(str, TCN_DILATIONS))}")
+
+
 def _inspect_mask():
     from tempseg import cli
 
@@ -310,6 +346,7 @@ def _worker():
     with tempfile.TemporaryDirectory() as work:
         _cli_infer(Path(work))
     _attention_calls()
+    _tcn()
     _inspect_mask()
     with tempfile.TemporaryDirectory() as work:
         _flops(Path(work))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error (bad inputs/files/arguments),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -130,7 +131,7 @@ def _cmd_refine(args):
             if not line or line.startswith("#"):
                 continue
             try:
-                bounds.append(int(line))
+                bounds.append(pipeline.parse_int(line))
             except ValueError:
                 raise ValueError(
                     f"{args.boundaries}:{ln}: not an integer frame index: {line!r}"
@@ -220,8 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built at the first.
+    `parse_args` returns a new namespace each call and leaves the parser as
+    it was, so repeated in-process calls (tests, scripts, benchmarks) pay
+    only their per-file work."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.fn(args)
     except (ValueError, KeyError) as exc:

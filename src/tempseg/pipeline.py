@@ -130,9 +130,18 @@ def load_features(path) -> np.ndarray:
 # -- label files ----------------------------------------------------------
 
 
+def parse_int(text: str) -> int:
+    """The integer written as ASCII `[+-]?[0-9]+` in `text`. ValueError for
+    anything else: `int()` alone also reads `1_0` as 10 and non-ASCII
+    decimal digits such as `３` as 3."""
+    if not (text.isascii() and (text.isdigit() or text[1:].isdigit() and text[0] in "+-")):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _label_int(text: str) -> int:
-    """int(text), which must fit in an int64."""
-    value = int(text)
+    """parse_int(text), which must fit in an int64."""
+    value = parse_int(text)
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"integer {value} does not fit in 64 bits")
     return value
@@ -152,7 +161,7 @@ def load_labels(path) -> np.ndarray:
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{ln}: expected 'start,end,class', got {line!r}")
                 try:
-                    seg = Segment(*(_label_int(p) for p in parts))
+                    seg = Segment(*(_label_int(p.strip()) for p in parts))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from None
                 if seg.label < 0:
@@ -185,9 +194,9 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_labels(labels, path):
+    text = "".join([f"{v}\n" for v in np.asarray(labels, dtype=np.int64).tolist()])
     with open(path, "w") as f:
-        for v in np.asarray(labels, dtype=np.int64):
-            f.write(f"{v}\n")
+        f.write(text)
 
 
 # -- synthetic data -------------------------------------------------------

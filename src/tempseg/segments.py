@@ -169,7 +169,7 @@ def refine_prediction(action_probs: np.ndarray, boundaries: list[int]) -> np.nda
 
 
 def save_segment_file(path, segments: SegmentList):
+    text = "".join(["# start,end,class_id (frames, inclusive)\n"]
+                   + [f"{seg.start},{seg.end},{seg.label}\n" for seg in segments])
     with open(path, "w") as f:
-        f.write("# start,end,class_id (frames, inclusive)\n")
-        for seg in segments:
-            f.write(f"{seg.start},{seg.end},{seg.label}\n")
+        f.write(text)

@@ -509,3 +509,18 @@ def checkpoint_v2_bytes(cfg, params):
         out += [struct.pack("<Q", ext) for ext in arr.shape]
         out.append(arr.astype("<f4").tobytes())
     return b"".join(out)
+
+
+def save_labels_per_line(labels, path):
+    """The label file as written one `write` call per frame."""
+    with open(path, "w") as f:
+        for v in np.asarray(labels, dtype=np.int64):
+            f.write(f"{v}\n")
+
+
+def save_segment_file_per_line(path, segments):
+    """The segment file as written one `write` call per line."""
+    with open(path, "w") as f:
+        f.write("# start,end,class_id (frames, inclusive)\n")
+        for seg in segments:
+            f.write(f"{seg.start},{seg.end},{seg.label}\n")

@@ -48,7 +48,7 @@ from tempseg.pipeline import (
 from tempseg.segments import frames_to_segments, save_segment_file
 from tempseg.seqcore import Adam, Tensor, no_grad
 
-from oracles import checkpoint_v1_bytes
+from oracles import checkpoint_v1_bytes, save_labels_per_line, save_segment_file_per_line
 
 rng = np.random.default_rng(55)
 
@@ -251,6 +251,86 @@ def test_labels_out_of_range_rejected_with_line(tmp_path, text, line):
     p.write_text(text)
     with pytest.raises(ValueError, match=f"{p}:{line}: "):
         load_labels(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3) | st.integers(0, 2**63 - 1), min_size=1, max_size=300))
+def test_label_and_segment_writers_keep_the_per_line_bytes(labels):
+    # one write per file gives the bytes of one write per line
+    segments = frames_to_segments(np.asarray(labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("a", "b", "c", "d")]
+        save_labels(labels, paths[0])
+        save_labels_per_line(labels, paths[1])
+        save_segment_file(paths[2], segments)
+        save_segment_file_per_line(paths[3], segments)
+        a, b, c, d = (open(p, "rb").read() for p in paths)
+        assert np.array_equal(load_labels(paths[0]), labels)
+    assert a == b and c == d
+
+
+@pytest.mark.parametrize("labels", [[4], [2, 2, 2]])
+def test_one_frame_and_one_segment_files_keep_the_per_line_bytes(tmp_path, labels):
+    segments = frames_to_segments(np.array(labels))
+    save_segment_file(tmp_path / "s", segments)
+    save_segment_file_per_line(tmp_path / "s_ref", segments)
+    assert (tmp_path / "s").read_bytes() == (tmp_path / "s_ref").read_bytes() == (
+        f"# start,end,class_id (frames, inclusive)\n0,{len(labels) - 1},{labels[0]}\n".encode())
+    save_labels(labels, tmp_path / "l")
+    save_labels_per_line(labels, tmp_path / "l_ref")
+    assert (tmp_path / "l").read_bytes() == (tmp_path / "l_ref").read_bytes()
+
+
+# not of the form [+-]?[0-9]+ after the strip: int() alone would read most of
+# these (underscores, Unicode decimal digits, fullwidth digits)
+_not_ascii_int = st.text(st.sampled_from("0123456789+-_ \u0661\u0662\uff13\u00b2")
+                         | st.characters(codec="utf-8", exclude_characters=",#\n\r"),
+                         min_size=1, max_size=8).filter(
+    lambda t: t.strip() and not re.fullmatch(r"[+-]?[0-9]+", t.strip()))
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662", "\uff13", "+", "-", "--1", "1.0", "0x1"])
+def test_labels_reject_integers_that_are_not_ascii_digits(tmp_path, text):
+    p = tmp_path / "l.txt"
+    p.write_text(f"0\n{text}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{p}:2: not an integer label"):
+        load_labels(p)
+    p.write_text(f"0,1,0\n2,{text},1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{p}:2: "):
+        load_labels(p)
+
+
+def test_labels_accept_signs_and_padding(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_text(" +1 \n007\n-0\n", encoding="utf-8")
+    assert np.array_equal(load_labels(p), [1, 7, 0])
+    p.write_text("+0 , 2,\t+3\n", encoding="utf-8")
+    assert np.array_equal(load_labels(p), [3, 3, 3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=_not_ascii_int, where=st.sampled_from(["frame", "start", "end", "class", "boundary"]))
+def test_cli_rejects_any_integer_text_not_ascii_digits_naming_file_and_line(bad, where):
+    lines = {"frame": ["0", "1", bad],
+             "start": ["0,1,0", f"{bad},3,1"],
+             "end": ["0,1,0", f"2,{bad},1"],
+             "class": ["0,1,0", f"2,3,{bad}"],
+             "boundary": ["# cuts", "3", bad]}[where]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = os.path.join(tmp, "x.txt"), os.path.join(tmp, "gt.labels")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        if where == "boundary":
+            probs = os.path.join(tmp, "p.feat")
+            save_features(np.full((12, 3), 1 / 3), probs)
+            argv = ["refine", "--probs", probs, "--boundaries", path]
+        else:
+            save_labels([0, 0, 1, 1], other)
+            argv = ["eval", "--pred", path, "--gt", other]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 2 and f"{path}:{len(lines)}: " in err.getvalue(), err.getvalue()
 
 
 def test_cli_eval_negative_label_exits_two(tmp_path, capsys):

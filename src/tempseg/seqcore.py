@@ -55,11 +55,13 @@ rate; its decay rates and guard are the module constants ``ADAM_*``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 import weakref
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -80,11 +82,9 @@ __all__ = [
 # finest-level query rows per tile of window_attention's kernel, rounded
 # down to whole coarsest-level blocks (at least one), then cut by whole
 # blocks while a tile's scores, over its stacked sequences and its key
-# slab, would hold more than TILE_ENTRIES entries (512 KB in float32); and
-# the bytes of tile masks the kept kernels may hold
+# slab, would hold more than TILE_ENTRIES entries (512 KB in float32)
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
-KERNEL_CACHE_BYTES = 1 << 23
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -493,9 +493,10 @@ class _TileKernel:
     forward returns each row's shift plus the log of its denominator, and
     the backward recomputes each tile's softmax weights with it, taking no
     max and dividing by no denominator, and meets them with dY, the
-    numerator's gradient times the denominator. The window masks of a
-    whole tile are built with the kernel, and `_kernel` keeps the recent
-    kernels.
+    numerator's gradient times the denominator. A level's window mask over
+    a whole tile depends only on key row minus query row, so it is a
+    read-only view of one band vector of (2G + 2w)·p - 1 entries, and
+    `_kernel` keeps every kernel it builds.
     """
 
     def __init__(self, levels: int, w: int, dtype, G: int):
@@ -503,17 +504,17 @@ class _TileKernel:
         info = np.finfo(dtype)
         # a shift for a sequence whose tile is all -inf; a floor per slab column
         self.low, self.floor = info.min, info.tiny / info.eps
-        # per level, entry (i, j) of a whole tile: query row c0*p + i against
-        # key row (c0 - w)*p + j; the coarsest mask is additive
+        # per level, entry (i, j) of a whole tile, query row c0*p + i against
+        # key row (c0 - w)*p + j, is |j - i - w*p| <= w: row i of R = G*p is
+        # band[R - 1 - i :][:C], C = (G + 2w)*p, in one read-only view shared
+        # by every call that gets this kernel; the coarsest mask is additive
         self.masks = []
-        for p in self.per:
-            rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
-            inside = np.abs(rel) <= w
-            self.masks.append(inside.astype(dtype))
-        self.masks[-1] = np.where(inside, 0.0, -np.inf).astype(dtype)
-        for m in self.masks:  # shared by every call that gets this kernel
-            m.flags.writeable = False
-        self.nbytes = sum(m.nbytes for m in self.masks)
+        for lvl, p in enumerate(self.per):
+            R, C = G * p, (G + 2 * w) * p
+            band = np.abs(np.arange(1 - R, C) - w * p) <= w
+            if lvl == levels - 1:
+                band = np.where(band, 0.0, -np.inf)
+            self.masks.append(sliding_window_view(band.astype(dtype), C)[::-1])
 
     def _tiles(self, nc: int):
         """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
@@ -613,29 +614,10 @@ class _TileKernel:
         return dqs, dks, dvc
 
 
-# kernels with their masks built, per (levels, w, dtype, G), least
-# recently used first; kept while their masks total KERNEL_CACHE_BYTES at most
-_kernels: dict = {}
-_kernels_lock = threading.Lock()
-
-
+@functools.cache
 def _kernel(levels: int, w: int, dtype, G: int) -> _TileKernel:
-    """The kept kernel for (levels, w, dtype, G), or a new one, which is
-    kept unless its masks alone outgrow KERNEL_CACHE_BYTES; the least
-    recently used kernels are dropped while the kept masks do."""
-    key = levels, w, dtype, G
-    with _kernels_lock:
-        kernel = _kernels.pop(key, None)
-        if kernel is not None:  # now the most recently used
-            _kernels[key] = kernel
-            return kernel
-        kernel = _TileKernel(*key)
-        if kernel.nbytes <= KERNEL_CACHE_BYTES:
-            _kernels[key] = kernel
-            held = sum(k.nbytes for k in _kernels.values())
-            while held > KERNEL_CACHE_BYTES:
-                held -= _kernels.pop(next(iter(_kernels))).nbytes
-    return kernel
+    """The kernel for (levels, w, dtype, G), built at its first call."""
+    return _TileKernel(levels, w, dtype, G)
 
 
 def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKernel:
@@ -715,7 +697,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             cs.append(np.maximum(c, 1))  # a block of padding only sums to 0
             qs.append(qsum * (wt / cs[-1]))
             ks.append(ksum / cs[-1])
-        return _tile_kernel(levels, w, dtype, step * hg, rows), qs, ks, vc, cs
+        # every key a tile reads lies fewer than `rows` rows from its query
+        # at its own level, so a wider window reads what one of `rows` does
+        return _tile_kernel(levels, min(w, rows), dtype, step * hg, rows), qs, ks, vc, cs
 
     y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
     for hs, w, step in groups:

@@ -186,6 +186,24 @@ def band_mask_oracle(T, width, step):
     return (d % step == 0) & (m >= -width) & (m <= width)
 
 
+def tile_mask_oracle(levels, w, dtype, G):
+    """Dense window masks of a whole tile of seqcore._TileKernel, finest
+    level first: at level l, with p = 2**(levels-1-l) rows per coarsest
+    block, entry (i, j) of [G*p, (G + 2w)*p] is query row c0*p + i against
+    key row (c0 - w)*p + j, inside the window when |j - w*p - i| <= w; 1/0
+    at the finer levels and 0/-inf at the coarsest."""
+    masks = []
+    for lvl in range(levels):
+        p = 1 << (levels - 1 - lvl)
+        rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
+        inside = np.abs(rel) <= w
+        if lvl == levels - 1:
+            masks.append(np.where(inside, 0.0, -np.inf).astype(dtype))
+        else:
+            masks.append(inside.astype(dtype))
+    return masks
+
+
 def dense_mask(mask):
     """Dense [T, T] form of an AttentionMask, from its `valid` flags and its
     window's offsets."""

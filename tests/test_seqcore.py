@@ -39,6 +39,7 @@ from oracles import (
     project,
     rel_err,
     tcn_block_composite,
+    tile_mask_oracle,
 )
 from test_float32 import F32_REL_TOL
 
@@ -442,6 +443,30 @@ def test_window_attention_weighs_levels_equally(monkeypatch, levels, step):
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("levels, T, step", [
+    (6, 100, 1), (6, 100, 2), (8, 300, 1), (8, 300, 2), (10, 600, 1), (10, 1100, 2)])
+def test_long_ladders_match_dense_oracle(levels, T, step):
+    # at the default tile size each tile is one coarsest block; every
+    # residue spans more than one block and ends in a ragged one
+    f = 1 << (levels - 1)
+    n = -(-T // step)
+    assert n > f and n % f != 0
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    got = window_attention(t(q), t(k), t(v), 2, levels, [(1, step)]).data
+    for r in range(step):
+        want = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                              [1 / levels] * levels, 1)
+        assert np.max(np.abs(got[r::step] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("T, step", [(40, 1), (70, 2)])
+def test_grad_six_level_ladder(T, step):
+    # each residue is two 32-row coarsest blocks, the second ragged
+    q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
+    g = rng.normal(size=(T, 4))
+    _fd(lambda: project(window_attention(q, k, v, 2, 6, [(1, step)]), g), [q, k, v])
+
+
 def test_hta_attention_reruns_bit_identical(monkeypatch):
     monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
     q, k, v = (t(rng.normal(size=(50, 8))) for _ in range(3))
@@ -639,48 +664,82 @@ def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_kernels_are_kept_within_a_byte_budget(monkeypatch):
-    # a kernel is kept for the next call unless its masks alone outgrow
-    # KERNEL_CACHE_BYTES, and the least recently used go while the kept
-    # masks do
-    monkeypatch.setattr(seqcore, "_kernels", {})
-    q, k, v = (t(rng.normal(size=(40, 8))) for _ in range(3))
-
-    def kept(width):
-        with no_grad():
-            window_attention(q, k, v, 2, 1, [(width, 1)])
-        return list(seqcore._kernels.values())
-    a = kept(1)[0]
-    assert kept(1) == [a]  # the same kernel again
-    b = kept(2)[1]
-    monkeypatch.setattr(seqcore, "KERNEL_CACHE_BYTES", a.nbytes + b.nbytes)
-    assert kept(1) == [b, a]  # a is now the most recently used
-    assert kept(40) == [b, a]  # masks alone too large: not kept
-    held = kept(0)  # a new kernel: b, the least recently used, goes
-    assert len(held) == 2 and held[0] is a and held[1].nbytes < b.nbytes
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+def test_tile_masks_are_read_only_band_views_of_the_dense_masks(levels, dtype):
+    # a level's mask depends only on key row minus query row, so the kernel
+    # keeps it as a view of one band vector; it must equal the dense mask
+    for w in range(4):
+        for G in range(1, 5):
+            kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), G)
+            for got, want in zip(kernel.masks, tile_mask_oracle(levels, w, dtype, G), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
 
 
-def test_threads_share_the_kernel_cache(monkeypatch):
-    # more threads than cores ask for kernels that evict each other from a
-    # cache with room for two; every output stays what one thread computes
-    monkeypatch.setattr(seqcore, "_kernels", {})
-    q, k, v = (rng.normal(size=(40, 8)) for _ in range(3))
-    widths = [0, 1, 2, 3, 5]
+def test_a_long_ladder_holds_small_masks():
+    # 10 levels at w = 8 and G = 1: dense masks would hold 512 x 8704
+    # entries at the finest level alone (about 18 MB in float32); the band
+    # vectors of every level hold under 1 MB together
+    tracemalloc.start()
+    try:
+        kernel = seqcore._TileKernel(10, 8, np.dtype(np.float32), 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kernel.masks[0].shape == (512, 17 * 512)
+    assert held < 1 << 20, held
+
+
+@pytest.mark.parametrize("levels, T, step", [(1, 40, 1), (3, 40, 1), (2, 41, 2)])
+def test_a_window_wider_than_the_sequence_costs_what_the_sequence_does(levels, T, step):
+    # no entry lies farther than the padded rows from its query, so a window
+    # of 10**6 reads what one of that many rows reads: same bits, and the
+    # call's memory does not grow with the window
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    f, n = 1 << (levels - 1), -(-T // step)
+    rows = -(-n // f) * f  # residue 0's rows, in whole coarsest blocks
 
     def attend(w):
         with no_grad():
-            return window_attention(Tensor(q), Tensor(k), Tensor(v), 2, 1, [(w, 1)]).data
-    want = {w: attend(w) for w in widths}
-    room = 2 * max(x.nbytes for x in seqcore._kernels.values())
-    monkeypatch.setattr(seqcore, "KERNEL_CACHE_BYTES", room)
-    monkeypatch.setattr(seqcore, "_kernels", {})
+            return window_attention(t(q), t(k), t(v), 2, levels, [(w, step)]).data
+    attend(10**6)  # built once; the memo keeps it
+    tracemalloc.start()
+    try:
+        got = attend(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert got.tobytes() == attend(rows).tobytes()
+    for r in range(step):
+        want = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                              [1 / levels] * levels, 10**6)
+        assert np.max(np.abs(got[r::step] - want)) < 1e-12
+    if levels == 1 and step == 1:
+        want = dense_multihead(q, k, v, 2, band_mask_oracle(T, 10**6, 1))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_threads_share_the_kernel_cache():
+    # more threads than cores run calls over mixed widths and level counts,
+    # some building kernels the others then read; every output stays what
+    # one thread computes
+    q, k, v = (rng.normal(size=(40, 8)) for _ in range(3))
+    calls = [(levels, w) for levels in (1, 2, 3) for w in (0, 1, 2, 3, 5, 11)]
+
+    def attend(levels, w):
+        with no_grad():
+            return window_attention(Tensor(q), Tensor(k), Tensor(v), 2, levels, [(w, 1)]).data
+    want = {c: attend(*c) for c in calls}
+    seqcore._kernel.cache_clear()
     errors = []
 
     def work(i):
         try:
-            for n in range(40):
-                w = widths[(i + n) % len(widths)]
-                assert np.array_equal(attend(w), want[w])
+            for n in range(2 * len(calls)):
+                c = calls[(i * 5 + n) % len(calls)]
+                assert np.array_equal(attend(*c), want[c])
         except Exception as exc:  # raised again below, in the test's thread
             errors.append(exc)
     interval = sys.getswitchinterval()
@@ -696,7 +755,6 @@ def test_threads_share_the_kernel_cache(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     if errors:
         raise errors[0]
-    assert sum(x.nbytes for x in seqcore._kernels.values()) <= room
 
 
 # -- backward releases the graph -------------------------------------------

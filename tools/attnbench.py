@@ -5,7 +5,9 @@ separate modules (seqcore imports nothing from the package), and times
 `window_attention` at the attention calls of the three perfbench
 workloads, in float32 as they run: every DSWA and HTA call of one forward
 of the train_small model at T = 512 and of the default config at T = 2048
-(infer_long) and T = 160 (infer_cli). Each workload is timed forward only
+(infer_long) and T = 160 (infer_cli), plus one fixed row, `hta10`: a
+10-level HTA call at T = 2048 (A 64, 8 heads, window 8), far beyond the
+default 4 levels. Each row is timed forward only
 (under the module's `no_grad`) and forward + backward (through a scalar
 projection). The two sides take turns pass by pass, the first side
 alternating, so host drift that swamps separate runs cancels. It prints
@@ -60,6 +62,14 @@ def calls(cfg: ModelConfig, T: int) -> list[tuple[int, list]]:
     return out
 
 
+def rows():
+    """(name, heads, A, T, calls) of every timed row: the workloads', then
+    `hta10`."""
+    for name, cfg, T in WORKLOADS:
+        yield name, cfg.heads, cfg.attn_dim, T, calls(cfg, T)
+    yield "hta10", 8, 64, 2048, [(10, [(8, 1)])]
+
+
 def one_pass(sc, heads, ops, arrays, backward: bool) -> float:
     """Seconds for every call in `ops` on module `sc`, forward only or
     forward + backward."""
@@ -87,19 +97,17 @@ def main(argv=None) -> int:
     sides = (load_seqcore(ROOT, "seqcore_this"), load_seqcore(args.repo.resolve(), "seqcore_other"))
     rng = np.random.default_rng(SEED)
     print(f"{'workload':<12} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
-    for name, cfg, T in WORKLOADS:
-        ops = calls(cfg, T)
-        A = cfg.attn_dim
+    for name, heads, A, T, ops in rows():
         arrays = [[rng.normal(size=shape).astype(np.float32)
                    for shape in ((T, A),) * 3 + ((T * A, 1),)] for _ in ops]
         for backward in (False, True):
             for sc in sides:  # untimed: each side builds what it caches
-                one_pass(sc, cfg.heads, ops, arrays, backward)
+                one_pass(sc, heads, ops, arrays, backward)
             times = [[], []]
             for rep in range(args.reps):
                 order = (0, 1) if rep % 2 == 0 else (1, 0)
                 for i in order:
-                    times[i].append(one_pass(sides[i], cfg.heads, ops, arrays, backward))
+                    times[i].append(one_pass(sides[i], heads, ops, arrays, backward))
             this, other = (float(np.median(t)) for t in times)
             kind = "fwd+bwd" if backward else "fwd"
             print(f"{name:<12} {kind:<9} {this:9.4f} {other:9.4f} {other / this:10.3f}",

@@ -1,17 +1,20 @@
-"""Exact reads for the binary feature (MSBF) and checkpoint (MSBC) files.
+"""Exact reads for the binary feature (MSBF) and checkpoint (MSBC) files,
+and whole-file writes by rename for every file the package writes.
 
 A file that ends early is a malformed input, not an internal fault: every
 short read raises FormatError naming the file and the byte offset. A
-`Reader` walks a file's mapping, which `map_file` makes.
+`Reader` walks a file's mapping, which `map_file` makes. `replacing`
+writes a file beside its target and renames it onto the target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import struct
 
-__all__ = ["FormatError", "Reader", "map_file"]
+__all__ = ["FormatError", "Reader", "map_file", "replacing"]
 
 
 class FormatError(ValueError):
@@ -24,6 +27,24 @@ def map_file(f):
     if os.fstat(f.fileno()).st_size == 0:
         return b""
     return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb"):
+    """An open file (mode "w" or "wb") beside `path`, renamed onto `path`
+    when the block exits cleanly. So a failed write leaves the old file as
+    it was, and a process that still maps the old file (see `map_file`)
+    keeps reading the old inode; on any error the new file is removed and
+    the error raised again."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class Reader:

@@ -5,16 +5,14 @@ input frame."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import attention as attn
-from .binio import FormatError, Reader, map_file
+from .binio import FormatError, Reader, map_file, replacing
 from .seqcore import (
     ShapeError,
     Tensor,
@@ -241,7 +239,9 @@ def tcn_block_forward(
 
 
 def _linear_init(rng, n_in, n_out):
-    return rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)
+    data = rng.standard_normal((n_in, n_out))
+    data /= math.sqrt(n_in)  # in place: no second copy of the kernel
+    return data
 
 
 def _param_specs(cfg: ModelConfig):
@@ -299,7 +299,8 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
         elif name.endswith((".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
             data = np.zeros(shape)
         elif len(shape) == 3:  # conv kernels: fan_in = C_in * k
-            data = rng.standard_normal(shape) / math.sqrt(shape[1] * shape[2])
+            data = rng.standard_normal(shape)
+            data /= math.sqrt(shape[1] * shape[2])
         else:
             data = _linear_init(rng, shape[0], shape[1])
         params[name] = Tensor(data, requires_grad=True)
@@ -470,33 +471,27 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict):
     is stored tap-major, with its axes reversed to [k, C_in, C_out]: the
     header lists that stored shape, and `load_checkpoint` reverses it back.
 
-    The file is written beside `path` and renamed onto it, so a failed write
-    leaves the old checkpoint as it was, and a process that still maps the
-    old file (see `load_checkpoint`) keeps reading the old inode."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            cfg_blob = _config_blob(cfg)
-            f.write(struct.pack("<I", len(cfg_blob)))
-            f.write(cfg_blob)
-            f.write(struct.pack("<I", len(params)))
-            for name in sorted(params):
-                data = params[name].data
-                if data.ndim == 3:
-                    data = data.T  # tap-major: each tap is one [C_in, C_out] block
-                nb = name.encode()
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
-                with np.errstate(over="ignore"):
-                    f.write(np.ascontiguousarray(data, "<f4"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    The file is written beside `path` and renamed onto it (`replacing`), so
+    a failed write leaves the old checkpoint as it was, and a process that
+    still maps the old file (see `load_checkpoint`) keeps reading the old
+    inode."""
+    with replacing(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        cfg_blob = _config_blob(cfg)
+        f.write(struct.pack("<I", len(cfg_blob)))
+        f.write(cfg_blob)
+        f.write(struct.pack("<I", len(params)))
+        for name in sorted(params):
+            data = params[name].data
+            if data.ndim == 3:
+                data = data.T  # tap-major: each tap is one [C_in, C_out] block
+            nb = name.encode()
+            f.write(struct.pack("<I", len(nb)))
+            f.write(nb)
+            f.write(struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
+            with np.errstate(over="ignore"):
+                f.write(np.ascontiguousarray(data, "<f4"))
 
 
 def load_checkpoint(path):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import FormatError, Reader, map_file
+from .binio import FormatError, Reader, map_file, replacing
 from .losses import combined_temporal_loss
 from .network import (
     ModelConfig,
@@ -194,8 +194,9 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_labels(labels, path):
+    """One label per line, written beside `path` and renamed onto it."""
     text = "".join([f"{v}\n" for v in np.asarray(labels, dtype=np.int64).tolist()])
-    with open(path, "w") as f:
+    with replacing(path, "w") as f:
         f.write(text)
 
 

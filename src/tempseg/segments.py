@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import replacing
+
 __all__ = [
     "Segment",
     "SegmentList",
@@ -169,7 +171,9 @@ def refine_prediction(action_probs: np.ndarray, boundaries: list[int]) -> np.nda
 
 
 def save_segment_file(path, segments: SegmentList):
+    """A header line, then start,end,label per segment, written beside
+    `path` and renamed onto it."""
     text = "".join(["# start,end,class_id (frames, inclusive)\n"]
                    + [f"{seg.start},{seg.end},{seg.label}\n" for seg in segments])
-    with open(path, "w") as f:
+    with replacing(path, "w") as f:
         f.write(text)

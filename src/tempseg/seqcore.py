@@ -483,11 +483,15 @@ class _TileKernel:
     coarsest blocks, which `_tile_kernel` sizes from TILE_ROWS and the
     TILE_ENTRIES budget, and each tile meets one key slab, blocks c0 - w ..
     c1 - 1 + w clipped to the sequences. A tile's scores are built
-    coarsest level first: per level one batched matmul, times that level's
-    window mask, plus the coarser level's sum repeated twice over the rows
-    and the columns. Each tile's softmax is shifted by its per-sequence
-    max, so one flat max, one exp and one matmul against [V | count] give
-    the numerator and denominator together. A tile where some row's
+    coarsest level first: one batched matmul over the whole slab plus the
+    coarsest window's additive mask; then per finer level the coarser sums
+    spread over 2 x 2 blocks, with no np.repeat, and the level's batched
+    matmul times its window mask added only on the slab columns its window
+    reaches (`_band`), in the backward too. Each tile's softmax is shifted
+    by its per-sequence max, so one flat max, one exp and one matmul with
+    [V | count] give the numerator and denominator together; that matmul
+    runs as ([V | count]^T @ e^T)^T, which BLAS runs faster with hd + 1
+    columns, from one transposed copy per call. A tile where some row's
     denominator falls below (slab columns) * tiny / eps has lost that row
     to underflow; it is redone with each row shifted by its own max. The
     forward returns each row's shift plus the log of its denominator, and
@@ -533,18 +537,35 @@ class _TileKernel:
         live = vc[:, :, -1:] > 0
         return np.where(live, 0.0, -np.inf).astype(vc.dtype), int(live.all(axis=0).sum())
 
+    def _band(self, lvl, c0, c1, b0, b1):
+        """The slab columns [j0, j1) at level lvl that the windows of query
+        blocks [c0, c1) reach: key rows c0*p - w .. c1*p - 1 + w."""
+        p, w = self.per[lvl], self.w
+        return max((c0 - b0) * p - w, 0), min((c1 - b0) * p + w, (b1 - b0) * p)
+
+    @staticmethod
+    def _spread(z):
+        """z [B, R, C] repeated over 2 x 2 blocks, [B, 2R, 2C]: two strided
+        column writes, each broadcast over both rows of a pair."""
+        B, R, C = z.shape
+        s, z = np.empty((B, R, 2, 2 * C), z.dtype), z[:, :, None]
+        s[:, :, :, 0::2] = z
+        s[:, :, :, 1::2] = z
+        return s.reshape(B, 2 * R, 2 * C)
+
     def _scores(self, qs, ks, pad, c0, c1, b0, b1):
         """The scores [B, rows, cols] of one tile at the finest level."""
-        per, z = self.per, None
-        for lvl in reversed(range(len(per))):
-            p = per[lvl]
-            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
-            if z is None:
-                s += self._mask(lvl, c0, c1, b0, b1)
-            else:
-                s *= self._mask(lvl, c0, c1, b0, b1)
-                s += np.repeat(np.repeat(z, 2, axis=2), 2, axis=1)
-            z = s
+        per = self.per
+        z = qs[-1][:, c0:c1] @ ks[-1][:, b0:b1].transpose(0, 2, 1)
+        z += self._mask(len(per) - 1, c0, c1, b0, b1)
+        for lvl in reversed(range(len(per) - 1)):
+            # a finer level adds its masked scores only where its window reaches
+            p, (j0, j1) = per[lvl], self._band(lvl, c0, c1, b0, b1)
+            keys = ks[lvl][:, b0 * p + j0 : b0 * p + j1]
+            s = qs[lvl][:, c0 * p : c1 * p] @ keys.transpose(0, 2, 1)
+            s *= self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
+            z = self._spread(z)
+            z[:, :, j0:j1] += s
         # padded keys and query rows, all past row n in every sequence, join
         # the entries outside the window at -inf, which exp maps to 0
         neg, n = pad
@@ -565,14 +586,17 @@ class _TileKernel:
         y = np.empty(vc.shape[:2] + (hd,), vc.dtype)
         lse = np.empty(vc.shape[:2] + (1,), vc.dtype)
         pad = neg, n = self._padding(vc)
+        vct = np.ascontiguousarray(vc.transpose(0, 2, 1))
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
             rows, q0 = slice(c0 * f, c1 * f), max(n, c0 * f)
             # the per-sequence max first, each row's own max if a row underflows
             for axes in ((1, 2), 2):
                 z = self._scores(qs, ks, pad, c0, c1, b0, b1)
                 m = z.max(axis=axes, keepdims=True, initial=self.low)
-                nd = np.exp(np.subtract(z, m, out=z), out=z) @ vc[:, b0 * f : b1 * f]
-                del z  # freed before the next scores are built
+                e = np.exp(np.subtract(z, m, out=z), out=z).transpose(0, 2, 1)
+                # [num | den] as ([V | count]^T @ e^T)^T, BLAS's faster layout
+                nd = (vct[:, :, b0 * f : b1 * f] @ e).transpose(0, 2, 1)
+                del z, e  # freed before the next scores are built
                 d = nd[:, :, hd:]
                 # a padded row's denominator 0 becomes 1, so its output is 0
                 if q0 < c1 * f:
@@ -600,17 +624,24 @@ class _TileKernel:
             ds = dyt @ vt.transpose(0, 2, 1)
             ds *= e
             # ds is the gradient of the accumulated score at each level,
-            # finest first; the coarsest entries outside the window have e = 0
+            # finest first, and a level's scores are its band's columns (the
+            # whole slab at the coarsest level, whose entries outside the
+            # window have e = 0)
             for lvl in range(L):
-                p = self.per[lvl]
-                dz = ds if lvl == L - 1 else ds * self._mask(lvl, c0, c1, b0, b1)
-                rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
+                if lvl:
+                    # sums of 2 x 2 blocks, the transpose of _spread: each
+                    # pair of rows as the two halves of one row, then columns
+                    B, R, C = ds.shape
+                    ds = ds.reshape(B, R // 2, 2 * C)
+                    ds = ds[:, :, :C] + ds[:, :, C:]
+                    ds = ds[:, :, 0::2] + ds[:, :, 1::2]
+                p, (j0, j1) = self.per[lvl], self._band(lvl, c0, c1, b0, b1)
+                rows, cols = slice(c0 * p, c1 * p), slice(b0 * p + j0, b0 * p + j1)
+                dz = ds[:, :, j0:j1]
+                if lvl + 1 < L:
+                    dz = dz * self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
                 dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
                 dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
-                if lvl + 1 < L:
-                    # sums of 2 x 2 blocks: the transpose of the repeat in _scores
-                    ds = ds[:, 0::2] + ds[:, 1::2]
-                    ds = ds[:, :, 0::2] + ds[:, :, 1::2]
         return dqs, dks, dvc
 
 

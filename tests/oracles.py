@@ -204,6 +204,83 @@ def tile_mask_oracle(levels, w, dtype, G):
     return masks
 
 
+def tile_ranges_oracle(nc, w, G):
+    """(c0, c1, b0, b1) of every tile over nc coarsest blocks: query blocks
+    [c0, c1), G at a time, against key blocks [c0 - w, c1 + w) clipped."""
+    return [(c0, min(c0 + G, nc), max(c0 - w, 0), min(min(c0 + G, nc) + w, nc))
+            for c0 in range(0, nc, G)]
+
+
+def tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1):
+    """Finest-level scores [B, rows, cols] of one tile of
+    seqcore._TileKernel, full width: every level's product over the whole
+    key slab times its dense window mask (plus it, at the coarsest level),
+    plus the coarser level's sum spread over 2 x 2 blocks by np.repeat;
+    -inf at every padded key and query row (count 0 in vc)."""
+    masks = tile_mask_oracle(levels, w, qs[0].dtype, G)
+    z = None
+    for lvl in reversed(range(levels)):
+        p = 1 << (levels - 1 - lvl)
+        s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
+        mask = masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
+        if z is None:
+            s += mask
+        else:
+            s *= mask
+            s += np.repeat(np.repeat(z, 2, axis=2), 2, axis=1)
+        z = s
+    f = 1 << (levels - 1)
+    live = vc[:, :, -1] > 0
+    keep = live[:, c0 * f : c1 * f, None] & live[:, None, b0 * f : b1 * f]
+    return np.where(keep, z, -np.inf)
+
+
+def tile_forward_oracle(levels, w, G, qs, ks, vc):
+    """The outputs [B, rows, hd] and log softmax denominators [B, rows, 1]
+    of seqcore._TileKernel.forward from full-width tile scores, each row
+    shifted by its own max; a padded row has output 0 and lse -inf."""
+    f, hd = 1 << (levels - 1), vc.shape[2] - 1
+    y = np.zeros(vc.shape[:2] + (hd,), vc.dtype)
+    lse = np.full(vc.shape[:2] + (1,), -np.inf, vc.dtype)
+    for c0, c1, b0, b1 in tile_ranges_oracle(qs[-1].shape[1], w, G):
+        z = tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1)
+        m = z.max(axis=2, keepdims=True)
+        live = np.isfinite(m)
+        nd = np.exp(z - np.where(live, m, 0)) @ vc[:, b0 * f : b1 * f]
+        den = np.where(live, nd[:, :, hd:], 1)
+        y[:, c0 * f : c1 * f] = nd[:, :, :hd] / den
+        lse[:, c0 * f : c1 * f] = m + np.log(den)
+    return y, lse
+
+
+def tile_backward_oracle(levels, w, G, qs, ks, vc, lse, dy):
+    """The gradients (dqs, dks, dvc) of seqcore._TileKernel.backward from
+    full-width tile scores: each level's masked gradient over the whole
+    slab, and sums of 2 x 2 blocks, the transpose of np.repeat's spread."""
+    f = 1 << (levels - 1)
+    masks = tile_mask_oracle(levels, w, qs[0].dtype, G)
+    dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
+    dvc = np.zeros_like(vc)
+    for c0, c1, b0, b1 in tile_ranges_oracle(qs[-1].shape[1], w, G):
+        z = tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1)
+        e = np.exp(z - lse[:, c0 * f : c1 * f])
+        dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
+        dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
+        ds = (dyt @ vt.transpose(0, 2, 1)) * e
+        for lvl in range(levels):
+            p = 1 << (levels - 1 - lvl)
+            dz = ds
+            if lvl < levels - 1:
+                dz = ds * masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
+            rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
+            dqs[lvl][:, rows] += dz @ ks[lvl][:, cols]
+            dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
+            if lvl < levels - 1:
+                ds = ds[:, 0::2] + ds[:, 1::2]
+                ds = ds[:, :, 0::2] + ds[:, :, 1::2]
+    return dqs, dks, dvc
+
+
 def dense_mask(mask):
     """Dense [T, T] form of an AttentionMask, from its `valid` flags and its
     window's offsets."""

@@ -19,6 +19,7 @@ from tempseg.network import (
     ModelConfig,
     SegmentationModel,
     _hta_pair_count,
+    _param_specs,
     count_params_flops,
     init_params,
     load_checkpoint,
@@ -205,6 +206,23 @@ def test_deterministic_init_by_seed():
     assert sorted(pa) == sorted(pb)
     for k in pa:
         assert np.array_equal(pa[k].data, pb[k].data)
+
+
+def test_init_params_keeps_the_bits_of_a_divided_draw():
+    # each kernel is divided in place; its bits are those of a drawn array
+    # divided into a second one
+    cfg = tiny_cfg(seed=9)
+    got, rng = init_params(cfg, np.random.default_rng(9)), np.random.default_rng(9)
+    for name, shape in _param_specs(cfg):
+        data = got[name].data
+        if name.endswith(".g"):
+            assert np.array_equal(data, np.ones(shape)), name
+        elif data.ndim == 1:
+            assert np.array_equal(data, np.zeros(shape)), name
+        else:
+            fan_in = shape[1] * shape[2] if len(shape) == 3 else shape[0]
+            want = rng.standard_normal(shape) / math.sqrt(fan_in)
+            assert data.dtype == want.dtype and data.tobytes() == want.tobytes(), name
 
 
 # -- parameter budget and checkpoints -------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tempseg import cli, pipeline
+from tempseg import binio, cli, pipeline
 from tempseg.binio import FormatError
 from tempseg.network import (
     RETIRED_KEYS,
@@ -266,7 +266,51 @@ def test_label_and_segment_writers_keep_the_per_line_bytes(labels):
         save_segment_file_per_line(paths[3], segments)
         a, b, c, d = (open(p, "rb").read() for p in paths)
         assert np.array_equal(load_labels(paths[0]), labels)
+        assert sorted(os.listdir(tmp)) == ["a", "b", "c", "d"]  # no temporary left
     assert a == b and c == d
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_a_failed_label_or_segment_write_leaves_the_old_file(tmp_path, monkeypatch, fail):
+    # each writer writes a file beside its target and renames it onto the
+    # target, so a write that raises leaves the previous file whole
+    labels, path = [0, 0, 1], tmp_path / "x"
+    writers = [lambda: save_labels(labels, path),
+               lambda: save_segment_file(path, frames_to_segments(np.array(labels)))]
+    for write in writers:
+        write()
+        before = path.read_bytes()
+        with monkeypatch.context() as m:
+            if fail == "rename":
+                m.setattr(os, "replace", _full_disk)
+            else:
+                m.setattr(binio, "open", _HalfWritten, raising=False)
+            with pytest.raises(OSError, match="no space"):
+                write()
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["x"]
+
+
+def _full_disk(*args):
+    raise OSError(errno.ENOSPC, "no space left on device")
+
+
+class _HalfWritten:
+    """An open file whose write stores half its data, then fails as on a
+    full disk."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        _full_disk()
 
 
 @pytest.mark.parametrize("labels", [[4], [2, 2, 2]])

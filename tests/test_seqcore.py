@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg import seqcore
 from tempseg.attention import WindowSpec, build_sparse_mask
@@ -39,7 +41,11 @@ from oracles import (
     project,
     rel_err,
     tcn_block_composite,
+    tile_backward_oracle,
+    tile_forward_oracle,
     tile_mask_oracle,
+    tile_ranges_oracle,
+    tile_scores_oracle,
 )
 from test_float32 import F32_REL_TOL
 
@@ -689,6 +695,90 @@ def test_a_long_ladder_holds_small_masks():
         tracemalloc.stop()
     assert kernel.masks[0].shape == (512, 17 * 512)
     assert held < 1 << 20, held
+
+
+def _tile_operands(levels, G, seed):
+    """Random per-level qs and ks and [V | count] for B = 2 stacked
+    sequences of 2G + 1 coarsest blocks, so the tiles are a first, an
+    interior and a last one, ragged when G > 1 (a 10-level ladder runs one
+    sequence: its finest tile holds G * 512 rows). The queries carry
+    window_attention's weight 1 / (levels * sqrt(hd)), and the last
+    sequence's last f / 2 + 1 rows are padding."""
+    r = np.random.default_rng(seed)
+    B, f, hd, nc = (2 if levels < 10 else 1), 1 << (levels - 1), 3, 2 * G + 1
+    qs, ks = ([r.normal(size=(B, nc * (f >> lvl), hd)) for lvl in range(levels)]
+              for _ in range(2))
+    qs = [x / (levels * np.sqrt(hd)) for x in qs]
+    vc = r.normal(size=(B, nc * f, hd + 1))
+    vc[:, :, hd] = 1.0
+    vc[-1, nc * f - (f // 2 + 1) :] = 0.0
+    return qs, ks, vc
+
+
+def _close(got, want, dtype):
+    """Equal -inf entries and finite entries to 1e-12 in float64, or within
+    F32_REL_TOL of the largest float64 value in float32."""
+    assert got.dtype == dtype and np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    err = np.max(np.abs(got[fin] - want[fin]), initial=0.0)
+    assert err <= (1e-12 if dtype == np.float64 else
+                   F32_REL_TOL * max(np.max(np.abs(want[fin]), initial=0.0), 1.0)), err
+
+
+# 1 to 6 levels and the 10-level ladder; the package builds
+# G = TILE_ROWS // 2**(levels - 1) = 1 from 6 levels up, and a G of 3 or 4
+# at 10 levels would score 5-9 M entries per tile
+TILE_CASES = [(levels, G) for levels in (1, 2, 3, 4, 5, 6, 10)
+              for G in ((1, 2) if levels == 10 else (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("levels, G", TILE_CASES)
+def test_band_restricted_tiles_match_full_width_tiles(levels, G, dtype):
+    # the finer levels score only the columns their windows reach and the
+    # coarser sums are spread without np.repeat: scores, outputs, log
+    # denominators and every gradient equal the full-width tile's
+    for w in (0, 1, 2, 3, 8):
+        qs, ks, vc = _tile_operands(levels, G, seed=levels * 100 + w * 10 + G)
+        args = [[x.astype(dtype) for x in xs] for xs in (qs, ks)] + [vc.astype(dtype)]
+        # the float64 oracle on the operands as the kernel gets them
+        exact = [[x.astype(np.float64) for x in xs] for xs in args[:2]] + [
+            args[2].astype(np.float64)]
+        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), G)
+        pad = kernel._padding(args[2])
+        nc = qs[-1].shape[1]
+        ranges = tile_ranges_oracle(nc, w, G)
+        assert ranges == list(kernel._tiles(nc))
+        for c0, c1, b0, b1 in ranges:
+            _close(kernel._scores(*args[:2], pad, c0, c1, b0, b1),
+                   tile_scores_oracle(levels, w, G, *exact, c0, c1, b0, b1), dtype)
+        y, lse = kernel.forward(*args)
+        want_y, want_lse = tile_forward_oracle(levels, w, G, *exact)
+        live = args[2][:, :, -1:] > 0
+        _close(y, want_y, dtype)
+        _close(np.where(live, lse, 0), np.where(live, want_lse, 0), dtype)
+        dy = np.random.default_rng(w).normal(size=vc.shape).astype(dtype)
+        got = kernel.backward(*args, lse, dy)
+        want = tile_backward_oracle(levels, w, G, *exact, lse.astype(np.float64),
+                                    dy.astype(np.float64))
+        for a, b in zip([*got[0], *got[1], got[2]], [*want[0], *want[1], want[2]],
+                        strict=True):
+            _close(a, b, dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.integers(2, 10), w=st.integers(0, 20), G=st.integers(1, 8),
+       nc=st.integers(1, 40), tile=st.integers(0, 39))
+def test_finer_masks_keep_nothing_outside_their_band(levels, w, G, nc, tile):
+    # every entry a finer level's window keeps lies in the slab columns
+    # [j0, j1) that the kernel scores at that level
+    kernel = seqcore._kernel(levels, w, np.dtype(np.float32), G)
+    c0, c1, b0, b1 = list(kernel._tiles(nc))[tile % -(-nc // G)]
+    for lvl in range(levels - 1):
+        j0, j1 = kernel._band(lvl, c0, c1, b0, b1)
+        cols = np.flatnonzero(kernel._mask(lvl, c0, c1, b0, b1).any(axis=0))
+        assert 0 <= j0 <= j1 <= (b1 - b0) * kernel.per[lvl]
+        assert cols.size == 0 or (j0 <= cols[0] and cols[-1] < j1)
 
 
 @pytest.mark.parametrize("levels, T, step", [(1, 40, 1), (3, 40, 1), (2, 41, 2)])

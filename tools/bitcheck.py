@@ -21,6 +21,10 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   default-config inference forward (T = 2048), each replayed in float32
   and in float64 with a tape: the output and the gradients of the input
   and of every projection parameter, one line per workload, op and dtype;
+- one 10-level HTA `window_attention` call at T = 2048 (A 64, 8 heads,
+  window 8, fixed random q, k and v), forward and backward with a tape,
+  in float32 and in float64: the output and the q, k and v gradients, one
+  line per dtype; the default config runs at most 4 levels;
 - one default-width TCN block at T = 2048, run through
   `network.tcn_block_forward` with a tape at each dilation in
   TCN_DILATIONS: its output and the gradients of its input and of its four
@@ -235,6 +239,24 @@ def _attention_calls():
                       note=f"{len(mine)} calls")
 
 
+def _hta_ladder():
+    """A 10-level HTA call at T = INFER_T, per dtype: the output and the
+    gradients of q, k and v, for fixed random inputs and output gradient."""
+    from tempseg.seqcore import Tensor, linear, window_attention
+
+    levels, heads, A, window = 10, 8, 64, 8
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(levels)
+        qkv = [Tensor(rng.normal(size=(INFER_T, A)).astype(dtype), requires_grad=True)
+               for _ in range(3)]
+        y = window_attention(*qkv, heads, levels, [(window, 1)])
+        g = rng.normal(size=y.shape).astype(dtype)
+        # sum(y * g) as one linear, so y's gradient is exactly g
+        linear(y.reshape(1, -1), Tensor(g.reshape(-1, 1)), Tensor(np.zeros(1, dtype))).backward()
+        _line(f"attention.hta{levels}.T{INFER_T}.{np.dtype(dtype).name}", y.data,
+              *(x.grad for x in qkv), note=f"A {A}, {heads} heads, window {window}")
+
+
 def _tcn():
     """A default-config TCN block at T = INFER_T and each dilation in
     TCN_DILATIONS, per mode and dtype: the input in that dtype, the
@@ -346,6 +368,7 @@ def _worker():
     with tempfile.TemporaryDirectory() as work:
         _cli_infer(Path(work))
     _attention_calls()
+    _hta_ladder()
     _tcn()
     _inspect_mask()
     with tempfile.TemporaryDirectory() as work:

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import attention, pipeline
+from .binio import replacing
 from .metrics import DEFAULT_THRESHOLDS, evaluate_all
 from .network import ModelConfig, SegmentationModel, count_params_flops, load_checkpoint
 from .segments import frames_to_segments, refine_prediction, save_segment_file
@@ -118,7 +119,7 @@ def _cmd_eval(args):
     for line in report.lines(x100=args.x100):
         print(line)
     if args.report:
-        with open(args.report, "w") as f:
+        with replacing(args.report, "w") as f:
             f.write("\n".join(report.lines(x100=args.x100)) + "\n")
 
 

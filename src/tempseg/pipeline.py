@@ -352,7 +352,15 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     features and frame labels: the loss derives the segments from the labels.
 
     Each log line (one per epoch, then the reason for stopping early, if
-    any) goes to the result's log and, when given, to log_fn. Every forward
+    any) goes to the result's log and, when given, to log_fn. An epoch's
+    line holds its mean loss and loss parts and `fit_acc`, the final
+    stage's frame accuracy over the epoch's training forwards (dropout on,
+    parameters changing between sequences), read from logits those
+    forwards already made. `train_acc`, the accuracy of `infer`'s raw
+    labels over the whole dataset after the epoch, costs one more forward
+    per sequence, so it is computed, and logged, only where something reads
+    it: after every epoch when target_accuracy is set, else after the last
+    epoch only, for final_train_accuracy. Every forward
     and backward runs on the features cast to float32; the parameters,
     their gradients and the Adam state stay float64. A non-finite loss, or a
     non-finite parameter gradient before the optimizer step, raises
@@ -378,9 +386,12 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     for epoch in range(1, run.max_epochs + 1):
         running = 0.0
         comp = {"focal": 0.0, "dice": 0.0, "sim": 0.0, "boundary": 0.0}
+        hits = frames = 0
         for si, (feats, labels, *_) in enumerate(dataset):
             feats = np.asarray(feats, np.float32)
-            _, loss, parts = _sequence_loss(model, feats, labels, training=True)
+            out, loss, parts = _sequence_loss(model, feats, labels, training=True)
+            hits += int((out.stages[-1].action_logits.data.argmax(axis=1) == labels).sum())
+            frames += labels.size
             value = loss.item()
             if not math.isfinite(value):
                 bad = max(parts, key=lambda k: 0.0 if math.isfinite(parts[k]) else 1.0)
@@ -401,14 +412,6 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         n = len(dataset)
         epoch_loss = running / n
         epoch_losses.append(epoch_loss)
-        acc = _train_accuracy(model, dataset)
-        emit(
-            f"epoch {epoch} loss {epoch_loss:.6f}"
-            f" focal {comp['focal'] / n:.6f} dice {comp['dice'] / n:.6f}"
-            f" sim {comp['sim'] / n:.6f} boundary {comp['boundary'] / n:.6f}"
-            f" train_acc {acc:.4f}"
-        )
-
         improved = epoch_loss < best_loss
         if improved:
             best_loss = epoch_loss
@@ -417,6 +420,16 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
         else:
             bad_epochs += 1
         stop = not improved and bad_epochs > run.patience
+        line = (
+            f"epoch {epoch} loss {epoch_loss:.6f}"
+            f" focal {comp['focal'] / n:.6f} dice {comp['dice'] / n:.6f}"
+            f" sim {comp['sim'] / n:.6f} boundary {comp['boundary'] / n:.6f}"
+            f" fit_acc {hits / frames:.4f}"
+        )
+        if run.target_accuracy or stop or epoch == run.max_epochs:
+            acc = _train_accuracy(model, dataset)
+            line += f" train_acc {acc:.4f}"
+        emit(line)
         reached = not stop and bool(run.target_accuracy) and acc >= run.target_accuracy
         if ckpt_path is not None and (improved or reached):
             save_checkpoint(ckpt_path, run.model, model.params)

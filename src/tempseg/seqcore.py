@@ -6,10 +6,11 @@ differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only the arrays its formula reads: the operands of ``*``, the
-inputs of ``linear``, ``conv1d_dilated`` and ``window_attention``, the
-input and the ReLU output of ``tcn_block``, its own output where the
-formula is written in it, ``window_attention``'s log softmax
-denominators, the gradient ``scalar_op`` is given, and masks and shapes.
+inputs of ``linear`` and ``conv1d_dilated``, the input and the ReLU
+output of ``tcn_block``, its own output where the formula is written in
+it, ``window_attention``'s stacked and pooled operands, as its forward
+made them, and its log softmax denominators, the gradient ``scalar_op``
+is given, and masks and shapes.
 So the tape holds nodes, closures and gradients, and an interior value
 that no backward reads is freed as soon as the caller drops its Tensor.
 ``Tensor.backward()`` replays the tape in reverse topological order and
@@ -349,16 +350,21 @@ def _grad_node(t: Tensor):
     return t if t._node is None else t._node
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op on `parents` records a backward: outside no_grad(),
+    when a parent needs a gradient. An op that must decide what to keep
+    before its result exists asks this, as `_make` does."""
+    return not getattr(_grad_mode, "off", False) and any(t.requires_grad for t in parents)
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     """`data` as the result of an op on `parents`; it gets a graph node when
-    a parent needs a gradient, and the op then sets the node's closure."""
+    the op records a backward, and the op then sets the node's closure."""
     out = Tensor(data)
-    if getattr(_grad_mode, "off", False):
-        return out
-    prev = tuple(n for n in map(_grad_node, parents) if n is not None)
-    if prev:
+    if _records(parents):
         out.requires_grad = True
-        out._node = _Node(prev, out.data)
+        out._node = _Node(tuple(n for n in map(_grad_node, parents) if n is not None),
+                          out.data)
     return out
 
 
@@ -688,11 +694,16 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     2, so a residue's ragged tail gets its own frame count. Each level's
     pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) * count),
     and its keys are pooled means. The tile rows shrink from TILE_ROWS to
-    keep a tile within TILE_ENTRIES scores. The backward keeps only q, k,
-    v, the output and, per frame and head, the log softmax denominator:
-    the shift its tile's scores took plus the log of their exps' sum. It
-    forms dY = [g, -(g . y)] once, frame-major, and stacks it per group
-    like [V | count].
+    keep a tile within TILE_ENTRIES scores. When a gradient is needed, the
+    backward keeps, per group, the operands its forward stacked (each
+    level's pooled queries and keys, [V | count] and the counts), not q, k
+    and v themselves; it also keeps the output and, per frame and head,
+    the log softmax denominator: the shift its tile's scores took plus the
+    log of their exps' sum. HTA's pooled levels add about 1.9 T·A to what
+    a layer's tape holds. The backward forms dY = [g, -(g . y)] once,
+    frame-major, stacks it and the denominators per group like [V | count],
+    and drops each group's operands once its gradients are made. Under
+    no_grad() a group's operands are freed once its output is written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -733,10 +744,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
         return _tile_kernel(levels, min(w, rows), dtype, step * hg, rows), qs, ks, vc, cs
 
     y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
+    # per group, the operands its backward reads, only when one will run
+    kept = [] if _records((q, k, v)) else None
     for hs, w, step in groups:
-        kernel, qs, ks, vc, _ = operands(hs, w, step)
+        kernel, qs, ks, vc, cs = operands(hs, w, step)
         for a, b in zip(kernel.forward(qs, ks, vc), (y, lse)):
             _unstack(a, b[:, hs])
+        if kept is not None:
+            kept.append((hs, step, kernel, qs, ks, vc, cs))
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -748,8 +763,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             # the kernel's weights exp(score - lse) already hold the 1 / den
             dy = np.concatenate([g, -(g * y).sum(axis=2, keepdims=True)], axis=2)
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
-            for hs, w, step in groups:
-                kernel, qs, ks, vc, cs = operands(hs, w, step)
+            while kept:
+                # each group's operands are dropped once its gradients are made
+                hs, step, kernel, qs, ks, vc, cs = kept.pop()
                 rows = vc.shape[1]
                 dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(lse[:, hs], step, rows),
                                                 _stack(dy[:, hs], step, rows))

@@ -291,6 +291,25 @@ def test_a_failed_label_or_segment_write_leaves_the_old_file(tmp_path, monkeypat
         assert sorted(os.listdir(tmp_path)) == ["x"]
 
 
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_a_failed_eval_report_write_leaves_the_old_report(tmp_path, monkeypatch, capsys, fail):
+    labels, report = tmp_path / "x.labels", tmp_path / "r.txt"
+    save_labels([0, 0, 1, 1], labels)
+    argv = ["eval", "--pred", str(labels), "--gt", str(labels), "--report", str(report)]
+    assert cli.main(argv) == 0
+    before = report.read_bytes()
+    assert b"accuracy = 1.0000" in before
+    with monkeypatch.context() as m:
+        if fail == "rename":
+            m.setattr(os, "replace", _full_disk)
+        else:
+            m.setattr(binio, "open", _HalfWritten, raising=False)
+        assert cli.main(argv + ["--x100"]) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["r.txt", "x.labels"]
+
+
 def _full_disk(*args):
     raise OSError(errno.ENOSPC, "no space left on device")
 
@@ -660,6 +679,19 @@ def test_cli_config_with_val_fraction_other_than_zero_exits_two(tmp_path, capsys
     assert f"{path} [train]: val_fraction was removed and may only be 0.0" in captured.err
 
 
+def test_cli_train_prints_each_epoch_then_the_summary(tmp_path, capsys):
+    config, data_dir = tiny_files(tmp_path, tiny_run())
+    assert cli.main(["train", "--config", str(config), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" loss ")[0] for line in lines[:2]] == ["epoch 1", "epoch 2"], lines
+    assert all(" fit_acc " in line for line in lines[:2])
+    # the eval pass runs after the last epoch, whose train_acc the summary repeats
+    assert "train_acc" not in lines[0] and len(lines) == 3
+    assert re.fullmatch(r"best epoch [12] loss \d+\.\d{6} train_acc \d\.\d{4}", lines[2])
+    assert _logged(lines[2], "train_acc") == _logged(lines[1], "train_acc")
+
+
 def test_cli_train_prints_why_it_stopped(tmp_path, capsys):
     _cli_fixture(str(tmp_path))
     config = tmp_path / "tiny.cfg"
@@ -794,7 +826,10 @@ def test_train_smoke_and_checkpoint(tmp_path):
     ckpt = tmp_path / "best.ckpt"
     result = train(tiny_run(), data, ckpt_path=ckpt)
     assert len(result.epoch_losses) == 2
-    assert all("loss" in line and "train_acc" in line for line in result.log)
+    # every epoch's line has its loss and fit_acc; the eval pass, train_acc,
+    # runs after the last epoch only when no target accuracy is set
+    assert all(" loss " in line and " fit_acc " in line for line in result.log)
+    assert ["train_acc" in line for line in result.log] == [False, True]
     assert ckpt.exists()
     cfg, params, extra = load_checkpoint(ckpt)
     assert extra == {}  # parameters only, no optimizer state
@@ -819,6 +854,81 @@ def test_train_reruns_bit_identical():
     b = train(tiny_run(), data)
     assert a.log == b.log
     assert a.epoch_losses == b.epoch_losses
+
+
+def _epoch_lines(log):
+    return [line for line in log if line.startswith("epoch ")]
+
+
+def _logged(line: str, field: str) -> str:
+    """The text after `field` in a log line."""
+    return re.search(rf" {field} (\S+)", line).group(1)
+
+
+def _train_counting_passes(monkeypatch, run, tmp_path, name):
+    """train(run) with a checkpoint: its result, its checkpoint's bytes and
+    the epoch after which each eval pass (`_train_accuracy`) ran."""
+    passes, lines = [], []
+    accuracy = pipeline._train_accuracy
+
+    def counted(model, dataset):
+        passes.append(len(lines) + 1)  # it runs before its epoch's line
+        return accuracy(model, dataset)
+
+    def log_fn(line):
+        if line.startswith("epoch "):
+            lines.append(line)
+
+    monkeypatch.setattr(pipeline, "_train_accuracy", counted)
+    ckpt = tmp_path / f"{name}.ckpt"
+    result = train(run, tiny_data(), ckpt_path=ckpt, log_fn=log_fn)
+    return result, ckpt.read_bytes(), passes
+
+
+@pytest.mark.parametrize("kw, epochs, when", [
+    (dict(max_epochs=3), 3, [3]),  # no target: after the last epoch
+    (dict(max_epochs=6, patience=0), 4, [4]),  # early stop: at the epoch it stops on
+])
+def test_the_eval_pass_runs_only_where_it_is_read(monkeypatch, tmp_path, kw, epochs, when):
+    result, ckpt, passes = _train_counting_passes(monkeypatch, tiny_run(**kw), tmp_path, "a")
+    assert passes == when and len(result.epoch_losses) == epochs
+    lines = _epoch_lines(result.log)
+    assert [i + 1 for i, line in enumerate(lines) if "train_acc" in line] == when
+    assert _logged(lines[-1], "train_acc") == f"{result.final_train_accuracy:.4f}"
+    # a target of 1.0, which these runs never reach, runs the pass every
+    # epoch; nothing else in the run changes, down to the bits
+    forced, forced_ckpt, forced_passes = _train_counting_passes(
+        monkeypatch, tiny_run(**kw, target_accuracy=1.0), tmp_path, "b")
+    assert forced_passes == list(range(1, epochs + 1))
+    assert all("train_acc" in line for line in _epoch_lines(forced.log))
+    assert not any(line.startswith("target accuracy") for line in forced.log)
+    assert forced.epoch_losses == result.epoch_losses and forced_ckpt == ckpt
+    assert forced.final_train_accuracy == result.final_train_accuracy
+    assert (forced.best_epoch, forced.best_loss) == (result.best_epoch, result.best_loss)
+    if kw.get("patience") == 0:
+        assert result.log[-1] == "early stop at epoch 4 (best 3)" == forced.log[-1]
+
+
+def test_fit_acc_is_the_final_stage_accuracy_of_the_training_forwards(monkeypatch):
+    # recorded from every training forward, per epoch: the frames where the
+    # final stage's largest logit is at the label
+    hits, forward = [], SegmentationModel.forward
+
+    def recording(self, x, training=False):
+        out = forward(self, x, training=training)
+        if training:
+            hits.append(out.stages[-1].action_logits.data.argmax(axis=1))
+        return out
+
+    monkeypatch.setattr(SegmentationModel, "forward", recording)
+    data = tiny_data()
+    result = train(tiny_run(max_epochs=3), data)
+    labels = np.concatenate([labels for _, labels, _ in data])
+    lines = _epoch_lines(result.log)
+    assert len(hits) == 3 * len(data) and len(lines) == 3
+    for epoch, line in enumerate(lines):
+        got = np.concatenate(hits[epoch * len(data) : (epoch + 1) * len(data)])
+        assert _logged(line, "fit_acc") == f"{np.mean(got == labels):.4f}", line
 
 
 def _poison_second_backward(monkeypatch, names):

@@ -976,16 +976,27 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = layer_norm(h, b * 2.0, b).gelu()
     attended = [(window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)]), (h, c, h)),
                 (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
-    # an attention closure keeps arrays, not the kernel or its masks: q, k,
-    # v, the output, and per frame and head the log softmax denominator;
-    # beyond them only numbers, slices, a dtype and the nodes
-    for y, qkv in attended:
+    # an attention closure keeps the output, per frame and head the log
+    # softmax denominator (8, 2, 1), and per group the operands its forward
+    # stacked as [sequences, rows, columns]: each level's pooled queries and
+    # keys, [V | count] and the counts of the coarser levels; not q, k or v.
+    # Beyond them only numbers, slices, a dtype, the nodes and the groups'
+    # kernels, which `_kernel` shares between calls
+    stacked = [
+        # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per residue
+        [(1, 8, 2), (1, 8, 2), (1, 8, 3), (2, 4, 2), (2, 4, 2), (2, 4, 3), (8, 2, 1)],
+        # one group of two heads at two levels: 8 and 4 rows, counts at level 1
+        [(2, 4, 1), (2, 4, 2), (2, 4, 2), (2, 8, 2), (2, 8, 2), (2, 8, 3), (8, 2, 1)],
+    ]
+    for (y, qkv), shapes in zip(attended, stacked):
         held = list(_captured(y._node._backward))
         arrays = [v for v in held if isinstance(v, np.ndarray)]
-        mine = {id(_root(x.data)) for x in (*qkv, y)}
-        assert {id(_root(a)) for a in arrays} >= mine
-        assert [a.shape for a in arrays if id(_root(a)) not in mine] == [(8, 2, 1)]
-        assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node))
+        roots = {id(_root(a)) for a in arrays}
+        assert id(_root(y.data)) in roots
+        assert not roots & {id(_root(x.data)) for x in qkv}
+        assert sorted(a.shape for a in arrays if _root(a) is not _root(y.data)) == shapes
+        assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node,
+                                  seqcore._TileKernel))
                    or v is None for v in held), held
     h = attended[0][0] + attended[1][0]
     h = tcn_block(conv1d_dilated(h, kernel, b, dilation=2), kernel, b, pw, b, 2, "causal")

@@ -7,6 +7,10 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   its own line, the checkpoint's parameters as loaded (each one's name,
   shape and bytes) and its config text, so a change of the config format
   shows as a config change with identical parameters;
+- the train_small benchmark's run: criterion 4's model and data trained
+  for 2 epochs with no target accuracy, so the eval pass runs only after
+  the last epoch: its epoch losses, final training accuracy and checkpoint
+  bytes;
 - default-config `infer` on a T = 2048 synthetic sequence for data seeds
   5 and 11: every stage's action logits, every stage's boundary scores,
   the raw labels, the refined labels and the boundaries, and the
@@ -88,23 +92,34 @@ def _line(item: str, *parts, note: str = ""):
     print(f"{_digest(*parts)}  {item}" + (f"  ({note})" if note else ""), flush=True)
 
 
-def _criterion4(work: Path):
-    """Acceptance criterion 4's training run, configured as its test is."""
-    from tempseg.network import ModelConfig, load_checkpoint
+def _train_lines(item: str, work: Path, **run_kw) -> bytes:
+    """Criterion 4's model trained on its 5 sequences of T = 512 (data seed
+    11) with a checkpoint: the epoch losses, final training accuracy and
+    checkpoint lines under `item`. Returns the checkpoint's bytes."""
+    from tempseg.network import ModelConfig
     from tempseg.pipeline import RunConfig, SynthSpec, synth_dataset, train
 
     model = ModelConfig(n_classes=4, d_in=64, d_model=64, n_blocks=4, n_decoders=2, heads=8,
                         temporal_dropout=0.3, seed=0)
     spec = SynthSpec(n_classes=4, durations=((60.0, 15.0),) * 4, d_features=64, seed=11)
-    run = RunConfig(model=model, lr=5e-4, max_epochs=120, patience=120, target_accuracy=0.95)
-    ckpt = work / "criterion4.ckpt"
-    result = train(run, synth_dataset(spec, 5, 512), ckpt_path=ckpt)
+    ckpt = work / f"{item}.ckpt"
+    result = train(RunConfig(model=model, lr=5e-4, **run_kw), synth_dataset(spec, 5, 512),
+                   ckpt_path=ckpt)
     acc = result.final_train_accuracy
-    _line("criterion4.epoch_losses", repr(result.epoch_losses),
+    _line(f"{item}.epoch_losses", repr(result.epoch_losses),
           note=f"{len(result.epoch_losses)} epochs")
-    _line("criterion4.accuracy", repr(acc), note=repr(acc))
+    _line(f"{item}.accuracy", repr(acc), note=repr(acc))
     data = ckpt.read_bytes()
-    _line("criterion4.checkpoint", data)
+    _line(f"{item}.checkpoint", data)
+    return data
+
+
+def _criterion4(work: Path):
+    """Acceptance criterion 4's training run, configured as its test is."""
+    from tempseg.network import load_checkpoint
+
+    data = _train_lines("criterion4", work, max_epochs=120, patience=120, target_accuracy=0.95)
+    ckpt = work / "criterion4.ckpt"
     params = load_checkpoint(ckpt)[1]
     _line("criterion4.params", *(part for name in sorted(params)
                                  for part in (name, params[name].data)),
@@ -113,6 +128,11 @@ def _criterion4(work: Path):
     (n,) = struct.unpack_from("<I", data, 8)
     config = data[12 : 12 + n]
     _line("criterion4.config", config, note=f"{len(config.splitlines())} lines")
+
+
+def _train_small(work: Path):
+    """The train_small benchmark's own run: 2 epochs, no target accuracy."""
+    _train_lines("train_small.no_target", work, max_epochs=2)
 
 
 def _infer_inputs(seed: int):
@@ -364,6 +384,7 @@ def _worker():
     print(f"checking {Path(tempseg.__file__).parent}", file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory() as work:
         _criterion4(Path(work))
+        _train_small(Path(work))
     _infer()
     with tempfile.TemporaryDirectory() as work:
         _cli_infer(Path(work))

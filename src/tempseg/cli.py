@@ -126,17 +126,16 @@ def _cmd_eval(args):
 def _cmd_refine(args):
     probs = pipeline.load_features(args.probs).astype(np.float64)
     bounds = []
-    with open(args.boundaries) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                bounds.append(pipeline.parse_int(line))
-            except ValueError:
-                raise ValueError(
-                    f"{args.boundaries}:{ln}: not an integer frame index: {line!r}"
-                ) from None
+    for ln, line in enumerate(pipeline.read_lines(args.boundaries), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            bounds.append(pipeline.parse_int(line))
+        except ValueError:
+            raise ValueError(
+                f"{args.boundaries}:{ln}: not an integer frame index: {line!r}"
+            ) from None
     try:
         labels = refine_prediction(probs, bounds)
     except ValueError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -147,39 +148,60 @@ def _label_int(text: str) -> int:
     return value
 
 
+def read_lines(path):
+    """The lines of the UTF-8 text file at `path`, as iterating the open
+    file gives them. A byte that is not UTF-8 raises ValueError naming the
+    file, the line that holds the byte and its offset in the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from f
+    except UnicodeDecodeError as exc:
+        # the decoder counts from the start of the chunk it was given, so
+        # the byte is found again in the whole file
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path}:{line}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+
+
 def load_labels(path) -> np.ndarray:
     """One integer per line (frame format) or `start,end,class` lines
     (segment format), auto-detected."""
     frame_vals, seg_vals = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," in line:
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{ln}: expected 'start,end,class', got {line!r}")
-                try:
-                    seg = Segment(*(_label_int(p.strip()) for p in parts))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {exc}") from None
-                if seg.label < 0:
-                    raise ValueError(f"{path}:{ln}: negative label {seg.label}")
-                if seg.end >= MAX_SEGMENT_FRAMES:
-                    raise ValueError(
-                        f"{path}:{ln}: segment end {seg.end} is beyond the "
-                        f"{MAX_SEGMENT_FRAMES}-frame limit of a segment label file"
-                    )
-                seg_vals.append(seg)
-            else:
-                try:
-                    value = _label_int(line)
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: not an integer label: {line!r}") from None
-                if value < 0:
-                    raise ValueError(f"{path}:{ln}: negative label {value}")
-                frame_vals.append(value)
+    for ln, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," in line:
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{ln}: expected 'start,end,class', got {line!r}")
+            try:
+                seg = Segment(*(_label_int(p.strip()) for p in parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if seg.label < 0:
+                raise ValueError(f"{path}:{ln}: negative label {seg.label}")
+            if seg.end >= MAX_SEGMENT_FRAMES:
+                raise ValueError(
+                    f"{path}:{ln}: segment end {seg.end} is beyond the "
+                    f"{MAX_SEGMENT_FRAMES}-frame limit of a segment label file"
+                )
+            seg_vals.append(seg)
+        else:
+            try:
+                value = _label_int(line)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: not an integer label: {line!r}") from None
+            if value < 0:
+                raise ValueError(f"{path}:{ln}: negative label {value}")
+            frame_vals.append(value)
     if seg_vals and frame_vals:
         raise ValueError(f"{path}: mixes frame and segment label formats")
     if seg_vals:
@@ -491,8 +513,7 @@ def _read_ini(path, sections: tuple) -> configparser.ConfigParser:
     into every other section."""
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as f:
-            cp.read_file(f)
+        cp.read_file(read_lines(path), os.fspath(path))
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     except configparser.Error as exc:

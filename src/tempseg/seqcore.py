@@ -8,9 +8,10 @@ its parents' nodes, its gradient and its dtype, but not its value. A leaf
 keeps only the arrays its formula reads: the operands of ``*``, the
 inputs of ``linear`` and ``conv1d_dilated``, the input and the ReLU
 output of ``tcn_block``, its own output where the formula is written in
-it, ``window_attention``'s stacked and pooled operands, as its forward
-made them, and its log softmax denominators, the gradient ``scalar_op``
-is given, and masks and shapes.
+it, ``window_attention``'s stacked and pooled operands, each in the one
+layout its forward made it in (queries row-major, keys and ``[V |
+count]`` value-major), and its log softmax denominators, the gradient
+``scalar_op`` is given, and masks and shapes.
 So the tape holds nodes, closures and gradients, and an interior value
 that no backward reads is freed as soon as the caller drops its Tensor.
 ``Tensor.backward()`` replays the tape in reverse topological order and
@@ -442,9 +443,10 @@ def _attention_operands(q, k, v, heads: int) -> tuple:
     return q, k, v
 
 
-def _pair_sum(x: np.ndarray) -> np.ndarray:
-    """Sums of rows 2i and 2i + 1 along axis 1 of x [B, rows, d], rows even."""
-    return x[:, 0::2] + x[:, 1::2]
+def _pair_sum(x: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Sums of rows 2i and 2i + 1 of x [B, ., .] along `axis`, 1 (row-major
+    x [B, rows, d]) or 2 (value-major x [B, d, rows]), rows even."""
+    return x[:, 0::2] + x[:, 1::2] if axis == 1 else x[:, :, 0::2] + x[:, :, 1::2]
 
 
 def _unpool(x: np.ndarray, f: int) -> np.ndarray:
@@ -452,16 +454,20 @@ def _unpool(x: np.ndarray, f: int) -> np.ndarray:
     return x if f == 1 else np.repeat(x, f, axis=1)
 
 
-def _stack(x: np.ndarray, step: int, rows: int, width: int = 0) -> np.ndarray:
+def _stack(x: np.ndarray, step: int, rows: int, width: int = 0,
+           value_major: bool = False) -> np.ndarray:
     """x [T, hg, d] as step * hg head-major sequences [step * hg, rows,
     width or d]: sequence r * hg + h holds head h's residue rows r::step,
-    zero-padded to `rows` rows and `width` columns."""
+    zero-padded to `rows` rows and `width` columns. With `value_major`,
+    each sequence is stored transposed, as [step * hg, width or d, rows]."""
     T, hg, d = x.shape
-    out = np.zeros((step, hg, rows, width or d), x.dtype)
+    width = width or d
+    out = np.zeros((step, hg) + ((width, rows) if value_major else (rows, width)), x.dtype)
+    by_row = out.transpose(0, 1, 3, 2) if value_major else out
     for r in range(min(step, T)):
         xr = x[r::step]
-        out[r, :, : len(xr), :d] = xr.transpose(1, 0, 2)
-    return out.reshape(step * hg, rows, -1)
+        by_row[r, :, : len(xr), :d] = xr.transpose(1, 0, 2)
+    return out.reshape(step * hg, *out.shape[2:])
 
 
 def _unstack(x: np.ndarray, out: np.ndarray):
@@ -482,31 +488,37 @@ class _TileKernel:
 
     Each level pools the one before by 2, so level l has 2**(levels-1-l)
     rows per coarsest-level block, and its query row i scores its key rows
-    i - w .. i + w. A finest-level entry scores the sum over levels of the
-    scores of the rows that hold it; it is -inf outside the coarsest
-    level's window and wherever its query or key row is padding, which the
-    count 0 in [V | count] marks. Query rows run in tiles of G whole
-    coarsest blocks, which `_tile_kernel` sizes from TILE_ROWS and the
-    TILE_ENTRIES budget, and each tile meets one key slab, blocks c0 - w ..
-    c1 - 1 + w clipped to the sequences. A tile's scores are built
-    coarsest level first: one batched matmul over the whole slab plus the
-    coarsest window's additive mask; then per finer level the coarser sums
-    spread over 2 x 2 blocks, with no np.repeat, and the level's batched
-    matmul times its window mask added only on the slab columns its window
-    reaches (`_band`), in the backward too. Each tile's softmax is shifted
-    by its per-sequence max, so one flat max, one exp and one matmul with
-    [V | count] give the numerator and denominator together; that matmul
-    runs as ([V | count]^T @ e^T)^T, which BLAS runs faster with hd + 1
-    columns, from one transposed copy per call. A tile where some row's
-    denominator falls below (slab columns) * tiny / eps has lost that row
-    to underflow; it is redone with each row shifted by its own max. The
-    forward returns each row's shift plus the log of its denominator, and
-    the backward recomputes each tile's softmax weights with it, taking no
-    max and dividing by no denominator, and meets them with dY, the
-    numerator's gradient times the denominator. A level's window mask over
-    a whole tile depends only on key row minus query row, so it is a
-    read-only view of one band vector of (2G + 2w)·p - 1 entries, and
-    `_kernel` keeps every kernel it builds.
+    i - w .. i + w. The queries qs[l] come row-major, [B, rows_l, hd]; the
+    keys ks[l] and [V | count] come value-major, [B, hd, rows_l] and
+    [B, hd + 1, rows], the right operand of every product that reads them,
+    which BLAS runs faster than through a transposed view. A finest-level
+    entry scores the sum over levels of the scores of the rows that hold
+    it; it is -inf outside the coarsest level's window and wherever its
+    query or key row is padding, which the count 0 in [V | count] marks.
+    Query rows run in tiles of G whole coarsest blocks, which
+    `_tile_kernel` sizes from TILE_ROWS and the TILE_ENTRIES budget, and
+    each tile meets one key slab, blocks c0 - w .. c1 - 1 + w clipped to
+    the sequences. A tile's scores are built coarsest level first: one
+    batched matmul over the whole slab plus the coarsest window's additive
+    mask; then per finer level the coarser sums spread over 2 x 2 blocks,
+    with no np.repeat, and the level's batched matmul times its window mask
+    added only on the slab columns its window reaches (`_band`), in the
+    backward too. Each tile's softmax is shifted by its per-sequence max,
+    so one flat max, one exp and one matmul, [V | count] @ e^T, give the
+    numerator and denominator together, written value-major into one
+    buffer per call, with each row's shift in another. A tile where some
+    row's denominator falls below (slab columns) * tiny / eps has lost that
+    row to underflow; it is redone with each row shifted by its own max.
+    After the last tile one log, one add and one divide give every row's
+    log denominator (its shift plus the log of its denominator) and
+    output. The backward recomputes each tile's softmax weights with the
+    log denominators, taking no max and dividing by no denominator, and
+    meets them with dY, the numerator's gradient times the denominator, in
+    dS = dY @ [V | count]; its dV and dK products keep the row-major
+    orientation, and the dq products read the keys row-major, from one
+    copy per call. A level's window mask over a whole tile depends only on
+    key row minus query row, so it is a read-only view of one band vector
+    of (2G + 2w)·p - 1 entries, and `_kernel` keeps every kernel it builds.
     """
 
     def __init__(self, levels: int, w: int, dtype, G: int):
@@ -538,9 +550,10 @@ class _TileKernel:
 
     @staticmethod
     def _padding(vc):
-        """[B, rows, 1]: 0 at each sequence's rows and -inf at its padding;
-        and the leading rows that no sequence pads."""
-        live = vc[:, :, -1:] > 0
+        """[B, 1, rows]: 0 at each sequence's rows and -inf at its padding,
+        from the count row of value-major vc; and the leading rows that no
+        sequence pads."""
+        live = vc[:, -1:] > 0
         return np.where(live, 0.0, -np.inf).astype(vc.dtype), int(live.all(axis=0).sum())
 
     def _band(self, lvl, c0, c1, b0, b1):
@@ -562,13 +575,12 @@ class _TileKernel:
     def _scores(self, qs, ks, pad, c0, c1, b0, b1):
         """The scores [B, rows, cols] of one tile at the finest level."""
         per = self.per
-        z = qs[-1][:, c0:c1] @ ks[-1][:, b0:b1].transpose(0, 2, 1)
+        z = qs[-1][:, c0:c1] @ ks[-1][:, :, b0:b1]
         z += self._mask(len(per) - 1, c0, c1, b0, b1)
         for lvl in reversed(range(len(per) - 1)):
             # a finer level adds its masked scores only where its window reaches
             p, (j0, j1) = per[lvl], self._band(lvl, c0, c1, b0, b1)
-            keys = ks[lvl][:, b0 * p + j0 : b0 * p + j1]
-            s = qs[lvl][:, c0 * p : c1 * p] @ keys.transpose(0, 2, 1)
+            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, :, b0 * p + j0 : b0 * p + j1]
             s *= self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
             z = self._spread(z)
             z[:, :, j0:j1] += s
@@ -578,9 +590,9 @@ class _TileKernel:
         f = per[0]
         k0, q0 = max(n, b0 * f), max(n, c0 * f)
         if k0 < b1 * f:
-            z[:, :, k0 - b0 * f :] += neg[:, k0 : b1 * f].transpose(0, 2, 1)
+            z[:, :, k0 - b0 * f :] += neg[:, :, k0 : b1 * f]
         if q0 < c1 * f:
-            z[:, q0 - c0 * f :] += neg[:, q0 : c1 * f]
+            z[:, q0 - c0 * f :] += neg[:, :, q0 : c1 * f].transpose(0, 2, 1)
         return z
 
     def forward(self, qs, ks, vc):
@@ -588,11 +600,11 @@ class _TileKernel:
         [B, rows, 1] of every finest query row: the shift its tile's scores
         took plus the log of the sum of their exps. A padded row has output
         0 and, with a sum of 1, its shift."""
-        f, hd = self.per[0], vc.shape[2] - 1
-        y = np.empty(vc.shape[:2] + (hd,), vc.dtype)
-        lse = np.empty(vc.shape[:2] + (1,), vc.dtype)
+        f, hd = self.per[0], vc.shape[1] - 1
+        # every row's [num | den], value-major like vc, and its shift
+        nd = np.empty_like(vc)
+        shift = np.empty((vc.shape[0], vc.shape[2], 1), vc.dtype)
         pad = neg, n = self._padding(vc)
-        vct = np.ascontiguousarray(vc.transpose(0, 2, 1))
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
             rows, q0 = slice(c0 * f, c1 * f), max(n, c0 * f)
             # the per-sequence max first, each row's own max if a row underflows
@@ -600,34 +612,38 @@ class _TileKernel:
                 z = self._scores(qs, ks, pad, c0, c1, b0, b1)
                 m = z.max(axis=axes, keepdims=True, initial=self.low)
                 e = np.exp(np.subtract(z, m, out=z), out=z).transpose(0, 2, 1)
-                # [num | den] as ([V | count]^T @ e^T)^T, BLAS's faster layout
-                nd = (vct[:, :, b0 * f : b1 * f] @ e).transpose(0, 2, 1)
+                np.matmul(vc[:, :, b0 * f : b1 * f], e, out=nd[:, :, rows])
                 del z, e  # freed before the next scores are built
-                d = nd[:, :, hd:]
+                d = nd[:, hd, rows]
                 # a padded row's denominator 0 becomes 1, so its output is 0
                 if q0 < c1 * f:
-                    d[:, q0 - c0 * f :] += neg[:, q0 : c1 * f] != 0
+                    d[:, q0 - c0 * f :] += neg[:, 0, q0 : c1 * f] != 0
                 if d.min() >= (b1 - b0) * f * self.floor:
                     break
-            np.add(np.log(d), m, out=lse[:, rows])
-            np.divide(nd[:, :, :hd], d, out=y[:, rows])
-        return y, lse
+            shift[:, rows] = m
+        den = nd[:, hd:]
+        lse = np.add(np.log(den.transpose(0, 2, 1)), shift, out=shift)
+        y = np.divide(nd[:, :hd], den, out=nd[:, :hd])
+        return y.transpose(0, 2, 1), lse
 
     def backward(self, qs, ks, vc, lse, dy):
-        """The gradients of qs and ks per level and of [V | count], from the
-        forward's log denominators and dy, laid out like vc: the gradient of
-        the softmax numerator [num | den] times each row's denominator."""
+        """The gradients of qs and ks per level and of [V | count], all
+        row-major, from the forward's log denominators and dy [B, rows,
+        hd + 1]: the gradient of the softmax numerator [num | den] times
+        each row's denominator."""
         f, L = self.per[0], len(self.per)
-        dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
-        dvc = np.zeros_like(vc)
+        # the dq products read the keys row-major, copied once per call
+        kr = [np.ascontiguousarray(x.transpose(0, 2, 1)) for x in ks]
+        dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in kr]
+        dvc = np.zeros_like(dy)
         pad = self._padding(vc)
         for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
             z = self._scores(qs, ks, pad, c0, c1, b0, b1)
             # the softmax weights, each at most 1
             e = np.exp(np.subtract(z, lse[:, c0 * f : c1 * f], out=z), out=z)
-            dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
+            dyt = dy[:, c0 * f : c1 * f]
             dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
-            ds = dyt @ vt.transpose(0, 2, 1)
+            ds = dyt @ vc[:, :, b0 * f : b1 * f]
             ds *= e
             # ds is the gradient of the accumulated score at each level,
             # finest first, and a level's scores are its band's columns (the
@@ -646,7 +662,7 @@ class _TileKernel:
                 dz = ds[:, :, j0:j1]
                 if lvl + 1 < L:
                     dz = dz * self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
-                dqs[lvl][:, rows] = dz @ ks[lvl][:, cols]
+                dqs[lvl][:, rows] = dz @ kr[lvl][:, cols]
                 dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
         return dqs, dks, dvc
 
@@ -693,17 +709,20 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     per padded row, as [V | count]; each level pools q, k and the count by
     2, so a residue's ragged tail gets its own frame count. Each level's
     pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) * count),
-    and its keys are pooled means. The tile rows shrink from TILE_ROWS to
-    keep a tile within TILE_ENTRIES scores. When a gradient is needed, the
+    and its keys are pooled means. The queries are stacked row-major, and
+    the keys and [V | count] value-major, once per group, in the layout the
+    kernel's products read. The tile rows shrink from TILE_ROWS to keep a
+    tile within TILE_ENTRIES scores. When a gradient is needed, the
     backward keeps, per group, the operands its forward stacked (each
-    level's pooled queries and keys, [V | count] and the counts), not q, k
-    and v themselves; it also keeps the output and, per frame and head,
-    the log softmax denominator: the shift its tile's scores took plus the
-    log of their exps' sum. HTA's pooled levels add about 1.9 T·A to what
-    a layer's tape holds. The backward forms dY = [g, -(g . y)] once,
-    frame-major, stacks it and the denominators per group like [V | count],
-    and drops each group's operands once its gradients are made. Under
-    no_grad() a group's operands are freed once its output is written.
+    level's pooled queries and keys, [V | count] and the counts), each in
+    that one layout, not q, k and v themselves; it also keeps the output
+    and, per frame and head, the log softmax denominator: the shift its
+    tile's scores took plus the log of their exps' sum. HTA's pooled
+    levels add about 1.9 T·A to what a layer's tape holds. The backward
+    forms dY = [g, -(g . y)] once, frame-major, stacks it and the
+    denominators per group row-major, like the queries, and drops each
+    group's operands once its gradients are made. Under no_grad() a
+    group's operands are freed once its output is written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -723,22 +742,23 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     def operands(hs, w, step):
         """The kernel and its operands for heads hs, stacked over the
         residues of `step`: per level the pooled query sums times
-        wt / count and the pooled key means, [V | count] at frame level,
-        and per level the counts each pooled sum was divided by."""
+        wt / count, row-major, and the pooled key means, value-major,
+        [V | count] at frame level, value-major, and per level the counts
+        each pooled sum was divided by."""
         n = -(-T // step)  # the rows of residue 0, the longest
         rows = -(-n // f) * f  # in whole coarsest blocks
         # residue r's row i is frame i * step + r, and counts 1 if it exists
         live = np.arange(rows) * step + np.arange(step)[:, None] < T
         c = np.repeat(live.astype(dtype), hg, axis=0)[:, :, None]
-        vc = _stack(vd[:, hs], step, rows, hd + 1)
-        vc[:, :, hd:] = c
-        qsum, ksum = _stack(qd[:, hs], step, rows), _stack(kd[:, hs], step, rows)
+        vc = _stack(vd[:, hs], step, rows, hd + 1, value_major=True)
+        vc[:, hd] = c[:, :, 0]
+        qsum, ksum = _stack(qd[:, hs], step, rows), _stack(kd[:, hs], step, rows, value_major=True)
         qs, ks, cs = [qsum * wt], [ksum], [1.0]  # a frame-level row counts one frame
         for _ in range(1, levels):
-            qsum, ksum, c = _pair_sum(qsum), _pair_sum(ksum), _pair_sum(c)
+            qsum, ksum, c = _pair_sum(qsum), _pair_sum(ksum, 2), _pair_sum(c)
             cs.append(np.maximum(c, 1))  # a block of padding only sums to 0
             qs.append(qsum * (wt / cs[-1]))
-            ks.append(ksum / cs[-1])
+            ks.append(ksum / cs[-1].transpose(0, 2, 1))
         # every key a tile reads lies fewer than `rows` rows from its query
         # at its own level, so a wider window reads what one of `rows` does
         return _tile_kernel(levels, min(w, rows), dtype, step * hg, rows), qs, ks, vc, cs
@@ -766,7 +786,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             while kept:
                 # each group's operands are dropped once its gradients are made
                 hs, step, kernel, qs, ks, vc, cs = kept.pop()
-                rows = vc.shape[1]
+                rows = vc.shape[2]
                 dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(lse[:, hs], step, rows),
                                                 _stack(dy[:, hs], step, rows))
                 dqg = dkg = 0.0

@@ -444,6 +444,75 @@ def test_cli_eval_any_label_text_exits_zero_or_two(text, text_is_pred):
     assert code in (0, 2), sink.getvalue()
 
 
+def _first_bad_byte(data: bytes):
+    """(line, offset) of the first byte of `data` that is not UTF-8, the
+    line counted as iterating a text file counts it; None if all of it is."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8") + "x"
+        return len(io.StringIO(head, newline=None).readlines()), exc.start
+    return None
+
+
+# per command and option that read a text file: its argv, with {bad} where
+# that file goes, and a first line its reader accepts (CRLF and CR endings
+# too, which the line count must follow)
+_TEXT_INPUTS = {
+    "eval --pred": (["eval", "--pred", "{bad}", "--gt", "{labels}"], b"0\n"),
+    "eval --gt": (["eval", "--pred", "{labels}", "--gt", "{bad}"], b"# gt\r\n"),
+    "train --config": (["train", "--config", "{bad}", "--data", "{dir}", "--out", "{dir}/m"],
+                       b"[model]\n"),
+    "flops --config": (["flops", "--config", "{bad}"], b"[model]\r"),
+    "inspect-mask --config": (["inspect-mask", "--T", "8", "--layer", "0", "--config", "{bad}"],
+                              b"[model]\n"),
+    "synth --spec": (["synth", "--spec", "{bad}", "--out", "{dir}/s", "--n", "1",
+                      "--frames", "8"], b"[synth]\n"),
+    "refine --boundaries": (["refine", "--probs", "{probs}", "--boundaries", "{bad}"], b"3\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_INPUTS))
+def test_cli_names_the_file_line_and_byte_of_text_that_is_not_utf8(tmp_path, capsys, command):
+    # a 0xff byte, never UTF-8, on the second line, after one each reader
+    # takes: the message names the file, the line and the byte's offset
+    argv, first = _TEXT_INPUTS[command]
+    bad, labels, probs = tmp_path / "bad.txt", tmp_path / "ok.labels", tmp_path / "p.feat"
+    bad.write_bytes(first + b"1\xff\n")
+    save_labels([0, 0, 1, 1], labels)
+    save_features(np.full((4, 3), 1 / 3), probs)
+    names = {"bad": bad, "labels": labels, "probs": probs, "dir": tmp_path}
+    code = cli.main([a.format(**names) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2, (out, err)
+    assert err == f"error: {bad}:2: not UTF-8 text: byte 0xff at offset {len(first) + 1}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=48) | st.lists(st.sampled_from(
+    [b"0", b"1", b"7", b"-", b" ", b"#", b"\n", b"\r", b"\r\n", b"0,2,1", b"3,4,0",
+     b"\xff", b"\xc3", b"\xa9", b"\xe2\x82\xac", b"\xed\xa0\x80"]), max_size=24).map(b"".join))
+def test_load_labels_over_any_bytes_loads_or_names_the_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.labels")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            labels = load_labels(path)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = None
+    bad = _first_bad_byte(data)
+    if bad is not None:
+        line, at = bad
+        assert message == f"{path}:{line}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at}"
+    elif message is None:
+        assert labels.dtype == np.int64 and labels.size > 0 and labels.min() >= 0
+    else:
+        assert message.startswith(f"{path}:") or message.startswith(f"{path} "), message
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 30)), min_size=1, max_size=12))
 def test_segment_file_round_trips_through_load_labels(runs):

@@ -737,28 +737,33 @@ TILE_CASES = [(levels, G) for levels in (1, 2, 3, 4, 5, 6, 10)
 def test_band_restricted_tiles_match_full_width_tiles(levels, G, dtype):
     # the finer levels score only the columns their windows reach and the
     # coarser sums are spread without np.repeat: scores, outputs, log
-    # denominators and every gradient equal the full-width tile's
+    # denominators and every gradient equal the full-width tile's. The
+    # kernel reads the keys and [V | count] value-major, [B, columns, rows],
+    # and returns every output and gradient row-major, as the oracles do
+    def value_major(x):
+        return np.ascontiguousarray(x.transpose(0, 2, 1))
     for w in (0, 1, 2, 3, 8):
         qs, ks, vc = _tile_operands(levels, G, seed=levels * 100 + w * 10 + G)
         args = [[x.astype(dtype) for x in xs] for xs in (qs, ks)] + [vc.astype(dtype)]
+        ops = [args[0], [value_major(x) for x in args[1]], value_major(args[2])]
         # the float64 oracle on the operands as the kernel gets them
         exact = [[x.astype(np.float64) for x in xs] for xs in args[:2]] + [
             args[2].astype(np.float64)]
         kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), G)
-        pad = kernel._padding(args[2])
+        pad = kernel._padding(ops[2])
         nc = qs[-1].shape[1]
         ranges = tile_ranges_oracle(nc, w, G)
         assert ranges == list(kernel._tiles(nc))
         for c0, c1, b0, b1 in ranges:
-            _close(kernel._scores(*args[:2], pad, c0, c1, b0, b1),
+            _close(kernel._scores(*ops[:2], pad, c0, c1, b0, b1),
                    tile_scores_oracle(levels, w, G, *exact, c0, c1, b0, b1), dtype)
-        y, lse = kernel.forward(*args)
+        y, lse = kernel.forward(*ops)
         want_y, want_lse = tile_forward_oracle(levels, w, G, *exact)
         live = args[2][:, :, -1:] > 0
         _close(y, want_y, dtype)
         _close(np.where(live, lse, 0), np.where(live, want_lse, 0), dtype)
         dy = np.random.default_rng(w).normal(size=vc.shape).astype(dtype)
-        got = kernel.backward(*args, lse, dy)
+        got = kernel.backward(*ops, lse, dy)
         want = tile_backward_oracle(levels, w, G, *exact, lse.astype(np.float64),
                                     dy.astype(np.float64))
         for a, b in zip([*got[0], *got[1], got[2]], [*want[0], *want[1], want[2]],
@@ -978,15 +983,17 @@ def test_backward_closures_hold_no_tensor_but_leaves():
                 (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
     # an attention closure keeps the output, per frame and head the log
     # softmax denominator (8, 2, 1), and per group the operands its forward
-    # stacked as [sequences, rows, columns]: each level's pooled queries and
-    # keys, [V | count] and the counts of the coarser levels; not q, k or v.
+    # stacked: each level's pooled queries row-major [sequences, rows,
+    # columns], each level's pooled keys and [V | count] value-major
+    # [sequences, columns, rows], and the counts of the coarser levels
+    # [sequences, rows, 1]; not q, k or v, and no operand in two layouts.
     # Beyond them only numbers, slices, a dtype, the nodes and the groups'
     # kernels, which `_kernel` shares between calls
     stacked = [
         # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per residue
-        [(1, 8, 2), (1, 8, 2), (1, 8, 3), (2, 4, 2), (2, 4, 2), (2, 4, 3), (8, 2, 1)],
+        [(1, 2, 8), (1, 3, 8), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 2), (8, 2, 1)],
         # one group of two heads at two levels: 8 and 4 rows, counts at level 1
-        [(2, 4, 1), (2, 4, 2), (2, 4, 2), (2, 8, 2), (2, 8, 2), (2, 8, 3), (8, 2, 1)],
+        [(2, 2, 4), (2, 2, 8), (2, 3, 8), (2, 4, 1), (2, 4, 2), (2, 8, 2), (8, 2, 1)],
     ]
     for (y, qkv), shapes in zip(attended, stacked):
         held = list(_captured(y._node._backward))
@@ -995,6 +1002,9 @@ def test_backward_closures_hold_no_tensor_but_leaves():
         assert id(_root(y.data)) in roots
         assert not roots & {id(_root(x.data)) for x in qkv}
         assert sorted(a.shape for a in arrays if _root(a) is not _root(y.data)) == shapes
+        for i, one in enumerate(arrays):
+            for other in map(np.matrix_transpose, arrays[i + 1 :]):
+                assert not (one.shape == other.shape and np.array_equal(one, other)), one.shape
         assert all(isinstance(v, (np.ndarray, int, float, slice, np.dtype, seqcore._Node,
                                   seqcore._TileKernel))
                    or v is None for v in held), held

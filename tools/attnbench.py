@@ -5,14 +5,17 @@ separate modules (seqcore imports nothing from the package), and times
 `window_attention` at the attention calls of the three perfbench
 workloads, in float32 as they run: every DSWA and HTA call of one forward
 of the train_small model at T = 512 and of the default config at T = 2048
-(infer_long) and T = 160 (infer_cli), plus one fixed row, `hta10`: a
+(infer_long) and T = 160 (infer_cli), plus fixed rows: `hta10`, a
 10-level HTA call at T = 2048 (A 64, 8 heads, window 8), far beyond the
-default 4 levels. Each row is timed forward only
-(under the module's `no_grad`) and forward + backward (through a scalar
-projection). The two sides take turns pass by pass, the first side
-alternating, so host drift that swamps separate runs cancels. It prints
-each side's median seconds per pass and the ratio DIR / this checkout
-(above 1: this checkout is faster).
+default 4 levels, and `crit6_T512` and `crit6_T4096`, the float64 calls
+that acceptance criterion 6 times at both ends of its fit (4 heads,
+A = 16, layer 4's DSWA windows and `ScaleSet.build(T)`'s HTA ladder), so
+one interleaved run shows a change at both ends. Each row is timed
+forward only (under the module's `no_grad`) and forward + backward
+(through a scalar projection). The two sides take turns pass by pass,
+the first side alternating, so host drift that swamps separate runs
+cancels. It prints each side's median seconds per pass and the ratio
+DIR / this checkout (above 1: this checkout is faster).
 
     python3 tools/attnbench.py --repo ../parent-checkout
     python3 tools/attnbench.py --repo ../parent-checkout --reps 12
@@ -31,6 +34,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from tempseg.attention import ScaleSet, build_window_schedule  # noqa: E402
 from tempseg.network import ModelConfig  # noqa: E402
 
 SEED = 0  # of the random q, k and v
@@ -41,6 +45,8 @@ WORKLOADS = (
     ("infer_long", ModelConfig(), 2048),
     ("infer_cli", ModelConfig(), 160),
 )
+# the sequence lengths at the two ends of criterion 6's time-exponent fit
+CRIT6_T = (512, 4096)
 
 
 def load_seqcore(repo: Path, name: str):
@@ -63,11 +69,16 @@ def calls(cfg: ModelConfig, T: int) -> list[tuple[int, list]]:
 
 
 def rows():
-    """(name, heads, A, T, calls) of every timed row: the workloads', then
-    `hta10`."""
+    """(name, heads, A, T, dtype, calls) of every timed row: the
+    workloads', `hta10`, then criterion 6's two ends."""
     for name, cfg, T in WORKLOADS:
-        yield name, cfg.heads, cfg.attn_dim, T, calls(cfg, T)
-    yield "hta10", 8, 64, 2048, [(10, [(8, 1)])]
+        yield name, cfg.heads, cfg.attn_dim, T, np.float32, calls(cfg, T)
+    yield "hta10", 8, 64, 2048, np.float32, [(10, [(8, 1)])]
+    pair = build_window_schedule(10)[4]  # as tests/test_acceptance.py's criterion 6
+    for T in CRIT6_T:
+        scales = ScaleSet.build(T)
+        dswa = (1, [(s.one_sided_width, s.step) for s in pair])
+        yield f"crit6_T{T}", 4, 16, T, np.float64, [dswa, (scales.levels, [(scales.window, 1)])]
 
 
 def one_pass(sc, heads, ops, arrays, backward: bool) -> float:
@@ -97,8 +108,8 @@ def main(argv=None) -> int:
     sides = (load_seqcore(ROOT, "seqcore_this"), load_seqcore(args.repo.resolve(), "seqcore_other"))
     rng = np.random.default_rng(SEED)
     print(f"{'workload':<12} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
-    for name, heads, A, T, ops in rows():
-        arrays = [[rng.normal(size=shape).astype(np.float32)
+    for name, heads, A, T, dtype, ops in rows():
+        arrays = [[rng.normal(size=shape).astype(dtype)
                    for shape in ((T, A),) * 3 + ((T * A, 1),)] for _ in ops]
         for backward in (False, True):
             for sc in sides:  # untimed: each side builds what it caches

@@ -4,6 +4,7 @@ inference loops."""
 from __future__ import annotations
 
 import configparser
+import io
 import math
 import os
 import struct
@@ -151,23 +152,19 @@ def _label_int(text: str) -> int:
 def read_lines(path):
     """The lines of the UTF-8 text file at `path`, as iterating the open
     file gives them. A byte that is not UTF-8 raises ValueError naming the
-    file, the line that holds the byte and its offset in the file."""
+    file, the line that holds the byte and its offset in the file, before
+    any line is read: a line the decoder had already given out would
+    otherwise fail its own check first."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            yield from f
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the decoder counts from the start of the chunk it was given, so
-        # the byte is found again in the whole file
-        with open(path, "rb") as f:
-            data = f.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
         head = data[: exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise ValueError(f"{path}:{line}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+        raise ValueError(f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
                          f"at offset {exc.start}") from None
+    return iter(io.StringIO(text, newline=None))
 
 
 def load_labels(path) -> np.ndarray:

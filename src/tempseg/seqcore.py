@@ -10,8 +10,9 @@ inputs of ``linear`` and ``conv1d_dilated``, the input and the ReLU
 output of ``tcn_block``, its own output where the formula is written in
 it, ``window_attention``'s stacked and pooled operands, each in the one
 layout its forward made it in (queries row-major, keys and ``[V |
-count]`` value-major), and its log softmax denominators, the gradient
-``scalar_op`` is given, and masks and shapes.
+count]`` value-major, pooled per level, with the kernel's zero margins),
+and its log softmax denominators, the gradient ``scalar_op`` is given, and
+masks and shapes.
 So the tape holds nodes, closures and gradients, and an interior value
 that no backward reads is freed as soon as the caller drops its Tensor.
 ``Tensor.backward()`` replays the tape in reverse topological order and
@@ -45,10 +46,18 @@ width and dilation step: DSWA is its one-scale case with two groups, the
 expanding and the shrinking window, each run over every residue of its
 step; HTA is its ladder of scales with one group at step 1. It makes one
 call of one tiled kernel, ``_TileKernel``, per head group, with the
-group's residues stacked as sequences: dense tiles of query rows, each
-against one key slab, each tile's softmax shifted by its per-head max (by
-each row's own max where that would underflow a row), recomputed in the
-backward from each row's saved log denominator.
+group's residues stacked as sequences. The kernel partitions each frame's
+entries by the finest level whose window holds them: each level scores
+only its own band, adding its parent's cumulative scores spread 2 x 2
+over it, and exponentiates its ring (its band less what the level below
+covers) at its own rows and columns against ``[V | count]`` pooled to it,
+adding the ring's ``[num | den]`` to the frames its rows hold. Tiles of
+query rows run as dense per-level band tiles over strided key slabs, a
+call's uniform tiles k at a time in one batched op, with dense window and
+ring masks built once per kernel; each tile's softmax is shifted by its
+per-sequence max (each frame by its own max, and each ring by the least
+of its frames' maxima, where that would underflow a row), recomputed in
+the backward from each row's saved log denominator.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates and guard are the module constants ``ADAM_*``.
@@ -455,18 +464,20 @@ def _unpool(x: np.ndarray, f: int) -> np.ndarray:
 
 
 def _stack(x: np.ndarray, step: int, rows: int, width: int = 0,
-           value_major: bool = False) -> np.ndarray:
+           value_major: bool = False, margin: int = 0) -> np.ndarray:
     """x [T, hg, d] as step * hg head-major sequences [step * hg, rows,
     width or d]: sequence r * hg + h holds head h's residue rows r::step,
     zero-padded to `rows` rows and `width` columns. With `value_major`,
-    each sequence is stored transposed, as [step * hg, width or d, rows]."""
+    each sequence is stored transposed, as [step * hg, width or d, rows +
+    2 * margin], its rows after `margin` zero columns."""
     T, hg, d = x.shape
     width = width or d
-    out = np.zeros((step, hg) + ((width, rows) if value_major else (rows, width)), x.dtype)
+    cols = rows + 2 * margin
+    out = np.zeros((step, hg) + ((width, cols) if value_major else (cols, width)), x.dtype)
     by_row = out.transpose(0, 1, 3, 2) if value_major else out
     for r in range(min(step, T)):
         xr = x[r::step]
-        by_row[r, :, : len(xr), :d] = xr.transpose(1, 0, 2)
+        by_row[r, :, margin : margin + len(xr), :d] = xr.transpose(1, 0, 2)
     return out.reshape(step * hg, *out.shape[2:])
 
 
@@ -481,207 +492,444 @@ def _unstack(x: np.ndarray, out: np.ndarray):
         out[r::step] = x[r, :, :n, :d].transpose(1, 0, 2)
 
 
+def _windows(x: np.ndarray, axis: int, start: int, shape: tuple, stride: int,
+             width: int) -> np.ndarray:
+    """A view of C-contiguous x [B, ., .] as [B, *shape, ., .]: window i, in
+    C order over `shape`, holds `width` entries along `axis` (1 or 2) from
+    start + i * stride on."""
+    if shape == (1, 1):
+        cols = slice(start, start + width)
+        return x[:, None, None, :, cols] if axis == 2 else x[:, None, None, cols]
+    st, dims = x.strides, list(x.shape)
+    dims[axis] = width
+    steps = [stride * st[axis]]
+    for n in shape[:0:-1]:
+        steps.insert(0, steps[0] * n)
+    return np.ndarray((dims[0], *shape, *dims[1:]), x.dtype, x, start * st[axis],
+                      (st[0], *steps, *st[1:]))
+
+
+def _overlap_add(out: np.ndarray, start: int, stride: int, x: np.ndarray):
+    """out[:, start + i * stride + j] += x[:, i, j] for every slab i of x
+    [B, k, n, width, d] (slabs in C order over k and n) and every row j of
+    it, on row-major out [B, rows, d]. Slabs overlap when width > stride,
+    so they are added one at a time or in chunks of `stride` rows, which do
+    not overlap, whichever takes fewer adds."""
+    B, k, n, width = x.shape[:4]
+    if k * n == 1:
+        out[:, start : start + width] += x[:, 0, 0]
+        return
+    x = x.reshape(B, k * n, width, -1)
+    if k * n <= -(-width // stride):
+        for i in range(k * n):
+            out[:, start + i * stride : start + i * stride + width] += x[:, i]
+        return
+    for j in range(0, width, stride):
+        part = min(stride, width - j)
+        view = _windows(out, 1, start + j, (k * n,), stride, part)
+        view += x[:, :, j : j + part]
+
+
+def _geometry(levels: int, w: int, R: int) -> list:
+    """Per level, finest first, for tiles of R finest rows (R a multiple of
+    2**(levels-1), or a power of 2 below it): the sub-tiles per tile n, the
+    rows per sub-tile S, the slab columns before a sub-tile's first row lo
+    and the zero margin columns stored on each side of the level's keys and
+    [V | count] m. A tile is max(R, 2**(levels-1)) finest rows; a level
+    whose rows are finer than R runs it in sub-tiles of R finest rows, and
+    a coarser one runs it whole."""
+    f, h = 1 << (levels - 1), (w + 1) // 2
+    out = []
+    for lvl in range(levels):
+        fine = (1 << lvl) < R
+        S = R >> lvl if fine else f >> lvl
+        n = max(R, f) // R if fine else 1
+        lo = w if lvl == levels - 1 else 2 * h
+        out.append((n, S, lo, lo if levels > 1 else 0))
+    return out
+
+
 class _TileKernel:
     """The tiled softmax attention under window_attention, over B stacked
-    head-major sequences at `levels` levels, finest first, in tiles of G
-    coarsest blocks.
+    head-major sequences at `levels` levels, finest first.
 
-    Each level pools the one before by 2, so level l has 2**(levels-1-l)
-    rows per coarsest-level block, and its query row i scores its key rows
-    i - w .. i + w. The queries qs[l] come row-major, [B, rows_l, hd]; the
-    keys ks[l] and [V | count] come value-major, [B, hd, rows_l] and
-    [B, hd + 1, rows], the right operand of every product that reads them,
-    which BLAS runs faster than through a transposed view. A finest-level
-    entry scores the sum over levels of the scores of the rows that hold
-    it; it is -inf outside the coarsest level's window and wherever its
-    query or key row is padding, which the count 0 in [V | count] marks.
-    Query rows run in tiles of G whole coarsest blocks, which
-    `_tile_kernel` sizes from TILE_ROWS and the TILE_ENTRIES budget, and
-    each tile meets one key slab, blocks c0 - w .. c1 - 1 + w clipped to
-    the sequences. A tile's scores are built coarsest level first: one
-    batched matmul over the whole slab plus the coarsest window's additive
-    mask; then per finer level the coarser sums spread over 2 x 2 blocks,
-    with no np.repeat, and the level's batched matmul times its window mask
-    added only on the slab columns its window reaches (`_band`), in the
-    backward too. Each tile's softmax is shifted by its per-sequence max,
-    so one flat max, one exp and one matmul, [V | count] @ e^T, give the
-    numerator and denominator together, written value-major into one
-    buffer per call, with each row's shift in another. A tile where some
-    row's denominator falls below (slab columns) * tiny / eps has lost that
-    row to underflow; it is redone with each row shifted by its own max.
-    After the last tile one log, one add and one divide give every row's
-    log denominator (its shift plus the log of its denominator) and
-    output. The backward recomputes each tile's softmax weights with the
-    log denominators, taking no max and dividing by no denominator, and
-    meets them with dY, the numerator's gradient times the denominator, in
-    dS = dY @ [V | count]; its dV and dK products keep the row-major
-    orientation, and the dq products read the keys row-major, from one
-    copy per call. A level's window mask over a whole tile depends only on
-    key row minus query row, so it is a read-only view of one band vector
-    of (2G + 2w)·p - 1 entries, and `_kernel` keeps every kernel it builds.
+    Each level pools the one before by 2, and its query row a holds the key
+    rows a - w .. a + w in its window. Windows nest, so a finest entry
+    (query t, key u) scores C_m(t >> m, u >> m), where m is the finest
+    level whose window holds it and C_m = s_m + C_(m+1) at the parent rows
+    (s_m the level's own score, C at the coarsest its own score). The
+    kernel partitions each row's entries by that level. With h = ceil(w/2),
+    the half window of a's parent that a's two children read, level l's
+    band for row a is the children of its parent's inner blocks, key rows
+    2(a >> 1) - 2h .. 2(a >> 1) + 2h + 1 (the coarsest level's is its
+    window), and its scores there are the parent's cumulative scores spread
+    over 2 x 2 blocks plus its own masked by its window. Its ring is the band
+    minus its inner blocks a - h .. a + h, which the level below covers (the
+    finest level keeps its whole band): every entry of a's ring is an entry
+    of each frame a holds, with a's score, so it is exponentiated once at
+    the level's own rows and columns against [V | count] pooled to the
+    level, and its [num | den] is added to each of those frames.
+
+    The queries qs[l] come row-major, [B, rows_l, hd]; the keys ks[l] and
+    [V | count] vcs[l] value-major, [B, hd, rows_l + 2m_l] and [B, hd + 1,
+    rows_l + 2m_l], with m_l zero margin columns on each side (every level
+    of a ladder has them, so no slab clips and every level's band sits at
+    the same place in every sub-tile; a one-level call clips instead, since
+    its window may be as wide as the sequence). The count row of vcs counts
+    each pooled row's frames, 0 at padding and margins, where a key or a
+    query row scores -inf. A tile of R finest rows (`_geometry`) runs each
+    level's scores as dense [S, S + 2lo] band tiles, a batched matmul over
+    strided key slabs times the level's window mask, plus the parent's
+    spread (each pair of columns as one complex entry, broadcast over each
+    pair of rows), plus the ring's additive mask; the window and ring masks
+    are dense read-only [S, S + 2lo] arrays built once per kernel, so each
+    add coalesces over a whole tile. A call's uniform tiles, whose slabs
+    reach no margin or padding, run k at a time as one batched op per step,
+    k from TILE_ENTRIES over the entries a tile forms, and so do the others
+    unless their slabs clip; a clipped one-level slab adds its ring as a
+    band view of the dense mask's diagonals, or not at all where every
+    row's window covers it. Each tile's softmax is shifted by its
+    per-sequence max over every level, so each level's exp and matmul
+    [V | count] @ e^T give its rows'
+    [num | den], and the levels' sums, added coarsest first at frame rows,
+    are written value-major into one buffer per call, with each row's shift
+    in another. A tile where some row's denominator falls below (slab
+    columns over its levels) * tiny / eps has lost that row to underflow;
+    it is redone with each frame shifted by its own max over every level
+    and each ring by the least of its frames' maxima, so every exp is at
+    most 1, and the sums are rescaled by exp(ring shift - frame shift) as
+    they are added. After the last tile one log, one add and one divide
+    give every row's log denominator (its shift plus the log of its
+    denominator) and output. The backward recomputes the scores and takes
+    each ring's softmax weights against the least log denominator L_a of
+    its frames, meeting them with dY_a, the frames' dY (the numerator's
+    gradient times the denominator) summed to the ring's rows, each times
+    exp(L_a - its frame's log denominator); the score gradient dZ_l of a
+    level flows to its own scores inside its window and, summed over 2 x 2
+    blocks, to its parent's. A padded row's outputs and gradients, and the
+    [V | count] gradient of a padded frame in a pooled block, are
+    meaningless; window_attention drops them.
     """
 
-    def __init__(self, levels: int, w: int, dtype, G: int):
-        self.per, self.w, self.G = [1 << (levels - 1 - lvl) for lvl in range(levels)], w, G
+    def __init__(self, levels: int, w: int, dtype, R: int):
+        self.geo = _geometry(levels, w, R)
+        self.h, self.F = (w + 1) // 2, max(R, 1 << (levels - 1))
         info = np.finfo(dtype)
-        # a shift for a sequence whose tile is all -inf; a floor per slab column
-        self.low, self.floor = info.min, info.tiny / info.eps
-        # per level, entry (i, j) of a whole tile, query row c0*p + i against
-        # key row (c0 - w)*p + j, is |j - i - w*p| <= w: row i of R = G*p is
-        # band[R - 1 - i :][:C], C = (G + 2w)*p, in one read-only view shared
-        # by every call that gets this kernel; the coarsest mask is additive
-        self.masks = []
-        for lvl, p in enumerate(self.per):
-            R, C = G * p, (G + 2 * w) * p
-            band = np.abs(np.arange(1 - R, C) - w * p) <= w
-            if lvl == levels - 1:
-                band = np.where(band, 0.0, -np.inf)
-            self.masks.append(sliding_window_view(band.astype(dtype), C)[::-1])
+        # a shift for a sequence whose tile is all -inf; a floor per slab
+        # column; a log denominator for a row that holds no frame
+        self.low, self.floor, self.high = info.min, info.tiny / info.eps, info.max
+        self.margins = [m for *_, m in self.geo]
+        # the scores a whole tile forms per sequence; per level its rows per
+        # tile, sub-tiles, rows per sub-tile, slab lead and margin; the first
+        # tile whose slabs start in the sequence at every level
+        self.entries = sum(n * S * (S + 2 * lo) for n, S, lo, _ in self.geo)
+        self.plan = [(self.F >> lvl, *geo) for lvl, geo in enumerate(self.geo)]
+        self.first = max(-(-(lo << lvl) // self.F) for lvl, (_, _, lo, _) in enumerate(self.geo))
+        # a one-level call's slabs clip at the sequence's ends; a ladder's margins hold them
+        self.clips = any(lo > m for _, _, lo, m in self.geo)
+        # 1 + 1j: times a parent entry, the pair of equal entries it spreads to
+        self.pair = np.result_type(dtype, np.complex64).type(1 + 1j)
+        # per level, entry (i, j) of a sub-tile is query row a0 + i against key
+        # row a0 - lo + j, a0 even below the coarsest level: 1/0 inside the
+        # window (levels with a parent) and 0/-inf on the ring
+        self.window, self.ring = [], []
+        h, top = self.h, levels - 1
+        for lvl, (_, S, lo, _) in enumerate(self.geo):
+            i, j = np.arange(S)[:, None], np.arange(S + 2 * lo)
+            d = np.abs(j - lo - i)
+            if lvl == top:
+                keep = (d <= w) & ((levels == 1) | (d > h))
+            else:
+                band = (j >= (i & -2)) & (j <= (i & -2) + 4 * h + 1)
+                keep = band & ((lvl == 0) | (d > h))
+                self.window.append((d <= w).astype(dtype))
+            self.ring.append(np.where(keep, 0.0, -np.inf).astype(dtype))
+        for mask in self.window + self.ring:
+            mask.flags.writeable = False  # shared by every call that gets this kernel
+        # the finest ring's columns [open[0], open[1]) that are 0 in every row
+        inside = np.flatnonzero(np.isfinite(self.ring[0]).all(axis=0))
+        whole = inside.size and inside[-1] - inside[0] + 1 == inside.size
+        self.open = (int(inside[0]), int(inside[-1]) + 1) if whole else (0, 0)
+        if self.clips:
+            # a one-level ring depends on j - i only: a clipped slab adds it as
+            # a read-only band view of its diagonals, which reads less memory
+            # than a slice of the dense array
+            ring = self.ring[0]
+            band = np.concatenate([ring[::-1, 0], ring[0, 1:]])
+            self.band = sliding_window_view(band, ring.shape[1])[::-1]
 
-    def _tiles(self, nc: int):
-        """Query blocks [c0, c1) and key slab [b0, b1), in coarsest blocks."""
-        for c0 in range(0, nc, self.G):
-            c1 = min(c0 + self.G, nc)
-            yield c0, c1, max(c0 - self.w, 0), min(c1 + self.w, nc)
+    def _padding(self, vcs, live):
+        """Per level, [B, 1, columns]: 0 at each stored column whose count is
+        above 0 and -inf at padding and margins; None when no level has
+        either, as `live`, the leading rows per level that no sequence pads,
+        tells."""
+        if not any(self.margins) and live[0] == vcs[0].shape[2]:
+            return None
+        zero, inf = vcs[0].dtype.type(0), vcs[0].dtype.type(-np.inf)
+        return [np.where(vc[:, -1:] > 0, zero, inf) for vc in vcs]
 
-    def _mask(self, lvl, c0, c1, b0, b1):
-        p, w = self.per[lvl], self.w
-        return self.masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
+    @functools.cache
+    def _tiles(self, rows, live, k):
+        """The runs of a call over `rows` finest rows whose leading rows
+        `live` (a tuple per level) no sequence pads, kept per call shape, as
+        (t0, k, F, levels): k tiles of F finest rows from row t0, and per
+        level, finest first, its first row a0, sub-tiles per tile n, rows per
+        sub-tile S, first stored slab column c0, slab width C and columns j0
+        clipped off the slab's start. The uniform tiles, whose slabs reach no
+        margin or padding at any level, run up to k at a time, and so do the
+        others unless their slabs clip; a last tile of fewer whole blocks
+        runs alone."""
+        F, full, first = self.F, rows // self.F, self.first
+        stop = full
+        for lvl, (_, _, _, lo, _) in enumerate(self.plan):
+            stop = min(stop, ((live[lvl] - lo) << lvl) // F)
+        edge = 1 if self.clips else k
+        runs = []
+        for g0, g1, step in ((0, min(first, full), edge), (first, stop, k),
+                             (max(first, stop), full, edge), (full, -(-rows // F), 1)):
+            for g in range(g0, g1, step):
+                Ft = min(F, rows - g * F)
+                levels = []
+                for lvl, (Fl, n, S, lo, m) in enumerate(self.plan):
+                    if Ft < F:
+                        n, S = 1, Ft >> lvl  # a last tile of fewer whole blocks
+                    c0 = g * Fl - lo + m
+                    c1, cols = c0 + S + 2 * lo, (rows >> lvl) + 2 * m
+                    j0 = -c0 if c0 < 0 else 0
+                    levels.append((g * Fl, n, S, c0 + j0, (c1 if c1 < cols else cols) - c0 - j0, j0))
+                runs.append((g * F, min(step, g1 - g), Ft, tuple(levels)))
+        return tuple(runs)
 
-    @staticmethod
-    def _padding(vc):
-        """[B, 1, rows]: 0 at each sequence's rows and -inf at its padding,
-        from the count row of value-major vc; and the leading rows that no
-        sequence pads."""
-        live = vc[:, -1:] > 0
-        return np.where(live, 0.0, -np.inf).astype(vc.dtype), int(live.all(axis=0).sum())
+    def _parent(self, zp, n, S):
+        """The parent level's entries [B, k, n, S/2, S/2 + 2h] that a level of
+        n sub-tiles of S rows spreads: its inner columns, from lo' - h on. A
+        parent run whole under sub-tiles of one parent row each (S = 2) gives
+        sub-tile i its row i, from column lo' - h + i."""
+        B, k, n_p, S_p, C_p = zp.shape
+        st = zp.strides
+        off = (C_p - S_p) // 2 - self.h
+        sub = st[2] if n_p == n else st[3] + st[4]
+        return np.ndarray((B, k, n, S // 2, S // 2 + 2 * self.h), zp.dtype, zp,
+                          off * st[4], (st[0], st[1], sub, st[3], st[4]))
 
-    def _band(self, lvl, c0, c1, b0, b1):
-        """The slab columns [j0, j1) at level lvl that the windows of query
-        blocks [c0, c1) reach: key rows c0*p - w .. c1*p - 1 + w."""
-        p, w = self.per[lvl], self.w
-        return max((c0 - b0) * p - w, 0), min((c1 - b0) * p + w, (b1 - b0) * p)
+    def _scores(self, qs, ks, negs, live, k, levels):
+        """The scores [B, k, n, S, C] of k tiles per level, finest first: each
+        level's masked product plus its parent's spread, -inf off its ring
+        and at padding and margins."""
+        L, B = len(qs), qs[0].shape[0]
+        zs = [None] * L
+        for lvl in reversed(range(L)):
+            a0, n, S, c0, C, j0 = levels[lvl]
+            N = k * n
+            q = qs[lvl][:, a0 : a0 + N * S].reshape(B, k, n, S, -1)
+            z = q @ _windows(ks[lvl], 2, c0, (k, n), S, C)
+            if lvl < L - 1:
+                z *= self.window[lvl][:S, :C]
+                # the parent's cumulative scores spread over 2 x 2 blocks: each
+                # pair of columns as one complex entry, each pair of rows by
+                # broadcasting; then the parent's own ring
+                zp = zs[lvl + 1]
+                p = self._parent(zp, n, S) * self.pair
+                z.view(p.dtype).reshape(B, k, n, S // 2, 2, C // 2)[...] += p[:, :, :, :, None]
+                zp += self.ring[lvl + 1][: zp.shape[3], : zp.shape[4]]
+            # -inf at the slab columns left of the rows no sequence pads (in
+            # any sub-tile: the first reaches farthest) and right of them (the
+            # last reaches farthest), and at the query rows past them
+            m, n_live = self.margins[lvl], live[lvl]
+            left, right = m - c0, m + n_live - c0 - (N - 1) * S
+            for j, j1 in ((0, C),) if left >= right else ((0, left), (right, C)):
+                j, j1 = (j if j > 0 else 0), (j1 if j1 < C else C)
+                if j < j1:
+                    z[..., j:j1] += _windows(negs[lvl], 2, c0 + j, (k, n), S, j1 - j)
+            if a0 + N * S > n_live:
+                r = max(n_live - a0, 0)
+                z.reshape(B, N * S, C)[:, r:] += negs[lvl][:, 0, m + a0 + r : m + a0 + N * S, None]
+            zs[lvl] = z
+        S, C, j0 = levels[0][2], levels[0][4], levels[0][5]
+        if C == self.ring[0].shape[1]:
+            zs[0] += self.ring[0]
+        elif j0 < self.open[0] or j0 + C > self.open[1]:
+            # a clipped or shorter slab that reaches a column where some row's
+            # ring ends
+            zs[0] += (self.band if self.clips else self.ring[0])[:S, j0 : j0 + C]
+        return zs
 
-    @staticmethod
-    def _spread(z):
-        """z [B, R, C] repeated over 2 x 2 blocks, [B, 2R, 2C]: two strided
-        column writes, each broadcast over both rows of a pair."""
-        B, R, C = z.shape
-        s, z = np.empty((B, R, 2, 2 * C), z.dtype), z[:, :, None]
-        s[:, :, :, 0::2] = z
-        s[:, :, :, 1::2] = z
-        return s.reshape(B, 2 * R, 2 * C)
+    def _run(self, qs, ks, vcs, negs, live, nd, shift, t0, k, F, levels, by_row):
+        """Write [num | den] and the shifts of k tiles of F rows from row t0
+        into nd [B, tiles, hd + 1, F] and shift [B, tiles, 1, 1, F]; with `by_row`,
+        each frame shifted by its own max. Returns the tiles where some
+        row's denominator underflowed."""
+        L, B, hd = len(qs), nd.shape[0], nd.shape[2] - 1
+        zs = self._scores(qs, ks, negs, live, k, levels)
+        if by_row:
+            # each frame's max over every level, then per ring row the least
+            # of its frames' maxima
+            top = [z.max(axis=4, initial=self.low).reshape(B, k, -1) for z in zs]
+            sh = [top[-1]]
+            for lvl in reversed(range(L - 1)):
+                sh.insert(0, np.maximum(np.repeat(sh[0], 2, axis=2), top[lvl]))
+            for lvl in range(1, L):
+                sh[lvl] = np.minimum(sh[lvl - 1][:, :, 0::2], sh[lvl - 1][:, :, 1::2])
+        else:
+            m = zs[-1].max(axis=(2, 3, 4), keepdims=True, initial=self.low)
+            for lvl in range(L - 1):
+                np.maximum(m, zs[lvl].max(axis=(2, 3, 4), keepdims=True), out=m)
+        g = t0 // self.F
+        out = nd[:, g : g + k, :, :F]
+        acc = None
+        for lvl in reversed(range(L)):
+            a0, n, S, c0, C, _ = levels[lvl]
+            z, zs[lvl] = zs[lvl], None  # freed as soon as it is used
+            s = sh[lvl].reshape(B, k, n, S, 1) if by_row else m
+            e = np.exp(np.subtract(z, s, out=z), out=z)
+            # each level's [num | den], value-major [B, k, hd + 1, rows]
+            cur = out if lvl == 0 else np.empty((B, k, hd + 1, n * S), nd.dtype)
+            np.matmul(_windows(vcs[lvl], 2, c0, (k, n), S, C), e.swapaxes(3, 4),
+                      out=cur[:, :, None] if n == 1 else
+                      cur.reshape(B, k, hd + 1, n, S).transpose(0, 1, 3, 2, 4))
+            del z, e
+            if acc is not None:
+                up = np.repeat(acc, 2, axis=3)
+                if by_row:
+                    up *= np.exp(np.repeat(sh[lvl + 1], 2, axis=2) - sh[lvl])[:, :, None]
+                cur += up
+            acc = cur
+        den = out[:, :, hd]
+        if t0 + k * F > live[0]:
+            # a padded row's denominator 0 becomes at least 1, so its output is finite
+            m0 = self.margins[0]
+            den += (negs[0][:, 0, m0 + t0 : m0 + t0 + k * F] != 0).reshape(B, k, F)
+        shift[:, g : g + k, :, :, :F] = sh[0].reshape(B, k, 1, 1, F) if by_row else m
+        floor = sum(lv[4] for lv in levels) * self.floor
+        if by_row or den.min() >= floor:
+            return ()
+        return np.flatnonzero(den.min(axis=(0, 2)) < floor)
 
-    def _scores(self, qs, ks, pad, c0, c1, b0, b1):
-        """The scores [B, rows, cols] of one tile at the finest level."""
-        per = self.per
-        z = qs[-1][:, c0:c1] @ ks[-1][:, :, b0:b1]
-        z += self._mask(len(per) - 1, c0, c1, b0, b1)
-        for lvl in reversed(range(len(per) - 1)):
-            # a finer level adds its masked scores only where its window reaches
-            p, (j0, j1) = per[lvl], self._band(lvl, c0, c1, b0, b1)
-            s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, :, b0 * p + j0 : b0 * p + j1]
-            s *= self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
-            z = self._spread(z)
-            z[:, :, j0:j1] += s
-        # padded keys and query rows, all past row n in every sequence, join
-        # the entries outside the window at -inf, which exp maps to 0
-        neg, n = pad
-        f = per[0]
-        k0, q0 = max(n, b0 * f), max(n, c0 * f)
-        if k0 < b1 * f:
-            z[:, :, k0 - b0 * f :] += neg[:, :, k0 : b1 * f]
-        if q0 < c1 * f:
-            z[:, q0 - c0 * f :] += neg[:, :, q0 : c1 * f].transpose(0, 2, 1)
-        return z
-
-    def forward(self, qs, ks, vc):
+    def forward(self, qs, ks, vcs, live):
         """The outputs [B, rows, hd] and the log softmax denominators
         [B, rows, 1] of every finest query row: the shift its tile's scores
-        took plus the log of the sum of their exps. A padded row has output
-        0 and, with a sum of 1, its shift."""
-        f, hd = self.per[0], vc.shape[1] - 1
-        # every row's [num | den], value-major like vc, and its shift
-        nd = np.empty_like(vc)
-        shift = np.empty((vc.shape[0], vc.shape[2], 1), vc.dtype)
-        pad = neg, n = self._padding(vc)
-        for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
-            rows, q0 = slice(c0 * f, c1 * f), max(n, c0 * f)
-            # the per-sequence max first, each row's own max if a row underflows
-            for axes in ((1, 2), 2):
-                z = self._scores(qs, ks, pad, c0, c1, b0, b1)
-                m = z.max(axis=axes, keepdims=True, initial=self.low)
-                e = np.exp(np.subtract(z, m, out=z), out=z).transpose(0, 2, 1)
-                np.matmul(vc[:, :, b0 * f : b1 * f], e, out=nd[:, :, rows])
-                del z, e  # freed before the next scores are built
-                d = nd[:, hd, rows]
-                # a padded row's denominator 0 becomes 1, so its output is 0
-                if q0 < c1 * f:
-                    d[:, q0 - c0 * f :] += neg[:, 0, q0 : c1 * f] != 0
-                if d.min() >= (b1 - b0) * f * self.floor:
-                    break
-            shift[:, rows] = m
-        den = nd[:, hd:]
-        lse = np.add(np.log(den.transpose(0, 2, 1)), shift, out=shift)
-        y = np.divide(nd[:, :hd], den, out=nd[:, :hd])
+        took plus the log of the sum of their exps. A padded row's output
+        and log denominator are finite and meaningless."""
+        B, rows = qs[0].shape[:2]
+        hd, F, dtype = vcs[0].shape[1] - 1, self.F, vcs[0].dtype
+        # every row's [num | den], value-major like vcs, and its shift, in
+        # whole tiles: nd as [B, tiles, hd + 1, F] and shift as [B, tiles, 1, 1, F]
+        tiles = -(-rows // F)
+        nd = np.empty((B, hd + 1, tiles * F), dtype)
+        shift = np.empty((B, tiles, 1, 1, F), dtype)
+        by_tile = nd.reshape(B, hd + 1, tiles, F).transpose(0, 2, 1, 3)
+        negs = self._padding(vcs, live)
+        # a tile's forward forms one score array per entry, exponentiated in place
+        most = max(1, TILE_ENTRIES // (B * self.entries))
+        for t0, k, Ft, levels in self._tiles(rows, live, most):
+            for i in self._run(qs, ks, vcs, negs, live, by_tile, shift, t0, k, Ft, levels, False):
+                one = [(a0 + i * n * S, n, S, c0 + i * n * S, C, j0)
+                       for a0, n, S, c0, C, j0 in levels]
+                self._run(qs, ks, vcs, negs, live, by_tile, shift, t0 + i * F, 1, Ft, one, True)
+        den = nd[:, hd:, :rows]
+        lse = shift.reshape(B, -1, 1)[:, :rows]
+        np.add(np.log(den.transpose(0, 2, 1)), lse, out=lse)
+        y = np.divide(nd[:, :hd, :rows], den, out=nd[:, :hd, :rows])
         return y.transpose(0, 2, 1), lse
 
-    def backward(self, qs, ks, vc, lse, dy):
-        """The gradients of qs and ks per level and of [V | count], all
-        row-major, from the forward's log denominators and dy [B, rows,
-        hd + 1]: the gradient of the softmax numerator [num | den] times
-        each row's denominator."""
-        f, L = self.per[0], len(self.per)
+    def backward(self, qs, ks, vcs, live, lse, dy):
+        """The gradients of qs and ks per level (the keys' row-major, without
+        margins) and of frame-level [V | count], row-major, from the
+        forward's log denominators and dy [B, rows, hd + 1]: the gradient of
+        the softmax numerator [num | den] times each row's denominator."""
+        L = len(qs)
+        B, rows = qs[0].shape[:2]
+        negs = self._padding(vcs, live)
+        # per level row, the least log denominator of its frames and dY
+        # summed to it, each frame's times exp(that least - its own)
+        lows, dys = [lse[:, :, 0]], [dy]
+        if L > 1:
+            # a padded frame, whose finest scores are all -inf, takes no part
+            m0 = self.margins[0]
+            lows[0] = np.where(vcs[0][:, -1, m0 : m0 + rows] > 0, lows[0], self.high)
+        for _ in range(1, L):
+            a, b = lows[-1][:, 0::2], lows[-1][:, 1::2]
+            low = np.minimum(a, b)
+            ya, yb = dys[-1][:, 0::2], dys[-1][:, 1::2]
+            dys.append(ya * np.exp(low - a)[:, :, None] + yb * np.exp(low - b)[:, :, None])
+            lows.append(low)
         # the dq products read the keys row-major, copied once per call
         kr = [np.ascontiguousarray(x.transpose(0, 2, 1)) for x in ks]
-        dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in kr]
-        dvc = np.zeros_like(dy)
-        pad = self._padding(vc)
-        for c0, c1, b0, b1 in self._tiles(qs[-1].shape[1]):
-            z = self._scores(qs, ks, pad, c0, c1, b0, b1)
-            # the softmax weights, each at most 1
-            e = np.exp(np.subtract(z, lse[:, c0 * f : c1 * f], out=z), out=z)
-            dyt = dy[:, c0 * f : c1 * f]
-            dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
-            ds = dyt @ vc[:, :, b0 * f : b1 * f]
-            ds *= e
-            # ds is the gradient of the accumulated score at each level,
-            # finest first, and a level's scores are its band's columns (the
-            # whole slab at the coarsest level, whose entries outside the
-            # window have e = 0)
+        dqs, dks = [np.empty_like(x) for x in qs], [np.zeros_like(x) for x in kr]
+        dvs = [np.zeros((B, x.shape[2], x.shape[1]), x.dtype) for x in vcs]
+        # a tile's backward forms two score arrays per entry: the weights and
+        # their gradient
+        most = max(1, TILE_ENTRIES // (2 * B * self.entries))
+        for _, k, _, levels in self._tiles(rows, live, most):
+            zs = self._scores(qs, ks, negs, live, k, levels)
+            dz = None  # the finer level's score gradient
             for lvl in range(L):
-                if lvl:
-                    # sums of 2 x 2 blocks, the transpose of _spread: each
-                    # pair of rows as the two halves of one row, then columns
-                    B, R, C = ds.shape
-                    ds = ds.reshape(B, R // 2, 2 * C)
-                    ds = ds[:, :, :C] + ds[:, :, C:]
-                    ds = ds[:, :, 0::2] + ds[:, :, 1::2]
-                p, (j0, j1) = self.per[lvl], self._band(lvl, c0, c1, b0, b1)
-                rows, cols = slice(c0 * p, c1 * p), slice(b0 * p + j0, b0 * p + j1)
-                dz = ds[:, :, j0:j1]
-                if lvl + 1 < L:
-                    dz = dz * self._mask(lvl, c0, c1, b0, b1)[:, j0:j1]
-                dqs[lvl][:, rows] = dz @ kr[lvl][:, cols]
-                dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
-        return dqs, dks, dvc
+                a0, n, S, c0, C, _ = levels[lvl]
+                N, rs = k * n, slice(a0, a0 + k * n * S)
+                # the ring's softmax weights, each at most 1
+                z, zs[lvl] = zs[lvl], None
+                e = np.exp(np.subtract(z, lows[lvl][:, rs].reshape(B, k, n, S, 1), out=z), out=z)
+                dyl = dys[lvl][:, rs].reshape(B, k, n, S, -1)
+                _overlap_add(dvs[lvl], c0, S, e.swapaxes(3, 4) @ dyl)
+                ds = dyl @ _windows(vcs[lvl], 2, c0, (k, n), S, C)
+                ds *= e
+                del z, e
+                if dz is not None:
+                    # the finer level's gradient summed over 2 x 2 blocks, on the
+                    # inner columns it spread from: each pair of rows as the two
+                    # halves of one row, then columns
+                    Cc = dz.shape[4]
+                    d = dz.reshape(B, k, dz.shape[2], -1, 2 * Cc)
+                    d = d[..., :Cc] + d[..., Cc:]
+                    view = self._parent(ds, dz.shape[2], dz.shape[3])
+                    view += d[..., 0::2] + d[..., 1::2]
+                    del d, view
+                dz = ds
+                if lvl < L - 1:
+                    ds = ds * self.window[lvl][:S, :C]
+                np.matmul(ds, _windows(kr[lvl], 1, c0, (k, n), S, C),
+                          out=dqs[lvl][:, rs].reshape(B, k, n, S, -1))
+                _overlap_add(dks[lvl], c0, S, ds.swapaxes(3, 4) @ qs[lvl][:, rs].reshape(B, k, n, S, -1))
+            # freed before the next tile's scores are built, whose buffers can then
+            # take their place
+            del dz, ds
+        dvc = None
+        for lvl in reversed(range(L)):
+            m = self.margins[lvl]
+            d = dvs[lvl][:, m : m + (rows >> lvl)]
+            dvc = d if dvc is None else np.add(np.repeat(dvc, 2, axis=1), d, out=d)
+        return dqs, [x[:, m : x.shape[1] - m] for x, m in zip(dks, self.margins)], dvc
 
 
 @functools.cache
-def _kernel(levels: int, w: int, dtype, G: int) -> _TileKernel:
-    """The kernel for (levels, w, dtype, G), built at its first call."""
-    return _TileKernel(levels, w, dtype, G)
+def _kernel(levels: int, w: int, dtype, R: int) -> _TileKernel:
+    """The kernel for (levels, w, dtype, R), built at its first call."""
+    return _TileKernel(levels, w, dtype, R)
 
 
 def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKernel:
-    """The kernel for `batch` stacked sequences of `rows` finest rows: tiles
-    of the most whole coarsest blocks, up to TILE_ROWS finest rows, whose
-    scores hold TILE_ENTRIES at most; one block if even that holds more."""
+    """The kernel for `batch` stacked sequences of `rows` finest rows."""
+    return _kernel(levels, w, np.dtype(dtype),
+                   _tile_rows(levels, w, batch, rows, TILE_ROWS, TILE_ENTRIES))
+
+
+@functools.cache
+def _tile_rows(levels: int, w: int, batch: int, rows: int, tile_rows: int, budget: int) -> int:
+    """The finest rows R of a tile: the most whole coarsest blocks, up to
+    tile_rows, whose scores over every level hold `budget` entries at most
+    (one block if even that holds more); a coarsest block longer than
+    tile_rows is one tile whose finer levels run in sub-tiles of tile_rows
+    rounded down to a power of 2."""
     f = 1 << (levels - 1)
-    nc, G = rows // f, max(1, TILE_ROWS // f)
-    while G > 1 and batch * min(G, nc) * f * min(G + 2 * w, nc) * f > TILE_ENTRIES:
-        G -= 1
-    return _kernel(levels, w, np.dtype(dtype), G)
+    if tile_rows < f:
+        return 1 << (max(tile_rows, 1).bit_length() - 1)
+    # a tile of R // f whole blocks scores S = R >> l rows per level against
+    # slabs clipped to the sequence where the level stores no margins
+    R = min(tile_rows // f * f, rows)
+    while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
+                                in enumerate(_geometry(levels, w, R))) > budget:
+        R -= f
+    return R
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
@@ -706,23 +954,25 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     frame level first, over step * heads-per-group stacked sequences: each
     head's residues, zero-padded to the rows of the longest, rounded up to
     whole coarsest blocks. The values carry a count of 1 per frame and 0
-    per padded row, as [V | count]; each level pools q, k and the count by
-    2, so a residue's ragged tail gets its own frame count. Each level's
-    pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) * count),
-    and its keys are pooled means. The queries are stacked row-major, and
-    the keys and [V | count] value-major, once per group, in the layout the
-    kernel's products read. The tile rows shrink from TILE_ROWS to keep a
-    tile within TILE_ENTRIES scores. When a gradient is needed, the
-    backward keeps, per group, the operands its forward stacked (each
-    level's pooled queries and keys, [V | count] and the counts), each in
-    that one layout, not q, k and v themselves; it also keeps the output
-    and, per frame and head, the log softmax denominator: the shift its
-    tile's scores took plus the log of their exps' sum. HTA's pooled
-    levels add about 1.9 T·A to what a layer's tape holds. The backward
-    forms dY = [g, -(g . y)] once, frame-major, stacks it and the
-    denominators per group row-major, like the queries, and drops each
-    group's operands once its gradients are made. Under no_grad() a
-    group's operands are freed once its output is written.
+    per padded row, as [V | count]; each level pools q, k and [V | count]
+    by 2, so a residue's ragged tail gets its own frame count, and the
+    kernel weights each level's ring with its pooled [V | count]. Each
+    level's pooled queries are pre-scaled by (1 / levels) / (sqrt(hd) *
+    count), and its keys are pooled means. The queries are stacked
+    row-major, and the keys and [V | count] value-major, with the kernel's
+    zero margins, once per group, in the layout the kernel's products read.
+    The tile rows shrink from TILE_ROWS to keep a tile within TILE_ENTRIES
+    scores. When a gradient is needed, the backward keeps, per group, the
+    operands its forward stacked (each level's pooled queries, keys and
+    [V | count], and the counts), each in that one layout, not q, k and v
+    themselves; it also keeps the output and, per frame and head, the log
+    softmax denominator: the shift its tile's scores took plus the log of
+    their exps' sum. HTA's pooled levels add about 3.0 T·A to what a
+    layer's tape holds. The backward forms dY = [g, -(g . y)] once,
+    frame-major, stacks it and the denominators per group row-major, like
+    the queries, and drops each group's operands once its gradients are
+    made. Under no_grad() a group's operands are freed once its output is
+    written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -742,36 +992,50 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     def operands(hs, w, step):
         """The kernel and its operands for heads hs, stacked over the
         residues of `step`: per level the pooled query sums times
-        wt / count, row-major, and the pooled key means, value-major,
-        [V | count] at frame level, value-major, and per level the counts
-        each pooled sum was divided by."""
+        wt / count, row-major, the pooled key means and the pooled
+        [V | count] sums, value-major with the kernel's margins, the rows
+        that no sequence pads and the counts each pooled sum was divided
+        by."""
         n = -(-T // step)  # the rows of residue 0, the longest
         rows = -(-n // f) * f  # in whole coarsest blocks
+        # every key a tile reads lies fewer than `rows` rows from its query
+        # at its own level, so a wider window reads what one of `rows` does
+        kernel = _tile_kernel(levels, min(w, rows), dtype, step * hg, rows)
+        ms = kernel.margins
         # residue r's row i is frame i * step + r, and counts 1 if it exists
         live = np.arange(rows) * step + np.arange(step)[:, None] < T
         c = np.repeat(live.astype(dtype), hg, axis=0)[:, :, None]
-        vc = _stack(vd[:, hs], step, rows, hd + 1, value_major=True)
-        vc[:, hd] = c[:, :, 0]
-        qsum, ksum = _stack(qd[:, hs], step, rows), _stack(kd[:, hs], step, rows, value_major=True)
-        qs, ks, cs = [qsum * wt], [ksum], [1.0]  # a frame-level row counts one frame
-        for _ in range(1, levels):
+        vc = _stack(vd[:, hs], step, rows, hd + 1, value_major=True, margin=ms[0])
+        vc[:, hd, ms[0] : ms[0] + rows] = c[:, :, 0]
+        ksum = _stack(kd[:, hs], step, rows, value_major=True, margin=ms[0])
+        qsum = _stack(qd[:, hs], step, rows)
+        qs, ks, vcs, cs = [qsum * wt], [ksum], [vc], [1.0]  # a frame-level row counts one frame
+        ksum = ksum[:, :, ms[0] : ms[0] + rows]
+        for lvl in range(1, levels):
+            m, r, prev = ms[lvl], rows >> lvl, vcs[-1][:, :, ms[lvl - 1] : ms[lvl - 1] + 2 * (rows >> lvl)]
             qsum, ksum, c = _pair_sum(qsum), _pair_sum(ksum, 2), _pair_sum(c)
             cs.append(np.maximum(c, 1))  # a block of padding only sums to 0
             qs.append(qsum * (wt / cs[-1]))
-            ks.append(ksum / cs[-1].transpose(0, 2, 1))
-        # every key a tile reads lies fewer than `rows` rows from its query
-        # at its own level, so a wider window reads what one of `rows` does
-        return _tile_kernel(levels, min(w, rows), dtype, step * hg, rows), qs, ks, vc, cs
+            kp, vc = (np.zeros((x.shape[0], x.shape[1], r + 2 * m), dtype) for x in (ksum, prev))
+            np.divide(ksum, cs[-1].transpose(0, 2, 1), out=kp[:, :, m : m + r])
+            np.add(prev[:, :, 0::2], prev[:, :, 1::2], out=vc[:, :, m : m + r])
+            ks.append(kp)
+            vcs.append(vc)
+        # the rows of every residue, T // step, hold a frame in every sequence,
+        # and so do the blocks that start among them at each level
+        live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
+        return kernel, qs, ks, vcs, live, cs
 
     y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
     # per group, the operands its backward reads, only when one will run
     kept = [] if _records((q, k, v)) else None
     for hs, w, step in groups:
-        kernel, qs, ks, vc, cs = operands(hs, w, step)
-        for a, b in zip(kernel.forward(qs, ks, vc), (y, lse)):
+        kernel, qs, ks, vcs, live, cs = operands(hs, w, step)
+        for a, b in zip(kernel.forward(qs, ks, vcs, live), (y, lse)):
             _unstack(a, b[:, hs])
         if kept is not None:
-            kept.append((hs, step, kernel, qs, ks, vc, cs))
+            kept.append((hs, step, kernel, qs, ks, vcs, live, cs))
+        del qs, ks, vcs, cs, a
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -785,9 +1049,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
             while kept:
                 # each group's operands are dropped once its gradients are made
-                hs, step, kernel, qs, ks, vc, cs = kept.pop()
-                rows = vc.shape[2]
-                dqs, dks, dvc = kernel.backward(qs, ks, vc, _stack(lse[:, hs], step, rows),
+                hs, step, kernel, qs, ks, vcs, live, cs = kept.pop()
+                rows = qs[0].shape[1]
+                dqs, dks, dvc = kernel.backward(qs, ks, vcs, live, _stack(lse[:, hs], step, rows),
                                                 _stack(dy[:, hs], step, rows))
                 dqg = dkg = 0.0
                 for s, (a, b, c) in enumerate(zip(dqs, dks, cs)):

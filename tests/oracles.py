@@ -186,99 +186,113 @@ def band_mask_oracle(T, width, step):
     return (d % step == 0) & (m >= -width) & (m <= width)
 
 
-def tile_mask_oracle(levels, w, dtype, G):
-    """Dense window masks of a whole tile of seqcore._TileKernel, finest
-    level first: at level l, with p = 2**(levels-1-l) rows per coarsest
-    block, entry (i, j) of [G*p, (G + 2w)*p] is query row c0*p + i against
-    key row (c0 - w)*p + j, inside the window when |j - w*p - i| <= w; 1/0
-    at the finer levels and 0/-inf at the coarsest."""
+def ring_masks_oracle(levels, w, R, dtype):
+    """Dense (window, ring) masks of one sub-tile of seqcore._TileKernel per
+    level, finest first, for tiles of R finest rows: a level finer than R
+    runs R >> l rows per sub-tile, a coarser one its whole coarsest block.
+    Entry (i, j) is query row i against key row j - lo, lo = 2 * ceil(w/2)
+    below the coarsest level and w at it. The window is 1/0 where the key
+    lies within w of the query (None at the coarsest level). The ring is
+    0/-inf: at the coarsest level the window, less the inner keys within
+    ceil(w/2) when there are finer levels; below it the children of the
+    parent's inner keys, less the level's own inner keys above the finest
+    level."""
+    f, h = 1 << (levels - 1), -(-w // 2)
     masks = []
     for lvl in range(levels):
-        p = 1 << (levels - 1 - lvl)
-        rel = np.arange((G + 2 * w) * p)[None, :] - w * p - np.arange(G * p)[:, None]
-        inside = np.abs(rel) <= w
-        if lvl == levels - 1:
-            masks.append(np.where(inside, 0.0, -np.inf).astype(dtype))
+        S = R >> lvl if (1 << lvl) < R else f >> lvl
+        top = lvl == levels - 1
+        lo = w if top else 2 * h
+        query, key = np.arange(S)[:, None], np.arange(S + 2 * lo)[None, :] - lo
+        d = np.abs(key - query)
+        if top:
+            window, ring = None, (d <= w) & ((levels == 1) | (d > h))
         else:
-            masks.append(inside.astype(dtype))
+            window = (d <= w).astype(dtype)
+            ring = (np.abs((key >> 1) - (query >> 1)) <= h) & ((lvl == 0) | (d > h))
+        masks.append((window, np.where(ring, 0.0, -np.inf).astype(dtype)))
     return masks
 
 
-def tile_ranges_oracle(nc, w, G):
-    """(c0, c1, b0, b1) of every tile over nc coarsest blocks: query blocks
-    [c0, c1), G at a time, against key blocks [c0 - w, c1 + w) clipped."""
-    return [(c0, min(c0 + G, nc), max(c0 - w, 0), min(min(c0 + G, nc) + w, nc))
-            for c0 in range(0, nc, G)]
-
-
-def tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1):
-    """Finest-level scores [B, rows, cols] of one tile of
-    seqcore._TileKernel, full width: every level's product over the whole
-    key slab times its dense window mask (plus it, at the coarsest level),
-    plus the coarser level's sum spread over 2 x 2 blocks by np.repeat;
-    -inf at every padded key and query row (count 0 in vc)."""
-    masks = tile_mask_oracle(levels, w, qs[0].dtype, G)
-    z = None
+def ring_scores_oracle(levels, w, qs, ks, vc):
+    """Per level, finest first, the dense scores [B, rows_l, rows_l] that
+    seqcore._TileKernel exponentiates at that level, from each level's
+    row-major queries and keys and frame-level [V | count] vc [B, rows,
+    hd + 1]: query row a against key row c scores C_l(a, c), its own score
+    where c lies within w of a plus C_(l+1)(a >> 1, c >> 1) (the coarsest
+    level its own score), on a's ring (as ring_masks_oracle draws it) and
+    -inf elsewhere and wherever the row or the key pools no frame."""
+    h = -(-w // 2)
+    counts = [vc[:, :, -1]]
+    for _ in range(1, levels):
+        counts.append(counts[-1][:, 0::2] + counts[-1][:, 1::2])
+    out, C = [None] * levels, None
     for lvl in reversed(range(levels)):
-        p = 1 << (levels - 1 - lvl)
-        s = qs[lvl][:, c0 * p : c1 * p] @ ks[lvl][:, b0 * p : b1 * p].transpose(0, 2, 1)
-        mask = masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
-        if z is None:
-            s += mask
+        rows = qs[lvl].shape[1]
+        a, c = np.arange(rows)[:, None], np.arange(rows)[None, :]
+        d = np.abs(c - a)
+        own = np.where(d <= w, qs[lvl] @ ks[lvl].transpose(0, 2, 1), 0.0)
+        if C is None:
+            C, ring = own, (d <= w) & ((levels == 1) | (d > h))
         else:
-            s *= mask
-            s += np.repeat(np.repeat(z, 2, axis=2), 2, axis=1)
-        z = s
-    f = 1 << (levels - 1)
+            C = own + np.repeat(np.repeat(C, 2, axis=1), 2, axis=2)
+            ring = (np.abs((c >> 1) - (a >> 1)) <= h) & ((lvl == 0) | (d > h))
+        live = counts[lvl] > 0
+        out[lvl] = np.where(ring & live[:, :, None] & live[:, None, :], C, -np.inf)
+    return out
+
+
+def ladder_scores_oracle(levels, w, qs, ks, vc):
+    """The frame-level scores [B, rows, rows] of a whole ladder: frame t
+    against frame u sums the scores s_l(t >> l, u >> l) of every level l
+    whose window holds that pair, summed coarsest first at each level's own
+    resolution and repeated over 2 x 2 blocks to the next; -inf outside the
+    coarsest window and at every padded frame (count 0 in vc)."""
+    z = 0.0
+    for lvl in reversed(range(levels)):
+        rows = qs[lvl].shape[1]
+        inside = np.abs(np.arange(rows)[:, None] - np.arange(rows)[None, :]) <= w
+        if lvl < levels - 1:
+            z = np.repeat(np.repeat(z, 2, axis=1), 2, axis=2)
+        else:
+            top = inside
+        z = z + np.where(inside, qs[lvl] @ ks[lvl].transpose(0, 2, 1), 0.0)
+        if lvl == levels - 1:
+            top = np.repeat(np.repeat(top, 1 << lvl, axis=0), 1 << lvl, axis=1)
     live = vc[:, :, -1] > 0
-    keep = live[:, c0 * f : c1 * f, None] & live[:, None, b0 * f : b1 * f]
-    return np.where(keep, z, -np.inf)
+    return np.where(top & live[:, :, None] & live[:, None, :], z, -np.inf)
 
 
-def tile_forward_oracle(levels, w, G, qs, ks, vc):
-    """The outputs [B, rows, hd] and log softmax denominators [B, rows, 1]
-    of seqcore._TileKernel.forward from full-width tile scores, each row
-    shifted by its own max; a padded row has output 0 and lse -inf."""
-    f, hd = 1 << (levels - 1), vc.shape[2] - 1
-    y = np.zeros(vc.shape[:2] + (hd,), vc.dtype)
-    lse = np.full(vc.shape[:2] + (1,), -np.inf, vc.dtype)
-    for c0, c1, b0, b1 in tile_ranges_oracle(qs[-1].shape[1], w, G):
-        z = tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1)
-        m = z.max(axis=2, keepdims=True)
-        live = np.isfinite(m)
-        nd = np.exp(z - np.where(live, m, 0)) @ vc[:, b0 * f : b1 * f]
-        den = np.where(live, nd[:, :, hd:], 1)
-        y[:, c0 * f : c1 * f] = nd[:, :, :hd] / den
-        lse[:, c0 * f : c1 * f] = m + np.log(den)
-    return y, lse
+def ladder_forward_oracle(levels, w, qs, ks, vc):
+    """Outputs [B, rows, hd] and log softmax denominators [B, rows, 1] of
+    the ladder's frame-level softmax, each row shifted by its own max; a
+    padded row has output 0 and lse -inf."""
+    z = ladder_scores_oracle(levels, w, qs, ks, vc)
+    m = z.max(axis=2, keepdims=True)
+    live = np.isfinite(m)
+    nd = np.exp(z - np.where(live, m, 0)) @ vc
+    den = np.where(live, nd[:, :, -1:], 1)
+    return nd[:, :, :-1] / den, m + np.log(den)
 
 
-def tile_backward_oracle(levels, w, G, qs, ks, vc, lse, dy):
-    """The gradients (dqs, dks, dvc) of seqcore._TileKernel.backward from
-    full-width tile scores: each level's masked gradient over the whole
-    slab, and sums of 2 x 2 blocks, the transpose of np.repeat's spread."""
-    f = 1 << (levels - 1)
-    masks = tile_mask_oracle(levels, w, qs[0].dtype, G)
-    dqs, dks = [np.zeros_like(x) for x in qs], [np.zeros_like(x) for x in ks]
-    dvc = np.zeros_like(vc)
-    for c0, c1, b0, b1 in tile_ranges_oracle(qs[-1].shape[1], w, G):
-        z = tile_scores_oracle(levels, w, G, qs, ks, vc, c0, c1, b0, b1)
-        e = np.exp(z - lse[:, c0 * f : c1 * f])
-        dyt, vt = dy[:, c0 * f : c1 * f], vc[:, b0 * f : b1 * f]
-        dvc[:, b0 * f : b1 * f] += e.transpose(0, 2, 1) @ dyt
-        ds = (dyt @ vt.transpose(0, 2, 1)) * e
-        for lvl in range(levels):
-            p = 1 << (levels - 1 - lvl)
-            dz = ds
-            if lvl < levels - 1:
-                dz = ds * masks[lvl][: (c1 - c0) * p, (b0 - c0 + w) * p : (b1 - c0 + w) * p]
-            rows, cols = slice(c0 * p, c1 * p), slice(b0 * p, b1 * p)
-            dqs[lvl][:, rows] += dz @ ks[lvl][:, cols]
-            dks[lvl][:, cols] += dz.transpose(0, 2, 1) @ qs[lvl][:, rows]
-            if lvl < levels - 1:
-                ds = ds[:, 0::2] + ds[:, 1::2]
-                ds = ds[:, :, 0::2] + ds[:, :, 1::2]
-    return dqs, dks, dvc
+def ladder_backward_oracle(levels, w, qs, ks, vc, lse, dy):
+    """The gradients (dqs, dks, dvc) of seqcore._TileKernel.backward from the
+    ladder's frame-level scores: the score gradient summed over blocks of
+    2**l x 2**l frames, level by level, and kept inside each level's
+    window."""
+    z = ladder_scores_oracle(levels, w, qs, ks, vc)
+    e = np.exp(z - lse)
+    dz = (dy @ vc.transpose(0, 2, 1)) * e
+    dqs, dks = [], []
+    for lvl in range(levels):
+        if lvl:
+            dz = dz[:, 0::2] + dz[:, 1::2]
+            dz = dz[:, :, 0::2] + dz[:, :, 1::2]
+        rows = qs[lvl].shape[1]
+        ds = np.where(np.abs(np.arange(rows)[:, None] - np.arange(rows)[None, :]) <= w, dz, 0.0)
+        dqs.append(ds @ ks[lvl])
+        dks.append(ds.transpose(0, 2, 1) @ qs[lvl])
+    return dqs, dks, e.transpose(0, 2, 1) @ dy
 
 
 def dense_mask(mask):

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +123,57 @@ def test_refuses_naming_every_harness_file_that_differs(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert code == 2
     assert all(name in err for name in expected), err
+
+
+def test_json_record_holds_every_pair_and_both_trees(tmp_path, monkeypatch):
+    # a paired run with --json writes one object: the trees, the workload,
+    # the seeds and pair count, per metric each pair's values beside the
+    # printed summary, per side the lowest label_match and the failures, and
+    # the host's CPU count and numpy version
+    parent, change = (_checkout(tmp_path / side, HARNESS) for side in ("parent", "change"))
+    bench = {"run_seconds": 10, "workloads": [{"name": "infer_long"}],
+             "end_to_end": [{"name": "frames_per_s", "unit": "frames/s", "better": "higher"},
+                            {"name": "label_match", "unit": "ratio", "better": "higher"}]}
+    for root in (parent, change):
+        (root / "BENCHMARK.json").write_text(json.dumps(bench))
+    results = {(parent, 5): _result(100.0), (change, 5): _result(110.0),
+               (parent, 6): _result(102.0, failed=1), (change, 6): _result(101.0, match=0.5)}
+    monkeypatch.setattr(abbench, "ROOT", change)
+    monkeypatch.setattr(abbench, "run_once", lambda repo, workload, seed, seconds:
+                        results[repo, seed])
+    out = tmp_path / "BENCH_x_infer_long.json"
+    assert abbench.main(["--repo", str(parent), "--workload", "infer_long", "--pairs", "2",
+                         "--seed", "5", "--json", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert set(rec) == {"workload", "pairs", "seeds", "run_seconds", "trees", "metrics",
+                        "lowest_label_match", "failed_operations", "nproc", "numpy"}
+    assert (rec["workload"], rec["pairs"], rec["seeds"], rec["run_seconds"]) == (
+        "infer_long", 2, [5, 6], 10)
+    # neither checkout is a git tree here
+    assert rec["trees"] == {side: {"path": str(root), "commit": None, "dirty": None}
+                            for side, root in (("parent", parent), ("change", change))}
+    fps = rec["metrics"]["frames_per_s"]
+    assert (fps["parent"], fps["change"]) == ([100.0, 102.0], [110.0, 101.0])
+    assert fps == {"unit": "frames/s", "better": "higher", "parent": [100.0, 102.0],
+                   "change": [110.0, 101.0],
+                   **abbench.summarize("higher", [100.0, 102.0], [110.0, 101.0])}
+    assert set(fps) >= {"parent_median", "change_median", "parent_q1", "parent_q3", "ratio",
+                        "wins", "losses", "pairs", "p"}
+    assert rec["lowest_label_match"] == {"parent": 1.0, "change": 0.5}
+    assert rec["failed_operations"] == {"parent": {"failed": 1, "attempted": 80},
+                                        "change": {"failed": 0, "attempted": 80}}
+    assert isinstance(rec["nproc"], int) and rec["nproc"] >= 1
+    assert rec["numpy"] == np.__version__
+
+
+def test_git_tree_names_the_commit_and_whether_tracked_files_moved(tmp_path):
+    import subprocess
+    repo = _checkout(tmp_path / "repo", {"a.txt": "1\n"})
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "a.txt"], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert abbench.git_tree(repo) == {"path": str(repo), "commit": head, "dirty": False}
+    (repo / "a.txt").write_text("2\n")
+    assert abbench.git_tree(repo)["dirty"] is True

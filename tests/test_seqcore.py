@@ -41,11 +41,10 @@ from oracles import (
     project,
     rel_err,
     tcn_block_composite,
-    tile_backward_oracle,
-    tile_forward_oracle,
-    tile_mask_oracle,
-    tile_ranges_oracle,
-    tile_scores_oracle,
+    ladder_backward_oracle,
+    ladder_forward_oracle,
+    ring_masks_oracle,
+    ring_scores_oracle,
 )
 from test_float32 import F32_REL_TOL
 
@@ -473,6 +472,39 @@ def test_grad_six_level_ladder(T, step):
     _fd(lambda: project(window_attention(q, k, v, 2, 6, [(1, step)]), g), [q, k, v])
 
 
+def _ladder_cases():
+    """Per level count 1 to 10: a ragged tail past whole coarsest blocks,
+    two residues padded to the longer one, a window wider than the
+    sequence, and a single frame, as (levels, T, window, step)."""
+    for levels in range(1, 11):
+        f = 1 << (levels - 1)
+        T = min(3 * f + 5, f + 37)
+        yield from ((levels, T, 2, 1), (levels, T, 1, 2), (levels, 23, 30, 1), (levels, 1, 3, 1))
+
+
+@pytest.mark.parametrize("levels, T, window, step", list(_ladder_cases()))
+def test_ladders_of_one_to_ten_levels_match_dense_oracle(levels, T, window, step):
+    q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+    got = window_attention(t(q), t(k), t(v), 2, levels, [(window, step)]).data
+    for r in range(min(step, T)):
+        want = hta_qkv_oracle(q[r::step], k[r::step], v[r::step], 2, range(levels),
+                              [1 / levels] * levels, window)
+        assert np.max(np.abs(got[r::step] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("levels, T, step, tile_rows", [
+    (3, 23, 1, 32),     # whole-block tiles with a ragged tail
+    (3, 27, 2, 4),      # two residues, a tile per block
+    (6, 70, 1, 32),     # one 32-row block per tile, the second ragged
+    (6, 70, 2, 8),      # blocks run as sub-tiles of 8 rows, residues padded
+])
+def test_grad_ladders_of_three_and_six_levels(monkeypatch, levels, T, step, tile_rows):
+    monkeypatch.setattr(seqcore, "TILE_ROWS", tile_rows)
+    q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
+    g = rng.normal(size=(T, 4))
+    _fd(lambda: project(window_attention(q, k, v, 2, levels, [(2, step)]), g), [q, k, v])
+
+
 def test_hta_attention_reruns_bit_identical(monkeypatch):
     monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
     q, k, v = (t(rng.normal(size=(50, 8))) for _ in range(3))
@@ -494,15 +526,16 @@ def test_hta_attention_reruns_bit_identical(monkeypatch):
 
 
 def _scored_tiles(monkeypatch):
-    """The (c0, c1, b0, b1) of every tile the kernel scores, in order: a
-    forward scores each tile once, and once more if it shifts its rows by
-    their own maxima."""
+    """The (first finest row, finest rows) of every tile the kernel scores,
+    in order: a forward scores each tile once, alone or in a batch, and
+    once more if it shifts its rows by their own maxima."""
     tiles = []
     scores = seqcore._TileKernel._scores
 
-    def spy(self, qs, ks, pad, *tile):
-        tiles.append(tile)
-        return scores(self, qs, ks, pad, *tile)
+    def spy(self, qs, ks, negs, live, k, levels):
+        t0, n, S = levels[0][:3]
+        tiles.extend((t0 + i * n * S, n * S) for i in range(k))
+        return scores(self, qs, ks, negs, live, k, levels)
     monkeypatch.setattr(seqcore._TileKernel, "_scores", spy)
     return tiles
 
@@ -522,6 +555,8 @@ def _outrunning_exp(T, big):
     (200, 20, 3, 1),    # a dilated band: stacked residues of 67, 67 and 66 rows
     (91, 2, 1, 3),      # a ladder with a ragged tail
     (91, 2, 2, 3),      # a dilated ladder: residues of 46 and 45 rows
+    (91, 1, 1, 2),      # two levels
+    (150, 3, 1, 6),     # six levels, whose 32-row blocks are one tile each
 ])
 def test_tiles_whose_scores_outrun_exp_shift_rows_by_their_own_max(monkeypatch, dtype, big,
                                                                    T, width, step, levels):
@@ -580,9 +615,11 @@ def test_padded_query_rows_of_a_ladder_add_nothing(dtype, big):
 
 
 @pytest.mark.parametrize("T, width, step, levels", [
-    (40, 3, 1, 1), (40, 3, 3, 1), (43, 1, 1, 3), (43, 1, 2, 3)])
+    (40, 3, 1, 1), (40, 3, 3, 1), (43, 1, 1, 3), (43, 1, 2, 3), (43, 1, 1, 2), (100, 2, 1, 6)])
 def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, T, width, step, levels):
-    # the backward recomputes each tile with the shift its forward took
+    # the backward recomputes each tile with the shift its forward took; at
+    # 6 levels a 32-row block runs as one tile of 8-row sub-tiles, and 240
+    # entries of each operand are checked
     monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
     tiles = _scored_tiles(monkeypatch)
     q, k, v = (t(a) for a in _outrunning_exp(T, 400.0))
@@ -590,7 +627,9 @@ def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, T, width, step, l
         window_attention(q, k, v, 2, levels, [(width, step)])
     assert len(tiles) > len(set(tiles))
     g = rng.normal(size=(T, 8))
-    _fd(lambda: project(window_attention(q, k, v, 2, levels, [(width, step)]), g), [q, k, v])
+    err = fd_check_tensor(lambda: project(window_attention(q, k, v, 2, levels, [(width, step)]), g),
+                          [q, k, v], sample=240 if T > 64 else None)
+    assert err < 1e-6, f"worst rel err {err:.3e}"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -670,49 +709,75 @@ def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _tile_rows(levels):
+    """Tile rows the kernel can take for a ladder: whole coarsest blocks, and
+    powers of 2 below one block."""
+    f = 1 << (levels - 1)
+    return [G * f for G in (1, 2, 3)] + [R for R in (1, 2, 4, 16) if R < f]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
-def test_tile_masks_are_read_only_band_views_of_the_dense_masks(levels, dtype):
-    # a level's mask depends only on key row minus query row, so the kernel
-    # keeps it as a view of one band vector; it must equal the dense mask
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 7])
+def test_tile_masks_are_read_only_dense_window_and_ring_masks(levels, dtype):
+    # each level's window and ring masks over a whole sub-tile are dense
+    # arrays, built once per kernel and shared by every call that gets it
     for w in range(4):
-        for G in range(1, 5):
-            kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), G)
-            for got, want in zip(kernel.masks, tile_mask_oracle(levels, w, dtype, G), strict=True):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert not got.flags.writeable
+        for R in _tile_rows(levels):
+            kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R)
+            want = ring_masks_oracle(levels, w, R, dtype)
+            for got, (_, ring) in zip(kernel.ring, want, strict=True):
+                assert got.dtype == ring.dtype and np.array_equal(got, ring)
+                assert got.flags.c_contiguous and not got.flags.writeable
+            for got, (window, _) in zip(kernel.window, want[:-1], strict=True):
+                assert got.dtype == window.dtype and np.array_equal(got, window)
+                assert got.flags.c_contiguous and not got.flags.writeable
 
 
 def test_a_long_ladder_holds_small_masks():
-    # 10 levels at w = 8 and G = 1: dense masks would hold 512 x 8704
-    # entries at the finest level alone (about 18 MB in float32); the band
-    # vectors of every level hold under 1 MB together
+    # 10 levels at w = 8 over T = 2048, 8 heads: a coarsest block is 512
+    # frames, and the finer levels run it in sub-tiles of TILE_ROWS rows, so
+    # every level's dense masks together hold under 1 MB (a dense mask over
+    # a whole block at the finest level would hold 512 x 528 entries)
     tracemalloc.start()
     try:
-        kernel = seqcore._TileKernel(10, 8, np.dtype(np.float32), 1)
+        kernel = seqcore._tile_kernel(10, 8, np.float32, 8, 2048)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kernel.masks[0].shape == (512, 17 * 512)
+    assert kernel.ring[0].shape == (TILE_ROWS, TILE_ROWS + 16)
     assert held < 1 << 20, held
 
 
-def _tile_operands(levels, G, seed):
-    """Random per-level qs and ks and [V | count] for B = 2 stacked
-    sequences of 2G + 1 coarsest blocks, so the tiles are a first, an
-    interior and a last one, ragged when G > 1 (a 10-level ladder runs one
-    sequence: its finest tile holds G * 512 rows). The queries carry
-    window_attention's weight 1 / (levels * sqrt(hd)), and the last
+def _tile_operands(levels, R, seed):
+    """Random per-level qs and ks (row-major) and frame-level [V | count]
+    for B = 2 stacked sequences of 2F + f rows, F = max(R, f) the finest
+    rows of a tile and f those of a coarsest block, so the tiles are a
+    first, an interior and a last one, ragged when R > f (a 10-level ladder
+    runs one sequence of F + f rows: a first and a last tile). The queries
+    carry window_attention's weight 1 / (levels * sqrt(hd)), and the last
     sequence's last f / 2 + 1 rows are padding."""
     r = np.random.default_rng(seed)
-    B, f, hd, nc = (2 if levels < 10 else 1), 1 << (levels - 1), 3, 2 * G + 1
-    qs, ks = ([r.normal(size=(B, nc * (f >> lvl), hd)) for lvl in range(levels)]
-              for _ in range(2))
+    f = 1 << (levels - 1)
+    B, hd, rows = (2, 3, 2 * max(R, f) + f) if levels < 10 else (1, 3, max(R, f) + f)
+    qs, ks = ([r.normal(size=(B, rows >> lvl, hd)) for lvl in range(levels)] for _ in range(2))
     qs = [x / (levels * np.sqrt(hd)) for x in qs]
-    vc = r.normal(size=(B, nc * f, hd + 1))
+    vc = r.normal(size=(B, rows, hd + 1))
     vc[:, :, hd] = 1.0
-    vc[-1, nc * f - (f // 2 + 1) :] = 0.0
+    vc[-1, rows - (f // 2 + 1) :] = 0.0
     return qs, ks, vc
+
+
+def _kernel_operands(kernel, qs, ks, vc):
+    """The kernel's operands: qs as they are, and each level's keys and
+    [V | count] pooled by sums from vc, value-major with the kernel's zero
+    margins."""
+    def stored(x, m):
+        return np.ascontiguousarray(np.pad(x.transpose(0, 2, 1), ((0, 0), (0, 0), (m, m))))
+    vcs = [vc]
+    for _ in range(1, len(qs)):
+        vcs.append(vcs[-1][:, 0::2] + vcs[-1][:, 1::2])
+    return (qs, [stored(x, m) for x, m in zip(ks, kernel.margins)],
+            [stored(x, m) for x, m in zip(vcs, kernel.margins)])
 
 
 def _close(got, want, dtype):
@@ -725,9 +790,56 @@ def _close(got, want, dtype):
                    F32_REL_TOL * max(np.max(np.abs(want[fin]), initial=0.0), 1.0)), err
 
 
-# 1 to 6 levels and the 10-level ladder; the package builds
-# G = TILE_ROWS // 2**(levels - 1) = 1 from 6 levels up, and a G of 3 or 4
-# at 10 levels would score 5-9 M entries per tile
+def _check_ring_tiles(levels, R, dtype):
+    """Every level scores its sub-tiles' bands only, adding its parent's
+    cumulative scores spread 2 x 2 over them, and keeps its ring: each
+    tile's scores per level equal the dense ring scores, and the outputs,
+    log denominators and every gradient equal the frame-level ladder's.
+    The kernel reads the keys and [V | count] value-major with margins,
+    and returns every output and gradient row-major, as the oracles do."""
+    for w in (0, 1, 2, 3, 8):
+        qs, ks, vc = _tile_operands(levels, R, seed=levels * 100 + w * 10 + R)
+        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R)
+        ops = _kernel_operands(kernel, *([x.astype(dtype) for x in xs] for xs in (qs, ks)),
+                               vc.astype(dtype))
+        # the float64 oracles on the operands as the kernel gets them
+        exact = [[x.astype(dtype).astype(np.float64) for x in xs] for xs in (qs, ks)]
+        exact.append(vc.astype(dtype).astype(np.float64))
+        B, rows = vc.shape[:2]
+        # the leading rows per level that no sequence pads
+        live = tuple(int((x[:, -1, m : m + (rows >> lvl)] > 0).all(axis=0).sum())
+                     for lvl, (x, m) in enumerate(zip(ops[2], kernel.margins)))
+        negs = kernel._padding(ops[2], live)
+        rings = ring_scores_oracle(levels, w, *exact)
+        scored = 0
+        for t0, k, F, levels_ in kernel._tiles(rows, live, 2):
+            for z, ring, m, (a0, n, S, c0, C, _) in zip(
+                    kernel._scores(*ops[:2], negs, live, k, levels_), rings, kernel.margins,
+                    levels_, strict=True):
+                # the ring's columns at the kernel's stored key columns
+                padded = np.pad(ring, ((0, 0), (0, 0), (m, m)), constant_values=-np.inf)
+                want = np.stack([padded[:, a0 + i * S : a0 + (i + 1) * S, c0 + i * S : c0 + i * S + C]
+                                 for i in range(k * n)], axis=1).reshape(z.shape)
+                _close(z, want, dtype)
+            scored += k * F
+        assert scored == rows
+        y, lse = kernel.forward(*ops, live)
+        want_y, want_lse = ladder_forward_oracle(levels, w, *exact)
+        frames = exact[2][:, :, -1:] > 0
+        _close(np.where(frames, y, 0), want_y, dtype)
+        _close(np.where(frames, lse, 0), np.where(frames, want_lse, 0), dtype)
+        dy = np.random.default_rng(w).normal(size=vc.shape).astype(dtype)
+        got = kernel.backward(*ops, live, lse, dy)
+        want = ladder_backward_oracle(levels, w, *exact, lse.astype(np.float64),
+                                      dy.astype(np.float64))
+        # a padded frame of a pooled block takes that block's [V | count]
+        # gradient, which window_attention drops with the padded frames
+        for a, b in zip([*got[0], *got[1], np.where(frames, got[2], 0)],
+                        [*want[0], *want[1], np.where(frames, want[2], 0)], strict=True):
+            _close(a, b, dtype)
+
+
+# 1 to 6 levels and the 10-level ladder, in tiles of G whole coarsest blocks
 TILE_CASES = [(levels, G) for levels in (1, 2, 3, 4, 5, 6, 10)
               for G in ((1, 2) if levels == 10 else (1, 2, 3, 4))]
 
@@ -735,55 +847,49 @@ TILE_CASES = [(levels, G) for levels in (1, 2, 3, 4, 5, 6, 10)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("levels, G", TILE_CASES)
 def test_band_restricted_tiles_match_full_width_tiles(levels, G, dtype):
-    # the finer levels score only the columns their windows reach and the
-    # coarser sums are spread without np.repeat: scores, outputs, log
-    # denominators and every gradient equal the full-width tile's. The
-    # kernel reads the keys and [V | count] value-major, [B, columns, rows],
-    # and returns every output and gradient row-major, as the oracles do
-    def value_major(x):
-        return np.ascontiguousarray(x.transpose(0, 2, 1))
-    for w in (0, 1, 2, 3, 8):
-        qs, ks, vc = _tile_operands(levels, G, seed=levels * 100 + w * 10 + G)
-        args = [[x.astype(dtype) for x in xs] for xs in (qs, ks)] + [vc.astype(dtype)]
-        ops = [args[0], [value_major(x) for x in args[1]], value_major(args[2])]
-        # the float64 oracle on the operands as the kernel gets them
-        exact = [[x.astype(np.float64) for x in xs] for xs in args[:2]] + [
-            args[2].astype(np.float64)]
-        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), G)
-        pad = kernel._padding(ops[2])
-        nc = qs[-1].shape[1]
-        ranges = tile_ranges_oracle(nc, w, G)
-        assert ranges == list(kernel._tiles(nc))
-        for c0, c1, b0, b1 in ranges:
-            _close(kernel._scores(*ops[:2], pad, c0, c1, b0, b1),
-                   tile_scores_oracle(levels, w, G, *exact, c0, c1, b0, b1), dtype)
-        y, lse = kernel.forward(*ops)
-        want_y, want_lse = tile_forward_oracle(levels, w, G, *exact)
-        live = args[2][:, :, -1:] > 0
-        _close(y, want_y, dtype)
-        _close(np.where(live, lse, 0), np.where(live, want_lse, 0), dtype)
-        dy = np.random.default_rng(w).normal(size=vc.shape).astype(dtype)
-        got = kernel.backward(*ops, lse, dy)
-        want = tile_backward_oracle(levels, w, G, *exact, lse.astype(np.float64),
-                                    dy.astype(np.float64))
-        for a, b in zip([*got[0], *got[1], got[2]], [*want[0], *want[1], want[2]],
-                        strict=True):
-            _close(a, b, dtype)
+    # each level's band-restricted tiles of G whole blocks against the
+    # full-width dense oracles: its ring scores, and the ladder's outputs and
+    # gradients
+    _check_ring_tiles(levels, G << (levels - 1), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("levels, R", [(4, 2), (4, 4), (6, 4), (10, 4), (10, 32)])
+def test_sub_block_tiles_match_full_width_tiles(levels, R, dtype):
+    # a coarsest block longer than the tile rows R is one tile: its finer
+    # levels run sub-tiles of R >> l rows, batched, and its coarser levels
+    # the whole block, the first of them spreading one row to each sub-tile
+    _check_ring_tiles(levels, R, dtype)
 
 
 @settings(max_examples=200, deadline=None)
-@given(levels=st.integers(2, 10), w=st.integers(0, 20), G=st.integers(1, 8),
-       nc=st.integers(1, 40), tile=st.integers(0, 39))
-def test_finer_masks_keep_nothing_outside_their_band(levels, w, G, nc, tile):
-    # every entry a finer level's window keeps lies in the slab columns
-    # [j0, j1) that the kernel scores at that level
-    kernel = seqcore._kernel(levels, w, np.dtype(np.float32), G)
-    c0, c1, b0, b1 = list(kernel._tiles(nc))[tile % -(-nc // G)]
-    for lvl in range(levels - 1):
-        j0, j1 = kernel._band(lvl, c0, c1, b0, b1)
-        cols = np.flatnonzero(kernel._mask(lvl, c0, c1, b0, b1).any(axis=0))
-        assert 0 <= j0 <= j1 <= (b1 - b0) * kernel.per[lvl]
-        assert cols.size == 0 or (j0 <= cols[0] and cols[-1] < j1)
+@given(levels=st.integers(1, 7), w=st.integers(0, 12), R=st.sampled_from([1, 2, 4, 8, 32]),
+       nc=st.integers(1, 5), padding=st.integers(0, 3))
+def test_finer_masks_keep_nothing_outside_their_band(levels, w, R, nc, padding):
+    # every entry a finer level's ring keeps lies in its band, the children
+    # of its parent's inner keys; and over the kernel's own tiles, finest
+    # first, the rings that each level keeps at its rows and columns cover
+    # every pair of frames in the coarsest window exactly once and nothing
+    # else
+    f, h = 1 << (levels - 1), -(-w // 2)
+    R = R // f * f if R >= f else R
+    rows = nc * max(R, f)
+    kernel = seqcore._kernel(levels, w, np.dtype(np.float32), R)
+    for ring in kernel.ring[:-1]:
+        i, key = np.nonzero(np.isfinite(ring))
+        assert np.all(np.abs(((key - 2 * h) >> 1) - (i >> 1)) <= h)
+    live = tuple(max((rows - padding * f) >> lvl, 0) for lvl in range(levels))
+    cover = np.zeros((rows, rows), int)
+    for _, k, _, levels_ in kernel._tiles(rows, live, 3):
+        for lvl, (a0, n, S, c0, C, j0) in enumerate(levels_):
+            m, keep = kernel.margins[lvl], np.isfinite(kernel.ring[lvl][:S, j0 : j0 + C])
+            level = np.zeros((rows >> lvl, (rows >> lvl) + 2 * m), int)
+            for i in range(k * n):
+                level[a0 + i * S : a0 + (i + 1) * S, c0 + i * S : c0 + i * S + C] += keep
+            level = level[:, m : level.shape[1] - m]
+            cover += np.repeat(np.repeat(level, 1 << lvl, axis=0), 1 << lvl, axis=1)
+    top = np.arange(rows) >> (levels - 1)
+    assert np.array_equal(cover, np.abs(top[:, None] - top[None, :]) <= w)
 
 
 @pytest.mark.parametrize("levels, T, step", [(1, 40, 1), (3, 40, 1), (2, 41, 2)])
@@ -984,16 +1090,20 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     # an attention closure keeps the output, per frame and head the log
     # softmax denominator (8, 2, 1), and per group the operands its forward
     # stacked: each level's pooled queries row-major [sequences, rows,
-    # columns], each level's pooled keys and [V | count] value-major
-    # [sequences, columns, rows], and the counts of the coarser levels
-    # [sequences, rows, 1]; not q, k or v, and no operand in two layouts.
-    # Beyond them only numbers, slices, a dtype, the nodes and the groups'
-    # kernels, which `_kernel` shares between calls
+    # columns], each level's pooled keys and [V | count] value-major with
+    # the kernel's zero margins [sequences, columns, rows + 2 margins], and
+    # the counts of the coarser levels [sequences, rows, 1]; not q, k or v,
+    # and no operand in two layouts. Beyond them only numbers, slices, a
+    # dtype, the nodes and the groups' kernels, which `_kernel` shares
+    # between calls
     stacked = [
-        # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per residue
+        # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per
+        # residue; a one-level call keeps no margins
         [(1, 2, 8), (1, 3, 8), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 2), (8, 2, 1)],
-        # one group of two heads at two levels: 8 and 4 rows, counts at level 1
-        [(2, 2, 4), (2, 2, 8), (2, 3, 8), (2, 4, 1), (2, 4, 2), (2, 8, 2), (8, 2, 1)],
+        # one group of two heads at two levels, window 1: 8 rows with margins
+        # of 2 and 4 rows with margins of 1, counts at level 1
+        [(2, 2, 6), (2, 2, 12), (2, 3, 6), (2, 3, 12), (2, 4, 1), (2, 4, 2), (2, 8, 2),
+         (8, 2, 1)],
     ]
     for (y, qkv), shapes in zip(attended, stacked):
         held = list(_captured(y._node._backward))

@@ -14,19 +14,27 @@ BENCHMARK.json it prints:
 - the exact two-sided sign-test p-value over the pairs that are not tied.
 
 It then prints each side's lowest `label_match` and its failed operations.
-It refuses to run, exiting 2 and naming the files, when the two
-checkouts' `perfbench/` trees or `BENCHMARK.json` differ: then the two
-sides would not be measured by one harness. A run that exits nonzero or
-prints no result stops the tool with exit code 1.
+With `--json PATH` it also writes all of this to PATH as one JSON object
+(see `record`): both trees' commits, the workload, the seeds, the pair
+count, `run_seconds`, each metric's pair values and summary, the lowest
+`label_match` and the failed operations per side, the host's CPU count
+and the numpy version. It refuses to run, exiting 2 and naming the files,
+when the two checkouts' `perfbench/` trees or `BENCHMARK.json` differ: then
+the two sides would not be measured by one harness. A run that exits
+nonzero or prints no result stops the tool with exit code 1.
 
     python3 tools/abbench.py --repo ../parent-checkout --workload infer_cli --pairs 10 --seed 61
+    python3 tools/abbench.py --repo ../parent-checkout --workload infer_long --pairs 10 \
+        --seed 61 --json BENCH_change_infer_long.json
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -135,6 +143,47 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
+def git_tree(repo: Path) -> dict:
+    """`repo`'s path, its HEAD commit and whether its tracked files differ
+    from that commit; commit and dirty are None where `repo` is no git tree."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(repo), *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {"path": str(repo), "commit": commit, "dirty": None if commit is None else bool(status)}
+
+
+def record(bench: dict, workload: str, seeds: list, trees: dict,
+           runs: dict[str, list[dict]]) -> dict:
+    """The JSON record of one paired run: `trees` maps "parent" and "change"
+    to `git_tree` results and `runs` to their results in pair order. Per
+    end-to-end metric it holds each side's value per pair and the
+    `summarize` statistics; per side the lowest label_match and the failed
+    and attempted operations."""
+    metrics = {}
+    for m in bench["end_to_end"]:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in rs] for side, rs in runs.items()}
+        metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], **values,
+                              **summarize(m["better"], values["parent"], values["change"])}
+    return {
+        "workload": workload,
+        "pairs": len(seeds),
+        "seeds": list(seeds),
+        "run_seconds": bench["run_seconds"],
+        "trees": trees,
+        "metrics": metrics,
+        "lowest_label_match": {side: min(r["metrics"]["label_match"]["value"] for r in rs)
+                               for side, rs in runs.items()},
+        "failed_operations": {side: {"failed": sum(r["failed"] for r in rs),
+                                     "attempted": sum(r["attempted"] for r in rs)}
+                              for side, rs in runs.items()},
+        "nproc": os.cpu_count(),
+        "numpy": importlib.metadata.version("numpy"),
+    }
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -142,6 +191,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--json", type=Path, metavar="PATH", help="also write the record to PATH")
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seed < 0:
         p.error("--pairs must be >= 1 and --seed >= 0")
@@ -169,6 +219,11 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
           f"{seconds} s per run; parent {parent}, change {ROOT}")
     print("\n".join(report(bench["end_to_end"], runs)))
+    if args.json:
+        seeds = [args.seed + i for i in range(args.pairs)]
+        trees = {"parent": git_tree(parent), "change": git_tree(ROOT)}
+        args.json.write_text(json.dumps(record(bench, args.workload, seeds, trees, runs),
+                                        indent=1) + "\n")
     return 0
 
 

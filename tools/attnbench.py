@@ -3,19 +3,22 @@
 Loads src/tempseg/seqcore.py from this checkout and from DIR as two
 separate modules (seqcore imports nothing from the package), and times
 `window_attention` at the attention calls of the three perfbench
-workloads, in float32 as they run: every DSWA and HTA call of one forward
-of the train_small model at T = 512 and of the default config at T = 2048
-(infer_long) and T = 160 (infer_cli), plus fixed rows: `hta10`, a
-10-level HTA call at T = 2048 (A 64, 8 heads, window 8), far beyond the
-default 4 levels, and `crit6_T512` and `crit6_T4096`, the float64 calls
-that acceptance criterion 6 times at both ends of its fit (4 heads,
-A = 16, layer 4's DSWA windows and `ScaleSet.build(T)`'s HTA ladder), so
-one interleaved run shows a change at both ends. Each row is timed
-forward only (under the module's `no_grad`) and forward + backward
-(through a scalar projection). The two sides take turns pass by pass,
-the first side alternating, so host drift that swamps separate runs
-cancels. It prints each side's median seconds per pass and the ratio
-DIR / this checkout (above 1: this checkout is faster).
+workloads, in float32 as they run: of one forward of the train_small model
+at T = 512 and of the default config at T = 2048 (infer_long) and T = 160
+(infer_cli), every DSWA call as the row `<workload>.dswa` and every HTA
+call as `<workload>.hta` (infer_cli's HTA has one level). Then fixed rows:
+`hta5`, `hta8` and `hta10`, one HTA call of 5, 8 and 10 levels at
+T = 2048 (A 64, 8 heads, window 8; 5 is the paper's uncapped count at
+T = 2048, beyond the default cap of 4), and `crit6_T512` and
+`crit6_T4096`, the float64 calls that acceptance criterion 6 times at both
+ends of its fit (4 heads, A = 16, layer 4's DSWA windows and
+`ScaleSet.build(T)`'s HTA ladder), so one interleaved run shows a change
+at both ends. Each row is timed forward only (under the module's
+`no_grad`) and forward + backward (through a scalar projection). The two
+sides take turns pass by pass, the first side alternating, so host drift
+that swamps separate runs cancels. It prints each side's median seconds
+per pass and the ratio DIR / this checkout (above 1: this checkout is
+faster).
 
     python3 tools/attnbench.py --repo ../parent-checkout
     python3 tools/attnbench.py --repo ../parent-checkout --reps 12
@@ -57,23 +60,23 @@ def load_seqcore(repo: Path, name: str):
     return module
 
 
-def calls(cfg: ModelConfig, T: int) -> list[tuple[int, list]]:
-    """(levels, windows) of every attention call of one forward: each
-    encoder layer's DSWA pair, then its HTA ladder."""
+def calls(cfg: ModelConfig, T: int) -> tuple[list, list]:
+    """(levels, windows) of the DSWA calls and of the HTA calls of one
+    forward: each encoder layer's DSWA pair and its HTA ladder."""
     scales = cfg.scale_set(T)
-    out = []
-    for pair in cfg.window_pairs():
-        out.append((1, [(s.one_sided_width, s.step) for s in pair]))
-        out.append((scales.levels, [(scales.window, 1)]))
-    return out
+    dswa = [(1, [(s.one_sided_width, s.step) for s in pair]) for pair in cfg.window_pairs()]
+    return dswa, [(scales.levels, [(scales.window, 1)])] * len(dswa)
 
 
 def rows():
     """(name, heads, A, T, dtype, calls) of every timed row: the
-    workloads', `hta10`, then criterion 6's two ends."""
+    workloads' DSWA and HTA calls, the long ladders, then criterion 6's two
+    ends."""
     for name, cfg, T in WORKLOADS:
-        yield name, cfg.heads, cfg.attn_dim, T, np.float32, calls(cfg, T)
-    yield "hta10", 8, 64, 2048, np.float32, [(10, [(8, 1)])]
+        for kind, ops in zip(("dswa", "hta"), calls(cfg, T)):
+            yield f"{name}.{kind}", cfg.heads, cfg.attn_dim, T, np.float32, ops
+    for levels in (5, 8, 10):
+        yield f"hta{levels}", 8, 64, 2048, np.float32, [(levels, [(8, 1)])]
     pair = build_window_schedule(10)[4]  # as tests/test_acceptance.py's criterion 6
     for T in CRIT6_T:
         scales = ScaleSet.build(T)
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
         p.error("--reps must be >= 1")
     sides = (load_seqcore(ROOT, "seqcore_this"), load_seqcore(args.repo.resolve(), "seqcore_other"))
     rng = np.random.default_rng(SEED)
-    print(f"{'workload':<12} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
+    print(f"{'row':<17} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
     for name, heads, A, T, dtype, ops in rows():
         arrays = [[rng.normal(size=shape).astype(dtype)
                    for shape in ((T, A),) * 3 + ((T * A, 1),)] for _ in ops]
@@ -121,7 +124,7 @@ def main(argv=None) -> int:
                     times[i].append(one_pass(sides[i], heads, ops, arrays, backward))
             this, other = (float(np.median(t)) for t in times)
             kind = "fwd+bwd" if backward else "fwd"
-            print(f"{name:<12} {kind:<9} {this:9.4f} {other:9.4f} {other / this:10.3f}",
+            print(f"{name:<17} {kind:<9} {this:9.4f} {other:9.4f} {other / this:10.3f}",
                   flush=True)
     return 0
 

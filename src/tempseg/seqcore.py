@@ -91,9 +91,12 @@ __all__ = [
 ]
 
 # finest-level query rows per tile of window_attention's kernel, rounded
-# down to whole coarsest-level blocks (at least one), then cut by whole
-# blocks while a tile's scores, over its stacked sequences and its key
-# slab, would hold more than TILE_ENTRIES entries (512 KB in float32)
+# down to whole coarsest-level blocks, then cut by whole blocks while a
+# tile's scores over every level and its stacked sequences would hold more
+# than TILE_ENTRIES entries (512 KB in float32), but never below one block;
+# a block longer than TILE_ROWS runs its finer levels in sub-tiles of
+# TILE_ROWS rounded down to a power of 2. A batched op runs as many whole
+# tiles as TILE_ENTRIES holds, counting each score array a tile forms
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
 # Adam's moment decay rates and denominator guard

@@ -99,6 +99,12 @@ __all__ = [
 # tiles as TILE_ENTRIES holds, counting each score array a tile forms
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
+# the attention call shapes whose tile rows and tile plans are kept, the
+# least recently used dropped first. Planning anew each call cost 5.6-6.4%
+# of a default-config forward at T = 160; a forward and backward over 8
+# lengths makes 135 plans, and each plan lists its tiles, so an unbounded
+# memo over every length 1 to 4096 grew to about 390 MiB
+CALL_SHAPES = 256
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -654,9 +660,12 @@ class _TileKernel:
         whole = inside.size and inside[-1] - inside[0] + 1 == inside.size
         self.open = (int(inside[0]), int(inside[-1]) + 1) if whole else (0, 0)
         if self.clips:
-            # a one-level ring depends on j - i only: a clipped slab adds it as
-            # a read-only band view of its diagonals, which reads less memory
-            # than a slice of the dense array
+            # a one-level ring depends on j - i only: a clipped slab adds its
+            # columns from a read-only band view of the ring's diagonals, whose
+            # overlapping rows stay in cache. A column slice of the dense ring
+            # also runs one inner loop per row, and took 1.13-1.29x the view's
+            # time (float32 adds into [B, 1, 1, 32, C], B 4-20, w 16-512); a
+            # whole slab adds the dense ring, which coalesces (0.58-0.77x)
             ring = self.ring[0]
             band = np.concatenate([ring[::-1, 0], ring[0, 1:]])
             self.band = sliding_window_view(band, ring.shape[1])[::-1]
@@ -671,7 +680,7 @@ class _TileKernel:
         zero, inf = vcs[0].dtype.type(0), vcs[0].dtype.type(-np.inf)
         return [np.where(vc[:, -1:] > 0, zero, inf) for vc in vcs]
 
-    @functools.cache
+    @functools.lru_cache(maxsize=CALL_SHAPES)
     def _tiles(self, rows, live, k):
         """The runs of a call over `rows` finest rows whose leading rows
         `live` (a tuple per level) no sequence pads, kept per call shape, as
@@ -916,7 +925,7 @@ def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKern
                    _tile_rows(levels, w, batch, rows, TILE_ROWS, TILE_ENTRIES))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CALL_SHAPES)
 def _tile_rows(levels: int, w: int, batch: int, rows: int, tile_rows: int, budget: int) -> int:
     """The finest rows R of a tile: the most whole coarsest blocks, up to
     tile_rows, whose scores over every level hold `budget` entries at most

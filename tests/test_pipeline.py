@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -492,6 +492,9 @@ def test_cli_names_the_file_line_and_byte_of_text_that_is_not_utf8(tmp_path, cap
 @given(st.binary(max_size=48) | st.lists(st.sampled_from(
     [b"0", b"1", b"7", b"-", b" ", b"#", b"\n", b"\r", b"\r\n", b"0,2,1", b"3,4,0",
      b"\xff", b"\xc3", b"\xa9", b"\xe2\x82\xac", b"\xed\xa0\x80"]), max_size=24).map(b"".join))
+# a valid first line that is no label, then a truncated sequence: the bad
+# byte is named, not the first line
+@example(b"\xe2\x82\xac\n\xc3")
 def test_load_labels_over_any_bytes_loads_or_names_the_file(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.labels")

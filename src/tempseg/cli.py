@@ -87,7 +87,10 @@ def _cmd_infer(args):
     if feats.shape[1] != cfg.d_in:
         raise ValueError(f"{args.features}: {feats.shape[1]} feature columns, "
                          f"but {args.ckpt} has d_in {cfg.d_in}")
-    result = pipeline.infer(model, feats, refine=not args.no_refine)
+    try:
+        result = pipeline.infer(model, feats, refine=not args.no_refine)
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, os.path.splitext(os.path.basename(args.features))[0])
     pipeline.save_labels(result.raw_labels, stem + ".raw.labels")

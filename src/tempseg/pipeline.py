@@ -476,13 +476,20 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
     """Labels for one [T, d_in] sequence. The network runs on the features
     in float32 under no_grad(); the boundary sigmoid, boundary detection,
     refinement and the class probabilities it reads (computed only when
-    refining) run in float64."""
+    refining) run in float64. Features that overflow float32 arithmetic
+    raise ValueError naming the first stage whose action logits or boundary
+    scores are not finite; an overflow the network absorbs warns nothing."""
     if features.shape[1] != model.cfg.d_in:
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match model d_in {model.cfg.d_in}"
         )
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         out = model.forward(Tensor(features.astype(np.float32, copy=False)), training=False)
+    for i, stage in enumerate(out.stages):
+        for name in ("action_logits", "boundary_scores"):
+            if not np.isfinite(getattr(stage, name).data).all():
+                raise ValueError(f"stage {i} ({'decoder' if i else 'encoder'}): {name} not "
+                                 f"finite, the features overflow float32 arithmetic")
     final = out.stages[-1]
     logits = final.action_logits.data.astype(np.float64)
     raw = np.argmax(logits, axis=1)

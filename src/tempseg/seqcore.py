@@ -53,8 +53,9 @@ over it, and exponentiates its ring (its band less what the level below
 covers) at its own rows and columns against ``[V | count]`` pooled to it,
 adding the ring's ``[num | den]`` to the frames its rows hold. Tiles of
 query rows run as dense per-level band tiles over strided key slabs, a
-call's uniform tiles k at a time in one batched op, with dense window and
-ring masks built once per kernel; each tile's softmax is shifted by its
+call's uniform tiles k at a time in one batched op; the dense window and
+ring masks and the runs of tiles are built once per call shape and kept
+in one bounded memo. Each tile's softmax is shifted by its
 per-sequence max (each frame by its own max, and each ring by the least
 of its frames' maxima, where that would underflow a row), recomputed in
 the backward from each row's saved log denominator.
@@ -99,11 +100,11 @@ __all__ = [
 # tiles as TILE_ENTRIES holds, counting each score array a tile forms
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
-# the attention call shapes whose tile rows and tile plans are kept, the
-# least recently used dropped first. Planning anew each call cost 5.6-6.4%
-# of a default-config forward at T = 160; a forward and backward over 8
-# lengths makes 135 plans, and each plan lists its tiles, so an unbounded
-# memo over every length 1 to 4096 grew to about 390 MiB
+# the attention call shapes whose kernels (masks and tile plans) are kept,
+# the least recently used dropped first. Planning anew each call cost
+# 5.6-6.4% of a default-config forward at T = 160, and each plan lists its
+# tiles, so an unbounded memo over every length 1 to 4096 grew to about
+# 390 MiB
 CALL_SHAPES = 256
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -559,8 +560,10 @@ def _geometry(levels: int, w: int, R: int) -> list:
 
 
 class _TileKernel:
-    """The tiled softmax attention under window_attention, over B stacked
-    head-major sequences at `levels` levels, finest first.
+    """The tiled softmax attention under window_attention for one call
+    shape: `batch` stacked head-major sequences of `rows` finest rows at
+    `levels` levels, finest first, whose leading live[l] rows at level l
+    no sequence pads. It holds the shape's masks and runs of tiles.
 
     Each level pools the one before by 2, and its query row a holds the key
     rows a - w .. a + w in its window. Windows nest, so a finest entry
@@ -591,8 +594,9 @@ class _TileKernel:
     strided key slabs times the level's window mask, plus the parent's
     spread (each pair of columns as one complex entry, broadcast over each
     pair of rows), plus the ring's additive mask; the window and ring masks
-    are dense read-only [S, S + 2lo] arrays built once per kernel, so each
-    add coalesces over a whole tile. A call's uniform tiles, whose slabs
+    are dense read-only [S, S + 2lo] arrays, so each add coalesces over a
+    whole tile. Padding and margins add the caller's 0/-inf masks of the
+    count rows, negs. A call's uniform tiles, whose slabs
     reach no margin or padding, run k at a time as one batched op per step,
     k from TILE_ENTRIES over the entries a tile forms, and so do the others
     unless their slabs clip; a clipped one-level slab adds its ring as a
@@ -620,8 +624,9 @@ class _TileKernel:
     meaningless; window_attention drops them.
     """
 
-    def __init__(self, levels: int, w: int, dtype, R: int):
+    def __init__(self, levels: int, w: int, dtype, R: int, rows: int, live: tuple, batch: int):
         self.geo = _geometry(levels, w, R)
+        self.rows, self.live = rows, live
         self.h, self.F = (w + 1) // 2, max(R, 1 << (levels - 1))
         info = np.finfo(dtype)
         # a shift for a sequence whose tile is all -inf; a floor per slab
@@ -669,32 +674,26 @@ class _TileKernel:
             ring = self.ring[0]
             band = np.concatenate([ring[::-1, 0], ring[0, 1:]])
             self.band = sliding_window_view(band, ring.shape[1])[::-1]
+        # whether some level has margins or padding, where the scores read negs
+        self.padded = any(self.margins) or live[0] < rows
+        # a tile's forward forms one score array per entry, exponentiated in
+        # place; its backward two: the weights and their gradient
+        k, kb = (max(1, TILE_ENTRIES // (n * batch * self.entries)) for n in (1, 2))
+        self.forward_runs = self._tiles(k)
+        self.backward_runs = self.forward_runs if kb == k else self._tiles(kb)
 
-    def _padding(self, vcs, live):
-        """Per level, [B, 1, columns]: 0 at each stored column whose count is
-        above 0 and -inf at padding and margins; None when no level has
-        either, as `live`, the leading rows per level that no sequence pads,
-        tells."""
-        if not any(self.margins) and live[0] == vcs[0].shape[2]:
-            return None
-        zero, inf = vcs[0].dtype.type(0), vcs[0].dtype.type(-np.inf)
-        return [np.where(vc[:, -1:] > 0, zero, inf) for vc in vcs]
-
-    @functools.lru_cache(maxsize=CALL_SHAPES)
-    def _tiles(self, rows, live, k):
-        """The runs of a call over `rows` finest rows whose leading rows
-        `live` (a tuple per level) no sequence pads, kept per call shape, as
-        (t0, k, F, levels): k tiles of F finest rows from row t0, and per
-        level, finest first, its first row a0, sub-tiles per tile n, rows per
-        sub-tile S, first stored slab column c0, slab width C and columns j0
-        clipped off the slab's start. The uniform tiles, whose slabs reach no
-        margin or padding at any level, run up to k at a time, and so do the
-        others unless their slabs clip; a last tile of fewer whole blocks
-        runs alone."""
-        F, full, first = self.F, rows // self.F, self.first
-        stop = full
+    def _tiles(self, k):
+        """The runs of a call, as (t0, k, F, levels): k tiles of F finest rows
+        from row t0, and per level, finest first, its first row a0, sub-tiles
+        per tile n, rows per sub-tile S, first stored slab column c0, slab
+        width C and columns j0 clipped off the slab's start. The uniform
+        tiles, whose slabs reach no margin or padding at any level, run up to
+        k at a time, and so do the others unless their slabs clip; a last
+        tile of fewer whole blocks runs alone."""
+        rows, F, first = self.rows, self.F, self.first
+        full = stop = rows // F
         for lvl, (_, _, _, lo, _) in enumerate(self.plan):
-            stop = min(stop, ((live[lvl] - lo) << lvl) // F)
+            stop = min(stop, ((self.live[lvl] - lo) << lvl) // F)
         edge = 1 if self.clips else k
         runs = []
         for g0, g1, step in ((0, min(first, full), edge), (first, stop, k),
@@ -724,7 +723,7 @@ class _TileKernel:
         return np.ndarray((B, k, n, S // 2, S // 2 + 2 * self.h), zp.dtype, zp,
                           off * st[4], (st[0], st[1], sub, st[3], st[4]))
 
-    def _scores(self, qs, ks, negs, live, k, levels):
+    def _scores(self, qs, ks, negs, k, levels):
         """The scores [B, k, n, S, C] of k tiles per level, finest first: each
         level's masked product plus its parent's spread, -inf off its ring
         and at padding and margins."""
@@ -747,7 +746,7 @@ class _TileKernel:
             # -inf at the slab columns left of the rows no sequence pads (in
             # any sub-tile: the first reaches farthest) and right of them (the
             # last reaches farthest), and at the query rows past them
-            m, n_live = self.margins[lvl], live[lvl]
+            m, n_live = self.margins[lvl], self.live[lvl]
             left, right = m - c0, m + n_live - c0 - (N - 1) * S
             for j, j1 in ((0, C),) if left >= right else ((0, left), (right, C)):
                 j, j1 = (j if j > 0 else 0), (j1 if j1 < C else C)
@@ -766,13 +765,13 @@ class _TileKernel:
             zs[0] += (self.band if self.clips else self.ring[0])[:S, j0 : j0 + C]
         return zs
 
-    def _run(self, qs, ks, vcs, negs, live, nd, shift, t0, k, F, levels, by_row):
+    def _run(self, qs, ks, vcs, negs, nd, shift, t0, k, F, levels, by_row):
         """Write [num | den] and the shifts of k tiles of F rows from row t0
         into nd [B, tiles, hd + 1, F] and shift [B, tiles, 1, 1, F]; with `by_row`,
         each frame shifted by its own max. Returns the tiles where some
         row's denominator underflowed."""
         L, B, hd = len(qs), nd.shape[0], nd.shape[2] - 1
-        zs = self._scores(qs, ks, negs, live, k, levels)
+        zs = self._scores(qs, ks, negs, k, levels)
         if by_row:
             # each frame's max over every level, then per ring row the least
             # of its frames' maxima
@@ -807,7 +806,7 @@ class _TileKernel:
                 cur += up
             acc = cur
         den = out[:, :, hd]
-        if t0 + k * F > live[0]:
+        if t0 + k * F > self.live[0]:
             # a padded row's denominator 0 becomes at least 1, so its output is finite
             m0 = self.margins[0]
             den += (negs[0][:, 0, m0 + t0 : m0 + t0 + k * F] != 0).reshape(B, k, F)
@@ -817,7 +816,7 @@ class _TileKernel:
             return ()
         return np.flatnonzero(den.min(axis=(0, 2)) < floor)
 
-    def forward(self, qs, ks, vcs, live):
+    def forward(self, qs, ks, vcs, negs):
         """The outputs [B, rows, hd] and the log softmax denominators
         [B, rows, 1] of every finest query row: the shift its tile's scores
         took plus the log of the sum of their exps. A padded row's output
@@ -830,28 +829,24 @@ class _TileKernel:
         nd = np.empty((B, hd + 1, tiles * F), dtype)
         shift = np.empty((B, tiles, 1, 1, F), dtype)
         by_tile = nd.reshape(B, hd + 1, tiles, F).transpose(0, 2, 1, 3)
-        negs = self._padding(vcs, live)
-        # a tile's forward forms one score array per entry, exponentiated in place
-        most = max(1, TILE_ENTRIES // (B * self.entries))
-        for t0, k, Ft, levels in self._tiles(rows, live, most):
-            for i in self._run(qs, ks, vcs, negs, live, by_tile, shift, t0, k, Ft, levels, False):
+        for t0, k, Ft, levels in self.forward_runs:
+            for i in self._run(qs, ks, vcs, negs, by_tile, shift, t0, k, Ft, levels, False):
                 one = [(a0 + i * n * S, n, S, c0 + i * n * S, C, j0)
                        for a0, n, S, c0, C, j0 in levels]
-                self._run(qs, ks, vcs, negs, live, by_tile, shift, t0 + i * F, 1, Ft, one, True)
+                self._run(qs, ks, vcs, negs, by_tile, shift, t0 + i * F, 1, Ft, one, True)
         den = nd[:, hd:, :rows]
         lse = shift.reshape(B, -1, 1)[:, :rows]
         np.add(np.log(den.transpose(0, 2, 1)), lse, out=lse)
         y = np.divide(nd[:, :hd, :rows], den, out=nd[:, :hd, :rows])
         return y.transpose(0, 2, 1), lse
 
-    def backward(self, qs, ks, vcs, live, lse, dy):
+    def backward(self, qs, ks, vcs, negs, lse, dy):
         """The gradients of qs and ks per level (the keys' row-major, without
         margins) and of frame-level [V | count], row-major, from the
         forward's log denominators and dy [B, rows, hd + 1]: the gradient of
         the softmax numerator [num | den] times each row's denominator."""
         L = len(qs)
         B, rows = qs[0].shape[:2]
-        negs = self._padding(vcs, live)
         # per level row, the least log denominator of its frames and dY
         # summed to it, each frame's times exp(that least - its own)
         lows, dys = [lse[:, :, 0]], [dy]
@@ -869,11 +864,8 @@ class _TileKernel:
         kr = [np.ascontiguousarray(x.transpose(0, 2, 1)) for x in ks]
         dqs, dks = [np.empty_like(x) for x in qs], [np.zeros_like(x) for x in kr]
         dvs = [np.zeros((B, x.shape[2], x.shape[1]), x.dtype) for x in vcs]
-        # a tile's backward forms two score arrays per entry: the weights and
-        # their gradient
-        most = max(1, TILE_ENTRIES // (2 * B * self.entries))
-        for _, k, _, levels in self._tiles(rows, live, most):
-            zs = self._scores(qs, ks, negs, live, k, levels)
+        for _, k, _, levels in self.backward_runs:
+            zs = self._scores(qs, ks, negs, k, levels)
             dz = None  # the finer level's score gradient
             for lvl in range(L):
                 a0, n, S, c0, C, _ = levels[lvl]
@@ -913,35 +905,28 @@ class _TileKernel:
         return dqs, [x[:, m : x.shape[1] - m] for x, m in zip(dks, self.margins)], dvc
 
 
-@functools.cache
-def _kernel(levels: int, w: int, dtype, R: int) -> _TileKernel:
-    """The kernel for (levels, w, dtype, R), built at its first call."""
-    return _TileKernel(levels, w, dtype, R)
-
-
-def _tile_kernel(levels: int, w: int, dtype, batch: int, rows: int) -> _TileKernel:
-    """The kernel for `batch` stacked sequences of `rows` finest rows."""
-    return _kernel(levels, w, np.dtype(dtype),
-                   _tile_rows(levels, w, batch, rows, TILE_ROWS, TILE_ENTRIES))
-
-
 @functools.lru_cache(maxsize=CALL_SHAPES)
-def _tile_rows(levels: int, w: int, batch: int, rows: int, tile_rows: int, budget: int) -> int:
-    """The finest rows R of a tile: the most whole coarsest blocks, up to
-    tile_rows, whose scores over every level hold `budget` entries at most
-    (one block if even that holds more); a coarsest block longer than
-    tile_rows is one tile whose finer levels run in sub-tiles of tile_rows
-    rounded down to a power of 2."""
-    f = 1 << (levels - 1)
+def _call_kernel(levels: int, w: int, dtype, step: int, hg: int, T: int, tile_rows: int,
+                 budget: int) -> _TileKernel:
+    """The kernel of one call shape: step * hg stacked sequences of residue
+    0's rows, in whole coarsest blocks, whose first T // step rows (and the
+    blocks that start among them) hold a frame in each. A tile takes R
+    finest rows: the most whole coarsest blocks, up to tile_rows, whose
+    scores hold `budget` entries at most (one block if even that holds
+    more), or tile_rows rounded down to a power of 2 below one block."""
+    f, batch = 1 << (levels - 1), step * hg
+    rows = -(-(-(-T // step)) // f) * f
+    live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
     if tile_rows < f:
-        return 1 << (max(tile_rows, 1).bit_length() - 1)
-    # a tile of R // f whole blocks scores S = R >> l rows per level against
-    # slabs clipped to the sequence where the level stores no margins
-    R = min(tile_rows // f * f, rows)
-    while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
-                                in enumerate(_geometry(levels, w, R))) > budget:
-        R -= f
-    return R
+        R = 1 << (max(tile_rows, 1).bit_length() - 1)
+    else:
+        # a tile of R // f whole blocks scores S = R >> l rows per level against
+        # slabs clipped to the sequence where the level stores no margins
+        R = min(tile_rows // f * f, rows)
+        while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
+                                    in enumerate(_geometry(levels, w, R))) > budget:
+            R -= f
+    return _TileKernel(levels, w, dtype, R, rows, live, batch)
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
@@ -974,9 +959,12 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     row-major, and the keys and [V | count] value-major, with the kernel's
     zero margins, once per group, in the layout the kernel's products read.
     The tile rows shrink from TILE_ROWS to keep a tile within TILE_ENTRIES
-    scores. When a gradient is needed, the backward keeps, per group, the
-    operands its forward stacked (each level's pooled queries, keys and
-    [V | count], and the counts), each in that one layout, not q, k and v
+    scores. A group's kernel, its masks and its runs of tiles come from
+    one memo of the last CALL_SHAPES call shapes. When a gradient is
+    needed, the backward keeps, per group, the operands its forward
+    stacked (each level's pooled queries, keys and [V | count], the 0/-inf
+    masks of their count rows, and the counts), each in that one layout,
+    not q, k and v
     themselves; it also keeps the output and, per frame and head, the log
     softmax denominator: the shift its tile's scores took plus the log of
     their exps' sum. HTA's pooled levels add about 3.0 T·A to what a
@@ -1005,14 +993,13 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
         """The kernel and its operands for heads hs, stacked over the
         residues of `step`: per level the pooled query sums times
         wt / count, row-major, the pooled key means and the pooled
-        [V | count] sums, value-major with the kernel's margins, the rows
-        that no sequence pads and the counts each pooled sum was divided
-        by."""
-        n = -(-T // step)  # the rows of residue 0, the longest
-        rows = -(-n // f) * f  # in whole coarsest blocks
+        [V | count] sums, value-major with the kernel's margins, the 0/-inf
+        masks of their count rows where the kernel reads them, and the
+        counts each pooled sum was divided by."""
+        rows = -(-(-(-T // step)) // f) * f  # residue 0's, the longest, in whole blocks
         # every key a tile reads lies fewer than `rows` rows from its query
         # at its own level, so a wider window reads what one of `rows` does
-        kernel = _tile_kernel(levels, min(w, rows), dtype, step * hg, rows)
+        kernel = _call_kernel(levels, min(w, rows), dtype, step, hg, T, TILE_ROWS, TILE_ENTRIES)
         ms = kernel.margins
         # residue r's row i is frame i * step + r, and counts 1 if it exists
         live = np.arange(rows) * step + np.arange(step)[:, None] < T
@@ -1033,21 +1020,22 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             np.add(prev[:, :, 0::2], prev[:, :, 1::2], out=vc[:, :, m : m + r])
             ks.append(kp)
             vcs.append(vc)
-        # the rows of every residue, T // step, hold a frame in every sequence,
-        # and so do the blocks that start among them at each level
-        live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
-        return kernel, qs, ks, vcs, live, cs
+        # 0 at each stored column that counts a frame, -inf at padding and
+        # margins; built once, for the forward and the backward
+        negs = [np.where(x[:, -1:] > 0, dtype.type(0), dtype.type(-np.inf))
+                for x in vcs] if kernel.padded else None
+        return kernel, qs, ks, vcs, negs, cs
 
     y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
     # per group, the operands its backward reads, only when one will run
     kept = [] if _records((q, k, v)) else None
     for hs, w, step in groups:
-        kernel, qs, ks, vcs, live, cs = operands(hs, w, step)
-        for a, b in zip(kernel.forward(qs, ks, vcs, live), (y, lse)):
+        kernel, qs, ks, vcs, negs, cs = operands(hs, w, step)
+        for a, b in zip(kernel.forward(qs, ks, vcs, negs), (y, lse)):
             _unstack(a, b[:, hs])
         if kept is not None:
-            kept.append((hs, step, kernel, qs, ks, vcs, live, cs))
-        del qs, ks, vcs, cs, a
+            kept.append((hs, step, kernel, qs, ks, vcs, negs, cs))
+        del qs, ks, vcs, negs, cs, a
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -1061,9 +1049,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
             while kept:
                 # each group's operands are dropped once its gradients are made
-                hs, step, kernel, qs, ks, vcs, live, cs = kept.pop()
+                hs, step, kernel, qs, ks, vcs, negs, cs = kept.pop()
                 rows = qs[0].shape[1]
-                dqs, dks, dvc = kernel.backward(qs, ks, vcs, live, _stack(lse[:, hs], step, rows),
+                dqs, dks, dvc = kernel.backward(qs, ks, vcs, negs, _stack(lse[:, hs], step, rows),
                                                 _stack(dy[:, hs], step, rows))
                 dqg = dkg = 0.0
                 for s, (a, b, c) in enumerate(zip(dqs, dks, cs)):

@@ -564,7 +564,9 @@ def dice_loss_oracle(probs, labels, smooth):
 def similarity_loss_oracle(feats, labels, sigma_divisor):
     """Sum over consecutive frame pairs (t, t + 1) of G(t) * (1 - cos), over
     T - 1: G(t) is a Gaussian at the centre of t's label run with sigma
-    max(1, run length / sigma_divisor), and each norm is sqrt(|f|^2 + 1e-12)."""
+    max(1, run length / sigma_divisor), and each norm is sqrt(f . f + 1e-12).
+    Complex features give the complex-step derivative in its imaginary
+    part."""
     g = np.zeros(len(labels))
     for start, end in _label_runs(labels):
         sigma = max(1.0, (end - start + 1) / sigma_divisor)
@@ -573,7 +575,7 @@ def similarity_loss_oracle(feats, labels, sigma_divisor):
     total = 0.0
     for t in range(len(labels) - 1):
         a, b = feats[t], feats[t + 1]
-        cos = a @ b / (math.sqrt(a @ a + 1e-12) * math.sqrt(b @ b + 1e-12))
+        cos = a @ b / (np.sqrt(a @ a + 1e-12) * np.sqrt(b @ b + 1e-12))
         total += g[t] * (1.0 - cos)
     return total / (len(labels) - 1)
 

@@ -1,15 +1,21 @@
 """Repeated in-process `cli.main` calls: one parser per process, and each
-call's outputs equal to those of a freshly built parser."""
+call's outputs equal to those of a freshly built parser; `infer` on
+features that overflow float32 arithmetic."""
 
 import contextlib
 import io
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempseg import cli
 from tempseg.network import ModelConfig, SegmentationModel, save_checkpoint
-from tempseg.pipeline import save_features, save_labels
+from tempseg.pipeline import infer, load_features, save_features, save_labels
 
 # a threshold far below the sigmoid's resting value, so refinement keeps
 # boundaries and `infer` with and without `--no-refine` print different counts
@@ -106,3 +112,61 @@ def test_repeated_main_keeps_usage_errors(capsys):
         assert "the following arguments are required: --gt" in capsys.readouterr().err
     assert cli.main(["flops", "--T", "8"]) == 0
     assert "at T=8" in capsys.readouterr().out
+
+
+def _infer_at(d, values):
+    """`tempseg infer` of d's checkpoint on a features file of `values`,
+    with every RuntimeWarning an error (an escaped one exits 1 as an
+    internal error): its exit code, stderr, the features path and the label
+    files it wrote."""
+    feat, out = d / "big.feat", d / "big-out"
+    save_features(values, feat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = _run(["infer", "--ckpt", str(d / "m.ckpt"), "--features", str(feat),
+                             "--out", str(out)])
+    return code, err, feat, sorted(p.name for p in out.glob("*")) if out.exists() else []
+
+
+def test_infer_on_features_that_overflow_names_the_file_and_the_stage(inputs):
+    # the input projection overflows to inf and the first layer norm makes
+    # NaN of it: every stage is NaN, which once wrote all-zero labels
+    code, err, feat, written = _infer_at(inputs, np.full((40, CFG.d_in), 3e38))
+    assert code == 2, err
+    assert err.startswith(f"error: {feat}: stage 0 (encoder): action_logits not finite"), err
+    assert "RuntimeWarning" not in err and written == []
+
+
+def test_infer_on_huge_finite_features_writes_labels_without_warning(inputs):
+    # a layer norm's square overflows, but its output, and every stage's,
+    # stays finite
+    values = np.random.default_rng(4).normal(size=(40, CFG.d_in)) * 1e30
+    code, err, feat, written = _infer_at(inputs, values)
+    assert code == 0 and err == "", err
+    assert written == ["big.raw.labels", "big.raw.segments", "big.refined.labels",
+                       "big.refined.segments"]
+    model = SegmentationModel(CFG, SegmentationModel(CFG).params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stages = infer(model, load_features(feat)).output.stages
+    assert all(np.isfinite(x.data).all() for s in stages for x in (s.action_logits,
+                                                                    s.boundary_scores))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(0.0, 38.6), seed=st.integers(0, 2**16))
+def test_infer_over_feature_magnitudes_labels_or_names_the_file(exponent, seed):
+    # infer either writes labels from finite outputs (exit 0) or names the
+    # file and the stage (exit 2); it never exits 1 and never warns
+    magnitude = min(10.0**exponent, float(np.finfo(np.float32).max))
+    values = np.random.default_rng(seed).choice([-1.0, 1.0], size=(24, CFG.d_in)) * magnitude
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_checkpoint(d / "m.ckpt", CFG, SegmentationModel(CFG).params)
+        code, err, feat, written = _infer_at(d, values)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(f"error: {feat}: stage ") and "not finite" in err, err
+        assert written == []
+    else:
+        assert err == "" and len(written) == 4

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempseg.losses import (
@@ -20,6 +20,7 @@ from tempseg.seqcore import ShapeError, Tensor, softmax
 
 from oracles import (
     boundary_loss_oracle,
+    complex_step_grads,
     dice_loss_oracle,
     fd_check_tensor,
     focal_loss_oracle,
@@ -288,9 +289,14 @@ def test_combined_loss_rejects_labels_of_another_shape(shape):
     saturated=st.lists(st.booleans(), max_size=30),
     seed=st.integers(0, 2**32 - 1),
 )
+# a width-1 feature of -1.5e-5: a central difference at eps 1e-6 steps
+# across the cosine's steep region around 0 and read 8.8e-3
+@example(runs=[(0, 4)], classes=5, width=1, gamma=0.0, saturated=[], seed=2850)
 def test_loss_terms_match_the_loop_oracles(runs, classes, width, gamma, saturated, seed):
     # each closed form's value to 1e-12 against a per-frame loop, and its
-    # gradient against finite differences; a saturated frame's softmax is
+    # gradient against finite differences, or for the similarity term, whose
+    # cosine is steep where a feature nears 0, against the complex step on
+    # the loop, which steps across nothing; a saturated frame's softmax is
     # exactly 1 at its label, and one run makes a single segment
     labels = np.concatenate([np.full(n, label % classes) for label, n in runs])
     T = labels.size
@@ -318,7 +324,14 @@ def test_loss_terms_match_the_loop_oracles(runs, classes, width, gamma, saturate
     for build, want, leaf in cases:
         got = build().item()
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
-        assert fd_check_tensor(build, [leaf]) < 1e-6
+        if leaf is not feats:
+            assert fd_check_tensor(build, [leaf]) < 1e-6
+    feats.grad = np.zeros_like(feats.data)
+    cases[2][0]().backward()
+    [want] = complex_step_grads(lambda f: similarity_loss_oracle(f, labels, 4.0), [feats.data], 1.0)
+    # fd_check_tensor's measure: each entry's error over max(|either|, 1)
+    scale = np.maximum(np.maximum(np.abs(want), np.abs(feats.grad)), 1.0)
+    assert np.max(np.abs(feats.grad - want) / scale) < 1e-6
     if len(segs) == 1:
         assert gaussian_truncated_boundary_loss(scores, target, 0.3).item() == 0.0
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from tempseg import seqcore
 from tempseg.attention import WindowSpec, build_sparse_mask
 from tempseg.seqcore import (
+    CALL_SHAPES,
+    TILE_ENTRIES,
     TILE_ROWS,
     Adam,
     ShapeError,
@@ -532,10 +534,10 @@ def _scored_tiles(monkeypatch):
     tiles = []
     scores = seqcore._TileKernel._scores
 
-    def spy(self, qs, ks, negs, live, k, levels):
+    def spy(self, qs, ks, negs, k, levels):
         t0, n, S = levels[0][:3]
         tiles.extend((t0 + i * n * S, n * S) for i in range(k))
-        return scores(self, qs, ks, negs, live, k, levels)
+        return scores(self, qs, ks, negs, k, levels)
     monkeypatch.setattr(seqcore._TileKernel, "_scores", spy)
     return tiles
 
@@ -692,8 +694,9 @@ def test_stacked_residues_match_the_oracle_per_residue(monkeypatch, T, step, lev
 
 
 def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
-    # kernels are kept per (levels, width, dtype, tile rows), so a default
-    # kernel built first does not stand in for a patched tile size
+    # kernels are kept per call shape, whose key holds TILE_ROWS and
+    # TILE_ENTRIES, so a default kernel built first does not stand in for a
+    # patched tile size
     T = 30
     q, k, v = (t(rng.normal(size=(T, 8))) for _ in range(3))
     tiles = _scored_tiles(monkeypatch)
@@ -716,6 +719,13 @@ def _tile_rows(levels):
     return [G * f for G in (1, 2, 3)] + [R for R in (1, 2, 4, 16) if R < f]
 
 
+def _one_tile_kernel(levels, w, dtype, R):
+    """The kernel of one unpadded sequence that is one tile of R rows."""
+    rows = max(R, 1 << (levels - 1))
+    return seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows,
+                               tuple(rows >> lvl for lvl in range(levels)), 1)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5, 7])
 def test_tile_masks_are_read_only_dense_window_and_ring_masks(levels, dtype):
@@ -723,7 +733,7 @@ def test_tile_masks_are_read_only_dense_window_and_ring_masks(levels, dtype):
     # arrays, built once per kernel and shared by every call that gets it
     for w in range(4):
         for R in _tile_rows(levels):
-            kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R)
+            kernel = _one_tile_kernel(levels, w, dtype, R)
             want = ring_masks_oracle(levels, w, R, dtype)
             for got, (_, ring) in zip(kernel.ring, want, strict=True):
                 assert got.dtype == ring.dtype and np.array_equal(got, ring)
@@ -736,11 +746,14 @@ def test_tile_masks_are_read_only_dense_window_and_ring_masks(levels, dtype):
 def test_a_long_ladder_holds_small_masks():
     # 10 levels at w = 8 over T = 2048, 8 heads: a coarsest block is 512
     # frames, and the finer levels run it in sub-tiles of TILE_ROWS rows, so
-    # every level's dense masks together hold under 1 MB (a dense mask over
-    # a whole block at the finest level would hold 512 x 528 entries)
+    # every level's dense masks and the call's tile plans together hold
+    # under 1 MB (a dense mask over a whole block at the finest level would
+    # hold 512 x 528 entries). The memo's own function builds it anew, so
+    # a kernel already kept cannot hide what one holds
     tracemalloc.start()
     try:
-        kernel = seqcore._tile_kernel(10, 8, np.float32, 8, 2048)
+        kernel = seqcore._call_kernel.__wrapped__(10, 8, np.dtype(np.float32), 1, 8, 2048,
+                                                  TILE_ROWS, TILE_ENTRIES)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -799,37 +812,43 @@ def _check_ring_tiles(levels, R, dtype):
     and returns every output and gradient row-major, as the oracles do."""
     for w in (0, 1, 2, 3, 8):
         qs, ks, vc = _tile_operands(levels, R, seed=levels * 100 + w * 10 + R)
-        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R)
+        B, rows = vc.shape[:2]
+        # the leading rows per level that no sequence pads
+        pooled = [vc]
+        for _ in range(1, levels):
+            pooled.append(pooled[-1][:, 0::2] + pooled[-1][:, 1::2])
+        live = tuple(int((x[:, :, -1] > 0).all(axis=0).sum()) for x in pooled)
+        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows, live, B)
         ops = _kernel_operands(kernel, *([x.astype(dtype) for x in xs] for xs in (qs, ks)),
                                vc.astype(dtype))
         # the float64 oracles on the operands as the kernel gets them
         exact = [[x.astype(dtype).astype(np.float64) for x in xs] for xs in (qs, ks)]
         exact.append(vc.astype(dtype).astype(np.float64))
-        B, rows = vc.shape[:2]
-        # the leading rows per level that no sequence pads
-        live = tuple(int((x[:, -1, m : m + (rows >> lvl)] > 0).all(axis=0).sum())
-                     for lvl, (x, m) in enumerate(zip(ops[2], kernel.margins)))
-        negs = kernel._padding(ops[2], live)
+        # the 0/-inf masks of the count rows, as window_attention builds them
+        assert kernel.padded
+        negs = [np.where(x[:, -1:] > 0, 0.0, -np.inf).astype(dtype) for x in ops[2]]
         rings = ring_scores_oracle(levels, w, *exact)
-        scored = 0
-        for t0, k, F, levels_ in kernel._tiles(rows, live, 2):
-            for z, ring, m, (a0, n, S, c0, C, _) in zip(
-                    kernel._scores(*ops[:2], negs, live, k, levels_), rings, kernel.margins,
-                    levels_, strict=True):
-                # the ring's columns at the kernel's stored key columns
-                padded = np.pad(ring, ((0, 0), (0, 0), (m, m)), constant_values=-np.inf)
-                want = np.stack([padded[:, a0 + i * S : a0 + (i + 1) * S, c0 + i * S : c0 + i * S + C]
-                                 for i in range(k * n)], axis=1).reshape(z.shape)
-                _close(z, want, dtype)
-            scored += k * F
-        assert scored == rows
-        y, lse = kernel.forward(*ops, live)
+        for runs in (kernel.forward_runs, kernel.backward_runs):
+            scored = 0
+            for t0, k, F, levels_ in runs:
+                for z, ring, m, (a0, n, S, c0, C, _) in zip(
+                        kernel._scores(*ops[:2], negs, k, levels_), rings, kernel.margins,
+                        levels_, strict=True):
+                    # the ring's columns at the kernel's stored key columns
+                    padded = np.pad(ring, ((0, 0), (0, 0), (m, m)), constant_values=-np.inf)
+                    want = np.stack([padded[:, a0 + i * S : a0 + (i + 1) * S,
+                                            c0 + i * S : c0 + i * S + C]
+                                     for i in range(k * n)], axis=1).reshape(z.shape)
+                    _close(z, want, dtype)
+                scored += k * F
+            assert scored == rows
+        y, lse = kernel.forward(*ops, negs)
         want_y, want_lse = ladder_forward_oracle(levels, w, *exact)
         frames = exact[2][:, :, -1:] > 0
         _close(np.where(frames, y, 0), want_y, dtype)
         _close(np.where(frames, lse, 0), np.where(frames, want_lse, 0), dtype)
         dy = np.random.default_rng(w).normal(size=vc.shape).astype(dtype)
-        got = kernel.backward(*ops, live, lse, dy)
+        got = kernel.backward(*ops, negs, lse, dy)
         want = ladder_backward_oracle(levels, w, *exact, lse.astype(np.float64),
                                       dy.astype(np.float64))
         # a padded frame of a pooled block takes that block's [V | count]
@@ -874,13 +893,13 @@ def test_finer_masks_keep_nothing_outside_their_band(levels, w, R, nc, padding):
     f, h = 1 << (levels - 1), -(-w // 2)
     R = R // f * f if R >= f else R
     rows = nc * max(R, f)
-    kernel = seqcore._kernel(levels, w, np.dtype(np.float32), R)
+    live = tuple(max((rows - padding * f) >> lvl, 0) for lvl in range(levels))
+    kernel = seqcore._TileKernel(levels, w, np.dtype(np.float32), R, rows, live, 1)
     for ring in kernel.ring[:-1]:
         i, key = np.nonzero(np.isfinite(ring))
         assert np.all(np.abs(((key - 2 * h) >> 1) - (i >> 1)) <= h)
-    live = tuple(max((rows - padding * f) >> lvl, 0) for lvl in range(levels))
     cover = np.zeros((rows, rows), int)
-    for _, k, _, levels_ in kernel._tiles(rows, live, 3):
+    for _, k, _, levels_ in kernel.forward_runs:
         for lvl, (a0, n, S, c0, C, j0) in enumerate(levels_):
             m, keep = kernel.margins[lvl], np.isfinite(kernel.ring[lvl][:S, j0 : j0 + C])
             level = np.zeros((rows >> lvl, (rows >> lvl) + 2 * m), int)
@@ -922,6 +941,41 @@ def test_a_window_wider_than_the_sequence_costs_what_the_sequence_does(levels, T
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_every_memo_is_bounded():
+    # window calls over more call shapes than CALL_SHAPES leave every memo
+    # in seqcore, module-level or on a class, holding at most CALL_SHAPES
+    memos = [x for x in vars(seqcore).values() if hasattr(x, "cache_info")]
+    memos += [x for cls in vars(seqcore).values() if isinstance(cls, type)
+              for x in vars(cls).values() if hasattr(x, "cache_info")]
+    assert memos and all(m.cache_info().maxsize == CALL_SHAPES for m in memos), memos
+    q, k, v = (rng.normal(size=(CALL_SHAPES + 20, 4)) for _ in range(3))
+    with no_grad():
+        for T in range(1, CALL_SHAPES + 21):
+            window_attention(t(q[:T]), t(k[:T]), t(v[:T]), 2, 1, [(1, 1)])
+    assert max(m.cache_info().currsize for m in memos) == CALL_SHAPES
+
+
+@pytest.mark.parametrize("levels, windows", [(1, [(2, 1), (3, 3)]), (3, [(2, 1)])])
+def test_a_group_builds_its_padding_masks_once(monkeypatch, levels, windows):
+    # a group's 0/-inf count masks are built once, with its operands, and the
+    # backward gets the very masks its forward got; a one-level group with
+    # no padded row gets none
+    T = 20
+    got = {"forward": [], "backward": []}
+    for name in got:
+        def spy(self, qs, ks, vcs, negs, *rest, run=getattr(seqcore._TileKernel, name), name=name):
+            got[name].append(negs)
+            return run(self, qs, ks, vcs, negs, *rest)
+        monkeypatch.setattr(seqcore._TileKernel, name, spy)
+    q, k, v = (t(rng.normal(size=(T, 8))) for _ in range(3))
+    project(window_attention(q, k, v, 2, levels, windows), rng.normal(size=(T, 8))).backward()
+    # the backward runs the groups last first
+    assert len(got["forward"]) == len(windows)
+    assert [id(x) for x in got["backward"]] == [id(x) for x in got["forward"][::-1]]
+    padded = [levels > 1 or T % step != 0 for _, step in windows]
+    assert [negs is not None for negs in got["forward"]] == padded
+
+
 def test_threads_share_the_kernel_cache():
     # more threads than cores run calls over mixed widths and level counts,
     # some building kernels the others then read; every output stays what
@@ -933,7 +987,7 @@ def test_threads_share_the_kernel_cache():
         with no_grad():
             return window_attention(Tensor(q), Tensor(k), Tensor(v), 2, levels, [(w, 1)]).data
     want = {c: attend(*c) for c in calls}
-    seqcore._kernel.cache_clear()
+    seqcore._call_kernel.cache_clear()
     errors = []
 
     def work(i):
@@ -1094,16 +1148,18 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     # the kernel's zero margins [sequences, columns, rows + 2 margins], and
     # the counts of the coarser levels [sequences, rows, 1]; not q, k or v,
     # and no operand in two layouts. Beyond them only numbers, slices, a
-    # dtype, the nodes and the groups' kernels, which `_kernel` shares
-    # between calls
+    # dtype, the nodes, the groups' kernels, which `_call_kernel` shares
+    # between calls of one shape, and the 0/-inf masks of a ladder's count
+    # rows [sequences, 1, rows + 2 margins], which its backward reuses
     stacked = [
         # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per
         # residue; a one-level call keeps no margins
         [(1, 2, 8), (1, 3, 8), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 2), (8, 2, 1)],
         # one group of two heads at two levels, window 1: 8 rows with margins
-        # of 2 and 4 rows with margins of 1, counts at level 1
-        [(2, 2, 6), (2, 2, 12), (2, 3, 6), (2, 3, 12), (2, 4, 1), (2, 4, 2), (2, 8, 2),
-         (8, 2, 1)],
+        # of 2 and 4 rows with margins of 1, counts at level 1, and the 0/-inf
+        # masks of both levels
+        [(2, 1, 6), (2, 1, 12), (2, 2, 6), (2, 2, 12), (2, 3, 6), (2, 3, 12), (2, 4, 1),
+         (2, 4, 2), (2, 8, 2), (8, 2, 1)],
     ]
     for (y, qkv), shapes in zip(attended, stacked):
         held = list(_captured(y._node._backward))

@@ -596,9 +596,9 @@ class _TileKernel:
     pair of rows), plus the ring's additive mask; the window and ring masks
     are dense read-only [S, S + 2lo] arrays, so each add coalesces over a
     whole tile. Padding and margins add the caller's 0/-inf masks of the
-    count rows, negs. A call's uniform tiles, whose slabs
-    reach no margin or padding, run k at a time as one batched op per step,
-    k from TILE_ENTRIES over the entries a tile forms, and so do the others
+    count rows, negs. A call's uniform tiles, whose slabs reach no margin
+    or padding, run k at a time as one batched op per step, k from
+    `budget` over the entries a tile forms, and so do the others
     unless their slabs clip; a clipped one-level slab adds its ring as a
     band view of the dense mask's diagonals, or not at all where every
     row's window covers it. Each tile's softmax is shifted by its
@@ -624,7 +624,8 @@ class _TileKernel:
     meaningless; window_attention drops them.
     """
 
-    def __init__(self, levels: int, w: int, dtype, R: int, rows: int, live: tuple, batch: int):
+    def __init__(self, levels: int, w: int, dtype, R: int, rows: int, live: tuple, batch: int,
+                 budget: int):
         self.geo = _geometry(levels, w, R)
         self.rows, self.live = rows, live
         self.h, self.F = (w + 1) // 2, max(R, 1 << (levels - 1))
@@ -676,11 +677,11 @@ class _TileKernel:
             self.band = sliding_window_view(band, ring.shape[1])[::-1]
         # whether some level has margins or padding, where the scores read negs
         self.padded = any(self.margins) or live[0] < rows
-        # a tile's forward forms one score array per entry, exponentiated in
-        # place; its backward two: the weights and their gradient
-        k, kb = (max(1, TILE_ENTRIES // (n * batch * self.entries)) for n in (1, 2))
+        # a run's tiles at most: a tile's forward forms one score array per
+        # entry, its backward two (the weights and their gradient)
+        k = max(1, budget // (batch * self.entries))
         self.forward_runs = self._tiles(k)
-        self.backward_runs = self.forward_runs if kb == k else self._tiles(kb)
+        self.backward_runs = self.forward_runs if k < 2 else self._tiles(k // 2)
 
     def _tiles(self, k):
         """The runs of a call, as (t0, k, F, levels): k tiles of F finest rows
@@ -906,17 +907,15 @@ class _TileKernel:
 
 
 @functools.lru_cache(maxsize=CALL_SHAPES)
-def _call_kernel(levels: int, w: int, dtype, step: int, hg: int, T: int, tile_rows: int,
+def _call_kernel(levels: int, w: int, dtype, batch: int, rows: int, live: tuple, tile_rows: int,
                  budget: int) -> _TileKernel:
-    """The kernel of one call shape: step * hg stacked sequences of residue
-    0's rows, in whole coarsest blocks, whose first T // step rows (and the
-    blocks that start among them) hold a frame in each. A tile takes R
-    finest rows: the most whole coarsest blocks, up to tile_rows, whose
-    scores hold `budget` entries at most (one block if even that holds
-    more), or tile_rows rounded down to a power of 2 below one block."""
-    f, batch = 1 << (levels - 1), step * hg
-    rows = -(-(-(-T // step)) // f) * f
-    live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
+    """The kernel of one call shape: `batch` stacked sequences of `rows`
+    rows, in whole coarsest blocks, whose leading live[l] rows at level l no
+    sequence pads. A tile takes R finest rows: the most whole coarsest
+    blocks, up to tile_rows, whose scores hold `budget` entries at most (one
+    block if even that holds more), or tile_rows rounded down to a power of
+    2 below one block."""
+    f = 1 << (levels - 1)
     if tile_rows < f:
         R = 1 << (max(tile_rows, 1).bit_length() - 1)
     else:
@@ -926,7 +925,7 @@ def _call_kernel(levels: int, w: int, dtype, step: int, hg: int, T: int, tile_ro
         while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
                                     in enumerate(_geometry(levels, w, R))) > budget:
             R -= f
-    return _TileKernel(levels, w, dtype, R, rows, live, batch)
+    return _TileKernel(levels, w, dtype, R, rows, live, batch, budget)
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
@@ -964,15 +963,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     needed, the backward keeps, per group, the operands its forward
     stacked (each level's pooled queries, keys and [V | count], the 0/-inf
     masks of their count rows, and the counts), each in that one layout,
-    not q, k and v
-    themselves; it also keeps the output and, per frame and head, the log
-    softmax denominator: the shift its tile's scores took plus the log of
-    their exps' sum. HTA's pooled levels add about 3.0 T·A to what a
-    layer's tape holds. The backward forms dY = [g, -(g . y)] once,
-    frame-major, stacks it and the denominators per group row-major, like
-    the queries, and drops each group's operands once its gradients are
-    made. Under no_grad() a group's operands are freed once its output is
-    written.
+    not q, k and v themselves; it also keeps the output and, per frame and
+    head, the log softmax denominator: the shift its tile's scores took
+    plus the log of their exps' sum. HTA's pooled levels add about 3.0 T·A
+    to what a layer's tape holds. The backward forms dY = [g, -(g . y)]
+    once, frame-major, stacks it and the denominators per group row-major,
+    like the queries, and drops each group's operands once its gradients
+    are made. Under no_grad() a group's operands are freed once its output
+    is written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -996,14 +994,17 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
         [V | count] sums, value-major with the kernel's margins, the 0/-inf
         masks of their count rows where the kernel reads them, and the
         counts each pooled sum was divided by."""
-        rows = -(-(-(-T // step)) // f) * f  # residue 0's, the longest, in whole blocks
+        rows = -(-T // (step * f)) * f  # residue 0's, the longest, in whole blocks
+        # the leading rows per level that no sequence pads: the last residue's
+        live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
         # every key a tile reads lies fewer than `rows` rows from its query
         # at its own level, so a wider window reads what one of `rows` does
-        kernel = _call_kernel(levels, min(w, rows), dtype, step, hg, T, TILE_ROWS, TILE_ENTRIES)
+        kernel = _call_kernel(levels, min(w, rows), dtype, step * hg, rows, live, TILE_ROWS,
+                              TILE_ENTRIES)
         ms = kernel.margins
         # residue r's row i is frame i * step + r, and counts 1 if it exists
-        live = np.arange(rows) * step + np.arange(step)[:, None] < T
-        c = np.repeat(live.astype(dtype), hg, axis=0)[:, :, None]
+        frames = np.arange(rows) * step + np.arange(step)[:, None] < T
+        c = np.repeat(frames.astype(dtype), hg, axis=0)[:, :, None]
         vc = _stack(vd[:, hs], step, rows, hd + 1, value_major=True, margin=ms[0])
         vc[:, hd, ms[0] : ms[0] + rows] = c[:, :, 0]
         ksum = _stack(kd[:, hs], step, rows, value_major=True, margin=ms[0])

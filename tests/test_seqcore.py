@@ -712,6 +712,21 @@ def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_lengths_of_one_stacked_shape_share_a_kernel():
+    # the memo keys on the stacked rows and the rows no sequence pads, not
+    # on T: at step 3, T = 31 and T = 32 both stack residues of 11 rows, each
+    # holding 10 or more frames, so the second call reuses the first's kernel
+    seqcore._call_kernel.cache_clear()
+    for T in (31, 32):
+        q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+        with no_grad():
+            got = window_attention(t(q), t(k), t(v), 2, 1, [(2, 3)]).data
+        want = dense_multihead(q, k, v, 2, band_mask_oracle(T, 2, 3))
+        assert np.max(np.abs(got - want)) < 1e-12
+    info = seqcore._call_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1), info
+
+
 def _tile_rows(levels):
     """Tile rows the kernel can take for a ladder: whole coarsest blocks, and
     powers of 2 below one block."""
@@ -723,7 +738,7 @@ def _one_tile_kernel(levels, w, dtype, R):
     """The kernel of one unpadded sequence that is one tile of R rows."""
     rows = max(R, 1 << (levels - 1))
     return seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows,
-                               tuple(rows >> lvl for lvl in range(levels)), 1)
+                               tuple(rows >> lvl for lvl in range(levels)), 1, TILE_ENTRIES)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -752,7 +767,8 @@ def test_a_long_ladder_holds_small_masks():
     # a kernel already kept cannot hide what one holds
     tracemalloc.start()
     try:
-        kernel = seqcore._call_kernel.__wrapped__(10, 8, np.dtype(np.float32), 1, 8, 2048,
+        kernel = seqcore._call_kernel.__wrapped__(10, 8, np.dtype(np.float32), 8, 2048,
+                                                  tuple(2048 >> lvl for lvl in range(10)),
                                                   TILE_ROWS, TILE_ENTRIES)
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -818,7 +834,7 @@ def _check_ring_tiles(levels, R, dtype):
         for _ in range(1, levels):
             pooled.append(pooled[-1][:, 0::2] + pooled[-1][:, 1::2])
         live = tuple(int((x[:, :, -1] > 0).all(axis=0).sum()) for x in pooled)
-        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows, live, B)
+        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows, live, B, TILE_ENTRIES)
         ops = _kernel_operands(kernel, *([x.astype(dtype) for x in xs] for xs in (qs, ks)),
                                vc.astype(dtype))
         # the float64 oracles on the operands as the kernel gets them
@@ -828,7 +844,9 @@ def _check_ring_tiles(levels, R, dtype):
         assert kernel.padded
         negs = [np.where(x[:, -1:] > 0, 0.0, -np.inf).astype(dtype) for x in ops[2]]
         rings = ring_scores_oracle(levels, w, *exact)
-        for runs in (kernel.forward_runs, kernel.backward_runs):
+        # the forward's and the backward's runs, and runs of at most 2
+        # tiles, so that a run ends inside the uniform tiles
+        for runs in (kernel.forward_runs, kernel.backward_runs, kernel._tiles(2)):
             scored = 0
             for t0, k, F, levels_ in runs:
                 for z, ring, m, (a0, n, S, c0, C, _) in zip(
@@ -889,26 +907,28 @@ def test_finer_masks_keep_nothing_outside_their_band(levels, w, R, nc, padding):
     # of its parent's inner keys; and over the kernel's own tiles, finest
     # first, the rings that each level keeps at its rows and columns cover
     # every pair of frames in the coarsest window exactly once and nothing
-    # else
+    # else, in the forward's runs and in runs of at most 3 tiles, which end
+    # inside the uniform tiles
     f, h = 1 << (levels - 1), -(-w // 2)
     R = R // f * f if R >= f else R
     rows = nc * max(R, f)
     live = tuple(max((rows - padding * f) >> lvl, 0) for lvl in range(levels))
-    kernel = seqcore._TileKernel(levels, w, np.dtype(np.float32), R, rows, live, 1)
+    kernel = seqcore._TileKernel(levels, w, np.dtype(np.float32), R, rows, live, 1, TILE_ENTRIES)
     for ring in kernel.ring[:-1]:
         i, key = np.nonzero(np.isfinite(ring))
         assert np.all(np.abs(((key - 2 * h) >> 1) - (i >> 1)) <= h)
-    cover = np.zeros((rows, rows), int)
-    for _, k, _, levels_ in kernel.forward_runs:
-        for lvl, (a0, n, S, c0, C, j0) in enumerate(levels_):
-            m, keep = kernel.margins[lvl], np.isfinite(kernel.ring[lvl][:S, j0 : j0 + C])
-            level = np.zeros((rows >> lvl, (rows >> lvl) + 2 * m), int)
-            for i in range(k * n):
-                level[a0 + i * S : a0 + (i + 1) * S, c0 + i * S : c0 + i * S + C] += keep
-            level = level[:, m : level.shape[1] - m]
-            cover += np.repeat(np.repeat(level, 1 << lvl, axis=0), 1 << lvl, axis=1)
     top = np.arange(rows) >> (levels - 1)
-    assert np.array_equal(cover, np.abs(top[:, None] - top[None, :]) <= w)
+    for runs in (kernel.forward_runs, kernel._tiles(3)):
+        cover = np.zeros((rows, rows), int)
+        for _, k, _, levels_ in runs:
+            for lvl, (a0, n, S, c0, C, j0) in enumerate(levels_):
+                m, keep = kernel.margins[lvl], np.isfinite(kernel.ring[lvl][:S, j0 : j0 + C])
+                level = np.zeros((rows >> lvl, (rows >> lvl) + 2 * m), int)
+                for i in range(k * n):
+                    level[a0 + i * S : a0 + (i + 1) * S, c0 + i * S : c0 + i * S + C] += keep
+                level = level[:, m : level.shape[1] - m]
+                cover += np.repeat(np.repeat(level, 1 << lvl, axis=0), 1 << lvl, axis=1)
+        assert np.array_equal(cover, np.abs(top[:, None] - top[None, :]) <= w)
 
 
 @pytest.mark.parametrize("levels, T, step", [(1, 40, 1), (3, 40, 1), (2, 41, 2)])

@@ -41,6 +41,8 @@ def _cmd_synth(args):
 
 
 def _load_dataset(data_dir, n_classes: int):
+    """(features, labels, .feat path) of every .feat/.labels pair in
+    data_dir, in name order."""
     stems = sorted(
         f[: -len(".feat")] for f in os.listdir(data_dir) if f.endswith(".feat")
     )
@@ -64,7 +66,7 @@ def _load_dataset(data_dir, n_classes: int):
             )
         if feats.shape[0] != labels.size:
             raise ValueError(f"{stem}: {feats.shape[0]} frames but {labels.size} labels")
-        dataset.append((feats, labels))
+        dataset.append((feats, labels, feat_path))
     return dataset
 
 
@@ -75,7 +77,10 @@ def _cmd_train(args):
     if run.model.d_in != d_in:
         raise ValueError(
             f"{args.data}: {d_in} feature columns, but the config's d_in is {run.model.d_in}")
-    result = pipeline.train(run, dataset, ckpt_path=args.out, log_fn=print)
+    try:
+        result = pipeline.train(run, dataset, ckpt_path=args.out, log_fn=print)
+    except pipeline.TrainingError as exc:
+        raise pipeline.TrainingError(f"{dataset[exc.sequence][2]}: {exc}", exc.sequence) from None
     print(f"best epoch {result.best_epoch} loss {result.best_loss:.6f} "
           f"train_acc {result.final_train_accuracy:.4f}")
 

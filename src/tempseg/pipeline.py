@@ -72,7 +72,12 @@ DEFAULT_GESTURE_DURATIONS = (
 
 
 class TrainingError(RuntimeError):
-    pass
+    """Training met a non-finite loss or gradient on the dataset's
+    sequence number `sequence`, counted from 0."""
+
+    def __init__(self, message: str, sequence: int):
+        super().__init__(message)
+        self.sequence = sequence
 
 
 # -- feature files --------------------------------------------------------
@@ -81,7 +86,9 @@ class TrainingError(RuntimeError):
 def save_features(seq: np.ndarray, path):
     """Frame-major float32 little-endian payload behind an MSBF header. The
     values are checked as given, then cast (a float32 input is not copied);
-    one beyond the float32 range raises ValueError before the file opens."""
+    one beyond the float32 range raises ValueError before the file opens.
+    The file is written beside `path` and renamed onto it, so a failed
+    write leaves the old file whole."""
     seq = np.asarray(seq)
     if seq.ndim != 2 or seq.size < 1:
         raise ValueError(f"features must be a non-empty [T, D] matrix, got shape {seq.shape}")
@@ -92,7 +99,7 @@ def save_features(seq: np.ndarray, path):
             payload = np.ascontiguousarray(seq, "<f4")
     except FloatingPointError:
         raise ValueError("refusing to write feature values beyond the float32 range") from None
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<I", FEATURE_VERSION))
         f.write(struct.pack("<QQ", seq.shape[0], seq.shape[1]))
@@ -384,7 +391,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
     their gradients and the Adam state stay float64. A non-finite loss, or a
     non-finite parameter gradient before the optimizer step, raises
     TrainingError naming the epoch, the sequence and the loss component or
-    the parameter."""
+    the parameter; its `sequence` is that sequence's index in dataset."""
     if not dataset:
         raise ValueError("need at least one training sequence")
     model = SegmentationModel(run.model)
@@ -415,13 +422,13 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
             if not math.isfinite(value):
                 bad = max(parts, key=lambda k: 0.0 if math.isfinite(parts[k]) else 1.0)
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, component {bad}, sequence {si}"
+                    f"non-finite loss at epoch {epoch}, component {bad}, sequence {si}", si
                 )
             loss.backward()
             bad = _first_nonfinite_grad(model.params)
             if bad is not None:
                 raise TrainingError(
-                    f"non-finite gradient at epoch {epoch}, sequence {si}, parameter {bad}"
+                    f"non-finite gradient at epoch {epoch}, sequence {si}, parameter {bad}", si
                 )
             opt.step()
             opt.zero_grad()

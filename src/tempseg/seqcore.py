@@ -30,14 +30,15 @@ float32 this way; a leaf's gradient accumulates in the leaf's own dtype,
 so float64 parameters get float64 gradients and Adam keeps float64 master
 weights and state. The oracles run in float64.
 
-The primitive set is closed: it holds the ops the package's network, losses
-and pipeline run, and no other. Tensor methods: ``+`` and ``*`` (with a
-tensor, an array or a Python scalar on the right), ``sigmoid``, ``gelu``,
-``astype`` and ``reshape``; a Tensor is neither indexed nor transposed,
-and every sequence op runs time-major, on [T, C] rows. Functions:
-``concat``, the affine map ``linear``, dilated 1-D convolution
-``conv1d_dilated``, the residual TCN block ``tcn_block`` (dilated conv,
-ReLU, pointwise conv and residual add as one op), ``layer_norm``,
+The primitive set is closed: the ops the package's network, losses and
+pipeline run, and ``conv1d_dilated``, which none of them runs, kept only
+for perfbench's tracer until ROADMAP items 5 and 17. Tensor methods:
+``+`` and ``*`` (with a tensor, an array or a Python scalar on the
+right), ``sigmoid``, ``gelu``, ``astype`` and ``reshape``; a Tensor is
+neither indexed nor transposed, and every sequence op runs time-major, on
+[T, C] rows. Functions: ``concat``, the affine map ``linear``, dilated
+1-D convolution ``conv1d_dilated``, the residual TCN block ``tcn_block``
+(dilated conv, ReLU, pointwise conv and residual add as one op), ``layer_norm``,
 ``softmax`` over the last axis, ``scalar_op`` (a scalar function of one
 tensor from its value and gradient, which the loss terms compute in
 closed form), and one windowed multi-scale multi-head attention op
@@ -468,11 +469,6 @@ def _pair_sum(x: np.ndarray, axis: int = 1) -> np.ndarray:
     return x[:, 0::2] + x[:, 1::2] if axis == 1 else x[:, :, 0::2] + x[:, :, 1::2]
 
 
-def _unpool(x: np.ndarray, f: int) -> np.ndarray:
-    """Each row of x [B, rows, d] repeated f times along axis 1."""
-    return x if f == 1 else np.repeat(x, f, axis=1)
-
-
 def _stack(x: np.ndarray, step: int, rows: int, width: int = 0,
            value_major: bool = False, margin: int = 0) -> np.ndarray:
     """x [T, hg, d] as step * hg head-major sequences [step * hg, rows,
@@ -619,9 +615,10 @@ class _TileKernel:
     gradient times the denominator) summed to the ring's rows, each times
     exp(L_a - its frame's log denominator); the score gradient dZ_l of a
     level flows to its own scores inside its window and, summed over 2 x 2
-    blocks, to its parent's. A padded row's outputs and gradients, and the
-    [V | count] gradient of a padded frame in a pooled block, are
-    meaningless; window_attention drops them.
+    blocks, to its parent's. It returns every gradient at its level's own
+    rows, for window_attention to bring to frame rows. A padded row's
+    outputs and gradients, and the [V | count] gradient of a padded frame
+    in a pooled block, are meaningless; window_attention drops them.
     """
 
     def __init__(self, levels: int, w: int, dtype, R: int, rows: int, live: tuple, batch: int,
@@ -842,10 +839,10 @@ class _TileKernel:
         return y.transpose(0, 2, 1), lse
 
     def backward(self, qs, ks, vcs, negs, lse, dy):
-        """The gradients of qs and ks per level (the keys' row-major, without
-        margins) and of frame-level [V | count], row-major, from the
-        forward's log denominators and dy [B, rows, hd + 1]: the gradient of
-        the softmax numerator [num | den] times each row's denominator."""
+        """The gradients (dqs, dks, dvs) of qs, ks and vcs per level,
+        row-major and without margins, from the forward's log denominators
+        and dy [B, rows, hd + 1]: the gradient of the softmax numerator
+        [num | den] times each row's denominator."""
         L = len(qs)
         B, rows = qs[0].shape[:2]
         # per level row, the least log denominator of its frames and dY
@@ -898,12 +895,8 @@ class _TileKernel:
             # freed before the next tile's scores are built, whose buffers can then
             # take their place
             del dz, ds
-        dvc = None
-        for lvl in reversed(range(L)):
-            m = self.margins[lvl]
-            d = dvs[lvl][:, m : m + (rows >> lvl)]
-            dvc = d if dvc is None else np.add(np.repeat(dvc, 2, axis=1), d, out=d)
-        return dqs, [x[:, m : x.shape[1] - m] for x, m in zip(dks, self.margins)], dvc
+        return dqs, *([x[:, m : x.shape[1] - m] for x, m in zip(xs, self.margins)]
+                      for xs in (dks, dvs))
 
 
 @functools.lru_cache(maxsize=CALL_SHAPES)
@@ -969,8 +962,12 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     to what a layer's tape holds. The backward forms dY = [g, -(g . y)]
     once, frame-major, stacks it and the denominators per group row-major,
     like the queries, and drops each group's operands once its gradients
-    are made. Under no_grad() a group's operands are freed once its output
-    is written.
+    are made. The kernel returns every gradient per level; the backward
+    scales each level's query and key gradients by wt / count and 1 / count,
+    as the forward did, then brings them and the [V | count] gradients to
+    frame rows in one chain, coarse to fine: each level's rows are repeated
+    twice and added to the next finer level's. Under no_grad() a group's
+    operands are freed once its output is written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -1052,14 +1049,16 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
                 # each group's operands are dropped once its gradients are made
                 hs, step, kernel, qs, ks, vcs, negs, cs = kept.pop()
                 rows = qs[0].shape[1]
-                dqs, dks, dvc = kernel.backward(qs, ks, vcs, negs, _stack(lse[:, hs], step, rows),
-                                                _stack(dy[:, hs], step, rows))
-                dqg = dkg = 0.0
-                for s, (a, b, c) in enumerate(zip(dqs, dks, cs)):
-                    dqg = _unpool(a * (wt / c), 1 << s) + dqg
-                    dkg = _unpool(b / c, 1 << s) + dkg
-                for a, b in ((dqg, dq), (dkg, dk), (dvc, dv)):
-                    _unstack(a, b[:, hs])
+                grads = kernel.backward(qs, ks, vcs, negs, _stack(lse[:, hs], step, rows),
+                                        _stack(dy[:, hs], step, rows))
+                for a, b, c in zip(*grads[:2], cs):
+                    a *= wt / c
+                    b /= c
+                # each level's rows brought to the next finer's, coarsest first
+                for xs, d in zip(grads, (dq, dk, dv)):
+                    for lvl in reversed(range(1, len(xs))):
+                        np.add(np.repeat(xs[lvl], 2, axis=1), xs[lvl - 1], out=xs[lvl - 1])
+                    _unstack(xs[0], d[:, hs])
             for node, d in zip(nodes, (dq, dk, dv)):
                 if node is not None:
                     node._accumulate(d.reshape(T, A))

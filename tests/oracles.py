@@ -279,7 +279,9 @@ def ladder_backward_oracle(levels, w, qs, ks, vc, lse, dy):
     """The gradients (dqs, dks, dvc) of seqcore._TileKernel.backward from the
     ladder's frame-level scores: the score gradient summed over blocks of
     2**l x 2**l frames, level by level, and kept inside each level's
-    window."""
+    window. dqs and dks are per level, as the kernel returns them; dvc is
+    the frame-level [V | count] gradient, which the kernel's per-level
+    gradients sum to once each level's rows are repeated to frame rows."""
     z = ladder_scores_oracle(levels, w, qs, ks, vc)
     e = np.exp(z - lse)
     dz = (dy @ vc.transpose(0, 2, 1)) * e

@@ -276,7 +276,8 @@ def test_a_failed_label_or_segment_write_leaves_the_old_file(tmp_path, monkeypat
     # target, so a write that raises leaves the previous file whole
     labels, path = [0, 0, 1], tmp_path / "x"
     writers = [lambda: save_labels(labels, path),
-               lambda: save_segment_file(path, frames_to_segments(np.array(labels)))]
+               lambda: save_segment_file(path, frames_to_segments(np.array(labels))),
+               lambda: save_features(np.array([labels], float), path)]
     for write in writers:
         write()
         before = path.read_bytes()
@@ -1050,8 +1051,22 @@ def test_cli_train_nonfinite_gradient_exits_one_naming_the_parameter(
                      "--out", str(tmp_path / "m.ckpt")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "training aborted: non-finite gradient at epoch 1, sequence 1,"
-        " parameter dec0.head.action.b\n")
+        f"training aborted: {data_dir / 'seq_001.feat'}: non-finite gradient at epoch 1,"
+        " sequence 1, parameter dec0.head.action.b\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+# the second sequence's features overflow the network's float32 pass on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_train_nonfinite_loss_names_the_sequence_file(tmp_path, capsys):
+    config, data_dir = tiny_files(tmp_path, tiny_run())
+    feat = data_dir / "seq_001.feat"
+    save_features(np.full(load_features(feat).shape, 3e38), feat)
+    code = cli.main(["train", "--config", str(config), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"training aborted: {feat}: non-finite loss at epoch 1, component focal, sequence 1\n")
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -1059,8 +1074,9 @@ def test_cli_load_dataset_keeps_float32_features(tmp_path):
     _, data_dir = tiny_files(tmp_path, tiny_run())
     dataset = cli._load_dataset(data_dir, 3)
     assert len(dataset) == 2
-    # (features, labels) pairs: the loss derives the segments from the labels
-    for (feats, labels), (ref, ref_labels, _) in zip(dataset, tiny_data()):
+    # (features, labels, path), no segments: the loss derives them from the labels
+    for i, ((feats, labels, path), (ref, ref_labels, _)) in enumerate(zip(dataset, tiny_data())):
+        assert path == os.path.join(data_dir, f"seq_{i:03d}.feat")
         assert feats.dtype == np.float32
         assert np.array_equal(feats, ref.astype(np.float32))
         assert np.array_equal(labels, ref_labels)

@@ -825,7 +825,9 @@ def _check_ring_tiles(levels, R, dtype):
     tile's scores per level equal the dense ring scores, and the outputs,
     log denominators and every gradient equal the frame-level ladder's.
     The kernel reads the keys and [V | count] value-major with margins,
-    and returns every output and gradient row-major, as the oracles do."""
+    and returns every output and each level's gradients row-major; its
+    per-level [V | count] gradients, summed to frame rows here, equal the
+    oracle's frame-level one."""
     for w in (0, 1, 2, 3, 8):
         qs, ks, vc = _tile_operands(levels, R, seed=levels * 100 + w * 10 + R)
         B, rows = vc.shape[:2]
@@ -869,9 +871,11 @@ def _check_ring_tiles(levels, R, dtype):
         got = kernel.backward(*ops, negs, lse, dy)
         want = ladder_backward_oracle(levels, w, *exact, lse.astype(np.float64),
                                       dy.astype(np.float64))
+        # the kernel's per-level [V | count] gradients summed to frame rows
+        dvc = sum(np.repeat(x, 1 << lvl, axis=1) for lvl, x in enumerate(got[2]))
         # a padded frame of a pooled block takes that block's [V | count]
         # gradient, which window_attention drops with the padded frames
-        for a, b in zip([*got[0], *got[1], np.where(frames, got[2], 0)],
+        for a, b in zip([*got[0], *got[1], np.where(frames, dvc, 0)],
                         [*want[0], *want[1], np.where(frames, want[2], 0)], strict=True):
             _close(a, b, dtype)
 
@@ -1301,6 +1305,19 @@ def test_tcn_block_equals_its_composite_bit_for_bit(dtype, mode, T, dilation):
     assert runs[0][0].dtype == runs[0][1].dtype == dtype
     for a, b in zip(*runs):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["acausal", "causal"])
+@pytest.mark.parametrize("T, dilation", TCN_CASES)
+def test_tcn_block_matches_the_loop_convolutions(mode, T, dilation):
+    # the composite shares tcn_block's tap code, so the output is also
+    # checked against direct-loop convolutions, which share none of it
+    x, conv_w, conv_b, pw_w, pw_b = (p.data for p in _tcn_leaves(
+        T, np.float64, np.random.default_rng(T * dilation)))
+    h = np.maximum(conv1d_oracle(x, conv_w, conv_b, dilation, mode), 0.0)
+    want = x + conv1d_oracle(h, pw_w, pw_b, 1, "acausal")
+    got = tcn_block(*map(t, (x, conv_w, conv_b, pw_w, pw_b)), dilation, mode).data
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["acausal", "causal"])

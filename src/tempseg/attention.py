@@ -23,6 +23,7 @@ __all__ = [
     "AttentionParams",
     "build_window_schedule",
     "build_sparse_mask",
+    "attention_layer",
     "dswa_forward",
     "hta_forward",
     "attended_pairs_count",
@@ -147,7 +148,8 @@ class ScaleSet:
 class AttentionParams:
     """Shared q/k/v/output projections for one multi-head attention pass.
 
-    Projections map d_model -> attn_dim (split across heads) and back.
+    Projections map d_model -> attn_dim (split across heads) and back;
+    ``window_attention`` rejects a head count that does not divide attn_dim.
     """
 
     wq: Tensor
@@ -160,15 +162,21 @@ class AttentionParams:
     bo: Tensor
     heads: int = 8
 
-    def __post_init__(self):
-        if self.attn_dim % self.heads != 0:
-            raise ShapeError(
-                f"head count {self.heads} must divide attention dim {self.attn_dim}"
-            )
-
     @property
     def attn_dim(self) -> int:
         return self.wq.shape[1]
+
+
+def attention_layer(x: Tensor, params: AttentionParams, levels: int,
+                    windows: list) -> Tensor:
+    """The q, k and v projections of x [T, d_model], one ``window_attention``
+    call over `levels` scales and the head groups' (width, step) `windows`,
+    and the output projection: DSWA and HTA are this layer."""
+    q = linear(x, params.wq, params.bq)
+    k = linear(x, params.wk, params.bk)
+    v = linear(x, params.wv, params.bv)
+    out = window_attention(q, k, v, params.heads, levels, windows)
+    return linear(out, params.wo, params.bo)
 
 
 def dswa_forward(
@@ -177,21 +185,15 @@ def dswa_forward(
     shrinking: AttentionMask,
     params: AttentionParams,
 ) -> Tensor:
-    """Dual sliding-window attention: one attention over all heads, whose
-    first half attends through the expanding mask's window and whose second
-    half through the shrinking mask's. ``window_attention`` rejects a head
-    count that two groups do not divide."""
+    """Dual sliding-window attention: one attention layer at one level, whose
+    first half of the heads attends through the expanding mask's window and
+    whose second half through the shrinking mask's. ``window_attention``
+    rejects a head count that two groups do not divide."""
     T = x.shape[0]
     if expanding.T != T or shrinking.T != T:
-        raise ShapeError(
-            f"masks built for T={expanding.T}/{shrinking.T} but input has T={T}"
-        )
-    q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
-    v = linear(x, params.wv, params.bv)
+        raise ShapeError(f"masks built for T={expanding.T}/{shrinking.T} but input has T={T}")
     windows = [(m.spec.one_sided_width, m.spec.step) for m in (expanding, shrinking)]
-    out = window_attention(q, k, v, params.heads, 1, windows)
-    return linear(out, params.wo, params.bo)
+    return attention_layer(x, params, 1, windows)
 
 
 def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
@@ -202,14 +204,10 @@ def hta_forward(x: Tensor, scales: ScaleSet, params: AttentionParams) -> Tensor:
     of the scores of every scale whose window holds it, each weighted
     1 / levels; the softmax runs over the union of the windows and weights
     frame-level values. Mean pooling is linear, so q and k are projected
-    once at frame level and pooled inside ``window_attention``, which runs
-    the ladder of scales at step 1.
+    once at frame level and pooled inside ``window_attention``: this is one
+    attention layer with the ladder of scales and one group at step 1.
     """
     T = x.shape[0]
     if scales.T != T:
         raise ShapeError(f"scale set built for T={scales.T}, input has T={T}")
-    q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
-    v = linear(x, params.wv, params.bv)
-    out = window_attention(q, k, v, params.heads, scales.levels, [(scales.window, 1)])
-    return linear(out, params.wo, params.bo)
+    return attention_layer(x, params, scales.levels, [(scales.window, 1)])

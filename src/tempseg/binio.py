@@ -35,15 +35,18 @@ def replacing(path, mode: str = "wb"):
     when the block exits cleanly. So a failed write leaves the old file as
     it was, and a process that still maps the old file (see `map_file`)
     keeps reading the old inode; on any error the new file is removed and
-    the error raised again."""
+    the error raised again, an OSError that names the new file as one that
+    names `path` instead."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

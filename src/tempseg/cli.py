@@ -72,6 +72,9 @@ def _load_dataset(data_dir, n_classes: int):
 
 def _cmd_train(args):
     run = pipeline.load_run_config(args.config) if args.config else pipeline.RunConfig()
+    # checked first: the first checkpoint is written only after epoch 1
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out}: its directory does not exist")
     dataset = _load_dataset(args.data, run.model.n_classes)
     d_in = dataset[0][0].shape[1]
     if run.model.d_in != d_in:
@@ -95,7 +98,8 @@ def _cmd_infer(args):
     try:
         result = pipeline.infer(model, feats, refine=not args.no_refine)
     except ValueError as exc:
-        raise ValueError(f"{args.features}: {exc}") from None
+        source = args.ckpt if isinstance(exc, pipeline.ParameterError) else args.features
+        raise ValueError(f"{source}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, os.path.splitext(os.path.basename(args.features))[0])
     pipeline.save_labels(result.raw_labels, stem + ".raw.labels")

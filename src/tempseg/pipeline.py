@@ -36,6 +36,7 @@ __all__ = [
     "RunConfig",
     "RETIRED_TRAIN_KEYS",
     "TrainingError",
+    "ParameterError",
     "save_features",
     "load_features",
     "load_labels",
@@ -78,6 +79,10 @@ class TrainingError(RuntimeError):
     def __init__(self, message: str, sequence: int):
         super().__init__(message)
         self.sequence = sequence
+
+
+class ParameterError(ValueError):
+    """A model parameter is not finite; the message names it."""
 
 
 # -- feature files --------------------------------------------------------
@@ -362,10 +367,11 @@ def _train_accuracy(model: SegmentationModel, dataset) -> float:
     return correct / total
 
 
-def _first_nonfinite_grad(params: dict):
-    """Name of the first parameter whose gradient holds a NaN or inf, else None."""
+def _first_nonfinite(params: dict, attr: str):
+    """Name of the first parameter whose `attr` ("data", "grad") is not finite, else None."""
     for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+        a = getattr(p, attr)
+        if a is not None and not np.isfinite(a).all():
             return name
     return None
 
@@ -425,7 +431,7 @@ def train(run: RunConfig, dataset, ckpt_path=None, log_fn=None) -> TrainResult:
                     f"non-finite loss at epoch {epoch}, component {bad}, sequence {si}", si
                 )
             loss.backward()
-            bad = _first_nonfinite_grad(model.params)
+            bad = _first_nonfinite(model.params, "grad")
             if bad is not None:
                 raise TrainingError(
                     f"non-finite gradient at epoch {epoch}, sequence {si}, parameter {bad}", si
@@ -483,20 +489,24 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
     """Labels for one [T, d_in] sequence. The network runs on the features
     in float32 under no_grad(); the boundary sigmoid, boundary detection,
     refinement and the class probabilities it reads (computed only when
-    refining) run in float64. Features that overflow float32 arithmetic
-    raise ValueError naming the first stage whose action logits or boundary
-    scores are not finite; an overflow the network absorbs warns nothing."""
-    if features.shape[1] != model.cfg.d_in:
-        raise ValueError(
-            f"feature dimension {features.shape[1]} does not match model d_in {model.cfg.d_in}"
-        )
+    refining) run in float64. A stage whose action logits or boundary
+    scores are not finite raises ValueError naming it and the cause that a
+    failed stage looks for: a parameter that is not finite (ParameterError),
+    else a frame of features that is not, else float32 overflow; an
+    overflow the network absorbs warns nothing."""
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         out = model.forward(Tensor(features.astype(np.float32, copy=False)), training=False)
     for i, stage in enumerate(out.stages):
         for name in ("action_logits", "boundary_scores"):
             if not np.isfinite(getattr(stage, name).data).all():
-                raise ValueError(f"stage {i} ({'decoder' if i else 'encoder'}): {name} not "
-                                 f"finite, the features overflow float32 arithmetic")
+                what = f"stage {i} ({'decoder' if i else 'encoder'}): {name} not finite"
+                bad = _first_nonfinite(model.params, "data")
+                if bad is not None:
+                    raise ParameterError(f"{what}, parameter {bad} is not finite")
+                frames = np.flatnonzero(~np.isfinite(features).all(axis=1))
+                if frames.size:
+                    raise ValueError(f"{what}, the features are not finite at frame {frames[0]}")
+                raise ValueError(f"{what}, the features overflow float32 arithmetic")
     final = out.stages[-1]
     logits = final.action_logits.data.astype(np.float64)
     raw = np.argmax(logits, axis=1)

@@ -956,18 +956,19 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     needed, the backward keeps, per group, the operands its forward
     stacked (each level's pooled queries, keys and [V | count], the 0/-inf
     masks of their count rows, and the counts), each in that one layout,
-    not q, k and v themselves; it also keeps the output and, per frame and
-    head, the log softmax denominator: the shift its tile's scores took
-    plus the log of their exps' sum. HTA's pooled levels add about 3.0 T·A
-    to what a layer's tape holds. The backward forms dY = [g, -(g . y)]
-    once, frame-major, stacks it and the denominators per group row-major,
-    like the queries, and drops each group's operands once its gradients
-    are made. The kernel returns every gradient per level; the backward
-    scales each level's query and key gradients by wt / count and 1 / count,
-    as the forward did, then brings them and the [V | count] gradients to
-    frame rows in one chain, coarse to fine: each level's rows are repeated
-    twice and added to the next finer level's. Under no_grad() a group's
-    operands are freed once its output is written.
+    not q, k and v themselves, and the log softmax denominators of its
+    stacked rows as the kernel returned them, [sequences, rows, 1]: per
+    row, the shift its tile's scores took plus the log of their exps' sum.
+    It also keeps the output. HTA's pooled levels add about 3.0 T·A to
+    what a layer's tape holds. The backward forms dY = [g, -(g . y)] once,
+    frame-major, stacks only it per group, row-major like the queries, and
+    drops each group's operands once its gradients are made. The kernel
+    returns every gradient per level; the backward scales each level's
+    query and key gradients by wt / count and 1 / count, as the forward
+    did, then brings them and the [V | count] gradients to frame rows in
+    one chain, coarse to fine: each level's rows are repeated twice and
+    added to the next finer level's. Under no_grad() a group's operands are
+    freed once its output is written.
     """
     q, k, v = _attention_operands(q, k, v, heads)
     T, A = q.data.shape
@@ -1024,16 +1025,16 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
                 for x in vcs] if kernel.padded else None
         return kernel, qs, ks, vcs, negs, cs
 
-    y, lse = np.empty((T, heads, hd), dtype), np.empty((T, heads, 1), dtype)
+    y = np.empty((T, heads, hd), dtype)
     # per group, the operands its backward reads, only when one will run
     kept = [] if _records((q, k, v)) else None
     for hs, w, step in groups:
         kernel, qs, ks, vcs, negs, cs = operands(hs, w, step)
-        for a, b in zip(kernel.forward(qs, ks, vcs, negs), (y, lse)):
-            _unstack(a, b[:, hs])
+        yg, lse = kernel.forward(qs, ks, vcs, negs)
+        _unstack(yg, y[:, hs])
         if kept is not None:
-            kept.append((hs, step, kernel, qs, ks, vcs, negs, cs))
-        del qs, ks, vcs, negs, cs, a
+            kept.append((hs, step, kernel, qs, ks, vcs, negs, cs, lse))
+        del qs, ks, vcs, negs, cs, yg, lse
 
     out = _make(y.reshape(T, A), (q, k, v))
     if out.requires_grad:
@@ -1047,10 +1048,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             dq, dk, dv = (np.empty((T, heads, hd), dtype) for _ in range(3))
             while kept:
                 # each group's operands are dropped once its gradients are made
-                hs, step, kernel, qs, ks, vcs, negs, cs = kept.pop()
-                rows = qs[0].shape[1]
-                grads = kernel.backward(qs, ks, vcs, negs, _stack(lse[:, hs], step, rows),
-                                        _stack(dy[:, hs], step, rows))
+                hs, step, kernel, qs, ks, vcs, negs, cs, lse = kept.pop()
+                grads = kernel.backward(qs, ks, vcs, negs, lse,
+                                        _stack(dy[:, hs], step, qs[0].shape[1]))
                 for a, b, c in zip(*grads[:2], cs):
                     a *= wt / c
                     b /= c

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written the slow, obvious way on purpose: no shared code
-with the package beyond numpy, its error types, the Tensor and
-AttentionParams containers that `init_attention_params` fills, the
+with the package beyond numpy, its error types, the Tensor,
+AttentionParams and AttentionMask containers that `init_attention_params`
+and `model_oracle` fill, the config's window and scale schedules, the
 `linear` op that `project` forms a test's scalar with, and the tape ops
 that `tcn_block_composite` chains as the unfused reference of `tcn_block`.
 """
@@ -14,7 +15,7 @@ import struct
 import numpy as np
 
 from tempseg import seqcore
-from tempseg.attention import AttentionParams
+from tempseg.attention import AttentionMask, AttentionParams
 from tempseg.seqcore import ShapeError, Tensor, linear
 
 
@@ -527,6 +528,53 @@ def layer_norm_oracle(x, gain, bias, eps=1e-6):
         var = sum(xc * xc) / x.shape[1]
         y[r] = xc / np.sqrt(var + eps) * gain + bias
     return y
+
+
+def model_oracle(cfg, params, x):
+    """Every stage's (action logits [T, C], boundary scores [T]) of
+    `SegmentationModel.forward` in eval mode, encoder first, on x [T, d_in]
+    in float64, from the parameters by name: the loop oracles of the
+    linear maps, convolutions and layer norms, the dense DSWA and HTA
+    oracles, and numpy's softmax, tanh GELU and sigmoid."""
+    p = {name: np.asarray(t.data, np.float64) for name, t in params.items()}
+    T = x.shape[0]
+
+    def tcn(h, prefix, mode):
+        for i in range(cfg.n_blocks):
+            b = f"{prefix}.{i}"
+            r = np.maximum(conv1d_oracle(h, p[f"{b}.conv.w"], p[f"{b}.conv.b"], 2**i, mode), 0)
+            h = h + conv1d_oracle(r, p[f"{b}.pw.w"], p[f"{b}.pw.b"], 1, "acausal")
+        return h
+
+    def heads(h, prefix):
+        logits = linear_oracle(h, p[f"{prefix}.action.w"], p[f"{prefix}.action.b"])
+        blogit = linear_oracle(h, p[f"{prefix}.boundary.w"], p[f"{prefix}.boundary.b"])[:, 0]
+        return logits, 1.0 / (1.0 + np.exp(-blogit))
+
+    def attention(prefix):
+        names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        return AttentionParams(*(Tensor(p[f"{prefix}.{n}"]) for n in names), cfg.heads)
+
+    h = tcn(linear_oracle(x, p["in_proj.w"], p["in_proj.b"]), "enc_tcn", "acausal")
+    scales = cfg.scale_set(T)
+    for i, (expanding, shrinking) in enumerate(cfg.window_pairs()):
+        pre = f"enc_attn.{i}"
+        a = layer_norm_oracle(h, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+        h = (h + dswa_oracle(a, AttentionMask(T, expanding), AttentionMask(T, shrinking),
+                             attention(f"{pre}.dswa"))
+             + hta_oracle(a, scales, attention(f"{pre}.hta")))
+        m = linear_oracle(layer_norm_oracle(h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"]),
+                          p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
+        m = 0.5 * m * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (m + 0.044715 * m**3)))
+        h = h + linear_oracle(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
+    stages = [heads(h, "enc_head")]
+    for j in range(cfg.n_decoders):
+        e = np.exp(stages[-1][0] - stages[-1][0].max(axis=1, keepdims=True))
+        z = np.concatenate([e / e.sum(axis=1, keepdims=True), h], axis=1)
+        z = tcn(linear_oracle(z, p[f"dec{j}.in_proj.w"], p[f"dec{j}.in_proj.b"]),
+                f"dec{j}.tcn", "causal")
+        stages.append(heads(z, f"dec{j}.head"))
+    return stages
 
 
 def _label_runs(labels):

@@ -1,6 +1,8 @@
 """Repeated in-process `cli.main` calls: one parser per process, and each
 call's outputs equal to those of a freshly built parser; `infer` on
-features that overflow float32 arithmetic."""
+features that overflow float32 arithmetic, and the file it then names: the
+checkpoint for a parameter that is not finite, else the features; writes
+to a directory that does not exist name the path given."""
 
 import contextlib
 import io
@@ -170,3 +172,52 @@ def test_infer_over_feature_magnitudes_labels_or_names_the_file(exponent, seed):
         assert written == []
     else:
         assert err == "" and len(written) == 4
+
+
+def test_infer_with_a_non_finite_parameter_names_the_checkpoint_and_the_parameter(inputs):
+    model = SegmentationModel(CFG)
+    model.params["enc_tcn.0.conv.w"].data[0, 0, 0] = np.nan
+    ckpt = inputs / "nan.ckpt"
+    save_checkpoint(ckpt, CFG, model.params)
+    code, _, err = _run(["infer", "--ckpt", str(ckpt), "--features", str(inputs / "x.feat"),
+                         "--out", str(inputs / "out")])
+    assert code == 2, err
+    assert err == (f"error: {ckpt}: stage 0 (encoder): action_logits not finite, "
+                   f"parameter enc_tcn.0.conv.w is not finite\n"), err
+    assert not (inputs / "out").exists()
+
+
+def test_infer_on_features_that_hold_a_nan_names_the_frame():
+    features = np.random.default_rng(5).normal(size=(30, CFG.d_in))
+    features[11, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^stage 0 \(encoder\): action_logits not finite, "
+                                         r"the features are not finite at frame 11$"):
+        infer(SegmentationModel(CFG), features)
+
+
+def test_train_into_a_missing_directory_names_out_before_any_epoch(inputs):
+    data = inputs / "data"
+    data.mkdir()
+    save_features(np.random.default_rng(6).normal(size=(40, CFG.d_in)), data / "a.feat")
+    save_labels(np.repeat([0, 2, 1, 2], 10), data / "a.labels")
+    config = inputs / "run.cfg"
+    config.write_text("[model]\n" + "".join(f"{k} = {getattr(CFG, k)}\n" for k in (
+        "n_classes", "d_in", "d_model", "n_blocks", "n_decoders", "heads", "s_avg", "w_min",
+        "w_max")) + "[train]\nmax_epochs = 1\n")
+    out = inputs / "missing" / "m.ckpt"
+    argv = ["train", "--config", str(config), "--data", str(data), "--out", str(out)]
+    code, stdout, err = _run(argv)
+    assert code == 2 and stdout == "", (stdout, err)
+    assert err.startswith(f"error: --out {out}: ") and ".tmp" not in err, err
+    (inputs / "missing").mkdir()
+    code, stdout, err = _run(argv)
+    assert code == 0 and stdout.startswith("epoch 1 ") and out.exists(), err
+
+
+def test_eval_report_into_a_missing_directory_names_the_report(inputs):
+    report = inputs / "missing" / "r.txt"
+    code, _, err = _run(["eval", "--pred", str(inputs / "pred.labels"),
+                         "--gt", str(inputs / "gt.labels"), "--report", str(report)])
+    assert code == 2, err
+    assert err == f"error: {report}: No such file or directory\n", err
+    assert not (inputs / "missing").exists()

@@ -29,7 +29,13 @@ from tempseg.network import (
 from tempseg.pipeline import SynthSpec, _sequence_loss, infer, synth_dataset
 from tempseg.seqcore import Tensor, conv1d_dilated
 
-from oracles import checkpoint_v1_bytes, checkpoint_v2_bytes, hta_pair_count_oracle
+from oracles import (
+    checkpoint_v1_bytes,
+    checkpoint_v2_bytes,
+    hta_pair_count_oracle,
+    model_oracle,
+    rel_err,
+)
 
 rng = np.random.default_rng(808)
 
@@ -198,6 +204,56 @@ def test_dropout_only_in_training_mode():
     c = model.forward(x, training=True).stages[-1].action_logits.data
     d = model.forward(x, training=True).stages[-1].action_logits.data
     assert not np.array_equal(c, d)  # different dropout draws
+
+
+# (T, config, data seed): windows wider than T at T = 1 and 13, 2 HTA
+# levels at T = 24, and 3 levels with dilation rates 0, 1 and 2 at T = 37
+ORACLE_CASES = [
+    (1, {}, 31),
+    (13, {}, 32),
+    (24, dict(n_blocks=2, s_avg=6, w_min=2, w_max=4, hta_window=2), 33),
+    (37, dict(n_blocks=3, n_decoders=2, heads=4, s_avg=4, w_min=2, w_max=8, hta_window=2), 34),
+]
+
+
+def _oracle_gap(T, kw, seed):
+    """The largest relative difference, over every stage's logits and
+    boundary scores, between the float64 eval forward and model_oracle, for
+    a model and features drawn from generator `seed`."""
+    base = dict(n_classes=3, d_in=5, d_model=8, n_blocks=1, n_decoders=1, heads=2,
+                temporal_dropout=0.3)
+    cfg = ModelConfig(**{**base, **kw, "seed": seed})
+    draw = np.random.default_rng(seed)
+    model = SegmentationModel(cfg)
+    for t in model.params.values():  # nonzero biases and gains
+        t.data[...] = t.data + 0.1 * draw.normal(size=t.shape)
+    x = draw.normal(size=(T, cfg.d_in))
+    got = model.forward(Tensor(x), training=False).stages
+    want = model_oracle(cfg, model.params, x)
+    assert len(got) == len(want) == 1 + cfg.n_decoders
+    assert all(s.action_logits.dtype == np.float64 for s in got)
+    return max(max(rel_err(s.action_logits.data, logits), rel_err(s.boundary_scores.data, scores))
+               for s, (logits, scores) in zip(got, want))
+
+
+@pytest.mark.parametrize("T, kw, seed", ORACLE_CASES)
+def test_forward_matches_the_whole_model_oracle(T, kw, seed):
+    assert _oracle_gap(T, kw, seed) < 1e-9
+
+
+@pytest.mark.parametrize("miswire", ["decoder inputs", "dswa windows"])
+def test_the_whole_model_oracle_fails_a_miswired_model(monkeypatch, miswire):
+    from tempseg import attention, network
+
+    if miswire == "decoder inputs":
+        concat = network.concat  # [features | probs] where [probs | features] belongs
+        monkeypatch.setattr(network, "concat", lambda ts, axis=0: concat(ts[::-1], axis=axis))
+    else:
+        dswa = attention.dswa_forward
+        monkeypatch.setattr(attention, "dswa_forward",
+                            lambda x, expanding, shrinking, params: dswa(x, shrinking, expanding,
+                                                                          params))
+    assert _oracle_gap(*ORACLE_CASES[-1]) > 1e-3
 
 
 def test_deterministic_init_by_seed():

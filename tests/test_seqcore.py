@@ -1165,12 +1165,12 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = layer_norm(h, b * 2.0, b).gelu()
     attended = [(window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)]), (h, c, h)),
                 (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
-    # an attention closure keeps the output, per frame and head the log
-    # softmax denominator (8, 2, 1), and per group the operands its forward
-    # stacked: each level's pooled queries row-major [sequences, rows,
-    # columns], each level's pooled keys and [V | count] value-major with
-    # the kernel's zero margins [sequences, columns, rows + 2 margins], and
-    # the counts of the coarser levels [sequences, rows, 1]; not q, k or v,
+    # an attention closure keeps the output and per group the operands its
+    # forward stacked: each level's pooled queries row-major [sequences,
+    # rows, columns], each level's pooled keys and [V | count] value-major
+    # with the kernel's zero margins [sequences, columns, rows + 2 margins],
+    # the counts of the coarser levels and the log softmax denominators
+    # its kernel returned, each [sequences, rows, 1]; not q, k or v,
     # and no operand in two layouts. Beyond them only numbers, slices, a
     # dtype, the nodes, the groups' kernels, which `_call_kernel` shares
     # between calls of one shape, and the 0/-inf masks of a ladder's count
@@ -1178,12 +1178,13 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     stacked = [
         # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per
         # residue; a one-level call keeps no margins
-        [(1, 2, 8), (1, 3, 8), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 2), (8, 2, 1)],
+        [(1, 2, 8), (1, 3, 8), (1, 8, 1), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 1),
+         (2, 4, 2)],
         # one group of two heads at two levels, window 1: 8 rows with margins
         # of 2 and 4 rows with margins of 1, counts at level 1, and the 0/-inf
         # masks of both levels
         [(2, 1, 6), (2, 1, 12), (2, 2, 6), (2, 2, 12), (2, 3, 6), (2, 3, 12), (2, 4, 1),
-         (2, 4, 2), (2, 8, 2), (8, 2, 1)],
+         (2, 4, 2), (2, 8, 1), (2, 8, 2)],
     ]
     for (y, qkv), shapes in zip(attended, stacked):
         held = list(_captured(y._node._backward))

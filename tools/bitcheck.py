@@ -29,6 +29,13 @@ Runs in a fresh Python process against DIR/src and prints, one line each:
   window 8, fixed random q, k and v), forward and backward with a tape,
   in float32 and in float64: the output and the q, k and v gradients, one
   line per dtype; the default config runs at most 4 levels;
+- two `window_attention` calls per dtype whose tiles the kernel redoes
+  row by row: q's every fifth row scaled by 60 (float32) or 400
+  (float64) and k by 3, so a tile's scores outrun exp's range, through
+  one dilated band (T 200, window 20, step 3) and one dilated 3-level
+  ladder (T 91, window 2, step 2), each at A 8 and 2 heads, forward and
+  backward with a tape: the outputs and the q, k and v gradients, one
+  line per dtype;
 - one default-width TCN block at T = 2048, run through
   `network.tcn_block_forward` with a tape at each dilation in
   TCN_DILATIONS: its output and the gradients of its input and of its four
@@ -277,6 +284,34 @@ def _hta_ladder():
               *(x.grad for x in qkv), note=f"A {A}, {heads} heads, window {window}")
 
 
+# per dtype, the scale of q's every fifth row; per call (T, window, step, levels)
+REDO_BIG = {np.float32: 60.0, np.float64: 400.0}
+REDO_CALLS = ((200, 20, 3, 1), (91, 2, 2, 3))
+
+
+def _attention_redo():
+    """window_attention calls whose tiles underflow and are redone row by
+    row, per dtype: the outputs and the q, k and v gradients, for fixed
+    random inputs and output gradients."""
+    from tempseg.seqcore import Tensor, linear, window_attention
+
+    for dtype, big in REDO_BIG.items():
+        rng = np.random.default_rng(5)
+        parts = []
+        for T, window, step, levels in REDO_CALLS:
+            q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
+            q *= np.where(np.arange(T) % 5 == 0, big, 1.0)[:, None]
+            qkv = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, 3.0 * k, v)]
+            y = window_attention(*qkv, 2, levels, [(window, step)])
+            g = rng.normal(size=y.shape).astype(dtype)
+            # sum(y * g) as one linear, so y's gradient is exactly g
+            linear(y.reshape(1, -1), Tensor(g.reshape(-1, 1)),
+                   Tensor(np.zeros(1, dtype))).backward()
+            parts += [y.data, *(x.grad for x in qkv)]
+        _line(f"attention.redo.{np.dtype(dtype).name}", *parts,
+              note=f"q rows x{big:g}, {len(REDO_CALLS)} calls")
+
+
 def _tcn():
     """A default-config TCN block at T = INFER_T and each dilation in
     TCN_DILATIONS, per mode and dtype: the input in that dtype, the
@@ -390,6 +425,7 @@ def _worker():
         _cli_infer(Path(work))
     _attention_calls()
     _hta_ladder()
+    _attention_redo()
     _tcn()
     _inspect_mask()
     with tempfile.TemporaryDirectory() as work:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempseg import cli
+from tempseg import attention, cli, network
 from tempseg.attention import ScaleSet
 from tempseg.binio import FormatError
 from tempseg.network import (
@@ -243,16 +243,12 @@ def test_forward_matches_the_whole_model_oracle(T, kw, seed):
 
 @pytest.mark.parametrize("miswire", ["decoder inputs", "dswa windows"])
 def test_the_whole_model_oracle_fails_a_miswired_model(monkeypatch, miswire):
-    from tempseg import attention, network
-
     if miswire == "decoder inputs":
         concat = network.concat  # [features | probs] where [probs | features] belongs
         monkeypatch.setattr(network, "concat", lambda ts, axis=0: concat(ts[::-1], axis=axis))
     else:
         dswa = attention.dswa_forward
-        monkeypatch.setattr(attention, "dswa_forward",
-                            lambda x, expanding, shrinking, params: dswa(x, shrinking, expanding,
-                                                                          params))
+        monkeypatch.setattr(attention, "dswa_forward", lambda x, e, s, p: dswa(x, s, e, p))
     assert _oracle_gap(*ORACLE_CASES[-1]) > 1e-3
 
 

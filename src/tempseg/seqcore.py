@@ -24,10 +24,13 @@ tape at a time. Every op but ``scalar_op``, whose value is float64,
 computes and allocates in its input's dtype: a Python scalar operand
 takes the tensor's dtype, and the weight operands of ``linear``,
 ``layer_norm``, ``conv1d_dilated`` and ``tcn_block`` are cast to the
-input's dtype when used, so float64 parameters run a float32 pass without
-a float32 copy being kept. Training and inference run their passes in
-float32 this way; a leaf's gradient accumulates in the leaf's own dtype,
-so float64 parameters get float64 gradients and Adam keeps float64 master
+input's dtype when used, so float64 parameters run a float32 pass with no
+float32 copy kept beside them; but on a tape each closure whose input's
+gradient reads a weight keeps its cast until backward (1.02 MB on the
+``train_small`` benchmark's tape, 50.7 MB for a default-config training
+step at T = 2048). Training and inference run their passes in float32
+this way; a leaf's gradient accumulates in the leaf's own dtype, so
+float64 parameters get float64 gradients and Adam keeps float64 master
 weights and state. The oracles run in float64.
 
 The primitive set is closed: the ops the package's network, losses and
@@ -47,22 +50,13 @@ width and dilation step: DSWA is its one-scale case with two groups, the
 expanding and the shrinking window, each run over every residue of its
 step; HTA is its ladder of scales with one group at step 1. It makes one
 call of one tiled kernel, ``_TileKernel``, per head group, with the
-group's residues stacked as sequences. The kernel partitions each frame's
-entries by the finest level whose window holds them: each level scores
-only its own band, adding its parent's cumulative scores spread 2 x 2
-over it, and exponentiates its ring (its band less what the level below
-covers) at its own rows and columns against ``[V | count]`` pooled to it,
-adding the ring's ``[num | den]`` to the frames its rows hold. Tiles of
-query rows run as dense per-level band tiles over strided key slabs, a
-call's uniform tiles k at a time in one batched op; the dense window and
-ring masks and the runs of tiles are built once per call shape and kept
-in one bounded memo. Each tile's softmax is shifted by its
-per-sequence max (each frame by its own max, and each ring by the least
-of its frames' maxima, where that would underflow a row), recomputed in
-the backward from each row's saved log denominator.
+group's residues stacked as sequences; the kernel's docstring gives its
+partition of each frame's entries by level, its tiles and its softmax
+shifts, and one bounded memo keeps a kernel per call shape.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
-rate; its decay rates and guard are the module constants ``ADAM_*``.
+rate; its decay rates, guard and chunk length are the module constants
+``ADAM_*``.
 """
 
 from __future__ import annotations
@@ -101,14 +95,18 @@ __all__ = [
 # tiles as TILE_ENTRIES holds, counting each score array a tile forms
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
-# the attention call shapes whose kernels (masks and tile plans) are kept,
-# the least recently used dropped first. Planning anew each call cost
+# the attention call shapes whose kernels (masks and tile plans) are kept
+# by _call_kernel, the least recently used dropped first. Planning anew each call cost
 # 5.6-6.4% of a default-config forward at T = 160, and each plan lists its
 # tiles, so an unbounded memo over every length 1 to 4096 grew to about
 # 390 MiB
 CALL_SHAPES = 256
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the entries per chunk of Adam's update, whose scratch buffers then stay in
+# cache: a default-config step took 0.113 s, against 0.142 s over whole
+# tensors (medians of 12 interleaved steps); 2^14 or 2^16 took 0.85-0.87x
+ADAM_CHUNK = 1 << 15
 
 _grad_mode = threading.local()
 
@@ -585,21 +583,21 @@ class _TileKernel:
     the same place in every sub-tile; a one-level call clips instead, since
     its window may be as wide as the sequence). The count row of vcs counts
     each pooled row's frames, 0 at padding and margins, where a key or a
-    query row scores -inf. A tile of R finest rows (`_geometry`) runs each
-    level's scores as dense [S, S + 2lo] band tiles, a batched matmul over
-    strided key slabs times the level's window mask, plus the parent's
-    spread (each pair of columns as one complex entry, broadcast over each
-    pair of rows), plus the ring's additive mask; the window and ring masks
-    are dense read-only [S, S + 2lo] arrays, so each add coalesces over a
-    whole tile. Padding and margins add the caller's 0/-inf masks of the
-    count rows, negs. A call's uniform tiles, whose slabs reach no margin
-    or padding, run k at a time as one batched op per step, k from
-    `budget` over the entries a tile forms, and so do the others
-    unless their slabs clip; a clipped one-level slab adds its ring as a
-    band view of the dense mask's diagonals, or not at all where every
-    row's window covers it. Each tile's softmax is shifted by its
-    per-sequence max over every level, so each level's exp and matmul
-    [V | count] @ e^T give its rows'
+    query row scores -inf. A tile of R finest rows, which the constructor
+    picks from the call shape (`_geometry`), runs each level's scores as
+    dense [S, S + 2lo] band tiles, a batched matmul over strided key slabs
+    times the level's window mask, plus the parent's spread (each pair of
+    columns as one complex entry, broadcast over each pair of rows), plus
+    the ring's additive mask; the window and ring masks are dense read-only
+    [S, S + 2lo] arrays, so each add coalesces over a whole tile. Padding
+    and margins add the caller's 0/-inf masks of the count rows, negs. A
+    call's uniform tiles, whose slabs reach no margin or padding, run k at
+    a time as one batched op per step, k from TILE_ENTRIES over the entries
+    a tile forms, and so do the others unless their slabs clip; a clipped
+    one-level slab adds its ring as a band view of the dense mask's
+    diagonals, or not at all where every row's window covers it. Each
+    tile's softmax is shifted by its per-sequence max over every level, so
+    each level's exp and matmul [V | count] @ e^T give its rows'
     [num | den], and the levels' sums, added coarsest first at frame rows,
     are written value-major into one buffer per call, with each row's shift
     in another. A tile where some row's denominator falls below (slab
@@ -621,21 +619,26 @@ class _TileKernel:
     in a pooled block, are meaningless; window_attention drops them.
     """
 
-    def __init__(self, levels: int, w: int, dtype, R: int, rows: int, live: tuple, batch: int,
-                 budget: int):
+    def __init__(self, levels: int, w: int, dtype, batch: int, rows: int, live: tuple):
+        # R finest rows per tile, by the rule at TILE_ROWS; a tile's scores span
+        # slabs clipped to the sequence where a level stores no margins
+        f = 1 << (levels - 1)
+        R = min(TILE_ROWS // f * f, rows) if TILE_ROWS >= f else 1 << (TILE_ROWS.bit_length() - 1)
         self.geo = _geometry(levels, w, R)
+        while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
+                                    in enumerate(self.geo)) > TILE_ENTRIES:
+            R -= f
+            self.geo = _geometry(levels, w, R)
         self.rows, self.live = rows, live
-        self.h, self.F = (w + 1) // 2, max(R, 1 << (levels - 1))
+        self.h, self.F = (w + 1) // 2, max(R, f)
         info = np.finfo(dtype)
         # a shift for a sequence whose tile is all -inf; a floor per slab
         # column; a log denominator for a row that holds no frame
         self.low, self.floor, self.high = info.min, info.tiny / info.eps, info.max
         self.margins = [m for *_, m in self.geo]
-        # the scores a whole tile forms per sequence; per level its rows per
-        # tile, sub-tiles, rows per sub-tile, slab lead and margin; the first
-        # tile whose slabs start in the sequence at every level
+        # the scores a whole tile forms per sequence; the first tile whose
+        # slabs start in the sequence at every level
         self.entries = sum(n * S * (S + 2 * lo) for n, S, lo, _ in self.geo)
-        self.plan = [(self.F >> lvl, *geo) for lvl, geo in enumerate(self.geo)]
         self.first = max(-(-(lo << lvl) // self.F) for lvl, (_, _, lo, _) in enumerate(self.geo))
         # a one-level call's slabs clip at the sequence's ends; a ladder's margins hold them
         self.clips = any(lo > m for _, _, lo, m in self.geo)
@@ -672,11 +675,9 @@ class _TileKernel:
             ring = self.ring[0]
             band = np.concatenate([ring[::-1, 0], ring[0, 1:]])
             self.band = sliding_window_view(band, ring.shape[1])[::-1]
-        # whether some level has margins or padding, where the scores read negs
-        self.padded = any(self.margins) or live[0] < rows
         # a run's tiles at most: a tile's forward forms one score array per
         # entry, its backward two (the weights and their gradient)
-        k = max(1, budget // (batch * self.entries))
+        k = max(1, TILE_ENTRIES // (batch * self.entries))
         self.forward_runs = self._tiles(k)
         self.backward_runs = self.forward_runs if k < 2 else self._tiles(k // 2)
 
@@ -690,7 +691,7 @@ class _TileKernel:
         tile of fewer whole blocks runs alone."""
         rows, F, first = self.rows, self.F, self.first
         full = stop = rows // F
-        for lvl, (_, _, _, lo, _) in enumerate(self.plan):
+        for lvl, (_, _, lo, _) in enumerate(self.geo):
             stop = min(stop, ((self.live[lvl] - lo) << lvl) // F)
         edge = 1 if self.clips else k
         runs = []
@@ -699,13 +700,13 @@ class _TileKernel:
             for g in range(g0, g1, step):
                 Ft = min(F, rows - g * F)
                 levels = []
-                for lvl, (Fl, n, S, lo, m) in enumerate(self.plan):
+                for lvl, (n, S, lo, m) in enumerate(self.geo):
                     if Ft < F:
                         n, S = 1, Ft >> lvl  # a last tile of fewer whole blocks
-                    c0 = g * Fl - lo + m
-                    c1, cols = c0 + S + 2 * lo, (rows >> lvl) + 2 * m
+                    a0 = g * F >> lvl
+                    c0, c1, cols = a0 - lo + m, a0 + S + lo + m, (rows >> lvl) + 2 * m
                     j0 = -c0 if c0 < 0 else 0
-                    levels.append((g * Fl, n, S, c0 + j0, (c1 if c1 < cols else cols) - c0 - j0, j0))
+                    levels.append((a0, n, S, c0 + j0, (c1 if c1 < cols else cols) - c0 - j0, j0))
                 runs.append((g * F, min(step, g1 - g), Ft, tuple(levels)))
         return tuple(runs)
 
@@ -899,26 +900,7 @@ class _TileKernel:
                       for xs in (dks, dvs))
 
 
-@functools.lru_cache(maxsize=CALL_SHAPES)
-def _call_kernel(levels: int, w: int, dtype, batch: int, rows: int, live: tuple, tile_rows: int,
-                 budget: int) -> _TileKernel:
-    """The kernel of one call shape: `batch` stacked sequences of `rows`
-    rows, in whole coarsest blocks, whose leading live[l] rows at level l no
-    sequence pads. A tile takes R finest rows: the most whole coarsest
-    blocks, up to tile_rows, whose scores hold `budget` entries at most (one
-    block if even that holds more), or tile_rows rounded down to a power of
-    2 below one block."""
-    f = 1 << (levels - 1)
-    if tile_rows < f:
-        R = 1 << (max(tile_rows, 1).bit_length() - 1)
-    else:
-        # a tile of R // f whole blocks scores S = R >> l rows per level against
-        # slabs clipped to the sequence where the level stores no margins
-        R = min(tile_rows // f * f, rows)
-        while R > f and batch * sum(S * min(S + 2 * lo, (rows >> lvl) + 2 * m) for lvl, (_, S, lo, m)
-                                    in enumerate(_geometry(levels, w, R))) > budget:
-            R -= f
-    return _TileKernel(levels, w, dtype, R, rows, live, batch, budget)
+_call_kernel = functools.lru_cache(maxsize=CALL_SHAPES)(_TileKernel)
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
@@ -950,14 +932,13 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
     count), and its keys are pooled means. The queries are stacked
     row-major, and the keys and [V | count] value-major, with the kernel's
     zero margins, once per group, in the layout the kernel's products read.
-    The tile rows shrink from TILE_ROWS to keep a tile within TILE_ENTRIES
-    scores. A group's kernel, its masks and its runs of tiles come from
-    one memo of the last CALL_SHAPES call shapes. When a gradient is
-    needed, the backward keeps, per group, the operands its forward
-    stacked (each level's pooled queries, keys and [V | count], the 0/-inf
-    masks of their count rows, and the counts), each in that one layout,
-    not q, k and v themselves, and the log softmax denominators of its
-    stacked rows as the kernel returned them, [sequences, rows, 1]: per
+    A group's kernel, which picks its tile rows and plans its runs of
+    tiles, comes from a memo of the last CALL_SHAPES call shapes. When a
+    gradient is needed, the backward keeps, per group, the operands its
+    forward stacked (each level's pooled queries, keys and [V | count], the
+    0/-inf masks of their count rows, and the counts), each in that one
+    layout, not q, k and v themselves, and the log softmax denominators of
+    its stacked rows as the kernel returned them, [sequences, rows, 1]: per
     row, the shift its tile's scores took plus the log of their exps' sum.
     It also keeps the output. HTA's pooled levels add about 3.0 T·A to
     what a layer's tape holds. The backward forms dY = [g, -(g . y)] once,
@@ -990,15 +971,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
         residues of `step`: per level the pooled query sums times
         wt / count, row-major, the pooled key means and the pooled
         [V | count] sums, value-major with the kernel's margins, the 0/-inf
-        masks of their count rows where the kernel reads them, and the
-        counts each pooled sum was divided by."""
+        masks of their count rows, and the counts each pooled sum was
+        divided by."""
         rows = -(-T // (step * f)) * f  # residue 0's, the longest, in whole blocks
         # the leading rows per level that no sequence pads: the last residue's
         live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
         # every key a tile reads lies fewer than `rows` rows from its query
         # at its own level, so a wider window reads what one of `rows` does
-        kernel = _call_kernel(levels, min(w, rows), dtype, step * hg, rows, live, TILE_ROWS,
-                              TILE_ENTRIES)
+        kernel = _call_kernel(levels, min(w, rows), dtype, step * hg, rows, live)
         ms = kernel.margins
         # residue r's row i is frame i * step + r, and counts 1 if it exists
         frames = np.arange(rows) * step + np.arange(step)[:, None] < T
@@ -1021,8 +1001,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             vcs.append(vc)
         # 0 at each stored column that counts a frame, -inf at padding and
         # margins; built once, for the forward and the backward
-        negs = [np.where(x[:, -1:] > 0, dtype.type(0), dtype.type(-np.inf))
-                for x in vcs] if kernel.padded else None
+        negs = [np.where(x[:, -1:] > 0, dtype.type(0), dtype.type(-np.inf)) for x in vcs]
         return kernel, qs, ks, vcs, negs, cs
 
     y = np.empty((T, heads, hd), dtype)
@@ -1231,11 +1210,12 @@ def tcn_block(x: Tensor, conv_w: Tensor, conv_b: Tensor, pw_w: Tensor, pw_b: Ten
             dh = _conv_backward(g, pw_taps, h, pw, npw, pw_zeros, npb)
             if dh is None:
                 return
-            # the ReLU's gradient: zeroed, not times a mask, where it clamped,
-            # so an infinite g gives 0 there, not inf * 0 = NaN
-            clamped = h > 0.0
-            np.logical_not(clamped, out=clamped)
-            np.copyto(dh, 0.0, where=clamped)
+            # the ReLU's gradient: dh's bits and-ed with all ones or zeros, so
+            # +0.0 where it clamped also for an infinite or negative g (a
+            # multiply gives NaN, -0.0), 16 us to a masked copy's 204 us at [512, 64]
+            bits = np.dtype(f"u{dh.itemsize}")
+            keep = (h > 0.0).astype(bits)
+            np.bitwise_and(dh.view(bits), np.negative(keep, out=keep), out=dh.view(bits))
             dx = _conv_backward(dh, taps, xd, w, nk, k_zeros, nb)
             if dx is not None:
                 dx += g  # the residual's gradient
@@ -1313,14 +1293,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter Tensors."""
+    """Adam with bias correction over a list of C-contiguous parameter
+    Tensors, each updated in place in chunks of ADAM_CHUNK entries of its
+    flat view through two scratch buffers that it keeps, by the operations
+    of a whole-tensor update in their order, so with its bits."""
 
     def __init__(self, params, lr=5e-4):
         self.params = list(params)
+        if not all(p.data.flags.c_contiguous for p in self.params):
+            raise ValueError("Adam updates parameters through flat views: each must be C-contiguous")
         self.lr = lr
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        n = min(ADAM_CHUNK, max((p.data.size for p in self.params), default=0))
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt))
+                         for dt in {p.data.dtype for p in self.params}}
 
     def step(self):
         self.step_count += 1
@@ -1335,11 +1323,20 @@ class Adam:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter {p.data.shape}"
                 )
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            a, b = self._scratch[p.data.dtype]
+            n = p.data.size
+            pf, mf, vf, gf = p.data.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+            for i in range(0, n, ADAM_CHUNK):
+                j = min(i + ADAM_CHUNK, n)
+                pc, mc, vc, gc, ta, tb = pf[i:j], mf[i:j], vf[i:j], gf[i:j], a[: j - i], b[: j - i]
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+                # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+                mc *= b1
+                mc += np.multiply(gc, 1.0 - b1, ta)
+                vc *= b2
+                vc += np.multiply(np.multiply(gc, 1.0 - b2, ta), gc, ta)
+                np.add(np.sqrt(np.divide(vc, c2, ta), ta), ADAM_EPS, ta)
+                pc -= np.divide(np.multiply(np.divide(mc, c1, tb), self.lr, tb), ta, tb)
 
     def zero_grad(self):
         for p in self.params:

@@ -3,14 +3,17 @@
 Everything here is written the slow, obvious way on purpose: no shared code
 with the package beyond numpy, its error types, the Tensor,
 AttentionParams and AttentionMask containers that `init_attention_params`
-and `model_oracle` fill, the config's window and scale schedules, the
-`linear` op that `project` forms a test's scalar with, and the tape ops
-that `tcn_block_composite` chains as the unfused reference of `tcn_block`.
+and `model_oracle` fill (`model_oracle`'s AttentionParams with stand-ins
+that hold float64 or complex arrays), the config's window and scale
+schedules, the `linear` op that `project` forms a test's scalar with, and
+the tape ops that `tcn_block_composite` chains as the unfused reference of
+`tcn_block`.
 """
 
 import functools
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -168,7 +171,7 @@ def dense_multihead(q, k, v, heads, mask):
     [T, T] boolean mask, scores scaled by 1/sqrt(A/heads)."""
     T, A = q.shape
     hd = A // heads
-    out = np.zeros((T, A))
+    out = np.zeros((T, A), np.result_type(q, k, v))
     for h in range(heads):
         sl = slice(h * hd, (h + 1) * hd)
         scores = q[:, sl] @ k[:, sl].T / math.sqrt(hd)
@@ -316,7 +319,7 @@ def conv1d_oracle(x, w, b, dilation, mode):
     (acausal) or non-positive (causal)."""
     c_out, c_in, k = w.shape
     T = x.shape[0]
-    y = np.zeros((T, c_out))
+    y = np.zeros((T, c_out), np.result_type(x, w))
     for i in range(T):
         for j in range(k):
             off = (j - (k - 1) // 2) * dilation if mode == "acausal" else -j * dilation
@@ -427,7 +430,7 @@ def dswa_oracle(x, exp_mask, shr_mask, params):
 def _ragged_pool(x, f):
     T = x.shape[0]
     ts = -(-T // f)
-    out = np.zeros((ts, x.shape[1]))
+    out = np.zeros((ts, x.shape[1]), x.dtype)
     for i in range(ts):
         out[i] = x[i * f : (i + 1) * f].mean(axis=0)
     return out
@@ -441,7 +444,7 @@ def hta_oracle(x, scales, params):
     H = params.heads
     hd = params.attn_dim // H
     v = x @ params.wv.data + params.bv.data
-    out = np.zeros((T, params.attn_dim))
+    out = []
     for h in range(H):
         sl = slice(h * hd, (h + 1) * hd)
         es, nbs = [], []
@@ -450,7 +453,7 @@ def hta_oracle(x, scales, params):
             xp = _ragged_pool(x, f)
             qp = (xp @ params.wq.data + params.bq.data)[:, sl]
             kp = (xp @ params.wk.data + params.bk.data)[:, sl]
-            e = np.zeros((T, T))
+            e = np.zeros((T, T), np.result_type(qp, kp))
             nb = np.zeros((T, T), bool)
             for i in range(T):
                 for j in range(T):
@@ -461,8 +464,8 @@ def hta_oracle(x, scales, params):
             es.append(e)
             nbs.append(nb)
         alpha = aggregate_scales(es, [1.0 / scales.levels] * scales.levels, nbs)
-        out[:, sl] = alpha @ v[:, sl]
-    return out @ params.wo.data + params.bo.data
+        out.append(alpha @ v[:, sl])
+    return np.concatenate(out, axis=1) @ params.wo.data + params.bo.data
 
 
 def hta_qkv_oracle(q, k, v, heads, scales, weights, window):
@@ -522,7 +525,7 @@ def linear_oracle(x, w, b):
 
 def layer_norm_oracle(x, gain, bias, eps=1e-6):
     """(x - mean) / sqrt(var + eps) * gain + bias per row of x."""
-    y = np.zeros_like(x)
+    y = np.zeros(x.shape, np.result_type(x, gain, bias))
     for r in range(x.shape[0]):
         xc = x[r] - sum(x[r]) / x.shape[1]
         var = sum(xc * xc) / x.shape[1]
@@ -530,13 +533,21 @@ def layer_norm_oracle(x, gain, bias, eps=1e-6):
     return y
 
 
+def softmax_oracle(z):
+    """numpy's softmax over the last axis of real or complex z."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def model_oracle(cfg, params, x):
-    """Every stage's (action logits [T, C], boundary scores [T]) of
-    `SegmentationModel.forward` in eval mode, encoder first, on x [T, d_in]
-    in float64, from the parameters by name: the loop oracles of the
-    linear maps, convolutions and layer norms, the dense DSWA and HTA
-    oracles, and numpy's softmax, tanh GELU and sigmoid."""
-    p = {name: np.asarray(t.data, np.float64) for name, t in params.items()}
+    """Every stage's (action logits [T, C], boundary scores [T], features
+    [T, d_model]) of `SegmentationModel.forward` in eval mode, encoder
+    first, on x [T, d_in], from the parameter arrays by name, float64 or
+    complex: the loop oracles of the linear maps, convolutions and layer
+    norms, the dense DSWA and HTA oracles, and numpy's softmax, tanh GELU
+    and sigmoid. A complex parameter gives the complex-step derivative in
+    the imaginary parts."""
+    p = params
     T = x.shape[0]
 
     def tcn(h, prefix, mode):
@@ -549,11 +560,15 @@ def model_oracle(cfg, params, x):
     def heads(h, prefix):
         logits = linear_oracle(h, p[f"{prefix}.action.w"], p[f"{prefix}.action.b"])
         blogit = linear_oracle(h, p[f"{prefix}.boundary.w"], p[f"{prefix}.boundary.b"])[:, 0]
-        return logits, 1.0 / (1.0 + np.exp(-blogit))
+        return logits, 1.0 / (1.0 + np.exp(-blogit)), h
 
     def attention(prefix):
+        # each array as the `.data` of a stand-in, since a Tensor holds no
+        # complex values
         names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-        return AttentionParams(*(Tensor(p[f"{prefix}.{n}"]) for n in names), cfg.heads)
+        arrays = (p[f"{prefix}.{n}"] for n in names)
+        return AttentionParams(*(SimpleNamespace(data=a, shape=a.shape) for a in arrays),
+                               cfg.heads)
 
     h = tcn(linear_oracle(x, p["in_proj.w"], p["in_proj.b"]), "enc_tcn", "acausal")
     scales = cfg.scale_set(T)
@@ -569,12 +584,45 @@ def model_oracle(cfg, params, x):
         h = h + linear_oracle(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
     stages = [heads(h, "enc_head")]
     for j in range(cfg.n_decoders):
-        e = np.exp(stages[-1][0] - stages[-1][0].max(axis=1, keepdims=True))
-        z = np.concatenate([e / e.sum(axis=1, keepdims=True), h], axis=1)
+        z = np.concatenate([softmax_oracle(stages[-1][0]), h], axis=1)
         z = tcn(linear_oracle(z, p[f"dec{j}.in_proj.w"], p[f"dec{j}.in_proj.b"]),
                 f"dec{j}.tcn", "causal")
         stages.append(heads(z, f"dec{j}.head"))
     return stages
+
+
+def model_loss_slopes(cfg, params, x, labels, target, directions):
+    """The slope of the training loss of `model_oracle`'s stages along each
+    direction: per name in `directions`, d/dt of the loss with
+    params[name] + t * directions[name] at t = 0. The loss is the mean over
+    stages of cfg's weighted focal, Dice (of the logits' softmax),
+    similarity (of the features) and boundary (against `target`) oracles.
+    Its gradient in a stage's outputs takes complex steps through the Dice
+    and similarity oracles and central differences of the focal and
+    boundary ones, which take no complex input; each slope is then one
+    complex step of model_oracle along the direction, weighted by that
+    gradient."""
+    stages = model_oracle(cfg, params, x)
+    n = len(stages)
+    weight = []
+    for logits, scores, feats in stages:
+        [dice] = complex_step_grads(
+            lambda z: dice_loss_oracle(softmax_oracle(z), labels, cfg.dice_smooth), [logits], 1.0)
+        focal = finite_difference_grad(lambda z: focal_loss_oracle(z, labels, cfg.focal_gamma),
+                                       logits)
+        boundary = finite_difference_grad(lambda s: boundary_loss_oracle(s, target, cfg.tau),
+                                          scores)
+        [sim] = complex_step_grads(
+            lambda f: similarity_loss_oracle(f, labels, cfg.sigma_divisor), [feats], 1.0)
+        weight += [(cfg.loss_alpha * focal + cfg.loss_beta * dice) / n,
+                   cfg.loss_delta * boundary / n, cfg.loss_gamma * sim / n]
+    weight = np.concatenate([w.ravel() for w in weight])
+
+    def outputs(name, t):
+        moved = {**params, name: params[name] + t[0] * directions[name]}
+        return np.concatenate([a.ravel() for stage in model_oracle(cfg, moved, x) for a in stage])
+    return {name: complex_step_grads(functools.partial(outputs, name), [np.zeros(1)], weight)[0][0]
+            for name in directions}
 
 
 def _label_runs(labels):

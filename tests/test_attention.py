@@ -262,9 +262,9 @@ def test_hta_matches_dense_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_hta_chunked_matches_dense_oracle(monkeypatch):
+def test_hta_chunked_matches_dense_oracle(set_tile_rows):
     # a tiny block size runs the window sums over many row blocks
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    set_tile_rows(4)
     T = 45
     x = rng.normal(size=(T, 12))
     params = init_attention_params(12, 8, 2, rng)
@@ -274,8 +274,8 @@ def test_hta_chunked_matches_dense_oracle(monkeypatch):
     assert np.max(np.abs(got - hta_oracle(x, scales, params))) < 1e-12
 
 
-def test_grad_hta_chunked(monkeypatch):
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+def test_grad_hta_chunked(set_tile_rows):
+    set_tile_rows(4)
     T = 21
     x = Tensor(rng.normal(size=(T, 6)), requires_grad=True)
     params = init_attention_params(6, 4, 2, rng)

@@ -1,3 +1,4 @@
+import functools
 import math
 import mmap
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempseg import attention, cli, network
+from tempseg import attention, cli, network, seqcore
 from tempseg.attention import ScaleSet
 from tempseg.binio import FormatError
 from tempseg.network import (
@@ -26,13 +27,17 @@ from tempseg.network import (
     save_checkpoint,
     tcn_block_forward,
 )
+from tempseg.losses import combined_temporal_loss
 from tempseg.pipeline import SynthSpec, _sequence_loss, infer, synth_dataset
-from tempseg.seqcore import Tensor, conv1d_dilated
+from tempseg.segments import frames_to_segments, make_boundary_target
+from tempseg.seqcore import Tensor, conv1d_dilated, tcn_block
 
+import oracles
 from oracles import (
     checkpoint_v1_bytes,
     checkpoint_v2_bytes,
     hta_pair_count_oracle,
+    model_loss_slopes,
     model_oracle,
     rel_err,
 )
@@ -216,10 +221,9 @@ ORACLE_CASES = [
 ]
 
 
-def _oracle_gap(T, kw, seed):
-    """The largest relative difference, over every stage's logits and
-    boundary scores, between the float64 eval forward and model_oracle, for
-    a model and features drawn from generator `seed`."""
+def _oracle_model(T, kw, seed):
+    """A float64 model, its parameter arrays by name and features [T, d_in],
+    all drawn from generator `seed`."""
     base = dict(n_classes=3, d_in=5, d_model=8, n_blocks=1, n_decoders=1, heads=2,
                 temporal_dropout=0.3)
     cfg = ModelConfig(**{**base, **kw, "seed": seed})
@@ -228,12 +232,20 @@ def _oracle_gap(T, kw, seed):
     for t in model.params.values():  # nonzero biases and gains
         t.data[...] = t.data + 0.1 * draw.normal(size=t.shape)
     x = draw.normal(size=(T, cfg.d_in))
+    return model, {name: t.data for name, t in model.params.items()}, x
+
+
+def _oracle_gap(T, kw, seed):
+    """The largest relative difference, over every stage's logits and
+    boundary scores, between the float64 eval forward and model_oracle, for
+    a model and features drawn from generator `seed`."""
+    model, params, x = _oracle_model(T, kw, seed)
     got = model.forward(Tensor(x), training=False).stages
-    want = model_oracle(cfg, model.params, x)
-    assert len(got) == len(want) == 1 + cfg.n_decoders
+    want = model_oracle(model.cfg, params, x)
+    assert len(got) == len(want) == 1 + model.cfg.n_decoders
     assert all(s.action_logits.dtype == np.float64 for s in got)
     return max(max(rel_err(s.action_logits.data, logits), rel_err(s.boundary_scores.data, scores))
-               for s, (logits, scores) in zip(got, want))
+               for s, (logits, scores, _) in zip(got, want))
 
 
 @pytest.mark.parametrize("T, kw, seed", ORACLE_CASES)
@@ -250,6 +262,67 @@ def test_the_whole_model_oracle_fails_a_miswired_model(monkeypatch, miswire):
         dswa = attention.dswa_forward
         monkeypatch.setattr(attention, "dswa_forward", lambda x, e, s, p: dswa(x, s, e, p))
     assert _oracle_gap(*ORACLE_CASES[-1]) > 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_slopes(case):
+    """For ORACLE_CASES[case]: the frame labels (four runs over three
+    classes), one random direction per parameter name, and model_oracle's
+    loss slope along each, computed once per case for every test that
+    reads it."""
+    T, kw, seed = ORACLE_CASES[case]
+    model, params, x = _oracle_model(T, kw, seed)
+    labels = np.arange(T) * 4 // T % 3
+    draw = np.random.default_rng(seed + 1)
+    directions = {name: draw.normal(size=a.shape) for name, a in params.items()}
+    target = make_boundary_target(frames_to_segments(labels), T)
+    return labels, directions, model_loss_slopes(model.cfg, params, x, labels, target, directions)
+
+
+def _worst_slope_gap(case):
+    """The largest relative gap, over every parameter, between the tape's
+    gradient of the training loss of ORACLE_CASES[case]'s float64 eval
+    forward, taken along the parameter's direction, and model_oracle's
+    slope; a gap is relative to the larger of the two slopes, or to 1e-6 of
+    the largest slope where both are smaller (a key bias's is 0)."""
+    labels, directions, want = _oracle_slopes(case)
+    model, _, x = _oracle_model(*ORACLE_CASES[case])
+    loss, _ = combined_temporal_loss(model.forward(Tensor(x), training=False), labels, model.cfg)
+    loss.backward()
+    got = {name: float(np.sum(t.grad * directions[name])) for name, t in model.params.items()}
+    assert got.keys() == want.keys()
+    floor = 1e-6 * max(abs(v) for v in want.values())
+    return max(abs(got[n] - want[n]) / max(abs(got[n]), abs(want[n]), floor) for n in want)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_gradients_match_the_whole_model_oracle(case):
+    # T = 13, where the default windows are wider than T, and T = 24 at two
+    # HTA levels: every parameter's gradient along a random direction. The
+    # focal and boundary terms' central differences leave gaps of about 1e-7
+    assert _worst_slope_gap(case) < 1e-6
+
+
+def _inverted_relu(h):
+    """A ReLU tape op whose gradient passes where it clamped, and only there."""
+    out = seqcore._make(np.maximum(h.data, 0.0), (h,))
+    node, clamped = seqcore._grad_node(h), h.data <= 0.0
+    out._node._backward = lambda g: node._accumulate(np.where(clamped, g, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("miswire", ["tcn residual gradient", "relu mask"])
+def test_the_whole_model_oracle_fails_a_miswired_backward(monkeypatch, miswire):
+    # each TCN block's forward keeps its values, up to rounding; only its
+    # backward is wrong
+    if miswire == "tcn residual gradient":
+        # x - x + (x with no gradient): the residual's gradient cancels
+        monkeypatch.setattr(network, "tcn_block_forward", lambda x, *rest, **kw: (
+            tcn_block(x, *rest, **kw) + x * -1.0 + Tensor(x.data)))
+    else:
+        monkeypatch.setattr(oracles, "_relu", _inverted_relu)
+        monkeypatch.setattr(network, "tcn_block_forward", oracles.tcn_block_composite)
+    assert _worst_slope_gap(2) > 1e-2
 
 
 def test_deterministic_init_by_seed():

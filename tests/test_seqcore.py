@@ -152,6 +152,43 @@ def test_adam_first_step_magnitude():
     assert np.all(np.abs(delta - 1e-3) < 1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_chunks_keeps_the_bits_of_a_whole_tensor_update(monkeypatch, dtype):
+    # chunks of 7 entries over tensors of 1, 7, 30 and [5, 7] entries (one
+    # chunk, one whole chunk, a ragged last chunk, whole chunks), one with
+    # no gradient, over three steps: every entry gets the bits of the
+    # update written over whole tensors
+    monkeypatch.setattr(seqcore, "ADAM_CHUNK", 7)
+    r = np.random.default_rng(3)
+    shapes = [(1,), (7,), (30,), (5, 7)]
+    params = [Tensor(r.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    want = [p.data.copy() for p in params]
+    ms, vs = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
+    opt = Adam(params, lr=1e-2)
+    b1, b2 = seqcore.ADAM_BETA1, seqcore.ADAM_BETA2
+    for step in range(1, 4):
+        grads = [r.normal(size=s).astype(dtype) for s in shapes]
+        grads[1] = None
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+        for w, m, v, g in zip(want, ms, vs, grads):
+            g = np.zeros_like(w) if g is None else g
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            w -= 1e-2 * (m / c1) / (np.sqrt(v / c2) + seqcore.ADAM_EPS)
+        for p, w in zip(params, want):
+            assert p.data.dtype == dtype and p.data.tobytes() == w.tobytes()
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Adam([Tensor(np.zeros((3, 4)).T, requires_grad=True)])
+
+
 def test_determinism_same_seed():
     def run(seed):
         r = np.random.default_rng(seed)
@@ -392,10 +429,10 @@ def test_window_attention_rejects_bad_arguments(change, heads, levels, windows, 
         (64, [1 / 3] * 3, 3, 4, 16),           # several blocks, 4 heads
     ],
 )
-def test_hta_attention_matches_dense_oracle(monkeypatch, T, weights, window, heads, block):
+def test_hta_attention_matches_dense_oracle(set_tile_rows, T, weights, window, heads, block):
     # the oracle's weights are the op's: 1 / levels for each of the
     # len(weights) levels of the ladder
-    monkeypatch.setattr(seqcore, "TILE_ROWS", block)
+    set_tile_rows(block)
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
     got = window_attention(t(q), t(k), t(v), heads, len(weights), [(window, 1)]).data
     want = hta_qkv_oracle(q, k, v, heads, range(len(weights)), weights, window)
@@ -403,10 +440,10 @@ def test_hta_attention_matches_dense_oracle(monkeypatch, T, weights, window, hea
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_dilated_ladder_matches_dense_oracle_per_residue(monkeypatch):
+def test_dilated_ladder_matches_dense_oracle_per_residue(set_tile_rows):
     # no caller dilates a ladder, but the op allows it: the rows r::2 of each
     # residue run the 3-scale attention as one sequence, with ragged tails
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    set_tile_rows(4)
     T = 29
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
     got = window_attention(t(q), t(k), t(v), 2, 3, [(2, 2)]).data
@@ -420,8 +457,8 @@ def test_dilated_ladder_matches_dense_oracle_per_residue(monkeypatch):
 # len(weights), each weighing 1 / levels
 @pytest.mark.parametrize(
     "weights, block", [([1 / 3] * 3, 12), ([1 / 4] * 4, 16)])
-def test_grad_hta_attention_two_blocks(monkeypatch, weights, block):
-    monkeypatch.setattr(seqcore, "TILE_ROWS", block)
+def test_grad_hta_attention_two_blocks(set_tile_rows, weights, block):
+    set_tile_rows(block)
     T = 21
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     wgt = rng.normal(size=(T, 4))
@@ -432,10 +469,10 @@ def test_grad_hta_attention_two_blocks(monkeypatch, weights, block):
 
 @pytest.mark.parametrize("step", [1, 2, 3])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_window_attention_weighs_levels_equally(monkeypatch, levels, step):
+def test_window_attention_weighs_levels_equally(set_tile_rows, levels, step):
     # each residue's rows r::step run the ladder as one sequence, every
     # level weighing 1 / levels, with ragged tails and several tiles
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
+    set_tile_rows(8)
     T = 37
     q, k, v = (rng.normal(size=(T, 8)) for _ in range(3))
     got = window_attention(t(q), t(k), t(v), 2, levels, [(2, step)]).data
@@ -500,15 +537,15 @@ def test_ladders_of_one_to_ten_levels_match_dense_oracle(levels, T, window, step
     (6, 70, 1, 32),     # one 32-row block per tile, the second ragged
     (6, 70, 2, 8),      # blocks run as sub-tiles of 8 rows, residues padded
 ])
-def test_grad_ladders_of_three_and_six_levels(monkeypatch, levels, T, step, tile_rows):
-    monkeypatch.setattr(seqcore, "TILE_ROWS", tile_rows)
+def test_grad_ladders_of_three_and_six_levels(set_tile_rows, levels, T, step, tile_rows):
+    set_tile_rows(tile_rows)
     q, k, v = (t(rng.normal(size=(T, 4))) for _ in range(3))
     g = rng.normal(size=(T, 4))
     _fd(lambda: project(window_attention(q, k, v, 2, levels, [(2, step)]), g), [q, k, v])
 
 
-def test_hta_attention_reruns_bit_identical(monkeypatch):
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
+def test_hta_attention_reruns_bit_identical(set_tile_rows):
+    set_tile_rows(8)
     q, k, v = (t(rng.normal(size=(50, 8))) for _ in range(3))
     g = rng.normal(size=(50, 8))
     runs = []
@@ -618,11 +655,12 @@ def test_padded_query_rows_of_a_ladder_add_nothing(dtype, big):
 
 @pytest.mark.parametrize("T, width, step, levels", [
     (40, 3, 1, 1), (40, 3, 3, 1), (43, 1, 1, 3), (43, 1, 2, 3), (43, 1, 1, 2), (100, 2, 1, 6)])
-def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, T, width, step, levels):
+def test_grad_through_tiles_shifted_by_row_maxima(monkeypatch, set_tile_rows, T, width, step,
+                                                   levels):
     # the backward recomputes each tile with the shift its forward took; at
     # 6 levels a 32-row block runs as one tile of 8-row sub-tiles, and 240
     # entries of each operand are checked
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 8)
+    set_tile_rows(8)
     tiles = _scored_tiles(monkeypatch)
     q, k, v = (t(a) for a in _outrunning_exp(T, 400.0))
     with no_grad():
@@ -667,11 +705,11 @@ def test_rows_far_below_their_tile_max_take_bounded_gradients():
     (29, 2, 3),     # 3 levels at step 2: residues of 15 and 14 rows, ragged tails
     (37, 4, 2),     # residues of 10, 9, 9 and 9 rows
 ])
-def test_stacked_residues_match_the_oracle_per_residue(monkeypatch, T, step, levels):
+def test_stacked_residues_match_the_oracle_per_residue(set_tile_rows, T, step, levels):
     # the residues run as one batch, padded to the longest: padding must
     # change no output or gradient and raise no warning, also in discarded
     # rows and in residues with no rows at all
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    set_tile_rows(4)
     q, k, v, g = (rng.normal(size=(T, 8)) for _ in range(4))
     got = window_attention(t(q), t(k), t(v), 2, levels, [(2, step)]).data
     for r in range(min(step, T)):
@@ -693,17 +731,17 @@ def test_stacked_residues_match_the_oracle_per_residue(monkeypatch, T, step, lev
     _fd(lambda: project(window_attention(qt, kt, vt, 2, levels, [(2, step)]), g), [qt, kt, vt])
 
 
-def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch):
-    # kernels are kept per call shape, whose key holds TILE_ROWS and
-    # TILE_ENTRIES, so a default kernel built first does not stand in for a
-    # patched tile size
+def test_a_patched_tile_size_gets_its_own_kernel(monkeypatch, set_tile_rows):
+    # kernels are kept per call shape alone, so a patched tile size takes
+    # effect through set_tile_rows, which empties the memo: a default kernel
+    # built first does not stand in for it
     T = 30
     q, k, v = (t(rng.normal(size=(T, 8))) for _ in range(3))
     tiles = _scored_tiles(monkeypatch)
     with no_grad():
         window_attention(q, k, v, 2, 1, [(3, 1)])
     assert len(tiles) == 1
-    monkeypatch.setattr(seqcore, "TILE_ROWS", 4)
+    set_tile_rows(4)
     tiles.clear()
     with no_grad():
         got = window_attention(q, k, v, 2, 1, [(3, 1)]).data
@@ -734,11 +772,22 @@ def _tile_rows(levels):
     return [G * f for G in (1, 2, 3)] + [R for R in (1, 2, 4, 16) if R < f]
 
 
+def _kernel(levels, w, dtype, R, rows, live, batch=1, budget=TILE_ENTRIES):
+    """The kernel of a call shape built outside the memo with TILE_ROWS
+    patched to R, which it takes as its tile rows, and TILE_ENTRIES to
+    `budget`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqcore, "TILE_ROWS", R)
+        mp.setattr(seqcore, "TILE_ENTRIES", budget)
+        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), batch, rows, live)
+    assert kernel.geo == seqcore._geometry(levels, w, R)
+    return kernel
+
+
 def _one_tile_kernel(levels, w, dtype, R):
     """The kernel of one unpadded sequence that is one tile of R rows."""
     rows = max(R, 1 << (levels - 1))
-    return seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows,
-                               tuple(rows >> lvl for lvl in range(levels)), 1, TILE_ENTRIES)
+    return _kernel(levels, w, dtype, R, rows, tuple(rows >> lvl for lvl in range(levels)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -763,13 +812,12 @@ def test_a_long_ladder_holds_small_masks():
     # frames, and the finer levels run it in sub-tiles of TILE_ROWS rows, so
     # every level's dense masks and the call's tile plans together hold
     # under 1 MB (a dense mask over a whole block at the finest level would
-    # hold 512 x 528 entries). The memo's own function builds it anew, so
-    # a kernel already kept cannot hide what one holds
+    # hold 512 x 528 entries). It is built outside the memo, so a kernel
+    # already kept cannot hide what one holds
     tracemalloc.start()
     try:
-        kernel = seqcore._call_kernel.__wrapped__(10, 8, np.dtype(np.float32), 8, 2048,
-                                                  tuple(2048 >> lvl for lvl in range(10)),
-                                                  TILE_ROWS, TILE_ENTRIES)
+        kernel = seqcore._TileKernel(10, 8, np.dtype(np.float32), 8, 2048,
+                                     tuple(2048 >> lvl for lvl in range(10)))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -836,14 +884,14 @@ def _check_ring_tiles(levels, R, dtype):
         for _ in range(1, levels):
             pooled.append(pooled[-1][:, 0::2] + pooled[-1][:, 1::2])
         live = tuple(int((x[:, :, -1] > 0).all(axis=0).sum()) for x in pooled)
-        kernel = seqcore._TileKernel(levels, w, np.dtype(dtype), R, rows, live, B, TILE_ENTRIES)
+        # a budget that holds a tile of two 512-row blocks at 10 levels
+        kernel = _kernel(levels, w, dtype, R, rows, live, B, budget=1 << 22)
         ops = _kernel_operands(kernel, *([x.astype(dtype) for x in xs] for xs in (qs, ks)),
                                vc.astype(dtype))
         # the float64 oracles on the operands as the kernel gets them
         exact = [[x.astype(dtype).astype(np.float64) for x in xs] for xs in (qs, ks)]
         exact.append(vc.astype(dtype).astype(np.float64))
         # the 0/-inf masks of the count rows, as window_attention builds them
-        assert kernel.padded
         negs = [np.where(x[:, -1:] > 0, 0.0, -np.inf).astype(dtype) for x in ops[2]]
         rings = ring_scores_oracle(levels, w, *exact)
         # the forward's and the backward's runs, and runs of at most 2
@@ -917,7 +965,7 @@ def test_finer_masks_keep_nothing_outside_their_band(levels, w, R, nc, padding):
     R = R // f * f if R >= f else R
     rows = nc * max(R, f)
     live = tuple(max((rows - padding * f) >> lvl, 0) for lvl in range(levels))
-    kernel = seqcore._TileKernel(levels, w, np.dtype(np.float32), R, rows, live, 1, TILE_ENTRIES)
+    kernel = _kernel(levels, w, np.float32, R, rows, live)
     for ring in kernel.ring[:-1]:
         i, key = np.nonzero(np.isfinite(ring))
         assert np.all(np.abs(((key - 2 * h) >> 1) - (i >> 1)) <= h)
@@ -981,9 +1029,8 @@ def test_every_memo_is_bounded():
 
 @pytest.mark.parametrize("levels, windows", [(1, [(2, 1), (3, 3)]), (3, [(2, 1)])])
 def test_a_group_builds_its_padding_masks_once(monkeypatch, levels, windows):
-    # a group's 0/-inf count masks are built once, with its operands, and the
-    # backward gets the very masks its forward got; a one-level group with
-    # no padded row gets none
+    # a group's 0/-inf count masks, one per level, are built once, with its
+    # operands, and the backward gets the very masks its forward got
     T = 20
     got = {"forward": [], "backward": []}
     for name in got:
@@ -996,8 +1043,7 @@ def test_a_group_builds_its_padding_masks_once(monkeypatch, levels, windows):
     # the backward runs the groups last first
     assert len(got["forward"]) == len(windows)
     assert [id(x) for x in got["backward"]] == [id(x) for x in got["forward"][::-1]]
-    padded = [levels > 1 or T % step != 0 for _, step in windows]
-    assert [negs is not None for negs in got["forward"]] == padded
+    assert all(len(negs) == levels for negs in got["forward"])
 
 
 def test_threads_share_the_kernel_cache():
@@ -1173,13 +1219,13 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     # its kernel returned, each [sequences, rows, 1]; not q, k or v,
     # and no operand in two layouts. Beyond them only numbers, slices, a
     # dtype, the nodes, the groups' kernels, which `_call_kernel` shares
-    # between calls of one shape, and the 0/-inf masks of a ladder's count
+    # between calls of one shape, and the 0/-inf masks of each level's count
     # rows [sequences, 1, rows + 2 margins], which its backward reuses
     stacked = [
         # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per
         # residue; a one-level call keeps no margins
-        [(1, 2, 8), (1, 3, 8), (1, 8, 1), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 1),
-         (2, 4, 2)],
+        [(1, 1, 8), (1, 2, 8), (1, 3, 8), (1, 8, 1), (1, 8, 2), (2, 1, 4), (2, 2, 4),
+         (2, 3, 4), (2, 4, 1), (2, 4, 2)],
         # one group of two heads at two levels, window 1: 8 rows with margins
         # of 2 and 4 rows with margins of 1, counts at level 1, and the 0/-inf
         # masks of both levels
@@ -1306,6 +1352,28 @@ def test_tcn_block_equals_its_composite_bit_for_bit(dtype, mode, T, dilation):
     assert runs[0][0].dtype == runs[0][1].dtype == dtype
     for a, b in zip(*runs):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tcn_block_gradients_through_an_infinite_or_nan_g_keep_the_composite_bits(dtype):
+    # g holds inf, -inf and NaN, and hidden channel 4 is dead (its bias far
+    # below 0). The composite's ReLU takes np.where(h > 0, dh, 0.0), so a
+    # clamped entry's gradient is +0.0: the dead channel's bias gradient is
+    # +0.0, where a multiply by the mask gives inf * 0 = NaN
+    runs = []
+    for op in (tcn_block, tcn_block_composite):
+        leaves = _tcn_leaves(16, dtype, np.random.default_rng(7))
+        leaves[2].data[4] = -1e3
+        y = op(*leaves, 2, "acausal")
+        g = np.linspace(-2.0, 1.0, y.size).reshape(y.shape)
+        g[3, 0], g[8, 1], g[12, 2] = np.inf, -np.inf, np.nan
+        project(y, g).backward()
+        runs.append([y.data] + [p.grad for p in leaves])
+    for a, b in zip(*runs):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    dead = runs[0][3][4]
+    assert dead == 0.0 and not np.signbit(dead)
 
 
 @pytest.mark.parametrize("mode", ["acausal", "causal"])

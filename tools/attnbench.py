@@ -16,9 +16,12 @@ ends of its fit (4 heads, A = 16, layer 4's DSWA windows and
 at both ends. Each row is timed forward only (under the module's
 `no_grad`) and forward + backward (through a scalar projection). The two
 sides take turns pass by pass, the first side alternating, so host drift
-that swamps separate runs cancels. It prints each side's median seconds
-per pass and the ratio DIR / this checkout (above 1: this checkout is
-faster).
+that swamps separate runs cancels, and the passes pair up in turn. It
+prints each side's median seconds per pass and its first and third
+quartiles, the ratio of the medians DIR / this checkout (above 1: this
+checkout is faster), and the pairs of passes this checkout won. A ratio
+reads as a change only where it lies outside what an A/A run (DIR a copy
+of this checkout) shows for that row.
 
     python3 tools/attnbench.py --repo ../parent-checkout
     python3 tools/attnbench.py --repo ../parent-checkout --reps 12
@@ -110,7 +113,8 @@ def main(argv=None) -> int:
         p.error("--reps must be >= 1")
     sides = (load_seqcore(ROOT, "seqcore_this"), load_seqcore(args.repo.resolve(), "seqcore_other"))
     rng = np.random.default_rng(SEED)
-    print(f"{'row':<17} {'pass':<9} {'this s':>9} {'other s':>9} {'other/this':>10}")
+    print(f"{'row':<17} {'pass':<9} {'this s':>9} {'this q1-q3':>17} {'other s':>9} "
+          f"{'other q1-q3':>17} {'other/this':>10} {'wins':>7}")
     for name, heads, A, T, dtype, ops in rows():
         arrays = [[rng.normal(size=shape).astype(dtype)
                    for shape in ((T, A),) * 3 + ((T * A, 1),)] for _ in ops]
@@ -123,9 +127,11 @@ def main(argv=None) -> int:
                 for i in order:
                     times[i].append(one_pass(sides[i], heads, ops, arrays, backward))
             this, other = (float(np.median(t)) for t in times)
+            spread = [" ".join(f"{q:8.4f}" for q in np.percentile(t, [25, 75])) for t in times]
+            wins = sum(a < b for a, b in zip(*times))
             kind = "fwd+bwd" if backward else "fwd"
-            print(f"{name:<17} {kind:<9} {this:9.4f} {other:9.4f} {other / this:10.3f}",
-                  flush=True)
+            print(f"{name:<17} {kind:<9} {this:9.4f} {spread[0]:>17} {other:9.4f} {spread[1]:>17} "
+                  f"{other / this:10.3f} {f'{wins}/{args.reps}':>7}", flush=True)
     return 0
 
 

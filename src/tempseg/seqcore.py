@@ -971,8 +971,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
         residues of `step`: per level the pooled query sums times
         wt / count, row-major, the pooled key means and the pooled
         [V | count] sums, value-major with the kernel's margins, the 0/-inf
-        masks of their count rows, and the counts each pooled sum was
-        divided by."""
+        masks of their count rows where the kernel reads them, and the
+        counts each pooled sum was divided by."""
         rows = -(-T // (step * f)) * f  # residue 0's, the longest, in whole blocks
         # the leading rows per level that no sequence pads: the last residue's
         live = tuple((T // step + (1 << lvl) - 1) >> lvl for lvl in range(levels))
@@ -1000,8 +1000,10 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, levels: int,
             ks.append(kp)
             vcs.append(vc)
         # 0 at each stored column that counts a frame, -inf at padding and
-        # margins; built once, for the forward and the backward
-        negs = [np.where(x[:, -1:] > 0, dtype.type(0), dtype.type(-np.inf)) for x in vcs]
+        # margins, built once for the forward and backward where some level has
+        # either; built on every call, they slowed infer_cli's attention 3-4%
+        negs = [np.where(x[:, -1:] > 0, dtype.type(0), dtype.type(-np.inf))
+                for x in vcs] if any(ms) or live[0] < rows else None
         return kernel, qs, ks, vcs, negs, cs
 
     y = np.empty((T, heads, hd), dtype)

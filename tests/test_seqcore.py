@@ -1029,8 +1029,9 @@ def test_every_memo_is_bounded():
 
 @pytest.mark.parametrize("levels, windows", [(1, [(2, 1), (3, 3)]), (3, [(2, 1)])])
 def test_a_group_builds_its_padding_masks_once(monkeypatch, levels, windows):
-    # a group's 0/-inf count masks, one per level, are built once, with its
-    # operands, and the backward gets the very masks its forward got
+    # a group's 0/-inf count masks are built once, with its operands, and the
+    # backward gets the very masks its forward got; a one-level group with
+    # no padded row gets none
     T = 20
     got = {"forward": [], "backward": []}
     for name in got:
@@ -1043,7 +1044,8 @@ def test_a_group_builds_its_padding_masks_once(monkeypatch, levels, windows):
     # the backward runs the groups last first
     assert len(got["forward"]) == len(windows)
     assert [id(x) for x in got["backward"]] == [id(x) for x in got["forward"][::-1]]
-    assert all(len(negs) == levels for negs in got["forward"])
+    padded = [levels > 1 or T % step != 0 for _, step in windows]
+    assert [negs is not None for negs in got["forward"]] == padded
 
 
 def test_threads_share_the_kernel_cache():
@@ -1219,13 +1221,13 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     # its kernel returned, each [sequences, rows, 1]; not q, k or v,
     # and no operand in two layouts. Beyond them only numbers, slices, a
     # dtype, the nodes, the groups' kernels, which `_call_kernel` shares
-    # between calls of one shape, and the 0/-inf masks of each level's count
+    # between calls of one shape, and the 0/-inf masks of a ladder's count
     # rows [sequences, 1, rows + 2 margins], which its backward reuses
     stacked = [
         # two groups of one head, steps 1 and 2: 8 rows, and 4 rows per
         # residue; a one-level call keeps no margins
-        [(1, 1, 8), (1, 2, 8), (1, 3, 8), (1, 8, 1), (1, 8, 2), (2, 1, 4), (2, 2, 4),
-         (2, 3, 4), (2, 4, 1), (2, 4, 2)],
+        [(1, 2, 8), (1, 3, 8), (1, 8, 1), (1, 8, 2), (2, 2, 4), (2, 3, 4), (2, 4, 1),
+         (2, 4, 2)],
         # one group of two heads at two levels, window 1: 8 rows with margins
         # of 2 and 4 rows with margins of 1, counts at level 1, and the 0/-inf
         # masks of both levels

@@ -96,10 +96,10 @@ __all__ = [
 TILE_ROWS = 32
 TILE_ENTRIES = 1 << 17
 # the attention call shapes whose kernels (masks and tile plans) are kept
-# by _call_kernel, the least recently used dropped first. Planning anew each call cost
-# 5.6-6.4% of a default-config forward at T = 160, and each plan lists its
-# tiles, so an unbounded memo over every length 1 to 4096 grew to about
-# 390 MiB
+# by _call_kernel, the least recently used dropped first. Planning anew
+# each call cost 5.6-6.4% of a default-config forward at T = 160, and each
+# plan lists its tiles, so an unbounded memo over every length 1 to 4096
+# grew to about 390 MiB
 CALL_SHAPES = 256
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -1303,7 +1303,7 @@ class Adam:
     def __init__(self, params, lr=5e-4):
         self.params = list(params)
         if not all(p.data.flags.c_contiguous for p in self.params):
-            raise ValueError("Adam updates parameters through flat views: each must be C-contiguous")
+            raise ValueError("Adam needs C-contiguous parameters to update them through flat views")
         self.lr = lr
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]

@@ -2,10 +2,13 @@
 soft Dice overlap, Gaussian center-weighted feature similarity and a
 Gaussian truncated boundary MSE, combined with fixed weights.
 
-Each term is one tape op (``scalar_op``): it computes its value and its
-gradient with respect to its one tensor input in float64 numpy, in closed
-form, and the gradient is cast back to the input's dtype as it
-accumulates. Labels are used as indices and class counts."""
+Each term is one tape op (``scalar_op``) over its one tensor input, in
+float64 numpy and in closed form: the forward makes its value, and
+backward makes its gradient, which is cast back to the input's dtype as it
+accumulates. Until backward, a term's closure keeps only per-frame or
+per-class vectors and the input's own array, never a float64 array of the
+input's shape: the [T, C] and [T, d] gradients are formed where backward
+reads them. Labels are used as indices and class counts."""
 
 from __future__ import annotations
 
@@ -26,6 +29,14 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _softmax64(z: np.ndarray) -> np.ndarray:
+    """The row softmax of [T, C] logits, in float64."""
+    z = z.astype(np.float64)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def _labels(labels, T: int, C: int) -> np.ndarray:
     """`labels` as T int64 class indices, each in [0, C)."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -43,13 +54,11 @@ def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
     cross-entropy. The gradient runs through the softmax in closed form:
     d/dz_c = dl/dp_t * p_label * (1[c = label] - p_c)."""
     logits = as_tensor(action_logits)
-    z = logits.data.astype(np.float64)
+    z = logits.data
     T, C = z.shape
     frames = np.arange(T)
     y = _labels(labels, T, C)
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    p_y = p[frames, y]
+    p_y = _softmax64(z)[frames, y]
     p_t = p_y + _EPS
     # a frame whose softmax saturates has p_t = 1 + _EPS: its base u is
     # clamped at 0, where no gradient flows, so the factor
@@ -61,8 +70,11 @@ def focal_loss(action_logits: Tensor, labels, gamma_f: float = 2.0) -> Tensor:
     weight = u ** gamma_f
     # dl/dp_t, times dp_t/dz_label = p_y and the mean's 1 / T
     coef = (du * log_p - weight / p_t) * (p_y / T)
-    grad = p * -coef[:, None]
-    grad[frames, y] += coef
+
+    def grad():
+        d = _softmax64(z) * -coef[:, None]
+        d[frames, y] += coef
+        return d
     return scalar_op(np.sum(weight * -log_p) / T, logits, grad)
 
 
@@ -83,8 +95,11 @@ def dice_loss(action_probs: Tensor, labels, smooth: float = 1.0) -> Tensor:
     n_present = float(present.sum())
     # d(dice_c)/dp_tc = (2 * 1[y_t = c] - dice_c) / denom_c
     scale = present / (n_present * denom)
-    grad = np.broadcast_to(dice * scale, (T, C)).copy()
-    grad[frames, y] -= 2.0 * scale[y]
+
+    def grad():
+        d = np.broadcast_to(dice * scale, (T, C)).copy()
+        d[frames, y] -= 2.0 * scale[y]
+        return d
     return scalar_op(1.0 - np.sum(dice[present]) / n_present, probs, grad)
 
 
@@ -108,7 +123,8 @@ def gaussian_cosine_similarity_loss(
     sqrt(|f|^2 + 1e-12). A pair straddling a segment boundary uses the left
     frame's profile."""
     feats = as_tensor(features)
-    f = feats.data.astype(np.float64)
+    fd = feats.data
+    f = fd.astype(np.float64)
     T = f.shape[0]
     if T < 2:
         raise ShapeError(f"similarity loss needs T >= 2, got {T}")
@@ -125,9 +141,13 @@ def gaussian_cosine_similarity_loss(
     own[:-1] -= w * cos / (na * na)
     own[1:] -= w * cos / (nb * nb)
     cross = (w / (na * nb))[:, None]
-    grad = f * own[:, None]
-    grad[:-1] += cross * b
-    grad[1:] += cross * a
+
+    def grad():
+        f = fd.astype(np.float64)
+        d = f * own[:, None]
+        d[:-1] += cross * f[1:]
+        d[1:] += cross * f[:-1]
+        return d
     return scalar_op(np.sum((1.0 - cos) * g) / (T - 1), feats, grad)
 
 
@@ -147,8 +167,8 @@ def gaussian_truncated_boundary_loss(
     T = target.shape[0]
     err = scores.data.astype(np.float64) - target
     sq = err * err
-    grad = np.where(sq < tau, 2.0 * err * target / T, 0.0)
-    return scalar_op(np.sum(np.minimum(sq, tau) * target) / T, scores, grad)
+    return scalar_op(np.sum(np.minimum(sq, tau) * target) / T, scores,
+                     lambda: np.where(sq < tau, 2.0 * err * target / T, 0.0))
 
 
 def combined_temporal_loss(output, labels, cfg) -> tuple[Tensor, dict]:

@@ -5,14 +5,18 @@ float64) plus an optional gradient accumulator. Each op that touches a
 differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
-keeps only the arrays its formula reads: the operands of ``*``, the
-inputs of ``linear`` and ``conv1d_dilated``, the input and the ReLU
-output of ``tcn_block``, its own output where the formula is written in
-it, ``window_attention``'s stacked and pooled operands, each in the one
-layout its forward made it in (queries row-major, keys and ``[V |
-count]`` value-major, pooled per level, with the kernel's zero margins),
-and its log softmax denominators, the gradient ``scalar_op`` is given, and
-masks and shapes.
+keeps only arrays its forward made or was given, and of those only the
+ones its formula reads: the operands of ``*``, the inputs of ``linear``
+and ``conv1d_dilated``, the input and the ReLU output of ``tcn_block``,
+its own output where the formula is written in it, ``window_attention``'s
+stacked and pooled operands, each in the one layout its forward made it
+in (queries row-major, keys and ``[V | count]`` value-major, pooled per
+level, with the kernel's zero margins), and its log softmax denominators,
+the weight arrays it was given, what ``scalar_op``'s gradient function
+holds, and masks and shapes. Copies that backward can remake cheaply
+(weight casts, the loss terms' gradients) are made there; forward values
+that it would have to recompute (a TCN block's input and ReLU output,
+``layer_norm``'s normalised rows, attention's pooled levels) stay.
 So the tape holds nodes, closures and gradients, and an interior value
 that no backward reads is freed as soon as the caller drops its Tensor.
 ``Tensor.backward()`` replays the tape in reverse topological order and
@@ -24,12 +28,13 @@ tape at a time. Every op but ``scalar_op``, whose value is float64,
 computes and allocates in its input's dtype: a Python scalar operand
 takes the tensor's dtype, and the weight operands of ``linear``,
 ``layer_norm``, ``conv1d_dilated`` and ``tcn_block`` are cast to the
-input's dtype when used, so float64 parameters run a float32 pass with no
-float32 copy kept beside them; but on a tape each closure whose input's
-gradient reads a weight keeps its cast until backward (1.02 MB on the
-``train_small`` benchmark's tape, 50.7 MB for a default-config training
-step at T = 2048). Training and inference run their passes in float32
-this way; a leaf's gradient accumulates in the leaf's own dtype, so
+input's dtype where they are read, so float64 parameters run a float32
+pass with no float32 copy kept beside them: the forward casts a weight
+for its product and drops the cast, and on a tape the closure keeps the
+weight's own array and casts it again in backward (a float32 weight casts
+to itself), which keeps 50.7 MB of casts off a default-config training
+step's tape at T = 2048. Training and inference run their passes in
+float32 this way; a leaf's gradient accumulates in the leaf's own dtype, so
 float64 parameters get float64 gradients and Adam keeps float64 master
 weights and state. The oracles run in float64.
 
@@ -43,9 +48,9 @@ neither indexed nor transposed, and every sequence op runs time-major, on
 1-D convolution ``conv1d_dilated``, the residual TCN block ``tcn_block``
 (dilated conv, ReLU, pointwise conv and residual add as one op), ``layer_norm``,
 ``softmax`` over the last axis, ``scalar_op`` (a scalar function of one
-tensor from its value and gradient, which the loss terms compute in
-closed form), and one windowed multi-scale multi-head attention op
-(``window_attention``) whose equal head groups each take their own window
+tensor from its value and a function that makes its gradient in
+backward, which the loss terms compute in closed form), and one windowed
+multi-scale multi-head attention op (``window_attention``) whose equal head groups each take their own window
 width and dilation step: DSWA is its one-scale case with two groups, the
 expanding and the shrinking window, each run over every residue of its
 step; HTA is its ladder of scales with one group at step 1. It makes one
@@ -397,17 +402,24 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(x)
 
 
-def scalar_op(value: float, x: Tensor, grad: np.ndarray) -> Tensor:
-    """A scalar function of `x` as one tape op, from its value and its
-    gradient with respect to x, both computed by the caller in float64.
-    The result is float64; the gradient is cast to x's dtype as it
-    accumulates."""
-    if grad.shape != x.data.shape:
-        raise ShapeError(f"gradient of shape {grad.shape} for an input of shape {x.data.shape}")
+def scalar_op(value: float, x: Tensor, grad) -> Tensor:
+    """A scalar function of `x` as one tape op, from its value, computed by
+    the caller in float64, and `grad`, a function of no arguments that
+    returns its float64 gradient with respect to x. The result is float64.
+    Only backward calls `grad`, so the gradient exists only while backward
+    reads it, and what the tape keeps until then is what `grad` holds; a
+    gradient whose shape is not x's raises ShapeError there. The gradient is
+    cast to x's dtype as it accumulates."""
     out = _make(np.float64(value), (x,))
     if out.requires_grad:
-        n = _grad_node(x)
-        out._node._backward = lambda g: n._accumulate(g * grad)
+        n, shape = _grad_node(x), x.data.shape
+
+        def back(g):
+            d = grad()
+            if d.shape != shape:
+                raise ShapeError(f"gradient of shape {d.shape} for an input of shape {shape}")
+            n._accumulate(g * d)
+        out._node._backward = back
     return out
 
 
@@ -1106,7 +1118,9 @@ def _conv_forward(xd: np.ndarray, w: np.ndarray, taps: list) -> np.ndarray:
 def _conv_backward(g, taps, xd, w, nk, k_zeros, nb):
     """From a conv's output gradient g [T, C_out], accumulate its kernel's
     gradient into node nk and its bias's into nb (each when not None), and
-    return its input's gradient [T, C_in], or None when w is None."""
+    return its input's gradient [T, C_in], or None when w is None. The
+    kernel w comes as the forward was given it and is cast to g's dtype
+    here, so no closure keeps a cast."""
     if nk is not None:
         if nk.grad is None:
             nk.grad = k_zeros()
@@ -1116,6 +1130,7 @@ def _conv_backward(g, taps, xd, w, nk, k_zeros, nb):
         nb._accumulate(g.sum(axis=0))
     if w is None:
         return None
+    w = w.astype(g.dtype, copy=False)
     dx = np.empty((g.shape[0], w.shape[1]), g.dtype)
     return _tap_sum(dx, [(src, g[lo:hi], w[:, :, j]) for j, lo, hi, src in taps])
 
@@ -1133,15 +1148,14 @@ def conv1d_dilated(
     contiguous row range of the output."""
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     taps = _conv_taps(x.data, kernel.data, dilation, mode)
-    xd = x.data
-    w = kernel.data.astype(xd.dtype, copy=False)
-    y = _conv_forward(xd, w, taps)
+    xd, w = x.data, kernel.data
+    y = _conv_forward(xd, w.astype(xd.dtype, copy=False), taps)
     y += bias.data.astype(y.dtype, copy=False)
 
     out = _make(y, (x, kernel, bias))
     if out.requires_grad:
         nx, nk, nb = _grad_node(x), _grad_node(kernel), _grad_node(bias)
-        k_zeros = _zeros_like(kernel.data)
+        k_zeros = _zeros_like(w)
         # the kernel's gradient reads the input, the input's reads the kernel
         if nk is None:
             xd = None
@@ -1182,21 +1196,19 @@ def tcn_block(x: Tensor, conv_w: Tensor, conv_b: Tensor, pw_w: Tensor, pw_b: Ten
             f"tcn block on {xd.shape} needs conv bias ({c},), pointwise kernel ({C}, {c}, 1) "
             f"and bias ({C},), got {conv_b.data.shape}, {pw_w.data.shape}, {pw_b.data.shape}"
         )
-    dtype = xd.dtype
-    w = conv_w.data.astype(dtype, copy=False)
-    pw = pw_w.data.astype(dtype, copy=False)
+    dtype, w, pw = xd.dtype, conv_w.data, pw_w.data
     pw_taps = [(0, 0, T, slice(0, T))]
-    h = _conv_forward(xd, w, taps)
+    h = _conv_forward(xd, w.astype(dtype, copy=False), taps)
     h += conv_b.data.astype(dtype, copy=False)
     np.maximum(h, 0.0, out=h)
-    y = _conv_forward(h, pw, pw_taps)
+    y = _conv_forward(h, pw.astype(dtype, copy=False), pw_taps)
     y += pw_b.data.astype(dtype, copy=False)
     y += xd
 
     out = _make(y, (x, conv_w, conv_b, pw_w, pw_b))
     if out.requires_grad:
         nx, nk, nb, npw, npb = map(_grad_node, (x, conv_w, conv_b, pw_w, pw_b))
-        k_zeros, pw_zeros = _zeros_like(conv_w.data), _zeros_like(pw_w.data)
+        k_zeros, pw_zeros = _zeros_like(w), _zeros_like(pw)
         needs_dh = nx is not None or nk is not None or nb is not None
         # each gradient reads only what its formula does
         if nk is None:
@@ -1235,9 +1247,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
         )
-    xd, wd = x.data, w.data.astype(x.data.dtype, copy=False)
-    y = xd @ wd
-    y += b.data.astype(y.dtype, copy=False)
+    xd, wd, dtype = x.data, w.data, x.data.dtype
+    y = xd @ wd.astype(dtype, copy=False)
+    y += b.data.astype(dtype, copy=False)
     out = _make(y, (x, w, b))
     if out.requires_grad:
         nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
@@ -1249,7 +1261,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
         def back(g):
             if nx is not None:
-                nx._accumulate(g @ wd.T)
+                nx._accumulate(g @ wd.astype(dtype, copy=False).T)
             if nw is not None:
                 nw._accumulate(xd.T @ g)
             if nb is not None:
@@ -1265,20 +1277,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
     with dxhat = dy * gain; gain and bias are cast to x's dtype."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    n = x.data.shape[-1]
-    g = gain.data.astype(x.data.dtype, copy=False)
+    n, dtype, gd = x.data.shape[-1], x.data.dtype, gain.data
     # two [T, D] buffers: the centred rows become xhat in place, and the
     # squares' buffer becomes the output
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
     y = xc * xc
     std = np.sqrt(y.sum(axis=-1, keepdims=True) / n + eps)
     xhat = np.divide(xc, std, out=xc)
-    np.multiply(xhat, g, out=y)
-    y += bias.data.astype(x.data.dtype, copy=False)
+    np.multiply(xhat, gd.astype(dtype, copy=False), out=y)
+    y += bias.data.astype(dtype, copy=False)
     out = _make(y, (x, gain, bias))
     if out.requires_grad:
         nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(bias)
-        sg, sb = gain.data.shape, bias.data.shape
+        sg, sb = gd.shape, bias.data.shape
 
         def back(dy):
             if ng is not None:
@@ -1286,7 +1297,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             if nb is not None:
                 nb._accumulate(_unbroadcast(dy, sb))
             if nx is not None:
-                dxhat = dy * g
+                dxhat = dy * gd.astype(dtype, copy=False)
                 dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
                 dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
                 nx._accumulate(dx / std)

@@ -28,6 +28,7 @@ from oracles import (
     similarity_loss_oracle,
 )
 from test_float32 import F32_REL_TOL
+from test_seqcore import _captured
 
 rng = np.random.default_rng(31337)
 
@@ -361,6 +362,33 @@ def test_loss_terms_take_float32_inputs():
         (v32, g32), (v64, g64) = runs
         assert math.isclose(v32, v64, rel_tol=F32_REL_TOL)
         assert rel_err(g32, g64) < F32_REL_TOL
+
+
+def test_loss_terms_keep_no_input_sized_float64_array_until_backward():
+    # on float32 inputs each term's closure keeps at most one float64 value
+    # per frame (or per class): none of the [T, C] or [T, d] gradients or
+    # float64 copies of the input, which backward forms, and no Tensor
+    r = np.random.default_rng(3802)
+    labels = np.array([0] * 9 + [2] * 14 + [1] * 7 + [0] * 10)
+    T = labels.size
+    segs = frames_to_segments(labels)
+    target = make_boundary_target(segs, T)
+    terms = [
+        (lambda x: focal_loss(x, labels, 0.5), (T, 3)),
+        (lambda x: dice_loss(softmax(x), labels), (T, 3)),
+        (lambda x: gaussian_cosine_similarity_loss(x, segs), (T, 16)),
+        (lambda x: gaussian_truncated_boundary_loss(x, target), (T,)),
+    ]
+    for term, shape in terms:
+        x = Tensor(r.normal(size=shape).astype(np.float32), requires_grad=True)
+        loss = term(x)
+        # a leaf input is its own node, which the closure accumulates into
+        held = [v for v in _captured(loss._node._backward) if v is not x]
+        assert not any(isinstance(v, Tensor) for v in held), held
+        sizes = [a.shape for a in held if isinstance(a, np.ndarray) and a.dtype == np.float64]
+        assert all(math.prod(s) <= T for s in sizes), (shape, sizes)
+        loss.backward()
+        assert x.grad.dtype == np.float32 and x.grad.shape == shape
 
 
 def _interior_nodes(loss):

@@ -1251,7 +1251,7 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = tcn_block(conv1d_dilated(h, kernel, b, dilation=2), kernel, b, pw, b, 2, "causal")
     h = concat([h, h * c], axis=0)
     p = softmax(h.reshape(4, 16)).astype(np.float32).astype(np.float64)
-    loss = project(p + (p * p + 0.5).sigmoid(), 1 / 64) + scalar_op(0.0, p, np.ones((4, 16)))
+    loss = project(p + (p * p + 0.5).sigmoid(), 1 / 64) + scalar_op(0.0, p, lambda: np.ones((4, 16)))
     leaves = {id(x), id(w), id(b), id(kernel), id(pw)}
     seen, stack, kinds = set(), [loss._node], set()
     while stack:
@@ -1270,6 +1270,52 @@ def test_backward_closures_hold_no_tensor_but_leaves():
         "tcn_block", "linear", "layer_norm", "scalar_op",
     }, sorted(kinds)
     loss.backward()
+
+
+def test_weight_ops_keep_their_leaves_arrays_and_cast_in_backward():
+    # float64 leaves in a float32 pass: each closure that reads a weight
+    # keeps the leaf's own array, which the tape keeps anyway, and no
+    # closure keeps a float32 cast of any leaf
+    r = np.random.default_rng(3801)
+    x = Tensor(r.normal(size=(8, 4)).astype(np.float32), requires_grad=True)
+    w, b, gain = t(r.normal(size=(4, 4))), t(r.normal(size=(4,))), t(r.normal(size=(4,)))
+    kernel, pw = t(r.normal(size=(4, 4, 3)) * 0.3), t(r.normal(size=(4, 4, 1)) * 0.3)
+    h = linear(x, w, b)
+    h = conv1d_dilated(h, kernel, b, dilation=2)
+    h = tcn_block(h, kernel, b, pw, b, 2, "causal")
+    h = layer_norm(h, gain, b)
+    assert h.dtype == np.float32
+    loss = project(h, r.normal(size=(8, 4)))
+    leaves = (w, b, gain, kernel, pw)
+    casts = [leaf.data.astype(np.float32) for leaf in leaves]
+    weights = {"linear": [w], "conv1d_dilated": [kernel], "tcn_block": [kernel, pw],
+               "layer_norm": [gain]}
+    seen, stack, checked = set(), [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._prev:
+            continue
+        seen.add(id(node))
+        kind = node._backward.__qualname__.split(".<locals>")[0]
+        held = list(_captured(node._backward))
+        for a in held:
+            if isinstance(a, np.ndarray) and a.dtype == np.float32:
+                assert not any(a.shape == c.shape and np.array_equal(a, c) for c in casts), kind
+        for leaf in weights.get(kind, []):
+            if any(p is leaf for p in node._prev):
+                assert any(a is leaf.data for a in held), (kind, leaf.shape)
+                checked.add(kind)
+        stack.extend(node._prev)
+    assert checked == set(weights)
+    loss.backward()
+    assert x.grad.dtype == np.float32 and all(leaf.grad.dtype == np.float64 for leaf in leaves)
+
+
+def test_scalar_op_checks_its_gradient_shape_in_backward():
+    x = t(np.zeros((2, 3)))
+    loss = scalar_op(0.0, x, lambda: np.ones((3, 2)))
+    with pytest.raises(ShapeError, match=r"shape \(3, 2\) for an input of shape \(2, 3\)"):
+        loss.backward()
 
 
 # -- no_grad --------------------------------------------------------------

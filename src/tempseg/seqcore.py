@@ -50,14 +50,15 @@ neither indexed nor transposed, and every sequence op runs time-major, on
 ``softmax`` over the last axis, ``scalar_op`` (a scalar function of one
 tensor from its value and a function that makes its gradient in
 backward, which the loss terms compute in closed form), and one windowed
-multi-scale multi-head attention op (``window_attention``) whose equal head groups each take their own window
-width and dilation step: DSWA is its one-scale case with two groups, the
-expanding and the shrinking window, each run over every residue of its
-step; HTA is its ladder of scales with one group at step 1. It makes one
-call of one tiled kernel, ``_TileKernel``, per head group, with the
-group's residues stacked as sequences; the kernel's docstring gives its
-partition of each frame's entries by level, its tiles and its softmax
-shifts, and one bounded memo keeps a kernel per call shape.
+multi-scale multi-head attention op (``window_attention``) whose equal
+head groups each take their own window width and dilation step: DSWA is
+its one-scale case with two groups, the expanding and the shrinking
+window, each run over every residue of its step; HTA is its ladder of
+scales with one group at step 1. It makes one call of one tiled kernel,
+``_TileKernel``, per head group, with the group's residues stacked as
+sequences; the kernel's docstring gives its partition of each frame's
+entries by level, its tiles and its softmax shifts, and one bounded memo
+keeps a kernel per call shape.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates, guard and chunk length are the module constants

@@ -1251,7 +1251,8 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = tcn_block(conv1d_dilated(h, kernel, b, dilation=2), kernel, b, pw, b, 2, "causal")
     h = concat([h, h * c], axis=0)
     p = softmax(h.reshape(4, 16)).astype(np.float32).astype(np.float64)
-    loss = project(p + (p * p + 0.5).sigmoid(), 1 / 64) + scalar_op(0.0, p, lambda: np.ones((4, 16)))
+    loss = (project(p + (p * p + 0.5).sigmoid(), 1 / 64)
+            + scalar_op(0.0, p, lambda: np.ones((4, 16))))
     leaves = {id(x), id(w), id(b), id(kernel), id(pw)}
     seen, stack, kinds = set(), [loss._node], set()
     while stack:

@@ -2,9 +2,9 @@
 training step, as the sequence grows.
 
 Runs fresh Python processes against DIR/src. For inference, the first one
-saves the
-default-config model with `save_checkpoint`, so its parameters are float32
-and its conv kernels tap-major, as a version-2 checkpoint holds them. Then
+saves the default-config model with `save_checkpoint`, so its parameters
+are float32 and its conv kernels tap-major, as a version-2 checkpoint
+holds them. Then
 one process per length T loads that checkpoint, draws one synthetic
 [T, d_in] float32 sequence of standard-normal features, and times one
 `infer` call (refined, so it includes boundary detection) and one
@@ -25,8 +25,8 @@ closures hold after the first step's forward, followed by that figure by
 op kind. Each array is counted once, by the base at the bottom of its view
 chain, under the first op kind whose closure the walk reaches it from;
 parameter arrays, which live without a tape, are left out. The tape grows
-with T (about 415 MiB at T = 2048), so the inference lengths would not fit
-in memory, and --train's lengths default to TRAIN_T.
+with T (about 350 MiB at T = 2048, so about 5.5 GiB at T = 32768), so
+--train's lengths default to TRAIN_T rather than the inference lengths.
 
     python3 tools/scaling.py
     python3 tools/scaling.py --repo ../parent-checkout --T 2048,8192,32768
@@ -91,8 +91,8 @@ def _worker(T: int, ckpt: str):
 
 
 def _held_arrays(fn):
-    """Every array a closure holds, through nested functions, tuples, lists
-    and dicts."""
+    """Every array a closure holds, through nested functions, tuples and
+    lists."""
     seen, stack = set(), [c.cell_contents for c in fn.__closure__ or ()]
     while stack:
         v = stack.pop()
@@ -105,8 +105,6 @@ def _held_arrays(fn):
             stack.extend(c.cell_contents for c in v.__closure__ or ())
         elif isinstance(v, (tuple, list)):
             stack.extend(v)
-        elif isinstance(v, dict):
-            stack.extend(v.values())
 
 
 def _tape_bytes(loss, params) -> dict:
@@ -193,8 +191,9 @@ def main(argv=None) -> int:
         lengths = [int(t) for t in args.T.split(",")]
     except ValueError:
         p.error(f"--T must be comma-separated integers, got {args.T!r}")
-    if any(t < 1 for t in lengths):
-        p.error(f"every --T must be >= 1, got {args.T!r}")
+    least = 2 if args.train else 1  # the similarity loss pairs consecutive frames
+    if any(t < least for t in lengths):
+        p.error(f"every --T must be >= {least}, got {args.T!r}")
     src = args.repo.resolve() / "src"
     if not (src / "tempseg").is_dir():
         p.error(f"no package at {src / 'tempseg'}")

@@ -5,6 +5,7 @@ input frame."""
 
 from __future__ import annotations
 
+import configparser
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -122,6 +123,25 @@ def build_config(cls, items, source: str, retired: dict, **fixed):
         return cls(**fixed, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def parse_ini(lines, source: str, sections: tuple) -> configparser.ConfigParser:
+    """INI text from `lines` that may hold only `sections`; a line with no
+    `=` or `:`, a repeated key or an unknown section raises ValueError
+    naming `source`.
+
+    There is no default section: a `[DEFAULT]` header is an ordinary
+    section, so it is reported as unknown rather than having its keys copied
+    into every other section."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        cp.read_file(lines, source)
+    except configparser.Error as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    unknown = [name for name in cp.sections() if name not in sections]
+    if unknown:
+        raise ValueError(f"{source}: unknown section [{unknown[0]}]")
+    return cp
 
 
 @dataclass
@@ -434,12 +454,10 @@ def _config_blob(cfg: ModelConfig) -> bytes:
 
 
 def _config_from_blob(blob: bytes, path) -> ModelConfig:
-    d = {}
-    for line in blob.decode(errors="replace").splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            d[k.strip()] = v.strip()
-    return ModelConfig.from_dict(d, str(path))
+    """The config text as the body of an INI file's [model] section."""
+    text = "[model]\n" + blob.decode(errors="replace")
+    cp = parse_ini(text.splitlines(), str(path), ("model",))
+    return ModelConfig.from_dict(dict(cp["model"]), str(path))
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict):

@@ -19,6 +19,7 @@ from .network import (
     SegmentationModel,
     _check_ranges,
     build_config,
+    parse_ini,
     save_checkpoint,
 )
 from .segments import (
@@ -267,10 +268,13 @@ class SynthSpec:
             )
 
 
-def _draw_duration(spec: SynthSpec, cls: int, rng) -> int:
+def _draw_duration(spec: SynthSpec, cls: int, rng, left: int) -> int:
+    """A segment length: a normal draw of the class's duration in frames,
+    clamped to [1, left] before it is rounded, so an overflowing draw
+    (infinite at a huge fps or duration) gives `left`."""
     mean, std = spec.durations[cls]
     frames = rng.normal(mean, std) * spec.fps
-    return max(1, int(round(frames)))
+    return round(min(max(frames, 1.0), left))
 
 
 def synth_sequence(spec: SynthSpec, T_target: int, rng, prototypes: np.ndarray):
@@ -283,7 +287,7 @@ def synth_sequence(spec: SynthSpec, T_target: int, rng, prototypes: np.ndarray):
     while t < T_target:
         choices = [c for c in range(spec.n_classes) if c != prev]
         cls = int(rng.choice(choices))
-        length = min(_draw_duration(spec, cls, rng), T_target - t)
+        length = _draw_duration(spec, cls, rng, T_target - t)
         segs.append(Segment(t, t + length - 1, cls))
         t += length
         prev = cls
@@ -527,22 +531,11 @@ def infer(model: SegmentationModel, features: np.ndarray, refine: bool = True) -
 
 
 def _read_ini(path, sections: tuple) -> configparser.ConfigParser:
-    """An INI file that may hold only `sections`; a parse error names the file.
-
-    There is no default section: a `[DEFAULT]` header is an ordinary
-    section, so it is reported as unknown rather than having its keys copied
-    into every other section."""
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    """The INI file at `path`, parsed by `parse_ini`; an error names the file."""
     try:
-        cp.read_file(read_lines(path), os.fspath(path))
+        return parse_ini(read_lines(path), os.fspath(path), sections)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    unknown = [name for name in cp.sections() if name not in sections]
-    if unknown:
-        raise ValueError(f"{path}: unknown section [{unknown[0]}]")
-    return cp
 
 
 def load_run_config(path) -> RunConfig:

@@ -189,10 +189,6 @@ class Tensor:
         return () if self._node is None else self._node._prev
 
     @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -345,14 +341,6 @@ class Tensor:
             n, own = _grad_node(self), self.data.shape
             out._node._backward = lambda g: n._accumulate(g.reshape(own))
         return out
-
-
-def _zeros_like(a: np.ndarray):
-    """A maker of zero arrays with a's shape, dtype and C or Fortran order,
-    that does not hold `a`."""
-    shape, dtype = a.shape, a.dtype
-    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-    return lambda: np.zeros(shape, dtype, order)
 
 
 @contextlib.contextmanager
@@ -1116,24 +1104,25 @@ def _conv_forward(xd: np.ndarray, w: np.ndarray, taps: list) -> np.ndarray:
     return _tap_sum(out, [(slice(lo, hi), xd[src], w[:, :, j].T) for j, lo, hi, src in taps])
 
 
-def _conv_backward(g, taps, xd, w, nk, k_zeros, nb):
+def _conv_backward(g, taps, xd, w, nk, nb, dx):
     """From a conv's output gradient g [T, C_out], accumulate its kernel's
     gradient into node nk and its bias's into nb (each when not None), and
-    return its input's gradient [T, C_in], or None when w is None. The
-    kernel w comes as the forward was given it and is cast to g's dtype
-    here, so no closure keeps a cast."""
+    return its input's gradient [T, C_in] when dx is true, else None. The
+    kernel w comes as the forward was given it: its gradient starts from
+    zeros in w's dtype and C or Fortran order, and w is cast to g's dtype
+    for the input's gradient here, so no closure keeps a cast."""
     if nk is not None:
         if nk.grad is None:
-            nk.grad = k_zeros()
+            nk.grad = np.zeros_like(w)
         for j, lo, hi, src in taps:
             nk.grad[:, :, j] += g[lo:hi].T @ xd[src]
     if nb is not None:
         nb._accumulate(g.sum(axis=0))
-    if w is None:
+    if not dx:
         return None
     w = w.astype(g.dtype, copy=False)
-    dx = np.empty((g.shape[0], w.shape[1]), g.dtype)
-    return _tap_sum(dx, [(src, g[lo:hi], w[:, :, j]) for j, lo, hi, src in taps])
+    out = np.empty((g.shape[0], w.shape[1]), g.dtype)
+    return _tap_sum(out, [(src, g[lo:hi], w[:, :, j]) for j, lo, hi, src in taps])
 
 
 def conv1d_dilated(
@@ -1156,15 +1145,12 @@ def conv1d_dilated(
     out = _make(y, (x, kernel, bias))
     if out.requires_grad:
         nx, nk, nb = _grad_node(x), _grad_node(kernel), _grad_node(bias)
-        k_zeros = _zeros_like(w)
-        # the kernel's gradient reads the input, the input's reads the kernel
+        # only the kernel's gradient reads the input
         if nk is None:
             xd = None
-        if nx is None:
-            w = None
 
         def back(g):
-            dx = _conv_backward(g, taps, xd, w, nk, k_zeros, nb)
+            dx = _conv_backward(g, taps, xd, w, nk, nb, nx is not None)
             if dx is not None:
                 nx._accumulate(dx)
         out._node._backward = back
@@ -1209,20 +1195,15 @@ def tcn_block(x: Tensor, conv_w: Tensor, conv_b: Tensor, pw_w: Tensor, pw_b: Ten
     out = _make(y, (x, conv_w, conv_b, pw_w, pw_b))
     if out.requires_grad:
         nx, nk, nb, npw, npb = map(_grad_node, (x, conv_w, conv_b, pw_w, pw_b))
-        k_zeros, pw_zeros = _zeros_like(w), _zeros_like(pw)
         needs_dh = nx is not None or nk is not None or nb is not None
-        # each gradient reads only what its formula does
+        # only the kernels' gradients read the input and h; the ReLU's reads h
         if nk is None:
             xd = None
-        if nx is None:
-            w = None
-        if not needs_dh:
-            pw = None
-            if npw is None:
-                h = None
+        if not needs_dh and npw is None:
+            h = None
 
         def back(g):
-            dh = _conv_backward(g, pw_taps, h, pw, npw, pw_zeros, npb)
+            dh = _conv_backward(g, pw_taps, h, pw, npw, npb, needs_dh)
             if dh is None:
                 return
             # the ReLU's gradient: dh's bits and-ed with all ones or zeros, so
@@ -1231,7 +1212,7 @@ def tcn_block(x: Tensor, conv_w: Tensor, conv_b: Tensor, pw_w: Tensor, pw_b: Ten
             bits = np.dtype(f"u{dh.itemsize}")
             keep = (h > 0.0).astype(bits)
             np.bitwise_and(dh.view(bits), np.negative(keep, out=keep), out=dh.view(bits))
-            dx = _conv_backward(dh, taps, xd, w, nk, k_zeros, nb)
+            dx = _conv_backward(dh, taps, xd, w, nk, nb, nx is not None)
             if dx is not None:
                 dx += g  # the residual's gradient
                 nx._accumulate(dx)
@@ -1254,11 +1235,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _make(y, (x, w, b))
     if out.requires_grad:
         nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
-        # the weight's gradient reads the input, the input's reads the weight
+        # only the weight's gradient reads the input
         if nw is None:
             xd = None
-        if nx is None:
-            wd = None
 
         def back(g):
             if nx is not None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tempseg import cli
 from tempseg.network import ModelConfig, SegmentationModel, save_checkpoint
-from tempseg.pipeline import infer, load_features, save_features, save_labels
+from tempseg.pipeline import infer, load_features, load_labels, save_features, save_labels
 
 # a threshold far below the sigmoid's resting value, so refinement keeps
 # boundaries and `infer` with and without `--no-refine` print different counts
@@ -221,3 +221,38 @@ def test_eval_report_into_a_missing_directory_names_the_report(inputs):
     assert code == 2, err
     assert err == f"error: {report}: No such file or directory\n", err
     assert not (inputs / "missing").exists()
+
+
+@pytest.mark.parametrize("line, edited", [
+    # a line with no delimiter, once skipped: boundary_theta read 0.5
+    (b"boundary_theta = 0.05", b"boundary_theta ~ 0.05"),
+    # a repeated key, once kept at its last value: loss_beta read 0.2
+    (b"loss_alpha = 1.0", b"loss_beta = 0.25"),
+], ids=["no-delimiter", "repeated-key"])
+def test_infer_on_a_malformed_checkpoint_config_names_the_checkpoint(inputs, line, edited):
+    ckpt = inputs / "m.ckpt"
+    data = ckpt.read_bytes()
+    assert data.count(line) == 1 and len(edited) == len(line)
+    ckpt.write_bytes(data.replace(line, edited))
+    code, stdout, err = _run(["infer", "--ckpt", str(ckpt), "--features",
+                              str(inputs / "x.feat"), "--out", str(inputs / "out")])
+    assert code == 2 and stdout == "", (stdout, err)
+    assert err.startswith(f"error: bad checkpoint config: {ckpt}: "), err
+    assert not (inputs / "out").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "fps = 1e308\n",
+    "n_classes = 2\ndurations = 1e308,1 ; 1,1\nfps = 10\n",
+], ids=["fps", "duration"])
+def test_synth_with_durations_that_overflow_writes_its_sequences(tmp_path, spec):
+    # a draw of inf frames is a segment to the end of the sequence
+    path, out = tmp_path / "synth.cfg", tmp_path / "data"
+    path.write_text("[synth]\n" + spec)
+    code, stdout, err = _run(["synth", "--spec", str(path), "--out", str(out), "--n", "2",
+                              "--frames", "30"])
+    assert code == 0, err
+    assert stdout == f"wrote 2 sequences of 30 frames to {out}\n"
+    for i in range(2):
+        labels = load_labels(out / f"seq_{i:03d}.labels")
+        assert labels.shape == (30,) and labels.min() >= 0

@@ -1164,7 +1164,7 @@ def test_no_grad_inference_is_bit_identical_and_tape_free():
                 ta, tb = getattr(a, name), getattr(b, name)
                 assert ta.data.dtype == tb.data.dtype
                 assert np.array_equal(ta.data, tb.data)
-                assert tb._prev == () and tb._backward is None
+                assert tb._prev == () and tb._node is None
 
 
 # -- CLI ------------------------------------------------------------------

@@ -1111,7 +1111,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
         return project(a + a.sigmoid()) + project(linear(x, w, b), 1 / 8)
 
     loss = build()
-    nodes = _graph(loss)
+    nodes = _graph(loss._node)
     interior = [n for n in nodes if n._prev]
     assert len(interior) >= 8 and {id(n) for n in nodes if not n._prev} == {id(x), id(w), id(b)}
     loss.backward()
@@ -1275,7 +1275,8 @@ def test_backward_closures_hold_no_tensor_but_leaves():
 
 def test_weight_ops_keep_their_leaves_arrays_and_cast_in_backward():
     # float64 leaves in a float32 pass: each closure that reads a weight
-    # keeps the leaf's own array, which the tape keeps anyway, and no
+    # keeps the leaf's own array, which the tape keeps anyway, also where
+    # the op's input needs no gradient (as the model's features do), and no
     # closure keeps a float32 cast of any leaf
     r = np.random.default_rng(3801)
     x = Tensor(r.normal(size=(8, 4)).astype(np.float32), requires_grad=True)
@@ -1284,6 +1285,9 @@ def test_weight_ops_keep_their_leaves_arrays_and_cast_in_backward():
     h = linear(x, w, b)
     h = conv1d_dilated(h, kernel, b, dilation=2)
     h = tcn_block(h, kernel, b, pw, b, 2, "causal")
+    feats = Tensor(r.normal(size=(8, 4)).astype(np.float32))
+    h = (h + linear(feats, w, b) + conv1d_dilated(feats, kernel, b, dilation=2)
+         + tcn_block(feats, kernel, b, pw, b, 2, "causal"))
     h = layer_norm(h, gain, b)
     assert h.dtype == np.float32
     loss = project(h, r.normal(size=(8, 4)))
@@ -1291,7 +1295,7 @@ def test_weight_ops_keep_their_leaves_arrays_and_cast_in_backward():
     casts = [leaf.data.astype(np.float32) for leaf in leaves]
     weights = {"linear": [w], "conv1d_dilated": [kernel], "tcn_block": [kernel, pw],
                "layer_norm": [gain]}
-    seen, stack, checked = set(), [loss._node], set()
+    seen, stack, checked = set(), [loss._node], []
     while stack:
         node = stack.pop()
         if id(node) in seen or not node._prev:
@@ -1305,9 +1309,11 @@ def test_weight_ops_keep_their_leaves_arrays_and_cast_in_backward():
         for leaf in weights.get(kind, []):
             if any(p is leaf for p in node._prev):
                 assert any(a is leaf.data for a in held), (kind, leaf.shape)
-                checked.add(kind)
+                checked.append(kind)
         stack.extend(node._prev)
-    assert checked == set(weights)
+    # each weight op twice, once on x's path and once on the features'
+    assert sorted(checked) == sorted(
+        ["linear", "conv1d_dilated", "tcn_block", "tcn_block"] * 2 + ["layer_norm"])
     loss.backward()
     assert x.grad.dtype == np.float32 and all(leaf.grad.dtype == np.float64 for leaf in leaves)
 
@@ -1328,7 +1334,7 @@ def test_no_grad_records_no_tape():
     b = t(np.zeros(2))
     with no_grad():
         y = project(linear(x, w, b).sigmoid())
-    assert not y.requires_grad and y._prev == () and y._backward is None
+    assert not y.requires_grad and y._prev == () and y._node is None
     assert np.array_equal(y.data, project(linear(x, w, b).sigmoid()).data)
     z = project(linear(x, w, b))
     assert z.requires_grad and z._prev

@@ -6,7 +6,7 @@ differentiable input gives its result a graph node: its backward closure,
 its parents' nodes, its gradient and its dtype, but not its value. A leaf
 (a tensor made with ``requires_grad=True``) is its own node. Each closure
 keeps only arrays its forward made or was given, and of those only the
-ones its formula reads: the operands of ``*``, the inputs of ``linear``
+ones its formula reads: the constant of ``*``, the inputs of ``linear``
 and ``conv1d_dilated``, the input and the ReLU output of ``tcn_block``,
 its own output where the formula is written in it, ``window_attention``'s
 stacked and pooled operands, each in the one layout its forward made it
@@ -39,26 +39,33 @@ float64 parameters get float64 gradients and Adam keeps float64 master
 weights and state. The oracles run in float64.
 
 The primitive set is closed: the ops the package's network, losses and
-pipeline run, and ``conv1d_dilated``, which none of them runs, kept only
-for perfbench's tracer until ROADMAP items 5 and 17. Tensor methods:
-``+`` and ``*`` (with a tensor, an array or a Python scalar on the
-right), ``sigmoid``, ``gelu``, ``astype`` and ``reshape``; a Tensor is
-neither indexed nor transposed, and every sequence op runs time-major, on
-[T, C] rows. Functions: ``concat``, the affine map ``linear``, dilated
-1-D convolution ``conv1d_dilated``, the residual TCN block ``tcn_block``
-(dilated conv, ReLU, pointwise conv and residual add as one op), ``layer_norm``,
-``softmax`` over the last axis, ``scalar_op`` (a scalar function of one
-tensor from its value and a function that makes its gradient in
-backward, which the loss terms compute in closed form), and one windowed
-multi-scale multi-head attention op (``window_attention``) whose equal
-head groups each take their own window width and dilation step: DSWA is
-its one-scale case with two groups, the expanding and the shrinking
-window, each run over every residue of its step; HTA is its ladder of
-scales with one group at step 1. It makes one call of one tiled kernel,
-``_TileKernel``, per head group, with the group's residues stacked as
-sequences; the kernel's docstring gives its partition of each frame's
-entries by level, its tiles and its softmax shifts, and one bounded memo
-keeps a kernel per call shape.
+pipeline run, with only the semantics they use, and ``conv1d_dilated``,
+which none of them runs, kept only for perfbench's tracer until ROADMAP
+items 5 and 17. Tensor methods: ``+``, ``*``, ``sigmoid``, ``gelu``,
+``astype`` and ``reshape``. Each operand of ``+`` that needs a gradient
+has the result's shape, and so does the left one of ``*``, else
+ShapeError: only a constant (an array, a Python scalar or a Tensor that
+needs no gradient) broadcasts, so no gradient is summed to an operand's
+shape. The right operand of ``*`` is such a constant, else TypeError: the
+package scales a Tensor only by a dropout mask or a loss weight, and
+``linear`` is the one product of two Tensors. ``backward()`` starts from a
+scalar that needs a gradient, else RuntimeError. A Tensor is neither
+indexed nor transposed, and every sequence op runs time-major, on [T, C]
+rows. Functions: ``concat``, the affine map ``linear``, dilated 1-D
+convolution ``conv1d_dilated``, the residual TCN block ``tcn_block``
+(dilated conv, ReLU, pointwise conv and residual add as one op),
+``layer_norm``, ``softmax`` over the last axis, ``scalar_op`` (a scalar
+function of one tensor from its value and a function that makes its
+gradient in backward, which the loss terms compute in closed form), and
+one windowed multi-scale multi-head attention op (``window_attention``)
+whose equal head groups each take their own window width and dilation
+step: DSWA is its one-scale case with two groups, the expanding and the
+shrinking window, each run over every residue of its step; HTA is its
+ladder of scales with one group at step 1. It makes one call of one tiled
+kernel, ``_TileKernel``, per head group, with the group's residues
+stacked as sequences; the kernel's docstring gives its partition of each
+frame's entries by level, its tiles and its softmax shifts, and one
+bounded memo keeps a kernel per call shape.
 Inside a ``no_grad()`` block no op records a backward closure, so
 evaluation passes keep no tape alive. ``Adam`` takes only the learning
 rate; its decay rates, guard and chunk length are the module constants
@@ -119,19 +126,6 @@ _grad_mode = threading.local()
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -196,13 +190,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def item(self) -> float:
         return float(self.data)
 
@@ -216,14 +203,17 @@ class Tensor:
         their ``.grad``. Each interior node, this one included, drops its
         gradient, backward closure and parent links once its closure has
         run, and the walk drops its own reference at the same time, so a
-        node nothing else holds is freed at once. Backward through a graph
-        that an earlier backward released raises RuntimeError before any
-        gradient moves: build the loss again instead.
+        node nothing else holds is freed at once. Backward from a tensor
+        that needs no gradient (one built under ``no_grad()``, say), or
+        through a graph that an earlier backward released, raises
+        RuntimeError before any gradient moves.
         """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            raise RuntimeError("backward() from a tensor that needs no gradient")
         root = self if self._node is None else self._node
         # Iterative topological sort; graphs can be deep.
         topo, visited, stack = [], set(), [(root, False)]
@@ -261,35 +251,26 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other, self.data.dtype)
-        out = _make(self.data + other.data, (self, other))
+        out = _make(_gradient_shaped(self.data + other.data, (self, other)), (self, other))
         if out.requires_grad:
             na, nb = _grad_node(self), _grad_node(other)
-            sa, sb = self.data.shape, other.data.shape
 
             def back(g):
                 if na is not None:
-                    na._accumulate(_unbroadcast(g, sa))
+                    na._accumulate(g)
                 if nb is not None:
-                    nb._accumulate(_unbroadcast(g, sb))
+                    nb._accumulate(g)
             out._node._backward = back
         return out
 
     def __mul__(self, other):
         other = as_tensor(other, self.data.dtype)
-        out = _make(self.data * other.data, (self, other))
+        if other.requires_grad:
+            raise TypeError("the right operand of * must be a constant that needs no gradient")
+        out = _make(_gradient_shaped(self.data * other.data, (self,)), (self,))
         if out.requires_grad:
-            na, nb = _grad_node(self), _grad_node(other)
-            # each operand's gradient reads the other operand only
-            a = self.data if nb is not None else None
-            b = other.data if na is not None else None
-            sa, sb = self.data.shape, other.data.shape
-
-            def back(g):
-                if na is not None:
-                    na._accumulate(_unbroadcast(g * b, sa))
-                if nb is not None:
-                    nb._accumulate(_unbroadcast(g * a, sb))
-            out._node._backward = back
+            n, b = _grad_node(self), other.data
+            out._node._backward = lambda g: n._accumulate(g * b)
         return out
 
     # ---- unary ------------------------------------------------------
@@ -361,6 +342,15 @@ def _grad_node(t: Tensor):
     if not t.requires_grad:
         return None
     return t if t._node is None else t._node
+
+
+def _gradient_shaped(value: np.ndarray, operands: tuple) -> np.ndarray:
+    """`value`, once each of `operands` that needs a gradient has its shape."""
+    for t in operands:
+        if t.requires_grad and t.data.shape != value.shape:
+            raise ShapeError(f"an operand of shape {t.data.shape} that needs a gradient "
+                             f"broadcasts to {value.shape}; only a constant may broadcast")
+    return value
 
 
 def _records(parents: tuple) -> bool:
@@ -1251,13 +1241,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row normalisation over the last axis, then affine gain/bias:
+    """Per-row normalisation of x [T, D], then affine gain/bias, each (D,):
     xhat * gain + bias with xhat = (x - mean) / sqrt(var + eps), as one op
     (Ba et al., arXiv:1607.06450). The backward is closed form,
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
     with dxhat = dy * gain; gain and bias are cast to x's dtype."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    n, dtype, gd = x.data.shape[-1], x.data.dtype, gain.data
+    xs, gs, bs = x.data.shape, gain.data.shape, bias.data.shape
+    if len(xs) != 2 or gs != xs[1:] or bs != gs:
+        raise ShapeError(
+            f"layer_norm needs x [T, D] with gain and bias (D,), got {xs}, {gs}, {bs}"
+        )
+    n, dtype, gd = xs[1], x.data.dtype, gain.data
     # two [T, D] buffers: the centred rows become xhat in place, and the
     # squares' buffer becomes the output
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
@@ -1269,13 +1264,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     out = _make(y, (x, gain, bias))
     if out.requires_grad:
         nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(bias)
-        sg, sb = gd.shape, bias.data.shape
 
         def back(dy):
             if ng is not None:
-                ng._accumulate(_unbroadcast(dy * xhat, sg))
+                ng._accumulate((dy * xhat).sum(axis=0))
             if nb is not None:
-                nb._accumulate(_unbroadcast(dy, sb))
+                nb._accumulate(dy.sum(axis=0))
             if nx is not None:
                 dxhat = dy * gd.astype(dtype, copy=False)
                 dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -214,7 +215,9 @@ def _fd(build, tensors, tol=1e-6):
 def test_grad_elementwise_chain():
     x = t(rng.normal(size=(3, 4)))
     y = t(rng.normal(size=(3, 4)))
-    _fd(lambda: project((x * y + (y * y + 2.0) * x + y * -1.5).sigmoid() * x.gelu()), [x, y])
+    # a constant factor broadcasts along rows; gelu and sigmoid give curvature
+    _fd(lambda: project((x * np.linspace(-1.0, 1.0, 4) + (y.gelu() + 2.0).sigmoid()
+                         + y * -1.5).sigmoid() + (x + y).gelu()), [x, y])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -230,22 +233,30 @@ def test_sigmoid_saturates_without_warning(dtype):
 
 def test_grad_sigmoid_gelu():
     x = t(rng.normal(size=(6,)))
-    _fd(lambda: project(x.sigmoid() + (x + 0.3).gelu() * x.gelu()), [x], tol=1e-5)
+    _fd(lambda: project(x.sigmoid() + ((x + 0.3).gelu() + x.gelu().sigmoid()).gelu()), [x],
+        tol=1e-5)
 
 
 def test_grad_matmul_broadcast_bias():
-    # linear is the one matmul; `+ c` broadcasts a row over its output
+    # linear is the one matmul, and its bias broadcasts a row over its
+    # output; so does a constant `+`
     x = t(rng.normal(size=(4, 3)))
     w = t(rng.normal(size=(3, 2)))
     b, c = t(rng.normal(size=(2,))), t(rng.normal(size=(2,)))
-    _fd(lambda: project((linear(x, w, b) + c) * (linear(x, w, b) + c), 1 / 8), [x, w, b, c])
+    _fd(lambda: project((linear(x, w, b) + linear(x, w, c) + np.array([0.5, -0.25])).gelu(),
+                        1 / 8), [x, w, b, c])
 
 
 def test_grad_astype():
     # values and steps on a coarse binary grid, so both casts are exact
     x = t(rng.integers(-64, 64, size=(5,)) / 32.0)
-    err = fd_check_tensor(
-        lambda: project(x.astype(np.float32).astype(np.float64) * x, 3.0), [x], eps=2.0 ** -10)
+
+    def build():
+        # 3 sum(cast(x) x), a quadratic, whose central differences are exact
+        xc = x.astype(np.float32).astype(np.float64)
+        return project(linear(xc.reshape(1, 5), x.reshape(5, 1), Tensor(np.zeros(1))), 3.0)
+
+    err = fd_check_tensor(build, [x], eps=2.0 ** -10)
     assert err < 1e-12
 
 
@@ -301,7 +312,7 @@ def test_grad_mean_pool_layer_norm():
     def build():
         pooled = linear(Tensor(pool), x, Tensor(np.zeros(4)))
         y = layer_norm(x, g, bb)
-        return project(pooled, 3.0) + project(y * y)
+        return project(pooled, 3.0) + project(y.gelu())
 
     _fd(build, [x, g, bb], tol=1e-5)
 
@@ -1106,7 +1117,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 
     def build():
         h = linear(x, w, b)
-        a = (h * h).gelu()
+        a = h.sigmoid().gelu()
         # `a` and the leaves are shared
         return project(a + a.sigmoid()) + project(linear(x, w, b), 1 / 8)
 
@@ -1125,7 +1136,7 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 def test_second_backward_through_a_released_graph_raises():
     x = t(rng.normal(size=(3,)))
     h = x * 2.0
-    loss = project(h * h)
+    loss = project(h.gelu())
     loss.backward()
     grad = x.grad.copy()
     with pytest.raises(RuntimeError, match="released"):
@@ -1137,6 +1148,42 @@ def test_second_backward_through_a_released_graph_raises():
     # a fresh graph from the same leaves runs and accumulates
     project(x * 2.0).backward()
     assert np.array_equal(x.grad, grad + 2.0)
+
+
+def test_backward_from_a_tensor_that_needs_no_gradient_raises():
+    # a loss built under no_grad() reaches no leaf: backward must not run as
+    # if every gradient were zero
+    x, w, b = t(np.ones((2, 3))), t(np.ones((3, 1))), t(np.zeros(1))
+    with no_grad():
+        loss = project(linear(x, w, b))
+    with pytest.raises(RuntimeError, match="needs no gradient"):
+        loss.backward()
+    assert loss.grad is None and all(p.grad is None for p in (x, w, b))
+
+
+def test_only_a_constant_broadcasts_in_add_and_mul():
+    row, rows = t(np.ones(3)), t(np.ones((2, 3)))
+    # an operand that needs a gradient and broadcasts, on either side
+    for build in (lambda: row + rows, lambda: rows + row, lambda: row + np.ones((2, 3)),
+                  lambda: row * np.ones((2, 3))):
+        with pytest.raises(ShapeError, match="needs a gradient"):
+            build()
+    # the right operand of * needs a gradient: its gradient would be dropped
+    for right in (rows, row, t(np.ones(())), t(np.ones((2, 3))).sigmoid()):
+        with pytest.raises(TypeError, match="constant"):
+            rows * right
+    # a constant broadcasts, in the package's two forms: input dropout,
+    # x * mask[None, :], and a sum with a constant, here a row, a Python
+    # scalar and a Tensor that needs no gradient
+    x = t(np.arange(6.0).reshape(2, 3))
+    mask, g = np.array([2.0, 0.0, 0.5]), np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+    y = x * mask[None, :]
+    project(y, g).backward()
+    assert np.array_equal(y.data, x.data * mask) and np.array_equal(x.grad, g * mask)
+    x.grad = None
+    y = x + np.array([1.0, 2.0, 3.0]) + 0.5 + Tensor(np.ones(3))
+    project(y, g).backward()
+    assert np.array_equal(y.data, x.data + 2.5 + np.arange(3.0)) and np.array_equal(x.grad, g)
 
 
 def test_first_accumulation_copies_the_gradient():
@@ -1209,7 +1256,8 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     pw = t(rng.normal(size=(4, 4, 1)) * 0.3)
     c = Tensor(rng.normal(size=(8, 4)))
     eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
-    h = linear(x, w, b) * c + c * (x * x + 1.0) + linear(c, w, b) * -1.0 + linear(x, eye, zero)
+    h = (linear(x, w, b) * c + (c + x.gelu() * 2.0) + linear(c, w, b) * -1.0
+         + linear(x, eye, zero))
     h = layer_norm(h, b * 2.0, b).gelu()
     attended = [(window_attention(h, c, h, 2, 1, [(2, 1), (1, 2)]), (h, c, h)),
                 (window_attention(h, h, c, 2, 2, [(1, 1)]), (h, h, c))]
@@ -1251,7 +1299,7 @@ def test_backward_closures_hold_no_tensor_but_leaves():
     h = tcn_block(conv1d_dilated(h, kernel, b, dilation=2), kernel, b, pw, b, 2, "causal")
     h = concat([h, h * c], axis=0)
     p = softmax(h.reshape(4, 16)).astype(np.float32).astype(np.float64)
-    loss = (project(p + (p * p + 0.5).sigmoid(), 1 / 64)
+    loss = (project(p + (p.gelu() + 0.5).sigmoid(), 1 / 64)
             + scalar_op(0.0, p, lambda: np.ones((4, 16))))
     leaves = {id(x), id(w), id(b), id(kernel), id(pw)}
     seen, stack, kinds = set(), [loss._node], set()
@@ -1369,7 +1417,7 @@ def test_fused_op_matches_oracle_and_finite_differences(fused, oracle, shapes):
     want = [oracle(*arrays)] + complex_step_grads(oracle, arrays, weight)
     for g, w in zip([y.data, x.grad, a.grad, b.grad], want):
         assert np.max(np.abs(g - w)) < 1e-12
-    _fd(lambda: project(fused(x, a, b) * fused(x, a, b), 0.1), [x, a, b], tol=1e-6)
+    _fd(lambda: project(fused(x, a, b).gelu(), 0.1), [x, a, b], tol=1e-6)
 
 
 def test_fused_ops_are_one_tape_node():
@@ -1402,7 +1450,7 @@ def test_tcn_block_equals_its_composite_bit_for_bit(dtype, mode, T, dilation):
     for op in (tcn_block, tcn_block_composite):
         leaves = _tcn_leaves(T, dtype, np.random.default_rng(T * dilation))
         y = op(*leaves, dilation, mode)
-        project(y, np.linspace(-2.0, 1.0, y.size).reshape(y.shape)).backward()
+        project(y, np.linspace(-2.0, 1.0, y.data.size).reshape(y.shape)).backward()
         runs.append([y.data] + [p.grad for p in leaves])
     assert runs[0][0].dtype == runs[0][1].dtype == dtype
     for a, b in zip(*runs):
@@ -1421,7 +1469,7 @@ def test_tcn_block_gradients_through_an_infinite_or_nan_g_keep_the_composite_bit
         leaves = _tcn_leaves(16, dtype, np.random.default_rng(7))
         leaves[2].data[4] = -1e3
         y = op(*leaves, 2, "acausal")
-        g = np.linspace(-2.0, 1.0, y.size).reshape(y.shape)
+        g = np.linspace(-2.0, 1.0, y.data.size).reshape(y.shape)
         g[3, 0], g[8, 1], g[12, 2] = np.inf, -np.inf, np.nan
         project(y, g).backward()
         runs.append([y.data] + [p.grad for p in leaves])
@@ -1448,8 +1496,7 @@ def test_tcn_block_matches_the_loop_convolutions(mode, T, dilation):
 def test_grad_tcn_block(mode):
     for dil in (1, 2, 5):
         leaves = _tcn_leaves(9, np.float64, rng)
-        _fd(lambda ls=leaves, d=dil: project(tcn_block(*ls, d, mode) * tcn_block(*ls, d, mode),
-                                             0.1), leaves)
+        _fd(lambda ls=leaves, d=dil: project(tcn_block(*ls, d, mode).gelu(), 0.1), leaves)
 
 
 def test_tcn_block_shape_errors():
@@ -1493,6 +1540,16 @@ def test_linear_shape_errors():
             linear(x, t(np.zeros(w)), t(np.zeros(b)))
 
 
+def test_layer_norm_shape_errors():
+    # a gain or bias of one entry, or of D + 1, and input that is not [T, D]:
+    # each names all three shapes
+    x, g, b = np.ones((4, 3)), np.ones(3), np.zeros(3)
+    for args in ((x, np.ones(1), b), (x, g, np.zeros(1)), (x, np.ones(4), b),
+                 (np.ones((2, 4, 3)), g, b), (np.ones(3), g, b)):
+        with pytest.raises(ShapeError, match=re.escape(", ".join(str(a.shape) for a in args))):
+            layer_norm(*map(t, args))
+
+
 def test_gelu_matches_pow_form():
     # the cube as products, against the tanh approximation written with pow
     x = rng.normal(size=(50,)) * 4.0
@@ -1522,6 +1579,6 @@ def test_astype_casts_and_casts_the_gradient_back():
     assert x.astype(np.float32) is x
     y = x.astype(np.float64)
     assert y.data.dtype == np.float64 and np.array_equal(y.data, x.data)
-    project(y * y).backward()
+    project(y, 2.0 * y.data).backward()
     assert x.grad.dtype == np.float32
-    assert np.allclose(x.grad, 2.0 * x.data)
+    assert np.array_equal(x.grad, 2.0 * x.data)

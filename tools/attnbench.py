@@ -99,7 +99,7 @@ def one_pass(sc, heads, ops, arrays, backward: bool) -> float:
             continue
         xs = [sc.Tensor(a, requires_grad=True) for a in (q, k, v)]
         y = sc.window_attention(*xs, heads, levels, windows)
-        loss = sc.linear(y.reshape(1, y.size), sc.Tensor(g), sc.Tensor(np.zeros(1, g.dtype)))
+        loss = sc.linear(y.reshape(1, -1), sc.Tensor(g), sc.Tensor(np.zeros(1, g.dtype)))
         loss.backward()
     return time.perf_counter() - start
 
